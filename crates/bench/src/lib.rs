@@ -231,35 +231,3 @@ pub fn series(ticks: &[f32], tick_secs: f64, n: usize) -> Vec<(f64, f64)> {
         })
         .collect()
 }
-
-/// Minimal `Instant`-based micro-benchmark harness: one warm-up run, then
-/// `n` timed iterations; prints mean / min / max wall time per iteration.
-/// Replaces the external bench framework so the workspace builds offline.
-pub fn timeit(name: &str, n: usize, mut f: impl FnMut()) {
-    f(); // warm-up (page in code, fill allocator pools)
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n.max(1) {
-        let t0 = std::time::Instant::now();
-        f();
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let fmt = |s: f64| {
-        if s >= 1.0 {
-            format!("{s:.3} s")
-        } else if s >= 1e-3 {
-            format!("{:.3} ms", s * 1e3)
-        } else {
-            format!("{:.3} us", s * 1e6)
-        }
-    };
-    println!(
-        "{name}: mean {} min {} max {} ({} iters)",
-        fmt(mean),
-        fmt(min),
-        fmt(max),
-        samples.len()
-    );
-}

@@ -7,13 +7,12 @@
 //!   learned policy applies a periodic multiplicative correction
 //!   `cwnd <- cubic_cwnd * 2^u`, u in [-1, 1].
 
-use crate::model::{SageModel, ACTION_SCALE};
+use crate::model::SageModel;
 use crate::policy::ActionMode;
-use sage_gr::{GrConfig, GrUnit, RewardParams};
+use sage_gr::{log_ratio, CwndActor, GrConfig};
 use sage_heuristics::cubic::Cubic;
 use sage_netsim::time::Nanos;
-use sage_nn::{Array, Graph};
-use sage_transport::sim::TickRecord;
+use sage_nn::Array;
 use sage_transport::{AckEvent, CongestionControl, SocketView, MIN_CWND};
 use sage_util::Rng;
 use std::sync::Arc;
@@ -68,8 +67,10 @@ impl CongestionControl for OracleCc {
 pub struct HybridPolicy {
     model: Arc<SageModel>,
     cubic: Cubic,
-    gr: GrUnit,
-    hidden: Vec<f64>,
+    /// Observation half of the Execution block; the enforced window is
+    /// Cubic's times the multiplier, so `apply` is never called.
+    actor: CwndActor,
+    hidden: Array,
     /// Learned multiplier applied to Cubic's window.
     multiplier: f64,
     /// Apply the learned action every `period` ticks (Orca acts on a slower
@@ -79,28 +80,22 @@ pub struct HybridPolicy {
     rng: Rng,
     mode: ActionMode,
     name: &'static str,
-    prev_lost_bytes: u64,
 }
 
 impl HybridPolicy {
     pub fn new(model: Arc<SageModel>, gr_cfg: GrConfig, seed: u64, mode: ActionMode) -> Self {
-        let hidden_dim = if model.cfg.gru > 0 {
-            model.cfg.gru
-        } else {
-            model.cfg.enc1
-        };
+        let hidden = Array::zeros(1, model.cfg.hidden_dim());
         HybridPolicy {
             model,
             cubic: Cubic::new(),
-            gr: GrUnit::new(gr_cfg, RewardParams::default()),
-            hidden: vec![0.0; hidden_dim],
+            actor: CwndActor::new(gr_cfg),
+            hidden,
             multiplier: 1.0,
             period: 5,
             tick_count: 0,
             rng: Rng::new(seed ^ 0x04CA),
             mode,
             name: "orca-like",
-            prev_lost_bytes: 0,
         }
     }
 
@@ -130,31 +125,17 @@ impl CongestionControl for HybridPolicy {
 
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
         self.tick_count += 1;
-        let lost_delta = sock.lost_bytes_total.saturating_sub(self.prev_lost_bytes);
-        self.prev_lost_bytes = sock.lost_bytes_total;
-        let tick = TickRecord {
-            now,
-            goodput_bps: sock.delivery_rate_bps,
-            mean_owd: 0.0,
-            lost_bytes_delta: lost_delta,
-            cwnd_pkts: self.cwnd_pkts(),
-        };
-        let step = self.gr.on_tick(sock, &tick);
+        self.actor.set_cwnd(self.cwnd_pkts());
+        let step = self.actor.observe(now, sock);
         if !self.tick_count.is_multiple_of(self.period) {
             return;
         }
-        let x = self.model.prepare_input(&step.state);
-        let mut g = Graph::new();
-        let xin = g.input(Array::row(x));
-        let hin = g.input(Array::row(self.hidden.clone()));
-        let (nodes, hout) = self.model.policy.step(&mut g, &self.model.store, xin, hin);
-        self.hidden = g.value(hout).data.clone();
-        let mix = self.model.policy.mixture(&g, nodes, 0);
-        let u = (match self.mode {
+        let mix = self.model.step_one(&step.state, &mut self.hidden);
+        let u = log_ratio(match self.mode {
             ActionMode::Sample => mix.sample(&mut self.rng),
             ActionMode::Deterministic => mix.dominant_mean(),
-        } * ACTION_SCALE)
-            .clamp(-1.0, 1.0);
+        })
+        .clamp(-1.0, 1.0);
         // Orca: cwnd = cubic_cwnd * 2^u with u in [-1, 1].
         self.multiplier = 2f64.powf(u);
     }

@@ -14,7 +14,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::model::{
-    CriticNet, NetConfig, PolicyNet, SageModel, ACTION_SCALE, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
+    CriticNet, NetConfig, PolicyNet, SageModel, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
 };
 use sage_collector::Pool;
 use sage_nn::{Adam, Array, Graph, ParamStore};
@@ -227,10 +227,7 @@ impl CrrTrainer {
                 }
             }
             for t in 0..l {
-                let ratio = traj.actions[start + t] as f64;
-                // Scaled log-action (see ACTION_SCALE).
-                actions[t][bi] = (ratio.max(1e-6).ln() / ACTION_SCALE)
-                    .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
+                actions[t][bi] = sage_gr::encode_ratio(traj.actions[start + t] as f64);
                 rewards[t][bi] = traj.reward(start + t + 1) as f64;
             }
         }
@@ -653,13 +650,8 @@ mod tests {
     fn policy_action(model: &SageModel, flag: f64) -> f64 {
         let mut full = vec![0.0; STATE_DIM];
         full[0] = flag;
-        let x = model.prepare_input(&full);
-        let mut g = Graph::new();
-        let xin = g.input(Array::row(x));
-        let h = model.policy.initial_hidden(&mut g, 1);
-        let (nodes, _) = model.policy.step(&mut g, &model.store, xin, h);
-        // The mixture lives in scaled units; convert back to ln(ratio).
-        model.policy.mixture(&g, nodes, 0).mean() * ACTION_SCALE
+        let mut hidden = Array::zeros(1, model.cfg.hidden_dim());
+        sage_gr::log_ratio(model.step_one(&full, &mut hidden).mean())
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   on-policy learner.
 //! * [`baselines`] — Indigo-like oracle imitation and Orca-like hybrid
 //!   (Cubic x learned multiplier) stand-ins.
-//! * [`policy`] — the Execution block: a trained model as a
-//!   `CongestionControl` implementation driving TCP Pure.
+//! * [`policy`] — a trained model as a `CongestionControl` implementation,
+//!   driving the Execution block (`sage_gr::action`: observe → act).
 
 pub mod baselines;
 pub mod crr;

@@ -9,23 +9,10 @@ use sage_nn::{Array, ParamStore};
 use sage_util::{Json, Rng};
 use std::io::{self, Read};
 
-/// Bounds of the log-action (ln of the cwnd ratio) the policy may emit per
-/// 10 ms step.
-pub const LOG_ACTION_MIN: f64 = -1.4; // ratio ~0.25
-pub const LOG_ACTION_MAX: f64 = 1.4; // ratio ~4.0
-
-/// Action scale: the policy and critic operate on `ln(ratio) / ACTION_SCALE`.
-/// Per-10 ms cwnd ratios concentrate within a few percent of 1.0 (log-actions
-/// of a few hundredths); rescaling makes the GMM's support and the critic's
-/// action input comparable to the standardised state features. Without it,
-/// Q(s, a) is numerically almost independent of `a`, the CRR advantage
-/// collapses to zero, and the mixture cannot resolve conditional structure
-/// above its sigma floor.
-pub const ACTION_SCALE: f64 = 0.05;
-
-/// Bounds of the scaled action.
-pub const SCALED_ACTION_MIN: f64 = LOG_ACTION_MIN / ACTION_SCALE;
-pub const SCALED_ACTION_MAX: f64 = LOG_ACTION_MAX / ACTION_SCALE;
+/// The action codec lives with the Execution block in `sage_gr::action`.
+pub use sage_gr::action::{
+    ACTION_SCALE, LOG_ACTION_MAX, LOG_ACTION_MIN, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
+};
 
 /// Architecture hyper-parameters. The paper's sizes (encoder FC 256,
 /// GRU 1024) are scaled down for single-core training; topology is
@@ -95,6 +82,17 @@ impl NetConfig {
 
     pub fn input_dim(&self) -> usize {
         self.mask().dim()
+    }
+
+    /// Width of the recurrent state carried across steps: the GRU's, or the
+    /// first encoder's when the GRU is ablated (the state then passes
+    /// through untouched).
+    pub fn hidden_dim(&self) -> usize {
+        if self.gru > 0 {
+            self.gru
+        } else {
+            self.enc1
+        }
     }
 
     /// JSON encoding of the config (model-file headers).
@@ -170,7 +168,7 @@ impl PolicyNet {
         } else {
             None
         };
-        let after_gru = if cfg.gru > 0 { cfg.gru } else { cfg.enc1 };
+        let after_gru = cfg.hidden_dim();
         let post_ln = LayerNorm::new(store, &format!("{prefix}.postln"), after_gru);
         let enc2 = if cfg.enc2 > 0 {
             Some(Linear::new(
@@ -205,12 +203,7 @@ impl PolicyNet {
 
     /// Initial hidden state for `batch` sequences.
     pub fn initial_hidden(&self, g: &mut Graph, batch: usize) -> NodeId {
-        let width = if self.cfg.gru > 0 {
-            self.cfg.gru
-        } else {
-            self.cfg.enc1
-        };
-        g.input(Array::zeros(batch, width))
+        g.input(Array::zeros(batch, self.cfg.hidden_dim()))
     }
 
     /// One timestep: consumes `x` [B, D] and hidden [B, H]; returns
@@ -405,6 +398,16 @@ impl SageModel {
             .iter()
             .map(|&i| (full_state[i] - self.norm_mean[i]) / self.norm_std[i])
             .collect()
+    }
+
+    /// The B=1 inference path of every single-flow controller: standardise
+    /// one full state, run [`PolicyNet::step_infer`], advance `hidden`
+    /// (`[1, hidden_dim]`) in place and return the mixture.
+    pub fn step_one(&self, full_state: &[f64], hidden: &mut Array) -> GmmParams {
+        let x = Array::row(self.prepare_input(full_state));
+        let (mix, h) = self.policy.step_infer(&self.store, &x, hidden);
+        *hidden = h;
+        mix.row(0)
     }
 
     /// Serialise to bytes (no checksum footer — [`SageModel::save_file`]

@@ -1,20 +1,17 @@
-//! The Execution block: a trained [`SageModel`] deployed as a
-//! `CongestionControl` implementation. Mirrors the paper's TCP Pure
-//! deployment — the model runs every monitor interval, reads the GR state
-//! vector, and enforces a cwnd-ratio action.
+//! A trained [`SageModel`] deployed as a `CongestionControl` implementation:
+//! every monitor interval the Execution block ([`sage_gr::action`]) observes
+//! the GR state, the model's B=1 inference path ([`SageModel::step_one`])
+//! turns it into a mixture, and the actor enforces the chosen cwnd ratio.
 
-use crate::model::{SageModel, ACTION_SCALE, LOG_ACTION_MAX, LOG_ACTION_MIN};
-use sage_gr::{GrConfig, GrUnit, RewardParams};
+use crate::model::SageModel;
+use sage_gr::{CwndActor, GrConfig, GrStep};
 use sage_netsim::time::Nanos;
-use sage_nn::{Array, Graph};
-use sage_transport::sim::TickRecord;
-use sage_transport::{AckEvent, CongestionControl, SocketView, INIT_CWND, MIN_CWND};
+use sage_nn::Array;
+use sage_transport::{AckEvent, CongestionControl, SocketView};
 use sage_util::Rng;
 use std::sync::Arc;
 
-/// Upper bound on the enforced congestion window (packets). Public so the
-/// serving runtime (`crates/serve`) applies the identical clamp.
-pub const MAX_CWND: f64 = 40_000.0;
+pub use sage_gr::action::MAX_CWND;
 
 /// How the policy turns its mixture into an action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,40 +25,44 @@ pub enum ActionMode {
 /// A learned policy executing as a congestion controller.
 pub struct SagePolicy {
     model: Arc<SageModel>,
-    gr: GrUnit,
-    /// Plain (non-graph) hidden state vector, carried across ticks.
-    hidden: Vec<f64>,
-    cwnd: f64,
+    actor: CwndActor,
+    /// Recurrent state `[1, hidden_dim]`, carried across ticks.
+    hidden: Array,
     rng: Rng,
     mode: ActionMode,
     name: &'static str,
-    prev_lost_bytes: u64,
-    last_now: Nanos,
 }
 
 impl SagePolicy {
     pub fn new(model: Arc<SageModel>, gr_cfg: GrConfig, seed: u64, mode: ActionMode) -> Self {
-        let hidden_dim = if model.cfg.gru > 0 {
-            model.cfg.gru
-        } else {
-            model.cfg.enc1
-        };
+        let hidden = Array::zeros(1, model.cfg.hidden_dim());
         SagePolicy {
             model,
-            gr: GrUnit::new(gr_cfg, RewardParams::default()),
-            hidden: vec![0.0; hidden_dim],
-            cwnd: INIT_CWND,
+            actor: CwndActor::new(gr_cfg),
+            hidden,
             rng: Rng::new(seed ^ 0x5A6E),
             mode,
             name: "sage",
-            prev_lost_bytes: 0,
-            last_now: 0,
         }
     }
 
     pub fn with_name(mut self, name: &'static str) -> Self {
         self.name = name;
         self
+    }
+
+    /// One monitor interval: observe, infer, enforce. Returns what the policy
+    /// saw and the raw (scaled-unit) action it chose, so distillation can
+    /// harvest exactly the deployed pipeline; `on_tick` discards both.
+    pub fn act(&mut self, now: Nanos, sock: &SocketView) -> (GrStep, f64) {
+        let step = self.actor.observe(now, sock);
+        let mix = self.model.step_one(&step.state, &mut self.hidden);
+        let raw = match self.mode {
+            ActionMode::Sample => mix.sample(&mut self.rng),
+            ActionMode::Deterministic => mix.mean(),
+        };
+        self.actor.apply(raw);
+        (step, raw)
     }
 }
 
@@ -79,44 +80,15 @@ impl CongestionControl for SagePolicy {
     }
 
     fn on_rto(&mut self, _now: Nanos, _sock: &SocketView) {
-        // A timeout still collapses the window (transport safety): the
-        // learned policy will regrow it from the observed state.
-        self.cwnd = (self.cwnd * 0.5).max(MIN_CWND);
+        self.actor.on_rto();
     }
 
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
-        // Synthesise the tick record the GR unit needs (receiver-side tick
-        // fields are only used for rewards, which deployment ignores).
-        let lost_delta = sock.lost_bytes_total.saturating_sub(self.prev_lost_bytes);
-        self.prev_lost_bytes = sock.lost_bytes_total;
-        self.last_now = now;
-        let tick = TickRecord {
-            now,
-            goodput_bps: sock.delivery_rate_bps,
-            mean_owd: 0.0,
-            lost_bytes_delta: lost_delta,
-            cwnd_pkts: self.cwnd,
-        };
-        let step = self.gr.on_tick(sock, &tick);
-        let x = self.model.prepare_input(&step.state);
-
-        let mut g = Graph::new();
-        let xin = g.input(Array::row(x));
-        let hin = g.input(Array::row(self.hidden.clone()));
-        let (nodes, hout) = self.model.policy.step(&mut g, &self.model.store, xin, hin);
-        self.hidden = g.value(hout).data.clone();
-        let mix = self.model.policy.mixture(&g, nodes, 0);
-        // The mixture lives in scaled action units (see ACTION_SCALE).
-        let log_ratio = (match self.mode {
-            ActionMode::Sample => mix.sample(&mut self.rng),
-            ActionMode::Deterministic => mix.mean(),
-        } * ACTION_SCALE)
-            .clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
-        self.cwnd = (self.cwnd * log_ratio.exp()).clamp(MIN_CWND, MAX_CWND);
+        self.act(now, sock);
     }
 
     fn cwnd_pkts(&self) -> f64 {
-        self.cwnd
+        self.actor.cwnd()
     }
 }
 
@@ -128,7 +100,7 @@ mod tests {
     use sage_netsim::link::LinkModel;
     use sage_netsim::time::from_secs;
     use sage_transport::sim::NullMonitor;
-    use sage_transport::{FlowConfig, SimConfig, Simulation};
+    use sage_transport::{FlowConfig, SimConfig, Simulation, MIN_CWND};
 
     fn tiny_model() -> Arc<SageModel> {
         let cfg = NetConfig {
@@ -182,14 +154,24 @@ mod tests {
         assert_eq!(run(model.clone()), run(model));
     }
 
+    /// One loop over every enforcement path: the policy in both action
+    /// modes, and the bare actor fed saturating raw actions.
     #[test]
     fn cwnd_stays_within_bounds() {
         let model = tiny_model();
-        let mut p = SagePolicy::new(model, GrConfig::default(), 2, ActionMode::Sample);
+        let mut sample = SagePolicy::new(model.clone(), GrConfig::default(), 2, ActionMode::Sample);
+        let mut mean = SagePolicy::new(model, GrConfig::default(), 2, ActionMode::Deterministic);
+        let mut actor = CwndActor::new(GrConfig::default());
         let view = crate::crr::tests_support::dummy_view(10.0);
         for i in 1..200u64 {
-            p.on_tick(i * 10_000_000, &view);
-            assert!(p.cwnd_pkts() >= MIN_CWND && p.cwnd_pkts() <= MAX_CWND);
+            let now = i * 10_000_000;
+            sample.on_tick(now, &view);
+            mean.on_tick(now, &view);
+            actor.observe(now, &view);
+            actor.apply(if i % 3 == 0 { f64::MIN } else { f64::MAX });
+            for cwnd in [sample.cwnd_pkts(), mean.cwnd_pkts(), actor.cwnd()] {
+                assert!((MIN_CWND..=MAX_CWND).contains(&cwnd), "tick {i}: {cwnd}");
+            }
         }
     }
 }

@@ -111,7 +111,7 @@ fn ablation_topologies_also_match() {
     ] {
         let model = SageModel::new(cfg, vec![0.0; STATE_DIM], vec![1.0; STATE_DIM], 9);
         let d = cfg.input_dim();
-        let hd = if cfg.gru > 0 { cfg.gru } else { cfg.enc1 };
+        let hd = cfg.hidden_dim();
         let x = Array::from_vec(2, d, (0..2 * d).map(|i| (i as f64) * 0.01 - 0.3).collect());
         let h = Array::zeros(2, hd);
         let (mix, _) = model.policy.step_infer(&model.store, &x, &h);

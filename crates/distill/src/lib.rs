@@ -8,7 +8,9 @@
 //! (same crash-safety contract as the model format), and deploys it as
 //! [`policy::SymbolicPolicy`] — a `CongestionControl` implementation that
 //! registers in `sage-heuristics` under the name `"sage-sym"` and serves as
-//! the fast tier of the `sage-serve` runtime.
+//! the fast tier of the `sage-serve` runtime. The tree's outputs are raw
+//! scaled-unit actions; bounding and enforcing them is the Execution
+//! block's job (`sage_gr::action`), shared with the neural policy.
 //!
 //! Everything here is deterministic by construction: fitting breaks ties by
 //! (feature index, threshold bits), inference is pure float compares, and
@@ -28,16 +30,6 @@ pub use policy::SymbolicPolicy;
 pub use tree::{SymbolicModel, TreeConfig};
 
 use std::sync::{Arc, RwLock};
-
-/// Action constants, mirrored from `sage-core::model`/`policy` so this crate
-/// stays below `core` in the dependency graph. `sage-serve` pins the
-/// equality with a cross-crate test (`tier` tests), so a drift in either
-/// crate fails the build gates rather than silently skewing actions.
-pub const ACTION_SCALE: f64 = 0.05;
-pub const LOG_ACTION_MIN: f64 = -1.4;
-pub const LOG_ACTION_MAX: f64 = 1.4;
-/// Mirrors `sage_core::MAX_CWND`.
-pub const MAX_CWND: f64 = 40_000.0;
 
 /// Registry name of the distilled scheme.
 pub const SYMBOLIC_SCHEME: &str = "sage-sym";

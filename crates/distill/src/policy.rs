@@ -1,26 +1,22 @@
 //! The distilled tree deployed as a `CongestionControl` implementation.
 //!
-//! [`SymbolicPolicy`] mirrors `sage_core::SagePolicy`'s deployment loop
-//! exactly — same `TickRecord` synthesis, same GR state pipeline, same
-//! action clamp arithmetic — but replaces the GRU+GMM forward pass with a
-//! tree walk over the *raw* (unstandardised) state vector. There is no
-//! sampling mode: the tree was fitted to the mixture mean, so the policy is
+//! [`SymbolicPolicy`] runs the same Execution block as the neural policy it
+//! distils ([`sage_gr::CwndActor`]: observe the GR state, enforce a
+//! cwnd-ratio action) with a tree walk over the *raw* (unstandardised) state
+//! vector where the GRU+GMM forward pass would be. There is no sampling
+//! mode: the tree was fitted to the mixture mean, so the policy is
 //! deterministic by construction and needs no RNG.
 
 use crate::tree::SymbolicModel;
-use crate::{ACTION_SCALE, LOG_ACTION_MAX, LOG_ACTION_MIN, MAX_CWND};
-use sage_gr::{GrConfig, GrUnit, RewardParams};
+use sage_gr::{CwndActor, GrConfig};
 use sage_netsim::time::Nanos;
-use sage_transport::sim::TickRecord;
-use sage_transport::{AckEvent, CongestionControl, SocketView, INIT_CWND, MIN_CWND};
+use sage_transport::{AckEvent, CongestionControl, SocketView};
 use std::sync::Arc;
 
 /// A fitted symbolic tree executing as a congestion controller.
 pub struct SymbolicPolicy {
     tree: Arc<SymbolicModel>,
-    gr: GrUnit,
-    cwnd: f64,
-    prev_lost_bytes: u64,
+    actor: CwndActor,
     name: &'static str,
 }
 
@@ -28,9 +24,7 @@ impl SymbolicPolicy {
     pub fn new(tree: Arc<SymbolicModel>, gr_cfg: GrConfig) -> Self {
         SymbolicPolicy {
             tree,
-            gr: GrUnit::new(gr_cfg, RewardParams::default()),
-            cwnd: INIT_CWND,
-            prev_lost_bytes: 0,
+            actor: CwndActor::new(gr_cfg),
             name: crate::SYMBOLIC_SCHEME,
         }
     }
@@ -60,32 +54,17 @@ impl CongestionControl for SymbolicPolicy {
     }
 
     fn on_rto(&mut self, _now: Nanos, _sock: &SocketView) {
-        // Same transport-safety collapse as `SagePolicy::on_rto`.
-        self.cwnd = (self.cwnd * 0.5).max(MIN_CWND);
+        self.actor.on_rto();
     }
 
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
-        // Identical tick synthesis to `SagePolicy::on_tick` — the GR unit
-        // must see the same inputs so the tree's features match training.
-        let lost_delta = sock.lost_bytes_total.saturating_sub(self.prev_lost_bytes);
-        self.prev_lost_bytes = sock.lost_bytes_total;
-        let tick = TickRecord {
-            now,
-            goodput_bps: sock.delivery_rate_bps,
-            mean_owd: 0.0,
-            lost_bytes_delta: lost_delta,
-            cwnd_pkts: self.cwnd,
-        };
-        let step = self.gr.on_tick(sock, &tick);
-        // The tree emits the mixture mean in scaled action units; the clamp
-        // arithmetic mirrors the NN deployment bit for bit.
-        let log_ratio =
-            (self.tree.predict(&step.state) * ACTION_SCALE).clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
-        self.cwnd = (self.cwnd * log_ratio.exp()).clamp(MIN_CWND, MAX_CWND);
+        let step = self.actor.observe(now, sock);
+        // The tree emits the mixture mean in scaled action units.
+        self.actor.apply(self.tree.predict(&step.state));
     }
 
     fn cwnd_pkts(&self) -> f64 {
-        self.cwnd
+        self.actor.cwnd()
     }
 }
 
@@ -94,11 +73,12 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::tree::TreeConfig;
+    use sage_gr::action::MAX_CWND;
     use sage_gr::STATE_DIM;
     use sage_netsim::link::LinkModel;
     use sage_netsim::time::from_secs;
     use sage_transport::sim::NullMonitor;
-    use sage_transport::{FlowConfig, SimConfig, Simulation};
+    use sage_transport::{FlowConfig, SimConfig, Simulation, MIN_CWND};
     use sage_util::Rng;
 
     /// A tree over the full state dim with mild targets, so the policy

@@ -2,27 +2,23 @@
 //!
 //! `sage-distill` owns the tree (it sits *below* `core` in the dependency
 //! graph so `sage-heuristics` can register `"sage-sym"`); this module owns
-//! the glue that needs the neural model: replaying matrix scenarios through
-//! the deployment loop to harvest `(raw state, mixture mean)` rows, and the
-//! fidelity metrics (action agreement, league rank delta) that gate the
-//! distilled artifact.
+//! the glue that needs the neural model: replaying matrix scenarios with
+//! the deployed [`SagePolicy`] to harvest `(raw state, mixture mean)` rows,
+//! and the fidelity metrics (action agreement, league rank delta) that gate
+//! the distilled artifact.
 //!
 //! Determinism contract: the scenario fan-out uses `par_map_range` (ordered
-//! reduction) with per-scenario seeds from `Rng::stream_seed`, and each
-//! harvesting flow mirrors `SagePolicy` in `Deterministic` mode through the
-//! graph-free `step_infer` path (pinned bit-identical to the graph path by
-//! the serve equivalence gates) — so the harvested dataset digest is
-//! byte-identical at any `SAGE_THREADS`.
+//! reduction) with per-scenario seeds from `Rng::stream_seed`, and the
+//! harvested flow is the policy in `Deterministic` mode — so the harvested
+//! dataset digest is byte-identical at any `SAGE_THREADS`.
 
 use sage_collector::{rollout_with, EnvSpec};
-use sage_core::model::{SageModel, ACTION_SCALE, LOG_ACTION_MAX, LOG_ACTION_MIN};
-use sage_core::policy::MAX_CWND;
+use sage_core::model::SageModel;
+use sage_core::{ActionMode, SagePolicy};
 use sage_distill::{Dataset, SymbolicModel};
-use sage_gr::{GrConfig, GrUnit, RewardParams, STATE_DIM};
+use sage_gr::{log_ratio, GrConfig, STATE_DIM};
 use sage_netsim::time::Nanos;
-use sage_nn::Array;
-use sage_transport::sim::TickRecord;
-use sage_transport::{AckEvent, CongestionControl, SocketView, INIT_CWND, MIN_CWND};
+use sage_transport::{AckEvent, CongestionControl, SocketView};
 use sage_util::{par_map_range, Rng};
 use std::sync::{Arc, Mutex};
 
@@ -31,79 +27,42 @@ use crate::matrix::ScenarioSpec;
 /// Row sink shared between a scenario's harvesting flow and the caller.
 type Sink = Arc<Mutex<Vec<(Vec<f64>, f64)>>>;
 
-/// `SagePolicy` in `Deterministic` mode, re-implemented over the graph-free
-/// `step_infer` path, that records `(raw 69-dim state, mixture mean)` into a
-/// sink every tick. Behaviour (cwnd trajectory) is bit-identical to the
-/// deployed policy, so the harvested states are exactly the distribution the
-/// symbolic tier will see.
+/// The deployed deterministic policy, with every tick's `(raw 69-dim state,
+/// mixture mean)` pushed into a sink — the rows are what the policy itself
+/// observed and chose, so they are exactly the distribution the symbolic
+/// tier will see.
 struct HarvestCc {
-    model: Arc<SageModel>,
-    gr: GrUnit,
-    hidden: Vec<f64>,
-    cwnd: f64,
-    prev_lost_bytes: u64,
-    sink: Option<Sink>,
-}
-
-impl HarvestCc {
-    fn new(model: Arc<SageModel>, gr_cfg: GrConfig, sink: Option<Sink>) -> Self {
-        let hidden_dim = if model.cfg.gru > 0 {
-            model.cfg.gru
-        } else {
-            model.cfg.enc1
-        };
-        HarvestCc {
-            model,
-            gr: GrUnit::new(gr_cfg, RewardParams::default()),
-            hidden: vec![0.0; hidden_dim],
-            cwnd: INIT_CWND,
-            prev_lost_bytes: 0,
-            sink,
-        }
-    }
+    policy: SagePolicy,
+    sink: Sink,
 }
 
 impl CongestionControl for HarvestCc {
     fn name(&self) -> &'static str {
-        "sage"
+        self.policy.name()
     }
 
-    fn on_ack(&mut self, _ack: &AckEvent, _sock: &SocketView) {}
+    fn on_ack(&mut self, ack: &AckEvent, sock: &SocketView) {
+        self.policy.on_ack(ack, sock);
+    }
 
-    fn on_congestion_event(&mut self, _now: Nanos, _sock: &SocketView) {}
+    fn on_congestion_event(&mut self, now: Nanos, sock: &SocketView) {
+        self.policy.on_congestion_event(now, sock);
+    }
 
-    fn on_rto(&mut self, _now: Nanos, _sock: &SocketView) {
-        self.cwnd = (self.cwnd * 0.5).max(MIN_CWND);
+    fn on_rto(&mut self, now: Nanos, sock: &SocketView) {
+        self.policy.on_rto(now, sock);
     }
 
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
-        let lost_delta = sock.lost_bytes_total.saturating_sub(self.prev_lost_bytes);
-        self.prev_lost_bytes = sock.lost_bytes_total;
-        let tick = TickRecord {
-            now,
-            goodput_bps: sock.delivery_rate_bps,
-            mean_owd: 0.0,
-            lost_bytes_delta: lost_delta,
-            cwnd_pkts: self.cwnd,
-        };
-        let step = self.gr.on_tick(sock, &tick);
-        let x = self.model.prepare_input(&step.state);
-        let xin = Array::row(x);
-        let hin = Array::row(self.hidden.clone());
-        let (mix, hout) = self.model.policy.step_infer(&self.model.store, &xin, &hin);
-        self.hidden = hout.data.clone();
-        let mean = mix.row_mean(0);
-        if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((step.state.clone(), mean));
-        }
-        let log_ratio = (mean * ACTION_SCALE).clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
-        self.cwnd = (self.cwnd * log_ratio.exp()).clamp(MIN_CWND, MAX_CWND);
+        let (step, mean) = self.policy.act(now, sock);
+        self.sink
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((step.state, mean));
     }
 
     fn cwnd_pkts(&self) -> f64 {
-        self.cwnd
+        self.policy.cwnd_pkts()
     }
 }
 
@@ -117,9 +76,13 @@ fn harvest_scenario(model: &Arc<SageModel>, gr_cfg: GrConfig, env: &EnvSpec, see
         env,
         "sage",
         |_flow_seed| {
-            let s = if first { Some(sink.clone()) } else { None };
-            first = false;
-            Box::new(HarvestCc::new(model.clone(), gr_cfg, s))
+            let policy = SagePolicy::new(model.clone(), gr_cfg, 0, ActionMode::Deterministic);
+            if std::mem::take(&mut first) {
+                let sink = sink.clone();
+                Box::new(HarvestCc { policy, sink })
+            } else {
+                Box::new(policy)
+            }
         },
         gr_cfg,
         seed,
@@ -169,9 +132,9 @@ pub struct Agreement {
 pub const AGREE_TOL_LR: f64 = 0.03;
 
 /// Score `tree` against dataset targets in *deployed action* units: both
-/// the tree output and the target pass through the same
-/// `clamp(x * ACTION_SCALE)` the policies apply, so saturated actions that
-/// land on the same clamp rail agree exactly.
+/// the tree output and the target pass through the same [`log_ratio`] the
+/// policies apply, so saturated actions that land on the same clamp rail
+/// agree exactly.
 pub fn agreement(tree: &SymbolicModel, ds: &Dataset, tol_lr: f64) -> Agreement {
     if ds.is_empty() {
         return Agreement {
@@ -181,10 +144,9 @@ pub fn agreement(tree: &SymbolicModel, ds: &Dataset, tol_lr: f64) -> Agreement {
             max_abs_lr: 0.0,
         };
     }
-    let clamp = |raw: f64| (raw * ACTION_SCALE).clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
     let (mut agree, mut sum, mut max) = (0usize, 0.0f64, 0.0f64);
     for i in 0..ds.len() {
-        let d = (clamp(tree.predict(ds.row(i))) - clamp(ds.ys[i])).abs();
+        let d = (log_ratio(tree.predict(ds.row(i))) - log_ratio(ds.ys[i])).abs();
         if d <= tol_lr {
             agree += 1;
         }
@@ -299,6 +261,56 @@ mod tests {
         // An untrained GMM is nearly constant-mean, so the tree should fit
         // it tightly; the bound here is deliberately loose.
         assert!(fit.agree_rate > 0.5, "agree {}", fit.agree_rate);
+    }
+
+    /// Train/deploy observation parity — ROADMAP item 1(b), characterised,
+    /// not fixed. The pool's states come from `rollout`'s `GrMonitor`, which
+    /// `Simulation::finish_tick` feeds a view rebuilt *after* the tick's
+    /// action; a deployed policy observes *before* acting. So training sees
+    /// `bdp_cwnd` and `pre_act` one action ahead of deployment, and every
+    /// other feature identically. This pins exactly that shape, so a change
+    /// to the observe path cannot widen the skew unnoticed; closing it
+    /// regenerates pool, model and goldens and belongs to item 1.
+    #[test]
+    fn deployed_observation_matches_the_pool_except_two_action_lagged_features() {
+        const SKEWED: [usize; 2] = [63, 68];
+        assert_eq!(
+            SKEWED.map(|c| sage_gr::STATE_NAMES[c]),
+            ["bdp_cwnd", "pre_act"]
+        );
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/sage.model");
+        let model = Arc::new(SageModel::load_file(&path).expect("committed sage.model"));
+        let env = sage_collector::set1_flat_grid(6.0)
+            .into_iter()
+            .find(|e| e.id == "s1-flat-bw48-rtt20-q8")
+            .expect("grid scenario");
+        let gr_cfg = GrConfig::default();
+        let sink: Sink = Arc::new(Mutex::new(Vec::new()));
+        let policy = SagePolicy::new(model, gr_cfg, 0, ActionMode::Deterministic);
+        let cca = Box::new(HarvestCc {
+            policy,
+            sink: sink.clone(),
+        });
+        let traj = sage_collector::rollout(&env, "sage", cca, gr_cfg, 5).traj;
+        let rows = sink.lock().unwrap();
+        assert_eq!(rows.len(), traj.len(), "one observation per recorded tick");
+        assert!(rows.len() >= 500);
+        let mut skewed_ticks = [0usize; 2];
+        for (t, (deployed, _)) in rows.iter().enumerate() {
+            for (c, (&d, &p)) in deployed.iter().zip(traj.state(t)).enumerate() {
+                if d as f32 == p {
+                    continue;
+                }
+                let k = SKEWED.iter().position(|&s| s == c);
+                let k = k.unwrap_or_else(|| panic!("tick {t}: feature {c} differs ({d} vs {p})"));
+                skewed_ticks[k] += 1;
+            }
+        }
+        // Present (or this test proves nothing), but not on every tick.
+        for n in skewed_ticks {
+            assert!(n > 0 && n < rows.len(), "skewed ticks {skewed_ticks:?}");
+        }
     }
 
     #[test]

@@ -316,12 +316,12 @@ impl GrUnit {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reward::RewardParams;
     use sage_transport::cc::CaState;
 
-    fn view(now: u64, cwnd: f64) -> SocketView {
+    pub(crate) fn view(now: u64, cwnd: f64) -> SocketView {
         SocketView {
             now,
             mss: 1500,

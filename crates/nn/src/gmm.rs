@@ -103,19 +103,6 @@ impl GmmBatch {
         self.means.rows
     }
 
-    /// Mixture mean of row `r` without materialising [`GmmParams`] — the
-    /// same weighted sum [`GmmParams::mean`] computes, in the same
-    /// accumulation order, for allocation-free deterministic audits
-    /// (serve's tier escalation) and distillation harvesting.
-    pub fn row_mean(&self, r: usize) -> f64 {
-        let k = self.means.cols;
-        let logits: Vec<f64> = (0..k).map(|c| self.logits.at(r, c)).collect();
-        let lse = log_sum_exp(&logits);
-        (0..k)
-            .map(|c| self.means.at(r, c) * (logits[c] - lse).exp())
-            .sum()
-    }
-
     /// Extract row `r` as sampling-ready [`GmmParams`] — same math as
     /// [`GmmParams::from_nodes`].
     pub fn row(&self, r: usize) -> GmmParams {
@@ -249,32 +236,6 @@ mod tests {
         assert!(near_neg5 > 900, "{near_neg5}");
         assert!((p.mean() - (-4.5)).abs() < 1e-12);
         assert_eq!(p.dominant_mean(), -5.0);
-    }
-
-    #[test]
-    fn row_mean_is_bit_equal_to_extracted_params_mean() {
-        let mut rng = Rng::new(4);
-        let (rows, k) = (5, 3);
-        let fill = |rng: &mut Rng| {
-            Array::from_vec(
-                rows,
-                k,
-                (0..rows * k).map(|_| rng.uniform() * 4.0 - 2.0).collect(),
-            )
-        };
-        let batch = GmmBatch {
-            means: fill(&mut rng),
-            log_stds: fill(&mut rng),
-            logits: fill(&mut rng),
-        };
-        for r in 0..rows {
-            assert_eq!(
-                batch.row_mean(r).to_bits(),
-                batch.row(r).mean().to_bits(),
-                "row {r}: the allocation-free mean must match the extracted \
-                 params bit for bit"
-            );
-        }
     }
 
     #[test]

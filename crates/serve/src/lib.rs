@@ -1,13 +1,14 @@
 //! sage-serve — a policy-serving runtime for many concurrent flows.
 //!
-//! The Execution block of the paper ([`sage_core::SagePolicy`]) runs one
-//! network forward per flow per 10 ms monitor interval. That is fine for a
+//! The paper's Execution block, as [`sage_core::SagePolicy`] deploys it, runs
+//! one network forward per flow per 10 ms monitor interval. That is fine for a
 //! single connection, but a server terminating hundreds of flows would pay
 //! hundreds of independent matrix-vector passes per tick. This crate turns
 //! that into a serving problem:
 //!
 //! * [`table::FlowTable`] — a slab-allocated table of persistent per-flow
-//!   state (GR windows, GRU hidden vector, cwnd, RNG, fallback controller).
+//!   state (the flow's `CwndActor`, GRU hidden vector, RNG, fallback
+//!   controller).
 //!   Slab indices plus an ordered key index; no hash maps anywhere, so
 //!   iteration order is a deterministic function of the admission sequence.
 //! * [`wheel::TimerWheel`] — schedules each flow on its own monitor
@@ -15,7 +16,7 @@
 //! * [`runtime::ServeRuntime`] — folds every due flow's observation into
 //!   one `[B, D]` matrix and runs a single batched forward
 //!   ([`sage_core::model::PolicyNet::step_infer`]) that is **bit-identical**
-//!   to running the per-flow graph path row by row. Flows whose turn slips
+//!   to evaluating each row alone. Flows whose turn slips
 //!   past a staleness deadline degrade gracefully to a tick-driven AIMD
 //!   fallback ([`sage_heuristics::fallback::TickAimd`]).
 //! * [`scenario::run_many_flow`] — drives the runtime end-to-end through a

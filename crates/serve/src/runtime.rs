@@ -1,16 +1,17 @@
 //! The serving runtime: batch every due flow into one matrix forward.
 //!
 //! Per tick the runtime (1) expires the timer wheel, (2) pulls each due
-//! flow's observation, (3) folds the fresh ones into a `[B, D]` input and
-//! `[B, H]` hidden matrix and runs a **single** batched graph-free forward
-//! ([`PolicyNet::step_infer`]), then (4) applies the per-row mixtures as
-//! cwnd-ratio actions — exactly the math of [`sage_core::SagePolicy::on_tick`],
-//! row for row, bit for bit.
+//! flow's observation through its [`sage_gr::CwndActor`], (3) folds the
+//! fresh ones into a `[B, D]` input and `[B, H]` hidden matrix and runs a
+//! **single** batched forward (`PolicyNet::step_infer`), then (4) hands each
+//! row's action back to the flow's actor. The actor and `step_infer` are
+//! the same two pieces [`sage_core::SagePolicy`] runs at B=1; the runtime
+//! only splits the actor's `observe` and `apply` around the batch.
 //!
-//! Two serving modes exist so the equivalence is checkable: `Batched` (the
-//! production path) and `SequentialGraph` (one autodiff graph per flow, the
-//! legacy per-flow path). Tests and `serve_bench` pin that both produce
-//! identical digests; the bench reports how much faster the batched path is.
+//! Two serving modes exist: `Batched` (the production path) and
+//! `SequentialGraph`, which evaluates each row through the autodiff `Graph`
+//! training uses. The second is the reference the first is tested against
+//! (identical digests); `serve_bench` reports the speed ratio.
 //!
 //! When [`ServeConfig::symbolic`] carries a distilled tree, flows are
 //! admitted on the **symbolic fast tier**: actions come from a tree walk
@@ -29,15 +30,14 @@
 
 use crate::table::{FlowEntry, FlowKey, FlowTable, Tier};
 use crate::wheel::TimerWheel;
-use sage_core::model::{SageModel, ACTION_SCALE, LOG_ACTION_MAX, LOG_ACTION_MIN};
+use sage_core::model::SageModel;
 use sage_core::{ActionMode, MAX_CWND};
 use sage_distill::SymbolicModel;
-use sage_gr::{GrConfig, GrUnit, RewardParams};
+use sage_gr::{log_ratio, CwndActor, GrConfig};
 use sage_nn::gmm::GmmParams;
 use sage_nn::{Array, Graph};
 use sage_obs::{record, Category, EventKind};
-use sage_transport::sim::TickRecord;
-use sage_transport::{SocketView, INIT_CWND, MIN_CWND};
+use sage_transport::{SocketView, MIN_CWND};
 use sage_util::{par_map_range, Fnv64, Rng};
 use std::sync::Arc;
 // lint:allow(D2): wall-clock here feeds only the write-only serve latency stats and obs histograms; it never enters a cwnd decision or a digest
@@ -53,8 +53,8 @@ const CHUNK_ROWS: usize = 32;
 pub enum ServeMode {
     /// One batched graph-free forward per tick (production path).
     Batched,
-    /// One autodiff graph per flow per tick (the legacy per-flow path,
-    /// kept as the equivalence/speedup baseline).
+    /// One autodiff graph per flow per tick (the reference the batched
+    /// path is tested against, and its speedup baseline).
     SequentialGraph,
 }
 
@@ -195,11 +195,7 @@ pub struct ServeRuntime {
 
 impl ServeRuntime {
     pub fn new(model: Arc<SageModel>, gr_cfg: GrConfig, cfg: ServeConfig) -> Self {
-        let hidden_dim = if model.cfg.gru > 0 {
-            model.cfg.gru
-        } else {
-            model.cfg.enc1
-        };
+        let hidden_dim = model.cfg.hidden_dim();
         let input_dim = model.cfg.input_dim();
         ServeRuntime {
             model,
@@ -230,7 +226,7 @@ impl ServeRuntime {
         self.table
             .slot_of(key)
             .and_then(|s| self.table.get(s))
-            .map(|e| e.cwnd)
+            .map(|e| e.actor.cwnd())
     }
 
     /// Admit a flow; its first action is due at `now_tick`. Returns false
@@ -263,13 +259,11 @@ impl ServeRuntime {
             } else {
                 Tier::Nn
             },
-            gr: GrUnit::new(self.gr_cfg, RewardParams::default()),
+            actor: CwndActor::new(self.gr_cfg),
             hidden: vec![0.0; self.hidden_dim],
-            cwnd: INIT_CWND,
             // Same stream construction as `SagePolicy::new`, keyed per flow.
             rng: Rng::new(self.cfg.seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A6E),
             fallback,
-            prev_lost_bytes: 0,
             next_due: now_tick,
             interval_ticks,
             missed_obs: 0,
@@ -411,7 +405,8 @@ impl ServeRuntime {
             if now_tick.saturating_sub(e.next_due) > staleness_ticks {
                 // Graceful degradation: this action comes from the
                 // heuristic, deterministically (tick counts only).
-                e.cwnd = e.fallback.cwnd_pkts().clamp(MIN_CWND, MAX_CWND);
+                let cwnd = e.fallback.cwnd_pkts().clamp(MIN_CWND, MAX_CWND);
+                e.actor.set_cwnd(cwnd);
                 e.fallback_actions += 1;
                 self.stats.fallback_actions += 1;
                 sage_obs::obs_counter!("serve.fallback_actions").inc();
@@ -421,14 +416,14 @@ impl ServeRuntime {
                     now_tick,
                     e.span,
                     key,
-                    e.cwnd.to_bits(),
+                    cwnd.to_bits(),
                 );
                 self.actions_digest.write_u64(key);
-                self.actions_digest.write_f64(e.cwnd);
+                self.actions_digest.write_f64(cwnd);
                 self.actions_digest.write_u64(1);
                 actions.push(ServeAction {
                     key,
-                    cwnd: e.cwnd,
+                    cwnd,
                     fallback: true,
                     symbolic: false,
                 });
@@ -439,25 +434,16 @@ impl ServeRuntime {
                 continue;
             }
             if let (Tier::Symbolic, Some(tree)) = (e.tier, symbolic.as_ref()) {
-                // Fast tier: GR tick + tree walk, never deferred and never
-                // consuming the NN batch budget. Same action arithmetic as
-                // the NN path (the tree emits the mixture mean).
-                let lost_delta = view.lost_bytes_total.saturating_sub(e.prev_lost_bytes);
-                e.prev_lost_bytes = view.lost_bytes_total;
-                let tick = TickRecord {
-                    now: view.now,
-                    goodput_bps: view.delivery_rate_bps,
-                    mean_owd: 0.0,
-                    lost_bytes_delta: lost_delta,
-                    cwnd_pkts: e.cwnd,
-                };
-                let step = e.gr.on_tick(&view, &tick);
+                // Fast tier: observe + tree walk, never deferred and never
+                // consuming the NN batch budget (the tree emits the mixture
+                // mean, in the same scaled units as the NN rows below).
+                let step = e.actor.observe(view.now, &view);
                 // lint:allow(D2): latency measurement only — feeds sym_infer_nanos/obs, never control flow or digests
                 let t0 = Instant::now();
                 let raw = tree.predict(&step.state);
                 sym_nanos_tick += t0.elapsed().as_nanos() as u64;
-                let log_ratio = (raw * ACTION_SCALE).clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
-                e.cwnd = (e.cwnd * log_ratio.exp()).clamp(MIN_CWND, MAX_CWND);
+                let sym_lr = e.actor.apply(raw);
+                let cwnd = e.actor.cwnd();
                 e.sym_actions += 1;
                 self.stats.symbolic_actions += 1;
                 sage_obs::obs_counter!("serve.symbolic_actions").inc();
@@ -467,14 +453,14 @@ impl ServeRuntime {
                     now_tick,
                     e.span,
                     key,
-                    e.cwnd.to_bits(),
+                    cwnd.to_bits(),
                 );
                 self.actions_digest.write_u64(key);
-                self.actions_digest.write_f64(e.cwnd);
+                self.actions_digest.write_f64(cwnd);
                 self.actions_digest.write_u64(2);
                 actions.push(ServeAction {
                     key,
-                    cwnd: e.cwnd,
+                    cwnd,
                     fallback: false,
                     symbolic: true,
                 });
@@ -493,7 +479,7 @@ impl ServeRuntime {
                     let row = self.model.prepare_input(&step.state);
                     debug_assert_eq!(row.len(), self.input_dim);
                     x.extend_from_slice(&row);
-                    batch_slots.push((slot, Some(log_ratio)));
+                    batch_slots.push((slot, Some(sym_lr)));
                 }
                 continue;
             }
@@ -515,17 +501,8 @@ impl ServeRuntime {
                 self.wheel.schedule(now_tick + 1, slot, key, gen);
                 continue;
             }
-            // Fresh: run the GR unit and stage the policy input row.
-            let lost_delta = view.lost_bytes_total.saturating_sub(e.prev_lost_bytes);
-            e.prev_lost_bytes = view.lost_bytes_total;
-            let tick = TickRecord {
-                now: view.now,
-                goodput_bps: view.delivery_rate_bps,
-                mean_owd: 0.0,
-                lost_bytes_delta: lost_delta,
-                cwnd_pkts: e.cwnd,
-            };
-            let step = e.gr.on_tick(&view, &tick);
+            // Fresh: observe and stage the policy input row.
+            let step = e.actor.observe(view.now, &view);
             let row = self.model.prepare_input(&step.state);
             debug_assert_eq!(row.len(), self.input_dim);
             x.extend_from_slice(&row);
@@ -584,7 +561,7 @@ impl ServeRuntime {
                 // against the tree's and escalate on disagreement. The
                 // flow's sampling RNG is never consumed, and no action or
                 // digest entry is emitted — the symbolic path already acted.
-                let nn_lr = (mixes[r].mean() * ACTION_SCALE).clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
+                let nn_lr = log_ratio(mixes[r].mean());
                 e.audits += 1;
                 self.stats.audits += 1;
                 sage_obs::obs_counter!("serve.audits").inc();
@@ -615,8 +592,8 @@ impl ServeRuntime {
                 ActionMode::Sample => mixes[r].sample(&mut e.rng),
                 ActionMode::Deterministic => mixes[r].mean(),
             };
-            let log_ratio = (raw * ACTION_SCALE).clamp(LOG_ACTION_MIN, LOG_ACTION_MAX);
-            e.cwnd = (e.cwnd * log_ratio.exp()).clamp(MIN_CWND, MAX_CWND);
+            e.actor.apply(raw);
+            let cwnd = e.actor.cwnd();
             e.nn_actions += 1;
             self.stats.nn_actions += 1;
             sage_obs::obs_counter!("serve.nn_actions").inc();
@@ -626,14 +603,14 @@ impl ServeRuntime {
                 now_tick,
                 e.span,
                 e.key,
-                e.cwnd.to_bits(),
+                cwnd.to_bits(),
             );
             self.actions_digest.write_u64(e.key);
-            self.actions_digest.write_f64(e.cwnd);
+            self.actions_digest.write_f64(cwnd);
             self.actions_digest.write_u64(0);
             actions.push(ServeAction {
                 key: e.key,
-                cwnd: e.cwnd,
+                cwnd,
                 fallback: false,
                 symbolic: false,
             });
@@ -686,8 +663,9 @@ impl ServeRuntime {
         )
     }
 
-    /// The legacy path: one autodiff graph per flow (what `SagePolicy`
-    /// does). Kept as the equivalence baseline for tests and `serve_bench`.
+    /// The reference path: each row through the autodiff `Graph` that
+    /// training interprets. No controller deploys this; tests and
+    /// `serve_bench` hold `infer_batched` to its digests.
     fn infer_sequential(&self, xs: &Array, hs: &Array) -> (Vec<GmmParams>, Array) {
         let b = xs.rows;
         let mut mixes = Vec::with_capacity(b);

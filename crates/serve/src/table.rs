@@ -7,7 +7,7 @@
 //! indices or the ordered key index, so the visit order is a pure function
 //! of the admission/eviction history, never of a hasher seed.
 
-use sage_gr::GrUnit;
+use sage_gr::CwndActor;
 use sage_transport::CongestionControl;
 use sage_util::{Fnv64, Rng};
 use std::collections::BTreeMap;
@@ -37,17 +37,15 @@ pub struct FlowEntry {
     /// (`gen + 1`, so 0 stays "unscoped"). Like `gen`, observability
     /// metadata: deliberately not folded into [`FlowTable::digest`].
     pub span: u64,
-    /// General Representation unit: the three-timescale observation windows.
-    pub gr: GrUnit,
+    /// The flow's Execution block: GR observation windows, enforced
+    /// congestion window and loss counter.
+    pub actor: CwndActor,
     /// GRU hidden state carried across ticks (plain vector, graph-free).
     pub hidden: Vec<f64>,
-    /// Enforced congestion window, packets.
-    pub cwnd: f64,
     /// Per-flow sampling stream (mixture sampling in `ActionMode::Sample`).
     pub rng: Rng,
     /// Heuristic controller the flow degrades to when its action is stale.
     pub fallback: Box<dyn CongestionControl>,
-    pub prev_lost_bytes: u64,
     /// Tick at which the flow is next due for an action.
     pub next_due: u64,
     /// Monitor interval in ticks (1 = act every tick).
@@ -160,8 +158,8 @@ impl FlowTable {
             for &v in &e.hidden {
                 h.write_f64(v);
             }
-            h.write_f64(e.cwnd);
-            h.write_u64(e.prev_lost_bytes);
+            h.write_f64(e.actor.cwnd());
+            h.write_u64(e.actor.prev_lost_bytes());
             h.write_u64(e.next_due);
             h.write_u64(e.interval_ticks);
             h.write_u64(e.missed_obs as u64);
@@ -188,7 +186,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_gr::{GrConfig, RewardParams};
+    use sage_gr::GrConfig;
 
     fn entry(key: FlowKey) -> FlowEntry {
         FlowEntry {
@@ -196,12 +194,10 @@ mod tests {
             gen: 0,
             span: 0,
             tier: Tier::Nn,
-            gr: GrUnit::new(GrConfig::default(), RewardParams::default()),
+            actor: CwndActor::new(GrConfig::default()),
             hidden: vec![0.0; 4],
-            cwnd: 10.0,
             rng: Rng::new(key),
             fallback: sage_heuristics::build("tick-aimd", key).unwrap(),
-            prev_lost_bytes: 0,
             next_due: 0,
             interval_ticks: 1,
             missed_obs: 0,
@@ -250,7 +246,10 @@ mod tests {
         // State changes move the digest.
         let t2 = build();
         let mut t3 = build();
-        t3.get_mut(t3.slot_of(21).unwrap()).unwrap().cwnd += 1.0;
+        t3.get_mut(t3.slot_of(21).unwrap())
+            .unwrap()
+            .actor
+            .apply(1.0);
         assert_ne!(t2.digest(), t3.digest());
     }
 

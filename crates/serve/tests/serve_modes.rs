@@ -3,7 +3,7 @@
 //! The load-bearing claims, each pinned here:
 //! * `Batched` mode (one matrix forward per tick) produces **bit-identical**
 //!   actions and digests to `SequentialGraph` mode (one autodiff graph per
-//!   flow — the legacy path).
+//!   flow — the reference path).
 //! * The flow-table digest is byte-identical at `threads = 1, 2, 4`.
 //! * The deadline budget defers overflow flows and degrades persistent
 //!   stragglers to the heuristic fallback instead of starving them.

@@ -92,23 +92,6 @@ fn drive(cfg: ServeConfig, flows: u64, ticks: u64) -> (u64, ServeRuntime) {
 }
 
 #[test]
-fn mirrored_action_constants_are_bit_equal_to_core() {
-    // sage-distill deliberately re-declares these (it cannot depend on
-    // sage-core without a cycle through sage-heuristics); this test is the
-    // tripwire that fails if either side ever drifts.
-    assert_eq!(sage_distill::ACTION_SCALE, sage_core::model::ACTION_SCALE);
-    assert_eq!(
-        sage_distill::LOG_ACTION_MIN,
-        sage_core::model::LOG_ACTION_MIN
-    );
-    assert_eq!(
-        sage_distill::LOG_ACTION_MAX,
-        sage_core::model::LOG_ACTION_MAX
-    );
-    assert_eq!(sage_distill::MAX_CWND, sage_core::MAX_CWND);
-}
-
-#[test]
 fn symbolic_tier_is_thread_invariant() {
     let cfg = |threads| ServeConfig {
         threads,
