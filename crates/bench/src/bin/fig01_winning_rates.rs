@@ -2,8 +2,8 @@
 //! (single-flow) and Set II (vs Cubic) — the "empty half of the glass":
 //! rankings in the two sets are roughly opposite.
 
-use sage_bench::{default_envs, print_league_variants, SEED};
-use sage_eval::runner::{run_contenders, Contender};
+use sage_bench::{default_envs, evaluate, print_league_from_cells};
+use sage_eval::runner::Contender;
 
 fn main() {
     // The schemes shown in Fig. 1.
@@ -13,11 +13,7 @@ fn main() {
         .collect();
     let envs = default_envs();
     println!("fig01: {} schemes x {} envs", contenders.len(), envs.len());
-    let records = run_contenders(&contenders, &envs, 2.0, SEED, |d, t| {
-        if d % 100 == 0 {
-            sage_obs::obs_info!("  {d}/{t}");
-        }
-    });
-    print_league_variants(&records, "Fig.1 heuristics");
+    let cells = evaluate(&contenders, &envs);
+    print_league_from_cells(&cells, "Fig.1 heuristics");
     sage_bench::finish_obs("fig01");
 }

@@ -2,11 +2,11 @@
 //! "day" (checkpoint), in both Set I and Set II. The paper's headline: Sage
 //! crosses the heuristics within the training budget and keeps climbing.
 
-use sage_bench::{default_envs, default_gr, model_path, pool_schemes, print_table, SEED};
-use sage_collector::SetKind;
+use sage_bench::{default_envs, default_gr, evaluate, model_path, pool_schemes, print_table};
 use sage_core::SageModel;
 use sage_eval::league::rank_league;
-use sage_eval::runner::{run_contenders, scores_of_set, Contender};
+use sage_eval::matrix::{league_scores, Family};
+use sage_eval::runner::Contender;
 use std::sync::Arc;
 
 fn main() {
@@ -15,10 +15,10 @@ fn main() {
         .into_iter()
         .map(Contender::Heuristic)
         .collect();
-    // The heuristics' trajectories do not depend on the checkpoint: run them
-    // once and merge each day's Sage records in (the winner margins are
-    // recomputed per merged league).
-    let heuristic_records = run_contenders(&heuristics, &envs, 2.0, SEED, |_, _| {});
+    // The heuristics' cells do not depend on the checkpoint: run them once
+    // and merge each day's Sage cells in (the winner margins are recomputed
+    // per merged league).
+    let heuristic_cells = evaluate(&heuristics, &envs);
     sage_obs::obs_info!("heuristic baseline runs done");
     let mut rows = Vec::new();
     for day in 1..=7 {
@@ -33,23 +33,10 @@ fn main() {
             model,
             gr_cfg: default_gr(),
         }];
-        let sage_records = run_contenders(&sage_only, &envs, 2.0, SEED, |_, _| {});
-        let mut records = sage_records;
-        records.extend(
-            heuristic_records
-                .iter()
-                .map(|r| sage_eval::runner::RunRecord {
-                    scheme: r.scheme.clone(),
-                    env_id: r.env_id.clone(),
-                    set: r.set,
-                    traj: r.traj.clone(),
-                    stats: r.stats.clone(),
-                    all_stats: r.all_stats.clone(),
-                    score: r.score.clone(),
-                }),
-        );
-        let rate_of = |set: SetKind| -> (f64, f64) {
-            let table = rank_league(&scores_of_set(&records, set), 0.10);
+        let mut cells = evaluate(&sage_only, &envs);
+        cells.extend(heuristic_cells.iter().cloned());
+        let rate_of = |family: Family| -> (f64, f64) {
+            let table = rank_league(&league_scores(&cells, family, false), 0.10);
             let sage = table
                 .iter()
                 .find(|e| e.scheme == "sage")
@@ -62,8 +49,8 @@ fn main() {
                 .fold(0.0, f64::max);
             (sage, best_h)
         };
-        let (s1, h1) = rate_of(SetKind::SetI);
-        let (s2, h2) = rate_of(SetKind::SetII);
+        let (s1, h1) = rate_of(Family::SetI);
+        let (s2, h2) = rate_of(Family::SetII);
         rows.push(vec![
             format!("{day}"),
             format!("{:.2}%", s1 * 100.0),

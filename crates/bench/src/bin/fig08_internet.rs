@@ -6,10 +6,10 @@
 //! The paper measures real GENI/AWS paths; we substitute the synthetic
 //! profiles of `sage_netsim::internet` (see DESIGN.md).
 
-use sage_bench::{default_gr, model_path, print_table, SEED};
+use sage_bench::{default_gr, evaluate, model_path, print_table, SEED};
 use sage_collector::{EnvSpec, SetKind};
 use sage_core::SageModel;
-use sage_eval::runner::{run_contenders, Contender};
+use sage_eval::runner::Contender;
 use sage_netsim::internet::InternetProfile;
 use sage_netsim::time::from_secs;
 use sage_util::Rng;
@@ -67,7 +67,7 @@ fn main() {
         InternetProfile::Cellular,
     ] {
         let envs = profile_envs(profile, n, 12.0, SEED ^ 0xF18);
-        let records = run_contenders(&contenders, &envs, 2.0, SEED, |_, _| {});
+        let cells = evaluate(&contenders, &envs);
         // Aggregate per scheme; normalise delay by the per-env minimum and
         // throughput by the per-env maximum (as the paper does).
         let mut rows = Vec::new();
@@ -76,19 +76,16 @@ fn main() {
             let mut nd95 = Vec::new();
             let mut nt = Vec::new();
             for env in &envs {
-                let of_env: Vec<_> = records.iter().filter(|r| r.env_id == env.id).collect();
+                let of_env: Vec<_> = cells.iter().filter(|r| r.scenario == env.id).collect();
                 let min_d = of_env
                     .iter()
-                    .map(|r| r.stats.avg_owd_ms)
+                    .map(|r| r.avg_owd_ms)
                     .fold(f64::INFINITY, f64::min);
-                let max_t = of_env
-                    .iter()
-                    .map(|r| r.stats.avg_goodput_mbps)
-                    .fold(0.0, f64::max);
+                let max_t = of_env.iter().map(|r| r.goodput_mbps).fold(0.0, f64::max);
                 if let Some(r) = of_env.iter().find(|r| r.scheme == c.name()) {
-                    nd.push(r.stats.avg_owd_ms / min_d.max(1e-9));
-                    nd95.push(r.stats.p95_owd_ms / min_d.max(1e-9));
-                    nt.push(r.stats.avg_goodput_mbps / max_t.max(1e-9));
+                    nd.push(r.avg_owd_ms / min_d.max(1e-9));
+                    nd95.push(r.p95_owd_ms / min_d.max(1e-9));
+                    nt.push(r.goodput_mbps / max_t.max(1e-9));
                 }
             }
             rows.push(vec![

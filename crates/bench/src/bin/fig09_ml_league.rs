@@ -2,13 +2,12 @@
 //! of ML-based designs — Sage vs BC variants, OnlineRL, Aurora-like,
 //! Indigo(v2)-like and Orca(v2)-like hybrids.
 //!
-//! A thin view over the evaluation matrix: the contender roster and the
-//! canonical Set I/II environments form a [`MatrixSpec`]; the league tables
-//! are printed straight from the cells.
+//! A view over the evaluation matrix: the contender roster runs through the
+//! canonical Set I/II environments and the league tables are printed
+//! straight from the cells.
 
-use sage_bench::{default_envs, default_gr, model_path, print_league_from_cells, SEED};
+use sage_bench::{default_envs, default_gr, evaluate, model_path, print_league_from_cells};
 use sage_core::SageModel;
-use sage_eval::matrix::{run_matrix, MatrixSpec, ScenarioSpec};
 use sage_eval::runner::Contender;
 use std::sync::Arc;
 
@@ -21,84 +20,37 @@ fn load(name: &'static str) -> Arc<SageModel> {
 }
 
 fn main() {
-    let gr = default_gr();
+    let gr_cfg = default_gr();
+    let model = |name, file| Contender::Model {
+        name,
+        model: load(file),
+        gr_cfg,
+    };
+    let hybrid = |name| Contender::Hybrid {
+        name,
+        model: load(name),
+        gr_cfg,
+    };
     let contenders = vec![
-        Contender::Model {
-            name: "sage",
-            model: load("sage"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "bc",
-            model: load("bc"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "bc-top",
-            model: load("bc_top"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "bc-top3",
-            model: load("bc_top3"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "bcv2",
-            model: load("bcv2"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "onlinerl",
-            model: load("onlinerl"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "aurora",
-            model: load("aurora"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "indigo",
-            model: load("indigo"),
-            gr_cfg: gr,
-        },
-        Contender::Model {
-            name: "indigov2",
-            model: load("indigov2"),
-            gr_cfg: gr,
-        },
-        Contender::Hybrid {
-            name: "orca",
-            model: load("orca"),
-            gr_cfg: gr,
-        },
-        Contender::Hybrid {
-            name: "orcav2",
-            model: load("orcav2"),
-            gr_cfg: gr,
-        },
+        model("sage", "sage"),
+        model("bc", "bc"),
+        model("bc-top", "bc_top"),
+        model("bc-top3", "bc_top3"),
+        model("bcv2", "bcv2"),
+        model("onlinerl", "onlinerl"),
+        model("aurora", "aurora"),
+        model("indigo", "indigo"),
+        model("indigov2", "indigov2"),
+        hybrid("orca"),
+        hybrid("orcav2"),
         Contender::Heuristic("vivace"),
     ];
-    let spec = MatrixSpec {
-        scenarios: default_envs()
-            .into_iter()
-            .map(ScenarioSpec::from_env)
-            .collect(),
-        schemes: contenders,
-        seeds: vec![SEED],
-        alpha: 2.0,
-        threads: 0,
-    };
+    let envs = default_envs();
     println!(
         "fig09: {} contenders x {} envs",
-        spec.schemes.len(),
-        spec.scenarios.len()
+        contenders.len(),
+        envs.len()
     );
-    let report = run_matrix(&spec, |d, t| {
-        if d % 100 == 0 {
-            sage_obs::obs_info!("  {d}/{t}");
-        }
-    });
-    print_league_from_cells(&report.cells, "Fig.9 ML-based league");
+    let cells = evaluate(&contenders, &envs);
+    print_league_from_cells(&cells, "Fig.9 ML-based league");
 }

@@ -2,11 +2,10 @@
 //! of delay-based designs — Sage vs BBR2, Copa, C2TCP, LEDBAT, Vegas,
 //! Sprout.
 //!
-//! A thin view over the evaluation matrix (see `fig09_ml_league`).
+//! A view over the evaluation matrix (see `fig09_ml_league`).
 
-use sage_bench::{default_envs, default_gr, model_path, print_league_from_cells, SEED};
+use sage_bench::{default_envs, default_gr, evaluate, model_path, print_league_from_cells};
 use sage_core::SageModel;
-use sage_eval::matrix::{run_matrix, MatrixSpec, ScenarioSpec};
 use sage_eval::runner::Contender;
 use std::sync::Arc;
 
@@ -21,25 +20,12 @@ fn main() {
         model,
         gr_cfg: default_gr(),
     });
-    let spec = MatrixSpec {
-        scenarios: default_envs()
-            .into_iter()
-            .map(ScenarioSpec::from_env)
-            .collect(),
-        schemes: contenders,
-        seeds: vec![SEED],
-        alpha: 2.0,
-        threads: 0,
-    };
+    let envs = default_envs();
     println!(
         "fig10: {} contenders x {} envs",
-        spec.schemes.len(),
-        spec.scenarios.len()
+        contenders.len(),
+        envs.len()
     );
-    let report = run_matrix(&spec, |d, t| {
-        if d % 100 == 0 {
-            sage_obs::obs_info!("  {d}/{t}");
-        }
-    });
-    print_league_from_cells(&report.cells, "Fig.10 delay-based league");
+    let cells = evaluate(&contenders, &envs);
+    print_league_from_cells(&cells, "Fig.10 delay-based league");
 }

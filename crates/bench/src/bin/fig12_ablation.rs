@@ -4,13 +4,14 @@
 //! winning rates against the pool league in both sets.
 
 use sage_bench::{
-    default_envs, default_gr, default_train_cfg, envvar, model_path, pool_path, pool_schemes,
-    print_table, SEED,
+    default_envs, default_gr, default_train_cfg, envvar, evaluate, model_path, pool_path,
+    pool_schemes, print_table,
 };
-use sage_collector::{Pool, SetKind};
+use sage_collector::Pool;
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::rank_league;
-use sage_eval::runner::{run_contenders, scores_of_set, Contender};
+use sage_eval::matrix::{league_scores, Family};
+use sage_eval::runner::Contender;
 use sage_gr::FeatureMask;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,15 +105,10 @@ fn main() {
         });
     }
 
-    let envs = default_envs();
-    let records = run_contenders(&contenders, &envs, 2.0, SEED, |d, t| {
-        if d % 200 == 0 {
-            sage_obs::obs_info!("  {d}/{t}");
-        }
-    });
+    let cells = evaluate(&contenders, &default_envs());
     let mut rows = Vec::new();
-    let s1 = rank_league(&scores_of_set(&records, SetKind::SetI), 0.10);
-    let s2 = rank_league(&scores_of_set(&records, SetKind::SetII), 0.10);
+    let s1 = rank_league(&league_scores(&cells, Family::SetI, false), 0.10);
+    let s2 = rank_league(&league_scores(&cells, Family::SetII, false), 0.10);
     for name in std::iter::once("sage").chain(variants.iter().map(|(n, _)| *n)) {
         let r1 = s1
             .iter()

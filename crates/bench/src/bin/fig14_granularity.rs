@@ -5,14 +5,15 @@
 //! environments (Fig. 16).
 
 use sage_bench::{
-    default_envs, default_gr, default_train_cfg, envvar, model_path, pool_schemes, print_table,
-    SEED,
+    default_envs, default_gr, default_train_cfg, envvar, evaluate, model_path, pool_schemes,
+    print_table, SEED,
 };
 use sage_collector::{collect_pool, rollout, SetKind};
 use sage_core::policy::{ActionMode, SagePolicy};
 use sage_core::{CrrTrainer, SageModel};
 use sage_eval::league::rank_league;
-use sage_eval::runner::{run_contenders, scores_of_set, Contender};
+use sage_eval::matrix::{league_scores, Family};
+use sage_eval::runner::Contender;
 use sage_eval::tsne::{tsne, TsneConfig};
 use sage_gr::{GrConfig, STATE_DIM};
 use sage_nn::{Array, Graph};
@@ -59,13 +60,9 @@ fn main() {
         });
     }
     let envs = default_envs();
-    let records = run_contenders(&contenders, &envs, 2.0, SEED, |d, t| {
-        if d % 200 == 0 {
-            sage_obs::obs_info!("  {d}/{t}");
-        }
-    });
-    let s1 = rank_league(&scores_of_set(&records, SetKind::SetI), 0.10);
-    let s2 = rank_league(&scores_of_set(&records, SetKind::SetII), 0.10);
+    let cells = evaluate(&contenders, &envs);
+    let s1 = rank_league(&league_scores(&cells, Family::SetI, false), 0.10);
+    let s2 = rank_league(&league_scores(&cells, Family::SetII, false), 0.10);
     let mut rows = Vec::new();
     for name in ["sage", "sage_s", "sage_m", "sage_l"] {
         let r1 = s1

@@ -2,14 +2,14 @@
 //! 25 s another flow of the same scheme joins a shared bottleneck; Fig. 18
 //! is Sage, Fig. 27 repeats the experiment for other schemes.
 //!
-//! A thin view over the evaluation matrix: the shared-bottleneck setting is
+//! A view over the evaluation matrix: the shared-bottleneck setting is
 //! the declarative `fairness` scenario (`EnvSpec::self_flows` staggered
 //! joins through the factory-based `rollout_with`), so every scheme's cell
 //! carries the per-flow mean goodputs and the Jain index directly.
 
-use sage_bench::{default_gr, model_path, print_table, SEED};
+use sage_bench::{default_gr, evaluate, model_path, print_table};
 use sage_core::SageModel;
-use sage_eval::matrix::{run_matrix, scenario_fairness, MatrixSpec};
+use sage_eval::matrix::scenario_fairness;
 use sage_eval::runner::Contender;
 use std::sync::Arc;
 
@@ -26,21 +26,13 @@ fn main() {
         ]
         .map(Contender::Heuristic),
     );
-    let spec = MatrixSpec {
-        schemes,
-        scenarios: vec![scenario_fairness(4, 120.0, 25.0)],
-        seeds: vec![SEED],
-        alpha: 2.0,
-        threads: 0,
-    };
     println!(
         "fig18: {} schemes x 4 staggered self flows, 120 s",
-        spec.schemes.len()
+        schemes.len()
     );
-    let report = run_matrix(&spec, |_, _| {});
+    let cells = evaluate(&schemes, &[scenario_fairness(4, 120.0, 25.0).env]);
 
-    let rows: Vec<Vec<String>> = report
-        .cells
+    let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
             vec![

@@ -2,10 +2,10 @@
 //! environments — shallow buffer and deep buffer — throughput vs delay of
 //! the 13 heuristics and Sage.
 
-use sage_bench::{default_gr, model_path, print_table, SEED};
+use sage_bench::{default_gr, evaluate, model_path, print_table, SEED};
 use sage_collector::{EnvSpec, SetKind};
 use sage_core::SageModel;
-use sage_eval::runner::{run_contenders, Contender};
+use sage_eval::runner::Contender;
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
@@ -48,15 +48,14 @@ fn main() {
         ("shallow buffer (0.5 BDP)", 0.5),
         ("deep buffer (8 BDP)", 8.0),
     ] {
-        let envs = vec![env(label, buf)];
-        let records = run_contenders(&contenders, &envs, 2.0, SEED, |_, _| {});
-        let mut rows: Vec<Vec<String>> = records
+        let cells = evaluate(&contenders, &[env(label, buf)]);
+        let mut rows: Vec<Vec<String>> = cells
             .iter()
             .map(|r| {
                 vec![
                     r.scheme.clone(),
-                    format!("{:.1}", r.stats.avg_goodput_mbps),
-                    format!("{:.1}", r.stats.avg_owd_ms),
+                    format!("{:.1}", r.goodput_mbps),
+                    format!("{:.1}", r.avg_owd_ms),
                 ]
             })
             .collect();

@@ -2,10 +2,10 @@
 //! 240 KB-buffer bottleneck running head-drop, tail-drop, PIE, BoDe and
 //! CoDel; a good learned policy should not depend on the queue discipline.
 
-use sage_bench::{default_gr, model_path, print_table, SEED};
+use sage_bench::{default_gr, evaluate, model_path, print_table, SEED};
 use sage_collector::{EnvSpec, SetKind};
 use sage_core::SageModel;
-use sage_eval::runner::{run_contenders, Contender};
+use sage_eval::runner::Contender;
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
@@ -53,21 +53,18 @@ fn main() {
             self_stagger: 0,
         })
         .collect();
-    let records = run_contenders(&contenders, &envs, 2.0, SEED, |_, _| {});
+    let cells = evaluate(&contenders, &envs);
     let mut rows = Vec::new();
     for c in &contenders {
         let mut row = vec![c.name().to_string()];
         let mut thrs = Vec::new();
         for env in &envs {
-            let r = records
+            let r = cells
                 .iter()
-                .find(|r| r.scheme == c.name() && r.env_id == env.id)
+                .find(|r| r.scheme == c.name() && r.scenario == env.id)
                 .unwrap();
-            row.push(format!(
-                "{:.1}/{:.0}",
-                r.stats.avg_goodput_mbps, r.stats.avg_owd_ms
-            ));
-            thrs.push(r.stats.avg_goodput_mbps);
+            row.push(format!("{:.1}/{:.0}", r.goodput_mbps, r.avg_owd_ms));
+            thrs.push(r.goodput_mbps);
         }
         // Spread across AQMs: max/min throughput ratio (1.0 = AQM-independent).
         let spread = thrs.iter().cloned().fold(0.0, f64::max)

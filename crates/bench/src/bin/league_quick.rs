@@ -2,11 +2,11 @@
 //! environment set (winning rates, both sets). Used to validate the pipeline;
 //! `fig01`/`fig07`/`fig09`/`fig10` are the full reproductions.
 
-use sage_bench::{default_envs, default_gr, model_path, print_table, SEED};
-use sage_collector::SetKind;
+use sage_bench::{default_envs, default_gr, evaluate, model_path, print_table};
 use sage_core::SageModel;
 use sage_eval::league::rank_league;
-use sage_eval::runner::{run_contenders, scores_of_set, Contender};
+use sage_eval::matrix::{league_scores, Family};
+use sage_eval::runner::Contender;
 use std::sync::Arc;
 
 fn main() {
@@ -20,17 +20,12 @@ fn main() {
         model,
         gr_cfg: default_gr(),
     });
-    let envs = default_envs();
-    let records = run_contenders(&contenders, &envs, 2.0, SEED, |d, t| {
-        if d % 100 == 0 {
-            println!("  {d}/{t}");
-        }
-    });
-    for (set, label) in [
-        (SetKind::SetI, "Set I (single-flow)"),
-        (SetKind::SetII, "Set II (vs Cubic)"),
+    let cells = evaluate(&contenders, &default_envs());
+    for (family, label) in [
+        (Family::SetI, "Set I (single-flow)"),
+        (Family::SetII, "Set II (vs Cubic)"),
     ] {
-        let table = rank_league(&scores_of_set(&records, set), 0.10);
+        let table = rank_league(&league_scores(&cells, family, false), 0.10);
         let rows: Vec<Vec<String>> = table
             .iter()
             .map(|e| vec![e.scheme.clone(), format!("{:.2}%", e.winning_rate * 100.0)])

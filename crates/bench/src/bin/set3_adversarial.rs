@@ -6,14 +6,15 @@
 //! baseline, retransmit overhead, and abort-restart counts. The full report
 //! goes to `artifacts/results/set3_adversarial.json` (crash-safe write).
 //!
-//! A thin view over the evaluation matrix: `run_set3` executes the grid as
-//! a `MatrixSpec` through `run_matrix` and derives the degradation entries
-//! from the cells (`sage_eval::entries_from_cells`).
+//! A view over the evaluation matrix: the grid runs as `Family::Fault`
+//! scenarios through `run_matrix`, and every cell is judged against its
+//! scheme's own `s3-clean` cell.
 
 use sage_bench::{default_gr, envvar, model_path, pool_schemes, print_table, SEED};
 use sage_core::SageModel;
+use sage_eval::matrix::{run_matrix, scenarios_fault, MatrixCell, MatrixSpec};
 use sage_eval::runner::Contender;
-use sage_eval::set3::{run_set3, scenario_grid, summarise};
+use sage_eval::set3::{degradation_pct, scenario_grid, summarise};
 use sage_util::json::Json;
 use std::sync::Arc;
 
@@ -37,30 +38,56 @@ fn main() {
         contenders.len(),
         scenarios.len()
     );
-    let entries = run_set3(&contenders, &scenarios, secs, SEED, |d, t| {
+    let spec = MatrixSpec {
+        schemes: contenders,
+        scenarios: scenarios_fault(None, secs),
+        seeds: vec![SEED],
+        alpha: 2.0,
+        threads: 0,
+    };
+    let cells = run_matrix(&spec, |d, t| {
         if d % 11 == 0 || d == t {
             sage_obs::obs_info!("  {d}/{t}");
         }
-    });
+    })
+    .cells;
+    // Contender-major view of the scenario-major cells: (scenario id, cell,
+    // goodput drop vs the scheme's clean cell in percent, delay inflation vs
+    // it with 1.0 = unchanged). The grid's first scenario is the clean one.
+    let n_ch = spec.schemes.len();
+    let mut entries: Vec<(&str, &MatrixCell, f64, f64)> = Vec::with_capacity(cells.len());
+    for ci in 0..n_ch {
+        let clean = &cells[ci];
+        for (si, sc) in scenarios.iter().enumerate() {
+            let cell = &cells[si * n_ch + ci];
+            let delay_inflation = if clean.avg_owd_ms > 0.0 && cell.avg_owd_ms > 0.0 {
+                cell.avg_owd_ms / clean.avg_owd_ms
+            } else {
+                1.0
+            };
+            let degradation = degradation_pct(cell, Some(clean));
+            entries.push((sc.id, cell, degradation, delay_inflation));
+        }
+    }
 
     let rows: Vec<Vec<String>> = entries
         .iter()
-        .map(|e| {
+        .map(|&(scenario, c, degradation, delay_inflation)| {
             vec![
-                e.scheme.clone(),
-                e.scenario.to_string(),
-                if e.survived {
+                c.scheme.clone(),
+                scenario.to_string(),
+                if c.survived {
                     "yes".into()
                 } else {
                     "NO".into()
                 },
-                format!("{:.2}", e.goodput_mbps),
-                format!("{:.1}", e.avg_owd_ms),
-                format!("{:.1}%", e.degradation_pct),
-                format!("{:.2}x", e.delay_inflation),
-                format!("{:.2}%", e.retx_overhead_pct),
-                e.restarts.to_string(),
-                format!("{:.3}", e.fairness),
+                format!("{:.2}", c.goodput_mbps),
+                format!("{:.1}", c.avg_owd_ms),
+                format!("{degradation:.1}%"),
+                format!("{delay_inflation:.2}x"),
+                format!("{:.2}%", c.retx_pct),
+                c.restarts.to_string(),
+                format!("{:.3}", c.fairness),
             ]
         })
         .collect();
@@ -72,7 +99,7 @@ fn main() {
         &rows,
     );
 
-    let summary = summarise(&entries);
+    let summary = summarise(&cells);
     let srows: Vec<Vec<String>> = summary
         .iter()
         .map(|s| {
@@ -112,19 +139,19 @@ fn main() {
             Json::Arr(
                 entries
                     .iter()
-                    .map(|e| {
+                    .map(|&(scenario, c, degradation, delay_inflation)| {
                         Json::obj(vec![
-                            ("scheme", Json::str(e.scheme.clone())),
-                            ("scenario", Json::str(e.scenario)),
-                            ("survived", Json::Bool(e.survived)),
-                            ("goodput_mbps", Json::Num(e.goodput_mbps)),
-                            ("avg_owd_ms", Json::Num(e.avg_owd_ms)),
-                            ("degradation_pct", Json::Num(e.degradation_pct)),
-                            ("delay_inflation", Json::Num(e.delay_inflation)),
-                            ("retx_overhead_pct", Json::Num(e.retx_overhead_pct)),
-                            ("restarts", Json::Num(e.restarts as f64)),
-                            ("lost_pkts", Json::Num(e.lost_pkts as f64)),
-                            ("fairness", Json::Num(e.fairness)),
+                            ("scheme", Json::str(c.scheme.clone())),
+                            ("scenario", Json::str(scenario)),
+                            ("survived", Json::Bool(c.survived)),
+                            ("goodput_mbps", Json::Num(c.goodput_mbps)),
+                            ("avg_owd_ms", Json::Num(c.avg_owd_ms)),
+                            ("degradation_pct", Json::Num(degradation)),
+                            ("delay_inflation", Json::Num(delay_inflation)),
+                            ("retx_overhead_pct", Json::Num(c.retx_pct)),
+                            ("restarts", Json::Num(c.restarts as f64)),
+                            ("lost_pkts", Json::Num(c.lost_pkts as f64)),
+                            ("fairness", Json::Num(c.fairness)),
                         ])
                     })
                     .collect(),
@@ -158,8 +185,8 @@ fn main() {
 
     let died: Vec<&str> = entries
         .iter()
-        .filter(|e| !e.survived)
-        .map(|e| e.scheme.as_str())
+        .filter(|(_, c, _, _)| !c.survived)
+        .map(|(_, c, _, _)| c.scheme.as_str())
         .collect();
     if !died.is_empty() {
         println!("non-surviving cells: {died:?}");

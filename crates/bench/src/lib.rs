@@ -4,6 +4,8 @@
 
 use sage_collector::{training_envs, EnvSpec};
 use sage_core::{CrrConfig, NetConfig};
+use sage_eval::matrix::{run_matrix, MatrixCell, MatrixSpec, ScenarioSpec};
+use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
 use std::path::PathBuf;
 
@@ -67,12 +69,25 @@ pub const SEED: u64 = 2023;
 /// Scale knobs, overridable through environment variables so the same
 /// binaries support both smoke runs and full runs:
 /// `SAGE_SET1`, `SAGE_SET2` (env counts), `SAGE_SECS` (env duration),
-/// `SAGE_STEPS` (training steps).
+/// `SAGE_STEPS` (training steps). Unset means `default`; a value that is set
+/// but does not parse ends the process, so a typo can never run — and label —
+/// the default experiment.
 pub fn envvar(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var_os(name);
+    let text = raw.as_ref().map(|v| v.to_string_lossy());
+    parse_knob(name, text.as_deref(), default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_knob(name: &str, text: Option<&str>, default: usize) -> Result<usize, String> {
+    match text {
+        None => Ok(default),
+        Some(t) => t
+            .parse()
+            .map_err(|_| format!("{name}={t:?} is not a non-negative integer")),
+    }
 }
 
 /// The canonical environment set used for pool collection AND for the
@@ -115,70 +130,30 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Print league tables for one set of run records at both winning margins
-/// (10% default and 5% for Fig. 20/21) and, for Set I, also at alpha = 3
-/// (Tables 2/3).
-pub fn print_league_variants(records: &[sage_eval::runner::RunRecord], label: &str) {
-    use sage_collector::SetKind;
-    use sage_eval::league::rank_league;
-    use sage_eval::runner::scores_of_set;
-    use sage_eval::score::{interval_scores, RunScore, ScoreKind};
-
-    for (set, set_label) in [(SetKind::SetI, "Set I"), (SetKind::SetII, "Set II")] {
-        let scores = scores_of_set(records, set);
-        if scores.is_empty() {
-            continue;
+/// Run `schemes` through `envs` on the evaluation matrix at the pipeline's
+/// settings — Power exponent 2, the master seed, the configured worker
+/// count — logging progress every 100 cells. Every figure that rolls
+/// contenders through environments goes through here.
+pub fn evaluate(schemes: &[Contender], envs: &[EnvSpec]) -> Vec<MatrixCell> {
+    let spec = MatrixSpec {
+        schemes: schemes.to_vec(),
+        scenarios: envs.iter().cloned().map(ScenarioSpec::from_env).collect(),
+        seeds: vec![SEED],
+        alpha: 2.0,
+        threads: 0,
+    };
+    let report = run_matrix(&spec, |d, t| {
+        if d % 100 == 0 {
+            sage_obs::obs_info!("  {d}/{t}");
         }
-        for margin in [0.10, 0.05] {
-            let table = rank_league(&scores, margin);
-            let rows: Vec<Vec<String>> = table
-                .iter()
-                .map(|e| vec![e.scheme.clone(), format!("{:.2}%", e.winning_rate * 100.0)])
-                .collect();
-            print_table(
-                &format!("{label} — {set_label}, margin {:.0}%", margin * 100.0),
-                &["scheme", "winning rate"],
-                &rows,
-            );
-        }
-        // alpha = 3 variant of the Power score (Tables 2/3).
-        if set == SetKind::SetI {
-            let alpha3: Vec<RunScore> = records
-                .iter()
-                .filter(|r| r.set == SetKind::SetI)
-                .map(|r| RunScore {
-                    scheme: r.scheme.clone(),
-                    env_id: r.env_id.clone(),
-                    kind: ScoreKind::Power,
-                    intervals: interval_scores(
-                        &r.traj.thr,
-                        &r.traj.owd,
-                        ScoreKind::Power,
-                        3.0,
-                        0.0,
-                    ),
-                })
-                .collect();
-            let table = rank_league(&alpha3, 0.10);
-            let rows: Vec<Vec<String>> = table
-                .iter()
-                .map(|e| vec![e.scheme.clone(), format!("{:.2}%", e.winning_rate * 100.0)])
-                .collect();
-            print_table(
-                &format!("{label} — Set I, alpha=3 (r^3/d), margin 10%"),
-                &["scheme", "winning rate"],
-                &rows,
-            );
-        }
-    }
+    });
+    report.cells
 }
 
-/// [`print_league_variants`] over evaluation-matrix cells: league tables at
-/// both winning margins for the Set I/II families, plus the alpha=3 Set I
-/// variant carried by the cells. Scores are identical to the record-based
-/// path (same rollouts, same interval scoring), so figures migrated onto
-/// the matrix print the same tables.
-pub fn print_league_from_cells(cells: &[sage_eval::MatrixCell], label: &str) {
+/// Print league tables from evaluation-matrix cells at both winning margins
+/// (10% default and 5% for Fig. 20/21) for the Set I/II families and, for
+/// Set I, also at alpha = 3 (Tables 2/3).
+pub fn print_league_from_cells(cells: &[MatrixCell], label: &str) {
     use sage_eval::league::rank_league;
     use sage_eval::matrix::{league_scores, Family};
 
@@ -230,4 +205,19 @@ pub fn series(ticks: &[f32], tick_secs: f64, n: usize) -> Vec<(f64, f64)> {
             ((i * stride) as f64 * tick_secs, mean)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn knob_parse_rejects_what_it_cannot_read() {
+        assert_eq!(parse_knob("SAGE_SECS", None, 15), Ok(15));
+        assert_eq!(parse_knob("SAGE_SECS", Some("10"), 15), Ok(10));
+        for bad in ["1O", "", " 3", "-1", "2.5"] {
+            let err = parse_knob("SAGE_SECS", Some(bad), 15).unwrap_err();
+            assert!(err.contains("SAGE_SECS") && err.contains(bad), "{err}");
+        }
+    }
 }

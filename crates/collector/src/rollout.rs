@@ -153,9 +153,8 @@ fn rollout_flows(
             ..Default::default()
         },
     };
-    let mut all_stats = sim.run(&mut mon);
+    let all_stats = sim.run(&mut mon);
     let stats = all_stats[test_idx].clone();
-    let _ = &mut all_stats;
     RolloutResult {
         traj: mon.traj,
         stats,

@@ -20,17 +20,15 @@
 //! ranked result list and its folded digest are byte-identical at every
 //! `SAGE_THREADS`.
 
+use crate::matrix::{run_cell, Family, ScenarioSpec};
 use crate::runner::Contender;
-use crate::score::{interval_scores, jain_fairness, ScoreKind};
-use sage_collector::{rollout, EnvSpec, SetKind};
-use sage_gr::GrConfig;
+use sage_collector::{EnvSpec, SetKind};
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::faults::{FaultPlan, FlapPlan, GilbertElliott};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::{from_secs, Nanos, MILLIS};
 use sage_netsim::topology::{HopSpec, Topology};
 use sage_util::{Fnv64, Json, Rng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Number of knobs in a scenario genome.
 pub const GENOME_DIM: usize = 18;
@@ -220,40 +218,6 @@ pub struct AdvOutcome {
     pub digest: u64,
 }
 
-fn mean_power(env: &EnvSpec, traj_thr: &[f32], traj_owd: &[f32], alpha: f64) -> f64 {
-    let intervals = interval_scores(
-        traj_thr,
-        traj_owd,
-        ScoreKind::Power,
-        alpha,
-        env.fair_share_bps(),
-    );
-    intervals.iter().sum::<f64>() / intervals.len().max(1) as f64
-}
-
-fn gr_of(c: &Contender) -> GrConfig {
-    match c {
-        Contender::Model { gr_cfg, .. } | Contender::Hybrid { gr_cfg, .. } => *gr_cfg,
-        _ => GrConfig::default(),
-    }
-}
-
-/// Run one contender through one decoded environment; `None` when the run
-/// panicked or delivered nothing. Returns (mean power, all-flow goodputs).
-fn run_one(env: &EnvSpec, c: &Contender, alpha: f64, seed: u64) -> Option<(f64, Vec<f64>)> {
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        let cca = c.build(env, seed);
-        rollout(env, c.name(), cca, gr_of(c), seed)
-    }))
-    .ok()?;
-    if res.stats.delivered_bytes == 0 {
-        return None;
-    }
-    let score = mean_power(env, &res.traj.thr, &res.traj.owd, alpha);
-    let goodputs = res.all_stats.iter().map(|s| s.avg_goodput_mbps).collect();
-    Some((score, goodputs))
-}
-
 /// Evaluate one genome: target and every roster scheme roll through the
 /// decoded scenario; regret is the target's shortfall against the best
 /// surviving roster scheme. Deterministic given (genome, secs, alpha, seed).
@@ -265,21 +229,26 @@ pub fn evaluate_candidate(
     alpha: f64,
     seed: u64,
 ) -> AdvOutcome {
-    let env = decode(genome, secs);
+    let sc = ScenarioSpec {
+        family: Family::Adversarial,
+        env: decode(genome, secs),
+    };
     sage_obs::obs_counter!("adv.candidates").inc();
-    let target_run = run_one(&env, target, alpha, seed);
-    let (target_score, fairness, target_survived) = match &target_run {
-        Some((score, goodputs)) => (*score, jain_fairness(goodputs), true),
-        None => (0.0, 0.0, false),
+    // A cell that panicked or delivered nothing counts as dead.
+    let target_cell = run_cell(&sc, target, seed, alpha);
+    let target_survived = target_cell.survived;
+    let (target_score, fairness) = if target_survived {
+        (target_cell.score, target_cell.fairness)
+    } else {
+        (0.0, 0.0)
     };
     let mut best_score = 0.0;
     let mut best_scheme = String::from("none");
     for c in roster {
-        if let Some((score, _)) = run_one(&env, c, alpha, seed) {
-            if score > best_score {
-                best_score = score;
-                best_scheme = c.name().to_string();
-            }
+        let cell = run_cell(&sc, c, seed, alpha);
+        if cell.survived && cell.score > best_score {
+            best_score = cell.score;
+            best_scheme = cell.scheme;
         }
     }
     let regret = if !target_survived {
@@ -290,13 +259,13 @@ pub fn evaluate_candidate(
         ((best_score - target_score) / (best_score + target_score)).clamp(-1.0, 1.0)
     };
     let mut h = Fnv64::new();
-    h.write(env.id.as_bytes());
+    h.write(sc.env.id.as_bytes());
     h.write(&regret.to_bits().to_le_bytes());
     h.write(&target_score.to_bits().to_le_bytes());
     h.write(&best_score.to_bits().to_le_bytes());
     h.write(best_scheme.as_bytes());
     AdvOutcome {
-        id: env.id,
+        id: sc.env.id,
         genome: genome.to_vec(),
         regret,
         target_score,

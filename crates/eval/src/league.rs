@@ -15,11 +15,11 @@ pub struct LeagueEntry {
     pub cells: usize,
 }
 
-/// Rank schemes by winning rate. `margin` is the winner tolerance (0.10 for
-/// the default 10% rule, 0.05 for Appendix D.2's tighter margin).
 /// Scores contending in one (environment, interval) cell.
 type CellEntries = Vec<(String, f64, ScoreKind)>;
 
+/// Rank schemes by winning rate. `margin` is the winner tolerance (0.10 for
+/// the default 10% rule, 0.05 for Appendix D.2's tighter margin).
 pub fn rank_league(scores: &[RunScore], margin: f64) -> Vec<LeagueEntry> {
     // env -> interval -> (scheme, score, kind)
     let mut cells: BTreeMap<(String, usize), CellEntries> = BTreeMap::new();

@@ -1,6 +1,9 @@
 //! Evaluation machinery: the score/winner/winning-rate terminology of §5.1
-//! and Appendix D, league runners, the cosine Distance/Similarity metrics of
-//! §7.1/§7.2, and a small exact t-SNE for Fig. 16.
+//! and Appendix D, the evaluation matrix — [`run_matrix`] is the one runner
+//! that rolls a [`Contender`] through an environment; leagues, the Set III
+//! summary and the adversarial search are views over its cells — the cosine
+//! Distance/Similarity metrics of §7.1/§7.2, and a small exact t-SNE for
+//! Fig. 16.
 
 pub mod adversary;
 pub mod distill;
@@ -26,13 +29,8 @@ pub use matrix::{
     scenarios_set12, standard_scenarios, Family, MatrixCell, MatrixReport, MatrixScale, MatrixSpec,
     MatrixTolerance, ScenarioRank, ScenarioSpec,
 };
-pub use runner::{
-    run_contenders, run_contenders_with_threads, scores_of_set, Contender, RunRecord,
-};
+pub use runner::Contender;
 pub use score::{interval_scores, jain_fairness, RunScore, ScoreKind};
-pub use set3::{
-    entries_from_cells, run_set3, run_set3_with_threads, scenario_grid, summarise, FaultScenario,
-    Set3Entry, Set3Summary,
-};
+pub use set3::{degradation_pct, scenario_grid, summarise, FaultScenario, Set3Summary};
 pub use set4::{eval_pinned, pinned_scenarios, PinnedScenario, Set4Tolerance, SET4_SECS};
 pub use similarity::{cosine_distance, cosine_similarity, transition_vectors, DistanceIndex};

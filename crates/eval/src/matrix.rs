@@ -23,7 +23,6 @@ use crate::score::{interval_scores, jain_fairness, RunScore, ScoreKind, INTERVAL
 use crate::set3::{scenario_grid, set3_env};
 use crate::set4::pinned_scenarios;
 use sage_collector::{rollout_with, training_envs, EnvSpec, SetKind};
-use sage_gr::GrConfig;
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::faults::FaultPlan;
 use sage_netsim::internet::InternetProfile;
@@ -396,13 +395,6 @@ pub struct MatrixReport {
     pub digest: u64,
 }
 
-fn gr_of(c: &Contender) -> GrConfig {
-    match c {
-        Contender::Model { gr_cfg, .. } | Contender::Hybrid { gr_cfg, .. } => *gr_cfg,
-        _ => GrConfig::default(),
-    }
-}
-
 fn cell_digest(cell: &MatrixCell) -> u64 {
     let mut h = Fnv64::new();
     h.write(cell.scheme.as_bytes());
@@ -422,7 +414,9 @@ fn cell_digest(cell: &MatrixCell) -> u64 {
 /// Points per exported ramp-up series (`MatrixCell::series`).
 pub const SERIES_POINTS: usize = 24;
 
-fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) -> MatrixCell {
+/// The one place a [`Contender`] meets an [`EnvSpec`]: build, roll out,
+/// score. A panic inside the rollout yields a dead (`!completed`) cell.
+pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) -> MatrixCell {
     let env = &sc.env;
     let kind = match env.set {
         SetKind::SetI => ScoreKind::Power,
@@ -463,7 +457,7 @@ fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) -> MatrixCe
         0,
     );
     let run = catch_unwind(AssertUnwindSafe(|| {
-        rollout_with(env, c.name(), |s| c.build(env, s), gr_of(c), seed)
+        rollout_with(env, c.name(), |s| c.build(env, s), c.gr_cfg(), seed)
     }));
     if let Err(_panic) = &run {
         // Crash forensics, mirroring the supervised-collection path: mark
@@ -637,6 +631,9 @@ pub fn rankings(cells: &[MatrixCell]) -> Vec<ScenarioRank> {
 
 /// Extract league-style [`RunScore`]s for one family from the cells
 /// (`alpha3 = true` swaps in the alpha=3 Power intervals of Set I cells).
+/// A dead cell scores the worst value of its kind in every interval — Power
+/// has a floor of 0, a friendliness distance has no ceiling — so a crashed
+/// contender can never be a winner.
 pub fn league_scores(cells: &[MatrixCell], family: Family, alpha3: bool) -> Vec<RunScore> {
     cells
         .iter()
@@ -645,7 +642,13 @@ pub fn league_scores(cells: &[MatrixCell], family: Family, alpha3: bool) -> Vec<
             scheme: c.scheme.clone(),
             env_id: c.scenario.clone(),
             kind: c.kind,
-            intervals: if alpha3 {
+            intervals: if !c.completed {
+                let worst = match c.kind {
+                    ScoreKind::Power => 0.0,
+                    ScoreKind::Friendliness => f64::INFINITY,
+                };
+                vec![worst; INTERVALS]
+            } else if alpha3 {
                 c.intervals_alpha3.clone()
             } else {
                 c.intervals.clone()
@@ -906,6 +909,7 @@ pub fn compare_to_golden(current: &Json, golden: &Json, tol: &MatrixTolerance) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::league::rank_league;
 
     fn tiny_spec() -> MatrixSpec {
         MatrixSpec {
@@ -984,6 +988,73 @@ mod tests {
             violations.iter().any(|v| v.contains("rank inversion")),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn heuristic_league_runs_and_ranks() {
+        let spec = tiny_spec();
+        let report = run_matrix(&spec, |_, _| {});
+        for family in [Family::SetI, Family::SetII] {
+            let table = rank_league(&league_scores(&report.cells, family, false), 0.10);
+            assert_eq!(table.len(), 2);
+            assert!(table.iter().all(|e| e.cells == INTERVALS));
+            assert!(table.iter().all(|e| (0.0..=1.0).contains(&e.winning_rate)));
+        }
+    }
+
+    #[test]
+    fn oracle_contender_wins_single_flow_power() {
+        let spec = MatrixSpec {
+            schemes: vec![Contender::Oracle, Contender::Heuristic("newreno")],
+            scenarios: scenarios_set12(3, 0, 6.0, 33),
+            ..tiny_spec()
+        };
+        let report = run_matrix(&spec, |_, _| {});
+        let table = rank_league(&league_scores(&report.cells, Family::SetI, false), 0.10);
+        // The oracle knows the BDP: it should be at or near the top.
+        assert_eq!(table[0].scheme, "oracle", "table: {table:?}");
+    }
+
+    #[test]
+    fn dead_cell_ranks_last_and_never_wins() {
+        let mut spec = tiny_spec();
+        spec.scenarios.truncate(2); // one Set I, one Set II
+        let alive = run_matrix(&spec, |_, _| {});
+        spec.schemes
+            .insert(1, Contender::Heuristic("no-such-scheme"));
+        let report = run_matrix(&spec, |_, _| {});
+        let (dead, rest): (Vec<MatrixCell>, Vec<MatrixCell>) = report
+            .cells
+            .iter()
+            .cloned()
+            .partition(|c| c.scheme == "no-such-scheme");
+        assert_eq!(dead.len(), 2);
+        assert!(dead.iter().all(|c| !c.completed && !c.survived));
+        // The crash is invisible to every other scheme's cells.
+        let bits = |cells: &[MatrixCell]| -> Vec<(u64, Vec<u64>, Vec<u64>)> {
+            cells
+                .iter()
+                .map(|c| {
+                    let b = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+                    (c.digest, b(&c.intervals), b(&c.intervals_alpha3))
+                })
+                .collect()
+        };
+        assert_eq!(bits(&rest), bits(&alive.cells));
+        for r in rankings(&report.cells) {
+            assert_eq!(r.order.last().unwrap(), "no-such-scheme", "{r:?}");
+        }
+        for (family, alpha3) in [
+            (Family::SetI, false),
+            (Family::SetI, true),
+            (Family::SetII, false),
+        ] {
+            let table = rank_league(&league_scores(&report.cells, family, alpha3), 0.10);
+            let e = table.iter().find(|e| e.scheme == "no-such-scheme").unwrap();
+            assert_eq!((e.wins, e.cells), (0, INTERVALS), "{family:?}: {table:?}");
+        }
+        // What `matrix_json` serialises stays finite.
+        assert!(dead.iter().all(|c| c.intervals.iter().all(|x| *x == 0.0)));
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! League runner: roll a set of contenders (heuristics and learned models)
-//! through environment sets and produce scores + trajectories for the
-//! figures.
+//! The contenders an evaluation can enter: heuristics, learned models,
+//! hybrids and the BDP oracle. [`crate::matrix::run_matrix`] is the one
+//! place a contender meets an environment.
 
-use crate::score::{interval_scores, RunScore, ScoreKind};
-use sage_collector::{rollout, EnvSpec, SetKind, Trajectory};
+use sage_collector::EnvSpec;
 use sage_core::baselines::{HybridPolicy, OracleCc};
 use sage_core::policy::{ActionMode, SagePolicy};
 use sage_core::SageModel;
 use sage_gr::GrConfig;
 use sage_heuristics::build;
-use sage_transport::{CongestionControl, FlowStats};
+use sage_transport::CongestionControl;
 use std::sync::Arc;
 
 /// Something that can be entered into a league.
@@ -43,6 +42,15 @@ impl Contender {
         }
     }
 
+    /// The GR timescales the rollout records this contender with: a learned
+    /// contender's own, the default for everything else.
+    pub fn gr_cfg(&self) -> GrConfig {
+        match self {
+            Contender::Model { gr_cfg, .. } | Contender::Hybrid { gr_cfg, .. } => *gr_cfg,
+            _ => GrConfig::default(),
+        }
+    }
+
     /// Instantiate the congestion controller for one run.
     ///
     /// # Panics
@@ -71,128 +79,5 @@ impl Contender {
             ),
             Contender::Oracle => Box::new(OracleCc::new(env.capacity_mbps, env.rtt_ms)),
         }
-    }
-}
-
-/// One completed run.
-pub struct RunRecord {
-    pub scheme: String,
-    pub env_id: String,
-    pub set: SetKind,
-    pub traj: Trajectory,
-    pub stats: FlowStats,
-    pub all_stats: Vec<FlowStats>,
-    pub score: RunScore,
-}
-
-/// Run every contender through every environment; `alpha` is the Power
-/// exponent (2 by default, 3 for Tables 2/3). Runs on the process-wide
-/// worker count (`SAGE_THREADS`, default: available parallelism).
-pub fn run_contenders(
-    contenders: &[Contender],
-    envs: &[EnvSpec],
-    alpha: f64,
-    seed: u64,
-    progress: impl FnMut(usize, usize) + Send,
-) -> Vec<RunRecord> {
-    run_contenders_with_threads(contenders, envs, alpha, seed, 0, progress)
-}
-
-/// [`run_contenders`] with an explicit worker count (`0` = the configured
-/// default, `1` = the exact serial legacy path). Every (environment,
-/// contender) cell is an independent deterministic task and the reduction is
-/// ordered, so records — and therefore league rankings — are identical at
-/// every thread count.
-pub fn run_contenders_with_threads(
-    contenders: &[Contender],
-    envs: &[EnvSpec],
-    alpha: f64,
-    seed: u64,
-    threads: usize,
-    mut progress: impl FnMut(usize, usize) + Send,
-) -> Vec<RunRecord> {
-    let total = contenders.len() * envs.len();
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let progress = std::sync::Mutex::new(&mut progress);
-    sage_util::par_map_range(threads, total, |task| {
-        let _prof = sage_obs::scope("eval_run");
-        let (ei, ci) = (task / contenders.len(), task % contenders.len());
-        let (env, c) = (&envs[ei], &contenders[ci]);
-        let cca = c.build(env, seed);
-        let res = rollout(env, c.name(), cca, gr_of(c), seed);
-        sage_obs::obs_counter!("eval.runs").inc();
-        let kind = match env.set {
-            SetKind::SetI => ScoreKind::Power,
-            SetKind::SetII => ScoreKind::Friendliness,
-        };
-        let intervals = interval_scores(
-            &res.traj.thr,
-            &res.traj.owd,
-            kind,
-            alpha,
-            env.fair_share_bps(),
-        );
-        let record = RunRecord {
-            scheme: c.name().to_string(),
-            env_id: env.id.clone(),
-            set: env.set,
-            score: RunScore {
-                scheme: c.name().to_string(),
-                env_id: env.id.clone(),
-                kind,
-                intervals,
-            },
-            traj: res.traj,
-            stats: res.stats,
-            all_stats: res.all_stats,
-        };
-        let n = 1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (progress.lock().unwrap_or_else(|e| e.into_inner()))(n, total);
-        record
-    })
-}
-
-fn gr_of(c: &Contender) -> GrConfig {
-    match c {
-        Contender::Model { gr_cfg, .. } | Contender::Hybrid { gr_cfg, .. } => *gr_cfg,
-        _ => GrConfig::default(),
-    }
-}
-
-/// Scores of the Set I (resp. Set II) runs.
-pub fn scores_of_set(records: &[RunRecord], set: SetKind) -> Vec<RunScore> {
-    records
-        .iter()
-        .filter(|r| r.set == set)
-        .map(|r| r.score.clone())
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::league::rank_league;
-    use sage_collector::training_envs;
-
-    #[test]
-    fn heuristic_league_runs_and_ranks() {
-        let envs = training_envs(2, 1, 4.0, 21);
-        let contenders = vec![Contender::Heuristic("cubic"), Contender::Heuristic("vegas")];
-        let records = run_contenders(&contenders, &envs, 2.0, 3, |_, _| {});
-        assert_eq!(records.len(), 6);
-        let s1 = scores_of_set(&records, SetKind::SetI);
-        let table = rank_league(&s1, 0.10);
-        assert_eq!(table.len(), 2);
-        assert!(table.iter().all(|e| (0.0..=1.0).contains(&e.winning_rate)));
-    }
-
-    #[test]
-    fn oracle_contender_wins_single_flow_power() {
-        let envs: Vec<EnvSpec> = training_envs(3, 0, 6.0, 33);
-        let contenders = vec![Contender::Oracle, Contender::Heuristic("newreno")];
-        let records = run_contenders(&contenders, &envs, 2.0, 3, |_, _| {});
-        let table = rank_league(&scores_of_set(&records, SetKind::SetI), 0.10);
-        // The oracle knows the BDP: it should be at or near the top.
-        assert_eq!(table[0].scheme, "oracle", "table: {table:?}");
     }
 }

@@ -7,9 +7,12 @@
 //! duplication, blackouts, link flaps, jitter spikes, ACK compression) and
 //! is scored on survival and on degradation relative to its own clean-link
 //! baseline, so schemes are compared on *robustness*, not raw speed.
+//!
+//! This module is the scenario grid plus views over `Family::Fault` matrix
+//! cells (`matrix::scenarios_fault` turns the grid into scenarios,
+//! `run_matrix` runs them); it rolls nothing out itself.
 
-use crate::matrix::{run_matrix, Family, MatrixCell, MatrixSpec, ScenarioSpec};
-use crate::runner::Contender;
+use crate::matrix::{Family, MatrixCell};
 use sage_collector::{EnvSpec, SetKind};
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::faults::{FaultPlan, FlapPlan, GilbertElliott};
@@ -152,139 +155,18 @@ pub fn set3_env(scenario: &FaultScenario, duration_secs: f64) -> EnvSpec {
     }
 }
 
-/// One contender x scenario result of the adversarial grid.
-#[derive(Debug, Clone)]
-pub struct Set3Entry {
-    pub scheme: String,
-    pub scenario: &'static str,
-    /// The run finished without panicking and delivered at least one packet.
-    pub survived: bool,
-    pub goodput_mbps: f64,
-    pub avg_owd_ms: f64,
-    /// Goodput drop vs the scheme's own clean baseline, percent (0 = none).
-    pub degradation_pct: f64,
-    /// Delay inflation vs the clean baseline (1.0 = unchanged).
-    pub delay_inflation: f64,
-    /// Retransmitted fraction of all transmissions, percent.
-    pub retx_overhead_pct: f64,
-    /// Abort-and-restart events of the flow under test.
-    pub restarts: u64,
-    pub lost_pkts: u64,
-    /// Jain fairness across all flows of the run (trivially 1.0 for the
-    /// single-flow grid; meaningful once scenarios add cross traffic).
-    pub fairness: f64,
-}
-
-/// Run every contender through the full scenario grid. Returns one entry per
-/// contender x scenario (the clean baseline included, with 0 degradation).
-/// A contender that panics inside a scenario is recorded as not surviving
-/// rather than aborting the suite.
-pub fn run_set3(
-    contenders: &[Contender],
-    scenarios: &[FaultScenario],
-    duration_secs: f64,
-    seed: u64,
-    progress: impl FnMut(usize, usize) + Send,
-) -> Vec<Set3Entry> {
-    run_set3_with_threads(contenders, scenarios, duration_secs, seed, 0, progress)
-}
-
-/// [`run_set3`] with an explicit worker count (`0` = the configured default,
-/// `1` = serial). A thin view over the evaluation matrix: the contender x
-/// scenario grid becomes a [`MatrixSpec`] executed by [`run_matrix`] (same
-/// seeds, same rollouts, same ordered reduction), and the degradation
-/// against each contender's clean baseline is derived serially from the
-/// cells afterwards — entries are identical at every thread count.
-pub fn run_set3_with_threads(
-    contenders: &[Contender],
-    scenarios: &[FaultScenario],
-    duration_secs: f64,
-    seed: u64,
-    threads: usize,
-    progress: impl FnMut(usize, usize) + Send,
-) -> Vec<Set3Entry> {
-    let spec = MatrixSpec {
-        schemes: contenders.to_vec(),
-        scenarios: scenarios
-            .iter()
-            .map(|sc| ScenarioSpec {
-                family: Family::Fault,
-                env: set3_env(sc, duration_secs),
-            })
-            .collect(),
-        seeds: vec![seed],
-        alpha: 2.0,
-        threads,
-    };
-    let report = run_matrix(&spec, progress);
-    entries_from_cells(&report.cells, contenders, scenarios)
-}
-
-/// Derive contender-major [`Set3Entry`]s from single-seed matrix cells (the
-/// scenario-major order [`run_matrix`] produces). A cell that did not
-/// complete (the contender panicked) is recorded as not surviving with full
-/// degradation rather than aborting the suite.
-pub fn entries_from_cells(
-    cells: &[MatrixCell],
-    contenders: &[Contender],
-    scenarios: &[FaultScenario],
-) -> Vec<Set3Entry> {
-    let n_ch = contenders.len();
-    debug_assert_eq!(cells.len(), n_ch * scenarios.len());
-    let mut out = Vec::with_capacity(cells.len());
-    for (ci, c) in contenders.iter().enumerate() {
-        let mut clean_goodput = f64::NAN;
-        let mut clean_owd = f64::NAN;
-        for (si, sc) in scenarios.iter().enumerate() {
-            let cell = &cells[si * n_ch + ci];
-            debug_assert_eq!(cell.scheme, c.name());
-            let entry = if cell.completed {
-                if sc.id == CLEAN {
-                    clean_goodput = cell.goodput_mbps;
-                    clean_owd = cell.avg_owd_ms;
-                }
-                let degradation_pct = if clean_goodput > 0.0 {
-                    ((clean_goodput - cell.goodput_mbps) / clean_goodput * 100.0).max(0.0)
-                } else {
-                    0.0
-                };
-                let delay_inflation = if clean_owd > 0.0 && cell.avg_owd_ms > 0.0 {
-                    cell.avg_owd_ms / clean_owd
-                } else {
-                    1.0
-                };
-                Set3Entry {
-                    scheme: cell.scheme.clone(),
-                    scenario: sc.id,
-                    survived: cell.survived,
-                    goodput_mbps: cell.goodput_mbps,
-                    avg_owd_ms: cell.avg_owd_ms,
-                    degradation_pct,
-                    delay_inflation,
-                    retx_overhead_pct: cell.retx_pct,
-                    restarts: cell.restarts,
-                    lost_pkts: cell.lost_pkts,
-                    fairness: cell.fairness,
-                }
-            } else {
-                Set3Entry {
-                    scheme: cell.scheme.clone(),
-                    scenario: sc.id,
-                    survived: false,
-                    goodput_mbps: 0.0,
-                    avg_owd_ms: 0.0,
-                    degradation_pct: 100.0,
-                    delay_inflation: 1.0,
-                    retx_overhead_pct: 0.0,
-                    restarts: 0,
-                    lost_pkts: 0,
-                    fairness: 0.0,
-                }
-            };
-            out.push(entry);
-        }
+/// Goodput drop of a fault cell against its scheme's own clean-link cell,
+/// percent (0 = none). A dead cell is fully degraded; without a clean
+/// baseline that moved data there is nothing to degrade from.
+pub fn degradation_pct(cell: &MatrixCell, clean: Option<&MatrixCell>) -> f64 {
+    let clean_mbps = clean.map_or(0.0, |c| c.goodput_mbps);
+    if !cell.completed {
+        100.0
+    } else if clean_mbps > 0.0 {
+        ((clean_mbps - cell.goodput_mbps) / clean_mbps * 100.0).max(0.0)
+    } else {
+        0.0
     }
-    out
 }
 
 /// Per-scheme summary over the fault scenarios (clean excluded): survival
@@ -300,28 +182,37 @@ pub struct Set3Summary {
     pub restarts: u64,
 }
 
-/// Summarise entries into one row per scheme, sorted by mean degradation
-/// (most robust first).
-pub fn summarise(entries: &[Set3Entry]) -> Vec<Set3Summary> {
-    let mut schemes: Vec<String> = entries.iter().map(|e| e.scheme.clone()).collect();
+/// Summarise the `Family::Fault` cells of a matrix run into one row per
+/// scheme, sorted by mean degradation (most robust first). Each cell is
+/// judged against the `s3-clean` cell of the same scheme and seed.
+pub fn summarise(cells: &[MatrixCell]) -> Vec<Set3Summary> {
+    let clean_id = format!("s3-{CLEAN}");
+    let cells: Vec<&MatrixCell> = cells.iter().filter(|c| c.family == Family::Fault).collect();
+    let mut schemes: Vec<&str> = cells.iter().map(|c| c.scheme.as_str()).collect();
     schemes.sort();
     schemes.dedup();
     let mut out: Vec<Set3Summary> = schemes
         .into_iter()
         .map(|scheme| {
-            let faulty: Vec<&Set3Entry> = entries
-                .iter()
-                .filter(|e| e.scheme == scheme && e.scenario != CLEAN)
+            let of_scheme = || cells.iter().filter(|c| c.scheme == scheme);
+            let faulty: Vec<(&MatrixCell, f64)> = of_scheme()
+                .filter(|c| c.scenario != clean_id)
+                .map(|&c| {
+                    let clean = of_scheme()
+                        .find(|k| k.scenario == clean_id && k.seed == c.seed)
+                        .copied();
+                    (c, degradation_pct(c, clean))
+                })
                 .collect();
             let n = faulty.len().max(1) as f64;
             Set3Summary {
+                scheme: scheme.to_string(),
                 scenarios: faulty.len(),
-                survived: faulty.iter().filter(|e| e.survived).count(),
-                mean_degradation_pct: faulty.iter().map(|e| e.degradation_pct).sum::<f64>() / n,
-                worst_degradation_pct: faulty.iter().map(|e| e.degradation_pct).fold(0.0, f64::max),
-                mean_retx_overhead_pct: faulty.iter().map(|e| e.retx_overhead_pct).sum::<f64>() / n,
-                restarts: faulty.iter().map(|e| e.restarts).sum(),
-                scheme,
+                survived: faulty.iter().filter(|(c, _)| c.survived).count(),
+                mean_degradation_pct: faulty.iter().map(|(_, d)| d).sum::<f64>() / n,
+                worst_degradation_pct: faulty.iter().map(|&(_, d)| d).fold(0.0, f64::max),
+                mean_retx_overhead_pct: faulty.iter().map(|(c, _)| c.retx_pct).sum::<f64>() / n,
+                restarts: faulty.iter().map(|(c, _)| c.restarts).sum(),
             }
         })
         .collect();
@@ -336,6 +227,8 @@ pub fn summarise(entries: &[Set3Entry]) -> Vec<Set3Summary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::{run_matrix, scenarios_fault, MatrixSpec};
+    use crate::runner::Contender;
 
     #[test]
     fn grid_has_clean_baseline_first_and_unique_ids() {
@@ -355,29 +248,38 @@ mod tests {
     fn set3_runs_heuristics_through_faults() {
         // A small slice of the grid to keep the test fast: clean + two
         // fault scenarios, two schemes.
-        let scenarios: Vec<FaultScenario> = scenario_grid()
-            .into_iter()
-            .filter(|s| matches!(s.id, CLEAN | "burst-mild" | "blackout"))
-            .collect();
-        let contenders = vec![Contender::Heuristic("cubic"), Contender::Heuristic("vegas")];
-        let entries = run_set3(&contenders, &scenarios, 6.0, 3, |_, _| {});
-        assert_eq!(entries.len(), 6);
+        let spec = MatrixSpec {
+            schemes: vec![Contender::Heuristic("cubic"), Contender::Heuristic("vegas")],
+            scenarios: scenarios_fault(Some(&[CLEAN, "burst-mild", "blackout"]), 6.0),
+            seeds: vec![3],
+            alpha: 2.0,
+            threads: 0,
+        };
+        let cells = run_matrix(&spec, |_, _| {}).cells;
+        assert_eq!(cells.len(), 6);
         assert!(
-            entries.iter().all(|e| e.survived),
-            "all schemes must survive: {entries:?}"
+            cells.iter().all(|c| c.survived),
+            "all schemes must survive: {cells:?}"
         );
+        let clean_of = |c: &MatrixCell| {
+            cells
+                .iter()
+                .find(|k| k.scheme == c.scheme && k.scenario == "s3-clean")
+        };
         // Clean baselines carry zero degradation by construction.
-        for e in entries.iter().filter(|e| e.scenario == CLEAN) {
-            assert_eq!(e.degradation_pct, 0.0);
-            assert!(e.goodput_mbps > 1.0, "{e:?}");
+        for c in cells.iter().filter(|c| c.scenario == "s3-clean") {
+            assert_eq!(degradation_pct(c, clean_of(c)), 0.0);
+            assert!(c.goodput_mbps > 1.0, "{c:?}");
         }
         // A one-second blackout in a six-second run must cost throughput.
-        for e in entries.iter().filter(|e| e.scenario == "blackout") {
-            assert!(e.degradation_pct > 5.0, "blackout barely hurt {e:?}");
+        for c in cells.iter().filter(|c| c.scenario == "s3-blackout") {
+            let d = degradation_pct(c, clean_of(c));
+            assert!(d > 5.0, "blackout barely hurt {c:?}");
         }
-        let summary = summarise(&entries);
+        let summary = summarise(&cells);
         assert_eq!(summary.len(), 2);
         assert_eq!(summary[0].scenarios, 2);
         assert_eq!(summary[0].survived, 2);
+        assert!(summary.iter().all(|s| s.worst_degradation_pct > 5.0));
     }
 }

@@ -6,28 +6,32 @@
 //! cargo run --release --example single_flow_showdown
 //! ```
 
-use sage::collector::training_envs;
-use sage::collector::SetKind;
 use sage::eval::league::rank_league;
-use sage::eval::runner::{run_contenders, scores_of_set, Contender};
+use sage::eval::matrix::{league_scores, run_matrix, scenarios_set12, Family, MatrixSpec};
+use sage::eval::runner::Contender;
 
 fn main() {
-    let envs = training_envs(8, 0, 10.0, 7);
-    let contenders: Vec<Contender> = sage::heuristics::pool_names()
-        .into_iter()
-        .map(Contender::Heuristic)
-        .collect();
+    let spec = MatrixSpec {
+        schemes: sage::heuristics::pool_names()
+            .into_iter()
+            .map(Contender::Heuristic)
+            .collect(),
+        scenarios: scenarios_set12(8, 0, 10.0, 7),
+        seeds: vec![7],
+        alpha: 2.0,
+        threads: 0,
+    };
     println!(
         "running {} schemes x {} environments...",
-        contenders.len(),
-        envs.len()
+        spec.schemes.len(),
+        spec.scenarios.len()
     );
-    let records = run_contenders(&contenders, &envs, 2.0, 7, |done, total| {
+    let report = run_matrix(&spec, |done, total| {
         if done % 26 == 0 {
             println!("  {done}/{total}");
         }
     });
-    let table = rank_league(&scores_of_set(&records, SetKind::SetI), 0.10);
+    let table = rank_league(&league_scores(&report.cells, Family::SetI, false), 0.10);
     println!("\nSet I league (margin 10%):");
     for e in table {
         println!(

@@ -7,12 +7,12 @@
 //! cargo run --release --example train_sage_mini
 //! ```
 
-use sage::collector::SetKind;
 use sage::collector::{collect_pool, training_envs};
 use sage::core::policy::{ActionMode, SagePolicy};
 use sage::core::{CrrConfig, CrrTrainer, NetConfig};
 use sage::eval::league::rank_league;
-use sage::eval::runner::{run_contenders, scores_of_set, Contender};
+use sage::eval::matrix::{league_scores, run_matrix, Family, MatrixSpec, ScenarioSpec};
+use sage::eval::runner::Contender;
 use sage::gr::GrConfig;
 use std::sync::Arc;
 
@@ -69,9 +69,16 @@ fn main() {
         model: model.clone(),
         gr_cfg: GrConfig::default(),
     });
-    let records = run_contenders(&contenders, &envs, 2.0, 42, |_, _| {});
-    for (set, label) in [(SetKind::SetI, "Set I"), (SetKind::SetII, "Set II")] {
-        let table = rank_league(&scores_of_set(&records, set), 0.10);
+    let spec = MatrixSpec {
+        schemes: contenders,
+        scenarios: envs.into_iter().map(ScenarioSpec::from_env).collect(),
+        seeds: vec![42],
+        alpha: 2.0,
+        threads: 0,
+    };
+    let report = run_matrix(&spec, |_, _| {});
+    for (family, label) in [(Family::SetI, "Set I"), (Family::SetII, "Set II")] {
+        let table = rank_league(&league_scores(&report.cells, family, false), 0.10);
         println!("\n{label} league:");
         for e in table {
             println!("  {:10} {:6.2}%", e.scheme, e.winning_rate * 100.0);

@@ -2,11 +2,12 @@
 //! environments -> pool -> offline training -> deployment -> league — plus
 //! invariants that span crate boundaries.
 
-use sage::collector::{collect_pool, training_envs, Pool, SetKind};
+use sage::collector::{collect_pool, training_envs, Pool};
 use sage::core::policy::{ActionMode, SagePolicy};
 use sage::core::{CrrConfig, CrrTrainer, NetConfig};
 use sage::eval::league::rank_league;
-use sage::eval::runner::{run_contenders, scores_of_set, Contender};
+use sage::eval::matrix::{league_scores, run_matrix, Family, MatrixSpec, ScenarioSpec};
+use sage::eval::runner::Contender;
 use sage::eval::similarity::DistanceIndex;
 use sage::gr::{GrConfig, STATE_DIM};
 use sage::netsim::link::LinkModel;
@@ -92,8 +93,15 @@ fn full_pipeline_trains_and_deploys() {
             gr_cfg: GrConfig::default(),
         },
     ];
-    let records = run_contenders(&contenders, &envs, 2.0, 11, |_, _| {});
-    let table = rank_league(&scores_of_set(&records, SetKind::SetI), 0.10);
+    let spec = MatrixSpec {
+        schemes: contenders,
+        scenarios: envs.into_iter().map(ScenarioSpec::from_env).collect(),
+        seeds: vec![11],
+        alpha: 2.0,
+        threads: 0,
+    };
+    let report = run_matrix(&spec, |_, _| {});
+    let table = rank_league(&league_scores(&report.cells, Family::SetI, false), 0.10);
     assert_eq!(table.len(), 2);
 }
 
