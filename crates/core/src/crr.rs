@@ -17,7 +17,7 @@ use crate::model::{
     CriticNet, NetConfig, PolicyNet, SageModel, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
 };
 use sage_collector::Pool;
-use sage_nn::{Adam, Array, Graph, ParamStore};
+use sage_nn::{Adam, Array, Graph, NodeId, ParamStore};
 use sage_util::Rng;
 
 /// One sampled training batch: per-timestep state matrices [B, D],
@@ -46,10 +46,11 @@ pub struct CrrConfig {
     /// Number of policy samples for the advantage baseline (m in Eq. 6).
     pub adv_samples: usize,
     pub seed: u64,
-    /// Worker threads for per-sample gradient computation (`0` = the
-    /// process-wide default from `SAGE_THREADS`, `1` = serial). The batch is
-    /// always decomposed per sample and reduced in sample order, so the
-    /// updated parameters are bit-identical at every thread count.
+    /// Unread since the step became one batched graph per network (the
+    /// gradient is a single ordered reduction, so there is nothing to fan
+    /// out and the result cannot depend on a thread count). Kept because the
+    /// frozen `benchmark/` names it; goes with the next change allowed to
+    /// edit that directory (ROADMAP item 5).
     pub threads: usize,
 }
 
@@ -96,10 +97,21 @@ pub struct CrrTrainer {
     critic_opt: Adam,
     rng: Rng,
     steps_done: u64,
-    /// Cached indices of "active" steps (|ln a| above threshold) per
-    /// trajectory, for prioritised window sampling. Invalidated when the pool
-    /// changes size (online learners grow their replay).
-    active_cache: Option<(usize, usize, Vec<Vec<u32>>)>,
+    sample_index: SampleIndex,
+}
+
+/// What window sampling needs to know about the pool, rebuilt when the pool
+/// changes size (online learners grow their replay). The default is the
+/// index of an empty pool.
+#[derive(Default)]
+struct SampleIndex {
+    /// `(trajectories.len(), total_steps())` of the pool this was built from.
+    key: (usize, usize),
+    /// Per trajectory, the "active" steps (|ln a| above threshold), for
+    /// prioritised window sampling.
+    active: Vec<Vec<u32>>,
+    /// Trajectories long enough to sample a window from (`unroll + 2` steps).
+    eligible: Vec<usize>,
 }
 
 impl CrrTrainer {
@@ -137,7 +149,7 @@ impl CrrTrainer {
             critic_opt: Adam::new(cfg.critic_lr),
             rng: Rng::new(cfg.seed ^ 0xBA7C),
             steps_done: 0,
-            active_cache: None,
+            sample_index: SampleIndex::default(),
             cfg,
         }
     }
@@ -154,19 +166,20 @@ impl CrrTrainer {
         self.steps_done
     }
 
-    /// Rebuild (if stale) and return the per-trajectory indices of steps
-    /// whose action meaningfully deviates from ratio 1.0. The vast majority
-    /// of per-10 ms cwnd ratios are exactly 1.0; sampling half of each batch
-    /// around *active* steps sharpens the conditional signal the policy must
-    /// learn (prioritised experience sampling).
-    fn active_steps(&mut self, pool: &Pool) -> &Vec<Vec<u32>> {
+    /// Rebuild the sampling index if the pool changed size. Active steps are
+    /// those whose action meaningfully deviates from ratio 1.0: the vast
+    /// majority of per-10 ms cwnd ratios are exactly 1.0; sampling half of
+    /// each batch around *active* steps sharpens the conditional signal the
+    /// policy must learn (prioritised experience sampling).
+    fn refresh_sample_index(&mut self, pool: &Pool) {
         let key = (pool.trajectories.len(), pool.total_steps());
-        let stale = match &self.active_cache {
-            Some((a, b, _)) => (*a, *b) != key,
-            None => true,
-        };
-        if stale {
-            let idx: Vec<Vec<u32>> = pool
+        if self.sample_index.key == key {
+            return;
+        }
+        let l = self.cfg.unroll;
+        self.sample_index = SampleIndex {
+            key,
+            active: pool
                 .trajectories
                 .iter()
                 .map(|t| {
@@ -177,26 +190,24 @@ impl CrrTrainer {
                         .map(|(i, _)| i as u32)
                         .collect()
                 })
-                .collect();
-            self.active_cache = Some((key.0, key.1, idx));
-        }
-        // lint:allow(P1): the branch above just stored Some for this key, so the cache is provably populated
-        &self.active_cache.as_ref().unwrap().2
+                .collect(),
+            eligible: pool
+                .trajectories
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.len() >= l + 2)
+                .map(|(i, _)| i)
+                .collect(),
+        };
     }
 
     /// Sample a batch of (L+1)-step windows; returns per-timestep state
     /// matrices [B, D], per-timestep actions (ln ratio) and rewards.
     fn sample_batch(&mut self, pool: &Pool) -> Option<Batch> {
         let l = self.cfg.unroll;
-        self.active_steps(pool);
-        let eligible: Vec<usize> = pool
-            .trajectories
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.len() >= l + 2)
-            .map(|(i, _)| i)
-            .collect();
-        if eligible.is_empty() {
+        self.refresh_sample_index(pool);
+        let index = &self.sample_index;
+        if index.eligible.is_empty() {
             return None;
         }
         let b = self.cfg.batch;
@@ -205,15 +216,14 @@ impl CrrTrainer {
         let mut actions: Vec<Vec<f64>> = vec![vec![0.0; b]; l];
         let mut rewards: Vec<Vec<f64>> = vec![vec![0.0; b]; l];
         for bi in 0..b {
-            let ti = *self.rng.choose(&eligible);
+            let ti = *self.rng.choose(&index.eligible);
             let traj = &pool.trajectories[ti];
             let max_start = traj.len() - l - 1;
             let mut start = self.rng.below(max_start);
             // Half the batch: centre the window on an active step when the
             // trajectory has any.
             if bi % 2 == 0 {
-                // lint:allow(P1): active_steps(pool) at the top of sample_batch populated the cache for this pool
-                let actives = &self.active_cache.as_ref().unwrap().2[ti];
+                let actives = &index.active[ti];
                 if !actives.is_empty() {
                     let pick = actives[self.rng.below(actives.len())] as usize;
                     start = pick.saturating_sub(l / 2).min(max_start - 1);
@@ -234,7 +244,9 @@ impl CrrTrainer {
         Some((states, actions, rewards))
     }
 
-    /// One gradient step of policy evaluation + policy improvement.
+    /// One gradient step of policy evaluation + policy improvement: one
+    /// batched graph per network (see [`critic_grads`], [`policy_grads`]),
+    /// everything that needs no gradient on the graph-free `infer` path.
     ///
     /// # Panics
     ///
@@ -255,123 +267,19 @@ impl CrrTrainer {
 
         // ----- Policy evaluation (critic), skipped in BC mode -----
         if !self.cfg.bc_only {
-            // a' ~ target policy at the bootstrap state s_L (n-step returns
-            // bootstrap only at the end of the unroll window).
-            let mut tg = Graph::new();
-            let mut h = self.target_policy.initial_hidden(&mut tg, b);
-            let mut boot_actions: Vec<f64> = vec![0.0; b];
-            for t in 0..=l {
-                let x = tg.input(states[t].clone());
-                let (nodes, h1) = self
-                    .target_policy
-                    .step(&mut tg, &self.target_policy_store, x, h);
-                h = h1;
-                if t == l {
-                    for (bi, slot) in boot_actions.iter_mut().enumerate() {
-                        let mix = self.target_policy.mixture(&tg, nodes, bi);
-                        *slot = mix
-                            .sample(&mut self.rng)
-                            .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
-                    }
-                }
-            }
-
-            // N-step target distribution: project
-            //   G_t = sum_{k=t..L-1} gamma^{k-t} r_k + gamma^{L-t} Z(s_L, a')
-            // through the target critic at the single bootstrap state s_L.
-            let support = self.cfg.net.support();
-            let atoms = self.cfg.net.atoms;
-            let mut target_probs = Array::zeros(l * b, atoms);
-            {
-                let mut g = Graph::new();
-                let mut flat_boot = Array::zeros(b, self.cfg.net.input_dim());
-                let mut flat_a = Array::zeros(b, 1);
-                for bi in 0..b {
-                    for c in 0..self.cfg.net.input_dim() {
-                        *flat_boot.at_mut(bi, c) = states[l].at(bi, c);
-                    }
-                    flat_a.data[bi] = boot_actions[bi];
-                }
-                let sn = g.input(flat_boot);
-                let an = g.input(flat_a);
-                let logits = self
-                    .target_critic
-                    .logits(&mut g, &self.target_critic_store, sn, an);
-                let lv = g.value(logits);
-                let dz = (self.cfg.net.v_max - self.cfg.net.v_min) / (atoms - 1) as f64;
-                for t in 0..l {
-                    for bi in 0..b {
-                        let r = t * b + bi;
-                        // Partial discounted return within the window.
-                        let mut g_t = 0.0;
-                        let mut disc = 1.0;
-                        for k in t..l {
-                            g_t += disc * rewards[k][bi];
-                            disc *= self.cfg.gamma;
-                        }
-                        let row = &lv.data[bi * atoms..(bi + 1) * atoms];
-                        let lse = sage_nn::graph::log_sum_exp(row);
-                        for (j, &z) in support.iter().enumerate() {
-                            let pz = (row[j] - lse).exp();
-                            let tz = (g_t + disc * z).clamp(self.cfg.net.v_min, self.cfg.net.v_max);
-                            let pos = (tz - self.cfg.net.v_min) / dz;
-                            let lo = pos.floor() as usize;
-                            let hi = pos.ceil() as usize;
-                            if lo == hi {
-                                *target_probs.at_mut(r, lo) += pz;
-                            } else {
-                                *target_probs.at_mut(r, lo) += pz * (hi as f64 - pos);
-                                *target_probs.at_mut(r, hi) += pz * (pos - lo as f64);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Online critic CE loss at (s_t, a_t): each batch sample is an
-            // independent feed-forward graph over its l rows, so the
-            // gradients can be computed in parallel. The per-sample loss is
-            // the mean over the sample's rows scaled by 1/b, which sums to
-            // the batch mean; the reduction below runs in sample order, so
-            // the update is identical at every thread count.
-            let d = self.cfg.net.input_dim();
-            let atoms_n = atoms;
-            let (critic, critic_store) = (&self.critic, &self.critic_store);
-            let per_sample = sage_util::par_map_range(self.cfg.threads, b, |bi| {
-                let mut g = Graph::new();
-                let mut s = Array::zeros(l, d);
-                let mut a = Array::zeros(l, 1);
-                let mut tp = Array::zeros(l, atoms_n);
-                for t in 0..l {
-                    for c in 0..d {
-                        *s.at_mut(t, c) = states[t].at(bi, c);
-                    }
-                    a.data[t] = actions[t][bi];
-                    for j in 0..atoms_n {
-                        *tp.at_mut(t, j) = target_probs.at(t * b + bi, j);
-                    }
-                }
-                let sn = g.input(s);
-                let an = g.input(a);
-                let logits = critic.logits(&mut g, critic_store, sn, an);
-                let q_rows = critic.expected_q(g.value(logits));
-                let target = g.input(tp);
-                let ce = g.softmax_cross_entropy(logits, target);
-                let loss = g.mean(ce);
-                let loss_val = g.value(loss).data[0];
-                let scaled = g.scale(loss, 1.0 / b as f64);
-                (loss_val, q_rows, g.param_grads(scaled))
-            });
+            let target_probs = self.target_distribution(&states, &rewards);
             self.critic_store.zero_grads();
-            let mut q_sum = 0.0;
-            for (loss_bi, q_rows, grads) in per_sample {
+            let (losses, mean_q) = critic_grads(
+                &self.critic,
+                &mut self.critic_store,
+                &states,
+                &actions,
+                &target_probs,
+            );
+            for loss_bi in losses {
                 metrics.critic_loss += loss_bi / b as f64;
-                q_sum += q_rows.iter().sum::<f64>();
-                for (pid, grad) in grads {
-                    self.critic_store.params[pid].grad.add_assign(&grad);
-                }
             }
-            metrics.mean_q = q_sum / (l * b) as f64;
+            metrics.mean_q = mean_q;
             self.critic_opt.step(&mut self.critic_store);
         }
 
@@ -384,47 +292,16 @@ impl CrrTrainer {
         };
         metrics.mean_weight = weights.iter().flatten().sum::<f64>() / (l * b) as f64;
 
-        // Each sample is its own l-step unroll (the GRU hidden state never
-        // crosses samples), so per-sample graphs of batch 1 carry the full
-        // recurrent gradient. Loss per sample: mean weighted NLL over its l
-        // steps, scaled by 1/b — summed in sample order these reproduce the
-        // batch mean at every thread count.
-        let d = self.cfg.net.input_dim();
-        let (policy, store) = (&self.model.policy, &self.model.store);
-        let per_sample = sage_util::par_map_range(self.cfg.threads, b, |bi| {
-            let mut g = Graph::new();
-            let mut h = policy.initial_hidden(&mut g, 1);
-            let mut acc: Option<sage_nn::NodeId> = None;
-            for t in 0..l {
-                let mut row = Array::zeros(1, d);
-                for c in 0..d {
-                    *row.at_mut(0, c) = states[t].at(bi, c);
-                }
-                let x = g.input(row);
-                let (nodes, h1) = policy.step(&mut g, store, x, h);
-                h = h1;
-                let a = g.input(Array::from_vec(1, 1, vec![actions[t][bi]]));
-                let logp = policy.log_prob(&mut g, nodes, a);
-                let w = g.input(Array::from_vec(1, 1, vec![weights[t][bi]]));
-                let wl = g.mul(w, logp);
-                let neg = g.scale(wl, -1.0);
-                acc = Some(match acc {
-                    Some(prev) => g.add(prev, neg),
-                    None => neg,
-                });
-            }
-            // lint:allow(P1): every constructed CrrConfig uses unroll >= 1 (default 8), so the loop above ran at least once and acc is Some; unroll = 0 is a programming error worth crashing on
-            let loss = g.scale(acc.expect("unroll >= 1"), 1.0 / l as f64);
-            let loss_val = g.value(loss).data[0];
-            let scaled = g.scale(loss, 1.0 / b as f64);
-            (loss_val, g.param_grads(scaled))
-        });
         self.model.store.zero_grads();
-        for (loss_bi, grads) in per_sample {
+        let losses = policy_grads(
+            &self.model.policy,
+            &mut self.model.store,
+            &states,
+            &actions,
+            &weights,
+        );
+        for loss_bi in losses {
             metrics.policy_loss += loss_bi / b as f64;
-            for (pid, grad) in grads {
-                self.model.store.params[pid].grad.add_assign(&grad);
-            }
         }
         // Observability taps: write-only exports, never read back by the
         // trainer, and the grad norm is computed only when obs is on (it
@@ -461,6 +338,72 @@ impl CrrTrainer {
         metrics
     }
 
+    /// N-step target distributions `[L·B, atoms]` (row `t·B + b`): project
+    ///   G_t = sum_{k=t..L-1} gamma^{k-t} r_k + gamma^{L-t} Z(s_L, a')
+    /// through the target critic at the single bootstrap state s_L, with
+    /// a' ~ target policy (n-step returns bootstrap only at the end of the
+    /// unroll window). No gradient is taken, so no graph is built.
+    fn target_distribution(&mut self, states: &[Array], rewards: &[Vec<f64>]) -> Array {
+        let l = rewards.len();
+        let b = rewards[0].len();
+        let net = self.cfg.net;
+        let mut h = Array::zeros(b, net.hidden_dim());
+        for state in &states[..l] {
+            h = self
+                .target_policy
+                .step_infer(&self.target_policy_store, state, &h)
+                .1;
+        }
+        let (mix, _) = self
+            .target_policy
+            .step_infer(&self.target_policy_store, &states[l], &h);
+        let boot_actions: Vec<f64> = (0..b)
+            .map(|bi| {
+                mix.row(bi)
+                    .sample(&mut self.rng)
+                    .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX)
+            })
+            .collect();
+        let logits = self.target_critic.logits_infer(
+            &self.target_critic_store,
+            &states[l],
+            &Array::from_vec(b, 1, boot_actions),
+        );
+
+        let support = net.support();
+        let atoms = net.atoms;
+        let dz = (net.v_max - net.v_min) / (atoms - 1) as f64;
+        let mut target_probs = Array::zeros(l * b, atoms);
+        for bi in 0..b {
+            let row = &logits.data[bi * atoms..(bi + 1) * atoms];
+            let lse = sage_nn::graph::log_sum_exp(row);
+            let probs: Vec<f64> = row.iter().map(|&z| (z - lse).exp()).collect();
+            for t in 0..l {
+                let r = t * b + bi;
+                // Partial discounted return within the window.
+                let mut g_t = 0.0;
+                let mut disc = 1.0;
+                for k in t..l {
+                    g_t += disc * rewards[k][bi];
+                    disc *= self.cfg.gamma;
+                }
+                for (&pz, &z) in probs.iter().zip(&support) {
+                    let tz = (g_t + disc * z).clamp(net.v_min, net.v_max);
+                    let pos = (tz - net.v_min) / dz;
+                    let lo = pos.floor() as usize;
+                    let hi = pos.ceil() as usize;
+                    if lo == hi {
+                        *target_probs.at_mut(r, lo) += pz;
+                    } else {
+                        *target_probs.at_mut(r, lo) += pz * (hi as f64 - pos);
+                        *target_probs.at_mut(r, hi) += pz * (pos - lo as f64);
+                    }
+                }
+            }
+        }
+        target_probs
+    }
+
     /// CRR filter weights `clip(exp(A/beta))` with
     /// `A = Q(s,a) - mean_j Q(s, a_j)`, `a_j ~ pi(.|s)`.
     fn advantage_weights(&mut self, states: &[Array], actions: &[Vec<f64>]) -> Vec<Vec<f64>> {
@@ -470,20 +413,20 @@ impl CrrTrainer {
         let m = self.cfg.adv_samples;
 
         // Policy mixtures along the online unroll (no grad needed).
-        let mut g = Graph::new();
-        let mut h = self.model.policy.initial_hidden(&mut g, b);
+        let mut h = Array::zeros(b, self.cfg.net.hidden_dim());
         let mut sampled: Vec<Vec<Vec<f64>>> = Vec::with_capacity(l); // [t][j][b]
-        for (t, action_row) in actions.iter().enumerate().take(l) {
-            let _ = action_row;
-            let x = g.input(states[t].clone());
-            let (nodes, h1) = self.model.policy.step(&mut g, &self.model.store, x, h);
+        for t in 0..l {
+            let (mix, h1) = self
+                .model
+                .policy
+                .step_infer(&self.model.store, &states[t], &h);
             h = h1;
+            let mixtures: Vec<_> = (0..b).map(|bi| mix.row(bi)).collect();
             let mut per_j = Vec::with_capacity(m);
             for _ in 0..m {
                 let mut row = vec![0.0; b];
-                for (bi, slot) in row.iter_mut().enumerate() {
-                    let mix = self.model.policy.mixture(&g, nodes, bi);
-                    *slot = mix
+                for (slot, mixture) in row.iter_mut().zip(&mixtures) {
+                    *slot = mixture
                         .sample(&mut self.rng)
                         .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
                 }
@@ -518,11 +461,10 @@ impl CrrTrainer {
                 }
             }
         }
-        let mut g2 = Graph::new();
-        let sn = g2.input(flat_s);
-        let an = g2.input(flat_a);
-        let logits = self.critic.logits(&mut g2, &self.critic_store, sn, an);
-        let q = self.critic.expected_q(g2.value(logits));
+        let logits = self
+            .critic
+            .logits_infer(&self.critic_store, &flat_s, &flat_a);
+        let q = self.critic.expected_q(&logits);
 
         let mut out = vec![vec![0.0; b]; l];
         for t in 0..l {
@@ -547,6 +489,100 @@ impl CrrTrainer {
             progress(i, &m);
         }
     }
+}
+
+/// Critic cross-entropy gradient at `(s_t, a_t)` against `target_probs`
+/// (row `t·B + b`), accumulated into `store`: one feed-forward graph over
+/// `[B·L, ·]` rows, sample `b` owning rows `b·L..(b+1)·L`. A sample's loss
+/// is the mean over its `L` rows, and the batch loss their mean, so every
+/// row is seeded with `(1/B)/L` and the parameter gradients reduce in
+/// sample order ([`Graph::backward_rows`]). Returns the per-sample losses
+/// and the mean expected Q over all rows.
+fn critic_grads(
+    critic: &CriticNet,
+    store: &mut ParamStore,
+    states: &[Array],
+    actions: &[Vec<f64>],
+    target_probs: &Array,
+) -> (Vec<f64>, f64) {
+    let l = actions.len();
+    let b = actions[0].len();
+    let d = states[0].cols;
+    let atoms = target_probs.cols;
+    let mut s = Array::zeros(b * l, d);
+    let mut a = Array::zeros(b * l, 1);
+    let mut tp = Array::zeros(b * l, atoms);
+    for bi in 0..b {
+        for t in 0..l {
+            let r = bi * l + t;
+            for c in 0..d {
+                *s.at_mut(r, c) = states[t].at(bi, c);
+            }
+            a.data[r] = actions[t][bi];
+            for j in 0..atoms {
+                *tp.at_mut(r, j) = target_probs.at(t * b + bi, j);
+            }
+        }
+    }
+    let mut g = Graph::new();
+    let sn = g.input(s);
+    let an = g.input(a);
+    let logits = critic.logits(&mut g, store, sn, an);
+    let q = critic.expected_q(g.value(logits));
+    let target = g.input(tp);
+    let ce = g.softmax_cross_entropy(logits, target);
+    g.backward_rows(ce, (1.0 / b as f64) / l as f64, b, store);
+    let losses = g
+        .value(ce)
+        .data
+        .chunks(l)
+        .map(|rows| rows.iter().sum::<f64>() / l as f64)
+        .collect();
+    let mut q_sum = 0.0;
+    for rows in q.chunks(l) {
+        q_sum += rows.iter().sum::<f64>();
+    }
+    (losses, q_sum / (l * b) as f64)
+}
+
+/// Advantage-weighted negative log-likelihood gradient, accumulated into
+/// `store`: one `L`-step unroll over `[B, ·]` rows, the GRU state carried
+/// per row (it never crosses samples, so each row carries its sample's full
+/// recurrent gradient). A sample's loss is the mean weighted NLL over its
+/// `L` steps and the batch loss their mean, so every row is seeded with
+/// `1/B` (times the `1/L` of the last node) and the parameter gradients
+/// reduce in sample order ([`Graph::backward_rows`]). Returns the
+/// per-sample losses.
+fn policy_grads(
+    policy: &PolicyNet,
+    store: &mut ParamStore,
+    states: &[Array],
+    actions: &[Vec<f64>],
+    weights: &[Vec<f64>],
+) -> Vec<f64> {
+    let l = actions.len();
+    let b = actions[0].len();
+    let mut g = Graph::new();
+    let mut h = policy.initial_hidden(&mut g, b);
+    let mut acc: Option<NodeId> = None;
+    for t in 0..l {
+        let x = g.input(states[t].clone());
+        let (nodes, h1) = policy.step(&mut g, store, x, h);
+        h = h1;
+        let a = g.input(Array::from_vec(b, 1, actions[t].clone()));
+        let logp = policy.log_prob(&mut g, nodes, a);
+        let w = g.input(Array::from_vec(b, 1, weights[t].clone()));
+        let wl = g.mul(w, logp);
+        let neg = g.scale(wl, -1.0);
+        acc = Some(match acc {
+            Some(prev) => g.add(prev, neg),
+            None => neg,
+        });
+    }
+    // lint:allow(P1): every constructed CrrConfig uses unroll >= 1 (default 8), so the loop above ran at least once and acc is Some; unroll = 0 is a programming error worth crashing on
+    let loss = g.scale(acc.expect("unroll >= 1"), 1.0 / l as f64);
+    g.backward_rows(loss, 1.0 / b as f64, b, store);
+    g.value(loss).data.clone()
 }
 
 #[cfg(test)]
@@ -702,6 +738,234 @@ mod tests {
             }
         });
         assert!(late < early, "critic loss should fall: {early} -> {late}");
+    }
+
+    type ParamGrads = Vec<(sage_nn::ParamId, Array)>;
+
+    /// The critic step for sample `bi` as it ran before the batched
+    /// [`critic_grads`]: the body of the old `par_map_range` closure, verbatim.
+    fn critic_sample_oracle(
+        critic: &CriticNet,
+        critic_store: &ParamStore,
+        states: &[Array],
+        actions: &[Vec<f64>],
+        target_probs: &Array,
+        bi: usize,
+    ) -> (f64, Vec<f64>, ParamGrads) {
+        let (l, b) = (actions.len(), actions[0].len());
+        let (d, atoms_n) = (states[0].cols, target_probs.cols);
+        let mut g = Graph::new();
+        let mut s = Array::zeros(l, d);
+        let mut a = Array::zeros(l, 1);
+        let mut tp = Array::zeros(l, atoms_n);
+        for t in 0..l {
+            for c in 0..d {
+                *s.at_mut(t, c) = states[t].at(bi, c);
+            }
+            a.data[t] = actions[t][bi];
+            for j in 0..atoms_n {
+                *tp.at_mut(t, j) = target_probs.at(t * b + bi, j);
+            }
+        }
+        let sn = g.input(s);
+        let an = g.input(a);
+        let logits = critic.logits(&mut g, critic_store, sn, an);
+        let q_rows = critic.expected_q(g.value(logits));
+        let target = g.input(tp);
+        let ce = g.softmax_cross_entropy(logits, target);
+        let loss = g.mean(ce);
+        let loss_val = g.value(loss).data[0];
+        let scaled = g.scale(loss, 1.0 / b as f64);
+        (loss_val, q_rows, g.param_grads(scaled))
+    }
+
+    /// The policy step for sample `bi` as it ran before the batched
+    /// [`policy_grads`]: the body of the old `par_map_range` closure, verbatim.
+    fn policy_sample_oracle(
+        policy: &PolicyNet,
+        store: &ParamStore,
+        states: &[Array],
+        actions: &[Vec<f64>],
+        weights: &[Vec<f64>],
+        bi: usize,
+    ) -> (f64, ParamGrads) {
+        let (l, b, d) = (actions.len(), actions[0].len(), states[0].cols);
+        let mut g = Graph::new();
+        let mut h = policy.initial_hidden(&mut g, 1);
+        let mut acc: Option<sage_nn::NodeId> = None;
+        for t in 0..l {
+            let mut row = Array::zeros(1, d);
+            for c in 0..d {
+                *row.at_mut(0, c) = states[t].at(bi, c);
+            }
+            let x = g.input(row);
+            let (nodes, h1) = policy.step(&mut g, store, x, h);
+            h = h1;
+            let a = g.input(Array::from_vec(1, 1, vec![actions[t][bi]]));
+            let logp = policy.log_prob(&mut g, nodes, a);
+            let w = g.input(Array::from_vec(1, 1, vec![weights[t][bi]]));
+            let wl = g.mul(w, logp);
+            let neg = g.scale(wl, -1.0);
+            acc = Some(match acc {
+                Some(prev) => g.add(prev, neg),
+                None => neg,
+            });
+        }
+        let loss = g.scale(acc.expect("unroll >= 1"), 1.0 / l as f64);
+        let loss_val = g.value(loss).data[0];
+        let scaled = g.scale(loss, 1.0 / b as f64);
+        (loss_val, g.param_grads(scaled))
+    }
+
+    fn grad_bits(store: &ParamStore) -> Vec<Vec<u64>> {
+        let bits = |a: &Array| a.iter().map(|v| v.to_bits()).collect();
+        store.params.iter().map(|p| bits(&p.grad)).collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The property the batched step rests on: on shapes neither the golden
+    /// nor the benchmark sees, [`policy_grads`] and [`critic_grads`] give,
+    /// bit for bit, every parameter gradient, every per-sample loss and the
+    /// `mean_q` of the per-sample step reduced in sample order.
+    #[test]
+    fn batched_grads_are_the_per_sample_grads_bit_for_bit() {
+        use sage_util::prop::{forall, PropConfig};
+        let pick = |rng: &mut Rng, xs: &[usize]| xs[(rng.next_u64() % xs.len() as u64) as usize];
+        type Ablation = fn(&mut NetConfig);
+        let ablations: [(&str, Ablation); 4] = [
+            ("full", |_| {}),
+            ("no gru", |c| c.gru = 0),
+            ("no enc2", |c| c.enc2 = 0),
+            ("one gaussian", |c| c.gmm_k = 1),
+        ];
+        for (i, (name, ablate)) in ablations.into_iter().enumerate() {
+            forall(
+                &format!("batched == per-sample grads ({name})"),
+                PropConfig::new(3, 0xC44 + i as u64),
+                |rng| {
+                    // No width a multiple of 8, so every SIMD tail runs.
+                    let mut net = NetConfig {
+                        enc1: pick(rng, &[5, 9, 13]),
+                        gru: pick(rng, &[7, 11]),
+                        enc2: pick(rng, &[6, 10]),
+                        fc: pick(rng, &[9, 12]),
+                        residual_blocks: pick(rng, &[1, 2]),
+                        gmm_k: pick(rng, &[2, 3]),
+                        critic_hidden: pick(rng, &[7, 17]),
+                        atoms: pick(rng, &[5, 11]),
+                        ..NetConfig::default()
+                    };
+                    ablate(&mut net);
+                    // Every pair: of these only (5, 7) tells the critic's
+                    // (1/b)/l from the policy's (1/b)·(1/l).
+                    for (b, l) in [1, 3, 5]
+                        .into_iter()
+                        .flat_map(|b| [1, 3, 7].map(|l| (b, l)))
+                    {
+                        check(rng, net, b, l)?;
+                    }
+                    Ok(())
+                },
+            );
+        }
+    }
+
+    /// One case of the oracle property: random parameters and inputs of the
+    /// given shape through both paths.
+    fn check(rng: &mut Rng, net: NetConfig, b: usize, l: usize) -> Result<(), String> {
+        // Values with exact zeros of both signs: the matmul's skip-zero
+        // shortcut on activations, and zero upstream gradients.
+        let spiked = |rng: &mut Rng, lo: f64, hi: f64| match rng.next_u64() % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range(lo, hi),
+        };
+        let d = net.input_dim();
+        let shape = format!("b {b}, l {l}, {net:?}");
+
+        let mut model = SageModel::new(net, vec![0.0; d], vec![1.0; d], rng.next_u64());
+        let mut critic_store = ParamStore::new();
+        let critic = CriticNet::new(&mut critic_store, "q", net, rng);
+        // Move biases off zero and gains off one.
+        for p in model
+            .store
+            .params
+            .iter_mut()
+            .chain(&mut critic_store.params)
+        {
+            for v in &mut p.value.data {
+                *v += rng.range(-0.1, 0.1);
+            }
+        }
+        let states: Vec<Array> = (0..l)
+            .map(|_| Array::from_vec(b, d, (0..b * d).map(|_| spiked(rng, -3.0, 3.0)).collect()))
+            .collect();
+        let mut column = |lo, hi| -> Vec<Vec<f64>> {
+            (0..l)
+                .map(|_| (0..b).map(|_| spiked(rng, lo, hi)).collect())
+                .collect()
+        };
+        let actions = column(-1.0, 1.0);
+        let weights = column(0.0, 20.0);
+        let mut target_probs = Array::zeros(l * b, net.atoms);
+        for row in target_probs.data.chunks_mut(net.atoms) {
+            row.iter_mut()
+                .for_each(|p| *p = spiked(rng, 0.0, 1.0).abs());
+            let sum = row.iter().sum::<f64>().max(1e-9);
+            row.iter_mut().for_each(|p| *p /= sum);
+        }
+
+        // Policy: batched, then per sample reduced as before.
+        model.store.zero_grads();
+        let got_losses = policy_grads(&model.policy, &mut model.store, &states, &actions, &weights);
+        let got = grad_bits(&model.store);
+        model.store.zero_grads();
+        let mut want_losses = Vec::new();
+        for bi in 0..b {
+            let (loss_bi, grads) =
+                policy_sample_oracle(&model.policy, &model.store, &states, &actions, &weights, bi);
+            want_losses.push(loss_bi);
+            for (pid, grad) in grads {
+                model.store.params[pid].grad.add_assign(&grad);
+            }
+        }
+        if bits(&got_losses) != bits(&want_losses) {
+            return Err(format!("policy losses differ ({shape})"));
+        }
+        if got != grad_bits(&model.store) {
+            return Err(format!("policy gradients differ ({shape})"));
+        }
+
+        // Critic: likewise.
+        critic_store.zero_grads();
+        let (got_losses, got_mean_q) =
+            critic_grads(&critic, &mut critic_store, &states, &actions, &target_probs);
+        let got = grad_bits(&critic_store);
+        critic_store.zero_grads();
+        let mut want_losses = Vec::new();
+        let mut q_sum = 0.0;
+        for bi in 0..b {
+            let (loss_bi, q_rows, grads) =
+                critic_sample_oracle(&critic, &critic_store, &states, &actions, &target_probs, bi);
+            want_losses.push(loss_bi);
+            q_sum += q_rows.iter().sum::<f64>();
+            for (pid, grad) in grads {
+                critic_store.params[pid].grad.add_assign(&grad);
+            }
+        }
+        if bits(&got_losses) != bits(&want_losses) {
+            return Err(format!("critic losses differ ({shape})"));
+        }
+        if got_mean_q.to_bits() != (q_sum / (l * b) as f64).to_bits() {
+            return Err(format!("mean_q differs ({shape})"));
+        }
+        if got != grad_bits(&critic_store) {
+            return Err(format!("critic gradients differ ({shape})"));
+        }
+        Ok(())
     }
 
     #[test]

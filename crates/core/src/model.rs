@@ -347,6 +347,16 @@ impl CriticNet {
         self.out.fwd(g, store, h)
     }
 
+    /// Graph-free forward, bit-identical to [`CriticNet::logits`] row by row
+    /// (see `sage_nn::infer`) — for every pass that takes no gradient.
+    pub fn logits_infer(&self, store: &ParamStore, state: &Array, action: &Array) -> Array {
+        use sage_nn::infer;
+        let x = infer::concat_cols(state, action);
+        let h = infer::lrelu(&self.l1.infer(store, &x), 0.01);
+        let h = infer::lrelu(&self.l2.infer(store, &h), 0.01);
+        self.out.infer(store, &h)
+    }
+
     /// Expected Q values (plain f64) from logits.
     pub fn expected_q(&self, logits: &Array) -> Vec<f64> {
         let support = self.cfg.support();
@@ -374,6 +384,9 @@ pub struct SageModel {
     pub norm_std: Vec<f64>,
     pub store: ParamStore,
     pub policy: PolicyNet,
+    /// `cfg.mask().indices()`, derived once: [`SageModel::prepare_input`]
+    /// runs once per action.
+    input_idx: Vec<usize>,
 }
 
 impl SageModel {
@@ -388,13 +401,13 @@ impl SageModel {
             norm_std,
             store,
             policy,
+            input_idx: cfg.mask().indices(),
         }
     }
 
     /// Standardise and mask a full 69-dim state.
     pub fn prepare_input(&self, full_state: &[f64]) -> Vec<f64> {
-        let masked_idx = self.cfg.mask().indices();
-        masked_idx
+        self.input_idx
             .iter()
             .map(|&i| (full_state[i] - self.norm_mean[i]) / self.norm_std[i])
             .collect()

@@ -10,7 +10,9 @@
 //! SAGE_REGEN_GOLDEN=1 cargo test -p sage-core --test golden_train
 //! ```
 //!
-//! and commit the updated `tests/golden/train_tiny.txt` alongside the change.
+//! and commit the updated `tests/golden/train_tiny*.txt` alongside the change.
+//! `train_tiny_bc.txt` is the same run in behavioural-cloning mode
+//! (`bc_only: true`: constant filter, no critic).
 
 use sage_collector::{collect_pool, training_envs};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig};
@@ -21,13 +23,15 @@ use std::path::PathBuf;
 
 const STEPS: usize = 8;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/train_tiny.txt")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file)
 }
 
 /// The miniature run: deterministic pool from two Set I + one Set II env,
-/// tiny network, 8 CRR gradient steps.
-fn run() -> String {
+/// tiny network, 8 gradient steps.
+fn run(bc_only: bool) -> String {
     let envs = training_envs(2, 1, 2.0, 13);
     let pool = collect_pool(
         &envs,
@@ -50,6 +54,7 @@ fn run() -> String {
         batch: 8,
         unroll: 4,
         seed: 17,
+        bc_only,
         ..CrrConfig::default()
     };
     let mut tr = CrrTrainer::new(cfg, &pool);
@@ -71,10 +76,9 @@ fn run() -> String {
     out
 }
 
-#[test]
-fn miniature_training_run_matches_golden() {
-    let got = run();
-    let path = golden_path();
+fn check(file: &str, bc_only: bool) {
+    let got = run(bc_only);
+    let path = golden_path(file);
     if std::env::var("SAGE_REGEN_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
@@ -93,4 +97,14 @@ fn miniature_training_run_matches_golden() {
         "golden mismatch: if the numeric change is intentional, regenerate \
          with SAGE_REGEN_GOLDEN=1 cargo test -p sage-core --test golden_train"
     );
+}
+
+#[test]
+fn miniature_training_run_matches_golden() {
+    check("train_tiny.txt", false);
+}
+
+#[test]
+fn miniature_bc_run_matches_golden() {
+    check("train_tiny_bc.txt", true);
 }

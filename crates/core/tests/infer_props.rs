@@ -1,12 +1,13 @@
-//! Property tests pinning the serving-path contract: the graph-free batched
-//! forward (`PolicyNet::step_infer`) is bit-identical to per-flow sequential
+//! Property tests pinning the graph-free contract: the batched forward
+//! (`PolicyNet::step_infer`) is bit-identical to per-flow sequential
 //! inference — both the single-row graph forward used by `SagePolicy` and
 //! single-row `step_infer` calls — for random flow counts, hidden states and
-//! observation vectors.
+//! observation vectors; and `CriticNet::logits_infer`, which the trainer's
+//! no-gradient passes run, is bit-identical to the graph's `logits`.
 
-use sage_core::model::{NetConfig, SageModel};
+use sage_core::model::{CriticNet, NetConfig, SageModel};
 use sage_gr::STATE_DIM;
-use sage_nn::{Array, Graph};
+use sage_nn::{Array, Graph, ParamStore};
 use sage_util::prop::{forall, PropConfig};
 use sage_util::Rng;
 
@@ -127,4 +128,49 @@ fn ablation_topologies_also_match() {
             assert_eq!(bits(&want.weights), bits(&got.weights));
         }
     }
+}
+
+#[test]
+fn critic_logits_infer_bit_identical_to_graph_logits() {
+    forall(
+        "logits_infer == Graph logits",
+        PropConfig::new(25, 0xC817),
+        |rng| {
+            let cfg = NetConfig {
+                critic_hidden: 5 + (rng.next_u64() % 20) as usize,
+                atoms: 3 + (rng.next_u64() % 40) as usize,
+                ..NetConfig::default()
+            };
+            let mut store = ParamStore::new();
+            let critic = CriticNet::new(&mut store, "q", cfg, rng);
+            for p in &mut store.params {
+                for v in &mut p.value.data {
+                    *v += rng.range(-0.1, 0.1);
+                }
+            }
+            let d = cfg.input_dim();
+            let n = 1 + (rng.next_u64() % 40) as usize;
+            // Exact zeros among the inputs take the matmul's skip-zero path.
+            let s = Array::from_vec(
+                n,
+                d,
+                (0..n * d)
+                    .map(|_| match rng.next_u64() % 5 {
+                        0 => 0.0,
+                        _ => rng.range(-4.0, 4.0),
+                    })
+                    .collect(),
+            );
+            let a = Array::from_vec(n, 1, (0..n).map(|_| rng.range(-1.0, 1.0)).collect());
+
+            let got = critic.logits_infer(&store, &s, &a);
+            let mut g = Graph::new();
+            let (sn, an) = (g.input(s), g.input(a));
+            let want = critic.logits(&mut g, &store, sn, an);
+            if bits(&g.value(want).data) != bits(&got.data) {
+                return Err(format!("{n} rows, {cfg:?}"));
+            }
+            Ok(())
+        },
+    );
 }

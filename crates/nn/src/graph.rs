@@ -3,9 +3,17 @@
 //! A [`Graph`] is rebuilt per forward pass (define-by-run). Parameters are
 //! copied in from a [`ParamStore`]; after `backward`, their gradients are
 //! accumulated back into the store.
+//!
+//! Every op is row-independent, forward and backward: row `r` of a node
+//! depends on row `r` of its operands only, so a graph of `[B, ·]` nodes
+//! computes, row for row, the bits that `B` one-row graphs would. The one
+//! place rows meet is a parameter's gradient, and there the order of the
+//! sum is a contract — see [`Graph::backward_rows`].
 
 use crate::array::Array;
+use crate::infer;
 use crate::params::{ParamId, ParamStore};
+use std::borrow::Cow;
 
 /// Index of a node within a [`Graph`].
 pub type NodeId = usize;
@@ -58,6 +66,18 @@ struct Node {
     op: Op,
 }
 
+/// One op's share of a parameter's gradient, left unreduced: row `r` of the
+/// op contributes `x[r]ᵀ · g[r]` — an outer product for a weight under
+/// `matmul`; for a `[1,d]` bias or gain broadcast over rows there is no `x`
+/// (every row's factor is 1) and the contribution is the row `g[r]` itself.
+struct ParamRef {
+    /// The `Op::Param` node the op consumed, and the parameter it copies.
+    node: NodeId,
+    id: ParamId,
+    x: Option<NodeId>,
+    g: Array,
+}
+
 /// A define-by-run computation graph.
 pub struct Graph {
     nodes: Vec<Node>,
@@ -89,13 +109,16 @@ impl Graph {
         self.push(a, Op::Leaf)
     }
 
-    /// Differentiable parameter (value copied from the store).
+    /// Differentiable parameter (value copied from the store). Its gradient
+    /// is a sum over rows in a contracted order ([`Graph::backward_rows`]), so
+    /// only the ops that make that sum may consume the node: `matmul` (right
+    /// operand), `add_row` (bias) and `layer_norm` (gain, bias).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         self.push(store.get(id).clone(), Op::Param(id))
     }
 
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].val.matmul(&self.nodes[b].val);
+        let v = infer::matmul(&self.nodes[a].val, &self.nodes[b].val);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -176,17 +199,7 @@ impl Graph {
     }
 
     pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (av, bv) = (&self.nodes[a].val, &self.nodes[b].val);
-        assert_eq!(av.rows, bv.rows);
-        let mut out = Array::zeros(av.rows, av.cols + bv.cols);
-        for r in 0..av.rows {
-            for c in 0..av.cols {
-                *out.at_mut(r, c) = av.at(r, c);
-            }
-            for c in 0..bv.cols {
-                *out.at_mut(r, av.cols + c) = bv.at(r, c);
-            }
-        }
+        let out = infer::concat_cols(&self.nodes[a].val, &self.nodes[b].val);
         self.push(out, Op::ConcatCols(a, b))
     }
 
@@ -285,12 +298,38 @@ impl Graph {
     }
 
     /// Run backpropagation from `loss` (must be 1x1) and accumulate parameter
-    /// gradients into `store`.
+    /// gradients into `store`: [`Graph::backward_rows`] with the whole graph
+    /// as one sample.
     pub fn backward(&self, loss: NodeId, store: &mut ParamStore) {
-        let grads = self.node_grads(loss);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let (Op::Param(pid), Some(g)) = (&node.op, &grads[i]) {
-                store.params[*pid].grad.add_assign(g);
+        assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
+        self.backward_rows(loss, 1.0, 1, store);
+    }
+
+    /// Backpropagate from `out` with an upstream gradient of `seed` on each
+    /// of its elements (the loss is `seed · Σ out`), over a graph whose
+    /// nodes hold the rows of `samples` independent samples — sample `b` owns
+    /// rows `[b·n/samples, (b+1)·n/samples)` of every `n`-row node — and
+    /// accumulate the parameter gradients into `store`.
+    ///
+    /// **The reduction order is the contract.** Each parameter's gradient is
+    /// a left fold from `+0.0`, over samples ascending and, within a sample,
+    /// over the ops that consumed the parameter in the node order of their
+    /// `Op::Param` operands, of that sample's partial sum for that op: its
+    /// rows' contributions ([`ParamRef`]) folded left from `+0.0` in row
+    /// order, the multiply and the add separate (no FMA). These are the bits
+    /// that `samples` graphs of one sample each produce when their
+    /// [`Graph::param_grads`] pairs are added in sample order, and what the
+    /// fixed-seed training goldens pin. The fold is then added to the store
+    /// once; on zeroed gradients that leaves it unchanged.
+    pub fn backward_rows(&self, out: NodeId, seed: f64, samples: usize, store: &mut ParamStore) {
+        let refs = self.param_refs(out, seed);
+        let mut by_param: Vec<Vec<&ParamRef>> = vec![Vec::new(); store.params.len()];
+        for r in &refs {
+            by_param[r.id].push(r);
+        }
+        for (p, refs) in store.params.iter_mut().zip(&by_param) {
+            if !refs.is_empty() {
+                p.grad.add_assign(&self.reduce(refs, samples));
             }
         }
     }
@@ -299,36 +338,87 @@ impl Graph {
     /// graph-node order, without touching a store. A parameter referenced by
     /// several nodes (e.g. shared GRU weights across an unroll) appears once
     /// per reference; adding the pairs in order reproduces exactly what
-    /// [`Graph::backward`] would have accumulated. This is the building block
-    /// for parallel per-sample gradients: workers only need `&self` and the
-    /// reducer owns the single mutable store.
+    /// [`Graph::backward`] accumulates into zeroed gradients. This is the
+    /// one-sample-per-graph decomposition that [`Graph::backward_rows`]
+    /// promises to match; the trainer's oracle test holds it to that.
     pub fn param_grads(&self, loss: NodeId) -> Vec<(ParamId, Array)> {
-        let mut grads = self.node_grads(loss);
-        let mut out = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Op::Param(pid) = &node.op {
-                if let Some(g) = grads[i].take() {
-                    out.push((*pid, g));
-                }
-            }
-        }
-        out
+        assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
+        self.param_refs(loss, 1.0)
+            .iter()
+            .map(|r| (r.id, self.reduce(&[r], 1)))
+            .collect()
     }
 
-    /// Gradient of `loss` w.r.t. every node (None if unreached).
-    fn node_grads(&self, loss: NodeId) -> Vec<Option<Array>> {
-        assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
-        let mut grads: Vec<Option<Array>> = vec![None; self.nodes.len()];
-        grads[loss] = Some(Array::scalar(1.0));
-        for i in (0..self.nodes.len()).rev() {
-            let g = match grads[i].take() {
-                Some(g) => g,
-                None => continue,
-            };
-            self.backprop_node(i, &g, &mut grads);
-            grads[i] = Some(g);
+    /// The fold of [`Graph::backward_rows`] for one parameter. `Xᵀ·G` over
+    /// stacked rows is that fold when the stacking order is the fold order:
+    /// [`infer::matmul`] keeps the inner index sequential from `+0.0` with a
+    /// separate multiply and add, and the factor it skips (`x == 0.0`) is a
+    /// contribution of `±0.0`, which moves no sum that started at `+0.0`.
+    fn reduce(&self, refs: &[&ParamRef], samples: usize) -> Array {
+        let xs: Vec<Cow<Array>> = refs
+            .iter()
+            .map(|r| match r.x {
+                Some(x) => Cow::Borrowed(&self.nodes[x].val),
+                None => Cow::Owned(Array::from_vec(r.g.rows, 1, vec![1.0; r.g.rows])),
+            })
+            .collect();
+        let (din, dout) = (xs[0].cols, refs[0].g.cols);
+        // Sample `b`'s rows of an op's `x` or `g`.
+        fn rows_of(a: &Array, b: usize, samples: usize) -> &[f64] {
+            assert_eq!(a.rows % samples, 0, "rows must split evenly by sample");
+            let n = a.rows / samples * a.cols;
+            &a.data[b * n..(b + 1) * n]
         }
-        grads
+        let xtg = |x: Vec<f64>, g: Vec<f64>| {
+            let n = g.len() / dout;
+            infer::matmul(
+                &Array::from_vec(n, din, x).t(),
+                &Array::from_vec(n, dout, g),
+            )
+        };
+        // One row per sample and op: each partial sum is its one contribution,
+        // so the two-level fold is flat and one product over the rows stacked
+        // in (sample, op) order makes it.
+        if refs.iter().all(|r| r.g.rows == samples) {
+            let (mut x_rows, mut g_rows) = (Vec::new(), Vec::new());
+            for b in 0..samples {
+                for (x, r) in xs.iter().zip(refs) {
+                    x_rows.extend_from_slice(rows_of(x, b, samples));
+                    g_rows.extend_from_slice(rows_of(&r.g, b, samples));
+                }
+            }
+            return xtg(x_rows, g_rows);
+        }
+        let mut acc = Array::zeros(din, dout);
+        for b in 0..samples {
+            for (x, r) in xs.iter().zip(refs) {
+                let (x, g) = (rows_of(x, b, samples), rows_of(&r.g, b, samples));
+                acc.add_assign(&xtg(x.to_vec(), g.to_vec()));
+            }
+        }
+        acc
+    }
+
+    /// Backpropagate from `out` (every element seeded with `seed`) and return
+    /// the unreduced parameter contributions, ordered by `Op::Param` node.
+    fn param_refs(&self, out: NodeId, seed: f64) -> Vec<ParamRef> {
+        let mut grads: Vec<Option<Array>> = vec![None; self.nodes.len()];
+        grads[out] = Some(self.nodes[out].val.map(|_| seed));
+        let mut refs = Vec::new();
+        for i in (0..=out).rev() {
+            if let Some(g) = grads[i].take() {
+                self.backprop_node(i, g, &mut grads, &mut refs);
+            }
+        }
+        refs.sort_by_key(|r| r.node);
+        refs
+    }
+
+    fn as_param(&self, node: NodeId) -> Option<ParamId> {
+        match self.nodes[node].op {
+            Op::Param(id) => Some(id),
+            _ => None,
+        }
     }
 
     fn accumulate(grads: &mut [Option<Array>], id: NodeId, g: Array) {
@@ -338,33 +428,66 @@ impl Graph {
         }
     }
 
-    fn backprop_node(&self, i: NodeId, g: &Array, grads: &mut [Option<Array>]) {
+    /// Gradient rows `g` of a `[1,d]` operand broadcast over rows: left to
+    /// the ordered reduction when the operand is a parameter, summed over
+    /// rows here otherwise.
+    fn broadcast_grad(
+        &self,
+        node: NodeId,
+        g: Array,
+        grads: &mut [Option<Array>],
+        refs: &mut Vec<ParamRef>,
+    ) {
+        if let Some(id) = self.as_param(node) {
+            let x = None;
+            refs.push(ParamRef { node, id, x, g });
+            return;
+        }
+        let mut sum = Array::zeros(1, g.cols);
+        for r in 0..g.rows {
+            for c in 0..g.cols {
+                sum.data[c] += g.at(r, c);
+            }
+        }
+        Self::accumulate(grads, node, sum);
+    }
+
+    fn backprop_node(
+        &self,
+        i: NodeId,
+        g: Array,
+        grads: &mut [Option<Array>],
+        refs: &mut Vec<ParamRef>,
+    ) {
         match &self.nodes[i].op {
-            Op::Leaf | Op::Param(_) => {}
+            Op::Leaf => {}
+            Op::Param(_) => unreachable!(
+                "a parameter's gradient is a row reduction: only matmul (right operand), \
+                 add_row (bias) and layer_norm (gain, bias) may consume a Param node"
+            ),
             Op::MatMul(a, b) => {
-                let da = g.matmul(&self.nodes[*b].val.t());
-                let db = self.nodes[*a].val.t().matmul(g);
+                let da = infer::matmul(&g, &self.nodes[*b].val.t());
                 Self::accumulate(grads, *a, da);
-                Self::accumulate(grads, *b, db);
+                if let Some(id) = self.as_param(*b) {
+                    let (node, x) = (*b, Some(*a));
+                    refs.push(ParamRef { node, id, x, g });
+                } else {
+                    let db = infer::matmul(&self.nodes[*a].val.t(), &g);
+                    Self::accumulate(grads, *b, db);
+                }
             }
             Op::AddRow(x, bias) => {
-                Self::accumulate(grads, *x, g.clone());
-                // Bias gradient: sum over rows.
-                let mut db = Array::zeros(1, g.cols);
-                for r in 0..g.rows {
-                    for c in 0..g.cols {
-                        db.data[c] += g.at(r, c);
-                    }
-                }
-                Self::accumulate(grads, *bias, db);
+                self.broadcast_grad(*bias, g.clone(), grads, refs);
+                Self::accumulate(grads, *x, g);
             }
             Op::Add(a, b) => {
                 Self::accumulate(grads, *a, g.clone());
-                Self::accumulate(grads, *b, g.clone());
+                Self::accumulate(grads, *b, g);
             }
             Op::Sub(a, b) => {
-                Self::accumulate(grads, *a, g.clone());
-                Self::accumulate(grads, *b, g.map(|x| -x));
+                let neg = g.map(|x| -x);
+                Self::accumulate(grads, *a, g);
+                Self::accumulate(grads, *b, neg);
             }
             Op::Mul(a, b) => {
                 let da = g.zip(&self.nodes[*b].val, |gg, bb| gg * bb);
@@ -373,7 +496,7 @@ impl Graph {
                 Self::accumulate(grads, *b, db);
             }
             Op::Scale(a, k) => Self::accumulate(grads, *a, g.map(|x| x * k)),
-            Op::AddConst(a) => Self::accumulate(grads, *a, g.clone()),
+            Op::AddConst(a) => Self::accumulate(grads, *a, g),
             Op::Tanh(a) => {
                 let y = &self.nodes[i].val;
                 Self::accumulate(grads, *a, g.zip(y, |gg, yy| gg * (1.0 - yy * yy)));
@@ -439,8 +562,8 @@ impl Graph {
                 let gv = &self.nodes[*gain].val;
                 let d = xv.cols;
                 let mut dx = Array::zeros(xv.rows, d);
-                let mut dgain = Array::zeros(1, d);
-                let mut dbias = Array::zeros(1, d);
+                // Per-row gain contributions, dy * xhat.
+                let mut dgain = Array::zeros(xv.rows, d);
                 for r in 0..xv.rows {
                     let row = &xv.data[r * d..(r + 1) * d];
                     let mu = row.iter().sum::<f64>() / d as f64;
@@ -454,8 +577,7 @@ impl Graph {
                         let dyg = dy[c] * gv.at(0, c);
                         m1 += dyg;
                         m2 += dyg * xhat[c];
-                        dgain.data[c] += dy[c] * xhat[c];
-                        dbias.data[c] += dy[c];
+                        *dgain.at_mut(r, c) = dy[c] * xhat[c];
                     }
                     m1 /= d as f64;
                     m2 /= d as f64;
@@ -465,8 +587,8 @@ impl Graph {
                     }
                 }
                 Self::accumulate(grads, *x, dx);
-                Self::accumulate(grads, *gain, dgain);
-                Self::accumulate(grads, *bias, dbias);
+                self.broadcast_grad(*gain, dgain, grads, refs);
+                self.broadcast_grad(*bias, g, grads, refs);
             }
             Op::GmmLogProb {
                 means,
@@ -783,6 +905,99 @@ mod tests {
         for (p, want) in store.params.iter().zip(&reference) {
             assert_eq!(&p.grad.data, want, "grad mismatch for {}", p.name);
         }
+    }
+
+    /// The contract of `backward_rows`: a graph holding every sample's rows
+    /// yields the bits of one graph per sample, `param_grads` added in sample
+    /// order — one row per sample with a weight shared across steps (the flat
+    /// fold), several rows per sample (the two-level fold), and both.
+    #[test]
+    fn backward_rows_matches_one_graph_per_sample() {
+        use sage_util::prop::{forall, PropConfig};
+        forall(
+            "backward_rows == per-sample param_grads, added in sample order",
+            PropConfig::new(60, 0xB0),
+            |rng| {
+                let samples = 1 + (rng.next_u64() % 5) as usize;
+                let per = 1 + (rng.next_u64() % 3) as usize;
+                let steps = 1 + (rng.next_u64() % 3) as usize;
+                let din = 1 + (rng.next_u64() % 11) as usize;
+                let dh = 1 + (rng.next_u64() % 11) as usize;
+                let mut store = ParamStore::new();
+                let w = store.glorot("w", din, dh, rng);
+                let u = store.glorot("u", dh, dh, rng);
+                let b = store.glorot("b", 1, dh, rng);
+                let gain = store.glorot("gain", 1, dh, rng);
+                let bias = store.glorot("bias", 1, dh, rng);
+                let head = store.glorot("head", dh, 1, rng);
+                // Inputs with exact zeros of both signs (the skip-zero path).
+                let xs: Vec<Array> = (0..steps)
+                    .map(|_| {
+                        let data = (0..samples * per * din)
+                            .map(|_| match rng.next_u64() % 6 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => rng.range(-2.0, 2.0),
+                            })
+                            .collect();
+                        Array::from_vec(samples * per, din, data)
+                    })
+                    .collect();
+                // The unroll over rows `from..from + n` of every step's input.
+                let forward = |g: &mut Graph, s: &ParamStore, from: usize, n: usize| {
+                    let mut h = g.input(Array::zeros(n, dh));
+                    for x in &xs {
+                        let x = g.input(Array::from_vec(
+                            n,
+                            din,
+                            x.data[from * din..(from + n) * din].to_vec(),
+                        ));
+                        let (wn, un, bn) = (g.param(s, w), g.param(s, u), g.param(s, b));
+                        let xw = g.matmul(x, wn);
+                        let hu = g.matmul(h, un);
+                        let z = g.add(xw, hu);
+                        let z = g.add_row(z, bn);
+                        let (gn, cn) = (g.param(s, gain), g.param(s, bias));
+                        let z = g.layer_norm(z, gn, cn);
+                        h = g.lrelu(z, 0.01);
+                    }
+                    let hn = g.param(s, head);
+                    g.matmul(h, hn)
+                };
+                let k = 1.0 / samples as f64;
+
+                let mut g = Graph::new();
+                let y = forward(&mut g, &store, 0, samples * per);
+                g.backward_rows(y, k / per as f64, samples, &mut store);
+                let got: Vec<Vec<u64>> = store
+                    .params
+                    .iter()
+                    .map(|p| p.grad.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+
+                store.zero_grads();
+                for bi in 0..samples {
+                    let mut g = Graph::new();
+                    let y = forward(&mut g, &store, bi * per, per);
+                    let mean = g.mean(y);
+                    let loss = g.scale(mean, k);
+                    for (pid, grad) in g.param_grads(loss) {
+                        store.params[pid].grad.add_assign(&grad);
+                    }
+                }
+                for (p, got) in store.params.iter().zip(&got) {
+                    let want: Vec<u64> = p.grad.iter().map(|v| v.to_bits()).collect();
+                    if &want != got {
+                        return Err(format!(
+                            "{} differs (samples {samples}, rows/sample {per}, steps {steps}, \
+                             {din}x{dh})",
+                            p.name
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

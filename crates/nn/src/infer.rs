@@ -1,9 +1,10 @@
-//! Graph-free forward kernels for the serving runtime.
+//! Graph-free forward kernels: the serving runtime's forward pass and every
+//! pass of the trainer that takes no gradient.
 //!
-//! Training goes through [`crate::graph::Graph`], which clones every
-//! parameter matrix into the tape and allocates ~60 nodes per forward —
-//! fine for gradients, wasteful for serving. The helpers here compute the
-//! same forward math directly on [`Array`]s.
+//! [`crate::graph::Graph`] keeps what backward needs — a copy of every
+//! parameter matrix and ~60 nodes per policy step on its tape — which is
+//! waste where no gradient is taken. The helpers here compute the same
+//! forward math directly on [`Array`]s.
 //!
 //! **Bit-identity contract**: every op mirrors its `graph.rs` counterpart
 //! element-for-element, in the same evaluation order. All ops are
@@ -12,7 +13,10 @@
 //! path (AVX-512F / AVX2) that preserves scalar semantics: separate
 //! multiply and add per element (no FMA — fusing would change rounding),
 //! vector lanes spread across output columns `j`, the inner `p` loop kept
-//! sequential, and the same skip-zero shortcut as [`Array::matmul`].
+//! sequential, and the same skip-zero shortcut as [`Array::matmul`], the
+//! scalar definition it is tested against. The graph's own products —
+//! forward, activation gradients and the ordered parameter-gradient
+//! reduction of `Graph::backward_rows` — run on this kernel too.
 
 use crate::array::Array;
 use std::sync::OnceLock;
@@ -251,6 +255,21 @@ pub fn add_row(x: &Array, bias: &Array) -> Array {
     for r in 0..out.rows {
         for c in 0..out.cols {
             *out.at_mut(r, c) += bias.at(0, c);
+        }
+    }
+    out
+}
+
+/// `[a | b]` column-wise (the value of `Graph::concat_cols`).
+pub fn concat_cols(a: &Array, b: &Array) -> Array {
+    assert_eq!(a.rows, b.rows);
+    let mut out = Array::zeros(a.rows, a.cols + b.cols);
+    for r in 0..a.rows {
+        for c in 0..a.cols {
+            *out.at_mut(r, c) = a.at(r, c);
+        }
+        for c in 0..b.cols {
+            *out.at_mut(r, a.cols + c) = b.at(r, c);
         }
     }
     out

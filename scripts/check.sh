@@ -94,6 +94,13 @@ SAGE_THREADS=1 cargo test -q
 echo "== tier-1: cargo test -q --release (SAGE_THREADS=4) =="
 SAGE_THREADS=4 cargo test -q --release
 
+# The benchmark is a package of its own that no stage above builds, and a PR
+# that claims a gain may not edit it: a `sage-core`/`sage-nn` signature change
+# that breaks it would otherwise surface only in the driver. Its tests run
+# every workload at smoke scale against this tree's crates (14 tests, ~40 s).
+echo "== benchmark: cargo test --release (perf_ledger against this tree) =="
+cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
+
 # Adversarial-search smoke: an 8-candidate search must produce byte-identical
 # ranked reports at two thread counts (proposal is serial, evaluation is an
 # ordered fan-out). The full committed report is artifacts/results/
