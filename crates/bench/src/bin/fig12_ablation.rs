@@ -4,30 +4,16 @@
 //! winning rates against the pool league in both sets.
 
 use sage_bench::{
-    default_envs, default_gr, default_train_cfg, envvar, evaluate, model_path, pool_path,
-    pool_schemes, print_table,
+    default_envs, default_gr, default_train_cfg, envvar, evaluate, load_or_train, model_path,
+    pool_path, pool_schemes, print_table,
 };
 use sage_collector::Pool;
-use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
+use sage_core::{CrrConfig, NetConfig, SageModel};
 use sage_eval::league::rank_league;
 use sage_eval::matrix::{league_scores, Family};
 use sage_eval::runner::Contender;
 use sage_gr::FeatureMask;
 use std::sync::Arc;
-use std::time::Instant;
-
-fn train_variant(name: &str, cfg: CrrConfig, pool: &Pool, steps: u64) -> Arc<SageModel> {
-    let path = model_path(name);
-    if path.exists() {
-        return Arc::new(SageModel::load_file(&path).unwrap());
-    }
-    let t0 = Instant::now();
-    let mut tr = CrrTrainer::new(cfg, pool);
-    tr.train(pool, steps, |_, _| {});
-    tr.model().save_file(&path).unwrap();
-    println!("trained {name} ({:.0} s)", t0.elapsed().as_secs_f64());
-    Arc::new(SageModel::load_file(&path).unwrap())
-}
 
 fn main() {
     let pool = Pool::load_file(&pool_path()).expect("collect first");
@@ -96,7 +82,7 @@ fn main() {
         gr_cfg: gr,
     });
     for (name, cfg) in &variants {
-        let model = train_variant(name, *cfg, &pool, steps);
+        let model = load_or_train(name, *cfg, steps, || &pool);
         let static_name: &'static str = Box::leak(name.to_string().into_boxed_str());
         contenders.push(Contender::Model {
             name: static_name,

@@ -5,12 +5,12 @@
 //! environments (Fig. 16).
 
 use sage_bench::{
-    default_envs, default_gr, default_train_cfg, envvar, evaluate, model_path, pool_schemes,
-    print_table, SEED,
+    default_envs, default_gr, default_train_cfg, envvar, evaluate, load_or_train, model_path,
+    pool_schemes, print_table, SEED,
 };
 use sage_collector::{collect_pool, rollout, SetKind};
 use sage_core::policy::{ActionMode, SagePolicy};
-use sage_core::{CrrTrainer, SageModel};
+use sage_core::SageModel;
 use sage_eval::league::rank_league;
 use sage_eval::matrix::{league_scores, Family};
 use sage_eval::runner::Contender;
@@ -18,22 +18,6 @@ use sage_eval::tsne::{tsne, TsneConfig};
 use sage_gr::{GrConfig, STATE_DIM};
 use sage_nn::{Array, Graph};
 use std::sync::Arc;
-use std::time::Instant;
-
-fn train_for_granularity(name: &str, gr: GrConfig, steps: u64) -> Arc<SageModel> {
-    let path = model_path(name);
-    if path.exists() {
-        return Arc::new(SageModel::load_file(&path).unwrap());
-    }
-    let t0 = Instant::now();
-    let envs = default_envs();
-    let pool = collect_pool(&envs, &pool_schemes(), gr, SEED, |_, _| {});
-    let mut tr = CrrTrainer::new(default_train_cfg(), &pool);
-    tr.train(&pool, steps, |_, _| {});
-    tr.model().save_file(&path).unwrap();
-    println!("trained {name} ({:.0} s)", t0.elapsed().as_secs_f64());
-    Arc::new(SageModel::load_file(&path).unwrap())
-}
 
 fn main() {
     let steps = envvar("SAGE_GRAN_STEPS", 3000) as u64;
@@ -52,7 +36,9 @@ fn main() {
         gr_cfg: default_gr(),
     });
     for (name, gr) in &variants {
-        let model = train_for_granularity(name, *gr, steps);
+        let model = load_or_train(name, default_train_cfg(), steps, || {
+            collect_pool(&default_envs(), &pool_schemes(), *gr, SEED, |_, _| {})
+        });
         contenders.push(Contender::Model {
             name,
             model,

@@ -4,33 +4,15 @@
 //! wins.
 
 use sage_bench::{
-    default_envs, default_gr, default_train_cfg, envvar, evaluate, model_path, pool_path,
-    pool_schemes, print_table,
+    default_envs, default_gr, default_train_cfg, envvar, evaluate, load_or_train, model_path,
+    pool_path, pool_schemes, print_table,
 };
 use sage_collector::Pool;
-use sage_core::{CrrTrainer, SageModel};
+use sage_core::SageModel;
 use sage_eval::league::rank_league;
 use sage_eval::matrix::{league_scores, Family};
 use sage_eval::runner::Contender;
 use std::sync::Arc;
-use std::time::Instant;
-
-fn train_on(name: &str, pool: &Pool, steps: u64) -> Arc<SageModel> {
-    let path = model_path(name);
-    if path.exists() {
-        return Arc::new(SageModel::load_file(&path).unwrap());
-    }
-    let t0 = Instant::now();
-    let mut tr = CrrTrainer::new(default_train_cfg(), pool);
-    tr.train(pool, steps, |_, _| {});
-    tr.model().save_file(&path).unwrap();
-    println!(
-        "trained {name} on {} trajs ({:.0} s)",
-        pool.trajectories.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    Arc::new(SageModel::load_file(&path).unwrap())
-}
 
 fn main() {
     let pool = Pool::load_file(&pool_path()).expect("collect first");
@@ -61,12 +43,12 @@ fn main() {
     });
     contenders.push(Contender::Model {
         name: "sage-top",
-        model: train_on("sage_top", &top, steps),
+        model: load_or_train("sage_top", default_train_cfg(), steps, || &top),
         gr_cfg: gr,
     });
     contenders.push(Contender::Model {
         name: "sage-top4",
-        model: train_on("sage_top4", &top4, steps),
+        model: load_or_train("sage_top4", default_train_cfg(), steps, || &top4),
         gr_cfg: gr,
     });
 

@@ -2,12 +2,15 @@
 //! sets, artifact paths, training configurations and league definitions —
 //! so every figure regenerates from the same pipeline artifacts.
 
-use sage_collector::{training_envs, EnvSpec};
-use sage_core::{CrrConfig, NetConfig};
+use sage_collector::{training_envs, EnvSpec, Pool};
+use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::matrix::{run_matrix, MatrixCell, MatrixSpec, ScenarioSpec};
 use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
+use std::borrow::Borrow;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Root directory for pipeline artifacts (pool, models, results).
 pub fn artifacts_dir() -> PathBuf {
@@ -119,6 +122,40 @@ pub fn default_train_cfg() -> CrrConfig {
         seed: SEED,
         ..CrrConfig::default()
     }
+}
+
+/// The retrained variants of Fig. 12/14/15: load `artifacts/<name>.model`, or
+/// — when no such file exists — train it for `steps` CRR steps under `cfg`,
+/// save it there and load it back. The pool arrives lazily so that a caller
+/// which has to *collect* one (Fig. 14) does so only when it must train.
+pub fn load_or_train<P: Borrow<Pool>>(
+    name: &str,
+    cfg: CrrConfig,
+    steps: u64,
+    pool: impl FnOnce() -> P,
+) -> Arc<SageModel> {
+    let path = model_path(name);
+    let load = || {
+        let model = SageModel::load_file(&path);
+        Arc::new(model.unwrap_or_else(|e| panic!("load {}: {e}", path.display())))
+    };
+    if path.exists() {
+        return load();
+    }
+    let t0 = Instant::now();
+    let pool = pool();
+    let pool = pool.borrow();
+    let mut tr = CrrTrainer::new(cfg, pool);
+    tr.train(pool, steps, |_, _| {});
+    tr.model()
+        .save_file(&path)
+        .unwrap_or_else(|e| panic!("save {}: {e}", path.display()));
+    println!(
+        "trained {name} on {} trajs ({:.0} s)",
+        pool.trajectories.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    load()
 }
 
 /// Print a row-oriented results table with a header.

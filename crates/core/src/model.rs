@@ -1,7 +1,7 @@
 //! The neural architecture (paper Fig. 6) at configurable scale, plus the
 //! distributional critic and model (de)serialisation.
 
-use sage_gr::FeatureMask;
+use sage_gr::{FeatureMask, STATE_DIM};
 use sage_nn::gmm::{GmmBatch, GmmHead, GmmNodes, GmmParams};
 use sage_nn::graph::{Graph, NodeId};
 use sage_nn::layers::{GruCell, LayerNorm, Linear, ResidualBlock};
@@ -41,6 +41,14 @@ pub struct NetConfig {
     pub v_min: f64,
     pub v_max: f64,
 }
+
+/// Bounds on what a model-file header may declare. The paper's largest layer
+/// (the GRU) is 1024 wide; the default net uses 2 blocks, 3 components and
+/// 41 atoms.
+const MAX_WIDTH: usize = 1024;
+const MAX_RESIDUAL_BLOCKS: usize = 16;
+const MAX_GMM_K: usize = 64;
+const MAX_ATOMS: usize = 1024;
 
 impl Default for NetConfig {
     fn default() -> Self {
@@ -112,21 +120,39 @@ impl NetConfig {
         ])
     }
 
-    /// Inverse of [`NetConfig::to_json`].
-    pub fn from_json(v: &Json) -> Option<NetConfig> {
-        Some(NetConfig {
-            mask_kind: v.get("mask_kind")?.as_usize()? as u8,
-            enc1: v.get("enc1")?.as_usize()?,
-            gru: v.get("gru")?.as_usize()?,
-            enc2: v.get("enc2")?.as_usize()?,
-            fc: v.get("fc")?.as_usize()?,
-            residual_blocks: v.get("residual_blocks")?.as_usize()?,
-            gmm_k: v.get("gmm_k")?.as_usize()?,
-            critic_hidden: v.get("critic_hidden")?.as_usize()?,
-            atoms: v.get("atoms")?.as_usize()?,
-            v_min: v.get("v_min")?.as_f64()?,
-            v_max: v.get("v_max")?.as_f64()?,
-        })
+    /// Inverse of [`NetConfig::to_json`] for a header read from a file. The
+    /// caller builds every layer from the result, so each field is checked
+    /// here, before anything is allocated from it: widths and counts inside
+    /// the `MAX_*` bounds, at least two atoms over a finite, non-empty
+    /// support (see [`NetConfig::support`]), a known mask.
+    pub fn from_json(v: &Json) -> Result<NetConfig, String> {
+        let int = |key: &str, min: usize, max: usize| match v.get(key).and_then(Json::as_usize) {
+            Some(n) if (min..=max).contains(&n) => Ok(n),
+            _ => Err(format!(
+                "model config `{key}` missing or outside {min}..={max}"
+            )),
+        };
+        let real = |key: &str| match v.get(key).and_then(Json::as_f64) {
+            Some(x) if x.is_finite() => Ok(x),
+            _ => Err(format!("model config `{key}` missing or not finite")),
+        };
+        let cfg = NetConfig {
+            mask_kind: int("mask_kind", 0, 3)? as u8,
+            enc1: int("enc1", 1, MAX_WIDTH)?,
+            gru: int("gru", 0, MAX_WIDTH)?,
+            enc2: int("enc2", 0, MAX_WIDTH)?,
+            fc: int("fc", 1, MAX_WIDTH)?,
+            residual_blocks: int("residual_blocks", 0, MAX_RESIDUAL_BLOCKS)?,
+            gmm_k: int("gmm_k", 1, MAX_GMM_K)?,
+            critic_hidden: int("critic_hidden", 1, MAX_WIDTH)?,
+            atoms: int("atoms", 2, MAX_ATOMS)?,
+            v_min: real("v_min")?,
+            v_max: real("v_max")?,
+        };
+        if cfg.v_min >= cfg.v_max {
+            return Err("model config needs `v_min` < `v_max`".to_string());
+        }
+        Ok(cfg)
     }
 
     /// Atom support values.
@@ -447,109 +473,63 @@ impl SageModel {
         sage_util::atomic_write_checksummed(path, &self.to_bytes()?)
     }
 
-    /// Parse a model from raw payload bytes (footer already stripped).
+    /// Parse a model from raw payload bytes (footer already stripped). The
+    /// header is checked in full — the config by [`NetConfig::from_json`],
+    /// both normalisation vectors for length and usable values — before the
+    /// network is built from it.
     pub fn from_bytes(payload: &[u8]) -> io::Result<SageModel> {
+        let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
         let mut r = payload;
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != b"SAGEMDL1" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad model magic",
-            ));
+            return Err(invalid("bad model magic".to_string()));
         }
         let mut u = [0u8; 8];
         r.read_exact(&mut u)?;
-        let hlen = u64::from_le_bytes(u) as usize;
-        let hb: Vec<u8>;
-        if hlen > r.len() {
-            // Some pre-checksum artefacts lost a byte inside the length
-            // field, shifting the stream left and making `hlen` nonsense.
-            // The header is JSON and the parameter block opens with its own
-            // magic, so the file is still recoverable: re-anchor on both.
-            let rest = payload.len() - r.len();
-            let json_at = payload[rest.saturating_sub(8)..]
-                .iter()
-                .position(|&b| b == b'[' || b == b'{')
-                .map(|i| rest.saturating_sub(8) + i)
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "model header truncated")
-                })?;
-            let prm_at = payload
-                .windows(8)
-                .position(|w| w == b"SAGEPRM1")
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "model header truncated")
-                })?;
-            if json_at >= prm_at {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "model header truncated",
-                ));
-            }
-            hb = payload[json_at..prm_at].to_vec();
-            r = &payload[prm_at..];
-        } else {
-            let mut buf = vec![0u8; hlen];
-            r.read_exact(&mut buf)?;
-            hb = buf;
+        let hlen = u64::from_le_bytes(u);
+        if hlen > r.len() as u64 {
+            return Err(invalid("model header truncated".to_string()));
         }
-        let text = std::str::from_utf8(&hb)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "model header not utf-8"))?;
-        let header = Json::parse(text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // Current headers are an object; pre-checksum files carried a
-        // serde_json tuple `[cfg, mean, std]`.
-        let (cfg, norm_mean, norm_std) = match &header {
-            Json::Obj(_) => (
-                header.get("cfg").and_then(NetConfig::from_json),
-                header.get("norm_mean").and_then(Json::to_f64_vec),
-                header.get("norm_std").and_then(Json::to_f64_vec),
-            ),
-            Json::Arr(parts) if parts.len() == 3 => (
-                NetConfig::from_json(&parts[0]),
-                parts[1].to_f64_vec(),
-                parts[2].to_f64_vec(),
-            ),
-            _ => (None, None, None),
+        let (hb, params) = r.split_at(hlen as usize);
+        r = params;
+        let text =
+            std::str::from_utf8(hb).map_err(|_| invalid("model header not utf-8".to_string()))?;
+        let header = Json::parse(text).map_err(|e| invalid(e.to_string()))?;
+        let cfg = header
+            .get("cfg")
+            .ok_or_else(|| "model header has no `cfg`".to_string())
+            .and_then(NetConfig::from_json)
+            .map_err(invalid)?;
+        let norm = |key: &str, usable: fn(&f64) -> bool| match header
+            .get(key)
+            .and_then(Json::to_f64_vec)
+        {
+            Some(v) if v.len() == STATE_DIM && v.iter().all(usable) => Ok(v),
+            _ => Err(invalid(format!(
+                "model header `{key}` is not {STATE_DIM} usable numbers"
+            ))),
         };
-        let (cfg, norm_mean, norm_std) = match (cfg, norm_mean, norm_std) {
-            (Some(c), Some(m), Some(s)) => (c, m, s),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad model header",
-                ))
-            }
-        };
+        let norm_mean = norm("norm_mean", |m| m.is_finite())?;
+        // `prepare_input` divides by the std: zero, subnormal and
+        // non-finite entries would hand the policy inf or NaN.
+        let norm_std = norm("norm_std", |s| s.is_normal())?;
         let mut model = SageModel::new(cfg, norm_mean, norm_std, 0);
         model.store.load(&mut r)?;
         Ok(model)
     }
 
+    /// Load a model saved by [`SageModel::save_file`]; a file without a
+    /// valid checksum footer is rejected.
     pub fn load_file(path: &std::path::Path) -> io::Result<SageModel> {
-        match sage_util::read_checksummed(path) {
-            Ok(payload) => SageModel::from_bytes(&payload),
-            // Files written before the checksum footer existed (the seed's
-            // artefacts) have no footer; fall back to a raw read for those,
-            // but surface genuine corruption (length/CRC mismatch) as-is.
-            Err(e)
-                if e.kind() == io::ErrorKind::InvalidData
-                    && e.to_string().contains("missing checksum footer") =>
-            {
-                let mut raw = Vec::new();
-                std::fs::File::open(path)?.read_to_end(&mut raw)?;
-                SageModel::from_bytes(&raw)
-            }
-            Err(e) => Err(e),
-        }
+        SageModel::from_bytes(&sage_util::read_checksummed(path)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_gr::STATE_DIM;
+    use sage_util::prop::{forall, PropConfig};
 
     fn dummy_model(cfg: NetConfig) -> SageModel {
         SageModel::new(cfg, vec![0.0; STATE_DIM], vec![1.0; STATE_DIM], 7)
@@ -632,19 +612,123 @@ mod tests {
         let _ = std::fs::remove_file(dir);
     }
 
+    /// In a header's text, stands for `1e999` — a number that parses to
+    /// infinity, which no `Json::Num` serialises to.
+    const OVERFLOWS: f64 = 123456789.0;
+
+    /// `model`'s bytes with its header rewritten by `edit`.
+    fn with_header(model: &SageModel, edit: impl FnOnce(&mut Json)) -> Vec<u8> {
+        let bytes = model.to_bytes().unwrap();
+        let hlen = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let mut header = Json::parse(std::str::from_utf8(&bytes[16..16 + hlen]).unwrap()).unwrap();
+        edit(&mut header);
+        let text = header.to_string().replace(&OVERFLOWS.to_string(), "1e999");
+        let mut out = b"SAGEMDL1".to_vec();
+        out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+        out.extend_from_slice(&bytes[16 + hlen..]);
+        out
+    }
+
+    fn field<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        match obj {
+            Json::Obj(m) => m.get_mut(key).unwrap_or_else(|| panic!("no `{key}`")),
+            _ => panic!("`{key}` looked up in a non-object"),
+        }
+    }
+
+    fn norm_vec<'a>(header: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
+        match field(header, key) {
+            Json::Arr(v) => v,
+            _ => panic!("`{key}` is not an array"),
+        }
+    }
+
+    /// One hostile edit of a valid header: makes it, returns what it did.
+    type Hostile = fn(&mut Rng, &mut Json) -> String;
+
+    fn set_cfg(h: &mut Json, key: &str, v: f64) -> String {
+        *field(field(h, "cfg"), key) = Json::Num(v);
+        format!("cfg.{key} = {v}")
+    }
+
+    fn past(max: usize, r: &mut Rng) -> f64 {
+        [(max + 1 + r.below(1 << 20)) as f64, 1e12][r.below(2)]
+    }
+
+    const HOSTILE: [Hostile; 16] = [
+        |r, h| set_cfg(h, "enc1", [0.0, past(MAX_WIDTH, r)][r.below(2)]),
+        |r, h| set_cfg(h, "fc", [0.0, past(MAX_WIDTH, r)][r.below(2)]),
+        |r, h| set_cfg(h, "critic_hidden", [0.0, past(MAX_WIDTH, r)][r.below(2)]),
+        |r, h| set_cfg(h, "gru", past(MAX_WIDTH, r)),
+        |r, h| set_cfg(h, "enc2", past(MAX_WIDTH, r)),
+        |r, h| set_cfg(h, "residual_blocks", past(MAX_RESIDUAL_BLOCKS, r)),
+        |r, h| set_cfg(h, "gmm_k", [0.0, past(MAX_GMM_K, r)][r.below(2)]),
+        |r, h| set_cfg(h, "atoms", [0.0, 1.0, past(MAX_ATOMS, r)][r.below(3)]),
+        |r, h| set_cfg(h, "mask_kind", (4 + r.below(252)) as f64),
+        |r, h| set_cfg(h, "enc1", r.below(40) as f64 + 0.5),
+        |r, h| set_cfg(h, "gru", -(1.0 + r.below(64) as f64)),
+        // At or below the default `v_min` of 0.
+        |r, h| set_cfg(h, "v_max", -(r.below(10) as f64)),
+        |_, h| set_cfg(h, "v_max", OVERFLOWS),
+        |r, h| {
+            let key = ["norm_mean", "norm_std"][r.below(2)];
+            let len = [STATE_DIM + 1 + r.below(8), r.below(STATE_DIM)][r.below(2)];
+            norm_vec(h, key).resize(len, Json::Num(1.0));
+            format!("{key} has {len} entries")
+        },
+        |r, h| {
+            // Zero, subnormal, parsed as infinity, and NaN (written `null`).
+            let v = [0.0, -0.0, 1e-320, OVERFLOWS, f64::NAN][r.below(5)];
+            let at = r.below(STATE_DIM);
+            norm_vec(h, "norm_std")[at] = Json::Num(v);
+            format!("norm_std[{at}] = {v:e}")
+        },
+        |r, h| {
+            let v = [OVERFLOWS, f64::NAN][r.below(2)];
+            let at = r.below(STATE_DIM);
+            norm_vec(h, "norm_mean")[at] = Json::Num(v);
+            format!("norm_mean[{at}] = {v:e}")
+        },
+    ];
+
     #[test]
-    fn recovers_legacy_file_with_dropped_length_byte() {
-        // Some seed artefacts lost one byte inside the u64 header-length
-        // field; the loader re-anchors on the JSON header and the SAGEPRM1
-        // parameter magic instead of giving up.
+    fn hostile_header_fields_are_rejected_before_the_network_is_built() {
+        let m = dummy_model(NetConfig::default());
+        // The rewrite itself is faithful: an untouched header still loads.
+        let same = SageModel::from_bytes(&with_header(&m, |_| {})).unwrap();
+        assert_eq!(same.cfg, m.cfg);
+
+        forall(
+            "hostile model header",
+            PropConfig::new(300, 0x4EAD),
+            |rng| {
+                let mut what = String::new();
+                let edit = HOSTILE[rng.below(HOSTILE.len())];
+                let bytes = with_header(&m, |h| what = edit(rng, h));
+                match SageModel::from_bytes(&bytes) {
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(()),
+                    Err(e) => Err(format!("{what}: wrong error kind: {e}")),
+                    Ok(_) => Err(format!("{what}: loaded")),
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn header_length_past_the_payload_and_footerless_files_are_rejected() {
         let m = dummy_model(NetConfig::default());
         let mut bytes = m.to_bytes().unwrap();
-        assert_ne!(bytes[8], 0, "test needs a non-zero low length byte");
+        // The shape the deleted re-anchoring branch used to repair.
         bytes.remove(8);
-        let m2 = SageModel::from_bytes(&bytes).unwrap();
-        assert_eq!(m2.cfg, m.cfg);
-        assert_eq!(m2.norm_mean, m.norm_mean);
-        assert_eq!(m2.store.get(0).data, m.store.get(0).data);
+        let err = SageModel::from_bytes(&bytes).err().expect("must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let path = std::env::temp_dir().join("sage_model_footerless.bin");
+        std::fs::write(&path, m.to_bytes().unwrap()).unwrap();
+        let err = SageModel::load_file(&path).err().expect("must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `sage-lint`: the workspace determinism & safety static analyzer.
+//! `sage-lint`: the workspace determinism & safety lint.
 //!
 //! The repo's headline guarantee is exact replay: the same seed yields the
 //! same pool bytes, model bytes, league rankings and serve digests at any
@@ -6,50 +6,22 @@
 //! scenario happens to exercise it; this crate rejects the violation at
 //! the source line that introduces it, before it can reach a digest.
 //!
-//! The analyzer is a hand-rolled pipeline — zero external dependencies,
-//! consistent with the workspace's offline-build rule:
-//!
-//! 1. [`lexer`] — tokens plus per-line comment/attribute structure;
-//! 2. [`parse`] — a tolerant recursive-descent parser producing an
-//!    item-level AST ([`ast`]): fns, impls, types, use-trees;
-//! 3. [`resolve`] — per-crate symbol tables with use-resolution, bounded
-//!    by real `Cargo.toml` dependency edges;
-//! 4. [`callgraph`] — a workspace call graph plus per-fn facts (unsafe,
-//!    panic sites, `env::var` reads, par-closure spans, boundary docs);
-//! 5. [`rules`] — line rules (D1–D3, U1, P1, O1, A0) and interprocedural
-//!    rules (D4–D6, U2, P2) whose findings carry call-path evidence.
-//!
-//! See [`rules`] for the rule table and the `// lint:allow(RULE): reason`
-//! suppression syntax.
+//! Two modules, zero dependencies: [`lexer`] turns a file into tokens plus
+//! per-line comment/attribute structure, and [`rules`] runs the token rules
+//! (D1–D3, D6, U1, P1, O1, A0) over it. See [`rules`] for the rule table
+//! and the `// lint:allow(RULE): reason` suppression syntax.
 //!
 //! Run it with `cargo run -p sage-lint`; it walks every `crates/*/src`,
-//! `crates/*/tests`, root `src/` and `tests/` file, prints human-readable
-//! findings, and writes `artifacts/results/LINT_report.json` (per-rule
-//! counts, per-crate breakdown, per-phase timings) through the atomic
-//! report writer.
+//! `crates/*/tests`, root `src/` and `tests/` file, prints the findings and
+//! exits non-zero if there is one.
 
-pub mod ast;
-pub mod callgraph;
 pub mod lexer;
-pub mod parse;
-pub mod resolve;
 pub mod rules;
 
 pub use rules::{analyze, FileClass, FileOutcome, Finding, Rule, Suppressed};
 
-use resolve::{ParsedFile, Symbols};
-use sage_util::Json;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Per-crate slice of a workspace report.
-#[derive(Debug, Default, Clone)]
-pub struct CrateStats {
-    pub files: usize,
-    pub findings: usize,
-    pub suppressed: usize,
-}
 
 /// Lint results for a whole workspace.
 #[derive(Debug, Default)]
@@ -57,223 +29,20 @@ pub struct WorkspaceReport {
     pub files_scanned: usize,
     pub findings: Vec<Finding>,
     pub suppressed: Vec<Suppressed>,
-    /// Per-phase / per-rule wall times in microseconds, in execution
-    /// order: `lex_parse`, `line_rules`, `symbols_callgraph`, then one
-    /// entry per interprocedural rule. Diagnostic only — zeroed by the
-    /// binary when `SAGE_LINT_TIMINGS=0` so reports byte-compare.
-    pub timings_us: Vec<(String, u64)>,
-    pub per_crate: BTreeMap<String, CrateStats>,
 }
 
-impl WorkspaceReport {
-    /// Per-rule `(unsuppressed, suppressed)` counts, keyed by rule name.
-    pub fn rule_counts(&self) -> BTreeMap<&'static str, (usize, usize)> {
-        let mut counts: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-        for r in Rule::ALL {
-            counts.insert(r.name(), (0, 0));
-        }
-        for f in &self.findings {
-            if let Some(c) = counts.get_mut(f.rule.name()) {
-                c.0 += 1;
-            }
-        }
-        for s in &self.suppressed {
-            if let Some(c) = counts.get_mut(s.rule.name()) {
-                c.1 += 1;
-            }
-        }
-        counts
-    }
-
-    /// The machine-readable report, serialisable via `util::json`.
-    pub fn to_json(&self) -> Json {
-        let finding = |f: &Finding| {
-            Json::obj(vec![
-                ("file", Json::str(f.file.clone())),
-                ("line", Json::Num(f.line as f64)),
-                ("rule", Json::str(f.rule.name())),
-                ("msg", Json::str(f.msg.clone())),
-                (
-                    "path",
-                    Json::Arr(f.path.iter().map(|q| Json::str(q.clone())).collect()),
-                ),
-            ])
-        };
-        let suppressed = |s: &Suppressed| {
-            Json::obj(vec![
-                ("file", Json::str(s.file.clone())),
-                ("line", Json::Num(s.line as f64)),
-                ("rule", Json::str(s.rule.name())),
-                ("reason", Json::str(s.reason.clone())),
-            ])
-        };
-        let rules: BTreeMap<String, Json> = self
-            .rule_counts()
-            .into_iter()
-            .map(|(name, (fired, supp))| {
-                (
-                    name.to_string(),
-                    Json::obj(vec![
-                        ("unsuppressed", Json::Num(fired as f64)),
-                        ("suppressed", Json::Num(supp as f64)),
-                    ]),
-                )
-            })
-            .collect();
-        let timings: BTreeMap<String, Json> = self
-            .timings_us
-            .iter()
-            .map(|(phase, us)| (phase.clone(), Json::Num(*us as f64)))
-            .collect();
-        let crates: BTreeMap<String, Json> = self
-            .per_crate
-            .iter()
-            .map(|(name, c)| {
-                (
-                    name.clone(),
-                    Json::obj(vec![
-                        ("files", Json::Num(c.files as f64)),
-                        ("findings", Json::Num(c.findings as f64)),
-                        ("suppressed", Json::Num(c.suppressed as f64)),
-                    ]),
-                )
-            })
-            .collect();
-        Json::obj(vec![
-            ("files_scanned", Json::Num(self.files_scanned as f64)),
-            ("rules", Json::Obj(rules)),
-            ("timings_us", Json::Obj(timings)),
-            ("crates", Json::Obj(crates)),
-            (
-                "findings",
-                Json::Arr(self.findings.iter().map(finding).collect()),
-            ),
-            (
-                "suppressed",
-                Json::Arr(self.suppressed.iter().map(suppressed).collect()),
-            ),
-        ])
-    }
-}
-
-/// Monotonic stamp for the diagnostic phase timings below.
-// lint:allow(D2): lint-phase timings are diagnostic-only and zeroed under SAGE_LINT_TIMINGS=0
-fn stamp() -> std::time::Instant {
-    // lint:allow(D2): lint-phase timings are diagnostic-only and zeroed under SAGE_LINT_TIMINGS=0
-    std::time::Instant::now()
-}
-
-/// Run the full analysis pipeline over in-memory sources.
-///
-/// `sources` is `(workspace-relative path, content)`; `deps` maps each
-/// crate to the workspace crates it depends on (see
-/// [`resolve::scan_deps`] — pass an empty map to make every crate
-/// visible to every other, which is what fixture tests want).
-///
-/// This is the one entry point that runs *everything*: line rules per
-/// file, then symbol resolution, call-graph construction and the
-/// interprocedural rules, then the deferred unused-suppression check
-/// (A0) — an allow is "used" if either pass consumed it.
-pub fn analyze_sources(
-    sources: &[(String, String)],
-    deps: &BTreeMap<String, Vec<String>>,
-) -> WorkspaceReport {
-    let mut report = WorkspaceReport::default();
-    let mut out = FileOutcome::default();
-
-    let t = stamp();
-    let files: Vec<ParsedFile> = sources
-        .iter()
-        .map(|(rel, src)| {
-            let lexed = lexer::lex(src);
-            let ast = parse::parse(&lexed);
-            ParsedFile {
-                rel: rel.clone(),
-                class: FileClass::from_rel_path(rel),
-                lexed,
-                ast,
-            }
-        })
-        .collect();
-    report
-        .timings_us
-        .push(("lex_parse".into(), t.elapsed().as_micros() as u64));
-
-    let t = stamp();
-    let mut allows: Vec<Vec<rules::Allow>> = Vec::with_capacity(files.len());
-    for pf in &files {
-        let mut a = rules::parse_allows(&pf.rel, &pf.lexed, &mut out);
-        rules::line_pass(&pf.rel, &pf.class, &pf.lexed, &mut a, &mut out);
-        allows.push(a);
-    }
-    report
-        .timings_us
-        .push(("line_rules".into(), t.elapsed().as_micros() as u64));
-
-    let t = stamp();
-    let symbols = Symbols::build(&files, deps);
-    let cg = callgraph::build(&files, &symbols);
-    report
-        .timings_us
-        .push(("symbols_callgraph".into(), t.elapsed().as_micros() as u64));
-
-    let ws = rules::Ws {
-        files: &files,
-        symbols: &symbols,
-        cg: &cg,
+/// Lint in-memory sources, given as `(workspace-relative path, content)`;
+/// the path decides which rules apply ([`FileClass::from_rel_path`]).
+pub fn analyze_sources(sources: &[(String, String)]) -> WorkspaceReport {
+    let mut report = WorkspaceReport {
+        files_scanned: sources.len(),
+        ..Default::default()
     };
-    for rule in Rule::INTERPROCEDURAL {
-        let t = stamp();
-        for raw in rules::run_rule(&ws, rule) {
-            let rel = files[raw.file_idx].rel.clone();
-            rules::emit(
-                &rel,
-                &mut allows[raw.file_idx],
-                &mut out,
-                raw.line,
-                raw.rule,
-                raw.msg,
-                raw.path,
-            );
-        }
-        report.timings_us.push((
-            format!("rule_{}", rule.name().to_ascii_lowercase()),
-            t.elapsed().as_micros() as u64,
-        ));
+    for (rel, src) in sources {
+        let out = analyze(rel, &FileClass::from_rel_path(rel), src);
+        report.findings.extend(out.findings);
+        report.suppressed.extend(out.suppressed);
     }
-
-    for (i, pf) in files.iter().enumerate() {
-        rules::finish_allows(&pf.rel, &allows[i], &mut out);
-    }
-
-    out.findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    // Two detection routes can land on the same site (e.g. D5 sees one
-    // iteration both as a `.iter()` call and as a `for` loop) — report it
-    // once.
-    out.findings
-        .dedup_by(|a, b| (&a.file, a.line, a.rule, &a.msg) == (&b.file, b.line, b.rule, &b.msg));
-    out.suppressed
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
-    report.files_scanned = files.len();
-    for pf in &files {
-        report
-            .per_crate
-            .entry(pf.class.crate_name.clone())
-            .or_default()
-            .files += 1;
-    }
-    for f in &out.findings {
-        let krate = FileClass::from_rel_path(&f.file).crate_name;
-        report.per_crate.entry(krate).or_default().findings += 1;
-    }
-    for s in &out.suppressed {
-        let krate = FileClass::from_rel_path(&s.file).crate_name;
-        report.per_crate.entry(krate).or_default().suppressed += 1;
-    }
-    report.findings = out.findings;
-    report.suppressed = out.suppressed;
     report
 }
 
@@ -337,12 +106,9 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// Lint every source file of the workspace rooted at `root` — the full
-/// pipeline, with dependency visibility read from the real Cargo.tomls.
+/// Lint every source file of the workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
-    let sources = collect_sources(root)?;
-    let deps = resolve::scan_deps(root).unwrap_or_default();
-    Ok(analyze_sources(&sources, &deps))
+    Ok(analyze_sources(&collect_sources(root)?))
 }
 
 #[cfg(test)]
@@ -365,108 +131,38 @@ mod tests {
     }
 
     #[test]
-    fn report_json_parses_back() {
-        let mut r = WorkspaceReport {
-            files_scanned: 2,
-            ..Default::default()
-        };
-        r.timings_us.push(("lex_parse".into(), 42));
-        r.per_crate.insert(
-            "core".into(),
-            CrateStats {
-                files: 2,
-                findings: 1,
-                suppressed: 0,
-            },
-        );
-        r.findings.push(Finding {
-            file: "a.rs".into(),
-            line: 3,
-            rule: Rule::D1,
-            msg: "x".into(),
-            path: vec!["core::f".into()],
-        });
-        let text = r.to_json().to_string();
-        let parsed = Json::parse(&text).expect("report JSON must parse");
-        assert_eq!(
-            parsed.get("files_scanned").and_then(|v| v.as_usize()),
-            Some(2)
-        );
-        let d1 = parsed.get("rules").and_then(|r| r.get("D1"));
-        assert_eq!(
-            d1.and_then(|d| d.get("unsuppressed"))
-                .and_then(|v| v.as_usize()),
-            Some(1)
-        );
-        assert_eq!(
-            parsed
-                .get("timings_us")
-                .and_then(|t| t.get("lex_parse"))
-                .and_then(|v| v.as_usize()),
-            Some(42)
-        );
-        assert_eq!(
-            parsed
-                .get("crates")
-                .and_then(|c| c.get("core"))
-                .and_then(|c| c.get("files"))
-                .and_then(|v| v.as_usize()),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn analyze_sources_runs_line_and_interprocedural_rules() {
+    fn analyze_sources_classes_each_file_by_its_path() {
+        let read = "fn site() { let _ = std::env::var(\"X\"); }\n".to_string();
         let sources = vec![
-            (
-                "crates/core/src/lib.rs".to_string(),
-                "fn site() { let _ = std::env::var(\"X\"); }\nfn mid() { site(); }\npub fn api() { mid(); }\n"
-                    .to_string(),
-            ),
+            ("crates/core/src/lib.rs".to_string(), read.clone()),
+            ("crates/bench/src/lib.rs".to_string(), read),
             (
                 "crates/eval/src/lib.rs".to_string(),
                 "use std::collections::HashMap;\n".to_string(),
             ),
         ];
-        let r = analyze_sources(&sources, &BTreeMap::new());
-        assert_eq!(r.files_scanned, 2);
-        let rules_hit: Vec<Rule> = r.findings.iter().map(|f| f.rule).collect();
-        assert!(rules_hit.contains(&Rule::D1), "{rules_hit:?}");
-        assert!(rules_hit.contains(&Rule::D6), "{rules_hit:?}");
-        let d6 = r.findings.iter().find(|f| f.rule == Rule::D6).unwrap();
+        let r = analyze_sources(&sources);
+        assert_eq!(r.files_scanned, 3);
+        let hits: Vec<(&str, Rule)> = r
+            .findings
+            .iter()
+            .map(|f| (f.file.as_str(), f.rule))
+            .collect();
         assert_eq!(
-            d6.path,
-            vec!["core::api", "core::mid", "core::site"],
-            "D6 findings carry the public call path as evidence"
-        );
-        // Phase timings exist for every phase + interprocedural rule.
-        let names: Vec<&str> = r.timings_us.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
+            hits,
             [
-                "lex_parse",
-                "line_rules",
-                "symbols_callgraph",
-                "rule_d4",
-                "rule_d5",
-                "rule_d6",
-                "rule_u2",
-                "rule_p2"
+                ("crates/core/src/lib.rs", Rule::D6),
+                ("crates/eval/src/lib.rs", Rule::D1)
             ]
         );
-        assert_eq!(r.per_crate["core"].files, 1);
-        assert_eq!(r.per_crate["eval"].findings, 1);
     }
 
     #[test]
-    fn interprocedural_findings_are_suppressible_and_unused_allows_fire_a0() {
+    fn d6_findings_are_suppressible_and_unused_allows_fire_a0() {
         let src = "\
 // lint:allow(D6): fixture exercises the suppression path for D6
 fn site() { let _ = std::env::var(\"X\"); }\n";
-        let r = analyze_sources(
-            &[("crates/core/src/lib.rs".to_string(), src.to_string())],
-            &BTreeMap::new(),
-        );
+        let r = analyze_sources(&[("crates/core/src/lib.rs".to_string(), src.to_string())]);
         assert!(
             r.findings.is_empty(),
             "allow must cover the D6 site: {:?}",
@@ -475,13 +171,9 @@ fn site() { let _ = std::env::var(\"X\"); }\n";
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(r.suppressed[0].rule, Rule::D6);
 
-        // The same allow with nothing to suppress is an A0 after the
-        // deferred check.
+        // The same allow with nothing to suppress is an A0.
         let src = "// lint:allow(D6): nothing here reads the environment\nfn quiet() {}\n";
-        let r = analyze_sources(
-            &[("crates/core/src/lib.rs".to_string(), src.to_string())],
-            &BTreeMap::new(),
-        );
+        let r = analyze_sources(&[("crates/core/src/lib.rs".to_string(), src.to_string())]);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].rule, Rule::A0);
     }

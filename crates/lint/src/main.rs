@@ -1,5 +1,5 @@
-//! `sage_lint` binary: lint the workspace, print findings, write the
-//! machine-readable report, exit non-zero on any unsuppressed finding.
+//! `sage_lint` binary: lint the workspace, print findings, exit non-zero
+//! on any unsuppressed finding.
 //!
 //! Usage: `cargo run -p sage-lint [workspace-root]` (default: the
 //! workspace this binary was built from).
@@ -13,7 +13,7 @@ fn main() -> ExitCode {
         // CARGO_MANIFEST_DIR = crates/lint → workspace root is two up.
         None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
     };
-    let mut report = match sage_lint::lint_workspace(&root) {
+    let report = match sage_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -23,100 +23,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    // `SAGE_LINT_TIMINGS=0` zeroes the diagnostic phase timings so two
-    // runs of the same tree produce byte-identical reports (the check.sh
-    // smoke gate byte-compares reports across thread counts).
-    if sage_util::env_cfg::lint_timings().as_deref() == Some("0") {
-        for t in &mut report.timings_us {
-            t.1 = 0;
-        }
-    }
-
     for f in &report.findings {
         println!("{}:{}: {}: {}", f.file, f.line, f.rule, f.msg);
-        if !f.path.is_empty() {
-            println!("    call path: {}", f.path.join(" -> "));
-        }
     }
-
-    // Per-rule counts feed the obs registry so the report's embedded
-    // metrics section matches every other pipeline artifact.
-    let counts = report.rule_counts();
-    for (name, (fired, suppressed)) in &counts {
-        let (fired, suppressed) = (*fired as u64, *suppressed as u64);
-        match *name {
-            "D1" => {
-                sage_obs::obs_counter!("lint.unsuppressed.d1").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.d1").add(suppressed);
-            }
-            "D2" => {
-                sage_obs::obs_counter!("lint.unsuppressed.d2").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.d2").add(suppressed);
-            }
-            "D3" => {
-                sage_obs::obs_counter!("lint.unsuppressed.d3").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.d3").add(suppressed);
-            }
-            "U1" => {
-                sage_obs::obs_counter!("lint.unsuppressed.u1").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.u1").add(suppressed);
-            }
-            "D4" => {
-                sage_obs::obs_counter!("lint.unsuppressed.d4").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.d4").add(suppressed);
-            }
-            "D5" => {
-                sage_obs::obs_counter!("lint.unsuppressed.d5").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.d5").add(suppressed);
-            }
-            "D6" => {
-                sage_obs::obs_counter!("lint.unsuppressed.d6").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.d6").add(suppressed);
-            }
-            "U2" => {
-                sage_obs::obs_counter!("lint.unsuppressed.u2").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.u2").add(suppressed);
-            }
-            "P1" => {
-                sage_obs::obs_counter!("lint.unsuppressed.p1").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.p1").add(suppressed);
-            }
-            "P2" => {
-                sage_obs::obs_counter!("lint.unsuppressed.p2").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.p2").add(suppressed);
-            }
-            "O1" => {
-                sage_obs::obs_counter!("lint.unsuppressed.o1").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.o1").add(suppressed);
-            }
-            _ => {
-                sage_obs::obs_counter!("lint.unsuppressed.a0").add(fired);
-                sage_obs::obs_counter!("lint.suppressed.a0").add(suppressed);
-            }
-        }
-    }
-    sage_obs::obs_counter!("lint.files_scanned").add(report.files_scanned as u64);
-
-    let mut json = report.to_json();
-    if let sage_util::Json::Obj(m) = &mut json {
-        m.insert("metrics".to_string(), sage_bench::obs_metrics());
-    }
-    let out_name = sage_util::env_cfg::lint_out().unwrap_or_else(|| "LINT_report.json".to_string());
-    let path = sage_bench::write_report(&out_name, &json);
-
-    let total: usize = counts.values().map(|c| c.0).sum();
-    let suppressed: usize = counts.values().map(|c| c.1).sum();
     println!(
-        "sage-lint: {} files, {} unsuppressed finding(s), {} suppressed — report: {}",
+        "sage-lint: {} files, {} unsuppressed finding(s), {} suppressed",
         report.files_scanned,
-        total,
-        suppressed,
-        path.display()
+        report.findings.len(),
+        report.suppressed.len()
     );
-    if total > 0 {
-        ExitCode::FAILURE
-    } else {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

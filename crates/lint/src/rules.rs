@@ -1,46 +1,28 @@
-//! The rule engine: line-oriented rules applied to one lexed file, plus
-//! interprocedural rules applied to the whole parsed workspace, and the
-//! `// lint:allow(...)` suppression machinery shared by both.
+//! The rule engine: line-oriented rules applied to one lexed file, and the
+//! `// lint:allow(...)` suppression machinery.
 //!
 //! | Rule | What it rejects | Why |
 //! |------|-----------------|-----|
 //! | D1 | `HashMap`/`HashSet`/`RandomState` | hash iteration order is seeded per process — replay-breaking |
 //! | D2 | `Instant`/`SystemTime`/`thread::spawn`/`mpsc` outside obs, `util::par`, bench | wall clocks and free-running threads leak scheduling into results |
 //! | D3 | `rand::`, `thread_rng`, `OsRng`, `getrandom`, ... | ambient entropy bypasses the seeded `sage_util::Rng` |
-//! | D4 | float accumulation into captured state inside `par_map`/`par_map_range` closures | cross-task `+=`/`sum()` on shared floats is scheduling-ordered; partials must flow through the pool's ordered reduction |
-//! | D5 | digest fns iterating types not marked `// lint:stable-order`; `fold_digest` called off ordered-merge paths | a digest folded in unstable order is a different digest per run |
-//! | D6 | `std::env::var` outside `util::env_cfg`, bench, and tests | ambient configuration read mid-pipeline makes results depend on the environment, invisibly |
+//! | D6 | `env::var`/`var_os`/`vars`/`vars_os` outside `util::env_cfg`, bench, and tests | ambient configuration read mid-pipeline makes results depend on the environment, invisibly |
 //! | U1 | `unsafe` without a `// SAFETY:` comment | every unsafe site must state its proof obligations |
-//! | U2 | public fns transitively reaching `unsafe` with no `// SAFETY-BOUNDARY:` doc on the way | the encapsulating fn must own the invariant, with the call path as evidence |
 //! | P1 | `unwrap()`/`expect(`/`panic!` in library non-test code | library code propagates errors; panics are for provable invariants only |
-//! | P2 | public fns transitively reaching a panic site with no `/// # Panics` doc on the way | callers deserve the contract; the call path is the evidence |
 //! | O1 | `obs_counter!`/`obs_gauge!`/`obs_hist!` names not in `snake.dot.case` | one metric namespace: lowercase dot-separated segments, grep-able and collision-free |
 //! | A0 | malformed or unused `lint:allow` | suppressions must carry a reason and actually suppress something |
 //!
-//! D1–D3, U1, P1, O1 and A0 are line rules: one lexed file in, findings
-//! out. D4–D6, U2 and P2 are interprocedural: they run over a [`Ws`]
-//! (parsed files + symbol table + call graph, see [`crate::resolve`] and
-//! [`crate::callgraph`]) and their findings carry the call path that
-//! proves reachability.
+//! Every rule sees one lexed file and nothing else. What needs more than
+//! tokens is the compiler's job: `par_map`'s `Fn + Sync` bound rejects a
+//! closure that mutates captured state, `unsafe_code = "deny"` in the root
+//! manifest rejects `unsafe` outside `nn::infer`, and `clippy.toml` mirrors
+//! D1–D3 (see DESIGN.md "Static analysis").
 //!
 //! Suppression syntax: `// lint:allow(RULE[,RULE...]): reason`. On a line
 //! with code it covers that line; on a comment-only line it covers the
-//! next line that has code. The reason is mandatory. Interprocedural
-//! findings anchor at a source line (the site, or the public fn's `fn`
-//! line for U2/P2) and are suppressed by an allow targeting that line.
-//!
-//! Boundary markers the interprocedural rules honour, all plain comments:
-//! `// SAFETY-BOUNDARY: ...` in the doc run above a fn absorbs U2 taint
-//! (the fn owns the unsafe invariant); a `/// # Panics` doc section
-//! absorbs P2 taint (the panic is contracted); `// lint:ordered-merge`
-//! above a fn sanctions `fold_digest` calls inside it (D5); and
-//! `// lint:stable-order` above a type marks its iteration order as
-//! insertion-independent (D5).
+//! next line that has code. The reason is mandatory.
 
-use crate::ast::{FnItem, Vis};
-use crate::callgraph::{self, CallGraph};
 use crate::lexer::{lex, Lexed, SpannedTok, Tok};
-use crate::resolve::{ParsedFile, Symbols};
 use std::fmt;
 
 /// Rule identifiers. `A0` is the meta-rule about suppressions themselves
@@ -50,69 +32,43 @@ pub enum Rule {
     D1,
     D2,
     D3,
-    D4,
-    D5,
     D6,
     U1,
-    U2,
     P1,
-    P2,
     O1,
     A0,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 8] = [
         Rule::D1,
         Rule::D2,
         Rule::D3,
-        Rule::D4,
-        Rule::D5,
         Rule::D6,
         Rule::U1,
-        Rule::U2,
         Rule::P1,
-        Rule::P2,
         Rule::O1,
         Rule::A0,
     ];
-
-    /// The interprocedural rules, in the order the workspace pass runs
-    /// (and times) them.
-    pub const INTERPROCEDURAL: [Rule; 5] = [Rule::D4, Rule::D5, Rule::D6, Rule::U2, Rule::P2];
 
     pub fn name(self) -> &'static str {
         match self {
             Rule::D1 => "D1",
             Rule::D2 => "D2",
             Rule::D3 => "D3",
-            Rule::D4 => "D4",
-            Rule::D5 => "D5",
             Rule::D6 => "D6",
             Rule::U1 => "U1",
-            Rule::U2 => "U2",
             Rule::P1 => "P1",
-            Rule::P2 => "P2",
             Rule::O1 => "O1",
             Rule::A0 => "A0",
         }
     }
 
+    /// A rule a `lint:allow` may name — every rule but `A0`.
     fn parse(s: &str) -> Option<Rule> {
-        match s.trim() {
-            "D1" => Some(Rule::D1),
-            "D2" => Some(Rule::D2),
-            "D3" => Some(Rule::D3),
-            "D4" => Some(Rule::D4),
-            "D5" => Some(Rule::D5),
-            "D6" => Some(Rule::D6),
-            "U1" => Some(Rule::U1),
-            "U2" => Some(Rule::U2),
-            "P1" => Some(Rule::P1),
-            "P2" => Some(Rule::P2),
-            "O1" => Some(Rule::O1),
-            _ => None,
-        }
+        Rule::ALL
+            .into_iter()
+            .find(|r| *r != Rule::A0 && r.name() == s.trim())
     }
 }
 
@@ -122,16 +78,13 @@ impl fmt::Display for Rule {
     }
 }
 
-/// An unsuppressed rule violation. `path` is the call-path evidence for
-/// interprocedural findings (qualified fn names, caller first, site
-/// last); empty for line-rule findings.
+/// An unsuppressed rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub file: String,
     pub line: usize,
     pub rule: Rule,
     pub msg: String,
-    pub path: Vec<String>,
 }
 
 /// A violation covered by a `lint:allow` annotation.
@@ -143,7 +96,7 @@ pub struct Suppressed {
     pub reason: String,
 }
 
-/// Result of analysing one file (or, accumulated, a whole workspace).
+/// Result of analysing one file.
 #[derive(Debug, Default)]
 pub struct FileOutcome {
     pub findings: Vec<Finding>,
@@ -177,13 +130,13 @@ impl FileClass {
         FileClass {
             crate_name,
             in_tests_dir: parts.contains(&"tests"),
-            is_util_par: rel.ends_with("crates/util/src/par.rs") || rel == "crates/util/src/par.rs",
-            is_env_cfg: rel.ends_with("crates/util/src/env_cfg.rs")
-                || rel == "crates/util/src/env_cfg.rs",
+            is_util_par: rel.ends_with("crates/util/src/par.rs"),
+            is_env_cfg: rel.ends_with("crates/util/src/env_cfg.rs"),
         }
     }
 
     fn applies(&self, rule: Rule, in_test_region: bool) -> bool {
+        let library_code = self.crate_name != "bench" && !self.in_tests_dir && !in_test_region;
         match rule {
             // Benches are timing tools by nature: exempt from the hash-map
             // and wall-clock rules (their reports are not digest-covered).
@@ -191,41 +144,36 @@ impl FileClass {
             Rule::D2 => self.crate_name != "bench" && self.crate_name != "obs" && !self.is_util_par,
             // Ambient entropy is never acceptable, benches included.
             Rule::D3 => true,
+            // Bins and tests own their process's environment; a library
+            // reads it only through the named accessors of `env_cfg`.
+            Rule::D6 => library_code && !self.is_env_cfg,
             Rule::U1 => true,
-            // Library non-test code only.
-            Rule::P1 => self.crate_name != "bench" && !self.in_tests_dir && !in_test_region,
+            Rule::P1 => library_code,
             // Metric names share one namespace; the rule applies everywhere.
             Rule::O1 => true,
             Rule::A0 => true,
-            // Interprocedural rules filter at the workspace pass (they
-            // need fn-level context); by the time a finding is emitted it
-            // already applies.
-            Rule::D4 | Rule::D5 | Rule::D6 | Rule::U2 | Rule::P2 => true,
         }
     }
 }
 
-/// One parsed `lint:allow` annotation, kept alive for the whole workspace
-/// pass so interprocedural findings can consume it before the unused
-/// check (A0) runs.
-pub(crate) struct Allow {
-    pub(crate) line: usize,
-    pub(crate) target: usize,
-    pub(crate) rules: Vec<Rule>,
-    pub(crate) reason: String,
-    pub(crate) used: bool,
+/// One parsed `lint:allow` annotation.
+struct Allow {
+    line: usize,
+    target: usize,
+    rules: Vec<Rule>,
+    reason: String,
+    used: bool,
 }
 
 /// Route one violation through the file's allows: suppressed if an allow
 /// targets its line and rule, a finding otherwise.
-pub(crate) fn emit(
+fn emit(
     file: &str,
     allows: &mut [Allow],
     out: &mut FileOutcome,
     line: usize,
     rule: Rule,
     msg: String,
-    path: Vec<String>,
 ) {
     for a in allows.iter_mut() {
         if a.target == line && a.rules.contains(&rule) {
@@ -244,13 +192,11 @@ pub(crate) fn emit(
         line,
         rule,
         msg,
-        path,
     });
 }
 
-/// Report every allow that suppressed nothing as an A0 finding. Call
-/// only after every pass that could consume an allow has run.
-pub(crate) fn finish_allows(file: &str, allows: &[Allow], out: &mut FileOutcome) {
+/// Report every allow that suppressed nothing as an A0 finding.
+fn finish_allows(file: &str, allows: &[Allow], out: &mut FileOutcome) {
     for a in allows.iter().filter(|a| !a.used) {
         out.findings.push(Finding {
             file: file.to_string(),
@@ -265,13 +211,12 @@ pub(crate) fn finish_allows(file: &str, allows: &[Allow], out: &mut FileOutcome)
                     .join(","),
                 a.target
             ),
-            path: Vec::new(),
         });
     }
 }
 
-/// The line rules (D1–D3, U1, P1, O1) over one lexed file.
-pub(crate) fn line_pass(
+/// The rules D1–D3, D6, U1, P1 and O1 over one lexed file.
+fn line_pass(
     file: &str,
     class: &FileClass,
     lexed: &Lexed,
@@ -287,7 +232,7 @@ pub(crate) fn line_pass(
         let line = st.line;
         let mut hit = |rule: Rule, msg: String, out: &mut FileOutcome| {
             if class.applies(rule, in_test(line)) {
-                emit(file, allows, out, line, rule, msg, Vec::new());
+                emit(file, allows, out, line, rule, msg);
             }
         };
         match id.as_str() {
@@ -321,6 +266,18 @@ pub(crate) fn line_pass(
                 format!("`{id}` is ambient entropy; seed a sage_util::Rng instead (D3)"),
                 out,
             ),
+            "env" if ["var", "var_os", "vars", "vars_os"]
+                .iter()
+                .any(|read| path_seq(toks, i, &[read])) =>
+            {
+                hit(
+                    Rule::D6,
+                    "environment read outside the config layer; route ambient configuration \
+                     through a named accessor in sage_util::env_cfg (D6)"
+                        .into(),
+                    out,
+                )
+            }
             "unsafe" if !safety_comment_covers(lexed, line) => hit(
                 Rule::U1,
                 "`unsafe` without a `// SAFETY:` comment on the preceding lines (U1)".into(),
@@ -360,12 +317,7 @@ pub(crate) fn line_pass(
     }
 }
 
-/// Analyse one file's source under the given class — line rules only.
-///
-/// This is the single-file entry point (fixtures, ad-hoc checks). The
-/// workspace pipeline in [`crate::analyze_sources`] reuses the same
-/// pieces but defers the unused-allow check until the interprocedural
-/// rules have had their chance to consume suppressions.
+/// Analyse one file's source under the given class.
 pub fn analyze(file: &str, class: &FileClass, src: &str) -> FileOutcome {
     let lexed = lex(src);
     let mut out = FileOutcome::default();
@@ -373,751 +325,6 @@ pub fn analyze(file: &str, class: &FileClass, src: &str) -> FileOutcome {
     line_pass(file, class, &lexed, &mut allows, &mut out);
     finish_allows(file, &allows, &mut out);
     out.findings.sort_by_key(|f| (f.line, f.rule));
-    out
-}
-
-// ---------------------------------------------------------------------
-// Interprocedural rules
-// ---------------------------------------------------------------------
-
-/// The parsed workspace the interprocedural rules run over.
-pub struct Ws<'a> {
-    pub files: &'a [ParsedFile],
-    pub symbols: &'a Symbols,
-    pub cg: &'a CallGraph,
-}
-
-/// An interprocedural violation before suppression routing. `file_idx`
-/// indexes [`Ws::files`]; `path` is qualified-fn-name evidence.
-#[derive(Debug)]
-pub struct RawFinding {
-    pub file_idx: usize,
-    pub line: usize,
-    pub rule: Rule,
-    pub msg: String,
-    pub path: Vec<String>,
-}
-
-impl<'a> Ws<'a> {
-    fn item(&self, id: usize) -> &'a FnItem {
-        self.symbols.fn_item(self.files, id)
-    }
-
-    fn qual(&self, id: usize) -> &str {
-        &self.symbols.node(id).qual
-    }
-
-    fn quals(&self, ids: &[usize]) -> Vec<String> {
-        ids.iter().map(|&i| self.qual(i).to_string()).collect()
-    }
-
-    fn class(&self, id: usize) -> &FileClass {
-        &self.files[self.symbols.node(id).file].class
-    }
-
-    /// A fn whose findings (or sites) the reachability rules consider:
-    /// library code, not benches, not tests.
-    fn lib_fn(&self, id: usize) -> bool {
-        let c = self.class(id);
-        c.crate_name != "bench" && !c.in_tests_dir && !self.item(id).in_test
-    }
-
-    fn run(&self, rule: Rule) -> Vec<RawFinding> {
-        match rule {
-            Rule::D4 => rule_d4(self),
-            Rule::D5 => rule_d5(self),
-            Rule::D6 => rule_d6(self),
-            Rule::U2 => rule_u2(self),
-            Rule::P2 => rule_p2(self),
-            _ => Vec::new(),
-        }
-    }
-}
-
-/// Run one interprocedural rule over the workspace. Dispatch point for
-/// the timed per-rule loop in [`crate::analyze_sources`].
-pub fn run_rule(ws: &Ws, rule: Rule) -> Vec<RawFinding> {
-    ws.run(rule)
-}
-
-/// D4 — float accumulation into captured state inside closures passed to
-/// `par_map` / `par_map_range`.
-///
-/// The pool's reduction is ordered, so the deterministic way to
-/// accumulate across tasks is to *return* per-task partials. Mutating a
-/// captured float accumulator (`acc += ...`, `*slot += ...`) or summing
-/// a captured buffer that the fn also writes makes the result depend on
-/// task scheduling. Closure-local accumulators are fine — each task owns
-/// its own.
-pub fn rule_d4(ws: &Ws) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for id in 0..ws.cg.facts.len() {
-        let facts = &ws.cg.facts[id];
-        if facts.par_calls.is_empty() || !ws.lib_fn(id) {
-            continue;
-        }
-        let node = ws.symbols.node(id);
-        let f = ws.item(id);
-        let toks = &ws.files[node.file].lexed.toks;
-        for pc in &facts.par_calls {
-            let helper = match &toks[pc.name_idx].tok {
-                Tok::Ident(s) => s.clone(),
-                _ => continue,
-            };
-            for cs in closures_in(toks, pc.args.0, pc.args.1) {
-                let locals = closure_locals(toks, &cs);
-                d4_scan_closure(ws, node.file, id, f, toks, &cs, &locals, &helper, &mut out);
-            }
-        }
-    }
-    out
-}
-
-struct ClosureSpan {
-    params: (usize, usize),
-    body: (usize, usize),
-}
-
-/// Top-level closures among the arguments of a call: `|p| expr`,
-/// `move |p| { ... }`, `|| f()`. Nested closures stay inside the
-/// enclosing closure's body span.
-fn closures_in(toks: &[SpannedTok], open: usize, close: usize) -> Vec<ClosureSpan> {
-    let mut out = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        if toks[i].tok != Tok::Punct('|') {
-            i += 1;
-            continue;
-        }
-        let pa = i;
-        let pb = if matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('|'))) {
-            i + 1
-        } else {
-            let mut j = i + 1;
-            while j < close && toks[j].tok != Tok::Punct('|') {
-                j += 1;
-            }
-            j
-        };
-        if pb >= close {
-            break;
-        }
-        let bs = pb + 1;
-        let be;
-        if matches!(toks.get(bs).map(|t| &t.tok), Some(Tok::Punct('{'))) {
-            let e = crate::parse::matching(toks, bs, '{', '}');
-            be = e.min(close.saturating_sub(1)).max(bs);
-            i = be + 1;
-        } else {
-            let mut j = bs;
-            let mut depth = 0i32;
-            while j < close {
-                match &toks[j].tok {
-                    Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
-                    Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => depth -= 1,
-                    Tok::Punct(',') if depth == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            be = j.saturating_sub(1).max(bs);
-            i = j + 1;
-        }
-        out.push(ClosureSpan {
-            params: (pa, pb),
-            body: (bs, be),
-        });
-    }
-    out
-}
-
-/// Names bound inside the closure: its params, `let` bindings, for-loop
-/// variables, and nested closures' params. Anything else referenced in
-/// the body is captured from the enclosing fn.
-fn closure_locals(toks: &[SpannedTok], cs: &ClosureSpan) -> Vec<String> {
-    let mut out = Vec::new();
-    for st in toks.iter().take(cs.params.1).skip(cs.params.0 + 1) {
-        if let Tok::Ident(s) = &st.tok {
-            if s != "mut" {
-                out.push(s.clone());
-            }
-        }
-    }
-    let (bs, be) = cs.body;
-    let mut k = bs;
-    while k <= be {
-        match &toks[k].tok {
-            Tok::Ident(s) if s == "let" => {
-                let mut j = k + 1;
-                while j <= be {
-                    match &toks[j].tok {
-                        Tok::Punct('=') | Tok::Punct(';') | Tok::Punct(':') => break,
-                        Tok::Ident(n) if n != "mut" => out.push(n.clone()),
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                k = j + 1;
-            }
-            Tok::Ident(s) if s == "for" => {
-                let mut j = k + 1;
-                while j <= be && j < k + 12 {
-                    match &toks[j].tok {
-                        Tok::Ident(n) if n == "in" => break,
-                        Tok::Ident(n) if n != "mut" => out.push(n.clone()),
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                k = j;
-            }
-            Tok::Punct('|') => {
-                let mut j = k + 1;
-                while j <= be && j < k + 16 && toks[j].tok != Tok::Punct('|') {
-                    if let Tok::Ident(n) = &toks[j].tok {
-                        if n != "mut" {
-                            out.push(n.clone());
-                        }
-                    }
-                    j += 1;
-                }
-                k = j + 1;
-            }
-            _ => k += 1,
-        }
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn d4_scan_closure(
-    ws: &Ws,
-    file_idx: usize,
-    id: usize,
-    f: &FnItem,
-    toks: &[SpannedTok],
-    cs: &ClosureSpan,
-    locals: &[String],
-    helper: &str,
-    out: &mut Vec<RawFinding>,
-) {
-    let captured = |root: &str| !locals.iter().any(|l| l == root) && root != "self";
-    let (bs, be) = cs.body;
-    let mut i = bs;
-    while i <= be {
-        match &toks[i].tok {
-            // `root += ...` / `root -= ...` / `*slot += ...` on a
-            // captured float.
-            Tok::Punct(op @ ('+' | '-' | '*' | '/'))
-                if matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('='))) =>
-            {
-                // `*=`-the-operator vs `*expr` deref: an lvalue must end
-                // right before the op, so chain_root decides.
-                if let Some(root) = chain_root(toks, i) {
-                    if captured(&root) && float_evidence(toks, f, &root) {
-                        out.push(RawFinding {
-                            file_idx,
-                            line: toks[i].line,
-                            rule: Rule::D4,
-                            msg: format!(
-                                "float accumulator `{root}` captured by a closure passed to \
-                                 `{helper}` is mutated with `{op}=` across tasks in `{}`; return \
-                                 per-task partials and combine them through the pool's ordered \
-                                 reduction (D4)",
-                                ws.qual(id)
-                            ),
-                            path: vec![ws.qual(id).to_string()],
-                        });
-                    }
-                }
-                i += 2;
-                continue;
-            }
-            // `.sum::<f64>()` / `.product()` over a captured buffer the
-            // fn also mutates: read order meets write order.
-            Tok::Ident(nm)
-                if (nm == "sum" || nm == "product")
-                    && matches!(
-                        toks.get(i.wrapping_sub(1)).map(|t| &t.tok),
-                        Some(Tok::Punct('.'))
-                    ) =>
-            {
-                let (ty, has_tf) = turbofish_ty(toks, i);
-                let callish =
-                    has_tf || matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')));
-                if callish {
-                    if let Some(root) = chain_root(toks, i - 1) {
-                        let floaty = matches!(ty.as_deref(), Some("f32") | Some("f64"))
-                            || (!has_tf && float_evidence(toks, f, &root));
-                        if captured(&root) && floaty && mutated_in_fn(toks, f, &root) {
-                            out.push(RawFinding {
-                                file_idx,
-                                line: toks[i].line,
-                                rule: Rule::D4,
-                                msg: format!(
-                                    "`.{nm}()` over captured float state `{root}` inside a \
-                                     `{helper}` closure in `{}` reads a buffer the fn also \
-                                     writes; fold per-task partials through the pool's ordered \
-                                     reduction instead (D4)",
-                                    ws.qual(id)
-                                ),
-                                path: vec![ws.qual(id).to_string()],
-                            });
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// `name ::<Ty>` turbofish right after token `i`: (type, present).
-fn turbofish_ty(toks: &[SpannedTok], i: usize) -> (Option<String>, bool) {
-    let is =
-        |k: usize, c: char| matches!(toks.get(k).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c);
-    if is(i + 1, ':') && is(i + 2, ':') && is(i + 3, '<') {
-        if let Some(Tok::Ident(t)) = toks.get(i + 4).map(|t| &t.tok) {
-            return (Some(t.clone()), true);
-        }
-        return (None, true);
-    }
-    (None, false)
-}
-
-/// Index of the `open` punct matching the `close` punct at `close_idx`,
-/// scanning backwards.
-fn matching_back(toks: &[SpannedTok], close_idx: usize, open: char, close: char) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut k = close_idx;
-    loop {
-        match &toks[k].tok {
-            Tok::Punct(c) if *c == close => depth += 1,
-            Tok::Punct(o) if *o == open => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-        if k == 0 {
-            return None;
-        }
-        k -= 1;
-    }
-}
-
-/// Root identifier of the receiver/lvalue chain ending just before token
-/// `after` — `buf.iter().map(..)` → `buf`, `*slot` → `slot`,
-/// `acc[i]` → `acc`. `None` when the chain starts with something that is
-/// not a plain identifier.
-fn chain_root(toks: &[SpannedTok], after: usize) -> Option<String> {
-    let mut j = after;
-    for _ in 0..64 {
-        let k = j.checked_sub(1)?;
-        match &toks[k].tok {
-            Tok::Punct(')') => j = matching_back(toks, k, '(', ')')?,
-            Tok::Punct(']') => j = matching_back(toks, k, '[', ']')?,
-            Tok::Punct('.') => j = k,
-            Tok::Ident(name) => {
-                let prev_dot = k >= 1 && toks[k - 1].tok == Tok::Punct('.');
-                if prev_dot {
-                    j = k;
-                } else {
-                    return Some(name.clone());
-                }
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Is `root` declared (let or param) with float evidence in `f` — an
-/// `f32`/`f64` annotation or a float literal in its initializer?
-fn float_evidence(toks: &[SpannedTok], f: &FnItem, root: &str) -> bool {
-    let end = f
-        .body
-        .map_or(f.params.1, |b| b.1)
-        .min(toks.len().saturating_sub(1));
-    let in_params = |k: usize| k >= f.params.0 && k <= f.params.1;
-    let mut i = f.params.0;
-    while i <= end {
-        let Tok::Ident(s) = &toks[i].tok else {
-            i += 1;
-            continue;
-        };
-        if s != root {
-            i += 1;
-            continue;
-        }
-        let prev = toks.get(i.wrapping_sub(1)).map(|t| &t.tok);
-        let prev2 = toks.get(i.wrapping_sub(2)).map(|t| &t.tok);
-        let declish = matches!(prev, Some(Tok::Ident(p)) if p == "let")
-            || (matches!(prev, Some(Tok::Ident(p)) if p == "mut")
-                && matches!(prev2, Some(Tok::Ident(p)) if p == "let"))
-            || (in_params(i) && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct(':'))));
-        if declish {
-            let lim = (i + 48).min(end);
-            let mut j = i + 1;
-            while j <= lim {
-                match &toks[j].tok {
-                    Tok::Punct(';') => break,
-                    Tok::Punct(',') if in_params(j) => break,
-                    Tok::Ident(t) if t == "f32" || t == "f64" => return true,
-                    Tok::Num(lx) if is_float_lexeme(lx) => return true,
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
-fn is_float_lexeme(s: &str) -> bool {
-    s.contains('.') || s.ends_with("f32") || s.ends_with("f64")
-}
-
-/// Does `f`'s body write `root` anywhere (assignment, compound
-/// assignment — possibly through an index — or an `&mut` borrow)?
-fn mutated_in_fn(toks: &[SpannedTok], f: &FnItem, root: &str) -> bool {
-    let Some((bo, bc)) = f.body else { return false };
-    let at = |k: usize| toks.get(k).map(|t| &t.tok);
-    let mut i = bo;
-    while i <= bc {
-        if let Some(Tok::Ident(s)) = at(i) {
-            if s == root {
-                // Declarations are not mutations.
-                let decl = matches!(at(i.wrapping_sub(1)), Some(Tok::Ident(p)) if p == "let" || p == "mut");
-                if !decl {
-                    let mut k = i + 1;
-                    // Step over one index expression: `root[expr] op= ...`.
-                    if matches!(at(k), Some(Tok::Punct('['))) {
-                        k = crate::parse::matching(toks, k, '[', ']') + 1;
-                    }
-                    let compound = matches!(at(k), Some(Tok::Punct(c)) if matches!(c, '+' | '-' | '*' | '/'))
-                        && matches!(at(k + 1), Some(Tok::Punct('=')));
-                    let plain = matches!(at(k), Some(Tok::Punct('=')))
-                        && !matches!(at(k + 1), Some(Tok::Punct('=')))
-                        && !matches!(
-                            at(k.wrapping_sub(2)),
-                            Some(
-                                Tok::Punct('=')
-                                    | Tok::Punct('!')
-                                    | Tok::Punct('<')
-                                    | Tok::Punct('>')
-                            )
-                        );
-                    let amp_mut = matches!(at(i.wrapping_sub(1)), Some(Tok::Ident(m)) if m == "mut")
-                        && matches!(at(i.wrapping_sub(2)), Some(Tok::Punct('&')));
-                    if compound || plain || amp_mut {
-                        return true;
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
-/// D5 — the digest contract, two halves.
-///
-/// (a) A fn whose name contains `digest` may only iterate workspace
-/// types whose doc run carries `// lint:stable-order` (the author's
-/// promise that iteration order is insertion- and scheduling-
-/// independent). Std sequences resolve to no workspace type and pass.
-///
-/// (b) A call to a fn whose name contains `fold_digest` must come from a
-/// digest-scoped fn or one marked `// lint:ordered-merge` — fold sites
-/// are where per-part digests combine, and that combination must happen
-/// on the ordered-merge path.
-pub fn rule_d5(ws: &Ws) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for id in 0..ws.cg.facts.len() {
-        if !ws.lib_fn(id) {
-            continue;
-        }
-        let f = ws.item(id);
-        let node = ws.symbols.node(id);
-        let file = &ws.files[node.file];
-        let toks = &file.lexed.toks;
-
-        // (a) iteration discipline inside digest fns.
-        if f.name.contains("digest") {
-            if let Some((bo, bc)) = f.body {
-                let locals = callgraph::local_types(toks, f.params, f.body);
-                let mut i = bo;
-                while i <= bc {
-                    if let Some(ty) = iterated_type(ws, file, f, toks, &locals, i, bc) {
-                        if let Some((tfi, titem)) =
-                            ws.symbols.type_item(ws.files, &file.class.crate_name, &ty)
-                        {
-                            let marked = callgraph::doc_run(&ws.files[tfi].lexed, titem.line)
-                                .contains("lint:stable-order");
-                            if !marked {
-                                out.push(RawFinding {
-                                    file_idx: node.file,
-                                    line: toks[i].line,
-                                    rule: Rule::D5,
-                                    msg: format!(
-                                        "digest fn `{}` iterates `{ty}`, which is not marked \
-                                         `// lint:stable-order`; a digest folded in unstable \
-                                         order is a different digest per run (D5)",
-                                        ws.qual(id)
-                                    ),
-                                    path: vec![ws.qual(id).to_string()],
-                                });
-                            }
-                        }
-                    }
-                    i += 1;
-                }
-            }
-        }
-
-        // (b) fold_digest call discipline.
-        for &(callee, line) in &ws.cg.calls[id] {
-            if !ws.item(callee).name.contains("fold_digest") {
-                continue;
-            }
-            if f.name.contains("digest") || ws.cg.facts[id].ordered_merge {
-                continue;
-            }
-            let path = callgraph::ancestor_path(ws.cg, id, |i| ws.item(i).vis == Vis::Pub)
-                .unwrap_or_else(|| vec![id]);
-            let mut quals = ws.quals(&path);
-            quals.push(ws.qual(callee).to_string());
-            out.push(RawFinding {
-                file_idx: node.file,
-                line,
-                rule: Rule::D5,
-                msg: format!(
-                    "`{}` is folded outside an ordered-merge path: caller `{}` is neither \
-                     digest-scoped nor marked `// lint:ordered-merge` (path: {}) (D5)",
-                    ws.qual(callee),
-                    ws.qual(id),
-                    quals.join(" -> ")
-                ),
-                path: quals,
-            });
-        }
-    }
-    out
-}
-
-/// If token `i` starts an iteration over a typed receiver, return the
-/// receiver's root type name. Covers `x.iter()`-family method calls (on
-/// locals, `self`, and `self.field`) and `for _ in x` loops.
-fn iterated_type(
-    ws: &Ws,
-    file: &ParsedFile,
-    f: &FnItem,
-    toks: &[SpannedTok],
-    locals: &std::collections::BTreeMap<String, String>,
-    i: usize,
-    bc: usize,
-) -> Option<String> {
-    let at = |k: usize| toks.get(k).map(|t| &t.tok);
-    let own = &file.class.crate_name;
-    let recv_type = |k: usize| -> Option<String> {
-        // `k` = index of the receiver's last identifier.
-        match at(k) {
-            Some(Tok::Ident(v)) if v == "self" => f.impl_type.clone(),
-            Some(Tok::Ident(v)) => {
-                let via_self = matches!(at(k.wrapping_sub(1)), Some(Tok::Punct('.')))
-                    && matches!(at(k.wrapping_sub(2)), Some(Tok::Ident(s)) if s == "self");
-                if via_self {
-                    f.impl_type.as_ref().and_then(|ty| {
-                        ws.symbols
-                            .field_type(ws.files, own, ty, v)
-                            .and_then(|t| t.first().cloned())
-                    })
-                } else if matches!(at(k.wrapping_sub(1)), Some(Tok::Punct('.'))) {
-                    None // deeper chains: unknown
-                } else {
-                    locals.get(v.as_str()).cloned()
-                }
-            }
-            _ => None,
-        }
-    };
-    match at(i) {
-        Some(Tok::Ident(m))
-            if matches!(
-                m.as_str(),
-                "iter" | "iter_mut" | "into_iter" | "values" | "keys" | "drain"
-            ) && matches!(at(i.wrapping_sub(1)), Some(Tok::Punct('.')))
-                && matches!(at(i + 1), Some(Tok::Punct('('))) =>
-        {
-            recv_type(i.wrapping_sub(2))
-        }
-        Some(Tok::Ident(kw)) if kw == "for" => {
-            // `for <pat> in <expr>`: find `in`, then the first identifier
-            // of the expression.
-            let mut j = i + 1;
-            while j <= bc && j < i + 12 {
-                if matches!(at(j), Some(Tok::Ident(n)) if n == "in") {
-                    let mut k = j + 1;
-                    while k <= bc && k < j + 6 {
-                        match at(k) {
-                            Some(Tok::Ident(n)) if n == "mut" => k += 1,
-                            Some(Tok::Punct('&'))
-                            | Some(Tok::Punct('*'))
-                            | Some(Tok::Punct('(')) => k += 1,
-                            Some(Tok::Ident(_)) => {
-                                // Receiver chains (`self.items`) resolve via
-                                // the last ident before a `.`-free boundary;
-                                // walk the dotted run.
-                                let mut last = k;
-                                while matches!(at(last + 1), Some(Tok::Punct('.')))
-                                    && matches!(at(last + 2), Some(Tok::Ident(_)))
-                                    && !matches!(at(last + 3), Some(Tok::Punct('(')))
-                                {
-                                    last += 2;
-                                }
-                                return recv_type(last);
-                            }
-                            _ => break,
-                        }
-                    }
-                    break;
-                }
-                j += 1;
-            }
-            None
-        }
-        _ => None,
-    }
-}
-
-/// D6 — ambient configuration taint. Every `std::env::var` read outside
-/// the sanctioned config layer (`crates/util/src/env_cfg.rs`), the bench
-/// crate, and test code is a finding, with the shortest public call path
-/// that reaches it as evidence.
-pub fn rule_d6(ws: &Ws) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for id in 0..ws.cg.facts.len() {
-        let facts = &ws.cg.facts[id];
-        if facts.env_lines.is_empty() || !ws.lib_fn(id) {
-            continue;
-        }
-        let node = ws.symbols.node(id);
-        if ws.files[node.file].class.is_env_cfg {
-            continue;
-        }
-        let evidence =
-            callgraph::ancestor_path(ws.cg, id, |i| ws.item(i).vis == Vis::Pub && ws.lib_fn(i));
-        for &line in &facts.env_lines {
-            let (how, path) = match &evidence {
-                Some(p) if p.len() > 1 => {
-                    let quals = ws.quals(p);
-                    (
-                        format!(" (reached from public `{}`)", quals.join(" -> ")),
-                        quals,
-                    )
-                }
-                _ => (String::new(), vec![ws.qual(id).to_string()]),
-            };
-            out.push(RawFinding {
-                file_idx: node.file,
-                line,
-                rule: Rule::D6,
-                msg: format!(
-                    "`std::env::var` read in `{}` outside the config layer{how}; route ambient \
-                     configuration through a named accessor in sage_util::env_cfg (D6)",
-                    ws.qual(id)
-                ),
-                path,
-            });
-        }
-    }
-    out
-}
-
-/// U2 — unsafe reachability. Reverse-reach from every fn containing
-/// `unsafe`; a `// SAFETY-BOUNDARY:` doc absorbs the taint (that fn owns
-/// the invariant and is reported on only if the doc is missing). Every
-/// public library fn still tainted is reported with its call path down
-/// to the unsafe site.
-pub fn rule_u2(ws: &Ws) -> Vec<RawFinding> {
-    let sites: Vec<usize> = (0..ws.cg.facts.len())
-        .filter(|&i| ws.cg.facts[i].has_unsafe && ws.lib_fn(i))
-        .collect();
-    let r = callgraph::reach(ws.cg, &sites, |i| ws.cg.facts[i].safety_boundary);
-    let mut out = Vec::new();
-    for id in 0..ws.cg.facts.len() {
-        if !r.tainted[id] || ws.cg.facts[id].safety_boundary {
-            continue;
-        }
-        let f = ws.item(id);
-        if f.vis != Vis::Pub || !ws.lib_fn(id) {
-            continue;
-        }
-        let path = r.path(id);
-        let site = *path.last().unwrap_or(&id);
-        let quals = ws.quals(&path);
-        let hops = path.len() - 1;
-        out.push(RawFinding {
-            file_idx: ws.symbols.node(id).file,
-            line: f.line,
-            rule: Rule::U2,
-            msg: format!(
-                "public `{}` transitively reaches `unsafe` in `{}` ({hops} hop(s), path: {}); \
-                 add a `// SAFETY-BOUNDARY:` doc to the fn that encapsulates the invariant (U2)",
-                ws.qual(id),
-                ws.qual(site),
-                quals.join(" -> ")
-            ),
-            path: quals,
-        });
-    }
-    out
-}
-
-/// P2 — interprocedural panic reachability, the transitive closure of
-/// P1. Reverse-reach from every fn whose body contains
-/// `unwrap`/`expect`/`panic!` (suppressed P1 sites still panic at
-/// runtime); a `/// # Panics` doc section absorbs the taint. Every
-/// public library fn still tainted is reported with the call path down
-/// to the panic site.
-pub fn rule_p2(ws: &Ws) -> Vec<RawFinding> {
-    let sites: Vec<usize> = (0..ws.cg.facts.len())
-        .filter(|&i| !ws.cg.facts[i].panic_lines.is_empty() && ws.lib_fn(i))
-        .collect();
-    let r = callgraph::reach(ws.cg, &sites, |i| ws.cg.facts[i].panics_doc);
-    let mut out = Vec::new();
-    for id in 0..ws.cg.facts.len() {
-        if !r.tainted[id] || ws.cg.facts[id].panics_doc {
-            continue;
-        }
-        let f = ws.item(id);
-        if f.vis != Vis::Pub || !ws.lib_fn(id) {
-            continue;
-        }
-        let path = r.path(id);
-        let site = *path.last().unwrap_or(&id);
-        let site_line = ws.cg.facts[site].panic_lines.first().copied().unwrap_or(0);
-        let site_file = &ws.files[ws.symbols.node(site).file].rel;
-        let quals = ws.quals(&path);
-        out.push(RawFinding {
-            file_idx: ws.symbols.node(id).file,
-            line: f.line,
-            rule: Rule::P2,
-            msg: format!(
-                "public `{}` can reach a panic site at {site_file}:{site_line} (path: {}); \
-                 document the contract with a `/// # Panics` section at the boundary or return \
-                 a Result (P2)",
-                ws.qual(id),
-                quals.join(" -> ")
-            ),
-            path: quals,
-        });
-    }
     out
 }
 
@@ -1297,7 +504,7 @@ fn matching(toks: &[SpannedTok], open_idx: usize, open: char, close: char) -> Op
 }
 
 /// Parse every `lint:allow` comment; malformed ones become A0 findings.
-pub(crate) fn parse_allows(file: &str, lexed: &Lexed, out: &mut FileOutcome) -> Vec<Allow> {
+fn parse_allows(file: &str, lexed: &Lexed, out: &mut FileOutcome) -> Vec<Allow> {
     let mut allows = Vec::new();
     for (line, info) in lexed.lines.iter().enumerate() {
         for c in &info.comments {
@@ -1332,7 +539,6 @@ pub(crate) fn parse_allows(file: &str, lexed: &Lexed, out: &mut FileOutcome) -> 
                     line,
                     rule: Rule::A0,
                     msg: format!("malformed suppression: {why} (A0)"),
-                    path: Vec::new(),
                 }),
             }
         }
@@ -1468,17 +674,29 @@ mod tests {
     }
 
     #[test]
-    fn allows_can_name_interprocedural_rules() {
-        // Parse-level check: D4/P2 names round-trip through the allow
-        // parser (the actual suppression routing is exercised in the
-        // workspace-pass tests).
-        for name in ["D4", "D5", "D6", "U2", "P2"] {
-            assert!(Rule::parse(name).is_some(), "{name}");
+    fn d6_fires_on_env_reads_in_library_code_only() {
+        for read in ["var(\"X\")", "var_os(\"X\")", "vars()", "vars_os()"] {
+            let out = run(&format!("let v = std::env::{read};\n"));
+            assert_eq!(out.findings.len(), 1, "{read}");
+            assert_eq!(out.findings[0].rule, Rule::D6, "{read}");
         }
-        let out = run("// lint:allow(D4): exercised by workspace pass only\nlet x = 1;\n");
-        // Unused here (no workspace pass) → A0, but not malformed.
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, Rule::A0);
+        // Other `env` items and a local that happens to be called `env`.
+        assert!(
+            run("let a = std::env::args(); let env = 1; let y = env + 1;\n")
+                .findings
+                .is_empty()
+        );
+        let read = "let v = std::env::var(\"X\");\n";
+        for exempt in [
+            "crates/util/src/env_cfg.rs",
+            "crates/bench/src/bin/fig01.rs",
+            "crates/core/tests/golden_train.rs",
+        ] {
+            let out = analyze(exempt, &FileClass::from_rel_path(exempt), read);
+            assert!(out.findings.is_empty(), "{exempt}: {:?}", out.findings);
+        }
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n    fn t() {{ {read} }}\n}}\n");
+        assert!(run(&in_test_mod).findings.is_empty());
     }
 
     #[test]
@@ -1518,45 +736,5 @@ mod tests {
         let out = run("let x = maybe().unwrap(); // lint:allow(P1): guarded above\n");
         assert!(out.findings.is_empty());
         assert_eq!(out.suppressed.len(), 1);
-    }
-
-    #[test]
-    fn chain_root_walks_method_chains_and_derefs() {
-        let lexed = lex("buf.iter().map(f).sum::<f64>()");
-        let toks = &lexed.toks;
-        // Find the `.` before `sum`.
-        let sum = toks
-            .iter()
-            .position(|t| t.tok == Tok::Ident("sum".into()))
-            .unwrap();
-        assert_eq!(chain_root(toks, sum - 1).as_deref(), Some("buf"));
-        let lexed = lex("*slot += v;");
-        let plus = lexed
-            .toks
-            .iter()
-            .position(|t| t.tok == Tok::Punct('+'))
-            .unwrap();
-        assert_eq!(chain_root(&lexed.toks, plus).as_deref(), Some("slot"));
-        let lexed = lex("acc[i] += v;");
-        let plus = lexed
-            .toks
-            .iter()
-            .position(|t| t.tok == Tok::Punct('+'))
-            .unwrap();
-        assert_eq!(chain_root(&lexed.toks, plus).as_deref(), Some("acc"));
-    }
-
-    #[test]
-    fn closures_in_finds_params_and_bodies() {
-        let lexed = lex("par_map(&pool, xs, |i, x| { i + x }, |y| y * 2)");
-        let toks = &lexed.toks;
-        let open = toks.iter().position(|t| t.tok == Tok::Punct('(')).unwrap();
-        let close = crate::parse::matching(toks, open, '(', ')');
-        let cs = closures_in(toks, open, close);
-        assert_eq!(cs.len(), 2);
-        let l0 = closure_locals(toks, &cs[0]);
-        assert!(l0.contains(&"i".to_string()) && l0.contains(&"x".to_string()));
-        let l1 = closure_locals(toks, &cs[1]);
-        assert_eq!(l1, vec!["y".to_string()]);
     }
 }

@@ -1,5 +1,5 @@
 //! D6 positive: an ambient `std::env::var` read in library code, outside
-//! the sanctioned `env_cfg` layer, reachable from a public API.
+//! the sanctioned `env_cfg` layer.
 
 fn knob() -> usize {
     std::env::var("SAGE_FIXTURE_KNOB")

@@ -3,7 +3,6 @@
 //! reason. This is the test-suite twin of the `sage_lint` binary stage
 //! in `scripts/check.sh`.
 
-use sage_util::Json;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -50,95 +49,38 @@ fn every_suppression_carries_a_reason() {
     }
 }
 
+/// Seeded negative control: inject a library file that compiles and breaks
+/// the contract twice — it reads the environment (D6) and iterates a
+/// `HashMap` (D1) — into the real workspace source set and require both to
+/// be caught. If this fails, the detector has silently rotted and the clean
+/// self-lint above proves nothing.
 #[test]
-fn report_round_trips_through_util_json() {
-    let report = sage_lint::lint_workspace(&workspace_root()).expect("workspace walks");
-    let text = report.to_json().to_string();
-    let parsed = Json::parse(&text).expect("LINT report must parse via util::json");
-    assert_eq!(
-        parsed.get("files_scanned").and_then(|v| v.as_usize()),
-        Some(report.files_scanned)
-    );
-    let rules = parsed.get("rules").expect("rules section");
-    for r in [
-        "D1", "D2", "D3", "D4", "D5", "D6", "U1", "U2", "P1", "P2", "O1", "A0",
-    ] {
-        let entry = rules.get(r).unwrap_or_else(|| panic!("rule {r} missing"));
-        assert_eq!(
-            entry.get("unsuppressed").and_then(|v| v.as_usize()),
-            Some(0),
-            "rule {r} must be clean in the self-lint"
-        );
-    }
-}
-
-#[test]
-fn report_carries_phase_timings_and_per_crate_breakdown() {
-    let report = sage_lint::lint_workspace(&workspace_root()).expect("workspace walks");
-    let names: Vec<&str> = report.timings_us.iter().map(|t| t.0.as_str()).collect();
-    assert_eq!(
-        names,
-        [
-            "lex_parse",
-            "line_rules",
-            "symbols_callgraph",
-            "rule_d4",
-            "rule_d5",
-            "rule_d6",
-            "rule_u2",
-            "rule_p2"
-        ],
-        "phase timing names are part of the report contract"
-    );
-    for krate in ["core", "netsim", "serve", "util", "lint"] {
-        let stats = report
-            .per_crate
-            .get(krate)
-            .unwrap_or_else(|| panic!("crate {krate} missing from breakdown"));
-        assert!(stats.files > 0, "crate {krate} reports zero files");
-    }
-}
-
-/// Seeded negative control: inject an unordered float reduction into the
-/// real workspace source set and require the analyzer to catch it. If this
-/// fails, the D4 detector has silently rotted and the clean self-lint above
-/// proves nothing.
-#[test]
-fn injected_unordered_float_reduce_is_caught() {
-    let root = workspace_root();
-    let mut sources = sage_lint::collect_sources(&root).expect("workspace walks");
-    let deps = sage_lint::resolve::scan_deps(&root).unwrap_or_default();
+fn injected_env_read_and_hash_iteration_are_caught() {
+    let mut sources = sage_lint::collect_sources(&workspace_root()).expect("workspace walks");
     sources.push((
         "crates/netsim/src/injected_negctrl.rs".to_string(),
         concat!(
-            "pub fn bad_total(threads: usize, xs: &[f64]) -> f64 {\n",
-            "    let mut total: f64 = 0.0;\n",
-            "    sage_util::par_map_range(threads, xs.len(), |i| {\n",
-            "        total += xs[i];\n",
-            "    });\n",
-            "    total\n",
+            "pub fn bad_total(xs: &std::collections::HashMap<u32, f64>) -> f64 {\n",
+            "    let scale = std::env::var(\"SAGE_SCALE\").map_or(1.0, |_| 2.0);\n",
+            "    xs.values().sum::<f64>() * scale\n",
             "}\n"
         )
         .to_string(),
     ));
-    let report = sage_lint::analyze_sources(&sources, &deps);
-    let caught = report
+    let report = sage_lint::analyze_sources(&sources);
+    let caught: Vec<(usize, sage_lint::Rule)> = report
         .findings
         .iter()
-        .filter(|f| f.rule == sage_lint::Rule::D4 && f.file.contains("injected_negctrl"))
-        .count();
-    assert!(
-        caught > 0,
-        "the injected unordered float reduce went undetected; findings: {:?}",
-        report.findings
-    );
-    // The injection must be the *only* source of findings — the real tree
-    // stays clean around it.
-    assert!(
-        report
-            .findings
-            .iter()
-            .all(|f| f.file.contains("injected_negctrl")),
+        .map(|f| {
+            // The injection must be the *only* source of findings — the
+            // real tree stays clean around it.
+            assert!(f.file.contains("injected_negctrl"), "{f:?}");
+            (f.line, f.rule)
+        })
+        .collect();
+    assert_eq!(
+        caught,
+        [(1, sage_lint::Rule::D1), (2, sage_lint::Rule::D6)],
         "{:?}",
         report.findings
     );

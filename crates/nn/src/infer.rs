@@ -18,6 +18,10 @@
 //! forward, activation gradients and the ordered parameter-gradient
 //! reduction of `Graph::backward_rows` — run on this kernel too.
 
+// The workspace denies `unsafe_code`; the SIMD kernels below are the one
+// exception, encapsulated by `matmul` (see its SAFETY-BOUNDARY note).
+#![allow(unsafe_code)]
+
 use crate::array::Array;
 use std::sync::OnceLock;
 

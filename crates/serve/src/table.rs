@@ -61,9 +61,10 @@ pub struct FlowEntry {
 }
 
 /// Slab of flow entries + ordered key index + LIFO free list.
-// lint:stable-order — iteration is by ascending slot index over the slab
-// (`iter_slots`), and slot assignment is a deterministic function of the
-// admit/remove history, so visit order never depends on hashing or timing.
+///
+/// Iteration is by ascending slot index over the slab (`iter_slots`), and
+/// slot assignment is a deterministic function of the admit/remove history,
+/// so visit order never depends on hashing or timing.
 #[derive(Default)]
 pub struct FlowTable {
     slots: Vec<Option<FlowEntry>>,

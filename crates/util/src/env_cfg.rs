@@ -1,9 +1,10 @@
 //! The single sanctioned ambient-configuration layer.
 //!
-//! The D6 lint rule bans `std::env::var` everywhere in library code
-//! except this file, the bench crate, and tests: a raw environment read
-//! buried in a pipeline makes results depend on ambient state that no
-//! seed, golden, or replay captures. Every knob the workspace honours is
+//! The D6 lint rule (a token rule: it flags `env::var`, `var_os`, `vars`
+//! and `vars_os` at the line that names them) bans environment reads
+//! everywhere in library code except this file, the bench crate, and tests:
+//! a raw environment read buried in a pipeline makes results depend on
+//! ambient state that no seed, golden, or replay captures. Every knob the workspace honours is
 //! therefore a *named* accessor here — one greppable inventory of the
 //! process's ambient surface, with the variable-name constants as the
 //! single source of truth (downstream crates re-export them).
@@ -32,10 +33,6 @@ pub const SERIES_CAP: &str = "SAGE_SERIES_CAP";
 pub const FLIGHT_FILE: &str = "SAGE_FLIGHT_FILE";
 /// Explicit path of the distilled symbolic tree.
 pub const TREE: &str = "SAGE_TREE";
-/// Output filename override for the lint report.
-pub const LINT_OUT: &str = "SAGE_LINT_OUT";
-/// `0` zeroes the lint report's phase timings (byte-stable reports).
-pub const LINT_TIMINGS: &str = "SAGE_LINT_TIMINGS";
 
 /// The one raw read. Everything below goes through here so the whole
 /// ambient surface is this single call site.
@@ -80,14 +77,6 @@ pub fn tree() -> Option<String> {
     read(TREE)
 }
 
-pub fn lint_out() -> Option<String> {
-    read(LINT_OUT)
-}
-
-pub fn lint_timings() -> Option<String> {
-    read(LINT_TIMINGS)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -110,8 +99,6 @@ mod tests {
             super::SERIES_CAP,
             super::FLIGHT_FILE,
             super::TREE,
-            super::LINT_OUT,
-            super::LINT_TIMINGS,
         ] {
             assert!(name.starts_with("SAGE_"), "{name}");
         }
