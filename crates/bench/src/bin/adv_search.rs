@@ -4,12 +4,8 @@
 //! multi-bottleneck hops), scoring each candidate by the learned policy's
 //! regret against the best heuristic. The ranked hardest scenarios go to
 //! `artifacts/results/ADV_hardest.json` (crash-safe write; byte-identical
-//! at any `SAGE_THREADS` — check.sh compares two thread counts with cmp).
-//!
-//! Knobs: `SAGE_ADV_BUDGET` (candidate evaluations, default 48),
-//! `SAGE_SECS` (seconds per rollout, default 6), `SAGE_ADV_TOPK`
-//! (scenarios kept in the report, default 16), `SAGE_ADV_OUT` (report
-//! file name, default `ADV_hardest.json`).
+//! at any `SAGE_THREADS` — `crates/eval/tests/adv_differential.rs`).
+//! `SAGE_SECS` sets the seconds per rollout (default 6).
 
 use sage_bench::{default_gr, envvar, model_path, print_table, SEED};
 use sage_core::SageModel;
@@ -23,13 +19,11 @@ const ROSTER: [&str; 4] = ["cubic", "bbr2", "vegas", "newreno"];
 
 fn main() {
     let cfg = AdvConfig {
-        budget: envvar("SAGE_ADV_BUDGET", 48),
+        budget: 64,
         secs: envvar("SAGE_SECS", 6) as f64,
-        top_k: envvar("SAGE_ADV_TOPK", 16),
         seed: SEED,
         ..AdvConfig::default()
     };
-    let out_name = std::env::var("SAGE_ADV_OUT").unwrap_or_else(|_| "ADV_hardest.json".into());
 
     let target = match SageModel::load_file(&model_path("sage")) {
         Ok(model) => Contender::Model {
@@ -45,7 +39,7 @@ fn main() {
     let roster: Vec<Contender> = ROSTER.into_iter().map(Contender::Heuristic).collect();
 
     println!(
-        "adversarial search: target={} vs {:?}, budget {} x {} s (SAGE_ADV_BUDGET / SAGE_SECS)",
+        "adversarial search: target={} vs {:?}, budget {} x {} s (SAGE_SECS)",
         target.name(),
         ROSTER,
         cfg.budget,
@@ -99,7 +93,7 @@ fn main() {
         );
     }
 
-    let path = sage_bench::write_report(&out_name, &report_json(&cfg, &report));
+    let path = sage_bench::write_report("ADV_hardest.json", &report_json(&cfg, &report));
     println!(
         "\nevaluated {} candidates in {} rounds, digest {:016x}\nreport: {}",
         report.evaluated,
@@ -107,5 +101,5 @@ fn main() {
         report.digest,
         path.display()
     );
-    sage_bench::finish_obs("adv");
+    sage_obs::flush_trace();
 }

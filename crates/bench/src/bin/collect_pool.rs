@@ -4,10 +4,11 @@
 //!
 //! Collection runs under the supervisor: panicking or diverging cells are
 //! retried with fresh seeds and then skipped, and a crash-safe checkpoint of
-//! the partial pool is written periodically so an interrupted run resumes
-//! from the last checkpoint instead of from zero.
+//! the partial pool is written every `SAGE_CKPT_EVERY` cells, so an
+//! interrupted run leaves a loadable `pool.bin` of the cells finished so far
+//! (nothing resumes from it: a rerun collects from zero).
 
-use sage_bench::{default_envs, default_gr, envvar, finish_obs, pool_path, pool_schemes, SEED};
+use sage_bench::{default_envs, default_gr, envvar, pool_path, pool_schemes, SEED};
 use sage_collector::{collect_pool_supervised, SuperviseConfig};
 use sage_obs::{obs_info, obs_warn};
 use std::time::Instant;
@@ -22,31 +23,36 @@ fn main() {
         envs.len() * schemes.len()
     );
     let sup = SuperviseConfig {
-        max_steps_per_env: envvar("SAGE_MAX_STEPS", 0),
         checkpoint_every: envvar("SAGE_CKPT_EVERY", 50),
         checkpoint_path: Some(pool_path()),
         ..SuperviseConfig::default()
     };
     let t0 = Instant::now();
-    let (pool, report) =
-        collect_pool_supervised(&envs, &schemes, default_gr(), SEED, &sup, |done, total| {
+    let (pool, report) = collect_pool_supervised(
+        &envs,
+        &schemes,
+        default_gr(),
+        SEED,
+        0,
+        &sup,
+        |done, total| {
             if done % 50 == 0 || done == total {
                 obs_info!("  {done}/{total} ({:.0} s)", t0.elapsed().as_secs_f64());
             }
-        });
+        },
+    );
     println!(
         "pool: {} trajectories, {} transitions",
         pool.trajectories.len(),
         pool.total_steps()
     );
     println!(
-        "supervision: {} completed, {} retries, {} panicked, {} diverged, {} truncated, {} checkpoints",
-        report.completed, report.retries, report.panicked, report.diverged, report.truncated,
-        report.checkpoints
+        "supervision: {} completed, {} retries, {} panicked, {} diverged, {} checkpoints",
+        report.completed, report.retries, report.panicked, report.diverged, report.checkpoints
     );
     if !report.failed.is_empty() {
         obs_warn!("abandoned cells: {:?}", report.failed);
     }
     println!("wrote {}", pool_path().display());
-    finish_obs("collect");
+    sage_obs::flush_trace();
 }

@@ -5,31 +5,20 @@
 //! and off-distribution) and the league rank delta of `sage-sym` vs `sage`
 //! over a mini evaluation matrix. Emits an atomic
 //! `artifacts/results/DISTILL_report.json` with no wall-clock fields, so the
-//! report is byte-identical at every `SAGE_THREADS` — `scripts/check.sh`
-//! diffs two runs to prove it. Exits non-zero when a fidelity gate fails.
-//!
-//! Scale knobs (environment variables):
-//! `SAGE_DISTILL_SET1` / `SAGE_DISTILL_SET2` / `SAGE_DISTILL_INET` — harvest
-//! scenario counts; `SAGE_DISTILL_SECS` — harvest rollout seconds;
-//! `SAGE_DISTILL_DEPTH` / `SAGE_DISTILL_MIN_LEAF` — tree shape;
-//! `SAGE_DISTILL_LEAGUE_SET1` / `SAGE_DISTILL_LEAGUE_SECS` — mini-matrix
-//! scale (`SAGE_DISTILL_LEAGUE_SET1=0` skips the league stage);
-//! `SAGE_DISTILL_MIN_AGREE` — clean-link agreement gate in percent
-//! (default 85); `SAGE_DISTILL_MAX_RANK` — max mean |rank delta| (default 1);
-//! `SAGE_DISTILL_TREE_OUT` — tree artifact path (default
-//! `artifacts/sage.tree`); `SAGE_DISTILL_OUT` — report file name.
+//! report is byte-identical at every `SAGE_THREADS` (harvest, fit and matrix
+//! are each pinned in-process at 1/2/4 threads). Exits non-zero when a
+//! fidelity gate fails.
 
-use sage_bench::{artifacts_dir, default_gr, envvar, model_path, print_table, write_report, SEED};
+use sage_bench::{artifacts_dir, default_gr, model_path, print_table, write_report, SEED};
 use sage_core::SageModel;
 use sage_distill::{SymbolicModel, TreeConfig};
 use sage_eval::matrix::{
-    rankings, run_matrix, scenarios_fault, scenarios_internet, scenarios_set12, MatrixScale,
-    MatrixSpec, ScenarioSpec,
+    rankings, run_matrix, scenario_fairness, scenarios_adversarial, scenarios_fault,
+    scenarios_internet, scenarios_multihop, scenarios_set12, MatrixSpec, ScenarioSpec,
 };
 use sage_eval::runner::Contender;
 use sage_eval::{agreement, harvest, rank_delta, Agreement, AGREE_TOL_LR};
 use sage_util::Json;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Master seeds for the harvest streams. Train and held-out must not share
@@ -38,6 +27,18 @@ use std::sync::Arc;
 /// never saw during fitting.
 const TRAIN_SEED: u64 = SEED ^ 0xD157_1111;
 const HELD_SEED: u64 = SEED ^ 0xD157_2222;
+
+/// Harvest scale: Set I / Set II scenario counts, Internet paths per
+/// profile, rollout seconds.
+const SET1: usize = 6;
+const SET2: usize = 3;
+const INET: usize = 1;
+const SECS: f64 = 8.0;
+/// Mini-league rollout seconds.
+const LEAGUE_SECS: f64 = 6.0;
+/// Gates: held-out clean-link agreement floor, mean |rank delta| ceiling.
+const MIN_AGREE: f64 = 0.85;
+const MAX_RANK: f64 = 1.0;
 
 fn agreement_json(a: &Agreement) -> Json {
     Json::obj(vec![
@@ -60,20 +61,12 @@ fn main() {
         }
     };
     let gr_cfg = default_gr();
-    let set1 = envvar("SAGE_DISTILL_SET1", 6);
-    let set2 = envvar("SAGE_DISTILL_SET2", 3);
-    let inet = envvar("SAGE_DISTILL_INET", 1);
-    let secs = envvar("SAGE_DISTILL_SECS", 8) as f64;
-    let cfg = TreeConfig {
-        max_depth: envvar("SAGE_DISTILL_DEPTH", 10),
-        min_leaf: envvar("SAGE_DISTILL_MIN_LEAF", 32),
-        ..TreeConfig::default()
-    };
+    let cfg = TreeConfig::default();
 
     // Stage 1: harvest the training dataset from the deployed policy.
-    let mut train_scen = scenarios_set12(set1, set2, secs, SEED);
-    train_scen.extend(scenarios_fault(Some(&["clean"]), secs));
-    train_scen.extend(scenarios_internet(inet, secs, SEED));
+    let mut train_scen = scenarios_set12(SET1, SET2, SECS, SEED);
+    train_scen.extend(scenarios_fault(Some(&["clean"]), SECS));
+    train_scen.extend(scenarios_internet(INET, SECS, SEED));
     let train = harvest(&model, gr_cfg, &train_scen, TRAIN_SEED, 0);
     println!(
         "distill: harvested {} rows from {} scenarios (digest {:016x})",
@@ -84,9 +77,7 @@ fn main() {
 
     // Stage 2: fit and persist the tree artifact.
     let tree = Arc::new(SymbolicModel::fit(&train, &cfg));
-    let tree_path = std::env::var("SAGE_DISTILL_TREE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| artifacts_dir().join("sage.tree"));
+    let tree_path = artifacts_dir().join("sage.tree");
     tree.save_file(&tree_path)
         .unwrap_or_else(|e| panic!("save tree {}: {e}", tree_path.display()));
     println!(
@@ -99,10 +90,10 @@ fn main() {
 
     // Stage 3: held-out agreement, split into clean links (the gate) and
     // off-distribution scenarios (reported, not gated).
-    let mut clean_scen = scenarios_set12(set1, 0, secs, SEED + 1);
-    clean_scen.extend(scenarios_fault(Some(&["clean"]), secs));
-    let mut other_scen: Vec<ScenarioSpec> = scenarios_set12(0, set2, secs, SEED + 1);
-    other_scen.extend(scenarios_internet(inet, secs, SEED + 1));
+    let mut clean_scen = scenarios_set12(SET1, 0, SECS, SEED + 1);
+    clean_scen.extend(scenarios_fault(Some(&["clean"]), SECS));
+    let mut other_scen: Vec<ScenarioSpec> = scenarios_set12(0, SET2, SECS, SEED + 1);
+    other_scen.extend(scenarios_internet(INET, SECS, SEED + 1));
     let held_clean = harvest(&model, gr_cfg, &clean_scen, HELD_SEED, 0);
     let held_other = harvest(&model, gr_cfg, &other_scen, HELD_SEED.wrapping_add(1), 0);
     let agree_clean = agreement(&tree, &held_clean, AGREE_TOL_LR);
@@ -114,50 +105,36 @@ fn main() {
     // Stage 4: mini league with the tree installed — `sage-sym` resolves
     // from the in-process registry slot, not from disk.
     sage_distill::install(tree.clone());
-    let league_set1 = envvar("SAGE_DISTILL_LEAGUE_SET1", 4);
-    let league = (league_set1 > 0).then(|| {
-        let scale = MatrixScale {
-            set1: league_set1,
-            set2: 2,
-            fault_ids: Some(vec!["clean", "blackout"]),
-            internet: 1,
-            secs: envvar("SAGE_DISTILL_LEAGUE_SECS", 6) as f64,
-            fairness_flows: 3,
-            fairness_secs: 9.0,
-            fairness_stagger_secs: 3.0,
-            // The 64-flow contention cell runs in eval_matrix; at distill
-            // scale it would dominate the runtime without moving the rank.
-            fairness64_flows: 0,
-            ..MatrixScale::default()
-        };
-        let mut schemes: Vec<Contender> = ["cubic", "bbr2", "vegas", "westwood"]
-            .map(Contender::Heuristic)
-            .to_vec();
-        schemes.push(Contender::Model {
-            name: "sage",
-            model: model.clone(),
-            gr_cfg,
-        });
-        schemes.push(Contender::Heuristic("sage-sym"));
-        let spec = MatrixSpec {
-            schemes,
-            scenarios: sage_eval::standard_scenarios(&scale),
-            seeds: vec![SEED],
-            alpha: 2.0,
-            threads: 0,
-        };
-        let report = run_matrix(&spec, |_, _| {});
-        rankings(&report.cells)
+    // The 64-flow contention cell runs in eval_matrix; at distill scale it
+    // would dominate the runtime without moving the rank.
+    let mut scenarios = scenarios_set12(4, 2, LEAGUE_SECS, SEED);
+    scenarios.extend(scenarios_fault(Some(&["clean", "blackout"]), LEAGUE_SECS));
+    scenarios.extend(scenarios_internet(1, LEAGUE_SECS, SEED));
+    scenarios.extend(scenarios_adversarial(LEAGUE_SECS));
+    scenarios.extend(scenarios_multihop(LEAGUE_SECS));
+    scenarios.push(scenario_fairness(3, 9.0, 3.0));
+    let mut schemes: Vec<Contender> = ["cubic", "bbr2", "vegas", "westwood"]
+        .map(Contender::Heuristic)
+        .to_vec();
+    schemes.push(Contender::Model {
+        name: "sage",
+        model: model.clone(),
+        gr_cfg,
     });
-    let rd = league
-        .as_deref()
-        .map(|ranks| rank_delta(ranks, "sage", "sage-sym"));
+    schemes.push(Contender::Heuristic("sage-sym"));
+    let spec = MatrixSpec {
+        schemes,
+        scenarios,
+        seeds: vec![SEED],
+        alpha: 2.0,
+        threads: 0,
+    };
+    let league = run_matrix(&spec, |_, _| {});
+    let rd = rank_delta(&rankings(&league.cells), "sage", "sage-sym");
 
     // Gates.
-    let min_agree = envvar("SAGE_DISTILL_MIN_AGREE", 85) as f64 / 100.0;
-    let max_rank = envvar("SAGE_DISTILL_MAX_RANK", 1) as f64;
-    let agree_pass = agree_clean.agree_rate >= min_agree;
-    let rank_pass = rd.as_ref().is_none_or(|rd| rd.mean_abs <= max_rank);
+    let agree_pass = agree_clean.agree_rate >= MIN_AGREE;
+    let rank_pass = rd.mean_abs <= MAX_RANK;
 
     let rows = vec![
         vec![
@@ -184,22 +161,20 @@ fn main() {
         &["split", "rows", "agree", "mean |d lr|"],
         &rows,
     );
-    if let Some(rd) = &rd {
-        let rows: Vec<Vec<String>> = rd
-            .per_scenario
-            .iter()
-            .map(|(id, d)| vec![id.clone(), format!("{d:+}")])
-            .collect();
-        print_table(
-            "League rank delta: sage-sym vs sage (twins excluded)",
-            &["scenario", "rank delta"],
-            &rows,
-        );
-        println!(
-            "rank delta: mean |d| {:.3}, max |d| {}",
-            rd.mean_abs, rd.max_abs
-        );
-    }
+    let rows: Vec<Vec<String>> = rd
+        .per_scenario
+        .iter()
+        .map(|(id, d)| vec![id.clone(), format!("{d:+}")])
+        .collect();
+    print_table(
+        "League rank delta: sage-sym vs sage (twins excluded)",
+        &["scenario", "rank delta"],
+        &rows,
+    );
+    println!(
+        "rank delta: mean |d| {:.3}, max |d| {}",
+        rd.mean_abs, rd.max_abs
+    );
 
     let report = Json::obj(vec![
         ("scheme", Json::str("sage-sym")),
@@ -238,48 +213,43 @@ fn main() {
         ),
         (
             "league",
-            match &rd {
-                Some(rd) => Json::obj(vec![
-                    ("scenarios", Json::Num(rd.per_scenario.len() as f64)),
-                    ("rank_delta_mean_abs", Json::Num(rd.mean_abs)),
-                    ("rank_delta_max_abs", Json::Num(rd.max_abs as f64)),
-                    (
-                        "per_scenario",
-                        Json::Arr(
-                            rd.per_scenario
-                                .iter()
-                                .map(|(id, d)| {
-                                    Json::Arr(vec![Json::str(id.clone()), Json::Num(*d as f64)])
-                                })
-                                .collect(),
-                        ),
+            Json::obj(vec![
+                ("scenarios", Json::Num(rd.per_scenario.len() as f64)),
+                ("rank_delta_mean_abs", Json::Num(rd.mean_abs)),
+                ("rank_delta_max_abs", Json::Num(rd.max_abs as f64)),
+                (
+                    "per_scenario",
+                    Json::Arr(
+                        rd.per_scenario
+                            .iter()
+                            .map(|(id, d)| {
+                                Json::Arr(vec![Json::str(id.clone()), Json::Num(*d as f64)])
+                            })
+                            .collect(),
                     ),
-                ]),
-                None => Json::Null,
-            },
+                ),
+            ]),
         ),
         (
             "gates",
             Json::obj(vec![
-                ("min_agree_clean", Json::Num(min_agree)),
-                ("max_rank_mean_abs", Json::Num(max_rank)),
+                ("min_agree_clean", Json::Num(MIN_AGREE)),
+                ("max_rank_mean_abs", Json::Num(MAX_RANK)),
                 ("agree_pass", Json::Bool(agree_pass)),
                 ("rank_pass", Json::Bool(rank_pass)),
                 ("pass", Json::Bool(agree_pass && rank_pass)),
             ]),
         ),
     ]);
-    let out =
-        std::env::var("SAGE_DISTILL_OUT").unwrap_or_else(|_| "DISTILL_report.json".to_string());
-    let path = write_report(&out, &report);
+    let path = write_report("DISTILL_report.json", &report);
     println!("report: {}", path.display());
-    sage_bench::finish_obs("distill_report");
+    sage_obs::flush_trace();
     if !(agree_pass && rank_pass) {
         eprintln!(
-            "distill gate FAILED: clean agreement {:.1}% (need >= {:.0}%), rank delta mean {:.3} (need <= {max_rank})",
+            "distill gate FAILED: clean agreement {:.1}% (need >= {:.0}%), rank delta mean {:.3} (need <= {MAX_RANK})",
             agree_clean.agree_rate * 100.0,
-            min_agree * 100.0,
-            rd.as_ref().map(|r| r.mean_abs).unwrap_or(0.0),
+            MIN_AGREE * 100.0,
+            rd.mean_abs,
         );
         std::process::exit(1);
     }

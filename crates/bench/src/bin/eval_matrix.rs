@@ -4,50 +4,35 @@
 //! roster scheme x seeds, executed as one declarative `MatrixSpec` through
 //! the deterministic worker pool. Emits a single atomic
 //! `artifacts/results/EVAL_matrix.json` with per-cell metrics and
-//! per-scenario scheme rankings — byte-identical at every `SAGE_THREADS`,
-//! which `scripts/check.sh` verifies by diffing two runs.
-//!
-//! Scale knobs (environment variables):
-//! `SAGE_MATRIX_SET1` / `SAGE_MATRIX_SET2` — Set I/II scenario counts;
-//! `SAGE_MATRIX_INET` — Internet paths per profile;
-//! `SAGE_MATRIX_SECS` — rollout seconds for the non-fairness families;
-//! `SAGE_MATRIX_FAULTS` — comma-separated fault-grid ids (default: all);
-//! `SAGE_MATRIX_FAIR_FLOWS` — fairness-scenario flow count (0 disables);
-//! `SAGE_MATRIX_FAIR_SECS` — fairness-scenario seconds;
-//! `SAGE_MATRIX_FAIR64_FLOWS` — high-contention fairness flow count
-//! (default 64, 0 disables); `SAGE_MATRIX_FAIR64_SECS` — its seconds;
-//! `SAGE_MATRIX_OUT` — report file name (default `EVAL_matrix.json`).
+//! per-scenario scheme rankings — byte-identical at every `SAGE_THREADS`
+//! (`crates/eval/tests/matrix_differential.rs`).
 
-use sage_bench::{default_gr, envvar, model_path, print_table, write_report, SEED};
+use sage_bench::{default_gr, model_path, print_table, write_report, SEED};
 use sage_core::SageModel;
-use sage_eval::matrix::{matrix_json, rankings, run_matrix, MatrixScale, MatrixSpec};
+use sage_eval::matrix::{
+    matrix_json, rankings, run_matrix, scenario_fairness, scenarios_adversarial, scenarios_fault,
+    scenarios_internet, scenarios_multihop, scenarios_set12, MatrixSpec,
+};
 use sage_eval::runner::Contender;
-use sage_eval::scenario_grid;
 use std::sync::Arc;
 
+/// Rollout seconds of the non-fairness families: long enough for
+/// slow-ramping learned policies to leave the startup phase (the full figs
+/// run 15 s).
+const SECS: f64 = 12.0;
+
 fn main() {
-    let scale = MatrixScale {
-        set1: envvar("SAGE_MATRIX_SET1", 6),
-        set2: envvar("SAGE_MATRIX_SET2", 3),
-        fault_ids: std::env::var("SAGE_MATRIX_FAULTS").ok().map(|list| {
-            scenario_grid()
-                .iter()
-                .map(|s| s.id)
-                .filter(|id| list.split(',').any(|w| w.trim() == *id))
-                .collect()
-        }),
-        internet: envvar("SAGE_MATRIX_INET", 2),
-        // 12 s: long enough for slow-ramping learned policies to leave the
-        // startup phase (the full figs run 15 s; the smoke runs 3 s).
-        secs: envvar("SAGE_MATRIX_SECS", 12) as f64,
-        fairness_flows: envvar("SAGE_MATRIX_FAIR_FLOWS", 4),
-        fairness_secs: envvar("SAGE_MATRIX_FAIR_SECS", 24) as f64,
-        fairness_stagger_secs: 5.0,
-        fairness64_flows: envvar("SAGE_MATRIX_FAIR64_FLOWS", 64),
-        fairness64_secs: envvar("SAGE_MATRIX_FAIR64_SECS", 12) as f64,
-        fairness64_stagger_secs: 0.05,
-        seed: SEED,
-    };
+    // Fixed family order: Set I/II, faults, internet, adversarial, multihop,
+    // fairness.
+    let mut scenarios = scenarios_set12(6, 3, SECS, SEED);
+    scenarios.extend(scenarios_fault(None, SECS));
+    scenarios.extend(scenarios_internet(2, SECS, SEED));
+    scenarios.extend(scenarios_adversarial(SECS));
+    scenarios.extend(scenarios_multihop(SECS));
+    scenarios.push(scenario_fairness(4, 24.0, 5.0));
+    // High contention: 64 self-flows pile onto the same bottleneck with a
+    // near-simultaneous start.
+    scenarios.push(scenario_fairness(64, 12.0, 0.05));
     let mut schemes: Vec<Contender> = [
         "cubic", "bbr2", "vegas", "westwood", "yeah", "copa", "illinois", "newreno",
     ]
@@ -71,7 +56,7 @@ fn main() {
     }
     let spec = MatrixSpec {
         schemes,
-        scenarios: sage_eval::standard_scenarios(&scale),
+        scenarios,
         seeds: vec![SEED],
         alpha: 2.0,
         threads: 0,
@@ -117,8 +102,7 @@ fn main() {
         println!("non-surviving cells: {dead:?}");
     }
 
-    let out = std::env::var("SAGE_MATRIX_OUT").unwrap_or_else(|_| "EVAL_matrix.json".to_string());
-    let path = write_report(&out, &matrix_json(&spec, &report));
+    let path = write_report("EVAL_matrix.json", &matrix_json(&spec, &report));
     println!("report: {} (digest {:016x})", path.display(), report.digest);
-    sage_bench::finish_obs("eval_matrix");
+    sage_obs::flush_trace();
 }

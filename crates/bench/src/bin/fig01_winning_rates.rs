@@ -15,5 +15,5 @@ fn main() {
     println!("fig01: {} schemes x {} envs", contenders.len(), envs.len());
     let cells = evaluate(&contenders, &envs);
     print_league_from_cells(&cells, "Fig.1 heuristics");
-    sage_bench::finish_obs("fig01");
+    sage_obs::flush_trace();
 }

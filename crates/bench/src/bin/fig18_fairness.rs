@@ -51,5 +51,5 @@ fn main() {
         &["scheme", "per-flow mbps", "Jain"],
         &rows,
     );
-    sage_bench::finish_obs("fig18");
+    sage_obs::flush_trace();
 }

@@ -14,11 +14,6 @@
 //! cells starved (goodput < 50% of the cell mean) and how to reconstruct
 //! their timelines from a flight dump (`sage_trace` + the cell span base).
 //! Exits non-zero on any SLO breach, so `scripts/check.sh` gates on it.
-//!
-//! Knobs: `SAGE_SLO_MATRIX` / `SAGE_SLO_BENCH` — input paths (defaults:
-//! the committed `artifacts/results/` reports); `SAGE_SLO_OUT` /
-//! `SAGE_FAIRNESS_NOTE` — output file names under `artifacts/results/`;
-//! `SAGE_SLO_ENFORCE=0` — report breaches but exit 0.
 
 use sage_bench::{results_dir, write_report};
 use sage_util::Json;
@@ -257,19 +252,12 @@ fn fairness_note(matrix: &Json) -> String {
 }
 
 fn main() {
-    let enforce = std::env::var("SAGE_SLO_ENFORCE")
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    let matrix_path = std::env::var("SAGE_SLO_MATRIX")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| results_dir().join("EVAL_matrix.json"));
-    let bench_path = std::env::var("SAGE_SLO_BENCH")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| results_dir().join("BENCH_serve.json"));
+    let matrix_path = results_dir().join("EVAL_matrix.json");
+    let bench_path = results_dir().join("BENCH_serve.json");
 
     let Some(matrix) = load(&matrix_path) else {
         eprintln!("obs_report: no matrix report at {}", matrix_path.display());
-        std::process::exit(if enforce { 2 } else { 0 });
+        std::process::exit(2);
     };
     let bench = load(&bench_path);
 
@@ -299,11 +287,9 @@ fn main() {
         breaches += !s.pass() as u32;
     }
 
-    // Input paths are printed but deliberately kept out of the report, so
-    // the t1/t4 smoke reports in check.sh stay byte-comparable.
     let json = Json::obj(vec![
         ("suite", Json::str("obs_slo")),
-        ("enforced", Json::Bool(enforce)),
+        ("enforced", Json::Bool(true)),
         ("breaches", Json::Num(breaches as f64)),
         (
             "slos",
@@ -323,23 +309,17 @@ fn main() {
             ),
         ),
     ]);
-    let out = std::env::var("SAGE_SLO_OUT").unwrap_or_else(|_| "OBS_slo.json".to_string());
-    let path = write_report(&out, &json);
+    let path = write_report("OBS_slo.json", &json);
     println!("report: {}", path.display());
 
-    let note_name =
-        std::env::var("SAGE_FAIRNESS_NOTE").unwrap_or_else(|_| "FAIRNESS_trace.md".to_string());
     let note = fairness_note(&matrix);
-    let note_path = results_dir().join(&note_name);
+    let note_path = results_dir().join("FAIRNESS_trace.md");
     sage_util::fsio::atomic_write(&note_path, note.as_bytes())
         .unwrap_or_else(|e| panic!("write fairness note {}: {e}", note_path.display()));
     println!("fairness note: {}", note_path.display());
 
     if breaches > 0 {
         eprintln!("obs_report: {breaches} SLO breach(es)");
-        if enforce {
-            std::process::exit(1);
-        }
-        println!("(SAGE_SLO_ENFORCE=0 — not failing)");
+        std::process::exit(1);
     }
 }

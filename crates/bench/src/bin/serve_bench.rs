@@ -23,7 +23,7 @@
 //! Scale knobs: `SAGE_SERVE_TICKS` (sweep ticks per flow count, default
 //! 20), `SAGE_SECS` (scenario seconds, default 5).
 
-use sage_bench::{envvar, finish_obs, obs_metrics, write_report};
+use sage_bench::{envvar, obs_metrics, write_report};
 use sage_core::model::{NetConfig, SageModel};
 use sage_core::ActionMode;
 use sage_distill::{Dataset, SymbolicModel, TreeConfig};
@@ -339,7 +339,7 @@ fn main() {
     ]);
     let path = write_report("BENCH_serve.json", &json);
     println!("\nreport: {}", path.display());
-    finish_obs("serve");
+    sage_obs::flush_trace();
 
     // With the recorder armed (SAGE_RECORD), dump the merged event log so
     // `sage_trace` has a real serving artifact to index.

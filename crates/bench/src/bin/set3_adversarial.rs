@@ -191,5 +191,5 @@ fn main() {
     if !died.is_empty() {
         println!("non-surviving cells: {died:?}");
     }
-    sage_bench::finish_obs("set3");
+    sage_obs::flush_trace();
 }

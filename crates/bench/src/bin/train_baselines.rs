@@ -124,7 +124,7 @@ fn main() {
 
     // --- Online learners ---
     let (mean, std) = pool.feature_stats();
-    let iters = envvar("SAGE_ONLINE_ITERS", 12);
+    let iters = 12;
     let t0 = Instant::now();
     let mut online =
         OnlineRlTrainer::new(default_train_cfg(), gr, mean.clone(), std.clone(), false);

@@ -2,7 +2,7 @@
 //! Saves periodic checkpoints (`sage_d1`, `sage_d2`, ... — the "training
 //! days" of Fig. 7) and the final model `sage.model`.
 
-use sage_bench::{default_train_cfg, envvar, finish_obs, model_path, pool_path};
+use sage_bench::{default_train_cfg, envvar, model_path, pool_path};
 use sage_collector::Pool;
 use sage_core::CrrTrainer;
 use sage_obs::obs_info;
@@ -47,5 +47,5 @@ fn main() {
         .save_file(&model_path("sage"))
         .expect("save model");
     println!("wrote {}", model_path("sage").display());
-    finish_obs("train");
+    sage_obs::flush_trace();
 }

@@ -43,21 +43,6 @@ pub fn obs_metrics() -> sage_util::Json {
     sage_obs::snapshot_json()
 }
 
-/// Finish observability for the bench binary `suite`: dump the per-phase
-/// self-profile as `artifacts/results/PROFILE_<suite>.json` and flush any
-/// structured JSONL trace (`SAGE_TRACE_FILE`). Call once at the end of
-/// `main`. A no-op (beyond the trace flush) when obs is disabled.
-pub fn finish_obs(suite: &str) {
-    if sage_obs::enabled() {
-        let path = results_dir().join(format!("PROFILE_{suite}.json"));
-        match sage_obs::write_profile(&path) {
-            Ok(_) => sage_obs::obs_debug!("profile report: {}", path.display()),
-            Err(e) => sage_obs::obs_warn!("profile write failed for {suite}: {e}"),
-        }
-    }
-    sage_obs::flush_trace();
-}
-
 pub fn pool_path() -> PathBuf {
     artifacts_dir().join("pool.bin")
 }
@@ -72,9 +57,9 @@ pub const SEED: u64 = 2023;
 /// Scale knobs, overridable through environment variables so the same
 /// binaries support both smoke runs and full runs:
 /// `SAGE_SET1`, `SAGE_SET2` (env counts), `SAGE_SECS` (env duration),
-/// `SAGE_STEPS` (training steps). Unset means `default`; a value that is set
-/// but does not parse ends the process, so a typo can never run — and label —
-/// the default experiment.
+/// `SAGE_STEPS` (training steps); README's knob table lists every name a bin
+/// reads. Unset means `default`; a value that is set but does not parse ends
+/// the process, so a typo can never run — and label — the default experiment.
 pub fn envvar(name: &str, default: usize) -> usize {
     let raw = std::env::var_os(name);
     let text = raw.as_ref().map(|v| v.to_string_lossy());

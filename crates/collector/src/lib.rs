@@ -14,7 +14,8 @@ pub mod supervise;
 
 pub use env::{set1_flat_grid, set1_step_grid, set2_grid, training_envs, EnvSpec, SetKind};
 pub use pool::{Pool, Trajectory};
-pub use rollout::{
-    cell_span_base, collect_pool, collect_pool_with_threads, rollout, rollout_with, RolloutResult,
+pub use rollout::{cell_span_base, rollout, rollout_with, RolloutResult};
+pub use supervise::{
+    collect_pool, collect_pool_supervised, collect_pool_with_threads, CollectReport,
+    SuperviseConfig,
 };
-pub use supervise::{collect_pool_supervised, CollectReport, SuperviseConfig};

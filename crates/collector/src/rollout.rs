@@ -2,7 +2,7 @@
 //! trajectory.
 
 use crate::env::{EnvSpec, SetKind};
-use crate::pool::{Pool, Trajectory};
+use crate::pool::Trajectory;
 use sage_gr::{reward_friendliness, GrConfig, GrUnit, RewardParams};
 use sage_heuristics::build;
 use sage_transport::sim::{Monitor, TickRecord};
@@ -138,7 +138,6 @@ fn rollout_flows(
     gr_cfg: GrConfig,
     seed: u64,
 ) -> RolloutResult {
-    let _prof = sage_obs::scope("collect_rollout");
     let span_base = cell_span_base(&env.id, scheme, seed);
     let (mut sim, test_idx) = build_sim(env, ccas, seed, span_base);
     let mut mon = GrMonitor {
@@ -162,62 +161,11 @@ fn rollout_flows(
     }
 }
 
-/// Collect the full pool: every scheme through every environment, using the
-/// process-wide worker count (`SAGE_THREADS`, default: available
-/// parallelism). `progress` is called after each rollout with (done, total).
-pub fn collect_pool(
-    envs: &[EnvSpec],
-    schemes: &[&str],
-    gr_cfg: GrConfig,
-    seed: u64,
-    progress: impl FnMut(usize, usize) + Send,
-) -> Pool {
-    collect_pool_with_threads(envs, schemes, gr_cfg, seed, 0, progress)
-}
-
-/// [`collect_pool`] with an explicit worker count (`0` = the configured
-/// default, `1` = the exact serial legacy path).
-///
-/// Determinism contract: every (environment, scheme) cell is an independent
-/// task whose seeds are pure functions of the master seed and the cell —
-/// never of execution order — and the reduction is ordered, so the returned
-/// pool is byte-identical at every thread count.
-///
-/// # Panics
-///
-/// Panics if a scheme name is not in the registry — the pool list is a
-/// static table, so an unknown name is a programming error.
-pub fn collect_pool_with_threads(
-    envs: &[EnvSpec],
-    schemes: &[&str],
-    gr_cfg: GrConfig,
-    seed: u64,
-    threads: usize,
-    mut progress: impl FnMut(usize, usize) + Send,
-) -> Pool {
-    let total = envs.len() * schemes.len();
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let progress = std::sync::Mutex::new(&mut progress);
-    let trajectories = sage_util::par_map_range(threads, total, |task| {
-        let (ei, si) = (task / schemes.len(), task % schemes.len());
-        let (env, scheme) = (&envs[ei], schemes[si]);
-        let cca = build(scheme, seed.wrapping_add(si as u64))
-            // lint:allow(P1): scheme names come from the static pool list validated against the registry; an unknown name is a programming error
-            .unwrap_or_else(|| panic!("unknown scheme {scheme}"));
-        let res = rollout(env, scheme, cca, gr_cfg, seed);
-        sage_obs::obs_counter!("collect.rollouts").inc();
-        sage_obs::obs_counter!("collect.steps").add(res.traj.len() as u64);
-        let n = 1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (progress.lock().unwrap_or_else(|e| e.into_inner()))(n, total);
-        res.traj
-    });
-    Pool { trajectories }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::{set1_flat_grid, set2_grid};
+    use crate::supervise::collect_pool;
     use sage_gr::STATE_DIM;
 
     #[test]

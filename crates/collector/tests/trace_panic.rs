@@ -36,6 +36,7 @@ fn panic_flushes_trace_and_dumps_flight_postmortem() {
         &["no-such-scheme"],
         GrConfig::default(),
         1,
+        0,
         &sup,
         |_, _| {},
     );

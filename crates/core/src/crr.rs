@@ -254,7 +254,6 @@ impl CrrTrainer {
     /// `CrrConfig` uses `unroll >= 1` (default 8), so this is a programming
     /// error worth crashing on.
     pub fn train_step(&mut self, pool: &Pool) -> StepMetrics {
-        let _prof = sage_obs::scope("crr_step");
         // lint:allow(D2): obs-gated wall clock feeding the write-only samples-per-sec gauge; never read back into training
         let step_start = sage_obs::enabled().then(std::time::Instant::now);
         let (states, actions, rewards) = match self.sample_batch(pool) {

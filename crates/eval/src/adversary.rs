@@ -277,8 +277,7 @@ pub fn evaluate_candidate(
     }
 }
 
-/// Search configuration. The defaults fit an offline run; `scripts/check.sh`
-/// smokes the loop with `budget: 8`.
+/// Search configuration. The defaults fit an offline run.
 #[derive(Debug, Clone)]
 pub struct AdvConfig {
     /// Total candidate evaluations.
@@ -475,8 +474,8 @@ fn env_summary(env: &EnvSpec) -> Json {
 
 /// Serialise a search report (the payload of `ADV_hardest.json`). Every
 /// field is a deterministic function of the run, so the serialised bytes
-/// are identical at every thread count — the differential test and the
-/// check.sh smoke compare them with `cmp`.
+/// are identical at every thread count — `tests/adv_differential.rs`
+/// compares them.
 pub fn report_json(cfg: &AdvConfig, report: &AdvReport) -> Json {
     Json::obj(vec![
         ("suite", Json::str("adversarial-search")),

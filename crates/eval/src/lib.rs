@@ -26,8 +26,8 @@ pub use league::{rank_league, LeagueEntry};
 pub use matrix::{
     compare_to_golden, league_scores, matrix_json, rankings, run_matrix, scenario_fairness,
     scenarios_adversarial, scenarios_fault, scenarios_internet, scenarios_multihop,
-    scenarios_set12, standard_scenarios, Family, MatrixCell, MatrixReport, MatrixScale, MatrixSpec,
-    MatrixTolerance, ScenarioRank, ScenarioSpec,
+    scenarios_set12, Family, MatrixCell, MatrixReport, MatrixSpec, MatrixTolerance, ScenarioRank,
+    ScenarioSpec,
 };
 pub use runner::Contender;
 pub use score::{interval_scores, jain_fairness, RunScore, ScoreKind};

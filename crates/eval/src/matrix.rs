@@ -258,78 +258,6 @@ pub fn scenario_fairness(flows: usize, secs: f64, stagger_secs: f64) -> Scenario
     }
 }
 
-/// Scale knobs for [`standard_scenarios`]: how many scenarios each family
-/// contributes and how long each rollout runs.
-#[derive(Debug, Clone)]
-pub struct MatrixScale {
-    /// Set I / Set II subsample sizes.
-    pub set1: usize,
-    pub set2: usize,
-    /// Fault-grid scenario ids (`None` = full grid).
-    pub fault_ids: Option<Vec<&'static str>>,
-    /// Internet paths per profile.
-    pub internet: usize,
-    /// Rollout length, seconds (fairness scenarios run longer, see below).
-    pub secs: f64,
-    /// Fairness scenario: flow count (0 disables), duration and stagger.
-    pub fairness_flows: usize,
-    pub fairness_secs: f64,
-    pub fairness_stagger_secs: f64,
-    /// High-contention fairness cell: many (default 64) self-flows pile
-    /// onto the same bottleneck with a near-simultaneous start, tracking
-    /// Jain fairness under extreme contention per PR. 0/1 disables.
-    pub fairness64_flows: usize,
-    pub fairness64_secs: f64,
-    pub fairness64_stagger_secs: f64,
-    /// Seed for the Set I/II/Internet subsampling.
-    pub seed: u64,
-}
-
-impl Default for MatrixScale {
-    fn default() -> Self {
-        MatrixScale {
-            set1: 6,
-            set2: 3,
-            fault_ids: None,
-            internet: 2,
-            secs: 6.0,
-            fairness_flows: 4,
-            fairness_secs: 24.0,
-            fairness_stagger_secs: 5.0,
-            fairness64_flows: 64,
-            fairness64_secs: 12.0,
-            fairness64_stagger_secs: 0.05,
-            seed: 2023,
-        }
-    }
-}
-
-/// The standard scenario matrix: every family at the requested scale, in a
-/// fixed family order (Set I/II, faults, internet, adversarial, multihop,
-/// fairness).
-pub fn standard_scenarios(scale: &MatrixScale) -> Vec<ScenarioSpec> {
-    let mut out = scenarios_set12(scale.set1, scale.set2, scale.secs, scale.seed);
-    out.extend(scenarios_fault(scale.fault_ids.as_deref(), scale.secs));
-    out.extend(scenarios_internet(scale.internet, scale.secs, scale.seed));
-    out.extend(scenarios_adversarial(scale.secs));
-    out.extend(scenarios_multihop(scale.secs));
-    if scale.fairness_flows > 1 {
-        out.push(scenario_fairness(
-            scale.fairness_flows,
-            scale.fairness_secs,
-            scale.fairness_stagger_secs,
-        ));
-    }
-    if scale.fairness64_flows > 1 {
-        out.push(scenario_fairness(
-            scale.fairness64_flows,
-            scale.fairness64_secs,
-            scale.fairness64_stagger_secs,
-        ));
-    }
-    out
-}
-
 /// The declarative matrix: contenders x scenarios x seeds.
 #[derive(Clone)]
 pub struct MatrixSpec {
@@ -544,7 +472,6 @@ pub fn run_matrix(
     let done = std::sync::atomic::AtomicUsize::new(0);
     let progress = std::sync::Mutex::new(&mut progress);
     let cells = sage_util::par_map_range(spec.threads, total, |task| {
-        let _prof = sage_obs::scope("matrix_cell");
         let si = task / (n_ch * n_sd);
         let ci = (task / n_sd) % n_ch;
         let ki = task % n_sd;
@@ -698,8 +625,8 @@ fn cell_json(c: &MatrixCell) -> Json {
 
 /// Serialise a matrix run (the payload of `EVAL_matrix.json`). Every field
 /// is a deterministic function of the spec and cells, so the bytes are
-/// identical at every thread count — the differential test and the check.sh
-/// smoke compare them with `cmp`.
+/// identical at every thread count — `tests/matrix_differential.rs` compares
+/// them.
 pub fn matrix_json(spec: &MatrixSpec, report: &MatrixReport) -> Json {
     let ranks = rankings(&report.cells);
     let mut families: Vec<&str> = spec.scenarios.iter().map(|s| s.family.name()).collect();
@@ -1058,15 +985,14 @@ mod tests {
     }
 
     #[test]
-    fn standard_scenarios_cover_every_family() {
-        let scale = MatrixScale {
-            set1: 2,
-            set2: 1,
-            fault_ids: Some(vec!["clean", "blackout"]),
-            internet: 1,
-            ..MatrixScale::default()
-        };
-        let scenarios = standard_scenarios(&scale);
+    fn scenario_constructors_cover_every_family_with_distinct_ids() {
+        let mut scenarios = scenarios_set12(2, 1, 6.0, 2023);
+        scenarios.extend(scenarios_fault(Some(&["clean", "blackout"]), 6.0));
+        scenarios.extend(scenarios_internet(1, 6.0, 2023));
+        scenarios.extend(scenarios_adversarial(6.0));
+        scenarios.extend(scenarios_multihop(6.0));
+        scenarios.push(scenario_fairness(4, 24.0, 5.0));
+        scenarios.push(scenario_fairness(64, 12.0, 0.05));
         let mut families: Vec<&str> = scenarios.iter().map(|s| s.family.name()).collect();
         families.sort();
         families.dedup();

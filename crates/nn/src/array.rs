@@ -54,27 +54,6 @@ impl Array {
         (self.rows, self.cols)
     }
 
-    /// Matrix product self (m x k) * other (k x n).
-    pub fn matmul(&self, other: &Array) -> Array {
-        assert_eq!(self.cols, other.rows, "matmul inner dims");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Array::zeros(m, n);
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    orow[j] += a * brow[j];
-                }
-            }
-        }
-        out
-    }
-
     /// Transposed copy.
     pub fn t(&self) -> Array {
         let mut out = Array::zeros(self.cols, self.rows);
@@ -131,7 +110,7 @@ mod tests {
     fn matmul_known_product() {
         let a = Array::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Array::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = crate::infer::matmul(&a, &b);
         assert_eq!(c.data, vec![58., 64., 139., 154.]);
     }
 

@@ -13,8 +13,8 @@
 //! path (AVX-512F / AVX2) that preserves scalar semantics: separate
 //! multiply and add per element (no FMA — fusing would change rounding),
 //! vector lanes spread across output columns `j`, the inner `p` loop kept
-//! sequential, and the same skip-zero shortcut as [`Array::matmul`], the
-//! scalar definition it is tested against. The graph's own products —
+//! sequential, and the same skip-zero shortcut as the scalar definition it
+//! is tested against (`tests::reference_matmul`). The graph's own products —
 //! forward, activation gradients and the ordered parameter-gradient
 //! reduction of `Graph::backward_rows` — run on this kernel too.
 
@@ -50,7 +50,9 @@ fn kernel() -> Kernel {
     })
 }
 
-/// `a (m x k) * b (k x n)`, bit-identical to [`Array::matmul`].
+/// `a (m x k) * b (k x n)`: every output element accumulates over `k` in
+/// increasing order from `+0.0`, separate multiply and add, skipping exact
+/// zeros of `a` — the same bits from every kernel.
 // SAFETY-BOUNDARY: all unsafe SIMD dispatch is encapsulated here — kernels
 // run only after `is_x86_feature_detected!` confirmed the target feature,
 // and slice lengths are pinned by Array's rows*cols invariant, so no caller
@@ -101,7 +103,7 @@ fn matmul_scalar(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: u
 // create — which is the difference between ~1.3x and ~4x over scalar on
 // these small matrices. Every output element still accumulates over `p` in
 // increasing order from 0.0 with separate mul/add and the skip-zero
-// shortcut, so results stay bit-identical to [`Array::matmul`].
+// shortcut, so results stay bit-identical to the scalar loop.
 
 // SAFETY: callers must ensure (1) the CPU supports AVX-512F (enforced by
 // the `kernel()` dispatch via `is_x86_feature_detected!`) and (2) the
@@ -353,10 +355,29 @@ mod tests {
         Array::from_vec(rows, cols, data)
     }
 
+    /// The scalar definition of the product, kept apart from the kernels as
+    /// their oracle.
+    fn reference_matmul(a: &Array, b: &Array) -> Array {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        let mut out = Array::zeros(m, n);
+        for i in 0..m {
+            for p in 0..k {
+                let av = a.at(i, p);
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    *out.at_mut(i, j) += av * b.at(p, j);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn simd_matmul_bit_identical_to_array_matmul() {
         forall(
-            "infer::matmul == Array::matmul",
+            "infer::matmul == reference_matmul",
             PropConfig::default(),
             |rng| {
                 let m = 1 + (rng.next_u64() % 12) as usize;
@@ -365,7 +386,7 @@ mod tests {
                 let a = random_array(rng, m, k);
                 let b = random_array(rng, k, n);
                 let got = matmul(&a, &b);
-                let want = a.matmul(&b);
+                let want = reference_matmul(&a, &b);
                 for (g, w) in got.iter().zip(want.iter()) {
                     if g.to_bits() != w.to_bits() {
                         return Err(format!("{g} != {w} at {m}x{k}x{n}"));

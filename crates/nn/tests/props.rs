@@ -4,6 +4,7 @@
 
 use sage_nn::gmm::{gmm_log_density, GmmParams};
 use sage_nn::graph::log_sum_exp;
+use sage_nn::infer::matmul;
 use sage_nn::{Adam, Array, Graph, ParamStore};
 use sage_util::Rng;
 
@@ -22,8 +23,8 @@ fn matmul_transpose_identity() {
     for _ in 0..100 {
         let ma = arr(2, 3, vec_in(&mut rng, 6, -10.0, 10.0));
         let mb = arr(3, 2, vec_in(&mut rng, 6, -10.0, 10.0));
-        let left = ma.matmul(&mb).t();
-        let right = mb.t().matmul(&ma.t());
+        let left = matmul(&ma, &mb).t();
+        let right = matmul(&mb.t(), &ma.t());
         for (x, y) in left.iter().zip(right.iter()) {
             assert!((x - y).abs() < 1e-9);
         }

@@ -1,5 +1,5 @@
-//! `sage-obs`: deterministic metrics, structured tracing, and profiling
-//! hooks for the whole Sage stack.
+//! `sage-obs`: deterministic metrics, structured tracing, and a flight
+//! recorder for the whole Sage stack.
 //!
 //! The pipeline's claims are quantitative, yet until now everything between
 //! "run bench binary" and "read final JSON" was a black box. This crate
@@ -17,9 +17,6 @@
 //!   variable, plus an optional structured JSONL sink (`SAGE_TRACE_FILE`)
 //!   flushed through `sage_util::fsio::atomic_write` so a crash never
 //!   leaves a half-written trace.
-//! * **Profiling** ([`profile`]) — cheap scoped timers aggregated per phase
-//!   (collection, CRR gradient, eval, serve tick) and dumped as
-//!   `PROFILE_*.json`. Timestamps and durations never feed a digest.
 //! * **Flight recorder** ([`recorder`]) — per-thread rings of compact
 //!   tick-stamped events (`SAGE_RECORD=serve,transport,...`), drained via
 //!   an ordered merge that is byte-identical at any `SAGE_THREADS` and
@@ -36,25 +33,22 @@
 //! 2. All histogram observations are `u64` and all merges are integer adds
 //!    (commutative + associative), so exported snapshots are identical at
 //!    every thread count.
-//! 3. Wall-clock readings (span durations, profile timings) are exported
-//!    only in reports that no digest covers.
+//! 3. Wall-clock readings (span durations, latency histograms) are
+//!    exported only in reports that no digest covers.
 //!
 //! # Kill switch
 //!
-//! `SAGE_OBS=0` (or `off`/`false`) disables metrics and profiling at
-//! runtime; the disabled path is a single branch-predictable load-and-test.
-//! Building with the `off` cargo feature removes even that.
+//! `SAGE_OBS=0` (or `off`/`false`) disables metrics at runtime; the
+//! disabled path is a single branch-predictable load-and-test.
 
 pub mod hist;
 pub mod log;
 pub mod metrics;
-pub mod profile;
 pub mod recorder;
 pub mod series;
 
 pub use log::{flush_trace, log_enabled, Level};
 pub use metrics::{counter, gauge, histogram, reset_metrics, snapshot_json};
-pub use profile::{scope, write_profile};
 pub use recorder::{
     dump_postmortem, dump_to_file, force_record, force_record_cap, record, recording,
     recording_any, reset_recorder, Category, EventKind,
@@ -70,14 +64,10 @@ static OBS_STATE: AtomicU8 = AtomicU8::new(0);
 /// Environment variable for the runtime kill switch.
 pub const OBS_ENV: &str = sage_util::env_cfg::OBS;
 
-/// Whether metrics and profiling record anything. The hot path is one
-/// relaxed load plus a predictable branch; with the `off` cargo feature it
-/// is a compile-time constant `false`.
+/// Whether metrics record anything. The hot path is one relaxed load plus
+/// a predictable branch.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "off") {
-        return false;
-    }
     match OBS_STATE.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
@@ -201,8 +191,8 @@ mod tests {
     fn force_enabled_overrides() {
         let _guard = test_lock();
         force_enabled(false);
-        assert!(!enabled() || cfg!(feature = "off"));
+        assert!(!enabled());
         force_enabled(true);
-        assert_eq!(enabled(), !cfg!(feature = "off"));
+        assert!(enabled());
     }
 }

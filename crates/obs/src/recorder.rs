@@ -254,9 +254,6 @@ fn init_mask() -> u32 {
 }
 
 fn mask() -> u32 {
-    if cfg!(feature = "off") {
-        return 0;
-    }
     let state = RECORD_STATE.load(Relaxed);
     if state & INIT_BIT != 0 {
         state & !INIT_BIT

@@ -347,7 +347,6 @@ impl ServeRuntime {
         now_tick: u64,
         observe: &mut dyn FnMut(FlowKey) -> Option<SocketView>,
     ) -> Vec<ServeAction> {
-        let _prof = sage_obs::scope("serve_tick");
         self.stats.ticks += 1;
         let mut expired = self.wheel.expire(now_tick);
         // Drop stale timers of evicted flows. The generation check matters

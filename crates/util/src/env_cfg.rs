@@ -1,13 +1,15 @@
-//! The single sanctioned ambient-configuration layer.
+//! The library crates' ambient-configuration layer.
 //!
 //! The D6 lint rule (a token rule: it flags `env::var`, `var_os`, `vars`
 //! and `vars_os` at the line that names them) bans environment reads
 //! everywhere in library code except this file, the bench crate, and tests:
 //! a raw environment read buried in a pipeline makes results depend on
-//! ambient state that no seed, golden, or replay captures. Every knob the workspace honours is
-//! therefore a *named* accessor here — one greppable inventory of the
-//! process's ambient surface, with the variable-name constants as the
-//! single source of truth (downstream crates re-export them).
+//! ambient state that no seed, golden, or replay captures. Every knob a
+//! library crate honours is therefore a *named* accessor here, with the
+//! variable-name constants as the single source of truth (downstream crates
+//! re-export them). The bench bins' scale knobs go through
+//! `sage_bench::envvar`; README's knob table lists both sets and
+//! `scripts/check.sh` keeps it equal to the code.
 //!
 //! Accessors return the raw `Option<String>` (unset → `None`) and leave
 //! parsing to the call site, so each consumer keeps its exact historical
@@ -34,8 +36,8 @@ pub const FLIGHT_FILE: &str = "SAGE_FLIGHT_FILE";
 /// Explicit path of the distilled symbolic tree.
 pub const TREE: &str = "SAGE_TREE";
 
-/// The one raw read. Everything below goes through here so the whole
-/// ambient surface is this single call site.
+/// The one raw read. Everything below goes through here, so the library
+/// crates' ambient surface is this single call site.
 fn read(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }

@@ -62,7 +62,7 @@ run fig15 env SAGE_SET1=14 SAGE_SET2=7 cargo run --release -q -p sage-bench --bi
 run fig12 env SAGE_SET1=14 SAGE_SET2=7 cargo run --release -q -p sage-bench --bin fig12_ablation
 run fig14 env SAGE_SET1=12 SAGE_SET2=6 cargo run --release -q -p sage-bench --bin fig14_granularity
 run set3 env SAGE_SECS=10 cargo run --release -q -p sage-bench --bin set3_adversarial
-run adv env SAGE_ADV_BUDGET=64 cargo run --release -q -p sage-bench --bin adv_search
+run adv cargo run --release -q -p sage-bench --bin adv_search
 run distill cargo run --release -q -p sage-bench --bin distill_report
 # Distillation fidelity at a glance: held-out action-agreement per split and
 # the sage-sym vs sage league rank delta, straight from the distill run
