@@ -14,6 +14,7 @@ use sage_eval::matrix::{
     scenarios_internet, scenarios_multihop, scenarios_set12, MatrixSpec,
 };
 use sage_eval::runner::Contender;
+use sage_eval::set3::summarise;
 use std::sync::Arc;
 
 /// Rollout seconds of the non-fairness families: long enough for
@@ -89,6 +90,34 @@ fn main() {
     print_table(
         "Evaluation matrix: per-scenario scheme rankings (best first)",
         &["scenario", "family", "ranking"],
+        &rows,
+    );
+
+    // Set III: the fault family's cells, each scheme judged against its own
+    // `s3-clean` cell.
+    let rows: Vec<Vec<String>> = summarise(&report.cells)
+        .iter()
+        .map(|s| {
+            vec![
+                s.scheme.clone(),
+                format!("{}/{}", s.survived, s.scenarios),
+                format!("{:.1}%", s.mean_degradation_pct),
+                format!("{:.1}%", s.worst_degradation_pct),
+                format!("{:.2}%", s.mean_retx_overhead_pct),
+                s.restarts.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Set III summary (most robust first)",
+        &[
+            "scheme",
+            "survived",
+            "mean degr",
+            "worst degr",
+            "mean retx",
+            "restarts",
+        ],
         &rows,
     );
 

@@ -6,33 +6,31 @@
 //! canonical Set I/II environments and the league tables are printed
 //! straight from the cells.
 
-use sage_bench::{default_envs, default_gr, evaluate, model_path, print_league_from_cells};
+use sage_bench::{
+    comparator, default_envs, default_gr, evaluate, model_path, print_league_from_cells,
+};
 use sage_core::SageModel;
 use sage_eval::runner::Contender;
 use std::sync::Arc;
-
-fn load(name: &'static str) -> Arc<SageModel> {
-    Arc::new(
-        SageModel::load_file(&model_path(name)).unwrap_or_else(|e| {
-            panic!("missing model {name} ({e}); run train_sage + train_baselines")
-        }),
-    )
-}
 
 fn main() {
     let gr_cfg = default_gr();
     let model = |name, file| Contender::Model {
         name,
-        model: load(file),
+        model: comparator(file),
         gr_cfg,
     };
     let hybrid = |name| Contender::Hybrid {
         name,
-        model: load(name),
+        model: comparator(name),
         gr_cfg,
     };
     let contenders = vec![
-        model("sage", "sage"),
+        Contender::Model {
+            name: "sage",
+            model: Arc::new(SageModel::load_file(&model_path("sage")).expect("train first")),
+            gr_cfg,
+        },
         model("bc", "bc"),
         model("bc-top", "bc_top"),
         model("bc-top3", "bc_top3"),

@@ -3,7 +3,7 @@
 //! Distance to the pool, and print the CDFs. Expected shape: Vegas ~ 0
 //! (it is in the pool), BC and Sage clearly shifted, yet Sage performs well.
 
-use sage_bench::{default_gr, model_path, pool_path, print_table, SEED};
+use sage_bench::{comparator, default_gr, model_path, pool_path, print_table, SEED};
 use sage_collector::{rollout, EnvSpec, Pool, SetKind};
 use sage_core::policy::{ActionMode, SagePolicy};
 use sage_core::SageModel;
@@ -43,8 +43,7 @@ fn main() {
     };
     let gr = default_gr();
     let sage_model = Arc::new(SageModel::load_file(&model_path("sage")).expect("train first"));
-    let bc_model =
-        Arc::new(SageModel::load_file(&model_path("bc")).expect("train baselines first"));
+    let bc_model = comparator("bc");
 
     let mut rows = Vec::new();
     let runs: Vec<(&str, Box<dyn sage_transport::CongestionControl>)> = vec![

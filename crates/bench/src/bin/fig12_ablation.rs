@@ -5,7 +5,7 @@
 
 use sage_bench::{
     default_envs, default_gr, default_train_cfg, envvar, evaluate, load_or_train, model_path,
-    pool_path, pool_schemes, print_table,
+    pool_path, pool_schemes, print_table, train_crr,
 };
 use sage_collector::Pool;
 use sage_core::{CrrConfig, NetConfig, SageModel};
@@ -82,7 +82,7 @@ fn main() {
         gr_cfg: gr,
     });
     for (name, cfg) in &variants {
-        let model = load_or_train(name, *cfg, steps, || &pool);
+        let model = load_or_train(name, || train_crr(*cfg, steps, &pool));
         let static_name: &'static str = Box::leak(name.to_string().into_boxed_str());
         contenders.push(Contender::Model {
             name: static_name,

@@ -6,7 +6,7 @@
 
 use sage_bench::{
     default_envs, default_gr, default_train_cfg, envvar, evaluate, load_or_train, model_path,
-    pool_schemes, print_table, SEED,
+    pool_schemes, print_table, train_crr, SEED,
 };
 use sage_collector::{collect_pool, rollout, SetKind};
 use sage_core::policy::{ActionMode, SagePolicy};
@@ -36,8 +36,9 @@ fn main() {
         gr_cfg: default_gr(),
     });
     for (name, gr) in &variants {
-        let model = load_or_train(name, default_train_cfg(), steps, || {
-            collect_pool(&default_envs(), &pool_schemes(), *gr, SEED, |_, _| {})
+        let model = load_or_train(name, || {
+            let pool = collect_pool(&default_envs(), &pool_schemes(), *gr, SEED, |_, _| {});
+            train_crr(default_train_cfg(), steps, &pool)
         });
         contenders.push(Contender::Model {
             name,

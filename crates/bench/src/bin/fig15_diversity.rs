@@ -5,7 +5,7 @@
 
 use sage_bench::{
     default_envs, default_gr, default_train_cfg, envvar, evaluate, load_or_train, model_path,
-    pool_path, pool_schemes, print_table,
+    pool_path, pool_schemes, print_table, train_crr,
 };
 use sage_collector::Pool;
 use sage_core::SageModel;
@@ -43,12 +43,12 @@ fn main() {
     });
     contenders.push(Contender::Model {
         name: "sage-top",
-        model: load_or_train("sage_top", default_train_cfg(), steps, || &top),
+        model: load_or_train("sage_top", || train_crr(default_train_cfg(), steps, &top)),
         gr_cfg: gr,
     });
     contenders.push(Contender::Model {
         name: "sage-top4",
-        model: load_or_train("sage_top4", default_train_cfg(), steps, || &top4),
+        model: load_or_train("sage_top4", || train_crr(default_train_cfg(), steps, &top4)),
         gr_cfg: gr,
     });
 

@@ -1,13 +1,13 @@
 //! Declarative SLO regression gate over the recorded observability
 //! artifacts, plus the fairness trace note.
 //!
-//! Reads `EVAL_matrix.json` (required) and `BENCH_serve.json` (optional)
-//! and evaluates a fixed table of service-level objectives against them:
-//! cell completion/survival rates, per-scenario-family drop-rate ceilings,
-//! ramp-up sanity from the per-cell time series, and the serving runtime's
-//! p99 tick latency / fallback / escalation rates. The matrix-derived SLOs
-//! are deterministic, so their thresholds are tight; the serve latency SLO
-//! measures wall clock and is deliberately generous.
+//! Reads `EVAL_matrix.json` and evaluates a fixed table of service-level
+//! objectives against it: cell completion/survival rates, per-scenario-family
+//! drop-rate ceilings, and ramp-up sanity from the per-cell time series. The
+//! matrix is deterministic, so the thresholds are tight. A row whose input
+//! is missing from the report — a family without cells, a cell without
+//! `loss_pct`, a surviving cell without its series — has the value NaN and
+//! fails: a renamed field must not turn the gate green.
 //!
 //! Writes `OBS_slo.json` with every (id, value, threshold, pass) row and a
 //! `FAIRNESS_trace.md` note summarising which flows of the fairness-family
@@ -43,8 +43,10 @@ fn load(path: &std::path::Path) -> Option<Json> {
     Json::parse(&text).ok()
 }
 
+/// Numeric field of a cell; NaN (which passes no comparison) when the field
+/// is absent or not a number.
 fn num(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
+    j.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
 }
 
 fn text(j: &Json, key: &str) -> String {
@@ -68,7 +70,8 @@ const FAMILY_LOSS_CEILING: &[(&str, f64)] = &[
     ("fairness", 98.0),
 ];
 
-fn matrix_slos(matrix: &Json, slos: &mut Vec<SloRow>) {
+fn matrix_slos(matrix: &Json) -> Vec<SloRow> {
+    let mut slos = Vec::new();
     let cells: Vec<&Json> = matrix
         .get("cells")
         .and_then(|c| c.as_arr())
@@ -98,20 +101,21 @@ fn matrix_slos(matrix: &Json, slos: &mut Vec<SloRow>) {
         threshold: 0.95,
     });
     for &(family, ceiling) in FAMILY_LOSS_CEILING {
+        // NaN-propagating maximum (`f64::max` would drop the NaN), NaN for
+        // a family with no cells.
         let worst = cells
             .iter()
             .filter(|c| text(c, "family") == family)
             .map(|c| num(c, "loss_pct"))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if worst.is_finite() {
-            slos.push(SloRow {
-                id: "matrix.drop.rate",
-                desc: format!("worst-cell drop rate in the `{family}` family, %"),
-                upper: true,
-                value: worst,
-                threshold: ceiling,
-            });
-        }
+            .reduce(|w, x| if x.is_nan() || x > w { x } else { w })
+            .unwrap_or(f64::NAN);
+        slos.push(SloRow {
+            id: "matrix.drop.rate",
+            desc: format!("worst-cell drop rate in the `{family}` family, %"),
+            upper: true,
+            value: worst,
+            threshold: ceiling,
+        });
     }
     // Ramp-up sanity from the recorded time series: every surviving cell's
     // late-window (last quarter) throughput series must stay positive —
@@ -121,7 +125,7 @@ fn matrix_slos(matrix: &Json, slos: &mut Vec<SloRow>) {
     // flows, and the harsh fault grids (burst loss, blackouts) stall them
     // by design — a late flatline there is the scenario working.
     let mut flatlined = 0.0f64;
-    let mut with_series = 0.0f64;
+    let mut judged = 0.0f64;
     for c in &cells {
         let family = text(c, "family");
         if c.get("survived").and_then(|v| v.as_bool()) != Some(true)
@@ -130,20 +134,16 @@ fn matrix_slos(matrix: &Json, slos: &mut Vec<SloRow>) {
         {
             continue;
         }
-        let Some(thr) = c
+        judged += 1.0;
+        let thr = c
             .get("series")
             .and_then(|s| s.get("thr_mbps"))
-            .and_then(|s| s.as_arr())
-        else {
-            continue;
-        };
+            .and_then(|s| s.to_f64_vec())
+            .unwrap_or_default();
         if thr.is_empty() {
-            continue;
-        }
-        with_series += 1.0;
-        let tail = &thr[thr.len() - thr.len() / 4..];
-        let late: f64 = tail.iter().filter_map(|v| v.as_f64()).sum();
-        if late <= 0.0 {
+            // No series to judge: poison the rate instead of skipping the cell.
+            flatlined = f64::NAN;
+        } else if thr[thr.len() - thr.len() / 4..].iter().sum::<f64>() <= 0.0 {
             flatlined += 1.0;
         }
     }
@@ -151,54 +151,10 @@ fn matrix_slos(matrix: &Json, slos: &mut Vec<SloRow>) {
         id: "matrix.rampup.flatline.rate",
         desc: "surviving cells whose last-quarter throughput series is zero".into(),
         upper: true,
-        value: flatlined / with_series.max(1.0),
+        value: flatlined / judged.max(1.0),
         threshold: 0.0,
     });
-}
-
-fn bench_slos(bench: &Json, slos: &mut Vec<SloRow>) {
-    let Some(sc) = bench.get("scenario") else {
-        return;
-    };
-    // Wall-clock latency: generous ceiling — this SLO exists to catch
-    // order-of-magnitude serving regressions, not scheduler jitter.
-    slos.push(SloRow {
-        id: "serve.tick.latency.p99_us",
-        desc: "end-to-end scenario p99 batched inference tick latency, us".into(),
-        upper: true,
-        value: num(sc, "p99_us"),
-        threshold: 50_000.0,
-    });
-    let nn = num(sc, "nn_actions");
-    let fallback = num(sc, "fallback_actions");
-    slos.push(SloRow {
-        id: "serve.fallback.rate",
-        desc: "fallback actions / all serve actions in the e2e scenario".into(),
-        upper: true,
-        value: fallback / (nn + fallback).max(1.0),
-        threshold: 0.05,
-    });
-    let counters = bench.get("metrics").and_then(|m| m.get("counters"));
-    let counter = |name: &str| {
-        counters
-            .and_then(|c| c.get(name))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0)
-    };
-    slos.push(SloRow {
-        id: "serve.escalation.rate",
-        desc: "symbolic-tier escalations / audits across the bench run".into(),
-        upper: true,
-        value: counter("serve.escalations") / counter("serve.audits").max(1.0),
-        threshold: 0.5,
-    });
-    slos.push(SloRow {
-        id: "serve.e2e.jain",
-        desc: "Jain fairness across the learned flows of the e2e scenario".into(),
-        upper: false,
-        value: num(sc, "jain_fairness"),
-        threshold: 0.2,
-    });
+    slos
 }
 
 /// The fairness trace note (`FAIRNESS_trace.md`): which flows of each
@@ -253,23 +209,11 @@ fn fairness_note(matrix: &Json) -> String {
 
 fn main() {
     let matrix_path = results_dir().join("EVAL_matrix.json");
-    let bench_path = results_dir().join("BENCH_serve.json");
-
     let Some(matrix) = load(&matrix_path) else {
         eprintln!("obs_report: no matrix report at {}", matrix_path.display());
         std::process::exit(2);
     };
-    let bench = load(&bench_path);
-
-    let mut slos = Vec::new();
-    matrix_slos(&matrix, &mut slos);
-    match &bench {
-        Some(b) => bench_slos(b, &mut slos),
-        None => println!(
-            "obs_report: no bench report at {} — serve SLOs skipped",
-            bench_path.display()
-        ),
-    }
+    let slos = matrix_slos(&matrix);
 
     println!("== SLO gate ({} objectives) ==", slos.len());
     let mut breaches = 0;
@@ -321,5 +265,90 @@ fn main() {
     if breaches > 0 {
         eprintln!("obs_report: {breaches} SLO breach(es)");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    type Cells = BTreeMap<&'static str, BTreeMap<String, Json>>;
+
+    /// One healthy surviving cell per family, as `EVAL_matrix.json` lays a
+    /// cell out (only the fields the SLO table reads).
+    fn cells() -> Cells {
+        FAMILY_LOSS_CEILING
+            .iter()
+            .map(|&(family, _)| {
+                let cell = Json::obj(vec![
+                    ("family", Json::str(family)),
+                    ("completed", Json::Bool(true)),
+                    ("survived", Json::Bool(true)),
+                    ("loss_pct", Json::Num(2.5)),
+                    (
+                        "series",
+                        Json::obj(vec![("thr_mbps", Json::nums([0.5, 4.0, 8.0, 8.0]))]),
+                    ),
+                ]);
+                let Json::Obj(fields) = cell else {
+                    unreachable!()
+                };
+                (family, fields)
+            })
+            .collect()
+    }
+
+    fn slos(cells: Cells) -> Vec<SloRow> {
+        let cells = cells.into_values().map(Json::Obj).collect();
+        matrix_slos(&Json::obj(vec![("cells", Json::Arr(cells))]))
+    }
+
+    /// `id: desc` of every failing row, each of which must read NaN.
+    fn failing(cells: Cells) -> Vec<String> {
+        slos(cells)
+            .iter()
+            .filter(|s| !s.pass())
+            .inspect(|s| assert!(s.value.is_nan(), "{}: {}", s.id, s.value))
+            .map(|s| format!("{}: {}", s.id, s.desc))
+            .collect()
+    }
+
+    #[test]
+    fn well_formed_matrix_has_ten_rows_and_no_breach() {
+        let slos = slos(cells());
+        assert_eq!(slos.len(), 10);
+        assert!(slos.iter().all(SloRow::pass));
+    }
+
+    #[test]
+    fn missing_loss_pct_fails_that_familys_row() {
+        let mut c = cells();
+        c.get_mut("internet").unwrap().remove("loss_pct");
+        let want = "matrix.drop.rate: worst-cell drop rate in the `internet` family, %";
+        assert_eq!(failing(c), [want]);
+        // Not a number is as absent as absent.
+        let mut c = cells();
+        let loss = c.get_mut("set2").unwrap().get_mut("loss_pct").unwrap();
+        *loss = Json::str("2.5");
+        assert_eq!(failing(c).len(), 1);
+        // So is a family the report has no cell of.
+        let mut c = cells();
+        c.remove("multihop");
+        assert_eq!(failing(c).len(), 1);
+    }
+
+    #[test]
+    fn missing_series_of_a_surviving_cell_fails_the_flatline_row() {
+        let mut c = cells();
+        c.get_mut("set1").unwrap().remove("series");
+        let bad = failing(c);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].starts_with("matrix.rampup.flatline.rate"), "{bad:?}");
+        // The exempt families' series are not read.
+        let mut c = cells();
+        c.get_mut("fault").unwrap().remove("series");
+        c.get_mut("adversarial").unwrap().remove("series");
+        assert!(failing(c).is_empty());
     }
 }

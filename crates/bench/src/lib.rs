@@ -2,12 +2,15 @@
 //! sets, artifact paths, training configurations and league definitions —
 //! so every figure regenerates from the same pipeline artifacts.
 
-use sage_collector::{training_envs, EnvSpec, Pool};
+use sage_collector::{collect_pool, training_envs, EnvSpec, Pool, SetKind};
+use sage_core::baselines::OracleCc;
+use sage_core::online::OnlineRlTrainer;
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::matrix::{run_matrix, MatrixCell, MatrixSpec, ScenarioSpec};
 use sage_eval::runner::Contender;
+use sage_eval::score::{interval_scores, ScoreKind};
 use sage_gr::GrConfig;
-use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,12 +38,6 @@ pub fn write_report(name: &str, json: &sage_util::Json) -> PathBuf {
     sage_util::fsio::atomic_write(&path, json.to_string().as_bytes())
         .unwrap_or_else(|e| panic!("write report {}: {e}", path.display()));
     path
-}
-
-/// The embedded metrics section every `BENCH_*.json` report carries:
-/// a deterministic snapshot of all registered counters/gauges/histograms.
-pub fn obs_metrics() -> sage_util::Json {
-    sage_obs::snapshot_json()
 }
 
 pub fn pool_path() -> PathBuf {
@@ -109,38 +106,152 @@ pub fn default_train_cfg() -> CrrConfig {
     }
 }
 
-/// The retrained variants of Fig. 12/14/15: load `artifacts/<name>.model`, or
-/// — when no such file exists — train it for `steps` CRR steps under `cfg`,
-/// save it there and load it back. The pool arrives lazily so that a caller
-/// which has to *collect* one (Fig. 14) does so only when it must train.
-pub fn load_or_train<P: Borrow<Pool>>(
-    name: &str,
-    cfg: CrrConfig,
-    steps: u64,
-    pool: impl FnOnce() -> P,
-) -> Arc<SageModel> {
+/// Every model a figure retrains: load `artifacts/<name>.model`, or — when
+/// no such file exists — build it with `train`, save it there and load it
+/// back. The closure runs only on that second path, so whatever it needs (a
+/// pool to load or collect, online rollouts) costs nothing on a later run.
+/// The file records nothing of what trained it, so a changed pool, step
+/// count or recipe needs it deleted; `run_experiments.sh` starts by deleting
+/// every model but the committed `sage*` ones.
+pub fn load_or_train(name: &str, train: impl FnOnce() -> SageModel) -> Arc<SageModel> {
     let path = model_path(name);
-    let load = || {
-        let model = SageModel::load_file(&path);
-        Arc::new(model.unwrap_or_else(|e| panic!("load {}: {e}", path.display())))
-    };
-    if path.exists() {
-        return load();
+    if !path.exists() {
+        let t0 = Instant::now();
+        train()
+            .save_file(&path)
+            .unwrap_or_else(|e| panic!("save {}: {e}", path.display()));
+        println!("trained {name} ({:.0} s)", t0.elapsed().as_secs_f64());
     }
-    let t0 = Instant::now();
-    let pool = pool();
-    let pool = pool.borrow();
+    let model = SageModel::load_file(&path);
+    Arc::new(model.unwrap_or_else(|e| panic!("load {}: {e}", path.display())))
+}
+
+/// `steps` CRR steps under `cfg` on `pool`, from scratch.
+pub fn train_crr(cfg: CrrConfig, steps: u64, pool: &Pool) -> SageModel {
     let mut tr = CrrTrainer::new(cfg, pool);
     tr.train(pool, steps, |_, _| {});
-    tr.model()
-        .save_file(&path)
-        .unwrap_or_else(|e| panic!("save {}: {e}", path.display()));
-    println!(
-        "trained {name} on {} trajs ({:.0} s)",
-        pool.trajectories.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    load()
+    tr.into_model()
+}
+
+/// The ML-league comparators of §6.2 (Fig. 9/11) at reproduction scale,
+/// `SAGE_BASELINE_STEPS` gradient steps each, through [`load_or_train`]:
+///
+/// * `bc` — behavioral cloning on all 13 schemes; `bc_top` — on the top
+///   scheme of each set ({vegas, cubic}); `bc_top3` — on the top three of
+///   each; `bcv2` — on only the winner trajectory of each environment
+/// * `indigo` — BC of BDP-oracle trajectories, Set I only; `indigov2` —
+///   Set I + Set II
+/// * `onlinerl` — Sage's online off-policy counterpart (self-collected
+///   data); `aurora` — online on-policy, single-flow reward, no GRU
+/// * `orca` — the hybrid's multiplier (Cubic x learned), R1 only; `orcav2`
+///   — retrained with both rewards
+///
+/// `indigo*`, `onlinerl`, `aurora` and `orca` roll out in [`default_envs`],
+/// so `SAGE_SET1`/`SAGE_SET2`/`SAGE_SECS` as seen by the process that first
+/// asks for one choose its training set: `run_experiments.sh` runs fig09 —
+/// the first to ask — at the defaults (36 + 18 envs), evaluation included.
+/// Each recipe that reads the pool loads it itself (one 26 MB read per model
+/// trained, nothing against its training).
+pub fn comparator(name: &str) -> Arc<SageModel> {
+    load_or_train(name, || {
+        let steps = envvar("SAGE_BASELINE_STEPS", 3000) as u64;
+        let pool = || Pool::load_file(&pool_path()).expect("run collect_pool first");
+        let gr = default_gr();
+        let envs_of = |sets: &[SetKind]| -> Vec<EnvSpec> {
+            let envs = default_envs();
+            let of = |set| envs.iter().filter(move |e| e.set == set).cloned();
+            sets.iter().copied().flat_map(of).collect()
+        };
+        let bc = |pool: &Pool| {
+            let cfg = CrrConfig {
+                bc_only: true,
+                ..default_train_cfg()
+            };
+            train_crr(cfg, steps, pool)
+        };
+        // Indigo-like: imitate the BDP oracle (half the link in Set II,
+        // where one Cubic flow competes).
+        let oracle = |sets: &[SetKind]| {
+            let mut oracle_pool = Pool::new();
+            for env in envs_of(sets) {
+                let share = if env.set == SetKind::SetII { 2.0 } else { 1.0 };
+                let cca = Box::new(OracleCc::new(env.capacity_mbps / share, env.rtt_ms));
+                let res = sage_collector::rollout(&env, "oracle", cca, gr, SEED);
+                oracle_pool.trajectories.push(res.traj);
+            }
+            bc(&oracle_pool)
+        };
+        let online = |cfg: CrrConfig, envs: &[EnvSpec], on_policy: bool| {
+            let (mean, std) = pool().feature_stats();
+            let mut tr = OnlineRlTrainer::new(cfg, gr, mean, std, on_policy);
+            let iters = 12;
+            for _ in 0..iters {
+                tr.iterate(envs, 3, steps / iters);
+            }
+            tr.snapshot_model()
+        };
+        match name {
+            "bc" => bc(&pool()),
+            "bc_top" => bc(&pool().filter_schemes(&["vegas", "cubic"])),
+            "bc_top3" => {
+                bc(&pool().filter_schemes(&["vegas", "bbr2", "yeah", "cubic", "htcp", "bic"]))
+            }
+            "bcv2" => bc(&winner_pool(&pool())),
+            "indigo" => oracle(&[SetKind::SetI]),
+            "indigov2" => oracle(&[SetKind::SetI, SetKind::SetII]),
+            "onlinerl" => online(default_train_cfg(), &default_envs(), false),
+            // Single-flow reward only, so Set I environments only.
+            "aurora" => {
+                let net = NetConfig {
+                    gru: 0,
+                    ..NetConfig::default()
+                };
+                let cfg = CrrConfig {
+                    net,
+                    ..default_train_cfg()
+                };
+                online(cfg, &envs_of(&[SetKind::SetI]), true)
+            }
+            // R1 only: Cubic's own Set I rollouts plus the heuristic pool
+            // restricted to Set I.
+            "orca" => {
+                let set1 = envs_of(&[SetKind::SetI]);
+                let mut orca_pool = collect_pool(&set1, &["cubic"], gr, SEED ^ 0x0C, |_, _| {});
+                let set1_trajs = pool().trajectories.into_iter().filter(|t| !t.set2);
+                orca_pool.trajectories.extend(set1_trajs);
+                train_crr(default_train_cfg(), steps, &orca_pool)
+            }
+            "orcav2" => train_crr(default_train_cfg(), steps, &pool()),
+            other => panic!("no comparator recipe named {other:?}"),
+        }
+    })
+}
+
+/// Winner trajectories per environment (for `bcv2`): the scheme with the
+/// best mean interval score in each env.
+fn winner_pool(pool: &Pool) -> Pool {
+    let mut best: BTreeMap<&str, (f64, usize)> = BTreeMap::new();
+    for (i, t) in pool.trajectories.iter().enumerate() {
+        let kind = if t.set2 {
+            ScoreKind::Friendliness
+        } else {
+            ScoreKind::Power
+        };
+        let s = interval_scores(&t.thr, &t.owd, kind, 2.0, t.fair_share_bps);
+        let mean = sage_util::mean(&s);
+        // Friendliness: lower better -> negate.
+        let score = if t.set2 { -mean } else { mean };
+        let e = best.entry(&t.env_id).or_insert((f64::NEG_INFINITY, i));
+        if score > e.0 {
+            *e = (score, i);
+        }
+    }
+    Pool {
+        trajectories: best
+            .values()
+            .map(|&(_, i)| pool.trajectories[i].clone())
+            .collect(),
+    }
 }
 
 /// Print a row-oriented results table with a header.

@@ -8,7 +8,8 @@
 //!   tolerance above its baseline;
 //! * the 64-flow shared-bottleneck serving case (the Jain ~0.4 fairness
 //!   finding) — fairness and aggregate goodput must not drop below their
-//!   baselines by more than the tolerance.
+//!   baselines by more than the tolerance, and the policy (not the heuristic
+//!   fallback) must decide at least 95% of the actions.
 //!
 //! Every quantity here is deterministic at any `SAGE_THREADS`, so
 //! `scripts/check.sh` runs the gate at two thread counts. After an
@@ -49,6 +50,12 @@ fn fairness_case(model: Arc<SageModel>) -> (f64, f64) {
             seed: SEED,
             ..ServeConfig::default()
         },
+    );
+    let (nn, fallback) = (report.serve.nn_actions, report.serve.fallback_actions);
+    assert!(
+        fallback * 20 <= nn + fallback,
+        "64-flow fallback share above 5%: {fallback} of {} actions",
+        nn + fallback
     );
     let jain = jain_fairness(&report.learned_goodputs());
     let total: f64 = report.stats.iter().map(|s| s.avg_goodput_mbps).sum();

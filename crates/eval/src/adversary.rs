@@ -33,28 +33,6 @@ use sage_util::{Fnv64, Json, Rng};
 /// Number of knobs in a scenario genome.
 pub const GENOME_DIM: usize = 18;
 
-/// Knob names, index-aligned with the genome (for reports and debugging).
-pub const KNOB_NAMES: [&str; GENOME_DIM] = [
-    "bw_mbps",
-    "rtt_ms",
-    "buffer_bdp",
-    "step_factor",
-    "ge_enter",
-    "ge_loss_bad",
-    "jitter_prob",
-    "jitter_max_ms",
-    "blackout_len",
-    "blackout_start",
-    "flap_down",
-    "ack_compress",
-    "reorder_prob",
-    "aqm",
-    "cross_flows",
-    "extra_hops",
-    "hop_ratio",
-    "hop_faults",
-];
-
 fn lerp(u: f64, lo: f64, hi: f64) -> f64 {
     lo + (hi - lo) * u.clamp(0.0, 1.0)
 }

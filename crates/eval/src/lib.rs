@@ -31,6 +31,6 @@ pub use matrix::{
 };
 pub use runner::Contender;
 pub use score::{interval_scores, jain_fairness, RunScore, ScoreKind};
-pub use set3::{degradation_pct, scenario_grid, summarise, FaultScenario, Set3Summary};
+pub use set3::{scenario_grid, summarise, FaultScenario, Set3Summary};
 pub use set4::{eval_pinned, pinned_scenarios, PinnedScenario, Set4Tolerance, SET4_SECS};
 pub use similarity::{cosine_distance, cosine_similarity, transition_vectors, DistanceIndex};

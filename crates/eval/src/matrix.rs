@@ -435,7 +435,7 @@ pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) 
         cell.flow_goodputs = res.all_stats.iter().map(|f| f.avg_goodput_mbps).collect();
         cell.fairness = jain_fairness(&cell.flow_goodputs);
         let ds = |xs: &[f32], scale: f64| -> Vec<f64> {
-            sage_obs::downsample_mean(xs, SERIES_POINTS)
+            sage_util::downsample_mean(xs, SERIES_POINTS)
                 .into_iter()
                 .map(|v| v * scale)
                 .collect()

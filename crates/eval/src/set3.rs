@@ -158,7 +158,7 @@ pub fn set3_env(scenario: &FaultScenario, duration_secs: f64) -> EnvSpec {
 /// Goodput drop of a fault cell against its scheme's own clean-link cell,
 /// percent (0 = none). A dead cell is fully degraded; without a clean
 /// baseline that moved data there is nothing to degrade from.
-pub fn degradation_pct(cell: &MatrixCell, clean: Option<&MatrixCell>) -> f64 {
+fn degradation_pct(cell: &MatrixCell, clean: Option<&MatrixCell>) -> f64 {
     let clean_mbps = clean.map_or(0.0, |c| c.goodput_mbps);
     if !cell.completed {
         100.0

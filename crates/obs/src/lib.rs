@@ -21,9 +21,6 @@
 //!   tick-stamped events (`SAGE_RECORD=serve,transport,...`), drained via
 //!   an ordered merge that is byte-identical at any `SAGE_THREADS` and
 //!   dumped as `FLIGHT_*.jsonl` on demand or post-mortem from panic paths.
-//! * **Time series** ([`series`]) — periodic snapshots of every registered
-//!   metric into capped `(tick, value)` series, exported into eval/bench
-//!   artefacts as ramp-up curves instead of end-state scalars.
 //!
 //! # Determinism rules
 //!
@@ -45,7 +42,6 @@ pub mod hist;
 pub mod log;
 pub mod metrics;
 pub mod recorder;
-pub mod series;
 
 pub use log::{flush_trace, log_enabled, Level};
 pub use metrics::{counter, gauge, histogram, reset_metrics, snapshot_json};
@@ -53,16 +49,12 @@ pub use recorder::{
     dump_postmortem, dump_to_file, force_record, force_record_cap, record, recording,
     recording_any, reset_recorder, Category, EventKind,
 };
-pub use series::{downsample_mean, reset_series, sample_metrics, series_json};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Tri-state so the env var is parsed once: 0 = uninitialised, 1 = on,
 /// 2 = off.
 static OBS_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Environment variable for the runtime kill switch.
-pub const OBS_ENV: &str = sage_util::env_cfg::OBS;
 
 /// Whether metrics record anything. The hot path is one relaxed load plus
 /// a predictable branch.
@@ -152,26 +144,6 @@ macro_rules! obs_info {
     ($($arg:tt)*) => {
         if $crate::log::log_enabled($crate::Level::Info) {
             $crate::log::log($crate::Level::Info, format_args!($($arg)*));
-        }
-    };
-}
-
-/// Log a debug-level event (hidden unless `SAGE_LOG=debug`).
-#[macro_export]
-macro_rules! obs_debug {
-    ($($arg:tt)*) => {
-        if $crate::log::log_enabled($crate::Level::Debug) {
-            $crate::log::log($crate::Level::Debug, format_args!($($arg)*));
-        }
-    };
-}
-
-/// Log a trace-level event (hidden unless `SAGE_LOG=trace`).
-#[macro_export]
-macro_rules! obs_trace {
-    ($($arg:tt)*) => {
-        if $crate::log::log_enabled($crate::Level::Trace) {
-            $crate::log::log($crate::Level::Trace, format_args!($($arg)*));
         }
     };
 }

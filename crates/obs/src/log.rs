@@ -20,9 +20,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment variable selecting the maximum visible level.
-pub const LOG_ENV: &str = sage_util::env_cfg::LOG;
-
 /// Environment variable naming the structured JSONL trace file.
 pub const TRACE_FILE_ENV: &str = sage_util::env_cfg::TRACE_FILE;
 
@@ -154,7 +151,7 @@ pub fn flush_trace() {
 }
 
 /// Emit one leveled event: `[LEVEL] message` on stderr plus a structured
-/// trace record. Prefer the `obs_error!`..`obs_trace!` macros, which check
+/// trace record. Prefer the `obs_error!`..`obs_info!` macros, which check
 /// the level before formatting.
 pub fn log(level: Level, args: fmt::Arguments<'_>) {
     if !log_enabled(level) {

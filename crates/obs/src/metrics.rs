@@ -262,41 +262,6 @@ fn hist_json(s: &HistSnapshot) -> Json {
     ])
 }
 
-/// Walk every registered metric in name order and hand `(name, value)`
-/// pairs to `f`: counters as totals, gauges as-is, histograms expanded to
-/// `<name>.count` / `<name>.p50` / `<name>.p99`. This is the sampling
-/// surface for the [`crate::series`] layer; walk order is the `BTreeMap`
-/// name order, so sample layouts are deterministic.
-pub(crate) fn visit_samples(mut f: impl FnMut(&str, f64)) {
-    for (k, c) in registry()
-        .counters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-    {
-        f(k, c.value() as f64);
-    }
-    for (k, g) in registry()
-        .gauges
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-    {
-        f(k, g.value());
-    }
-    for (k, h) in registry()
-        .hists
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-    {
-        let s = h.snapshot();
-        f(&format!("{k}.count"), s.count as f64);
-        f(&format!("{k}.p50"), s.quantile(0.5));
-        f(&format!("{k}.p99"), s.quantile(0.99));
-    }
-}
-
 /// Export every registered metric as one JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
 /// Metric names are sorted, shard merges are integer sums — the output is

@@ -28,12 +28,6 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Environment variable selecting recorded categories (comma list or `all`).
-pub const RECORD_ENV: &str = sage_util::env_cfg::RECORD;
-
-/// Environment variable sizing each per-thread ring (events).
-pub const RECORD_CAP_ENV: &str = sage_util::env_cfg::RECORD_CAP;
-
 /// Default per-thread ring capacity.
 pub const DEFAULT_RING_CAP: usize = 65536;
 

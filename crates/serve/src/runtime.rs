@@ -11,7 +11,7 @@
 //! Two serving modes exist: `Batched` (the production path) and
 //! `SequentialGraph`, which evaluates each row through the autodiff `Graph`
 //! training uses. The second is the reference the first is tested against
-//! (identical digests); `serve_bench` reports the speed ratio.
+//! (identical digests, `tests/serve_modes.rs`).
 //!
 //! When [`ServeConfig::symbolic`] carries a distilled tree, flows are
 //! admitted on the **symbolic fast tier**: actions come from a tree walk
@@ -137,38 +137,6 @@ pub struct ServeStats {
     pub batch_latency_ns: Vec<u64>,
 }
 
-impl ServeStats {
-    /// Policy actions per second of inference wall-clock.
-    pub fn actions_per_sec(&self) -> f64 {
-        if self.infer_nanos == 0 {
-            return 0.0;
-        }
-        self.nn_actions as f64 / (self.infer_nanos as f64 / 1e9)
-    }
-
-    /// Symbolic-tier actions per second of tree-walk wall-clock.
-    pub fn symbolic_actions_per_sec(&self) -> f64 {
-        if self.sym_infer_nanos == 0 {
-            return 0.0;
-        }
-        self.symbolic_actions as f64 / (self.sym_infer_nanos as f64 / 1e9)
-    }
-
-    /// Latency percentile (0..=100) over per-tick inference calls, ns —
-    /// estimated through the obs log-linear histogram quantile (bounded
-    /// relative error, no O(n log n) sort on every report line).
-    pub fn latency_ns_percentile(&self, p: f64) -> u64 {
-        if self.batch_latency_ns.is_empty() {
-            return 0;
-        }
-        let mut h = sage_obs::hist::HistSnapshot::new();
-        for &v in &self.batch_latency_ns {
-            h.observe(v);
-        }
-        h.quantile(p / 100.0).round() as u64
-    }
-}
-
 /// One action decided on a tick, to be applied to the flow's transport.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeAction {
@@ -220,13 +188,6 @@ impl ServeRuntime {
 
     pub fn contains(&self, key: FlowKey) -> bool {
         self.table.contains(key)
-    }
-
-    pub fn cwnd_of(&self, key: FlowKey) -> Option<f64> {
-        self.table
-            .slot_of(key)
-            .and_then(|s| self.table.get(s))
-            .map(|e| e.actor.cwnd())
     }
 
     /// Admit a flow; its first action is due at `now_tick`. Returns false
@@ -663,8 +624,8 @@ impl ServeRuntime {
     }
 
     /// The reference path: each row through the autodiff `Graph` that
-    /// training interprets. No controller deploys this; tests and
-    /// `serve_bench` hold `infer_batched` to its digests.
+    /// training interprets. No controller deploys this; tests hold
+    /// `infer_batched` to its digests.
     fn infer_sequential(&self, xs: &Array, hs: &Array) -> (Vec<GmmParams>, Array) {
         let b = xs.rows;
         let mut mixes = Vec::with_capacity(b);

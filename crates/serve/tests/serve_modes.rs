@@ -3,7 +3,8 @@
 //! The load-bearing claims, each pinned here:
 //! * `Batched` mode (one matrix forward per tick) produces **bit-identical**
 //!   actions and digests to `SequentialGraph` mode (one autodiff graph per
-//!   flow — the reference path).
+//!   flow — the reference path), at test widths and at the deployed widths
+//!   across 32-row chunks.
 //! * The flow-table digest is byte-identical at `threads = 1, 2, 4`.
 //! * The deadline budget defers overflow flows and degrades persistent
 //!   stragglers to the heuristic fallback instead of starving them.
@@ -17,8 +18,17 @@ use sage_transport::{CaState, SocketView};
 use sage_util::Rng;
 use std::sync::Arc;
 
+fn model(cfg: NetConfig) -> Arc<SageModel> {
+    Arc::new(SageModel::new(
+        cfg,
+        vec![0.0; STATE_DIM],
+        vec![1.0; STATE_DIM],
+        3,
+    ))
+}
+
 fn tiny_model() -> Arc<SageModel> {
-    let cfg = NetConfig {
+    model(NetConfig {
         enc1: 8,
         gru: 8,
         enc2: 8,
@@ -26,13 +36,7 @@ fn tiny_model() -> Arc<SageModel> {
         residual_blocks: 1,
         critic_hidden: 8,
         ..NetConfig::default()
-    };
-    Arc::new(SageModel::new(
-        cfg,
-        vec![0.0; STATE_DIM],
-        vec![1.0; STATE_DIM],
-        3,
-    ))
+    })
 }
 
 /// Deterministic synthetic observation for flow `key` at `tick`.
@@ -66,6 +70,7 @@ fn synth_view(tick: u64, key: u64) -> SocketView {
 /// Drive a runtime over synthetic observations; return its digest and the
 /// full action trace (cwnd captured as raw bits — exactness, not closeness).
 fn drive(
+    model: Arc<SageModel>,
     mode: ServeMode,
     threads: usize,
     flows: u64,
@@ -77,7 +82,7 @@ fn drive(
         action: ActionMode::Sample,
         ..ServeConfig::default()
     };
-    let mut rt = ServeRuntime::new(tiny_model(), GrConfig::default(), cfg);
+    let mut rt = ServeRuntime::new(model, GrConfig::default(), cfg);
     for k in 0..flows {
         assert!(rt.admit(k, 0, 1));
     }
@@ -100,21 +105,25 @@ fn drive(
 
 #[test]
 fn batched_bit_identical_to_sequential_graph() {
-    let (d_batch, t_batch, rt) = drive(ServeMode::Batched, 1, 24, 40);
-    let (d_seq, t_seq, _) = drive(ServeMode::SequentialGraph, 1, 24, 40);
-    assert_eq!(t_batch.len(), 24 * 40);
-    assert_eq!(t_batch, t_seq, "action traces diverged between modes");
-    assert_eq!(d_batch, d_seq, "digests diverged between modes");
-    assert_eq!(rt.stats.nn_actions, 24 * 40);
-    assert_eq!(rt.stats.fallback_actions, 0);
+    // Widths of 8 in one chunk, then the deployed network over three chunks.
+    let deployed = model(NetConfig::default());
+    for (model, flows, ticks) in [(tiny_model(), 24, 40), (deployed, 70, 5)] {
+        let (d_batch, t_batch, rt) = drive(model.clone(), ServeMode::Batched, 1, flows, ticks);
+        let (d_seq, t_seq, _) = drive(model, ServeMode::SequentialGraph, 1, flows, ticks);
+        assert_eq!(t_batch.len() as u64, flows * ticks);
+        assert_eq!(t_batch, t_seq, "action traces diverged between modes");
+        assert_eq!(d_batch, d_seq, "digests diverged between modes");
+        assert_eq!(rt.stats.nn_actions, flows * ticks);
+        assert_eq!(rt.stats.fallback_actions, 0);
+    }
 }
 
 #[test]
 fn digest_stable_across_thread_counts() {
     // 70 flows spans three 32-row chunks, so threads genuinely interleave.
-    let (d1, t1, _) = drive(ServeMode::Batched, 1, 70, 25);
+    let (d1, t1, _) = drive(tiny_model(), ServeMode::Batched, 1, 70, 25);
     for threads in [2, 4] {
-        let (d, t, _) = drive(ServeMode::Batched, threads, 70, 25);
+        let (d, t, _) = drive(tiny_model(), ServeMode::Batched, threads, 70, 25);
         assert_eq!(t1, t, "action trace changed at threads={threads}");
         assert_eq!(d1, d, "digest changed at threads={threads}");
     }

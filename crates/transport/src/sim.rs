@@ -596,19 +596,9 @@ impl Simulation {
         out
     }
 
-    /// Total packets dropped at queues, summed over every hop.
-    pub fn path_drops(&self) -> u64 {
-        self.hops.iter().map(|h| h.total_dropped).sum()
-    }
-
     /// Counters of everything hop 0's fault injector did during the run.
     pub fn fault_stats(&self) -> FaultStats {
         self.hop_faults[0].stats
-    }
-
-    /// Per-hop fault-injector counters, hop order.
-    pub fn hop_fault_stats(&self) -> Vec<FaultStats> {
-        self.hop_faults.iter().map(|f| f.stats).collect()
     }
 
     /// Per-hop queue counters, hop order. The conservation invariant

@@ -29,8 +29,6 @@ pub const TRACE_FILE: &str = "SAGE_TRACE_FILE";
 pub const RECORD: &str = "SAGE_RECORD";
 /// Flight-recorder per-thread ring capacity.
 pub const RECORD_CAP: &str = "SAGE_RECORD_CAP";
-/// Per-series point cap for time-series observability.
-pub const SERIES_CAP: &str = "SAGE_SERIES_CAP";
 /// Where panic-recovery paths dump the flight-recorder tail.
 pub const FLIGHT_FILE: &str = "SAGE_FLIGHT_FILE";
 /// Explicit path of the distilled symbolic tree.
@@ -66,10 +64,6 @@ pub fn record_cap() -> Option<String> {
     read(RECORD_CAP)
 }
 
-pub fn series_cap() -> Option<String> {
-    read(SERIES_CAP)
-}
-
 /// `OsString` because the dump path need not be valid UTF-8.
 pub fn flight_file() -> Option<OsString> {
     std::env::var_os(FLIGHT_FILE)
@@ -98,7 +92,6 @@ mod tests {
             super::TRACE_FILE,
             super::RECORD,
             super::RECORD_CAP,
-            super::SERIES_CAP,
             super::FLIGHT_FILE,
             super::TREE,
         ] {

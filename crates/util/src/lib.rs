@@ -21,4 +21,4 @@ pub use par::{configured_threads, par_map, par_map_range, resolve_threads, THREA
 pub use prop::{forall, PropConfig};
 pub use ring::RingWindow;
 pub use rng::Rng;
-pub use stats::{mean, percentile, stddev, Ewma, OnlineStats};
+pub use stats::{downsample_mean, mean, percentile, stddev, Ewma, OnlineStats};

@@ -1,5 +1,5 @@
-//! Small statistics helpers: batch summaries, exponentially weighted moving
-//! averages, and Welford online moments.
+//! Small statistics helpers: batch summaries, chunk-mean downsampling,
+//! exponentially weighted moving averages, and Welford online moments.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -34,6 +34,26 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         let f = rank - lo as f64;
         v[lo] * (1.0 - f) + v[hi] * f
     }
+}
+
+/// Downsample `xs` to at most `n` points by chunk means (ramp-up curve
+/// shape, not raw decimation). Deterministic: accumulation is in index
+/// order. Returns `xs` as-is (widened) when it already fits.
+pub fn downsample_mean(xs: &[f32], n: usize) -> Vec<f64> {
+    if n == 0 || xs.is_empty() {
+        return Vec::new();
+    }
+    if xs.len() <= n {
+        return xs.iter().map(|&x| x as f64).collect();
+    }
+    let mut out = Vec::with_capacity(n);
+    for k in 0..n {
+        let lo = k * xs.len() / n;
+        let hi = ((k + 1) * xs.len() / n).max(lo + 1);
+        let sum: f64 = xs[lo..hi].iter().map(|&x| x as f64).sum();
+        out.push(sum / (hi - lo) as f64);
+    }
+    out
 }
 
 /// Exponentially weighted moving average with a fixed smoothing factor.
@@ -167,6 +187,20 @@ mod tests {
         assert!((percentile(&xs, 0.0) - 10.0).abs() < 1e-12);
         assert!((percentile(&xs, 100.0) - 40.0).abs() < 1e-12);
         assert!((percentile(&xs, 50.0) - 25.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn downsample_mean_preserves_shape() {
+        let xs: Vec<f32> = (0..100).map(|i| i as f32).collect();
+        let d = downsample_mean(&xs, 4);
+        assert_eq!(d.len(), 4);
+        // Chunk means of an increasing ramp are increasing.
+        assert!(d.windows(2).all(|w| w[0] < w[1]));
+        assert!((d[0] - 12.0).abs() < 0.51, "first chunk mean {}", d[0]);
+        // Short inputs pass through.
+        assert_eq!(downsample_mean(&[1.0, 2.0], 8), vec![1.0, 2.0]);
+        assert!(downsample_mean(&[], 8).is_empty());
+        assert!(downsample_mean(&xs, 0).is_empty());
     }
 
     #[test]

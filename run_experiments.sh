@@ -1,10 +1,16 @@
 #!/bin/bash
 # Regenerate every paper figure/table into artifacts/results/.
 # Assumes collect_pool + train_sage have produced artifacts/pool.bin and
-# artifacts/sage*.model. Smaller env subsets (SAGE_SET1/SET2) bound runtime
-# for the league-style figures; they are seeded subsamples of the training
-# grid. Core figures run first so partial runs still produce the headline
-# results; the retraining-heavy studies (12/14/15) come last.
+# artifacts/sage*.model; every other model a figure needs (the Fig. 9/11
+# comparators, the Fig. 12/14/15 variants) is trained by the figure that
+# first asks for it and kept under artifacts/ — this script deletes them
+# first, so a full run never scores a model left by an older pool or step
+# count. Smaller env subsets (SAGE_SET1/SET2) bound runtime for the
+# league-style figures; they are seeded subsamples of the training grid.
+# fig09 gets none: five of its comparators train in the env set it is run
+# with (sage_bench::comparator), which must be the full 36 + 18. The headline
+# league and the core figures run first so partial runs still produce the
+# headline results; the retraining-heavy studies (12/14/15) come last.
 set -u
 cd "$(dirname "$0")"
 mkdir -p artifacts/results
@@ -43,15 +49,19 @@ export SAGE_ABLATION_STEPS=${SAGE_ABLATION_STEPS:-1500}
 export SAGE_GRAN_STEPS=${SAGE_GRAN_STEPS:-1500}
 export SAGE_DIVERSITY_STEPS=${SAGE_DIVERSITY_STEPS:-1500}
 
+for m in artifacts/*.model; do
+  case "${m##*/}" in sage.model | sage_d[1-7].model) ;; *) rm -f "$m" ;; esac
+done
+
+run league cargo run --release -q -p sage-bench --bin league_quick
 run fig05 cargo run --release -q -p sage-bench --bin fig05_reward_shape
 run fig01 env SAGE_SET1=36 SAGE_SET2=18 cargo run --release -q -p sage-bench --bin fig01_winning_rates
 run fig22 cargo run --release -q -p sage-bench --bin fig22_frontier
 run fig23 cargo run --release -q -p sage-bench --bin fig23_aqm
 run fig17 cargo run --release -q -p sage-bench --bin fig17_behavior
-run train_baselines cargo run --release -q -p sage-bench --bin train_baselines
 run fig11 cargo run --release -q -p sage-bench --bin fig11_distance_cdf
 run fig07 env SAGE_SET1=20 SAGE_SET2=10 cargo run --release -q -p sage-bench --bin fig07_training_curve
-run fig09 env SAGE_SET1=16 SAGE_SET2=8 cargo run --release -q -p sage-bench --bin fig09_ml_league
+run fig09 cargo run --release -q -p sage-bench --bin fig09_ml_league
 run fig10 env SAGE_SET1=20 SAGE_SET2=10 cargo run --release -q -p sage-bench --bin fig10_delay_league
 run fig19 cargo run --release -q -p sage-bench --bin fig19_tcp_friendliness
 run fig24 cargo run --release -q -p sage-bench --bin fig24_dynamics
@@ -61,9 +71,9 @@ run fig18 cargo run --release -q -p sage-bench --bin fig18_fairness
 run fig15 env SAGE_SET1=14 SAGE_SET2=7 cargo run --release -q -p sage-bench --bin fig15_diversity
 run fig12 env SAGE_SET1=14 SAGE_SET2=7 cargo run --release -q -p sage-bench --bin fig12_ablation
 run fig14 env SAGE_SET1=12 SAGE_SET2=6 cargo run --release -q -p sage-bench --bin fig14_granularity
-run set3 env SAGE_SECS=10 cargo run --release -q -p sage-bench --bin set3_adversarial
 run adv cargo run --release -q -p sage-bench --bin adv_search
 run distill cargo run --release -q -p sage-bench --bin distill_report
+run matrix cargo run --release -q -p sage-bench --bin eval_matrix
 # Distillation fidelity at a glance: held-out action-agreement per split and
 # the sage-sym vs sage league rank delta, straight from the distill run
 # (full detail in $R/DISTILL_report.json).

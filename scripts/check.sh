@@ -28,6 +28,18 @@ STRAY=$(comm -3 <(knobs_in_code | sort -u) \
           | tr -d '\t' | tr '\n' ' ')
 [ -z "$STRAY" ] || { echo "FAIL: knobs in the code or README's table but not both: $STRAY"; exit 1; }
 
+# A committed result nothing writes can only go stale: every report under
+# artifacts/results/ is a file name some bench bin spells out, or the stdout
+# (`<name>.txt`) of a `run <name>` line of run_experiments.sh.
+echo "== docs: every file under artifacts/results/ has a producer =="
+for f in artifacts/results/*.json artifacts/results/*.md artifacts/results/*.txt; do
+  [ -e "$f" ] || continue
+  b=$(basename "$f")
+  grep -rqF "\"$b\"" crates/bench/src \
+    || { [ "$b" != "${b%.txt}" ] && grep -q "^run ${b%.txt} " run_experiments.sh; } \
+    || { echo "FAIL: artifacts/results/$b is written by no bench bin and no run_experiments.sh line"; exit 1; }
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -65,10 +77,10 @@ SAGE_THREADS=4 cargo test -q --release
 echo "== benchmark: cargo test --release (perf_ledger against this tree) =="
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
-# SLO gate over the committed artifacts (EVAL_matrix.json +
-# BENCH_serve.json): any breach fails the build. It rewrites OBS_slo.json and
-# FAIRNESS_trace.md with the bytes that are committed.
-echo "== SLO gate: committed EVAL_matrix.json + BENCH_serve.json =="
+# SLO gate over the committed EVAL_matrix.json: any breach fails the build.
+# It rewrites OBS_slo.json and FAIRNESS_trace.md with the bytes that are
+# committed.
+echo "== SLO gate: committed EVAL_matrix.json =="
 ./target/release/obs_report
 
 # Opt-in ThreadSanitizer lane over the parallel runtime (SAGE_TSAN=1).
