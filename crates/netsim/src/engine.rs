@@ -53,8 +53,24 @@ impl<E> EventQueue<E> {
 
     /// Schedule `ev` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: Nanos, ev: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, ev);
+    }
+
+    /// Take the next insertion sequence without inserting anything: the
+    /// tie-break position an event would get if it were scheduled now. A
+    /// caller that may never need the event (a timer that is usually
+    /// re-armed before it fires) reserves here and inserts later.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Insert `ev` at `at` with a sequence from [`Self::reserve_seq`]: among
+    /// events at the same instant it fires where it was reserved, not where
+    /// it was inserted. `at` must not be earlier than the last popped time.
+    pub fn schedule_reserved(&mut self, at: Nanos, seq: u64, ev: E) {
         self.heap.push(Entry { at, seq, ev });
     }
 
@@ -106,6 +122,18 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((5, i)));
         }
+    }
+
+    #[test]
+    fn reserved_sequence_fires_where_it_was_reserved() {
+        let mut q = EventQueue::new();
+        q.schedule(5, "first");
+        let seq = q.reserve_seq();
+        q.schedule(5, "third");
+        q.schedule(4, "earlier");
+        q.schedule_reserved(5, seq, "second");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["earlier", "first", "second", "third"]);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::aqm::{Aqm, DequeueVerdict, EnqueueVerdict, QueueView};
 use crate::link::LinkModel;
 use crate::packet::Packet;
 use crate::time::Nanos;
+use sage_obs::hist::HistSnapshot;
 use sage_obs::{obs_counter, obs_hist};
 use sage_util::Rng;
 use std::collections::VecDeque;
@@ -45,11 +46,16 @@ pub struct BottleneckPath {
     /// wireless loss on inter-continental profiles).
     random_loss: f64,
     rng: Rng,
-    /// Cumulative statistics.
+    /// Cumulative statistics. These and the two histograms below are the
+    /// path's obs taps: tallied here per packet, folded into the registry
+    /// once when the path drops.
     pub total_enqueued: u64,
     pub total_dropped: u64,
     pub total_delivered: u64,
-    drops: VecDeque<(Nanos, Packet)>,
+    /// Buffer depth seen by each arrival, packets.
+    depth_hist: HistSnapshot,
+    /// Queue wait of each delivered packet, microseconds.
+    sojourn_hist: HistSnapshot,
     /// Flight-recorder span base: packets of flow `f` record under span
     /// `span_base + f + 1`. Observability metadata only.
     span_base: u64,
@@ -75,7 +81,8 @@ impl BottleneckPath {
             total_enqueued: 0,
             total_dropped: 0,
             total_delivered: 0,
-            drops: VecDeque::new(),
+            depth_hist: HistSnapshot::new(),
+            sojourn_hist: HistSnapshot::new(),
             span_base: 0,
         }
     }
@@ -91,11 +98,9 @@ impl BottleneckPath {
         self.span_base + pkt.flow as u64 + 1
     }
 
-    /// Account one dropped packet: counters, the drop log the transport
-    /// drains for loss accounting, and the flight recorder.
+    /// Account one dropped packet: the counter and the flight recorder.
     fn note_drop(&mut self, now: Nanos, pkt: Packet) {
         self.total_dropped += 1;
-        obs_counter!("netsim.pkts_dropped").inc();
         sage_obs::record(
             sage_obs::Category::Netsim,
             sage_obs::EventKind::Drop,
@@ -104,7 +109,6 @@ impl BottleneckPath {
             pkt.flow as u64,
             pkt.seq,
         );
-        self.drops.push_back((now, pkt));
     }
 
     fn view(&self, now: Nanos) -> QueueView {
@@ -141,8 +145,7 @@ impl BottleneckPath {
     /// Offer a packet to the path at time `now`.
     pub fn enqueue(&mut self, now: Nanos, pkt: Packet) -> EnqueueOutcome {
         self.total_enqueued += 1;
-        obs_counter!("netsim.pkts_enqueued").inc();
-        obs_hist!("netsim.queue_depth_pkts").observe(self.buf.len() as u64);
+        self.depth_hist.observe(self.buf.len() as u64);
         sage_obs::record(
             sage_obs::Category::Netsim,
             sage_obs::EventKind::Enqueue,
@@ -230,8 +233,7 @@ impl BottleneckPath {
         let (pkt, sojourn, finish) = self.in_service.take()?;
         debug_assert!(now >= finish, "complete() called before finish time");
         self.total_delivered += 1;
-        obs_counter!("netsim.pkts_delivered").inc();
-        obs_hist!("netsim.sojourn_us").observe(sojourn / 1_000);
+        self.sojourn_hist.observe(sojourn / 1_000);
         sage_obs::record(
             sage_obs::Category::Netsim,
             sage_obs::EventKind::Deliver,
@@ -247,10 +249,18 @@ impl BottleneckPath {
             sojourn,
         })
     }
+}
 
-    /// Drain packets dropped since the last call (for loss accounting).
-    pub fn take_drops(&mut self) -> Vec<(Nanos, Packet)> {
-        self.drops.drain(..).collect()
+/// Fold the run's tallies into the registry: still write-only integer adds,
+/// so the totals equal per-packet recording at any thread count. Runs on
+/// unwind too, so a cell that panics under `catch_unwind` is still counted.
+impl Drop for BottleneckPath {
+    fn drop(&mut self) {
+        obs_counter!("netsim.pkts_enqueued").add(self.total_enqueued);
+        obs_counter!("netsim.pkts_dropped").add(self.total_dropped);
+        obs_counter!("netsim.pkts_delivered").add(self.total_delivered);
+        obs_hist!("netsim.queue_depth_pkts").merge(&self.depth_hist);
+        obs_hist!("netsim.sojourn_us").merge(&self.sojourn_hist);
     }
 }
 
@@ -312,7 +322,6 @@ mod tests {
             other => panic!("expected drop, got {other:?}"),
         }
         assert_eq!(p.total_dropped, 1);
-        assert_eq!(p.take_drops().len(), 1);
     }
 
     #[test]

@@ -146,6 +146,24 @@ impl Histogram {
         self.max.fetch_max(v, Relaxed);
     }
 
+    /// Fold a locally tallied snapshot in: the same integer adds as
+    /// observing its values one by one, paid once per tally instead of once
+    /// per value. A no-op when obs is disabled.
+    pub fn merge(&self, tally: &HistSnapshot) {
+        if !crate::enabled() || tally.count == 0 {
+            return;
+        }
+        for (b, &n) in self.buckets.iter().zip(&tally.buckets) {
+            if n > 0 {
+                b.fetch_add(n, Relaxed);
+            }
+        }
+        self.count.fetch_add(tally.count, Relaxed);
+        self.sum.fetch_add(tally.sum, Relaxed);
+        self.min.fetch_min(tally.min, Relaxed);
+        self.max.fetch_max(tally.max, Relaxed);
+    }
+
     /// Consistent-enough snapshot (exact when no writer is concurrent,
     /// which holds at every export point in the pipeline).
     pub fn snapshot(&self) -> HistSnapshot {

@@ -137,3 +137,25 @@ fn percentiles_stay_within_observed_range() {
         Ok(())
     });
 }
+
+/// The registry histogram's `merge` of a locally tallied snapshot is the
+/// per-run fold of the packet taps: it must leave exactly what observing
+/// the same values one by one leaves. (Nothing in this binary touches the
+/// kill switch, so obs is at its default: on.)
+#[test]
+fn registry_merge_equals_observing_one_by_one() {
+    let observed = sage_obs::histogram("test.hist_props.observed");
+    let merged = sage_obs::histogram("test.hist_props.merged");
+    forall("registry merge == observe", PropConfig::default(), |rng| {
+        // Both histograms accumulate across cases: every prefix must agree.
+        let values = arb_values(rng, 96);
+        for &v in &values {
+            observed.observe(v);
+        }
+        merged.merge(&observe_all(&values));
+        ensure(merged.snapshot() == observed.snapshot(), || {
+            format!("merge of {} values diverged from observe", values.len())
+        })
+    });
+    assert!(observed.snapshot().count > 0);
+}

@@ -7,7 +7,7 @@ use crate::rtt::RttEstimator;
 use crate::{MIN_CWND, MSS};
 use sage_netsim::packet::{FlowId, Packet};
 use sage_netsim::time::{Nanos, SECONDS};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Bookkeeping for one transmitted (and not yet cumulatively ACKed) packet.
 #[derive(Debug, Clone, Copy)]
@@ -36,15 +36,6 @@ pub struct Ack {
     pub for_retx: bool,
 }
 
-/// What the sender wants the simulation to do after processing an event.
-#[derive(Debug, Default)]
-pub struct SendActions {
-    /// Rearm the RTO timer to this deadline (None = leave as is).
-    pub rearm_rto: Option<Nanos>,
-    /// Cancel the RTO timer (no outstanding data).
-    pub cancel_rto: bool,
-}
-
 /// One end-to-end flow (sender and receiver bookkeeping in one struct since
 /// the emulation is single-process).
 pub struct Flow {
@@ -62,7 +53,11 @@ pub struct Flow {
     // --- Sender state ---
     next_seq: u64,
     snd_una: u64,
-    outstanding: BTreeMap<u64, SentMeta>,
+    /// The scoreboard: entry `i` is sequence `snd_una + i`, so it always
+    /// covers exactly `snd_una..next_seq` (pushed only at `next_seq`, popped
+    /// only below the cumulative ACK, cleared only by a restart that moves
+    /// `snd_una` to `next_seq`).
+    outstanding: VecDeque<SentMeta>,
     n_sacked: usize,
     n_lost: usize,
     dupacks: u32,
@@ -124,7 +119,7 @@ impl Flow {
             done: false,
             next_seq: 0,
             snd_una: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: VecDeque::new(),
             n_sacked: 0,
             n_lost: 0,
             dupacks: 0,
@@ -177,6 +172,12 @@ impl Flow {
         !self.retransmit_queue.is_empty()
     }
 
+    /// Scoreboard entry of `seq`, if it is still outstanding.
+    fn meta_mut(&mut self, seq: u64) -> Option<&mut SentMeta> {
+        let i = seq.checked_sub(self.snd_una)?;
+        self.outstanding.get_mut(i as usize)
+    }
+
     /// Produce the next packet to transmit (retransmissions first), updating
     /// all bookkeeping. Caller must have checked `window_open`.
     pub fn make_packet(&mut self, now: Nanos) -> Packet {
@@ -184,30 +185,27 @@ impl Flow {
         // Skip stale queue entries (cumulatively ACKed or SACKed since they
         // were queued).
         while let Some(seq) = self.retransmit_queue.pop_front() {
-            let stale = !matches!(self.outstanding.get(&seq), Some(m) if m.lost);
-            if stale {
+            let Some(meta) = self.meta_mut(seq).filter(|m| m.lost) else {
                 continue;
-            }
-            if let Some(meta) = self.outstanding.get_mut(&seq) {
-                meta.lost = false;
-                meta.retransmitted = true;
-                meta.sent_at = now;
-                meta.rate_snap = snap;
-                self.n_lost -= 1;
-                self.retx_pkts_total += 1;
-                sage_obs::obs_counter!("transport.retx_pkts").inc();
-                sage_obs::record(
-                    sage_obs::Category::Transport,
-                    sage_obs::EventKind::Retx,
-                    now,
-                    self.span,
-                    self.id as u64,
-                    seq,
-                );
-                let mut pkt = Packet::new(self.id, seq, meta.bytes, now);
-                pkt.retransmit = true;
-                return pkt;
-            }
+            };
+            meta.lost = false;
+            meta.retransmitted = true;
+            meta.sent_at = now;
+            meta.rate_snap = snap;
+            let bytes = meta.bytes;
+            self.n_lost -= 1;
+            self.retx_pkts_total += 1;
+            sage_obs::record(
+                sage_obs::Category::Transport,
+                sage_obs::EventKind::Retx,
+                now,
+                self.span,
+                self.id as u64,
+                seq,
+            );
+            let mut pkt = Packet::new(self.id, seq, bytes, now);
+            pkt.retransmit = true;
+            return pkt;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -219,7 +217,7 @@ impl Flow {
             lost: false,
             rate_snap: snap,
         };
-        self.outstanding.insert(seq, meta);
+        self.outstanding.push_back(meta);
         self.sent_pkts_total += 1;
         self.sent_bytes_total += MSS as u64;
         Packet::new(self.id, seq, MSS, now)
@@ -255,23 +253,22 @@ impl Flow {
         }
     }
 
-    /// Sender: process an arriving ACK. Returns timer actions.
-    pub fn on_ack(&mut self, now: Nanos, ack: Ack) -> SendActions {
-        let mut actions = SendActions::default();
+    /// Sender: process an arriving ACK. Returns the deadline to re-arm the
+    /// RTO timer to when the ACK advanced `snd_una` and data is still
+    /// outstanding (`None` = leave the timer as it is).
+    pub fn on_ack(&mut self, now: Nanos, ack: Ack) -> Option<Nanos> {
+        let mut rearm_rto = None;
         // SACK-equivalent: the triggering packet is at the receiver.
         if ack.for_seq >= ack.ack_seq {
-            if let Some(meta) = self.outstanding.get_mut(&ack.for_seq) {
-                if !meta.sacked {
-                    meta.sacked = true;
-                    if meta.lost {
-                        // Was marked lost but actually arrived; unmark (the
-                        // retransmit queue lazily skips it).
-                        meta.lost = false;
-                        self.n_lost -= 1;
-                    }
-                    self.n_sacked += 1;
-                    self.highest_sacked = self.highest_sacked.max(ack.for_seq);
+            if let Some(meta) = self.meta_mut(ack.for_seq).filter(|m| !m.sacked) {
+                meta.sacked = true;
+                // Marked lost but actually arrived: unmark (the retransmit
+                // queue lazily skips it).
+                if std::mem::take(&mut meta.lost) {
+                    self.n_lost -= 1;
                 }
+                self.n_sacked += 1;
+                self.highest_sacked = self.highest_sacked.max(ack.for_seq);
             }
         }
 
@@ -287,30 +284,26 @@ impl Flow {
                 None
             };
             // Rate sample uses the triggering packet's snapshot.
-            let snap = self
-                .outstanding
-                .get(&ack.for_seq)
-                .map(|m| m.rate_snap)
-                .unwrap_or_else(|| self.rate.snapshot(now));
+            let snap = match self.meta_mut(ack.for_seq) {
+                Some(m) => m.rate_snap,
+                None => self.rate.snapshot(now),
+            };
 
-            let acked: Vec<u64> = self
-                .outstanding
-                .range(..ack.ack_seq)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in acked {
-                if let Some(meta) = self.outstanding.remove(&s) {
-                    if meta.sacked {
-                        self.n_sacked -= 1;
-                    }
-                    if meta.lost {
-                        self.n_lost -= 1;
-                        // Remove from retransmit queue if still pending.
-                        self.retransmit_queue.retain(|&q| q != s);
-                    }
-                    newly_acked_pkts += 1;
-                    newly_acked_bytes += meta.bytes as u64;
+            while self.snd_una < ack.ack_seq {
+                let Some(meta) = self.outstanding.pop_front() else {
+                    break;
+                };
+                if meta.sacked {
+                    self.n_sacked -= 1;
                 }
+                if meta.lost {
+                    self.n_lost -= 1;
+                    // Remove from retransmit queue if still pending.
+                    self.retransmit_queue.retain(|&q| q != self.snd_una);
+                }
+                newly_acked_pkts += 1;
+                newly_acked_bytes += meta.bytes as u64;
+                self.snd_una += 1;
             }
             self.snd_una = ack.ack_seq;
             self.dupacks = 0;
@@ -367,12 +360,11 @@ impl Flow {
             }
 
             if self.outstanding.is_empty() && self.retransmit_queue.is_empty() {
-                actions.cancel_rto = true;
                 self.rto_deadline = None;
             } else {
                 let deadline = now + self.rto_scaled();
                 self.rto_deadline = Some(deadline);
-                actions.rearm_rto = Some(deadline);
+                rearm_rto = Some(deadline);
             }
         } else {
             // --- Duplicate ACK ---
@@ -393,14 +385,14 @@ impl Flow {
                 self.mark_losses();
             }
         }
-        actions
+        rearm_rto
     }
 
     /// SACK-based loss marking (Linux SACK/FACK recovery): every unsacked
     /// packet below the highest SACKed sequence is a hole the receiver has
     /// proven lost (the emulated path never reorders). Marks all such holes
     /// and queues their retransmission. The scan floor makes repeated calls
-    /// amortised O(n log n) over a connection.
+    /// amortised O(n) over a connection.
     fn mark_losses(&mut self) {
         if self.highest_sacked <= self.loss_scan_floor {
             return;
@@ -409,19 +401,12 @@ impl Flow {
         if from >= self.highest_sacked {
             return;
         }
-        let newly: Vec<u64> = self
-            .outstanding
-            .range(from..self.highest_sacked)
-            .filter(|(_, m)| !m.sacked && !m.lost)
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in newly {
-            // The keys were just collected from this map and nothing was
-            // removed in between, so the lookup cannot miss; stay panic-free
-            // on the hot path regardless.
-            let Some(meta) = self.outstanding.get_mut(&seq) else {
+        let hi = ((self.highest_sacked - self.snd_una) as usize).min(self.outstanding.len());
+        let lo = ((from - self.snd_una) as usize).min(hi);
+        for (seq, meta) in (from..).zip(self.outstanding.range_mut(lo..hi)) {
+            if meta.sacked || meta.lost {
                 continue;
-            };
+            }
             meta.lost = true;
             self.n_lost += 1;
             self.lost_pkts_total += 1;
@@ -465,7 +450,7 @@ impl Flow {
         // Go-back-N: every unsacked outstanding packet is presumed lost.
         self.retransmit_queue.clear();
         let mut newly_lost = 0u64;
-        for (&seq, meta) in self.outstanding.iter_mut() {
+        for (seq, meta) in (self.snd_una..).zip(self.outstanding.iter_mut()) {
             if !meta.sacked {
                 if !meta.lost {
                     newly_lost += 1;
@@ -494,7 +479,7 @@ impl Flow {
         // Count only packets not already written off by go-back-N marking.
         let written_off = self
             .outstanding
-            .values()
+            .iter()
             .filter(|m| !m.sacked && !m.lost)
             .count() as u64;
         self.lost_pkts_total += written_off;
@@ -590,11 +575,10 @@ impl Flow {
 
     /// Diagnostic dump of sender/receiver state (debugging and tests).
     pub fn debug_state(&self) -> String {
-        let first: Vec<(u64, bool, bool)> = self
-            .outstanding
-            .iter()
+        let first: Vec<(u64, bool, bool)> = (self.snd_una..)
+            .zip(&self.outstanding)
             .take(5)
-            .map(|(&s, m)| (s, m.sacked, m.lost))
+            .map(|(s, m)| (s, m.sacked, m.lost))
             .collect();
         format!(
             "snd_una={} next_seq={} outstanding={} n_sacked={} n_lost={} rtxq={:?} rcv_nxt={} ooo={} first={:?} ca={:?} dupacks={}",
@@ -615,6 +599,14 @@ impl Flow {
     /// Highest sequence produced so far (for tests).
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+}
+
+/// Fold the flow's retransmission tally into the registry (see
+/// `BottleneckPath`'s `Drop`: per-packet taps tally per run).
+impl Drop for Flow {
+    fn drop(&mut self) {
+        sage_obs::obs_counter!("transport.retx_pkts").add(self.retx_pkts_total);
     }
 }
 
@@ -877,6 +869,221 @@ mod tests {
         f.on_ack(SECONDS + 2 * MILLIS, ack);
         assert_eq!(f.snd_una(), f.next_seq());
         assert_eq!(f.pipe_pkts(), 0);
+    }
+
+    /// The sender scoreboard as a `BTreeMap` keyed by sequence — what the
+    /// ring replaced — with the loss-marking logic that reads it. Timers,
+    /// RTT, rate and the CCA are left out: they never touch the scoreboard.
+    struct MapSender {
+        next_seq: u64,
+        snd_una: u64,
+        /// seq -> (sacked, lost)
+        outstanding: std::collections::BTreeMap<u64, (bool, bool)>,
+        dupacks: u32,
+        highest_sacked: u64,
+        loss_scan_floor: u64,
+        ca_state: CaState,
+        recovery_high: u64,
+        retransmit_queue: VecDeque<u64>,
+        lost_pkts_total: u64,
+        consecutive_rtos: u32,
+    }
+
+    impl MapSender {
+        /// A sender with nothing outstanding whose next sequence is `seq`.
+        fn starting_at(seq: u64, lost_pkts_total: u64) -> Self {
+            MapSender {
+                next_seq: seq,
+                snd_una: seq,
+                outstanding: Default::default(),
+                dupacks: 0,
+                highest_sacked: seq,
+                loss_scan_floor: seq,
+                ca_state: CaState::Open,
+                recovery_high: seq,
+                retransmit_queue: VecDeque::new(),
+                lost_pkts_total,
+                consecutive_rtos: 0,
+            }
+        }
+
+        fn pipe_pkts(&self) -> usize {
+            self.outstanding
+                .values()
+                .filter(|&&(sacked, lost)| !sacked && !lost)
+                .count()
+        }
+
+        /// `(seq, is_retransmission)` of the next packet.
+        fn send(&mut self) -> (u64, bool) {
+            while let Some(seq) = self.retransmit_queue.pop_front() {
+                if let Some(m) = self.outstanding.get_mut(&seq).filter(|m| m.1) {
+                    m.1 = false;
+                    return (seq, true);
+                }
+            }
+            self.outstanding.insert(self.next_seq, (false, false));
+            self.next_seq += 1;
+            (self.next_seq - 1, false)
+        }
+
+        fn mark_losses(&mut self) {
+            let from = self.loss_scan_floor.max(self.snd_una);
+            if self.highest_sacked <= self.loss_scan_floor || from >= self.highest_sacked {
+                return;
+            }
+            for (&seq, m) in self.outstanding.range_mut(from..self.highest_sacked) {
+                if !m.0 && !m.1 {
+                    m.1 = true;
+                    self.lost_pkts_total += 1;
+                    self.retransmit_queue.push_back(seq);
+                }
+            }
+            self.loss_scan_floor = self.highest_sacked;
+        }
+
+        fn on_ack(&mut self, ack: Ack) {
+            if ack.for_seq >= ack.ack_seq {
+                if let Some(m) = self.outstanding.get_mut(&ack.for_seq).filter(|m| !m.0) {
+                    *m = (true, false);
+                    self.highest_sacked = self.highest_sacked.max(ack.for_seq);
+                }
+            }
+            if ack.ack_seq > self.snd_una {
+                let acked: Vec<u64> = self
+                    .outstanding
+                    .range(..ack.ack_seq)
+                    .map(|(&s, _)| s)
+                    .collect();
+                for s in acked {
+                    if self.outstanding.remove(&s).is_some_and(|m| m.1) {
+                        self.retransmit_queue.retain(|&q| q != s);
+                    }
+                }
+                self.snd_una = ack.ack_seq;
+                self.dupacks = 0;
+                self.consecutive_rtos = 0;
+                match self.ca_state {
+                    CaState::Recovery | CaState::Loss if ack.ack_seq < self.recovery_high => {
+                        self.mark_losses()
+                    }
+                    _ => self.ca_state = CaState::Open,
+                }
+            } else {
+                self.dupacks += 1;
+                if self.ca_state == CaState::Open {
+                    self.ca_state = CaState::Disorder;
+                }
+                if self.dupacks == 3 && self.ca_state == CaState::Disorder {
+                    self.ca_state = CaState::Recovery;
+                    self.recovery_high = self.next_seq;
+                    self.mark_losses();
+                } else if self.dupacks > 3 && self.ca_state == CaState::Recovery {
+                    self.mark_losses();
+                }
+            }
+        }
+
+        fn on_rto(&mut self, max_consecutive_rtos: u32) {
+            if self.outstanding.is_empty() {
+                return;
+            }
+            self.consecutive_rtos += 1;
+            if self.consecutive_rtos >= max_consecutive_rtos {
+                let written_off = self.pipe_pkts() as u64;
+                *self = MapSender::starting_at(self.next_seq, self.lost_pkts_total + written_off);
+                return;
+            }
+            self.ca_state = CaState::Loss;
+            self.recovery_high = self.next_seq;
+            self.dupacks = 0;
+            self.retransmit_queue.clear();
+            for (&seq, m) in self.outstanding.iter_mut() {
+                if !m.0 {
+                    if !m.1 {
+                        self.lost_pkts_total += 1;
+                    }
+                    m.1 = true;
+                    self.retransmit_queue.push_back(seq);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_scoreboard_matches_the_map_model() {
+        use sage_util::prop::{ensure, forall, PropConfig};
+        forall("ring == map scoreboard", PropConfig::default(), |rng| {
+            let mut f = flow(1e9);
+            f.max_consecutive_rtos = 3;
+            let mut model = MapSender::starting_at(0, 0);
+            let mut data: Vec<Packet> = Vec::new();
+            let mut acks: Vec<Ack> = Vec::new();
+            let mut now: Nanos = 0;
+            for step in 0..400 {
+                now += MILLIS;
+                match rng.below(10) {
+                    // Send a burst (new data, or retransmissions first).
+                    0..=2 => {
+                        for _ in 0..1 + rng.below(4) {
+                            let pkt = f.make_packet(now);
+                            let want = model.send();
+                            ensure((pkt.seq, pkt.retransmit) == want, || {
+                                format!("step {step}: sent {pkt:?}, model {want:?}")
+                            })?;
+                            f.ensure_rto(now);
+                            data.push(pkt);
+                        }
+                    }
+                    // Deliver a packet (any order), sometimes leaving a
+                    // duplicate behind; the ACK joins the return channel.
+                    3..=5 if !data.is_empty() => {
+                        let i = rng.below(data.len());
+                        let pkt = if rng.chance(0.1) {
+                            data[i]
+                        } else {
+                            data.swap_remove(i)
+                        };
+                        acks.push(f.on_data(now, pkt));
+                    }
+                    // Drop a packet on the wire.
+                    6 if !data.is_empty() => {
+                        data.swap_remove(rng.below(data.len()));
+                    }
+                    // Deliver an ACK (any order, so stale ones arrive too).
+                    7..=8 if !acks.is_empty() => {
+                        let ack = acks.swap_remove(rng.below(acks.len()));
+                        f.on_ack(now, ack);
+                        model.on_ack(ack);
+                    }
+                    // Fire the timer; the third in a row restarts the flow.
+                    9 => {
+                        if let Some(d) = f.rto_deadline {
+                            now = now.max(d);
+                            f.on_rto(now);
+                            model.on_rto(f.max_consecutive_rtos);
+                        }
+                    }
+                    _ => {}
+                }
+                let got = (f.pipe_pkts(), f.lost_pkts_total, f.snd_una(), f.next_seq());
+                let want = (
+                    model.pipe_pkts(),
+                    model.lost_pkts_total,
+                    model.snd_una,
+                    model.next_seq,
+                );
+                ensure(got == want, || {
+                    format!(
+                        "step {step}: (pipe, lost, snd_una, next_seq) {got:?}, model {want:?}: {}",
+                        f.debug_state()
+                    )
+                })?;
+            }
+            ensure(f.restarts_total > 0 || f.lost_pkts_total > 0, || {
+                "case exercised neither loss nor restart".to_string()
+            })
+        });
     }
 
     #[test]

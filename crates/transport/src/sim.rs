@@ -179,16 +179,19 @@ pub trait BatchCc {
 }
 
 enum Ev {
-    /// Hop `h` finished serving a packet (lazily validated against the
-    /// hop's current in-service finish time).
-    HopComplete(u32, Nanos),
+    /// Hop `h` finishes serving its in-service packet. At most one is
+    /// pending per hop (see `schedule_hop_completion`), so a popped one is
+    /// always the live one; the loop still checks, so that a violation would
+    /// show in `transport.events_dead`.
+    HopComplete(u32),
     /// Data packet reaches hop `h`'s queue after inter-hop propagation.
     HopArrive(u32, Packet),
     /// Data packet reaches the receiver.
     DataArrive(Packet),
     /// ACK reaches the sender.
     AckArrive(Ack),
-    /// RTO timer for a flow (lazily validated against the flow's deadline).
+    /// RTO timer for a flow, validated against the flow's deadline when it
+    /// pops (see [`RtoTimer`]).
     Rto(FlowId),
     /// Global monitor tick.
     Tick,
@@ -211,6 +214,21 @@ pub struct HopCounters {
     pub in_service_packets: usize,
 }
 
+/// The event-queue side of one flow's RTO timer. The deadline itself is
+/// [`Flow::rto_deadline`]; this tracks the one `Rto` event that follows it, so
+/// an ACK that moves the deadline later costs no heap insertion.
+#[derive(Debug, Clone, Copy, Default)]
+struct RtoTimer {
+    /// The deadline last armed and the queue sequence reserved where it was
+    /// armed: the key the firing event carries. Re-arming to the same
+    /// deadline keeps the first sequence.
+    key: Option<(Nanos, u64)>,
+    /// Time of the flow's tracked `Rto` event in the heap. It is never later
+    /// than the deadline, and when it pops early it re-inserts itself at
+    /// `key`.
+    pending: Option<Nanos>,
+}
+
 /// A complete multi-hop path simulation (a single bottleneck by default).
 pub struct Simulation {
     cfg: SimConfig,
@@ -229,6 +247,13 @@ pub struct Simulation {
     /// Per-flow: managed by the batch controller (see [`FlowConfig::batched`]).
     batched: Vec<bool>,
     events: EventQueue<Ev>,
+    /// Per-hop: time of the hop's `HopComplete` event in the heap, if any.
+    hop_pending: Vec<Option<Nanos>>,
+    rto_timers: Vec<RtoTimer>,
+    /// Events processed, and those among them that changed no state — obs
+    /// tallies, folded into the registry when the simulation drops.
+    events_popped: u64,
+    events_dead: u64,
     now: Nanos,
     fwd_owd: Nanos,
     ret_owd: Nanos,
@@ -297,12 +322,16 @@ impl Simulation {
         let n = flows.len();
         Simulation {
             cfg,
+            hop_pending: vec![None; hops.len()],
             hops,
             hop_faults,
             hop_prop,
             flows,
             batched,
             events,
+            rto_timers: vec![RtoTimer::default(); n],
+            events_popped: 0,
+            events_dead: 0,
             now: 0,
             fwd_owd: half,
             ret_owd: half,
@@ -343,10 +372,12 @@ impl Simulation {
                 break;
             }
             self.now = t;
+            self.events_popped += 1;
             match ev {
-                Ev::HopComplete(h, expected) => {
+                Ev::HopComplete(h) => {
                     let h = h as usize;
-                    if self.hops[h].next_completion() == Some(expected) {
+                    self.hop_pending[h] = None;
+                    if self.hops[h].next_completion() == Some(t) {
                         if let Some(dep) = self.hops[h].complete(self.now) {
                             match self.hop_faults[h].on_forward(dep.at) {
                                 ForwardVerdict::Drop(_) => {
@@ -384,6 +415,8 @@ impl Simulation {
                             }
                         }
                         self.schedule_hop_completion(h);
+                    } else {
+                        self.events_dead += 1;
                     }
                 }
                 Ev::HopArrive(h, pkt) => {
@@ -408,20 +441,32 @@ impl Simulation {
                 }
                 Ev::AckArrive(ack) => {
                     let idx = ack.flow as usize;
-                    let actions = self.flows[idx].on_ack(self.now, ack);
-                    if let Some(d) = actions.rearm_rto {
-                        self.events.schedule(d, Ev::Rto(ack.flow));
+                    if let Some(d) = self.flows[idx].on_ack(self.now, ack) {
+                        self.arm_rto(idx, d);
                     }
                     self.try_send(idx);
                 }
                 Ev::Rto(fid) => {
                     let idx = fid as usize;
-                    let deadline = self.flows[idx].rto_deadline;
-                    if deadline.is_some_and(|d| d <= self.now) {
-                        if let Some(next) = self.flows[idx].on_rto(self.now) {
-                            self.events.schedule(next, Ev::Rto(fid));
+                    if self.rto_timers[idx].pending == Some(t) {
+                        self.rto_timers[idx].pending = None;
+                    }
+                    match self.flows[idx].rto_deadline {
+                        Some(d) if d <= t => {
+                            if let Some(next) = self.flows[idx].on_rto(t) {
+                                self.arm_rto(idx, next);
+                            }
+                            self.try_send(idx);
                         }
-                        self.try_send(idx);
+                        // The tracked event popped before a deadline that
+                        // ACKs moved later: follow it, at the key it was
+                        // armed with.
+                        Some(d) if self.rto_timers[idx].pending.is_none() => {
+                            self.arm_rto(idx, d);
+                        }
+                        // The deadline was cleared, or moved earlier and got
+                        // a new tracked event: this one is left over.
+                        _ => self.events_dead += 1,
                     }
                 }
                 Ev::Tick => {
@@ -546,7 +591,7 @@ impl Simulation {
                 }
             }
             if let Some(d) = f.ensure_rto(now) {
-                self.events.schedule(d, Ev::Rto(idx as FlowId));
+                self.arm_rto(idx, d);
             }
             match self.hops[0].enqueue(now, pkt) {
                 EnqueueOutcome::Queued | EnqueueOutcome::Dropped(_) => {
@@ -558,9 +603,33 @@ impl Simulation {
         }
     }
 
+    /// Keep one `HopComplete` in the heap for the packet hop `hop` is
+    /// serving. Called after everything that can start a service (an enqueue,
+    /// a completion); the finish time of a packet in service never changes,
+    /// so only the first call after a service starts inserts.
     fn schedule_hop_completion(&mut self, hop: usize) {
         if let Some(t) = self.hops[hop].next_completion() {
-            self.events.schedule(t, Ev::HopComplete(hop as u32, t));
+            if self.hop_pending[hop] != Some(t) {
+                self.hop_pending[hop] = Some(t);
+                self.events.schedule(t, Ev::HopComplete(hop as u32));
+            }
+        }
+    }
+
+    /// Flow `idx`'s RTO deadline was just set to `deadline`: take the event's
+    /// place in the queue order here, and insert it only if the flow's tracked
+    /// `Rto` event would pop too late to follow the deadline there.
+    fn arm_rto(&mut self, idx: usize, deadline: Nanos) {
+        let timer = &mut self.rto_timers[idx];
+        let seq = match timer.key {
+            Some((d, seq)) if d == deadline => seq,
+            _ => self.events.reserve_seq(),
+        };
+        timer.key = Some((deadline, seq));
+        if timer.pending.is_none_or(|p| p > deadline) {
+            timer.pending = Some(deadline);
+            self.events
+                .schedule_reserved(deadline, seq, Ev::Rto(idx as FlowId));
         }
     }
 
@@ -625,6 +694,15 @@ impl Simulation {
     /// Access a flow (for inspection in tests and figures).
     pub fn flow(&self, idx: usize) -> &Flow {
         &self.flows[idx]
+    }
+}
+
+/// Fold the event-loop tallies into the registry (the hops and flows fold
+/// theirs when they drop with the simulation).
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        sage_obs::obs_counter!("transport.events_popped").add(self.events_popped);
+        sage_obs::obs_counter!("transport.events_dead").add(self.events_dead);
     }
 }
 

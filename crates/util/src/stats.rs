@@ -19,20 +19,25 @@ pub fn stddev(xs: &[f64]) -> f64 {
 }
 
 /// Linear-interpolated percentile, `p` in `[0, 100]`. 0.0 for an empty slice.
+/// Selects the two order statistics it needs instead of sorting; for NaN-free
+/// input the result has the bits the sort-based formula gives.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
     let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
+    let (_, &mut at_lo, above) = v.select_nth_unstable_by(lo, cmp);
     if lo == hi {
-        v[lo]
+        at_lo
     } else {
+        // `hi == lo + 1`: the next order statistic is the least of the rest.
+        let at_hi = above.iter().copied().min_by(cmp).unwrap_or(at_lo);
         let f = rank - lo as f64;
-        v[lo] * (1.0 - f) + v[hi] * f
+        at_lo * (1.0 - f) + at_hi * f
     }
 }
 

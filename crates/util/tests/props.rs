@@ -40,6 +40,48 @@ fn percentile_is_monotone() {
     }
 }
 
+/// The sort-based percentile `sage_util::percentile` replaced, kept as the
+/// oracle: selection must give the same bits.
+fn percentile_by_sorting(xs: &[f64], p: f64) -> f64 {
+    let mut v: Vec<f64> = xs.to_vec();
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        v[lo]
+    } else {
+        let f = rank - lo as f64;
+        v[lo] * (1.0 - f) + v[hi] * f
+    }
+}
+
+#[test]
+fn percentile_selection_has_the_bits_of_sorting() {
+    forall("percentile: select == sort", PropConfig::default(), |rng| {
+        let len = match rng.below(4) {
+            0 => 1,
+            1 => 2,
+            _ => 1 + rng.below(300),
+        };
+        // A small value alphabet half the time, so duplicates are common.
+        let distinct = if rng.chance(0.5) { 1 + rng.below(6) } else { 0 };
+        let xs: Vec<f64> = (0..len)
+            .map(|_| match distinct {
+                0 => rng.range(-1e3, 1e3),
+                k => rng.below(k) as f64 * 0.37 - 1.0,
+            })
+            .collect();
+        for p in [0.0, 50.0, 95.0, 100.0, rng.range(0.0, 100.0)] {
+            let (got, want) = (percentile(&xs, p), percentile_by_sorting(&xs, p));
+            ensure(got.to_bits() == want.to_bits(), || {
+                format!("p{p} of {len} values: select {got:?} != sort {want:?}")
+            })?;
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn online_stats_match_batch() {
     let mut rng = Rng::new(0xCAFE);

@@ -1,0 +1,77 @@
+#!/bin/bash
+# The A/B protocol of a perf PR: the benchmark of <parent-ref> against the
+# benchmark of this working tree, in alternating pairs (choosing-metrics §8).
+#   scripts/ab_bench.sh <parent-ref> [pairs=10] [seed=2023]
+# Prints, per workload x end-to-end metric, both medians with quartiles, the
+# pairs the change won, whether the medians are further apart than the
+# parent's inter-quartile distance, every run's value, and whether
+# `digest_parts` agree. The parent is a `git archive` export under
+# ${TMPDIR:-/tmp}, removed on exit. ~4 min per pair (2 workloads x 2 sides x
+# 50 s). Not a check.sh stage.
+set -eu
+cd "$(dirname "$0")/.."
+REF=${1:?usage: scripts/ab_bench.sh <parent-ref> [pairs=10] [seed=2023]}
+PAIRS=${2:-10}
+SEED=${3:-2023}
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/ab_bench.XXXXXX")
+trap 'rm -rf "$WORK"' EXIT
+mkdir "$WORK/parent"
+git archive "$REF" | tar -x -C "$WORK/parent"
+for side in "$WORK/parent" .; do
+  cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml" --bin perf_ledger
+done
+
+# run <side> <dir> <workload> <pair>: appends "pair side workload metric value"
+# rows and one "digest side workload <digest_parts>" row.
+run() {
+  (cd "$2" && ./benchmark/target/release/perf_ledger \
+      --workload "$3" --seed "$SEED" --seconds 50 --trace 0) > "$WORK/out"
+  awk -v s="$1" -v w="$3" -v p="$4" '$1 == w && NF == 4 { print p, s, w, $2, $3 }' "$WORK/out" >> "$WORK/rows"
+  echo "digest $1 $3 $(grep '^#detail' "$WORK/out" | grep -o '"digest_parts":{[^}]*}' | sort | tr -d '\n')" >> "$WORK/rows"
+}
+for pair in $(seq 1 "$PAIRS"); do
+  for w in pipeline layers; do
+    if [ $((pair % 2)) = 1 ]; then
+      run parent "$WORK/parent" "$w" "$pair"; run change . "$w" "$pair"
+    else
+      run change . "$w" "$pair"; run parent "$WORK/parent" "$w" "$pair"
+    fi
+  done
+  echo "pair $pair/$PAIRS done" >&2
+done
+
+awk -v pairs="$PAIRS" '
+function quantile(side, key, q,    i, j, t, v, r, lo) {
+  for (i = 1; i <= pairs; i++) v[i] = val[i, side, key]
+  for (i = 2; i <= pairs; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+  r = q * (pairs - 1) + 1; lo = int(r)
+  return lo >= pairs ? v[pairs] : v[lo] + (r - lo) * (v[lo + 1] - v[lo])
+}
+function summary(side, key) {
+  return sprintf("%12.4f [%10.4f,%10.4f]", quantile(side, key, 0.5), quantile(side, key, 0.25), quantile(side, key, 0.75))
+}
+$1 == "digest" { if (!(($2, $3) in dig)) dig[$2, $3] = $4; else if (dig[$2, $3] != $4) dig[$2, $3] = "unstable"; next }
+{ key = $3 " " $4; val[$1 + 0, $2, key] = $5 + 0; if (!(key in seen)) { seen[key] = 1; order[++nk] = key } }
+END {
+  printf "%-9s %-20s %36s %36s %7s %5s  %s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "won", "beyond parent IQR"
+  for (k = 1; k <= nk; k++) {
+    key = order[k]; split(key, wm, " ")
+    lower = (wm[2] ~ /_(s|mb)$/ && wm[2] !~ /_per_s$/)
+    won = 0
+    for (i = 1; i <= pairs; i++) if (lower ? val[i, "change", key] < val[i, "parent", key] : val[i, "change", key] > val[i, "parent", key]) won++
+    pm = quantile("parent", key, 0.5); cm = quantile("change", key, 0.5)
+    d = cm > pm ? cm - pm : pm - cm
+    printf "%-9s %-20s %s %s %7.3f %2d/%-2d  %s\n", wm[1], wm[2], summary("parent", key), summary("change", key), (pm ? cm / pm : 0), won, pairs, (d > quantile("parent", key, 0.75) - quantile("parent", key, 0.25) ? "yes" : "no")
+  }
+  print "every run, pair order (parent | change):"
+  for (k = 1; k <= nk; k++) {
+    line = sprintf("%-30s", order[k])
+    for (i = 1; i <= pairs; i++) line = line sprintf(" %.4g", val[i, "parent", order[k]])
+    line = line " |"
+    for (i = 1; i <= pairs; i++) line = line sprintf(" %.4g", val[i, "change", order[k]])
+    print line
+  }
+  n = split("pipeline layers", ws, " ")
+  for (i = 1; i <= n; i++)
+    printf "%-9s digest_parts %s\n", ws[i], (dig["parent", ws[i]] == dig["change", ws[i]] && dig["parent", ws[i]] != "unstable" ? "match" : "DIFFER: parent " dig["parent", ws[i]] " change " dig["change", ws[i]])
+}' "$WORK/rows"
