@@ -17,6 +17,7 @@ use crate::model::{
     CriticNet, NetConfig, PolicyNet, SageModel, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
 };
 use sage_collector::Pool;
+use sage_nn::gmm::GmmNodes;
 use sage_nn::{Adam, Array, Graph, NodeId, ParamStore};
 use sage_util::Rng;
 
@@ -245,8 +246,10 @@ impl CrrTrainer {
     }
 
     /// One gradient step of policy evaluation + policy improvement: one
-    /// batched graph per network (see [`critic_grads`], [`policy_grads`]),
-    /// everything that needs no gradient on the graph-free `infer` path.
+    /// batched graph per network (see [`critic_grads`], [`policy_unroll`]),
+    /// the target networks and the critic's advantage pass on the graph-free
+    /// `infer` path. The online policy runs forward once: the advantage
+    /// weights sample from the mixtures of the tape its gradient is taken on.
     ///
     /// # Panics
     ///
@@ -283,19 +286,19 @@ impl CrrTrainer {
         }
 
         // ----- Policy improvement -----
-        // Advantage weights computed without gradients.
+        let unroll = policy_unroll(&self.model.policy, &self.model.store, &states[..l]);
         let weights: Vec<Vec<f64>> = if self.cfg.bc_only {
             vec![vec![1.0; b]; l]
         } else {
-            self.advantage_weights(&states, &actions)
+            self.advantage_weights(&unroll, &states, &actions)
         };
         metrics.mean_weight = weights.iter().flatten().sum::<f64>() / (l * b) as f64;
 
         self.model.store.zero_grads();
-        let losses = policy_grads(
+        let losses = policy_loss_grads(
             &self.model.policy,
             &mut self.model.store,
-            &states,
+            unroll,
             &actions,
             &weights,
         );
@@ -404,23 +407,22 @@ impl CrrTrainer {
     }
 
     /// CRR filter weights `clip(exp(A/beta))` with
-    /// `A = Q(s,a) - mean_j Q(s, a_j)`, `a_j ~ pi(.|s)`.
-    fn advantage_weights(&mut self, states: &[Array], actions: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let l = actions.len();
+    /// `A = Q(s,a) - mean_j Q(s, a_j)`, `a_j ~ pi(.|s)` — the `pi` of
+    /// `unroll`, the forward pass the policy gradient is then taken on.
+    fn advantage_weights(
+        &mut self,
+        unroll: &PolicyUnroll,
+        states: &[Array],
+        actions: &[Vec<f64>],
+    ) -> Vec<Vec<f64>> {
         let b = actions[0].len();
-        let d = self.cfg.net.input_dim();
         let m = self.cfg.adv_samples;
-
-        // Policy mixtures along the online unroll (no grad needed).
-        let mut h = Array::zeros(b, self.cfg.net.hidden_dim());
-        let mut sampled: Vec<Vec<Vec<f64>>> = Vec::with_capacity(l); // [t][j][b]
-        for t in 0..l {
-            let (mix, h1) = self
-                .model
-                .policy
-                .step_infer(&self.model.store, &states[t], &h);
-            h = h1;
-            let mixtures: Vec<_> = (0..b).map(|bi| mix.row(bi)).collect();
+        let policy = &self.model.policy;
+        let mut sampled: Vec<Vec<Vec<f64>>> = Vec::with_capacity(actions.len()); // [t][j][b]
+        for &nodes in &unroll.mixtures {
+            let mixtures: Vec<_> = (0..b)
+                .map(|bi| policy.mixture(&unroll.g, nodes, bi))
+                .collect();
             let mut per_j = Vec::with_capacity(m);
             for _ in 0..m {
                 let mut row = vec![0.0; b];
@@ -433,6 +435,21 @@ impl CrrTrainer {
             }
             sampled.push(per_j);
         }
+        self.filter_weights(states, actions, &sampled)
+    }
+
+    /// The weights of [`CrrTrainer::advantage_weights`] given the baseline
+    /// actions `sampled[t][j][b]`.
+    fn filter_weights(
+        &self,
+        states: &[Array],
+        actions: &[Vec<f64>],
+        sampled: &[Vec<Vec<f64>>],
+    ) -> Vec<Vec<f64>> {
+        let l = actions.len();
+        let b = actions[0].len();
+        let d = self.cfg.net.input_dim();
+        let m = self.cfg.adv_samples;
 
         // Q for the data actions and for each sampled action, in one flat
         // critic pass of (1 + m) * l * b rows.
@@ -544,30 +561,53 @@ fn critic_grads(
     (losses, q_sum / (l * b) as f64)
 }
 
+/// The online policy's forward pass over one batch, on the tape its gradient
+/// is taken from: the mixture nodes of every step.
+struct PolicyUnroll {
+    g: Graph,
+    mixtures: Vec<GmmNodes>,
+}
+
+/// One unroll over `[B, ·]` rows, a step per element of `states`, the GRU
+/// state carried per row (it never crosses samples, so each row carries its
+/// sample's full recurrent gradient). The step's one forward of the online
+/// policy: the advantage weights read their mixtures from it (they need no
+/// gradient, and a second, graph-free pass would compute the same bits),
+/// then [`policy_loss_grads`] hangs the loss on it.
+fn policy_unroll(policy: &PolicyNet, store: &ParamStore, states: &[Array]) -> PolicyUnroll {
+    let mut g = Graph::new();
+    let mut h = policy.initial_hidden(&mut g, states[0].rows);
+    let mut mixtures = Vec::with_capacity(states.len());
+    for state in states {
+        let x = g.input(state.clone());
+        let (nodes, h1) = policy.step(&mut g, store, x, h);
+        h = h1;
+        mixtures.push(nodes);
+    }
+    PolicyUnroll { g, mixtures }
+}
+
 /// Advantage-weighted negative log-likelihood gradient, accumulated into
-/// `store`: one `L`-step unroll over `[B, ·]` rows, the GRU state carried
-/// per row (it never crosses samples, so each row carries its sample's full
-/// recurrent gradient). A sample's loss is the mean weighted NLL over its
-/// `L` steps and the batch loss their mean, so every row is seeded with
-/// `1/B` (times the `1/L` of the last node) and the parameter gradients
-/// reduce in sample order ([`Graph::backward_rows`]). Returns the
-/// per-sample losses.
-fn policy_grads(
+/// `store`, of the mixtures of `unroll`. A sample's loss is the mean
+/// weighted NLL over its `L` steps and the batch loss their mean, so every
+/// row is seeded with `1/B` (times the `1/L` of the last node) and the
+/// parameter gradients reduce in sample order ([`Graph::backward_rows`]).
+/// The loss nodes come after the whole unroll on the tape; each node's
+/// consumers, and each parameter's, keep the order they had when every
+/// step's loss followed that step, so backward folds the same bits. Returns
+/// the per-sample losses.
+fn policy_loss_grads(
     policy: &PolicyNet,
     store: &mut ParamStore,
-    states: &[Array],
+    unroll: PolicyUnroll,
     actions: &[Vec<f64>],
     weights: &[Vec<f64>],
 ) -> Vec<f64> {
+    let PolicyUnroll { mut g, mixtures } = unroll;
     let l = actions.len();
     let b = actions[0].len();
-    let mut g = Graph::new();
-    let mut h = policy.initial_hidden(&mut g, b);
     let mut acc: Option<NodeId> = None;
-    for t in 0..l {
-        let x = g.input(states[t].clone());
-        let (nodes, h1) = policy.step(&mut g, store, x, h);
-        h = h1;
+    for (t, &nodes) in mixtures.iter().enumerate() {
         let a = g.input(Array::from_vec(b, 1, actions[t].clone()));
         let logp = policy.log_prob(&mut g, nodes, a);
         let w = g.input(Array::from_vec(b, 1, weights[t].clone()));
@@ -825,12 +865,34 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The batched policy step as `train_step` chains it.
+    fn policy_grads(
+        policy: &PolicyNet,
+        store: &mut ParamStore,
+        states: &[Array],
+        actions: &[Vec<f64>],
+        weights: &[Vec<f64>],
+    ) -> Vec<f64> {
+        let unroll = policy_unroll(policy, store, states);
+        policy_loss_grads(policy, store, unroll, actions, weights)
+    }
+
     /// The property the batched step rests on: on shapes neither the golden
     /// nor the benchmark sees, [`policy_grads`] and [`critic_grads`] give,
     /// bit for bit, every parameter gradient, every per-sample loss and the
     /// `mean_q` of the per-sample step reduced in sample order.
     #[test]
     fn batched_grads_are_the_per_sample_grads_bit_for_bit() {
+        on_oracle_grid("batched == per-sample grads", 0xC44, check);
+    }
+
+    /// Runs `case` on random small networks, whole and under each ablation,
+    /// over a grid of batch sizes and unroll lengths.
+    fn on_oracle_grid(
+        what: &str,
+        seed: u64,
+        case: fn(&mut Rng, NetConfig, usize, usize) -> Result<(), String>,
+    ) {
         use sage_util::prop::{forall, PropConfig};
         let pick = |rng: &mut Rng, xs: &[usize]| xs[(rng.next_u64() % xs.len() as u64) as usize];
         type Ablation = fn(&mut NetConfig);
@@ -842,8 +904,8 @@ mod tests {
         ];
         for (i, (name, ablate)) in ablations.into_iter().enumerate() {
             forall(
-                &format!("batched == per-sample grads ({name})"),
-                PropConfig::new(3, 0xC44 + i as u64),
+                &format!("{what} ({name})"),
+                PropConfig::new(3, seed + i as u64),
                 |rng| {
                     // No width a multiple of 8, so every SIMD tail runs.
                     let mut net = NetConfig {
@@ -864,7 +926,7 @@ mod tests {
                         .into_iter()
                         .flat_map(|b| [1, 3, 7].map(|l| (b, l)))
                     {
-                        check(rng, net, b, l)?;
+                        case(rng, net, b, l)?;
                     }
                     Ok(())
                 },
@@ -872,16 +934,25 @@ mod tests {
         }
     }
 
-    /// One case of the oracle property: random parameters and inputs of the
-    /// given shape through both paths.
-    fn check(rng: &mut Rng, net: NetConfig, b: usize, l: usize) -> Result<(), String> {
-        // Values with exact zeros of both signs: the matmul's skip-zero
-        // shortcut on activations, and zero upstream gradients.
-        let spiked = |rng: &mut Rng, lo: f64, hi: f64| match rng.next_u64() % 6 {
+    /// Values with exact zeros of both signs: the matmul's skip-zero
+    /// shortcut on activations, and zero upstream gradients.
+    fn spiked(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+        match rng.next_u64() % 6 {
             0 => 0.0,
             1 => -0.0,
             _ => rng.range(lo, hi),
-        };
+        }
+    }
+
+    fn spiked_states(rng: &mut Rng, l: usize, b: usize, d: usize) -> Vec<Array> {
+        (0..l)
+            .map(|_| Array::from_vec(b, d, (0..b * d).map(|_| spiked(rng, -3.0, 3.0)).collect()))
+            .collect()
+    }
+
+    /// One case of the oracle property: random parameters and inputs of the
+    /// given shape through both paths.
+    fn check(rng: &mut Rng, net: NetConfig, b: usize, l: usize) -> Result<(), String> {
         let d = net.input_dim();
         let shape = format!("b {b}, l {l}, {net:?}");
 
@@ -899,9 +970,7 @@ mod tests {
                 *v += rng.range(-0.1, 0.1);
             }
         }
-        let states: Vec<Array> = (0..l)
-            .map(|_| Array::from_vec(b, d, (0..b * d).map(|_| spiked(rng, -3.0, 3.0)).collect()))
-            .collect();
+        let states = spiked_states(rng, l, b, d);
         let mut column = |lo, hi| -> Vec<Vec<f64>> {
             (0..l)
                 .map(|_| (0..b).map(|_| spiked(rng, lo, hi)).collect())
@@ -963,6 +1032,88 @@ mod tests {
         }
         if got != grad_bits(&critic_store) {
             return Err(format!("critic gradients differ ({shape})"));
+        }
+        Ok(())
+    }
+
+    /// The advantage weights as they were computed before they read the
+    /// gradient tape: the online unroll once more on the graph-free path and
+    /// the sampling loop, both verbatim from the old `advantage_weights`.
+    fn advantage_weights_oracle(
+        tr: &mut CrrTrainer,
+        states: &[Array],
+        actions: &[Vec<f64>],
+    ) -> Vec<Vec<f64>> {
+        let l = actions.len();
+        let b = actions[0].len();
+        let m = tr.cfg.adv_samples;
+
+        // Policy mixtures along the online unroll (no grad needed).
+        let mut h = Array::zeros(b, tr.cfg.net.hidden_dim());
+        let mut sampled: Vec<Vec<Vec<f64>>> = Vec::with_capacity(l); // [t][j][b]
+        for t in 0..l {
+            let (mix, h1) = tr.model.policy.step_infer(&tr.model.store, &states[t], &h);
+            h = h1;
+            let mixtures: Vec<_> = (0..b).map(|bi| mix.row(bi)).collect();
+            let mut per_j = Vec::with_capacity(m);
+            for _ in 0..m {
+                let mut row = vec![0.0; b];
+                for (slot, mixture) in row.iter_mut().zip(&mixtures) {
+                    *slot = mixture
+                        .sample(&mut tr.rng)
+                        .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
+                }
+                per_j.push(row);
+            }
+            sampled.push(per_j);
+        }
+        tr.filter_weights(states, actions, &sampled)
+    }
+
+    /// Sharing the unroll changes nothing observable: the weights sampled
+    /// from the gradient tape's mixtures are, bit for bit, those sampled from
+    /// a separate graph-free unroll, and the trainer's RNG is left where that
+    /// left it (same draws, same order).
+    #[test]
+    fn advantage_weights_from_the_gradient_tape_match_a_graph_free_unroll() {
+        on_oracle_grid("shared unroll == graph-free unroll", 0xAD7, check_unroll);
+    }
+
+    fn check_unroll(rng: &mut Rng, net: NetConfig, b: usize, l: usize) -> Result<(), String> {
+        let d = net.input_dim();
+        let cfg = CrrConfig {
+            net,
+            adv_samples: 1 + (rng.next_u64() % 4) as usize,
+            seed: rng.next_u64(),
+            ..CrrConfig::default()
+        };
+        // Two trainers in one state, biases off zero and gains off one.
+        let mut trainers = [(); 2].map(|_| CrrTrainer::with_norm(cfg, vec![0.0; d], vec![1.0; d]));
+        let nudge_seed = rng.next_u64();
+        for tr in &mut trainers {
+            let mut nudge = Rng::new(nudge_seed);
+            let stores = [&mut tr.model.store, &mut tr.critic_store];
+            for p in stores.into_iter().flat_map(|s| &mut s.params) {
+                for v in &mut p.value.data {
+                    *v += nudge.range(-0.1, 0.1);
+                }
+            }
+        }
+        let [want_tr, got_tr] = &mut trainers;
+        let states = spiked_states(rng, l, b, d);
+        let actions: Vec<Vec<f64>> = (0..l)
+            .map(|_| (0..b).map(|_| spiked(rng, -1.0, 1.0)).collect())
+            .collect();
+
+        let want = advantage_weights_oracle(want_tr, &states, &actions);
+        let unroll = policy_unroll(&got_tr.model.policy, &got_tr.model.store, &states);
+        let got = got_tr.advantage_weights(&unroll, &states, &actions);
+        let shape = format!("b {b}, l {l}, m {}, {net:?}", cfg.adv_samples);
+        if want.len() != got.len() || want.iter().zip(&got).any(|(w, g)| bits(w) != bits(g)) {
+            return Err(format!("weights differ ({shape})"));
+        }
+        if want_tr.rng.next_u64() != got_tr.rng.next_u64() {
+            return Err(format!("trainer RNG left in a different state ({shape})"));
         }
         Ok(())
     }

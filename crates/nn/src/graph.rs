@@ -1,8 +1,8 @@
 //! Reverse-mode automatic differentiation over [`Array`] nodes.
 //!
-//! A [`Graph`] is rebuilt per forward pass (define-by-run). Parameters are
-//! copied in from a [`ParamStore`]; after `backward`, their gradients are
-//! accumulated back into the store.
+//! A [`Graph`] is rebuilt per forward pass (define-by-run). Each parameter it
+//! uses is copied in from a [`ParamStore`] once; after `backward`, their
+//! gradients are accumulated back into the store.
 //!
 //! Every op is row-independent, forward and backward: row `r` of a node
 //! depends on row `r` of its operands only, so a graph of `[B, ·]` nodes
@@ -71,8 +71,8 @@ struct Node {
 /// `matmul`; for a `[1,d]` bias or gain broadcast over rows there is no `x`
 /// (every row's factor is 1) and the contribution is the row `g[r]` itself.
 struct ParamRef {
-    /// The `Op::Param` node the op consumed, and the parameter it copies.
-    node: NodeId,
+    /// The consuming op's node (the fold order) and the parameter consumed.
+    op: NodeId,
     id: ParamId,
     x: Option<NodeId>,
     g: Array,
@@ -81,6 +81,8 @@ struct ParamRef {
 /// A define-by-run computation graph.
 pub struct Graph {
     nodes: Vec<Node>,
+    /// The `Op::Param` node of each parameter used so far, by [`ParamId`].
+    param_nodes: Vec<Option<NodeId>>,
 }
 
 impl Default for Graph {
@@ -91,7 +93,10 @@ impl Default for Graph {
 
 impl Graph {
     pub fn new() -> Self {
-        Graph { nodes: Vec::new() }
+        Graph {
+            nodes: Vec::new(),
+            param_nodes: Vec::new(),
+        }
     }
 
     fn push(&mut self, val: Array, op: Op) -> NodeId {
@@ -109,12 +114,24 @@ impl Graph {
         self.push(a, Op::Leaf)
     }
 
-    /// Differentiable parameter (value copied from the store). Its gradient
-    /// is a sum over rows in a contracted order ([`Graph::backward_rows`]), so
-    /// only the ops that make that sum may consume the node: `matmul` (right
-    /// operand), `add_row` (bias) and `layer_norm` (gain, bias).
+    /// Differentiable parameter. A graph holds one node per parameter, its
+    /// value copied from the store by the first call; later calls return that
+    /// node whatever the store holds by then, so every use in the forward
+    /// pass, the transpose backward caches and the gradient refer to one
+    /// value. A graph therefore reads one store. The gradient is a sum over
+    /// rows in a contracted order ([`Graph::backward_rows`]), so only the ops
+    /// that make that sum may consume the node: `matmul` (right operand),
+    /// `add_row` (bias) and `layer_norm` (gain, bias).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        self.push(store.get(id).clone(), Op::Param(id))
+        if self.param_nodes.len() <= id {
+            self.param_nodes.resize(id + 1, None);
+        }
+        if let Some(node) = self.param_nodes[id] {
+            return node;
+        }
+        let node = self.push(store.get(id).clone(), Op::Param(id));
+        self.param_nodes[id] = Some(node);
+        node
     }
 
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
@@ -313,10 +330,10 @@ impl Graph {
     ///
     /// **The reduction order is the contract.** Each parameter's gradient is
     /// a left fold from `+0.0`, over samples ascending and, within a sample,
-    /// over the ops that consumed the parameter in the node order of their
-    /// `Op::Param` operands, of that sample's partial sum for that op: its
-    /// rows' contributions ([`ParamRef`]) folded left from `+0.0` in row
-    /// order, the multiply and the add separate (no FMA). These are the bits
+    /// over the ops that consumed the parameter in node order, of that
+    /// sample's partial sum for that op: its rows' contributions
+    /// ([`ParamRef`]) folded left from `+0.0` in row order, the multiply and
+    /// the add separate (no FMA). These are the bits
     /// that `samples` graphs of one sample each produce when their
     /// [`Graph::param_grads`] pairs are added in sample order, and what the
     /// fixed-seed training goldens pin. The fold is then added to the store
@@ -335,12 +352,13 @@ impl Graph {
     }
 
     /// Parameter gradients of `loss` (must be 1x1) as `(id, grad)` pairs in
-    /// graph-node order, without touching a store. A parameter referenced by
-    /// several nodes (e.g. shared GRU weights across an unroll) appears once
-    /// per reference; adding the pairs in order reproduces exactly what
-    /// [`Graph::backward`] accumulates into zeroed gradients. This is the
-    /// one-sample-per-graph decomposition that [`Graph::backward_rows`]
-    /// promises to match; the trainer's oracle test holds it to that.
+    /// the node order of the consuming ops, without touching a store. A
+    /// parameter consumed by several ops (e.g. shared GRU weights across an
+    /// unroll) appears once per op; adding the pairs in order reproduces
+    /// exactly what [`Graph::backward`] accumulates into zeroed gradients.
+    /// This is the one-sample-per-graph decomposition that
+    /// [`Graph::backward_rows`] promises to match; the trainer's oracle test
+    /// holds it to that.
     pub fn param_grads(&self, loss: NodeId) -> Vec<(ParamId, Array)> {
         assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
         self.param_refs(loss, 1.0)
@@ -351,9 +369,10 @@ impl Graph {
 
     /// The fold of [`Graph::backward_rows`] for one parameter. `Xᵀ·G` over
     /// stacked rows is that fold when the stacking order is the fold order:
-    /// [`infer::matmul`] keeps the inner index sequential from `+0.0` with a
-    /// separate multiply and add, and the factor it skips (`x == 0.0`) is a
-    /// contribution of `±0.0`, which moves no sum that started at `+0.0`.
+    /// [`infer::matmul_tn`] (it reads `X` by stride; no transposed copy) keeps
+    /// the inner index sequential from `+0.0` with a separate multiply and
+    /// add, and the factor it skips (`x == 0.0`) is a contribution of `±0.0`,
+    /// which moves no sum that started at `+0.0`.
     fn reduce(&self, refs: &[&ParamRef], samples: usize) -> Array {
         let xs: Vec<Cow<Array>> = refs
             .iter()
@@ -371,10 +390,7 @@ impl Graph {
         }
         let xtg = |x: Vec<f64>, g: Vec<f64>| {
             let n = g.len() / dout;
-            infer::matmul(
-                &Array::from_vec(n, din, x).t(),
-                &Array::from_vec(n, dout, g),
-            )
+            infer::matmul_tn(&Array::from_vec(n, din, x), &Array::from_vec(n, dout, g))
         };
         // One row per sample and op: each partial sum is its one contribution,
         // so the two-level fold is flat and one product over the rows stacked
@@ -400,17 +416,26 @@ impl Graph {
     }
 
     /// Backpropagate from `out` (every element seeded with `seed`) and return
-    /// the unreduced parameter contributions, ordered by `Op::Param` node.
+    /// the unreduced parameter contributions, ordered by consuming op.
     fn param_refs(&self, out: NodeId, seed: f64) -> Vec<ParamRef> {
         let mut grads: Vec<Option<Array>> = vec![None; self.nodes.len()];
         grads[out] = Some(self.nodes[out].val.map(|_| seed));
+        // A weight shared across an unroll is transposed once, not per use:
+        // per node, how many `matmul`s have it as right operand and, from the
+        // first of them the sweep meets to the last, its transpose.
+        let mut transposed: Vec<(usize, Option<Array>)> = vec![(0, None); self.nodes.len()];
+        for node in &self.nodes[..=out] {
+            if let Op::MatMul(_, b) = node.op {
+                transposed[b].0 += 1;
+            }
+        }
         let mut refs = Vec::new();
         for i in (0..=out).rev() {
             if let Some(g) = grads[i].take() {
-                self.backprop_node(i, g, &mut grads, &mut refs);
+                self.backprop_node(i, g, &mut grads, &mut transposed, &mut refs);
             }
         }
-        refs.sort_by_key(|r| r.node);
+        refs.sort_by_key(|r| r.op);
         refs
     }
 
@@ -433,6 +458,7 @@ impl Graph {
     /// rows here otherwise.
     fn broadcast_grad(
         &self,
+        op: NodeId,
         node: NodeId,
         g: Array,
         grads: &mut [Option<Array>],
@@ -440,7 +466,7 @@ impl Graph {
     ) {
         if let Some(id) = self.as_param(node) {
             let x = None;
-            refs.push(ParamRef { node, id, x, g });
+            refs.push(ParamRef { op, id, x, g });
             return;
         }
         let mut sum = Array::zeros(1, g.cols);
@@ -457,6 +483,7 @@ impl Graph {
         i: NodeId,
         g: Array,
         grads: &mut [Option<Array>],
+        transposed: &mut [(usize, Option<Array>)],
         refs: &mut Vec<ParamRef>,
     ) {
         match &self.nodes[i].op {
@@ -466,18 +493,23 @@ impl Graph {
                  add_row (bias) and layer_norm (gain, bias) may consume a Param node"
             ),
             Op::MatMul(a, b) => {
-                let da = infer::matmul(&g, &self.nodes[*b].val.t());
+                let (uses, bt) = &mut transposed[*b];
+                let da = infer::matmul(&g, bt.get_or_insert_with(|| self.nodes[*b].val.t()));
                 Self::accumulate(grads, *a, da);
+                *uses -= 1;
+                if *uses == 0 {
+                    *bt = None;
+                }
                 if let Some(id) = self.as_param(*b) {
-                    let (node, x) = (*b, Some(*a));
-                    refs.push(ParamRef { node, id, x, g });
+                    let (op, x) = (i, Some(*a));
+                    refs.push(ParamRef { op, id, x, g });
                 } else {
-                    let db = infer::matmul(&self.nodes[*a].val.t(), &g);
+                    let db = infer::matmul_tn(&self.nodes[*a].val, &g);
                     Self::accumulate(grads, *b, db);
                 }
             }
             Op::AddRow(x, bias) => {
-                self.broadcast_grad(*bias, g.clone(), grads, refs);
+                self.broadcast_grad(i, *bias, g.clone(), grads, refs);
                 Self::accumulate(grads, *x, g);
             }
             Op::Add(a, b) => {
@@ -587,8 +619,8 @@ impl Graph {
                     }
                 }
                 Self::accumulate(grads, *x, dx);
-                self.broadcast_grad(*gain, dgain, grads, refs);
-                self.broadcast_grad(*bias, g, grads, refs);
+                self.broadcast_grad(i, *gain, dgain, grads, refs);
+                self.broadcast_grad(i, *bias, g, grads, refs);
             }
             Op::GmmLogProb {
                 means,
@@ -905,6 +937,39 @@ mod tests {
         for (p, want) in store.params.iter().zip(&reference) {
             assert_eq!(&p.grad.data, want, "grad mismatch for {}", p.name);
         }
+    }
+
+    /// One node per parameter per graph: a store edited between two `param`
+    /// calls cannot split a weight's uses (or the transpose backward caches
+    /// for it) across two values.
+    #[test]
+    fn a_graph_reads_each_parameter_once() {
+        let mut rng = Rng::new(8);
+        let mut store = ParamStore::new();
+        let w = store.glorot("w", 4, 4, &mut rng);
+        let first = store.get(w).clone();
+        let mut g = Graph::new();
+        let wa = g.param(&store, w);
+        store.params[w]
+            .value
+            .data
+            .iter_mut()
+            .for_each(|v| *v += 1.0);
+        assert_eq!(g.param(&store, w), wa);
+        assert_eq!(g.value(wa), &first);
+        // Two uses of the one node: both gradients come from `first`.
+        let x = x_input(&mut g);
+        let h = g.matmul(x, wa);
+        let y = g.matmul(h, wa);
+        let loss = g.mean(y);
+        let got = g.param_grads(loss);
+        store.params[w].value = first;
+        let mut g = Graph::new();
+        let (x, wa) = (x_input(&mut g), g.param(&store, w));
+        let h = g.matmul(x, wa);
+        let y = g.matmul(h, wa);
+        let loss = g.mean(y);
+        assert_eq!(got, g.param_grads(loss));
     }
 
     /// The contract of `backward_rows`: a graph holding every sample's rows

@@ -1,89 +1,113 @@
 //! Graph-free forward kernels: the serving runtime's forward pass and every
 //! pass of the trainer that takes no gradient.
 //!
-//! [`crate::graph::Graph`] keeps what backward needs — a copy of every
-//! parameter matrix and ~60 nodes per policy step on its tape — which is
-//! waste where no gradient is taken. The helpers here compute the same
-//! forward math directly on [`Array`]s.
+//! [`crate::graph::Graph`] keeps what backward needs — ~60 nodes per policy
+//! step on its tape — which is waste where no gradient is taken. The helpers
+//! here compute the same forward math directly on [`Array`]s.
 //!
 //! **Bit-identity contract**: every op mirrors its `graph.rs` counterpart
 //! element-for-element, in the same evaluation order. All ops are
 //! row-independent, so a batched forward over B rows equals B single-row
-//! graph forwards bit-for-bit. The matmul has a runtime-dispatched SIMD
-//! path (AVX-512F / AVX2) that preserves scalar semantics: separate
-//! multiply and add per element (no FMA — fusing would change rounding),
-//! vector lanes spread across output columns `j`, the inner `p` loop kept
-//! sequential, and the same skip-zero shortcut as the scalar definition it
-//! is tested against (`tests::reference_matmul`). The graph's own products —
-//! forward, activation gradients and the ordered parameter-gradient
-//! reduction of `Graph::backward_rows` — run on this kernel too.
+//! graph forwards bit-for-bit. The graph's own products (forward, activation
+//! gradients, the ordered reduction of `Graph::backward_rows`) run here too.
+//!
+//! **The product** is defined by [`matmul_scalar`]: output element `(i, j)`
+//! is a left fold over `p` from `+0.0` of `a[i][p] * b[p][j]`, multiply and
+//! add rounded separately (no FMA), and a term whose `a[i][p]` is `±0.0` is
+//! skipped, not added — a zero of `a` against a `NaN`/`±inf` of `b`
+//! contributes nothing. The runtime-dispatched AVX-512F / AVX2 kernels make
+//! those bits from one register tile (`tiled_kernel!`): R rows of `a` × V
+//! vectors of output columns, R·V accumulators held in registers across the
+//! whole `p` loop, each step loading its V vectors of `b` once for all R
+//! rows. Lanes run across `j` and a lane is one output element's own fold, so
+//! tiling changes which elements are computed together, never the order
+//! inside one. Skip-zero is kept exactly: a step where none of the tile's R
+//! scalars of `a` is zero updates all rows branch-free (one scan of `a`
+//! settles that for every step of most products); any other step tests row
+//! by row and leaves a zero row's accumulators alone — the scalar loop's
+//! `continue`. The tile is 4 rows × 3 vectors (12 independent add chains);
+//! leftover rows run as a 3- or 2-row tile, a lone row as 1 × 6 so B=1
+//! inference keeps 6 chains. A band's last tile, when `n` is not a multiple
+//! of the tile width, masks every load and store to the columns `< n`: that
+//! is the column tail (there is no scalar loop), and lanes past `n` are
+//! never read, written or faulted on.
 
 // The workspace denies `unsafe_code`; the SIMD kernels below are the one
-// exception, encapsulated by `matmul` (see its SAFETY-BOUNDARY note).
+// exception, encapsulated by `product` (see its SAFETY-BOUNDARY note).
 #![allow(unsafe_code)]
 
 use crate::array::Array;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
+/// `(row, column)` strides of a left operand and `(m, k, n)` of a product.
+type Strides = (usize, usize);
+type Dims = (usize, usize, usize);
 
-fn kernel() -> Kernel {
-    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+/// `out (m x n, zeroed) = a * b`, element `(i, p)` of `a` at `i*ars + p*acs`.
+// SAFETY: a type; the one call through it, in `product`, states the
+// obligations of the kernels that have any.
+type KernelFn = unsafe fn(&[f64], Strides, &[f64], &mut [f64], Dims);
+
+/// The widest kernel this CPU runs, detected once.
+fn kernel() -> KernelFn {
+    static KERNEL: OnceLock<KernelFn> = OnceLock::new();
     *KERNEL.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f") {
-                return Kernel::Avx512;
+                return matmul_avx512;
             }
             if is_x86_feature_detected!("avx2") {
-                return Kernel::Avx2;
+                return matmul_avx2;
             }
         }
-        Kernel::Scalar
+        matmul_scalar
     })
 }
 
 /// `a (m x k) * b (k x n)`: every output element accumulates over `k` in
 /// increasing order from `+0.0`, separate multiply and add, skipping exact
 /// zeros of `a` — the same bits from every kernel.
-// SAFETY-BOUNDARY: all unsafe SIMD dispatch is encapsulated here — kernels
-// run only after `is_x86_feature_detected!` confirmed the target feature,
-// and slice lengths are pinned by Array's rows*cols invariant, so no caller
-// obligation escapes this fn.
 pub fn matmul(a: &Array, b: &Array) -> Array {
     assert_eq!(a.cols, b.rows, "matmul inner dims");
-    let (m, k, n) = (a.rows, a.cols, b.cols);
+    product(a, (a.cols, 1), a.rows, b)
+}
+
+/// `aᵀ * b` for `a (k x m)`, `b (k x n)`: the bits of `matmul(&a.t(), b)`
+/// with `a` read by stride instead of copied.
+pub fn matmul_tn(a: &Array, b: &Array) -> Array {
+    assert_eq!(a.rows, b.rows, "matmul_tn inner dims");
+    product(a, (1, a.cols), a.cols, b)
+}
+
+/// The `m x k` left operand is `a.data` read under `strides`; `k` is `b.rows`.
+// SAFETY-BOUNDARY: all unsafe SIMD dispatch is encapsulated here — kernels
+// run only after `is_x86_feature_detected!` confirmed the target feature,
+// and the slice lengths they rely on are asserted below, so no caller
+// obligation escapes this fn.
+fn product(a: &Array, strides: Strides, m: usize, b: &Array) -> Array {
+    let (k, n) = (b.rows, b.cols);
+    // `Array`'s fields are public, so its shape invariant is checked, not
+    // assumed: with both callers' strides the largest index read is m*k - 1.
+    assert_eq!(a.data.len(), m * k, "matmul lhs length");
+    assert_eq!(b.data.len(), k * n, "matmul rhs length");
     let mut out = Array::zeros(m, n);
-    match kernel() {
-        // SAFETY: `kernel()` returned Avx512/Avx2 only after
-        // `is_x86_feature_detected!` confirmed the target feature on this
-        // CPU, satisfying each kernel's #[target_feature] precondition;
-        // the slice-length preconditions (a = m*k, b = k*n, out = m*n)
-        // hold by Array's invariant (data.len() == rows*cols) together
-        // with the dimension checks above, and are re-asserted by the
-        // debug_assert!s at each kernel entry.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => unsafe { matmul_avx512(&a.data, &b.data, &mut out.data, m, k, n) },
-        // SAFETY: as above — feature presence checked at dispatch,
-        // slice lengths guaranteed by Array's shape invariant.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { matmul_avx2(&a.data, &b.data, &mut out.data, m, k, n) },
-        Kernel::Scalar => matmul_scalar(&a.data, &b.data, &mut out.data, m, k, n),
-    }
+    // SAFETY: `kernel()` returns a SIMD kernel only after
+    // `is_x86_feature_detected!` confirmed its target feature on this CPU
+    // (the scalar one is a safe fn); the slice-length preconditions (a = m*k
+    // under `strides`, b = k*n, out = m*n) are the two asserts above and
+    // `Array::zeros`.
+    unsafe { kernel()(&a.data, strides, &b.data, &mut out.data, (m, k, n)) };
     out
 }
 
-fn matmul_scalar(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+/// The definition of the product (module docs); `out` arrives zeroed.
+fn matmul_scalar(a: &[f64], (ars, acs): Strides, b: &[f64], out: &mut [f64], (m, k, n): Dims) {
     for i in 0..m {
         for p in 0..k {
-            let av = a[i * k + p];
+            let av = a[i * ars + p * acs];
             if av == 0.0 {
                 continue;
             }
@@ -96,162 +120,162 @@ fn matmul_scalar(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: u
     }
 }
 
-// The SIMD kernels tile output columns into register-resident accumulator
-// blocks (4 vectors, then 1 vector, then a scalar tail). Keeping the
-// accumulators in registers across the whole `p` loop removes the
-// store-to-load forwarding chain a read-modify-write output row would
-// create — which is the difference between ~1.3x and ~4x over scalar on
-// these small matrices. Every output element still accumulates over `p` in
-// increasing order from 0.0 with separate mul/add and the skip-zero
-// shortcut, so results stay bit-identical to the scalar loop.
-
-// SAFETY: callers must ensure (1) the CPU supports AVX-512F (enforced by
-// the `kernel()` dispatch via `is_x86_feature_detected!`) and (2) the
-// slice lengths match the dimensions: a.len() == m*k, b.len() == k*n,
-// out.len() == m*n. Every pointer formed below stays in bounds under (2):
-// `arow.add(p)` reads a[i*k + p] with i < m, p < k; `bp.add(q)` reads
-// b[p*n + j + q] with j + q < n (each unrolled block loads at offsets
-// j..j+32 only while j + 32 <= n); `orow.add(j)` writes out[i*n + j] with
-// j < n. All loads/stores use the unaligned intrinsics (`loadu`/`storeu`),
-// so no alignment precondition beyond f64's natural alignment (guaranteed
-// by the slice type) is required.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn matmul_avx512(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), m * k, "matmul_avx512: lhs length");
-    debug_assert_eq!(b.len(), k * n, "matmul_avx512: rhs length");
-    debug_assert_eq!(out.len(), m * n, "matmul_avx512: out length");
-    for i in 0..m {
-        let arow = a.as_ptr().add(i * k);
-        let orow = out.as_mut_ptr().add(i * n);
-        let mut j = 0usize;
-        while j + 32 <= n {
-            let mut acc0 = _mm512_setzero_pd();
-            let mut acc1 = _mm512_setzero_pd();
-            let mut acc2 = _mm512_setzero_pd();
-            let mut acc3 = _mm512_setzero_pd();
-            for p in 0..k {
-                let av = *arow.add(p);
-                if av == 0.0 {
-                    continue;
+/// One kernel per instruction set from one tile body (module docs). A `$vec`
+/// has `$lanes` f64 lanes and moves whole through `$loadu` / `$storeu`;
+/// `$mask_of(c)` is the `$mask` whose first `c` lanes are live, `$load(ptr,
+/// mask)` reads and `$store(ptr, mask, v)` writes the live lanes of the vector
+/// at `ptr` and touch no memory under a dead lane.
+macro_rules! tiled_kernel {
+    ($name:ident, $feature:literal, $lanes:literal, $vec:ty, $mask:ty, $zero:ident, $set1:ident,
+     $mul:ident, $add:ident, $loadu:ident, $storeu:ident, $mask_of:expr, $load:expr,
+     $store:expr) => {
+        // SAFETY: callers must ensure (1) the CPU supports `$feature`
+        // (`kernel()` selects by `is_x86_feature_detected!`) and (2) the
+        // slice lengths match the dimensions: a.len() == m*k, so that every
+        // `a[i*ars + p*acs]` with i < m, p < k is in bounds under either
+        // stride pair `product` passes, b.len() == k*n, out.len() == m*n
+        // (asserted by `product`, re-asserted in debug builds here).
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature)]
+        unsafe fn $name(a: &[f64], strides: Strides, b: &[f64], out: &mut [f64], (m, k, n): Dims) {
+            // Rows `i..i+R` x columns `j..j + V*lanes` of the product (those
+            // `< n` if `TAIL`); `dense` promises no element of `a` is zero.
+            //
+            // SAFETY: callers pass `a` at element (i, 0) and `out` at (i, 0)
+            // of a band of R rows inside the matrices described above, and
+            // j < n, with j + V*lanes <= n unless `TAIL`, so
+            // `a.add(r*ars + p*acs)` reads element (i+r, p), in bounds.
+            // Vector v of the tile covers columns j + v*lanes ..
+            // j + (v+1)*lanes: without `TAIL` all of them lie inside row p of
+            // `b` and row i+r of `out`; with it the vector's mask keeps the
+            // lanes whose column is < n (none, if the vector starts at or
+            // past n), masked-off lanes are not accessed (the masked moves
+            // suppress both the access and its fault), and the pointers are
+            // formed with `wrapping_add` because past the last row they may
+            // point outside the allocation. All moves are the unaligned
+            // forms, so f64 alignment from the slice type suffices.
+            #[target_feature(enable = $feature)]
+            unsafe fn tile<const R: usize, const V: usize, const TAIL: bool>(
+                a: *const f64,
+                (ars, acs): Strides,
+                b: *const f64,
+                out: *mut f64,
+                (k, n, j): (usize, usize, usize),
+                dense: bool,
+            ) {
+                let mut masks = [$mask_of(0); V];
+                for v in 0..V {
+                    masks[v] = $mask_of(n.saturating_sub(j + v * $lanes).min($lanes));
                 }
-                let vs = _mm512_set1_pd(av);
-                let bp = b.as_ptr().add(p * n + j);
-                acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(vs, _mm512_loadu_pd(bp)));
-                acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(vs, _mm512_loadu_pd(bp.add(8))));
-                acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(vs, _mm512_loadu_pd(bp.add(16))));
-                acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(vs, _mm512_loadu_pd(bp.add(24))));
-            }
-            _mm512_storeu_pd(orow.add(j), acc0);
-            _mm512_storeu_pd(orow.add(j + 8), acc1);
-            _mm512_storeu_pd(orow.add(j + 16), acc2);
-            _mm512_storeu_pd(orow.add(j + 24), acc3);
-            j += 32;
-        }
-        while j + 8 <= n {
-            let mut acc = _mm512_setzero_pd();
-            for p in 0..k {
-                let av = *arow.add(p);
-                if av == 0.0 {
-                    continue;
+                let mut acc = [[$zero(); V]; R];
+                for p in 0..k {
+                    let mut av = [0.0; R];
+                    for r in 0..R {
+                        av[r] = *a.add(r * ars + p * acs);
+                    }
+                    let mut bv = [$zero(); V];
+                    for v in 0..V {
+                        let from = b.wrapping_add(p * n + j + v * $lanes);
+                        bv[v] = if TAIL {
+                            $load(from, masks[v])
+                        } else {
+                            $loadu(from)
+                        };
+                    }
+                    let row = |acc: &mut [[$vec; V]; R], r: usize| {
+                        let s = $set1(av[r]);
+                        for v in 0..V {
+                            acc[r][v] = $add(acc[r][v], $mul(s, bv[v]));
+                        }
+                    };
+                    // The skip-zero shortcut, decided for the tile's R
+                    // scalars at once (on their bits: integer ports, the
+                    // vector ports are the bottleneck); a test per row on
+                    // the dense path costs a third of the throughput.
+                    if dense || av.iter().fold(true, |nz, x| nz & (x.to_bits() << 1 != 0)) {
+                        for r in 0..R {
+                            row(&mut acc, r);
+                        }
+                    } else {
+                        for r in 0..R {
+                            if av[r] != 0.0 {
+                                row(&mut acc, r);
+                            }
+                        }
+                    }
                 }
-                let vs = _mm512_set1_pd(av);
-                acc = _mm512_add_pd(
-                    acc,
-                    _mm512_mul_pd(vs, _mm512_loadu_pd(b.as_ptr().add(p * n + j))),
-                );
-            }
-            _mm512_storeu_pd(orow.add(j), acc);
-            j += 8;
-        }
-        while j < n {
-            let mut s = 0.0;
-            for p in 0..k {
-                let av = *arow.add(p);
-                if av == 0.0 {
-                    continue;
+                for r in 0..R {
+                    for v in 0..V {
+                        let to = out.wrapping_add(r * n + j + v * $lanes);
+                        if TAIL {
+                            $store(to, masks[v], acc[r][v]);
+                        } else {
+                            $storeu(to, acc[r][v]);
+                        }
+                    }
                 }
-                s += av * *b.as_ptr().add(p * n + j);
             }
-            *orow.add(j) = s;
-            j += 1;
+            // A band of R rows: whole tiles, then the masked one.
+            //
+            // SAFETY: as `tile`, whose column conditions the loop establishes.
+            #[target_feature(enable = $feature)]
+            unsafe fn band<const R: usize, const V: usize>(
+                a: *const f64,
+                strides: Strides,
+                b: *const f64,
+                out: *mut f64,
+                (k, n): (usize, usize),
+                dense: bool,
+            ) {
+                let mut j = 0;
+                while j + V * $lanes <= n {
+                    tile::<R, V, false>(a, strides, b, out, (k, n, j), dense);
+                    j += V * $lanes;
+                }
+                if j < n {
+                    tile::<R, V, true>(a, strides, b, out, (k, n, j), dense);
+                }
+            }
+            debug_assert_eq!(a.len(), m * k);
+            debug_assert_eq!(b.len(), k * n);
+            debug_assert_eq!(out.len(), m * n);
+            // One vectorised scan buys most products a loop that skips the
+            // zero test (`|`, not `||`: no early exit to branch on).
+            let dense = !a.iter().fold(false, |z, &x| z | (x == 0.0));
+            let mut i = 0;
+            while i < m {
+                let rows = (m - i).min(4);
+                let (ap, bp) = (a.as_ptr().add(i * strides.0), b.as_ptr());
+                let op = out.as_mut_ptr().add(i * n);
+                match rows {
+                    4 => band::<4, 3>(ap, strides, bp, op, (k, n), dense),
+                    3 => band::<3, 3>(ap, strides, bp, op, (k, n), dense),
+                    2 => band::<2, 3>(ap, strides, bp, op, (k, n), dense),
+                    _ => band::<1, 6>(ap, strides, bp, op, (k, n), dense),
+                }
+                i += rows;
+            }
         }
-    }
+    };
 }
 
-// SAFETY: callers must ensure (1) the CPU supports AVX2 (enforced by the
-// `kernel()` dispatch via `is_x86_feature_detected!`) and (2) the slice
-// lengths match the dimensions: a.len() == m*k, b.len() == k*n,
-// out.len() == m*n. In-bounds reasoning mirrors `matmul_avx512` with
-// 4-lane vectors: the unrolled block touches b[p*n + j .. p*n + j + 16]
-// only while j + 16 <= n, the single-vector loop while j + 4 <= n, and
-// the scalar tail while j < n. Unaligned intrinsics throughout, so
-// f64-alignment from the slice type suffices.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_avx2(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), m * k, "matmul_avx2: lhs length");
-    debug_assert_eq!(b.len(), k * n, "matmul_avx2: rhs length");
-    debug_assert_eq!(out.len(), m * n, "matmul_avx2: out length");
-    for i in 0..m {
-        let arow = a.as_ptr().add(i * k);
-        let orow = out.as_mut_ptr().add(i * n);
-        let mut j = 0usize;
-        while j + 16 <= n {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut acc2 = _mm256_setzero_pd();
-            let mut acc3 = _mm256_setzero_pd();
-            for p in 0..k {
-                let av = *arow.add(p);
-                if av == 0.0 {
-                    continue;
-                }
-                let vs = _mm256_set1_pd(av);
-                let bp = b.as_ptr().add(p * n + j);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(vs, _mm256_loadu_pd(bp)));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(vs, _mm256_loadu_pd(bp.add(4))));
-                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(vs, _mm256_loadu_pd(bp.add(8))));
-                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(vs, _mm256_loadu_pd(bp.add(12))));
-            }
-            _mm256_storeu_pd(orow.add(j), acc0);
-            _mm256_storeu_pd(orow.add(j + 4), acc1);
-            _mm256_storeu_pd(orow.add(j + 8), acc2);
-            _mm256_storeu_pd(orow.add(j + 12), acc3);
-            j += 16;
-        }
-        while j + 4 <= n {
-            let mut acc = _mm256_setzero_pd();
-            for p in 0..k {
-                let av = *arow.add(p);
-                if av == 0.0 {
-                    continue;
-                }
-                let vs = _mm256_set1_pd(av);
-                acc = _mm256_add_pd(
-                    acc,
-                    _mm256_mul_pd(vs, _mm256_loadu_pd(b.as_ptr().add(p * n + j))),
-                );
-            }
-            _mm256_storeu_pd(orow.add(j), acc);
-            j += 4;
-        }
-        while j < n {
-            let mut s = 0.0;
-            for p in 0..k {
-                let av = *arow.add(p);
-                if av == 0.0 {
-                    continue;
-                }
-                s += av * *b.as_ptr().add(p * n + j);
-            }
-            *orow.add(j) = s;
-            j += 1;
-        }
-    }
-}
+#[rustfmt::skip]
+tiled_kernel!(
+    matmul_avx512, "avx512f", 8, __m512d, __mmask8, _mm512_setzero_pd, _mm512_set1_pd,
+    _mm512_mul_pd, _mm512_add_pd, _mm512_loadu_pd, _mm512_storeu_pd,
+    |c: usize| ((1u32 << c) - 1) as __mmask8,
+    |p: *const f64, m: __mmask8| _mm512_maskz_loadu_pd(m, p),
+    |p: *mut f64, m: __mmask8, v: __m512d| _mm512_mask_storeu_pd(p, m, v)
+);
+
+#[rustfmt::skip]
+tiled_kernel!(
+    matmul_avx2, "avx2", 4, __m256d, __m256i, _mm256_setzero_pd, _mm256_set1_pd,
+    _mm256_mul_pd, _mm256_add_pd, _mm256_loadu_pd, _mm256_storeu_pd,
+    |c: usize| _mm256_cmpgt_epi64(_mm256_set1_epi64x(c as i64), _mm256_setr_epi64x(0, 1, 2, 3)),
+    |p: *const f64, m: __m256i| _mm256_maskload_pd(p, m),
+    |p: *mut f64, m: __m256i, v: __m256d| _mm256_maskstore_pd(p, m, v)
+);
 
 /// Broadcast-add a `[1,d]` bias row to every row (mirrors `Graph::add_row`).
 pub fn add_row(x: &Array, bias: &Array) -> Array {
@@ -374,27 +398,173 @@ mod tests {
         out
     }
 
-    #[test]
-    fn simd_matmul_bit_identical_to_array_matmul() {
-        forall(
-            "infer::matmul == reference_matmul",
-            PropConfig::default(),
-            |rng| {
-                let m = 1 + (rng.next_u64() % 12) as usize;
-                let k = 1 + (rng.next_u64() % 20) as usize;
-                let n = 1 + (rng.next_u64() % 20) as usize;
-                let a = random_array(rng, m, k);
-                let b = random_array(rng, k, n);
-                let got = matmul(&a, &b);
-                let want = reference_matmul(&a, &b);
-                for (g, w) in got.iter().zip(want.iter()) {
-                    if g.to_bits() != w.to_bits() {
-                        return Err(format!("{g} != {w} at {m}x{k}x{n}"));
+    /// Every kernel this CPU can run, not only the one [`kernel`] picks.
+    fn kernels() -> Vec<(&'static str, KernelFn)> {
+        let mut ks: Vec<(&'static str, KernelFn)> = vec![("scalar", matmul_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                ks.push(("avx2", matmul_avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                ks.push(("avx512", matmul_avx512));
+            }
+        }
+        ks
+    }
+
+    /// `a * b`, or `aᵀ * b` read by stride, through one kernel of [`kernels`].
+    fn run(kernel: KernelFn, a: &Array, transposed: bool, b: &Array) -> Array {
+        let (m, strides) = if transposed {
+            (a.cols, (1, a.cols))
+        } else {
+            (a.rows, (a.cols, 1))
+        };
+        let mut out = Array::zeros(m, b.cols);
+        assert_eq!(a.data.len(), m * b.rows);
+        // SAFETY: `kernels()` lists a SIMD kernel only after
+        // `is_x86_feature_detected!` confirmed its feature; `from_vec` and
+        // `zeros` built all three arrays with data.len() == rows*cols, and
+        // the assert above pins a's m*k to b's k.
+        unsafe {
+            kernel(
+                &a.data,
+                strides,
+                &b.data,
+                &mut out.data,
+                (m, b.rows, b.cols),
+            )
+        };
+        out
+    }
+
+    fn first_difference(want: &Array, got: &Array) -> Option<String> {
+        let n = want.cols;
+        (want.iter().zip(got.iter()).enumerate())
+            .find(|(_, (w, g))| w.to_bits() != g.to_bits())
+            .map(|(i, (w, g))| format!("({}, {}): want {w:e}, got {g:e}", i / n, i % n))
+    }
+
+    /// The products one CRR step and one serve tick really make.
+    const STEP_SHAPES: [(usize, usize, usize); 14] = [
+        (16, 48, 48),
+        (16, 69, 48),
+        (16, 48, 3),
+        (16, 3, 48),
+        (16, 48, 69),
+        (1, 128, 48),
+        (48, 128, 48),
+        (69, 128, 48),
+        (70, 8, 64),
+        (64, 8, 41),
+        (128, 64, 70),
+        (640, 70, 64),
+        (1, 48, 144),
+        (512, 48, 144),
+    ];
+
+    /// Both layouts of one shape through every kernel, with zeros in `a`
+    /// (every step tests its scalars) and without (the scan finds it dense).
+    fn check_shape(rng: &mut Rng, (m, k, n): (usize, usize, usize)) -> Result<(), String> {
+        for dense in [false, true] {
+            let mut a = random_array(rng, m, k);
+            if dense {
+                a.data.iter_mut().for_each(|x| *x += 4.0);
+            }
+            let b = random_array(rng, k, n);
+            let want = reference_matmul(&a, &b);
+            let at = a.t();
+            for (name, kernel) in kernels() {
+                for (lhs, transposed) in [(&a, false), (&at, true)] {
+                    if let Some(d) = first_difference(&want, &run(kernel, lhs, transposed, &b)) {
+                        return Err(format!(
+                            "{name} {m}x{k}x{n} dense {dense} transposed {transposed}: {d}"
+                        ));
                     }
                 }
-                Ok(())
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn simd_matmul_bit_identical_to_array_matmul() {
+        let mut rng = Rng::new(0x711E);
+        for shape in STEP_SHAPES {
+            check_shape(&mut rng, shape).unwrap();
+        }
+        forall(
+            "every kernel == reference_matmul",
+            PropConfig::default(),
+            |rng| {
+                let m = 1 + (rng.next_u64() % 19) as usize;
+                let k = 1 + (rng.next_u64() % 80) as usize;
+                let n = 1 + (rng.next_u64() % 80) as usize;
+                check_shape(rng, (m, k, n))
             },
         );
+        // The public entry points are the dispatched kernel.
+        let (a, b) = (random_array(&mut rng, 7, 9), random_array(&mut rng, 9, 29));
+        assert_bits_eq(&reference_matmul(&a, &b), &matmul(&a, &b));
+        assert_bits_eq(&reference_matmul(&a, &b), &matmul_tn(&a.t(), &b));
+    }
+
+    /// Skip-zero is a semantic, not a shortcut: a `±0.0` at `a[i][p]` keeps
+    /// row `p` of `b` out of output row `i` even when that row holds
+    /// `NaN`/`±inf` (`0 * inf` would be `NaN`). Zero and non-zero rows share
+    /// row tiles — the full 4-row tile, each leftover tile, the lone row —
+    /// and `n` ends in a masked vector for both lane widths.
+    #[test]
+    fn a_zero_of_a_skips_a_poisoned_row_of_b_in_every_kernel() {
+        let mut rng = Rng::new(0x5C1F);
+        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (m, k, n) in [(4, 9, 27), (7, 5, 13), (6, 11, 50), (5, 3, 3), (1, 6, 21)] {
+            let mut a = random_array(&mut rng, m, k);
+            let mut b = random_array(&mut rng, k, n);
+            // Rows 1 and 2 of `b` are poisoned in every column; even rows of
+            // `a` skip both (one with each sign of zero), odd rows do not.
+            for j in 0..n {
+                *b.at_mut(1, j) = poison[j % 3];
+                *b.at_mut(2, j) = poison[(j + 1) % 3];
+            }
+            for i in 0..m {
+                for p in 0..k {
+                    if *a.at_mut(i, p) == 0.0 {
+                        *a.at_mut(i, p) = 0.5;
+                    }
+                }
+                if i % 2 == 0 {
+                    *a.at_mut(i, 1) = 0.0;
+                    *a.at_mut(i, 2) = -0.0;
+                }
+            }
+            let want = reference_matmul(&a, &b);
+            let at = a.t();
+            for (name, kernel) in kernels() {
+                for (lhs, transposed) in [(&a, false), (&at, true)] {
+                    let got = run(kernel, lhs, transposed, &b);
+                    let what = format!("{name} {m}x{k}x{n} transposed {transposed}");
+                    for i in 0..m {
+                        let row = &got.data[i * n..(i + 1) * n];
+                        if i % 2 == 0 {
+                            assert!(row.iter().all(|v| v.is_finite()), "{what}: row {i}");
+                        } else {
+                            assert!(row.iter().all(|v| !v.is_finite()), "{what}: row {i}");
+                        }
+                    }
+                    // Finite rows bit for bit; NaN payloads are not pinned.
+                    for (w, g) in want.iter().zip(got.iter()).filter(|(w, _)| w.is_finite()) {
+                        assert_eq!(w.to_bits(), g.to_bits(), "{what}");
+                    }
+                }
+            }
+            // All of `a` zero: nothing is added, every element stays `+0.0`.
+            let zeros = Array::from_vec(m, k, (0..m * k).map(|i| [0.0, -0.0][i % 2]).collect());
+            for (name, kernel) in kernels() {
+                let got = run(kernel, &zeros, false, &b);
+                assert!(got.iter().all(|v| v.to_bits() == 0), "{name} {m}x{k}x{n}");
+            }
+        }
     }
 
     fn assert_bits_eq(want: &Array, got: &Array) {

@@ -326,6 +326,10 @@ impl ServeRuntime {
         let mut x = Vec::new();
         // Wall-clock spent in symbolic tree walks this tick (reporting only).
         let mut sym_nanos_tick = 0u64;
+        let staleness_ticks = self.cfg.staleness_ticks;
+        let audit_every = self.cfg.audit_every;
+        let max_batch = self.cfg.max_batch;
+        let symbolic = self.cfg.symbolic.clone();
         for (slot, key, _gen) in expired {
             let Some(view) = observe(key) else {
                 // lint:allow(P1): the retain() above kept only slots still live in the flow table
@@ -352,10 +356,6 @@ impl ServeRuntime {
                 }
                 continue;
             };
-            let staleness_ticks = self.cfg.staleness_ticks;
-            let audit_every = self.cfg.audit_every;
-            let max_batch = self.cfg.max_batch;
-            let symbolic = self.cfg.symbolic.clone();
             // lint:allow(P1): the retain() above kept only slots still live in the flow table
             let e = self.table.get_mut(slot).expect("retained above");
             e.missed_obs = 0;

@@ -5,9 +5,12 @@
 # Prints, per workload x end-to-end metric, both medians with quartiles, the
 # pairs the change won, whether the medians are further apart than the
 # parent's inter-quartile distance, every run's value, and whether
-# `digest_parts` agree. The parent is a `git archive` export under
-# ${TMPDIR:-/tmp}, removed on exit. ~4 min per pair (2 workloads x 2 sides x
-# 50 s). Not a check.sh stage.
+# `digest_parts` agree; then, from one traced pair (`--trace 1`, each side
+# once per workload), every per-layer metric whose change/parent ratio is
+# outside 0.9-1.1 — where the difference sits (choosing-metrics §6.6). The
+# parent is a `git archive` export under ${TMPDIR:-/tmp}, removed on exit.
+# ~4 min per pair (2 workloads x 2 sides x 50 s), and as much again for the
+# traced pair. Not a check.sh stage.
 set -eu
 cd "$(dirname "$0")/.."
 REF=${1:?usage: scripts/ab_bench.sh <parent-ref> [pairs=10] [seed=2023]}
@@ -39,6 +42,16 @@ for pair in $(seq 1 "$PAIRS"); do
   done
   echo "pair $pair/$PAIRS done" >&2
 done
+# The traced pair: "trace side workload metric value" rows of the per-layer
+# metrics (the names with a dot).
+for w in pipeline layers; do
+  for side in parent change; do
+    [ "$side" = parent ] && dir="$WORK/parent" || dir=.
+    (cd "$dir" && ./benchmark/target/release/perf_ledger \
+        --workload "$w" --seed "$SEED" --seconds 50 --trace 1) \
+      | awk -v s="$side" -v w="$w" '$1 == w && NF == 4 && $2 ~ /\./ { print "trace", s, w, $2, $3 }' >> "$WORK/rows"
+  done
+done
 
 awk -v pairs="$PAIRS" '
 function quantile(side, key, q,    i, j, t, v, r, lo) {
@@ -51,6 +64,7 @@ function summary(side, key) {
   return sprintf("%12.4f [%10.4f,%10.4f]", quantile(side, key, 0.5), quantile(side, key, 0.25), quantile(side, key, 0.75))
 }
 $1 == "digest" { if (!(($2, $3) in dig)) dig[$2, $3] = $4; else if (dig[$2, $3] != $4) dig[$2, $3] = "unstable"; next }
+$1 == "trace" { key = $3 " " $4; tr[$2, key] = $5 + 0; if (!(key in tseen)) { tseen[key] = 1; torder[++nt] = key }; next }
 { key = $3 " " $4; val[$1 + 0, $2, key] = $5 + 0; if (!(key in seen)) { seen[key] = 1; order[++nk] = key } }
 END {
   printf "%-9s %-20s %36s %36s %7s %5s  %s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "won", "beyond parent IQR"
@@ -74,4 +88,10 @@ END {
   n = split("pipeline layers", ws, " ")
   for (i = 1; i <= n; i++)
     printf "%-9s digest_parts %s\n", ws[i], (dig["parent", ws[i]] == dig["change", ws[i]] && dig["parent", ws[i]] != "unstable" ? "match" : "DIFFER: parent " dig["parent", ws[i]] " change " dig["change", ws[i]])
+  print "one traced pair, per-layer metrics with change/parent outside 0.9-1.1:"
+  for (k = 1; k <= nt; k++) {
+    key = torder[k]; split(key, wm, " "); p = tr["parent", key]; c = tr["change", key]
+    if (p == c || (p != 0 && c / p >= 0.9 && c / p <= 1.1)) continue
+    printf "%-9s %-34s %14.4f -> %14.4f  %s\n", wm[1], wm[2], p, c, (p ? sprintf("%.3f", c / p) : "from 0")
+  }
 }' "$WORK/rows"
