@@ -1,10 +1,11 @@
 //! Causal flow-trace reconstruction from a flight-recorder dump.
 //!
-//! Reads a `FLIGHT_*.jsonl` file (header line + one event per line, as
-//! written by `sage_obs::dump_to_file` / the panic post-mortem path) and
-//! reconstructs one flow's causal timeline: every event stamped with the
-//! requested span id, tick-sorted, across serve / transport / netsim /
-//! eval / collect — admission to eviction, enqueue to drop.
+//! Reads a `FLIGHT_*.jsonl` file (header line + one event per line; the
+//! only writer is the panic post-mortem path, which puts it at
+//! `SAGE_FLIGHT_FILE` or `FLIGHT_panic.jsonl`) and reconstructs one flow's
+//! causal timeline: every event stamped with the requested span id,
+//! tick-sorted, across serve / transport / netsim / eval / collect —
+//! admission to eviction, enqueue to drop.
 //!
 //! Usage:
 //!   sage_trace <flight.jsonl>              list spans by event count

@@ -78,7 +78,7 @@ fn matrix_rankings_match_golden() {
     let report = run_matrix(&spec, |_, _| {});
     let current = matrix_json(&spec, &report);
     let path = golden_path();
-    if std::env::var("SAGE_REGEN_GOLDEN").is_ok() {
+    if sage_util::env_cfg::regen_golden() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, format!("{current}\n")).unwrap();
         eprintln!("regenerated {}", path.display());

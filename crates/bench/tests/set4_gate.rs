@@ -110,7 +110,7 @@ fn set4_pinned_scenarios_within_tolerance() {
     let (outcomes, jain, goodput_frac) = current();
     assert_eq!(outcomes.len(), pinned_scenarios().len());
     let path = baselines_path();
-    if std::env::var("SAGE_REGEN_GOLDEN").is_ok() {
+    if sage_util::env_cfg::regen_golden() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(
             &path,

@@ -7,6 +7,8 @@
 //! are unplugged" — the learner in `sage-core` touches only the [`pool::Pool`]
 //! file, never a network environment.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod env;
 pub mod pool;
 pub mod rollout;

@@ -68,8 +68,11 @@ fn build_sim(
     cfg.span_base = span_base;
     let mut flows = Vec::new();
     for k in 0..env.competing_cubic {
+        #[expect(
+            clippy::expect_used,
+            reason = "\"cubic\" is a compile-time scheme name that the registry always contains"
+        )]
         flows.push(FlowConfig::starting_at(
-            // lint:allow(P1): "cubic" is a compile-time scheme name that the registry always contains
             build("cubic", seed.wrapping_add(k as u64 + 1)).expect("cubic exists"),
             (k as u64) * 100 * sage_netsim::time::MILLIS,
         ));

@@ -95,9 +95,12 @@ fn run_cell(
         let build_seed = seed.wrapping_add(si as u64).wrapping_add(salt);
         let roll_seed = seed.wrapping_add(salt);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cca = build(scheme, build_seed)
-                // lint:allow(P1): the panic is intentional here — the unwind is caught just above and becomes a supervised retry, and an unknown scheme name is a programming error
-                .unwrap_or_else(|| panic!("unknown scheme {scheme}"));
+            #[expect(
+                clippy::panic,
+                reason = "the panic is intentional here — the unwind is caught just above and becomes a supervised retry, and an unknown scheme name is a programming error"
+            )]
+            let cca =
+                build(scheme, build_seed).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
             rollout(env, scheme, cca, gr_cfg, roll_seed)
         }));
         match outcome {

@@ -8,10 +8,10 @@
 //! With `bc_only` the filter is constant 1 — exactly the behavioral-cloning
 //! baselines of §6.2.
 
-// The trainer walks several parallel per-timestep arrays (states, actions,
-// rewards, bootstrap values) with shared indices; index loops keep those
-// alignments explicit where iterator zips would bury them.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "the trainer walks several parallel per-timestep arrays (states, actions, rewards, bootstrap values) with shared indices; index loops keep those alignments explicit where iterator zips would bury them"
+)]
 
 use crate::model::{
     CriticNet, NetConfig, PolicyNet, SageModel, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
@@ -257,7 +257,10 @@ impl CrrTrainer {
     /// `CrrConfig` uses `unroll >= 1` (default 8), so this is a programming
     /// error worth crashing on.
     pub fn train_step(&mut self, pool: &Pool) -> StepMetrics {
-        // lint:allow(D2): obs-gated wall clock feeding the write-only samples-per-sec gauge; never read back into training
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "obs-gated wall clock feeding the write-only samples-per-sec gauge; never read back into training"
+        )]
         let step_start = sage_obs::enabled().then(std::time::Instant::now);
         let (states, actions, rewards) = match self.sample_batch(pool) {
             Some(x) => x,
@@ -618,7 +621,10 @@ fn policy_loss_grads(
             None => neg,
         });
     }
-    // lint:allow(P1): every constructed CrrConfig uses unroll >= 1 (default 8), so the loop above ran at least once and acc is Some; unroll = 0 is a programming error worth crashing on
+    #[expect(
+        clippy::expect_used,
+        reason = "every constructed CrrConfig uses unroll >= 1 (default 8), so the loop above ran at least once and acc is Some; unroll = 0 is a programming error worth crashing on"
+    )]
     let loss = g.scale(acc.expect("unroll >= 1"), 1.0 / l as f64);
     g.backward_rows(loss, 1.0 / b as f64, b, store);
     g.value(loss).data.clone()

@@ -15,6 +15,8 @@
 //! * [`policy`] — a trained model as a `CongestionControl` implementation,
 //!   driving the Execution block (`sage_gr::action`: observe → act).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod baselines;
 pub mod crr;
 pub mod model;

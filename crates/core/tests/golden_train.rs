@@ -79,7 +79,7 @@ fn run(bc_only: bool) -> String {
 fn check(file: &str, bc_only: bool) {
     let got = run(bc_only);
     let path = golden_path(file);
-    if std::env::var("SAGE_REGEN_GOLDEN").is_ok() {
+    if sage_util::env_cfg::regen_golden() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
         eprintln!("regenerated {}", path.display());

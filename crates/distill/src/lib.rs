@@ -21,6 +21,8 @@
 //! dependency cycle; the dataset-harvesting glue that needs the neural model
 //! lives in `sage-eval::distill`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod dataset;
 pub mod policy;
 pub mod tree;

@@ -5,6 +5,8 @@
 //! Distance/Similarity metrics of §7.1/§7.2, and a small exact t-SNE for
 //! Fig. 16.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod adversary;
 pub mod distill;
 pub mod league;

@@ -59,7 +59,10 @@ impl Contender {
     /// registry — league tables are static, so this is a programming error.
     pub fn build(&self, env: &EnvSpec, seed: u64) -> Box<dyn CongestionControl> {
         match self {
-            // lint:allow(P1): league contender names are fixed tables checked against the registry; an unknown name is a programming error
+            #[expect(
+                clippy::panic,
+                reason = "league contender names are fixed tables checked against the registry; an unknown name is a programming error"
+            )]
             Contender::Heuristic(n) => build(n, seed).unwrap_or_else(|| panic!("unknown {n}")),
             Contender::Model {
                 name,

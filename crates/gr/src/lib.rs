@@ -11,6 +11,8 @@
 //! back, and the observe→act loop ([`CwndActor`]) every learned controller
 //! deploys through.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod action;
 pub mod mask;
 pub mod reward;

@@ -11,6 +11,8 @@
 //! mechanism depends on kernel details that do not exist in the emulation
 //! (e.g. TSO/pacing interactions); each file's header documents deviations.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod common;
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //! async runtime would add overhead without benefit. The [`engine::EventQueue`]
 //! provides deterministic discrete-event ordering.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod aqm;
 pub mod engine;
 pub mod faults;

@@ -735,10 +735,10 @@ mod tests {
         let auto_grads: Vec<Vec<f64>> = store.params.iter().map(|p| p.grad.data.clone()).collect();
 
         let h = 1e-6;
-        // Index loops: each element of `store.params` is mutated in place for
-        // the finite-difference probe while `auto_grads` is read at the same
-        // (pi, ei) position; iterators cannot hold both borrows.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "each element of `store.params` is mutated in place for the finite-difference probe while `auto_grads` is read at the same (pi, ei) position; iterators cannot hold both borrows"
+        )]
         for pi in 0..store.params.len() {
             for ei in 0..store.params[pi].value.data.len() {
                 let orig = store.params[pi].value.data[ei];

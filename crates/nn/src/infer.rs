@@ -32,9 +32,10 @@
 //! is the column tail (there is no scalar loop), and lanes past `n` are
 //! never read, written or faulted on.
 
-// The workspace denies `unsafe_code`; the SIMD kernels below are the one
-// exception, encapsulated by `product` (see its SAFETY-BOUNDARY note).
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the workspace denies `unsafe_code`; the SIMD kernels below are the one exception, encapsulated by `product` (see its SAFETY-BOUNDARY note) — `allow`, not `expect`: off x86_64 there is no unsafe block to fulfil it"
+)]
 
 use crate::array::Array;
 #[cfg(target_arch = "x86_64")]

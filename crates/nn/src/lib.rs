@@ -9,6 +9,8 @@
 //! a small, well-tested f64 engine. Every op's gradient is verified against
 //! central finite differences in the test suite.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod adam;
 pub mod array;
 pub mod gmm;

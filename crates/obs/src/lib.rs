@@ -38,6 +38,8 @@
 //! `SAGE_OBS=0` (or `off`/`false`) disables metrics at runtime; the
 //! disabled path is a single branch-predictable load-and-test.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod hist;
 pub mod log;
 pub mod metrics;
@@ -46,8 +48,8 @@ pub mod recorder;
 pub use log::{flush_trace, log_enabled, Level};
 pub use metrics::{counter, gauge, histogram, reset_metrics, snapshot_json};
 pub use recorder::{
-    dump_postmortem, dump_to_file, force_record, force_record_cap, record, recording,
-    recording_any, reset_recorder, Category, EventKind,
+    dump_postmortem, force_record, force_record_cap, record, recording, reset_recorder, Category,
+    EventKind,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -13,7 +13,7 @@
 //! `warn`, `info`, `debug`, `trace`. CI runs set `SAGE_LOG=quiet` so test
 //! output stays clean.
 
-use sage_util::Json;
+use sage_util::{env_cfg, Json};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -21,7 +21,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Environment variable naming the structured JSONL trace file.
-pub const TRACE_FILE_ENV: &str = sage_util::env_cfg::TRACE_FILE;
+pub const TRACE_FILE_ENV: &str = env_cfg::TRACE_FILE;
 
 /// Event severity. Ordered: an event is visible when its level is at or
 /// below the configured maximum.
@@ -51,24 +51,31 @@ impl Level {
 /// 0 = uninitialised; else max visible level + 1 (so `quiet` stores 1).
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
 
-fn parse_level(s: &str) -> u8 {
-    match s.trim().to_ascii_lowercase().as_str() {
+fn parse_level(s: &str) -> Option<u8> {
+    Some(match s.trim().to_ascii_lowercase().as_str() {
         "quiet" | "off" | "none" | "0" => 0,
         "error" => Level::Error as u8,
         "warn" | "warning" => Level::Warn as u8,
+        "info" => Level::Info as u8,
         "debug" => Level::Debug as u8,
         "trace" => Level::Trace as u8,
-        // Default (including unrecognised values): info.
-        _ => Level::Info as u8,
-    }
+        _ => return None,
+    })
 }
 
 #[cold]
 fn init_level() -> u8 {
-    let max = match sage_util::env_cfg::log() {
-        Some(v) => parse_level(&v),
-        None => Level::Info as u8,
-    };
+    let max = env_cfg::log().map_or(Level::Info as u8, |v| {
+        parse_level(&v).unwrap_or_else(|| {
+            env_cfg::warn_rejected(
+                env_cfg::LOG,
+                &v,
+                "quiet, error, warn, info, debug or trace",
+                "info",
+            );
+            Level::Info as u8
+        })
+    });
     MAX_LEVEL.store(max + 1, Ordering::Relaxed);
     max
 }
@@ -93,6 +100,10 @@ pub fn force_level(level: Option<Level>) {
 
 /// Monotonic microseconds since the first obs event in this process.
 /// Never fed into any digest or simulation decision.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the obs stack's one wall clock: it stamps `ts_us` on log lines and never enters a digest or a simulation decision"
+)]
 pub fn monotonic_us() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_micros() as u64
@@ -106,7 +117,7 @@ struct TraceSink {
 fn trace_sink() -> Option<&'static TraceSink> {
     static SINK: OnceLock<Option<TraceSink>> = OnceLock::new();
     SINK.get_or_init(|| {
-        sage_util::env_cfg::trace_file().map(|p| TraceSink {
+        env_cfg::trace_file().map(|p| TraceSink {
             path: PathBuf::from(p),
             lines: Mutex::new(Vec::new()),
         })
@@ -168,14 +179,18 @@ mod tests {
 
     #[test]
     fn level_parsing() {
-        assert_eq!(parse_level("quiet"), 0);
-        assert_eq!(parse_level("off"), 0);
-        assert_eq!(parse_level("error"), 1);
-        assert_eq!(parse_level("WARN"), 2);
-        assert_eq!(parse_level("info"), 3);
-        assert_eq!(parse_level("debug"), 4);
-        assert_eq!(parse_level("trace"), 5);
-        assert_eq!(parse_level("garbage"), 3, "unknown values default to info");
+        for quiet in ["quiet", "off", "none", "0"] {
+            assert_eq!(parse_level(quiet), Some(0), "{quiet:?}");
+        }
+        assert_eq!(parse_level("error"), Some(1));
+        assert_eq!(parse_level("WARN"), Some(2));
+        assert_eq!(parse_level("warning"), Some(2));
+        assert_eq!(parse_level(" info "), Some(3));
+        assert_eq!(parse_level("debug"), Some(4));
+        assert_eq!(parse_level("trace"), Some(5));
+        for bad in ["verbose", "garbage", "", "3"] {
+            assert_eq!(parse_level(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -199,29 +199,49 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
+/// O1: one metric namespace, grep-able and collision-free — lowercase
+/// `[a-z0-9_]` segments, at least two, dot-separated, none empty.
+fn is_metric_name(name: &str) -> bool {
+    let seg_ok = |seg: &str| {
+        !seg.is_empty()
+            && seg
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    name.contains('.') && name.split('.').all(seg_ok)
+}
+
+/// Fetch `name` from `map`, creating it on first use. First use is where O1
+/// is checked (debug builds), so every name a test exercises is.
+fn intern<M>(
+    map: &Mutex<BTreeMap<&'static str, &'static M>>,
+    name: &'static str,
+    new: fn() -> M,
+) -> &'static M {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    map.entry(name).or_insert_with(|| {
+        debug_assert!(
+            is_metric_name(name),
+            "metric name `{name}` is not snake.dot.case (O1)"
+        );
+        Box::leak(Box::new(new()))
+    })
+}
+
 /// Intern (or fetch) the counter named `name`. Prefer the `obs_counter!`
 /// macro at call sites — it caches the handle and skips this lookup.
 pub fn counter(name: &'static str) -> &'static Counter {
-    let mut map = registry()
-        .counters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    map.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Counter::new())))
+    intern(&registry().counters, name, Counter::new)
 }
 
 /// Intern (or fetch) the gauge named `name`.
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut map = registry().gauges.lock().unwrap_or_else(|e| e.into_inner());
-    map.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
+    intern(&registry().gauges, name, Gauge::new)
 }
 
 /// Intern (or fetch) the histogram named `name`.
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut map = registry().hists.lock().unwrap_or_else(|e| e.into_inner());
-    map.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+    intern(&registry().hists, name, Histogram::new)
 }
 
 /// Zero every registered metric (tests and repeated in-process runs).
@@ -320,6 +340,39 @@ pub fn snapshot_json() -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metric_names_are_snake_dot_case() {
+        for bad in [
+            "Serve.NnActions",
+            "serve",
+            "serve..latency",
+            ".leading.dot",
+            "trailing.dot.",
+            "serve.audits.D1",
+            "serve.tick-latency",
+            "",
+        ] {
+            assert!(!is_metric_name(bad), "{bad}");
+        }
+        // Every shape the call sites use: two and three segments, digits,
+        // underscores.
+        for good in [
+            "matrix.cells",
+            "serve.sym_tick_latency_ns",
+            "test.hist_props.merged",
+            "a.b2.c_d",
+        ] {
+            assert!(is_metric_name(good), "{good}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not snake.dot.case")]
+    fn registering_a_bad_name_panics_in_debug() {
+        counter("Bad.Name");
+    }
 
     #[test]
     fn counter_sums_across_threads() {

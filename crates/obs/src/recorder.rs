@@ -24,6 +24,7 @@
 //! paths in supervised collection and the eval matrix write next to a
 //! panic so the causal tail (enqueue → drop → RTO → escalate) survives.
 
+use sage_util::env_cfg;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -215,34 +216,42 @@ thread_local! {
     static LOCAL_RING: RefCell<Option<(u64, Arc<Mutex<Ring>>)>> = const { RefCell::new(None) };
 }
 
-/// Parse a `SAGE_RECORD`-style spec into a category mask.
-fn parse_mask(spec: &str) -> u32 {
+/// Parse a `SAGE_RECORD`-style spec into a category mask; `None` when a
+/// part names no category.
+fn parse_mask(spec: &str) -> Option<u32> {
     let spec = spec.trim().to_ascii_lowercase();
     match spec.as_str() {
-        "" | "0" | "off" | "false" | "no" | "none" => return 0,
+        "" | "0" | "off" | "false" | "no" | "none" => return Some(0),
         "all" | "1" | "on" | "true" | "yes" => {
-            return Category::ALL.iter().map(|c| c.bit()).sum();
+            return Some(Category::ALL.iter().map(|c| c.bit()).sum());
         }
         _ => {}
     }
-    let mut mask = 0;
-    for part in spec.split(',') {
-        let part = part.trim();
-        for c in Category::ALL {
-            if part == c.name() {
-                mask |= c.bit();
-            }
-        }
-    }
-    mask
+    spec.split(',').try_fold(0, |mask, part| {
+        let cat = Category::ALL
+            .into_iter()
+            .find(|c| c.name() == part.trim())?;
+        Some(mask | cat.bit())
+    })
+}
+
+/// The mask `spec` asks for; a spec that does not parse arms nothing, and
+/// says so, rather than arming the parts that happened to be spelled right.
+fn mask_or_warn(spec: &str) -> u32 {
+    parse_mask(spec).unwrap_or_else(|| {
+        env_cfg::warn_rejected(
+            env_cfg::RECORD,
+            spec,
+            "off, all, or a comma-separated list of serve, transport, netsim, eval, collect",
+            "off",
+        );
+        0
+    })
 }
 
 #[cold]
 fn init_mask() -> u32 {
-    let mask = match sage_util::env_cfg::record() {
-        Some(v) => parse_mask(&v),
-        None => 0,
-    };
+    let mask = env_cfg::record().map_or(0, |v| mask_or_warn(&v));
     RECORD_STATE.store(mask | INIT_BIT, Relaxed);
     mask
 }
@@ -263,17 +272,10 @@ pub fn recording(cat: Category) -> bool {
     mask() & cat.bit() != 0
 }
 
-/// Whether any category at all is armed — lets binaries skip writing an
-/// empty `FLIGHT_*.jsonl` when `SAGE_RECORD` is unset.
-#[inline]
-pub fn recording_any() -> bool {
-    mask() != 0
-}
-
 /// Override the category mask, bypassing `SAGE_RECORD` (tests/benches).
 /// Accepts the same spec syntax (`"all"`, `"serve,transport"`, `"off"`).
 pub fn force_record(spec: &str) {
-    RECORD_STATE.store(parse_mask(spec) | INIT_BIT, Relaxed);
+    RECORD_STATE.store(mask_or_warn(spec) | INIT_BIT, Relaxed);
 }
 
 /// Override the per-thread ring capacity, bypassing `SAGE_RECORD_CAP`.
@@ -287,10 +289,17 @@ fn ring_cap() -> usize {
     if cap != 0 {
         return cap;
     }
-    let cap = sage_util::env_cfg::record_cap()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_RING_CAP);
+    let cap = env_cfg::record_cap().map_or(DEFAULT_RING_CAP, |v| {
+        env_cfg::parse_positive(&v).unwrap_or_else(|| {
+            env_cfg::warn_rejected(
+                env_cfg::RECORD_CAP,
+                &v,
+                "a positive integer",
+                &DEFAULT_RING_CAP.to_string(),
+            );
+            DEFAULT_RING_CAP
+        })
+    });
     RING_CAP.store(cap, Relaxed);
     cap
 }
@@ -381,11 +390,6 @@ pub fn dump_jsonl() -> String {
     render_jsonl(&events, dropped, false)
 }
 
-/// Write [`dump_jsonl`] to `path` via an atomic rename.
-pub fn dump_to_file(path: &std::path::Path) -> std::io::Result<()> {
-    sage_util::fsio::atomic_write(path, dump_jsonl().as_bytes())
-}
-
 /// Post-mortem dump: the last `per_thread` events of each ring (push
 /// order), merged and sorted. This is what panic recovery writes — the
 /// causal tail per thread, bounded however full the rings were.
@@ -408,7 +412,7 @@ pub fn postmortem_jsonl(per_thread: usize) -> String {
 /// Where panic-recovery paths dump the post-mortem tail:
 /// `SAGE_FLIGHT_FILE`, or `FLIGHT_panic.jsonl` in the working directory.
 pub fn panic_dump_path() -> std::path::PathBuf {
-    sage_util::env_cfg::flight_file()
+    env_cfg::flight_file()
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("FLIGHT_panic.jsonl"))
 }
@@ -445,16 +449,25 @@ mod tests {
 
     #[test]
     fn mask_parsing() {
-        assert_eq!(parse_mask(""), 0);
-        assert_eq!(parse_mask("off"), 0);
-        assert_eq!(parse_mask("bogus"), 0);
-        assert_eq!(parse_mask("all"), 0b11111);
-        assert_eq!(parse_mask("serve"), 1);
+        for off in ["", "0", "off", "false", "no", "none"] {
+            assert_eq!(parse_mask(off), Some(0), "{off:?}");
+        }
+        for all in ["all", "1", "on", "true", "yes", "ALL"] {
+            assert_eq!(parse_mask(all), Some(0b11111), "{all:?}");
+        }
+        for c in Category::ALL {
+            assert_eq!(parse_mask(c.name()), Some(c.bit()));
+        }
         assert_eq!(
             parse_mask("serve,netsim"),
-            Category::Serve.bit() | Category::Netsim.bit()
+            Some(Category::Serve.bit() | Category::Netsim.bit())
         );
-        assert_eq!(parse_mask(" Transport , eval "), 0b1010);
+        assert_eq!(parse_mask(" Transport , eval "), Some(0b1010));
+        // A misspelled part rejects the whole spec: `serv,transport` must
+        // not quietly arm `transport` alone.
+        for bad in ["serv,transport", "bogus", "serve,", "all,serve"] {
+            assert_eq!(parse_mask(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

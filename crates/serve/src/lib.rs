@@ -27,6 +27,8 @@
 //! is byte-identical at any `SAGE_THREADS` setting — batching is chunked at a
 //! fixed row count and reduced in index order via `sage_util::par`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod runtime;
 pub mod scenario;
 pub mod table;

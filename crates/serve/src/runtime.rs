@@ -40,7 +40,6 @@ use sage_obs::{record, Category, EventKind};
 use sage_transport::{SocketView, MIN_CWND};
 use sage_util::{par_map_range, Fnv64, Rng};
 use std::sync::Arc;
-// lint:allow(D2): wall-clock here feeds only the write-only serve latency stats and obs histograms; it never enters a cwnd decision or a digest
 use std::time::Instant;
 
 /// Fixed batch chunk: parallel workers each take whole 32-row chunks, so
@@ -206,8 +205,11 @@ impl ServeRuntime {
             return false;
         }
         let interval_ticks = interval_ticks.max(1);
+        #[expect(
+            clippy::panic,
+            reason = "the fallback scheme name is fixed at runtime construction and checked against the registry; an unknown name is a config programming error"
+        )]
         let fallback = sage_heuristics::build(self.cfg.fallback, self.cfg.seed ^ key)
-            // lint:allow(P1): the fallback scheme name is fixed at runtime construction and checked against the registry; an unknown name is a config programming error
             .unwrap_or_else(|| panic!("unknown fallback scheme {:?}", self.cfg.fallback));
         let entry = FlowEntry {
             key,
@@ -233,9 +235,15 @@ impl ServeRuntime {
             sym_actions: 0,
             audits: 0,
         };
-        // lint:allow(P1): insert only fails on a duplicate key or full table, both rejected by the guard at the top of admit
+        #[expect(
+            clippy::expect_used,
+            reason = "insert only fails on a duplicate key or full table, both rejected by the guard at the top of admit"
+        )]
         let slot = self.table.insert(entry).expect("key checked above");
-        // lint:allow(P1): the entry was inserted on the line above
+        #[expect(
+            clippy::expect_used,
+            reason = "the entry was inserted on the line above"
+        )]
         let e = self.table.get(slot).expect("just inserted");
         let (gen, span) = (e.gen, e.span);
         self.wheel.schedule(now_tick, slot, key, gen);
@@ -332,7 +340,10 @@ impl ServeRuntime {
         let symbolic = self.cfg.symbolic.clone();
         for (slot, key, _gen) in expired {
             let Some(view) = observe(key) else {
-                // lint:allow(P1): the retain() above kept only slots still live in the flow table
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the retain() above kept only slots still live in the flow table"
+                )]
                 let e = self.table.get_mut(slot).expect("retained above");
                 e.missed_obs += 1;
                 if e.missed_obs >= self.cfg.evict_after_misses {
@@ -356,7 +367,10 @@ impl ServeRuntime {
                 }
                 continue;
             };
-            // lint:allow(P1): the retain() above kept only slots still live in the flow table
+            #[expect(
+                clippy::expect_used,
+                reason = "the retain() above kept only slots still live in the flow table"
+            )]
             let e = self.table.get_mut(slot).expect("retained above");
             e.missed_obs = 0;
             // Keep the fallback warm on every observed tick so a takeover
@@ -398,7 +412,10 @@ impl ServeRuntime {
                 // consuming the NN batch budget (the tree emits the mixture
                 // mean, in the same scaled units as the NN rows below).
                 let step = e.actor.observe(view.now, &view);
-                // lint:allow(D2): latency measurement only — feeds sym_infer_nanos/obs, never control flow or digests
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "latency measurement only — feeds sym_infer_nanos/obs, never control flow or digests"
+                )]
                 let t0 = Instant::now();
                 let raw = tree.predict(&step.state);
                 sym_nanos_tick += t0.elapsed().as_nanos() as u64;
@@ -488,7 +505,10 @@ impl ServeRuntime {
         };
         let mut hdata = Vec::with_capacity(b * self.hidden_dim);
         for &(slot, _) in &batch_slots {
-            // lint:allow(P1): batch_slots was built this tick from live table entries; no removal happens between staging and here
+            #[expect(
+                clippy::expect_used,
+                reason = "batch_slots was built this tick from live table entries; no removal happens between staging and here"
+            )]
             hdata.extend_from_slice(&self.table.get(slot).expect("staged").hidden);
         }
         let hs = Array {
@@ -497,7 +517,10 @@ impl ServeRuntime {
             data: hdata,
         };
 
-        // lint:allow(D2): latency measurement only — dt lands in stats/obs histograms, never in control flow or digests
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "latency measurement only — dt lands in stats/obs histograms, never in control flow or digests"
+        )]
         let t0 = Instant::now();
         let (mixes, new_h) = match self.cfg.mode {
             ServeMode::Batched => self.infer_batched(&xs, &hs),
@@ -511,7 +534,10 @@ impl ServeRuntime {
         sage_obs::obs_hist!("serve.tick_latency_us").observe(dt / 1_000);
 
         for (r, &(slot, audit)) in batch_slots.iter().enumerate() {
-            // lint:allow(P1): batch_slots was built this tick from live table entries; no removal happens between staging and here
+            #[expect(
+                clippy::expect_used,
+                reason = "batch_slots was built this tick from live table entries; no removal happens between staging and here"
+            )]
             let e = self.table.get_mut(slot).expect("staged");
             e.hidden
                 .copy_from_slice(&new_h.data[r * self.hidden_dim..(r + 1) * self.hidden_dim]);

@@ -102,8 +102,11 @@ pub fn run_many_flow(
     }
     for j in 0..sc.m_cross {
         let name = CROSS_SCHEMES[j % CROSS_SCHEMES.len()];
+        #[expect(
+            clippy::panic,
+            reason = "CROSS_SCHEMES is a static table of registry names; an unknown entry is a programming error"
+        )]
         let cca = sage_heuristics::build(name, sc.seed ^ (j as u64 + 1))
-            // lint:allow(P1): CROSS_SCHEMES is a static table of registry names; an unknown entry is a programming error
             .unwrap_or_else(|| panic!("unknown cross scheme {name}"));
         flows.push(FlowConfig::starting_at(cca, starts[sc.n_learned + j]));
     }

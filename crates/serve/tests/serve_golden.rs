@@ -65,7 +65,7 @@ fn run() -> String {
 fn serve_64_flow_digest_matches_golden() {
     let got = run();
     let path = golden_path();
-    if std::env::var("SAGE_REGEN_GOLDEN").is_ok() {
+    if sage_util::env_cfg::regen_golden() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
         eprintln!("regenerated {}", path.display());

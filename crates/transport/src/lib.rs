@@ -18,6 +18,8 @@
 //! * [`sim`] — the discrete-event simulation binding flows to a
 //!   `sage-netsim` bottleneck path.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod cc;
 pub mod flow;
 pub mod rate;

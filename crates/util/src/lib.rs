@@ -6,6 +6,8 @@
 //! own xoshiro256++ instead of the `rand` crate so that simulation results are
 //! reproducible byte-for-byte across dependency upgrades.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod env_cfg;
 pub mod fsio;
 pub mod json;

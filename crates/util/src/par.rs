@@ -20,15 +20,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const THREADS_ENV: &str = crate::env_cfg::THREADS;
 
 /// Worker count configured for this process: `SAGE_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism.
+/// positive integer, otherwise the machine's available parallelism (said
+/// once on stderr when the variable is set to anything else).
 pub fn configured_threads() -> usize {
-    match crate::env_cfg::threads() {
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_threads(),
-        },
-        None => default_threads(),
-    }
+    let Some(v) = crate::env_cfg::threads() else {
+        return default_threads();
+    };
+    crate::env_cfg::parse_positive(&v).unwrap_or_else(|| {
+        crate::env_cfg::warn_rejected(
+            THREADS_ENV,
+            &v,
+            "a positive integer",
+            "the machine's available parallelism",
+        );
+        default_threads()
+    })
 }
 
 fn default_threads() -> usize {
@@ -59,6 +65,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// A panic in any task propagates to the caller once all workers stopped;
 /// the helper itself panics only on a scheduler invariant violation (a task
 /// index left without a result).
+#[expect(
+    clippy::panic,
+    reason = "a missing slot means the work-stealing cursor double-skipped an index — a scheduler bug where crashing beats silently corrupting the ordered reduction"
+)]
 pub fn par_map_range<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -102,7 +112,6 @@ where
     }
     out.into_iter()
         .enumerate()
-        // lint:allow(P1): a missing slot means the work-stealing cursor double-skipped an index — a scheduler bug where crashing beats silently corrupting the ordered reduction
         .map(|(i, r)| r.unwrap_or_else(|| panic!("task {i} produced no result")))
         .collect()
 }

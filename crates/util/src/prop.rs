@@ -49,6 +49,10 @@ impl PropConfig {
 ///
 /// Panics on the first failing case — that is the harness's
 /// failure-reporting mechanism.
+#[expect(
+    clippy::panic,
+    reason = "panicking IS the harness's failure-reporting mechanism — it is what makes the test runner fail"
+)]
 pub fn forall<F>(name: &str, cfg: PropConfig, mut prop: F)
 where
     F: FnMut(&mut Rng) -> Result<(), String>,
@@ -57,7 +61,6 @@ where
         let stream_seed = Rng::stream_seed(cfg.seed, case as u64);
         let mut rng = Rng::new(stream_seed);
         if let Err(reason) = prop(&mut rng) {
-            // lint:allow(P1): panicking IS the harness's failure-reporting mechanism — it is what makes the test runner fail
             panic!(
                 "property '{name}' failed at case {case}/{} (replay with Rng::new({stream_seed:#x})): {reason}",
                 cfg.cases

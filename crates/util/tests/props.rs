@@ -236,3 +236,18 @@ fn rng_range_in_bounds() {
         }
     }
 }
+
+// Negative control for `clippy.toml`, checked by the clippy stage of
+// `scripts/check.sh`, not by a test: each expectation must keep firing.
+#[expect(
+    clippy::disallowed_types,
+    reason = "negative control: unfulfilled the day clippy.toml stops banning HashMap"
+)]
+type _BannedMap = std::collections::HashMap<u8, u8>;
+#[expect(
+    clippy::disallowed_methods,
+    reason = "negative control: unfulfilled the day clippy.toml stops banning std::env::var"
+)]
+fn _banned_env_read() -> bool {
+    std::env::var("SAGE_THREADS").is_ok()
+}

@@ -14,13 +14,12 @@ for b in $(grep -oh -- '--bin [A-Za-z0-9_-]*' README.md EXPERIMENTS.md DESIGN.md
 done
 
 # Every SAGE_* name the bench bins read, plus the env_cfg.rs constants (the
-# library crates' ambient surface), plus the two names only tests and this
-# script read, is a row of README's knob table — and nothing else is.
+# library crates' and tests' ambient surface), plus the one name only this
+# script reads, is a row of README's knob table — and nothing else is.
 echo "== docs: README's knob table is the set of SAGE_* names the code reads =="
 knobs_in_code() {
   grep -rhoE 'SAGE_[A-Z0-9_]+' crates/bench/src
   grep -E '^pub const' crates/util/src/env_cfg.rs | grep -oE 'SAGE_[A-Z0-9_]+'
-  echo SAGE_REGEN_GOLDEN
   echo SAGE_TSAN
 }
 STRAY=$(comm -3 <(knobs_in_code | sort -u) \
@@ -43,17 +42,25 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== cargo clippy (workspace, all targets, deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
-
-# Workspace determinism & safety lint: token rules (seeded-hash iteration,
-# ambient wall clocks/threads/entropy/environment reads, undocumented unsafe,
-# unjustified panics, metric names) — see DESIGN.md "Static analysis". Exits
-# non-zero on any unsuppressed finding. That the detector still fires is
-# checked in-process by `crates/lint/tests/self_lint.rs` (a seeded violation
-# injected into the real source set), inside both suite passes below.
-echo "== sage-lint (determinism & safety rules) =="
-cargo run --release -q -p sage-lint
+# The determinism contract (DESIGN.md "Static analysis"): clippy.toml's banned
+# types and methods, SAFETY-documented unsafe, reasoned suppressions, no
+# unjustified panic in library code. An `#[expect]` that stops firing fails
+# here too — including the negative control at the end of
+# crates/util/tests/props.rs, which goes unfulfilled if clippy.toml rots.
+# D3 (no ambient entropy) needs no lint: `rand`, `getrandom` and their kin can
+# only be named if an external package exists, and a lock file records every
+# external package with a `source = ` line. Neither workspace has one.
+echo "== determinism contract: cargo clippy (workspace, all targets, deny warnings), std-only lock files =="
+# A clippy.toml path that names nothing is a warning `-D warnings` does not
+# reach (it comes from the config loader, not a lint), so it is matched here.
+CLIPPY_OUT=$(cargo clippy --workspace --all-targets -- -D warnings 2>&1) \
+  || { echo "$CLIPPY_OUT"; exit 1; }
+if echo "$CLIPPY_OUT" | grep -A3 'does not refer to'; then
+  echo "FAIL: clippy.toml bans a path that does not exist"; exit 1
+fi
+if grep -n '^source = ' Cargo.lock benchmark/Cargo.lock; then
+  echo "FAIL: an external package is locked; the workspace is std-only (D3)"; exit 1
+fi
 
 echo "== tier-1: cargo build --release =="
 cargo build --release

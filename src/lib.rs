@@ -27,6 +27,8 @@
 //! See `examples/quickstart.rs` for a two-minute tour and
 //! `examples/train_sage_mini.rs` for the full pipeline in miniature.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub use sage_collector as collector;
 pub use sage_core as core;
 pub use sage_eval as eval;
