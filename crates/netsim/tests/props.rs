@@ -8,6 +8,7 @@ use sage_netsim::link::LinkModel;
 use sage_netsim::packet::Packet;
 use sage_netsim::queue::{BottleneckPath, EnqueueOutcome};
 use sage_netsim::time::SECONDS;
+use sage_util::prop::{ensure, forall, PropConfig};
 use sage_util::Rng;
 
 #[test]
@@ -75,6 +76,89 @@ fn event_queue_pops_sorted() {
             last = t;
         }
     }
+}
+
+/// Model test of the lanes: a queue that spreads events over FIFO lanes and
+/// the heap pops exactly what a heap-only queue pops, fed the same
+/// `(at, seq, ev)` — whatever the interleaving of plain, lane and reserved
+/// scheduling with pops, and however late a lane event is (monotone times,
+/// jitter of a few places, arbitrary times that overrun the back-walk; a
+/// narrow time range makes equal-time ties common).
+#[test]
+fn lanes_pop_in_heap_order() {
+    let mut fallbacks = 0;
+    forall(
+        "lanes pop in heap order",
+        PropConfig::new(300, 0x1A9E5),
+        |rng| {
+            let n_lanes = 1 + rng.below(4);
+            let regime = rng.below(3);
+            let mut lanes = EventQueue::with_lanes(n_lanes);
+            let mut heap = EventQueue::new();
+            let mut lane_clock = vec![0u64; n_lanes];
+            let mut reserved: Vec<u64> = Vec::new();
+            let mut now = 0;
+            for id in 0..400u32 {
+                match rng.below(8) {
+                    0 => {
+                        let at = now + rng.below(40) as u64;
+                        lanes.schedule(at, id);
+                        heap.schedule(at, id);
+                    }
+                    1 => {
+                        let seq = lanes.reserve_seq();
+                        ensure(seq == heap.reserve_seq(), || {
+                            "sequence counters apart".into()
+                        })?;
+                        reserved.push(seq);
+                    }
+                    2 if !reserved.is_empty() => {
+                        let seq = reserved.swap_remove(rng.below(reserved.len()));
+                        let at = now + rng.below(40) as u64;
+                        lanes.schedule_reserved(at, seq, id);
+                        heap.schedule_reserved(at, seq, id);
+                    }
+                    3 | 4 => {
+                        let popped = lanes.pop();
+                        ensure(popped == heap.pop(), || format!("pop {id}: {popped:?}"))?;
+                        if let Some((t, _)) = popped {
+                            now = t;
+                        }
+                    }
+                    _ => {
+                        let lane = rng.below(n_lanes);
+                        let clock = &mut lane_clock[lane];
+                        *clock = (*clock).max(now) + rng.below(3) as u64;
+                        let at = match regime {
+                            0 => *clock,
+                            1 => *clock + rng.below(6) as u64,
+                            _ => now + rng.below(60) as u64,
+                        };
+                        lanes.schedule_lane(lane, at, id);
+                        heap.schedule(at, id);
+                    }
+                }
+                ensure(
+                    (lanes.len(), lanes.is_empty(), lanes.peek_time())
+                        == (heap.len(), heap.is_empty(), heap.peek_time()),
+                    || format!("len/peek_time apart after op {id}"),
+                )?;
+            }
+            // Monotone times never leave their lane; arbitrary ones must
+            // reach the heap often enough for this test to cover that path.
+            ensure(regime != 0 || lanes.heap_fallbacks() == 0, || {
+                format!("{} fallbacks at monotone times", lanes.heap_fallbacks())
+            })?;
+            fallbacks += lanes.heap_fallbacks();
+            while let Some(popped) = heap.pop() {
+                ensure(lanes.pop() == Some(popped), || format!("drain: {popped:?}"))?;
+            }
+            ensure(lanes.pop().is_none() && lanes.is_empty(), || {
+                "left over".into()
+            })
+        },
+    );
+    assert!(fallbacks > 1000, "only {fallbacks} heap fallbacks");
 }
 
 #[test]

@@ -164,7 +164,7 @@ impl Flow {
 
     /// Whether the window permits transmitting another packet.
     pub fn window_open(&self) -> bool {
-        self.active && (self.pipe_pkts() as f64) < self.cwnd_pkts().floor().max(MIN_CWND)
+        self.active && window_admits(self.pipe_pkts(), self.cwnd_pkts())
     }
 
     /// Whether a retransmission is pending.
@@ -610,6 +610,14 @@ impl Drop for Flow {
     }
 }
 
+/// Whether a window of `cwnd >= MIN_CWND` packets has room for one more
+/// beside `pipe` in flight: `pipe < floor(cwnd)`, which for an integer `pipe`
+/// is `pipe + 1 <= cwnd` — the send loop asks this per packet, and `floor` is
+/// a libm call on the baseline x86-64 target.
+fn window_admits(pipe: usize, cwnd: f64) -> bool {
+    (pipe + 1) as f64 <= cwnd
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,6 +668,35 @@ mod tests {
     fn roundtrip(f: &mut Flow, pkt: Packet, now: Nanos) {
         let ack = f.on_data(now, pkt);
         f.on_ack(now, ack);
+    }
+
+    #[test]
+    fn window_admits_is_the_floor_predicate() {
+        use sage_util::prop::{ensure, forall, PropConfig};
+        forall("window_admits", PropConfig::new(2000, 0xF100), |rng| {
+            let k = (2 + rng.below(39_999)) as f64;
+            // What `cwnd_pkts` can return: the floor itself, an integer, its
+            // two neighbours, a fraction, `MAX_CWND`-sized, unbounded.
+            let cwnd = [
+                MIN_CWND,
+                k,
+                k.next_down(),
+                k.next_up(),
+                k + rng.uniform(),
+                4e4,
+                f64::INFINITY,
+            ][rng.below(7)]
+            .max(MIN_CWND);
+            let pipe = if rng.below(2) == 0 {
+                rng.below(40_001)
+            } else {
+                k as usize - 2 + rng.below(4)
+            };
+            let oracle = (pipe as f64) < cwnd.floor().max(MIN_CWND);
+            ensure(window_admits(pipe, cwnd) == oracle, || {
+                format!("pipe {pipe}, cwnd {cwnd:e}: floor says {oracle}")
+            })
+        });
     }
 
     #[test]

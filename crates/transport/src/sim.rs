@@ -142,9 +142,20 @@ pub struct FlowStats {
     pub p95_owd_ms: f64,
     /// Mean smoothed RTT over ticks, ms.
     pub avg_srtt_ms: f64,
+    /// Payload bytes that reached the receiver, each sequence once, in order
+    /// or not (a duplicate or a second copy of received data adds nothing).
     pub delivered_bytes: u64,
+    /// Sender loss marks: a transmission declared lost by SACK/dupACK
+    /// marking or by an RTO's go-back-N, plus everything written off when the
+    /// flow aborts and restarts. One sequence is marked again after each of
+    /// its retransmissions, so the denominator of a loss rate is
+    /// `sent_pkts + retx_pkts` (transmissions) — over `sent_pkts` alone a
+    /// go-back-N storm reads as several hundred per cent.
     pub lost_pkts: u64,
+    /// Retransmissions, counted apart from `sent_pkts`.
     pub retx_pkts: u64,
+    /// First transmissions only: new sequence numbers put on the wire.
+    /// Everything the sender transmitted is `sent_pkts + retx_pkts`.
     pub sent_pkts: u64,
     /// Times the flow aborted and cleanly restarted after consecutive RTOs.
     pub restarts: u64,
@@ -202,6 +213,23 @@ enum Ev {
     PacedSend(FlowId),
 }
 
+// The event queue's FIFO lanes (see `EventQueue::schedule_lane`). Every
+// per-packet event class is scheduled in nearly increasing time — a serial
+// link's departures plus a constant delay — so only timers and flow
+// lifecycle events (about one entry per flow) live in the heap.
+/// `DataArrive`.
+const LANE_DATA: usize = 0;
+/// `AckArrive`.
+const LANE_ACK: usize = 1;
+/// `HopComplete(hop)`: at most one pending per hop, so the lane is a slot.
+fn lane_complete(hop: usize) -> usize {
+    2 + 2 * hop
+}
+/// `HopArrive(hop, _)` of a downstream hop (`hop >= 1`).
+fn lane_arrive(hop: usize) -> usize {
+    1 + 2 * hop
+}
+
 /// Per-hop cumulative counters, for conservation accounting and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopCounters {
@@ -223,7 +251,7 @@ struct RtoTimer {
     /// armed: the key the firing event carries. Re-arming to the same
     /// deadline keeps the first sequence.
     key: Option<(Nanos, u64)>,
-    /// Time of the flow's tracked `Rto` event in the heap. It is never later
+    /// Time of the flow's tracked `Rto` event in the queue. It is never later
     /// than the deadline, and when it pops early it re-inserts itself at
     /// `key`.
     pending: Option<Nanos>,
@@ -247,11 +275,12 @@ pub struct Simulation {
     /// Per-flow: managed by the batch controller (see [`FlowConfig::batched`]).
     batched: Vec<bool>,
     events: EventQueue<Ev>,
-    /// Per-hop: time of the hop's `HopComplete` event in the heap, if any.
+    /// Per-hop: time of the hop's `HopComplete` event in the queue, if any.
     hop_pending: Vec<Option<Nanos>>,
     rto_timers: Vec<RtoTimer>,
     /// Events processed, and those among them that changed no state — obs
-    /// tallies, folded into the registry when the simulation drops.
+    /// tallies, folded into the registry when the simulation drops (with the
+    /// queue's own two: pops served by a lane, lane events the heap took).
     events_popped: u64,
     events_dead: u64,
     now: Nanos,
@@ -306,7 +335,7 @@ impl Simulation {
         let cfg_seed = cfg.seed;
         let mut flows = Vec::new();
         let mut batched = Vec::new();
-        let mut events = EventQueue::new();
+        let mut events = EventQueue::with_lanes(lane_complete(hops.len() - 1) + 1);
         for (i, fc) in flow_cfgs.into_iter().enumerate() {
             let id = i as FlowId;
             let mut f = Flow::new(id, fc.cca, fc.start, fc.stop);
@@ -394,18 +423,29 @@ impl Simulation {
                                         // inter-hop propagation delay.
                                         let arrive = dep.at + self.hop_prop[h + 1] + extra_delay;
                                         let nh = (h + 1) as u32;
-                                        self.events.schedule(arrive, Ev::HopArrive(nh, dep.pkt));
+                                        let lane = lane_arrive(h + 1);
+                                        self.events.schedule_lane(
+                                            lane,
+                                            arrive,
+                                            Ev::HopArrive(nh, dep.pkt),
+                                        );
                                         if duplicate {
-                                            self.events.schedule(
+                                            self.events.schedule_lane(
+                                                lane,
                                                 arrive + dup_gap,
                                                 Ev::HopArrive(nh, dep.pkt),
                                             );
                                         }
                                     } else {
                                         let arrive = dep.at + self.fwd_owd + extra_delay;
-                                        self.events.schedule(arrive, Ev::DataArrive(dep.pkt));
+                                        self.events.schedule_lane(
+                                            LANE_DATA,
+                                            arrive,
+                                            Ev::DataArrive(dep.pkt),
+                                        );
                                         if duplicate {
-                                            self.events.schedule(
+                                            self.events.schedule_lane(
+                                                LANE_DATA,
                                                 arrive + dup_gap,
                                                 Ev::DataArrive(dep.pkt),
                                             );
@@ -436,7 +476,8 @@ impl Simulation {
                     };
                     let nominal = self.now + self.ret_owd + jitter;
                     if let Some(release) = self.hop_faults[0].on_ack(self.now, nominal) {
-                        self.events.schedule(release, Ev::AckArrive(ack));
+                        self.events
+                            .schedule_lane(LANE_ACK, release, Ev::AckArrive(ack));
                     }
                 }
                 Ev::AckArrive(ack) => {
@@ -603,7 +644,7 @@ impl Simulation {
         }
     }
 
-    /// Keep one `HopComplete` in the heap for the packet hop `hop` is
+    /// Keep one `HopComplete` in the queue for the packet hop `hop` is
     /// serving. Called after everything that can start a service (an enqueue,
     /// a completion); the finish time of a packet in service never changes,
     /// so only the first call after a service starts inserts.
@@ -611,7 +652,8 @@ impl Simulation {
         if let Some(t) = self.hops[hop].next_completion() {
             if self.hop_pending[hop] != Some(t) {
                 self.hop_pending[hop] = Some(t);
-                self.events.schedule(t, Ev::HopComplete(hop as u32));
+                self.events
+                    .schedule_lane(lane_complete(hop), t, Ev::HopComplete(hop as u32));
             }
         }
     }
@@ -703,6 +745,8 @@ impl Drop for Simulation {
     fn drop(&mut self) {
         sage_obs::obs_counter!("transport.events_popped").add(self.events_popped);
         sage_obs::obs_counter!("transport.events_dead").add(self.events_dead);
+        sage_obs::obs_counter!("transport.events_lane_popped").add(self.events.lane_pops());
+        sage_obs::obs_counter!("transport.lane_heap_fallbacks").add(self.events.heap_fallbacks());
     }
 }
 
