@@ -8,14 +8,14 @@
 //! interrupted run leaves a loadable `pool.bin` of the cells finished so far
 //! (nothing resumes from it: a rerun collects from zero).
 
-use sage_bench::{default_envs, default_gr, envvar, pool_path, pool_schemes, SEED};
+use sage_bench::{default_envs, default_gr, envvar, pool_path, SEED};
 use sage_collector::{collect_pool_supervised, SuperviseConfig};
 use sage_obs::{obs_info, obs_warn};
 use std::time::Instant;
 
 fn main() {
     let envs = default_envs();
-    let schemes = pool_schemes();
+    let schemes = sage_heuristics::pool_names();
     obs_info!(
         "collecting pool: {} envs x {} schemes ({} rollouts)",
         envs.len(),

@@ -1,19 +1,22 @@
 //! Shared harness code for the experiment binaries: canonical environment
-//! sets, artifact paths, training configurations and league definitions —
-//! so every figure regenerates from the same pipeline artifacts.
+//! sets, artifact paths, training configurations and league projections —
+//! so every figure regenerates from the same pipeline artifacts. The figures
+//! themselves are the rows of [`figures::TABLE`], run through a [`ctx::Ctx`].
 
-use sage_collector::{collect_pool, training_envs, EnvSpec, Pool, SetKind};
-use sage_core::baselines::OracleCc;
-use sage_core::online::OnlineRlTrainer;
+pub mod ctx;
+pub mod figures;
+
+use sage_collector::{training_envs, EnvSpec, Pool, SetKind};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
-use sage_eval::matrix::{run_matrix, MatrixCell, MatrixSpec, ScenarioSpec};
+use sage_eval::league::{rank_league, LeagueEntry};
+use sage_eval::matrix::{league_scores, run_matrix, Family, MatrixCell, MatrixSpec, ScenarioSpec};
 use sage_eval::runner::Contender;
-use sage_eval::score::{interval_scores, ScoreKind};
 use sage_gr::GrConfig;
-use std::collections::BTreeMap;
+use sage_netsim::link::LinkModel;
+use sage_netsim::time::from_secs;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Root directory for pipeline artifacts (pool, models, results).
 pub fn artifacts_dir() -> PathBuf {
@@ -75,24 +78,36 @@ fn parse_knob(name: &str, text: Option<&str>, default: usize) -> Result<usize, S
     }
 }
 
-/// The canonical environment set used for pool collection AND for the
-/// Fig. 1/7/9/10 winning-rate evaluations (the paper evaluates winning rates
-/// over the Set I/II environments themselves).
+/// Seconds per rollout of the training grid unless `SAGE_SECS` says otherwise.
+pub const GRID_SECS: usize = 15;
+
+/// The scale in force for a caller whose own counts are `set1` + `set2`
+/// environments: `[Set I count, Set II count, seconds per rollout]` after the
+/// `SAGE_SET1` / `SAGE_SET2` / `SAGE_SECS` overrides.
+pub fn grid_scale(set1: usize, set2: usize) -> [usize; 3] {
+    [
+        envvar("SAGE_SET1", set1),
+        envvar("SAGE_SET2", set2),
+        envvar("SAGE_SECS", GRID_SECS),
+    ]
+}
+
+/// The seeded subsample of the Set I/II training grid at `scale`.
+pub fn grid_envs([set1, set2, secs]: [usize; 3]) -> Vec<EnvSpec> {
+    training_envs(set1, set2, secs as f64, SEED)
+}
+
+/// The canonical environment set of pool collection: 36 + 18 environments.
+/// The winning-rate figures evaluate on seeded subsamples of the same grid
+/// (the paper evaluates winning rates over the Set I/II environments
+/// themselves); each row of [`figures::TABLE`] carries its counts.
 pub fn default_envs() -> Vec<EnvSpec> {
-    let set1 = envvar("SAGE_SET1", 36);
-    let set2 = envvar("SAGE_SET2", 18);
-    let secs = envvar("SAGE_SECS", 15) as f64;
-    training_envs(set1, set2, secs, SEED)
+    grid_envs(grid_scale(36, 18))
 }
 
 /// The default GR timescales (§7.4 mix).
 pub fn default_gr() -> GrConfig {
     GrConfig::default()
-}
-
-/// The 13 pool schemes.
-pub fn pool_schemes() -> Vec<&'static str> {
-    sage_heuristics::pool_names()
 }
 
 /// Default training configuration for the reproduction-scale Sage.
@@ -106,26 +121,6 @@ pub fn default_train_cfg() -> CrrConfig {
     }
 }
 
-/// Every model a figure retrains: load `artifacts/<name>.model`, or — when
-/// no such file exists — build it with `train`, save it there and load it
-/// back. The closure runs only on that second path, so whatever it needs (a
-/// pool to load or collect, online rollouts) costs nothing on a later run.
-/// The file records nothing of what trained it, so a changed pool, step
-/// count or recipe needs it deleted; `run_experiments.sh` starts by deleting
-/// every model but the committed `sage*` ones.
-pub fn load_or_train(name: &str, train: impl FnOnce() -> SageModel) -> Arc<SageModel> {
-    let path = model_path(name);
-    if !path.exists() {
-        let t0 = Instant::now();
-        train()
-            .save_file(&path)
-            .unwrap_or_else(|e| panic!("save {}: {e}", path.display()));
-        println!("trained {name} ({:.0} s)", t0.elapsed().as_secs_f64());
-    }
-    let model = SageModel::load_file(&path);
-    Arc::new(model.unwrap_or_else(|e| panic!("load {}: {e}", path.display())))
-}
-
 /// `steps` CRR steps under `cfg` on `pool`, from scratch.
 pub fn train_crr(cfg: CrrConfig, steps: u64, pool: &Pool) -> SageModel {
     let mut tr = CrrTrainer::new(cfg, pool);
@@ -133,134 +128,51 @@ pub fn train_crr(cfg: CrrConfig, steps: u64, pool: &Pool) -> SageModel {
     tr.into_model()
 }
 
-/// The ML-league comparators of §6.2 (Fig. 9/11) at reproduction scale,
-/// `SAGE_BASELINE_STEPS` gradient steps each, through [`load_or_train`]:
-///
-/// * `bc` — behavioral cloning on all 13 schemes; `bc_top` — on the top
-///   scheme of each set ({vegas, cubic}); `bc_top3` — on the top three of
-///   each; `bcv2` — on only the winner trajectory of each environment
-/// * `indigo` — BC of BDP-oracle trajectories, Set I only; `indigov2` —
-///   Set I + Set II
-/// * `onlinerl` — Sage's online off-policy counterpart (self-collected
-///   data); `aurora` — online on-policy, single-flow reward, no GRU
-/// * `orca` — the hybrid's multiplier (Cubic x learned), R1 only; `orcav2`
-///   — retrained with both rewards
-///
-/// `indigo*`, `onlinerl`, `aurora` and `orca` roll out in [`default_envs`],
-/// so `SAGE_SET1`/`SAGE_SET2`/`SAGE_SECS` as seen by the process that first
-/// asks for one choose its training set: `run_experiments.sh` runs fig09 —
-/// the first to ask — at the defaults (36 + 18 envs), evaluation included.
-/// Each recipe that reads the pool loads it itself (one 26 MB read per model
-/// trained, nothing against its training).
-pub fn comparator(name: &str) -> Arc<SageModel> {
-    load_or_train(name, || {
-        let steps = envvar("SAGE_BASELINE_STEPS", 3000) as u64;
-        let pool = || Pool::load_file(&pool_path()).expect("run collect_pool first");
-        let gr = default_gr();
-        let envs_of = |sets: &[SetKind]| -> Vec<EnvSpec> {
-            let envs = default_envs();
-            let of = |set| envs.iter().filter(move |e| e.set == set).cloned();
-            sets.iter().copied().flat_map(of).collect()
-        };
-        let bc = |pool: &Pool| {
-            let cfg = CrrConfig {
-                bc_only: true,
-                ..default_train_cfg()
-            };
-            train_crr(cfg, steps, pool)
-        };
-        // Indigo-like: imitate the BDP oracle (half the link in Set II,
-        // where one Cubic flow competes).
-        let oracle = |sets: &[SetKind]| {
-            let mut oracle_pool = Pool::new();
-            for env in envs_of(sets) {
-                let share = if env.set == SetKind::SetII { 2.0 } else { 1.0 };
-                let cca = Box::new(OracleCc::new(env.capacity_mbps / share, env.rtt_ms));
-                let res = sage_collector::rollout(&env, "oracle", cca, gr, SEED);
-                oracle_pool.trajectories.push(res.traj);
-            }
-            bc(&oracle_pool)
-        };
-        let online = |cfg: CrrConfig, envs: &[EnvSpec], on_policy: bool| {
-            let (mean, std) = pool().feature_stats();
-            let mut tr = OnlineRlTrainer::new(cfg, gr, mean, std, on_policy);
-            let iters = 12;
-            for _ in 0..iters {
-                tr.iterate(envs, 3, steps / iters);
-            }
-            tr.snapshot_model()
-        };
-        match name {
-            "bc" => bc(&pool()),
-            "bc_top" => bc(&pool().filter_schemes(&["vegas", "cubic"])),
-            "bc_top3" => {
-                bc(&pool().filter_schemes(&["vegas", "bbr2", "yeah", "cubic", "htcp", "bic"]))
-            }
-            "bcv2" => bc(&winner_pool(&pool())),
-            "indigo" => oracle(&[SetKind::SetI]),
-            "indigov2" => oracle(&[SetKind::SetI, SetKind::SetII]),
-            "onlinerl" => online(default_train_cfg(), &default_envs(), false),
-            // Single-flow reward only, so Set I environments only.
-            "aurora" => {
-                let net = NetConfig {
-                    gru: 0,
-                    ..NetConfig::default()
-                };
-                let cfg = CrrConfig {
-                    net,
-                    ..default_train_cfg()
-                };
-                online(cfg, &envs_of(&[SetKind::SetI]), true)
-            }
-            // R1 only: Cubic's own Set I rollouts plus the heuristic pool
-            // restricted to Set I.
-            "orca" => {
-                let set1 = envs_of(&[SetKind::SetI]);
-                let mut orca_pool = collect_pool(&set1, &["cubic"], gr, SEED ^ 0x0C, |_, _| {});
-                let set1_trajs = pool().trajectories.into_iter().filter(|t| !t.set2);
-                orca_pool.trajectories.extend(set1_trajs);
-                train_crr(default_train_cfg(), steps, &orca_pool)
-            }
-            "orcav2" => train_crr(default_train_cfg(), steps, &pool()),
-            other => panic!("no comparator recipe named {other:?}"),
-        }
-    })
-}
-
-/// Winner trajectories per environment (for `bcv2`): the scheme with the
-/// best mean interval score in each env.
-fn winner_pool(pool: &Pool) -> Pool {
-    let mut best: BTreeMap<&str, (f64, usize)> = BTreeMap::new();
-    for (i, t) in pool.trajectories.iter().enumerate() {
-        let kind = if t.set2 {
-            ScoreKind::Friendliness
-        } else {
-            ScoreKind::Power
-        };
-        let s = interval_scores(&t.thr, &t.owd, kind, 2.0, t.fair_share_bps);
-        let mean = sage_util::mean(&s);
-        // Friendliness: lower better -> negate.
-        let score = if t.set2 { -mean } else { mean };
-        let e = best.entry(&t.env_id).or_insert((f64::NEG_INFINITY, i));
-        if score > e.0 {
-            *e = (score, i);
-        }
-    }
-    Pool {
-        trajectories: best
-            .values()
-            .map(|&(_, i)| pool.trajectories[i].clone())
-            .collect(),
+/// A single-flow, tail-drop, loss-free, single-bottleneck Set I environment
+/// seeded with [`SEED`] — the common shape of the hand-built figure
+/// scenarios, which override the odd field with struct-update syntax.
+pub fn single_flow_env(
+    id: impl Into<String>,
+    link: LinkModel,
+    rtt_ms: f64,
+    buffer_bytes: u64,
+    secs: f64,
+    capacity_mbps: f64,
+) -> EnvSpec {
+    EnvSpec {
+        id: id.into(),
+        set: SetKind::SetI,
+        link,
+        rtt_ms,
+        buffer_bytes,
+        aqm: sage_netsim::aqm::AqmKind::TailDrop,
+        random_loss: 0.0,
+        duration: from_secs(secs),
+        competing_cubic: 0,
+        test_flow_start: 0,
+        capacity_mbps,
+        seed: SEED,
+        faults: sage_netsim::faults::FaultPlan::default(),
+        topology: sage_netsim::Topology::single(),
+        self_flows: 1,
+        self_stagger: 0,
     }
 }
 
-/// Print a row-oriented results table with a header.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    println!("{}", header.join("\t"));
+/// Append a row-oriented results table with a header to `out`.
+pub fn table(out: &mut String, title: &str, header: &[&str], rows: &[Vec<String>]) {
+    let _ = writeln!(out, "\n== {title} ==");
+    let _ = writeln!(out, "{}", header.join("\t"));
     for r in rows {
-        println!("{}", r.join("\t"));
+        let _ = writeln!(out, "{}", r.join("\t"));
     }
+}
+
+/// [`table`] to stdout.
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    let mut out = String::new();
+    table(&mut out, title, header, rows);
+    print!("{out}");
 }
 
 /// Run `schemes` through `envs` on the evaluation matrix at the pipeline's
@@ -283,66 +195,76 @@ pub fn evaluate(schemes: &[Contender], envs: &[EnvSpec]) -> Vec<MatrixCell> {
     report.cells
 }
 
-/// Print league tables from evaluation-matrix cells at both winning margins
+/// Heuristic schemes, by name, as league contenders.
+pub fn heuristics(names: impl IntoIterator<Item = &'static str>) -> Vec<Contender> {
+    names.into_iter().map(Contender::Heuristic).collect()
+}
+
+/// `model`, observing through `gr_cfg`, as the league contender `name`.
+pub fn learned(name: &'static str, model: Arc<SageModel>, gr_cfg: GrConfig) -> Contender {
+    Contender::Model {
+        name,
+        model,
+        gr_cfg,
+    }
+}
+
+/// A winning rate as the tables print it.
+pub fn pct(rate: f64) -> String {
+    format!("{:.2}%", rate * 100.0)
+}
+
+/// Append one ranked league as a `scheme / winning rate` table.
+pub fn league_table(out: &mut String, title: &str, league: &[LeagueEntry]) {
+    let rows: Vec<Vec<String>> = league
+        .iter()
+        .map(|e| vec![e.scheme.clone(), pct(e.winning_rate)])
+        .collect();
+    table(out, title, &["scheme", "winning rate"], &rows);
+}
+
+/// Append league tables from evaluation-matrix cells at both winning margins
 /// (10% default and 5% for Fig. 20/21) for the Set I/II families and, for
 /// Set I, also at alpha = 3 (Tables 2/3).
-pub fn print_league_from_cells(cells: &[MatrixCell], label: &str) {
-    use sage_eval::league::rank_league;
-    use sage_eval::matrix::{league_scores, Family};
-
+pub fn league_tables(out: &mut String, cells: &[MatrixCell], label: &str) {
     for (family, set_label) in [(Family::SetI, "Set I"), (Family::SetII, "Set II")] {
         let scores = league_scores(cells, family, false);
         if scores.is_empty() {
             continue;
         }
         for margin in [0.10, 0.05] {
-            let table = rank_league(&scores, margin);
-            let rows: Vec<Vec<String>> = table
-                .iter()
-                .map(|e| vec![e.scheme.clone(), format!("{:.2}%", e.winning_rate * 100.0)])
-                .collect();
-            print_table(
-                &format!("{label} — {set_label}, margin {:.0}%", margin * 100.0),
-                &["scheme", "winning rate"],
-                &rows,
-            );
+            let title = format!("{label} — {set_label}, margin {:.0}%", margin * 100.0);
+            league_table(out, &title, &rank_league(&scores, margin));
         }
         // alpha = 3 variant of the Power score (Tables 2/3).
         if family == Family::SetI {
-            let table = rank_league(&league_scores(cells, family, true), 0.10);
-            let rows: Vec<Vec<String>> = table
-                .iter()
-                .map(|e| vec![e.scheme.clone(), format!("{:.2}%", e.winning_rate * 100.0)])
-                .collect();
-            print_table(
-                &format!("{label} — Set I, alpha=3 (r^3/d), margin 10%"),
-                &["scheme", "winning rate"],
-                &rows,
-            );
+            let title = format!("{label} — Set I, alpha=3 (r^3/d), margin 10%");
+            let alpha3 = rank_league(&league_scores(cells, family, true), 0.10);
+            league_table(out, &title, &alpha3);
         }
     }
 }
 
-/// Downsample a per-tick series to roughly `n` points of (seconds, value)
-/// for time-series figures.
-pub fn series(ticks: &[f32], tick_secs: f64, n: usize) -> Vec<(f64, f64)> {
-    if ticks.is_empty() {
-        return Vec::new();
-    }
-    let stride = (ticks.len() / n.max(1)).max(1);
-    ticks
-        .chunks(stride)
-        .enumerate()
-        .map(|(i, c)| {
-            let mean = c.iter().map(|&x| x as f64).sum::<f64>() / c.len() as f64;
-            ((i * stride) as f64 * tick_secs, mean)
-        })
+/// The `(Set I, Set II)` winning rate (10% margin) of each of `names` in the
+/// leagues `cells` hold. Each set is ranked from the cells of its own family;
+/// a name with no cell in a family reads 0 there.
+pub fn winning_rates(cells: &[MatrixCell], names: &[&str]) -> Vec<(f64, f64)> {
+    let [set1, set2] = [Family::SetI, Family::SetII]
+        .map(|family| rank_league(&league_scores(cells, family, false), 0.10));
+    let rate = |league: &[LeagueEntry], name: &str| {
+        let entry = league.iter().find(|e| e.scheme == name);
+        entry.map_or(0.0, |e| e.winning_rate)
+    };
+    names
+        .iter()
+        .map(|name| (rate(&set1, name), rate(&set2, name)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_knob;
+    use super::*;
+    use sage_eval::score::{ScoreKind, INTERVALS};
 
     #[test]
     fn knob_parse_rejects_what_it_cannot_read() {
@@ -352,5 +274,76 @@ mod tests {
             let err = parse_knob("SAGE_SECS", Some(bad), 15).unwrap_err();
             assert!(err.contains("SAGE_SECS") && err.contains(bad), "{err}");
         }
+    }
+
+    /// A league cell scoring `score` in every interval: Set I cells carry
+    /// Power scores (higher wins), Set II cells friendliness distances (lower
+    /// wins).
+    fn cell(scheme: &str, scenario: &str, family: Family, score: f64) -> MatrixCell {
+        MatrixCell {
+            scheme: scheme.into(),
+            scenario: scenario.into(),
+            family,
+            seed: SEED,
+            completed: true,
+            survived: true,
+            kind: match family {
+                Family::SetII => ScoreKind::Friendliness,
+                _ => ScoreKind::Power,
+            },
+            intervals: vec![score; INTERVALS],
+            intervals_alpha3: vec![score; INTERVALS],
+            score,
+            goodput_mbps: 0.0,
+            avg_owd_ms: 0.0,
+            p95_owd_ms: 0.0,
+            loss_pct: 0.0,
+            retx_pct: 0.0,
+            restarts: 0,
+            lost_pkts: 0,
+            fairness: 1.0,
+            flow_goodputs: Vec::new(),
+            series: Vec::new(),
+            digest: 0,
+        }
+    }
+
+    #[test]
+    fn winning_rates_score_each_set_from_its_own_family() {
+        let cells = vec![
+            // Set I: `a` wins e1, `b` wins e2.
+            cell("a", "e1", Family::SetI, 10.0),
+            cell("b", "e1", Family::SetI, 5.0),
+            cell("a", "e2", Family::SetI, 1.0),
+            cell("b", "e2", Family::SetI, 9.0),
+            // Set II (distance to the fair share): `b` wins the only env.
+            cell("a", "f1", Family::SetII, 3.0),
+            cell("b", "f1", Family::SetII, 0.1),
+            // Another family's cells take part in neither league.
+            cell("a", "x1", Family::Fairness, 100.0),
+        ];
+        let rates = winning_rates(&cells, &["a", "b", "nobody"]);
+        assert_eq!(rates, [(0.5, 0.0), (0.5, 1.0), (0.0, 0.0)]);
+        assert_eq!(
+            (pct(rates[1].0), pct(rates[2].1)),
+            ("50.00%".into(), "0.00%".into())
+        );
+    }
+
+    #[test]
+    fn a_cell_that_did_not_complete_never_wins() {
+        // The dead cells carry the best-looking numbers of either kind.
+        let mut dead1 = cell("dead", "e1", Family::SetI, 1e9);
+        let mut dead2 = cell("dead", "f1", Family::SetII, 0.0);
+        dead1.completed = false;
+        dead2.completed = false;
+        let cells = vec![
+            dead1,
+            cell("live", "e1", Family::SetI, 1.0),
+            dead2,
+            cell("live", "f1", Family::SetII, 7.0),
+        ];
+        let rates = winning_rates(&cells, &["dead", "live"]);
+        assert_eq!(rates, [(0.0, 0.0), (1.0, 1.0)]);
     }
 }

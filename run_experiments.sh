@@ -1,103 +1,24 @@
 #!/bin/bash
-# Regenerate every paper figure/table into artifacts/results/.
-# Assumes collect_pool + train_sage have produced artifacts/pool.bin and
-# artifacts/sage*.model; every other model a figure needs (the Fig. 9/11
-# comparators, the Fig. 12/14/15 variants) is trained by the figure that
-# first asks for it and kept under artifacts/ — this script deletes them
-# first, so a full run never scores a model left by an older pool or step
-# count. Smaller env subsets (SAGE_SET1/SET2) bound runtime for the
-# league-style figures; they are seeded subsamples of the training grid.
-# fig09 gets none: five of its comparators train in the env set it is run
-# with (sage_bench::comparator), which must be the full 36 + 18. The headline
-# league and the core figures run first so partial runs still produce the
-# headline results; the retraining-heavy studies (12/14/15) come last.
+# Regenerate everything under artifacts/results/ that the pipeline artifacts
+# (artifacts/pool.bin, sage.model, sage_d1..7.model) determine: the 18 figure
+# outputs and MANIFEST.json (`figures --list` prints the table; one figure is
+# `cargo run --release -p sage-bench --bin figures -- <id>`), then the
+# ADV_hardest / DISTILL_report / EVAL_matrix reports. Exits non-zero if any
+# stage did.
 set -u
 cd "$(dirname "$0")"
-mkdir -p artifacts/results
-R=artifacts/results
-# Obs log lines carry [LEVEL] prefixes on stderr, so a non-empty .err file no
-# longer implies failure: only a non-zero exit or a [ERROR]-tagged line does.
-# Progress chatter ([INFO]/[DEBUG]) and recoverable oddities ([WARN]) stay in
-# the .err artifact for inspection without tripping the gate.
+run() { cargo run --release -q -p sage-bench --bin "$1"; }
 FAILED=0
-WARN_SUMMARY=""
-run() {
-  local name=$1; shift
-  echo "=== $name ($(date +%H:%M:%S)) ==="
-  if ! "$@" > "$R/$name.txt" 2> "$R/$name.err"; then
-    echo "  $name FAILED (non-zero exit)"
-    FAILED=$((FAILED + 1))
-  elif grep -q '^\[ERROR\]' "$R/$name.err"; then
-    echo "  $name FAILED ($(grep -c '^\[ERROR\]' "$R/$name.err") error line(s)):"
-    grep '^\[ERROR\]' "$R/$name.err" | head -3 | sed 's/^/    /'
-    FAILED=$((FAILED + 1))
-  fi
-  # [WARN] lines are recoverable oddities (fault-injection retries, fallback
-  # paths); they don't fail the figure, but the summary surfaces the counts
-  # so a warning-storm is visible without grepping every .err file.
-  local warns
-  warns=$(grep -c '^\[WARN\]' "$R/$name.err" 2>/dev/null || true)
-  warns=${warns:-0}
-  if [ "$warns" -gt 0 ]; then
-    echo "  $name: $warns [WARN] line(s)"
-  fi
-  WARN_SUMMARY="$WARN_SUMMARY$name $warns"$'\n'
-}
-
-export SAGE_BASELINE_STEPS=${SAGE_BASELINE_STEPS:-2000}
-export SAGE_ABLATION_STEPS=${SAGE_ABLATION_STEPS:-1500}
-export SAGE_GRAN_STEPS=${SAGE_GRAN_STEPS:-1500}
-export SAGE_DIVERSITY_STEPS=${SAGE_DIVERSITY_STEPS:-1500}
-
-for m in artifacts/*.model; do
-  case "${m##*/}" in sage.model | sage_d[1-7].model) ;; *) rm -f "$m" ;; esac
-done
-
-run league cargo run --release -q -p sage-bench --bin league_quick
-run fig05 cargo run --release -q -p sage-bench --bin fig05_reward_shape
-run fig01 env SAGE_SET1=36 SAGE_SET2=18 cargo run --release -q -p sage-bench --bin fig01_winning_rates
-run fig22 cargo run --release -q -p sage-bench --bin fig22_frontier
-run fig23 cargo run --release -q -p sage-bench --bin fig23_aqm
-run fig17 cargo run --release -q -p sage-bench --bin fig17_behavior
-run fig11 cargo run --release -q -p sage-bench --bin fig11_distance_cdf
-run fig07 env SAGE_SET1=20 SAGE_SET2=10 cargo run --release -q -p sage-bench --bin fig07_training_curve
-run fig09 cargo run --release -q -p sage-bench --bin fig09_ml_league
-run fig10 env SAGE_SET1=20 SAGE_SET2=10 cargo run --release -q -p sage-bench --bin fig10_delay_league
-run fig19 cargo run --release -q -p sage-bench --bin fig19_tcp_friendliness
-run fig24 cargo run --release -q -p sage-bench --bin fig24_dynamics
-run fig08 env SAGE_FIG8_N=6 cargo run --release -q -p sage-bench --bin fig08_internet
-run fig13 env SAGE_SET1=24 SAGE_SET2=12 cargo run --release -q -p sage-bench --bin fig13_similarity
-run fig18 cargo run --release -q -p sage-bench --bin fig18_fairness
-run fig15 env SAGE_SET1=14 SAGE_SET2=7 cargo run --release -q -p sage-bench --bin fig15_diversity
-run fig12 env SAGE_SET1=14 SAGE_SET2=7 cargo run --release -q -p sage-bench --bin fig12_ablation
-run fig14 env SAGE_SET1=12 SAGE_SET2=6 cargo run --release -q -p sage-bench --bin fig14_granularity
-run adv cargo run --release -q -p sage-bench --bin adv_search
-run distill cargo run --release -q -p sage-bench --bin distill_report
-run matrix cargo run --release -q -p sage-bench --bin eval_matrix
-# Distillation fidelity at a glance: held-out action-agreement per split and
-# the sage-sym vs sage league rank delta, straight from the distill run
-# (full detail in $R/DISTILL_report.json).
-if [ -s "$R/distill.txt" ]; then
-  echo "=== distill fidelity (sage-sym vs sage) ==="
-  grep -E '^(clean \(gate\)|off-dist|overall)	' "$R/distill.txt" | sed 's/^/  /'
-  grep '^rank delta:' "$R/distill.txt" | sed 's/^/  /'
-fi
-# Surface the three hardest adversarial scenarios in the run summary: these
-# are the scenarios where the learned policy trails the heuristics most.
-if grep -q '^HARD\[' "$R/adv.txt" 2>/dev/null; then
-  echo "=== hardest adversarial scenarios (top 3) ==="
-  grep '^HARD\[' "$R/adv.txt" | sed 's/^/  /'
-fi
-# Per-figure [WARN] counts: one line per figure with at least one warning,
-# so recoverable oddities are auditable at a glance from the summary.
-echo "=== [WARN] counts per figure ==="
-if printf '%s' "$WARN_SUMMARY" | awk '$2 > 0 { any = 1; printf "  %-16s %s\n", $1, $2 } END { exit !any }'; then
-  :
-else
-  echo "  (none)"
-fi
-if [ "$FAILED" -ne 0 ]; then
-  echo "ALL EXPERIMENTS DONE — $FAILED FAILED (grep '^\[ERROR\]' $R/*.err)"
-  exit 1
-fi
+run figures || FAILED=1
+ADV=$(run adv_search) || FAILED=1
+DISTILL=$(run distill_report) || FAILED=1
+run eval_matrix > /dev/null || FAILED=1
+# Held-out action agreement per split and the sage-sym vs sage rank delta
+# (full detail in DISTILL_report.json); the scenarios where the learned
+# policy trails the heuristics most (ADV_hardest.json).
+echo "=== distill fidelity (sage-sym vs sage) ==="
+grep -E '^(clean \(gate\)|off-dist|overall)	|^rank delta:' <<< "$DISTILL" | sed 's/^/  /'
+echo "=== hardest adversarial scenarios (top 3) ==="
+grep '^HARD\[' <<< "$ADV" | sed 's/^/  /'
+[ "$FAILED" -eq 0 ] || { echo "ALL EXPERIMENTS DONE — a stage FAILED"; exit 1; }
 echo "ALL EXPERIMENTS DONE"
