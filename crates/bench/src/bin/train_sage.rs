@@ -5,6 +5,7 @@
 use sage_bench::{default_train_cfg, envvar, model_path, pool_path};
 use sage_collector::Pool;
 use sage_core::CrrTrainer;
+use sage_gr::STATE_NAMES;
 use sage_obs::obs_info;
 use std::time::Instant;
 
@@ -22,6 +23,10 @@ fn main() {
     let mut trainer = CrrTrainer::new(default_train_cfg(), &pool);
     let t0 = Instant::now();
     let mut day = 0;
+    let leak_features = ["bdp_cwnd", "pre_act"].map(|name| {
+        let named = STATE_NAMES.iter().position(|n| *n == name);
+        named.expect("a GR state feature")
+    });
     for i in 0..steps {
         let m = trainer.train_step(&pool);
         if (i + 1) % 200 == 0 {
@@ -39,7 +44,15 @@ fn main() {
             day += 1;
             let p = model_path(&format!("sage_d{day}"));
             trainer.model().save_file(&p).expect("save ckpt");
-            obs_info!("checkpoint day {day} -> {}", p.display());
+            // The offline leak probe (ROADMAP 2(c)): a policy whose NLL
+            // collapses without the two action-lagged features reads its
+            // label off them.
+            obs_info!(
+                "checkpoint day {day} -> {}: nll {:.4} nll_without(bdp_cwnd, pre_act) {:.4}",
+                p.display(),
+                trainer.action_nll(&pool, &[]),
+                trainer.action_nll(&pool, &leak_features)
+            );
         }
     }
     trainer

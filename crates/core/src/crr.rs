@@ -75,6 +75,11 @@ impl Default for CrrConfig {
     }
 }
 
+/// Windows [`CrrTrainer::action_nll`] scores (rounded up to a whole number
+/// per trajectory), and how many it folds into one batched forward.
+const NLL_WINDOWS: usize = 256;
+const NLL_BATCH: usize = 64;
+
 /// Metrics from one gradient step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepMetrics {
@@ -96,6 +101,11 @@ pub struct CrrTrainer {
     target_critic: CriticNet,
     policy_opt: Adam,
     critic_opt: Adam,
+    /// The tapes of [`critic_grads`] and [`policy_unroll`], cleared at the
+    /// top of each and never rebuilt: every step runs the same schedule, so
+    /// after the first no node value or gradient is allocated.
+    critic_graph: Graph,
+    policy_graph: Graph,
     rng: Rng,
     steps_done: u64,
     sample_index: SampleIndex,
@@ -148,6 +158,8 @@ impl CrrTrainer {
             target_critic,
             policy_opt: Adam::new(cfg.lr),
             critic_opt: Adam::new(cfg.critic_lr),
+            critic_graph: Graph::new(),
+            policy_graph: Graph::new(),
             rng: Rng::new(cfg.seed ^ 0xBA7C),
             steps_done: 0,
             sample_index: SampleIndex::default(),
@@ -230,12 +242,13 @@ impl CrrTrainer {
                     start = pick.saturating_sub(l / 2).min(max_start - 1);
                 }
             }
-            for t in 0..=l {
-                let full: Vec<f64> = traj.state(start + t).iter().map(|&x| x as f64).collect();
-                let x = self.model.prepare_input(&full);
-                for (c, v) in x.iter().enumerate() {
-                    *states[t].at_mut(bi, c) = *v;
-                }
+            for (t, step) in states.iter_mut().enumerate() {
+                let full = traj.state(start + t);
+                let x = self.model.standardised(|i| full[i] as f64);
+                step.data[bi * d..(bi + 1) * d]
+                    .iter_mut()
+                    .zip(x)
+                    .for_each(|(slot, v)| *slot = v);
             }
             for t in 0..l {
                 actions[t][bi] = sage_gr::encode_ratio(traj.actions[start + t] as f64);
@@ -275,11 +288,12 @@ impl CrrTrainer {
             let target_probs = self.target_distribution(&states, &rewards);
             self.critic_store.zero_grads();
             let (losses, mean_q) = critic_grads(
+                &mut self.critic_graph,
                 &self.critic,
                 &mut self.critic_store,
                 &states,
                 &actions,
-                &target_probs,
+                target_probs,
             );
             for loss_bi in losses {
                 metrics.critic_loss += loss_bi / b as f64;
@@ -289,19 +303,25 @@ impl CrrTrainer {
         }
 
         // ----- Policy improvement -----
-        let unroll = policy_unroll(&self.model.policy, &self.model.store, &states[..l]);
+        let mixtures = policy_unroll(
+            &mut self.policy_graph,
+            &self.model.policy,
+            &self.model.store,
+            &states[..l],
+        );
         let weights: Vec<Vec<f64>> = if self.cfg.bc_only {
             vec![vec![1.0; b]; l]
         } else {
-            self.advantage_weights(&unroll, &states, &actions)
+            self.advantage_weights(&mixtures, &states, &actions)
         };
         metrics.mean_weight = weights.iter().flatten().sum::<f64>() / (l * b) as f64;
 
         self.model.store.zero_grads();
         let losses = policy_loss_grads(
+            &mut self.policy_graph,
             &self.model.policy,
             &mut self.model.store,
-            unroll,
+            &mixtures,
             &actions,
             &weights,
         );
@@ -343,7 +363,8 @@ impl CrrTrainer {
         metrics
     }
 
-    /// N-step target distributions `[L·B, atoms]` (row `t·B + b`): project
+    /// N-step target distributions `[B·L, atoms]` (row `b·L + t`, the rows of
+    /// [`critic_grads`]): project
     ///   G_t = sum_{k=t..L-1} gamma^{k-t} r_k + gamma^{L-t} Z(s_L, a')
     /// through the target critic at the single bootstrap state s_L, with
     /// a' ~ target policy (n-step returns bootstrap only at the end of the
@@ -356,8 +377,7 @@ impl CrrTrainer {
         for state in &states[..l] {
             h = self
                 .target_policy
-                .step_infer(&self.target_policy_store, state, &h)
-                .1;
+                .advance_hidden(&self.target_policy_store, state, &h);
         }
         let (mix, _) = self
             .target_policy
@@ -378,13 +398,11 @@ impl CrrTrainer {
         let support = net.support();
         let atoms = net.atoms;
         let dz = (net.v_max - net.v_min) / (atoms - 1) as f64;
-        let mut target_probs = Array::zeros(l * b, atoms);
-        for bi in 0..b {
-            let row = &logits.data[bi * atoms..(bi + 1) * atoms];
-            let lse = sage_nn::graph::log_sum_exp(row);
-            let probs: Vec<f64> = row.iter().map(|&z| (z - lse).exp()).collect();
+        let mut target_probs = Array::zeros(b * l, atoms);
+        let probs = sage_nn::graph::softmax_rows(&logits);
+        for (bi, probs) in probs.row_slices().enumerate() {
             for t in 0..l {
-                let r = t * b + bi;
+                let r = bi * l + t;
                 // Partial discounted return within the window.
                 let mut g_t = 0.0;
                 let mut disc = 1.0;
@@ -411,94 +429,107 @@ impl CrrTrainer {
 
     /// CRR filter weights `clip(exp(A/beta))` with
     /// `A = Q(s,a) - mean_j Q(s, a_j)`, `a_j ~ pi(.|s)` — the `pi` of
-    /// `unroll`, the forward pass the policy gradient is then taken on.
+    /// `mixtures`, the nodes [`policy_unroll`] left on the policy tape: the
+    /// forward pass the policy gradient is then taken on.
     fn advantage_weights(
         &mut self,
-        unroll: &PolicyUnroll,
+        mixtures: &[GmmNodes],
         states: &[Array],
         actions: &[Vec<f64>],
     ) -> Vec<Vec<f64>> {
         let b = actions[0].len();
         let m = self.cfg.adv_samples;
         let policy = &self.model.policy;
-        let mut sampled: Vec<Vec<Vec<f64>>> = Vec::with_capacity(actions.len()); // [t][j][b]
-        for &nodes in &unroll.mixtures {
+        let mut candidates = Vec::with_capacity(actions.len());
+        for (data, &nodes) in actions.iter().zip(mixtures) {
             let mixtures: Vec<_> = (0..b)
-                .map(|bi| policy.mixture(&unroll.g, nodes, bi))
+                .map(|bi| policy.mixture(&self.policy_graph, nodes, bi))
                 .collect();
-            let mut per_j = Vec::with_capacity(m);
-            for _ in 0..m {
-                let mut row = vec![0.0; b];
-                for (slot, mixture) in row.iter_mut().zip(&mixtures) {
-                    *slot = mixture
+            let mut step = candidate_actions(data, m);
+            for j in 1..=m {
+                for (bi, mixture) in mixtures.iter().enumerate() {
+                    *step.at_mut(bi, j) = mixture
                         .sample(&mut self.rng)
                         .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
                 }
-                per_j.push(row);
             }
-            sampled.push(per_j);
+            candidates.push(step);
         }
-        self.filter_weights(states, actions, &sampled)
+        self.filter_weights(states, &candidates)
     }
 
-    /// The weights of [`CrrTrainer::advantage_weights`] given the baseline
-    /// actions `sampled[t][j][b]`.
-    fn filter_weights(
-        &self,
-        states: &[Array],
-        actions: &[Vec<f64>],
-        sampled: &[Vec<Vec<f64>>],
-    ) -> Vec<Vec<f64>> {
-        let l = actions.len();
-        let b = actions[0].len();
-        let d = self.cfg.net.input_dim();
+    /// The weights of [`CrrTrainer::advantage_weights`] given, per step, the
+    /// `[B, 1 + m]` actions of [`candidate_actions`] with the baseline
+    /// samples filled in. Each state's critic fold is made once and shared
+    /// by its `1 + m` actions ([`CriticNet::logits_infer`]); no state is
+    /// copied.
+    fn filter_weights(&self, states: &[Array], candidates: &[Array]) -> Vec<Vec<f64>> {
         let m = self.cfg.adv_samples;
+        (states.iter().zip(candidates))
+            .map(|(state, acts)| {
+                let logits = self.critic.logits_infer(&self.critic_store, state, acts);
+                let q = self.critic.expected_q(&logits);
+                q.chunks(1 + m)
+                    .map(|q| {
+                        let mut q_base = 0.0;
+                        for q_j in &q[1..] {
+                            q_base += q_j;
+                        }
+                        q_base /= m as f64;
+                        let adv = q[0] - q_base;
+                        (adv / self.cfg.beta).exp().min(self.cfg.weight_clip)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
-        // Q for the data actions and for each sampled action, in one flat
-        // critic pass of (1 + m) * l * b rows.
-        let rows = (1 + m) * l * b;
-        let mut flat_s = Array::zeros(rows, d);
-        let mut flat_a = Array::zeros(rows, 1);
-        let mut r = 0;
-        for t in 0..l {
-            for bi in 0..b {
-                for c in 0..d {
-                    *flat_s.at_mut(r, c) = states[t].at(bi, c);
+    /// Offline leak probe: the mean negative log-likelihood of the pool's
+    /// actions under the current policy, over some [`NLL_WINDOWS`] windows of
+    /// `unroll` steps at fixed, evenly spaced starts (each from a zero hidden
+    /// state, as training unrolls them), with the features `zeroed` (indices
+    /// into the full state) held at their normalisation mean. A policy whose
+    /// NLL collapses without a feature is reading its label from it. Takes
+    /// no gradient and draws nothing from the trainer's RNG, so calling it
+    /// between steps changes no trained bit. `NaN` on a pool with no
+    /// trajectory long enough to hold a window.
+    pub fn action_nll(&self, pool: &Pool, zeroed: &[usize]) -> f64 {
+        let l = self.cfg.unroll;
+        let d = self.cfg.net.input_dim();
+        let zeroed_cols: Vec<usize> = (self.cfg.net.mask().indices().iter())
+            .enumerate()
+            .filter(|(_, feature)| zeroed.contains(feature))
+            .map(|(col, _)| col)
+            .collect();
+        let eligible: Vec<_> = (pool.trajectories.iter())
+            .filter(|t| t.len() >= l + 2)
+            .collect();
+        let per = NLL_WINDOWS.div_ceil(eligible.len().max(1));
+        let windows: Vec<_> = (eligible.iter())
+            .flat_map(|&traj| (0..per).map(move |i| (traj, i * (traj.len() - l - 1) / per)))
+            .collect();
+        let (mut nll, mut count) = (0.0, 0usize);
+        for batch in windows.chunks(NLL_BATCH) {
+            let mut h = Array::zeros(batch.len(), self.cfg.net.hidden_dim());
+            for t in 0..l {
+                let mut x = Vec::with_capacity(batch.len() * d);
+                for (traj, start) in batch {
+                    let full = traj.state(start + t);
+                    x.extend(self.model.standardised(|i| full[i] as f64));
+                    let row = x.len() - d;
+                    zeroed_cols.iter().for_each(|&c| x[row + c] = 0.0);
                 }
-                flat_a.data[r] = actions[t][bi];
-                r += 1;
+                let x = Array::from_vec(batch.len(), d, x);
+                let (mix, h1) = self.model.policy.step_infer(&self.model.store, &x, &h);
+                h = h1;
+                for (bi, (traj, start)) in batch.iter().enumerate() {
+                    let a = sage_gr::encode_ratio(traj.actions[start + t] as f64);
+                    nll -= sage_nn::gmm::gmm_log_density(&mix.row(bi), a);
+                    count += 1;
+                }
             }
         }
-        for t in 0..l {
-            for j in 0..m {
-                for bi in 0..b {
-                    for c in 0..d {
-                        *flat_s.at_mut(r, c) = states[t].at(bi, c);
-                    }
-                    flat_a.data[r] = sampled[t][j][bi];
-                    r += 1;
-                }
-            }
-        }
-        let logits = self
-            .critic
-            .logits_infer(&self.critic_store, &flat_s, &flat_a);
-        let q = self.critic.expected_q(&logits);
-
-        let mut out = vec![vec![0.0; b]; l];
-        for t in 0..l {
-            for bi in 0..b {
-                let q_data = q[t * b + bi];
-                let mut q_base = 0.0;
-                for j in 0..m {
-                    q_base += q[l * b + (t * m + j) * b + bi];
-                }
-                q_base /= m as f64;
-                let adv = q_data - q_base;
-                out[t][bi] = (adv / self.cfg.beta).exp().min(self.cfg.weight_clip);
-            }
-        }
-        out
+        nll / count as f64
     }
 
     /// Run `steps` gradient steps, reporting metrics every `report_every`.
@@ -510,46 +541,49 @@ impl CrrTrainer {
     }
 }
 
-/// Critic cross-entropy gradient at `(s_t, a_t)` against `target_probs`
-/// (row `t·B + b`), accumulated into `store`: one feed-forward graph over
-/// `[B·L, ·]` rows, sample `b` owning rows `b·L..(b+1)·L`. A sample's loss
-/// is the mean over its `L` rows, and the batch loss their mean, so every
-/// row is seeded with `(1/B)/L` and the parameter gradients reduce in
-/// sample order ([`Graph::backward_rows`]). Returns the per-sample losses
-/// and the mean expected Q over all rows.
+/// One step's critic inputs for the advantage `[B, 1 + m]`: column 0 the data
+/// action of each sample, columns `1..=m` left for the baseline samples.
+fn candidate_actions(data: &[f64], m: usize) -> Array {
+    let mut acts = Array::zeros(data.len(), 1 + m);
+    for (bi, &a) in data.iter().enumerate() {
+        *acts.at_mut(bi, 0) = a;
+    }
+    acts
+}
+
+/// Critic cross-entropy gradient at `(s_t, a_t)` against `target_probs`,
+/// accumulated into `store`: one feed-forward pass on the cleared tape `g`
+/// over `[B·L, ·]` rows, sample `b` owning rows `b·L..(b+1)·L` (of
+/// `target_probs` too). A sample's loss is the mean over its `L` rows, and
+/// the batch loss their mean, so every row is seeded with `(1/B)/L` and the
+/// parameter gradients reduce in sample order ([`Graph::backward_rows`]).
+/// Returns the per-sample losses and the mean expected Q over all rows.
 fn critic_grads(
+    g: &mut Graph,
     critic: &CriticNet,
     store: &mut ParamStore,
     states: &[Array],
     actions: &[Vec<f64>],
-    target_probs: &Array,
+    target_probs: Array,
 ) -> (Vec<f64>, f64) {
     let l = actions.len();
     let b = actions[0].len();
     let d = states[0].cols;
-    let atoms = target_probs.cols;
-    let mut s = Array::zeros(b * l, d);
-    let mut a = Array::zeros(b * l, 1);
-    let mut tp = Array::zeros(b * l, atoms);
-    for bi in 0..b {
-        for t in 0..l {
-            let r = bi * l + t;
-            for c in 0..d {
-                *s.at_mut(r, c) = states[t].at(bi, c);
-            }
-            a.data[r] = actions[t][bi];
-            for j in 0..atoms {
-                *tp.at_mut(r, j) = target_probs.at(t * b + bi, j);
+    g.clear();
+    let sn = g.input_with(b * l, d, |s| {
+        for bi in 0..b {
+            for state in &states[..l] {
+                s.extend_from_slice(&state.data[bi * d..(bi + 1) * d]);
             }
         }
-    }
-    let mut g = Graph::new();
-    let sn = g.input(s);
-    let an = g.input(a);
-    let logits = critic.logits(&mut g, store, sn, an);
-    let q = critic.expected_q(g.value(logits));
-    let target = g.input(tp);
+    });
+    let an = g.input_with(b * l, 1, |a| {
+        a.extend((0..b).flat_map(|bi| actions.iter().map(move |step| step[bi])));
+    });
+    let logits = critic.logits(g, store, sn, an);
+    let target = g.input(target_probs);
     let ce = g.softmax_cross_entropy(logits, target);
+    let q = critic.expected_q_of(g.softmax_of(ce));
     g.backward_rows(ce, (1.0 / b as f64) / l as f64, b, store);
     let losses = g
         .value(ce)
@@ -564,56 +598,57 @@ fn critic_grads(
     (losses, q_sum / (l * b) as f64)
 }
 
-/// The online policy's forward pass over one batch, on the tape its gradient
-/// is taken from: the mixture nodes of every step.
-struct PolicyUnroll {
-    g: Graph,
-    mixtures: Vec<GmmNodes>,
-}
-
+/// The online policy's forward pass over one batch, on the cleared tape `g`
+/// its gradient is then taken from; returns the mixture nodes of every step.
+///
 /// One unroll over `[B, ·]` rows, a step per element of `states`, the GRU
 /// state carried per row (it never crosses samples, so each row carries its
 /// sample's full recurrent gradient). The step's one forward of the online
 /// policy: the advantage weights read their mixtures from it (they need no
 /// gradient, and a second, graph-free pass would compute the same bits),
 /// then [`policy_loss_grads`] hangs the loss on it.
-fn policy_unroll(policy: &PolicyNet, store: &ParamStore, states: &[Array]) -> PolicyUnroll {
-    let mut g = Graph::new();
-    let mut h = policy.initial_hidden(&mut g, states[0].rows);
+fn policy_unroll(
+    g: &mut Graph,
+    policy: &PolicyNet,
+    store: &ParamStore,
+    states: &[Array],
+) -> Vec<GmmNodes> {
+    g.clear();
+    let mut h = policy.initial_hidden(g, states[0].rows);
     let mut mixtures = Vec::with_capacity(states.len());
     for state in states {
-        let x = g.input(state.clone());
-        let (nodes, h1) = policy.step(&mut g, store, x, h);
+        let x = g.input_with(state.rows, state.cols, |x| x.extend_from_slice(&state.data));
+        let (nodes, h1) = policy.step(g, store, x, h);
         h = h1;
         mixtures.push(nodes);
     }
-    PolicyUnroll { g, mixtures }
+    mixtures
 }
 
 /// Advantage-weighted negative log-likelihood gradient, accumulated into
-/// `store`, of the mixtures of `unroll`. A sample's loss is the mean
-/// weighted NLL over its `L` steps and the batch loss their mean, so every
-/// row is seeded with `1/B` (times the `1/L` of the last node) and the
-/// parameter gradients reduce in sample order ([`Graph::backward_rows`]).
-/// The loss nodes come after the whole unroll on the tape; each node's
-/// consumers, and each parameter's, keep the order they had when every
-/// step's loss followed that step, so backward folds the same bits. Returns
-/// the per-sample losses.
+/// `store`, of the `mixtures` that [`policy_unroll`] left on `g`. A sample's
+/// loss is the mean weighted NLL over its `L` steps and the batch loss their
+/// mean, so every row is seeded with `1/B` (times the `1/L` of the last
+/// node) and the parameter gradients reduce in sample order
+/// ([`Graph::backward_rows`]). The loss nodes come after the whole unroll on
+/// the tape; each node's consumers, and each parameter's, keep the order
+/// they had when every step's loss followed that step, so backward folds the
+/// same bits. Returns the per-sample losses.
 fn policy_loss_grads(
+    g: &mut Graph,
     policy: &PolicyNet,
     store: &mut ParamStore,
-    unroll: PolicyUnroll,
+    mixtures: &[GmmNodes],
     actions: &[Vec<f64>],
     weights: &[Vec<f64>],
 ) -> Vec<f64> {
-    let PolicyUnroll { mut g, mixtures } = unroll;
     let l = actions.len();
     let b = actions[0].len();
     let mut acc: Option<NodeId> = None;
     for (t, &nodes) in mixtures.iter().enumerate() {
-        let a = g.input(Array::from_vec(b, 1, actions[t].clone()));
-        let logp = policy.log_prob(&mut g, nodes, a);
-        let w = g.input(Array::from_vec(b, 1, weights[t].clone()));
+        let a = g.input_with(b, 1, |a| a.extend_from_slice(&actions[t]));
+        let logp = policy.log_prob(g, nodes, a);
+        let w = g.input_with(b, 1, |w| w.extend_from_slice(&weights[t]));
         let wl = g.mul(w, logp);
         let neg = g.scale(wl, -1.0);
         acc = Some(match acc {
@@ -809,7 +844,7 @@ mod tests {
             }
             a.data[t] = actions[t][bi];
             for j in 0..atoms_n {
-                *tp.at_mut(t, j) = target_probs.at(t * b + bi, j);
+                *tp.at_mut(t, j) = target_probs.at(bi * l + t, j);
             }
         }
         let sn = g.input(s);
@@ -879,8 +914,9 @@ mod tests {
         actions: &[Vec<f64>],
         weights: &[Vec<f64>],
     ) -> Vec<f64> {
-        let unroll = policy_unroll(policy, store, states);
-        policy_loss_grads(policy, store, unroll, actions, weights)
+        let mut g = Graph::new();
+        let mixtures = policy_unroll(&mut g, policy, store, states);
+        policy_loss_grads(&mut g, policy, store, &mixtures, actions, weights)
     }
 
     /// The property the batched step rests on: on shapes neither the golden
@@ -984,7 +1020,7 @@ mod tests {
         };
         let actions = column(-1.0, 1.0);
         let weights = column(0.0, 20.0);
-        let mut target_probs = Array::zeros(l * b, net.atoms);
+        let mut target_probs = Array::zeros(b * l, net.atoms);
         for row in target_probs.data.chunks_mut(net.atoms) {
             row.iter_mut()
                 .for_each(|p| *p = spiked(rng, 0.0, 1.0).abs());
@@ -1015,8 +1051,14 @@ mod tests {
 
         // Critic: likewise.
         critic_store.zero_grads();
-        let (got_losses, got_mean_q) =
-            critic_grads(&critic, &mut critic_store, &states, &actions, &target_probs);
+        let (got_losses, got_mean_q) = critic_grads(
+            &mut Graph::new(),
+            &critic,
+            &mut critic_store,
+            &states,
+            &actions,
+            target_probs.clone(),
+        );
         let got = grad_bits(&critic_store);
         critic_store.zero_grads();
         let mut want_losses = Vec::new();
@@ -1056,24 +1098,22 @@ mod tests {
 
         // Policy mixtures along the online unroll (no grad needed).
         let mut h = Array::zeros(b, tr.cfg.net.hidden_dim());
-        let mut sampled: Vec<Vec<Vec<f64>>> = Vec::with_capacity(l); // [t][j][b]
+        let mut candidates = Vec::with_capacity(l);
         for t in 0..l {
             let (mix, h1) = tr.model.policy.step_infer(&tr.model.store, &states[t], &h);
             h = h1;
             let mixtures: Vec<_> = (0..b).map(|bi| mix.row(bi)).collect();
-            let mut per_j = Vec::with_capacity(m);
-            for _ in 0..m {
-                let mut row = vec![0.0; b];
-                for (slot, mixture) in row.iter_mut().zip(&mixtures) {
-                    *slot = mixture
+            let mut step = candidate_actions(&actions[t], m);
+            for j in 1..=m {
+                for (bi, mixture) in mixtures.iter().enumerate() {
+                    *step.at_mut(bi, j) = mixture
                         .sample(&mut tr.rng)
                         .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
                 }
-                per_j.push(row);
             }
-            sampled.push(per_j);
+            candidates.push(step);
         }
-        tr.filter_weights(states, actions, &sampled)
+        tr.filter_weights(states, &candidates)
     }
 
     /// Sharing the unroll changes nothing observable: the weights sampled
@@ -1112,8 +1152,13 @@ mod tests {
             .collect();
 
         let want = advantage_weights_oracle(want_tr, &states, &actions);
-        let unroll = policy_unroll(&got_tr.model.policy, &got_tr.model.store, &states);
-        let got = got_tr.advantage_weights(&unroll, &states, &actions);
+        let mixtures = policy_unroll(
+            &mut got_tr.policy_graph,
+            &got_tr.model.policy,
+            &got_tr.model.store,
+            &states,
+        );
+        let got = got_tr.advantage_weights(&mixtures, &states, &actions);
         let shape = format!("b {b}, l {l}, m {}, {net:?}", cfg.adv_samples);
         if want.len() != got.len() || want.iter().zip(&got).any(|(w, g)| bits(w) != bits(g)) {
             return Err(format!("weights differ ({shape})"));
@@ -1122,6 +1167,48 @@ mod tests {
             return Err(format!("trainer RNG left in a different state ({shape})"));
         }
         Ok(())
+    }
+
+    /// The probe reads the trainer and nothing else: interleaved with
+    /// training it changes no loss and no trained bit.
+    #[test]
+    fn action_nll_leaves_training_untouched() {
+        let pool = synthetic_pool(6);
+        let mut trainers = [(); 2].map(|_| CrrTrainer::new(tiny_cfg(false), &pool));
+        let [plain, probed] = &mut trainers;
+        for _ in 0..3 {
+            let nll = probed.action_nll(&pool, &[0]);
+            assert!(nll.is_finite());
+            assert_eq!(nll.to_bits(), probed.action_nll(&pool, &[0]).to_bits());
+            let (want, got) = (plain.train_step(&pool), probed.train_step(&pool));
+            assert_eq!(want.policy_loss.to_bits(), got.policy_loss.to_bits());
+            assert_eq!(want.critic_loss.to_bits(), got.critic_loss.to_bits());
+        }
+        let bytes = |tr: &CrrTrainer| tr.model().to_bytes().unwrap();
+        assert_eq!(bytes(plain), bytes(probed));
+    }
+
+    /// What the probe is for: on a pool whose action is a function of
+    /// feature 0 (feature 1 is noise), a cloned policy's NLL collapses when
+    /// feature 0 is held at its mean and does not move without feature 1.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow learning test: run with --release")]
+    fn leak_probe_tells_the_informative_feature_from_noise() {
+        let mut pool = synthetic_pool(7);
+        pool.trajectories.retain(|t| t.scheme == "good");
+        let mut tr = CrrTrainer::new(tiny_cfg(true), &pool);
+        tr.train(&pool, 600, |_, _| {});
+        let nll = tr.action_nll(&pool, &[]);
+        let without_flag = tr.action_nll(&pool, &[0]);
+        let without_noise = tr.action_nll(&pool, &[1]);
+        assert!(
+            without_flag > nll + 1.0,
+            "zeroing the informative feature must raise NLL: {nll} -> {without_flag}"
+        );
+        assert!(
+            (without_noise - nll).abs() < 0.1 * (without_flag - nll),
+            "zeroing a noise feature must not: {nll} -> {without_noise} (flag: {without_flag})"
+        );
     }
 
     #[test]

@@ -229,7 +229,8 @@ impl PolicyNet {
 
     /// Initial hidden state for `batch` sequences.
     pub fn initial_hidden(&self, g: &mut Graph, batch: usize) -> NodeId {
-        g.input(Array::zeros(batch, self.cfg.hidden_dim()))
+        let width = self.cfg.hidden_dim();
+        g.input_with(batch, width, |h| h.resize(batch * width, 0.0))
     }
 
     /// One timestep: consumes `x` [B, D] and hidden [B, H]; returns
@@ -285,7 +286,8 @@ impl PolicyNet {
     }
 
     /// Graph-free batched timestep: consumes `x` `[B,D]` and hidden `[B,H]`,
-    /// returns the mixture batch and the new hidden `[B,H]`.
+    /// returns the mixture batch and the new hidden `[B,H]` — the trunk
+    /// composed on the recurrent half.
     ///
     /// Bit-identical to running [`PolicyNet::step`] on the same rows: every
     /// op in `sage_nn::infer` is row-independent and evaluates in the same
@@ -293,17 +295,40 @@ impl PolicyNet {
     /// fold many flows into one matrix-matrix pass without perturbing a
     /// single action (`crates/serve` tests pin this).
     pub fn step_infer(&self, store: &ParamStore, x: &Array, h: &Array) -> (GmmBatch, Array) {
+        let feat = self.recurrent_features(store, x, h);
+        let mix = self.trunk_infer(store, &feat);
+        let new_h = if self.gru.is_some() { feat } else { h.clone() };
+        (mix, new_h)
+    }
+
+    /// The new hidden `[B,H]` of [`PolicyNet::step_infer`] alone, for the
+    /// steps of an unroll whose mixture nobody reads: the recurrent half
+    /// (both encoders and the GRU) without the trunk. With the GRU ablated
+    /// the state passes through untouched and nothing is computed.
+    pub fn advance_hidden(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
+        match self.gru {
+            Some(_) => self.recurrent_features(store, x, h),
+            None => h.clone(),
+        }
+    }
+
+    /// The recurrent half of a step: the features entering the post-GRU
+    /// stack, which are the new hidden state when there is a GRU.
+    fn recurrent_features(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
         use sage_nn::infer;
         let e = infer::lrelu(&self.enc1a.infer(store, x), 0.01);
         let e = infer::lrelu(&self.enc1b.infer(store, &e), 0.01);
-        let (feat, new_h) = match &self.gru {
-            Some(cell) => {
-                let h1 = cell.infer_step(store, &e, h);
-                (h1.clone(), h1)
-            }
-            None => (e, h.clone()),
-        };
-        let n = infer::lrelu(&self.post_ln.infer(store, &feat), 0.01);
+        match &self.gru {
+            Some(cell) => cell.infer_step(store, &e, h),
+            None => e,
+        }
+    }
+
+    /// The trunk of a step: post-GRU norm, second encoder, FC, residual
+    /// blocks and the mixture head over the recurrent half's features.
+    fn trunk_infer(&self, store: &ParamStore, feat: &Array) -> GmmBatch {
+        use sage_nn::infer;
+        let n = infer::lrelu(&self.post_ln.infer(store, feat), 0.01);
         let t = match &self.enc2 {
             Some(enc) => infer::tanh(&enc.infer(store, &n)),
             None => n,
@@ -313,7 +338,7 @@ impl PolicyNet {
         for rb in &self.res {
             z = rb.infer(store, &z);
         }
-        (self.head.infer(store, &z), new_h)
+        self.head.infer(store, &z)
     }
 
     /// Mixture parameters for row `r` of a step output.
@@ -373,32 +398,51 @@ impl CriticNet {
         self.out.fwd(g, store, h)
     }
 
-    /// Graph-free forward, bit-identical to [`CriticNet::logits`] row by row
-    /// (see `sage_nn::infer`) — for every pass that takes no gradient.
-    pub fn logits_infer(&self, store: &ParamStore, state: &Array, action: &Array) -> Array {
+    /// Graph-free forward for every pass that takes no gradient: atom logits
+    /// `[n·A, atoms]` for states `[n, D]` and `A` actions per state
+    /// (`actions` is `[n, A]`), row `r·A + j` bit-identical to the row of
+    /// [`CriticNet::logits`] for state `r` and its action `j`.
+    ///
+    /// The first layer never builds `[state | action]`: an output element of
+    /// the product is its own left fold over the input columns and the
+    /// action is the last column, so the fold over a state's `D` columns is
+    /// made once per state and each action continues it with its one term
+    /// `a·W[D][j]` — skipped, not added, when `a` is `±0.0`, as the product
+    /// skips a zero of its left operand — then the bias.
+    pub fn logits_infer(&self, store: &ParamStore, state: &Array, actions: &Array) -> Array {
         use sage_nn::infer;
-        let x = infer::concat_cols(state, action);
-        let h = infer::lrelu(&self.l1.infer(store, &x), 0.01);
+        assert_eq!(state.rows, actions.rows, "one row of actions per state");
+        let (w, bias) = (store.get(self.l1.w), &store.get(self.l1.b).data);
+        let (d, width) = (state.cols, w.cols);
+        assert_eq!(w.rows, d + 1, "critic input is [state | action]");
+        let prefix = infer::matmul_prefix(state, w);
+        let w_action = &w.data[d * width..];
+        let mut h = Vec::with_capacity(actions.data.len() * width);
+        for (fold, row_actions) in prefix.row_slices().zip(actions.row_slices()) {
+            for &a in row_actions {
+                if a == 0.0 {
+                    h.extend(fold.iter().zip(bias).map(|(&f, &b)| f + b));
+                } else {
+                    let terms = fold.iter().zip(w_action).zip(bias);
+                    h.extend(terms.map(|((&f, &wa), &b)| f + a * wa + b));
+                }
+            }
+        }
+        let h = infer::lrelu(&Array::from_vec(actions.data.len(), width, h), 0.01);
         let h = infer::lrelu(&self.l2.infer(store, &h), 0.01);
         self.out.infer(store, &h)
     }
 
     /// Expected Q values (plain f64) from logits.
     pub fn expected_q(&self, logits: &Array) -> Vec<f64> {
+        self.expected_q_of(&sage_nn::graph::softmax_rows(logits))
+    }
+
+    /// Expected Q values from atom probabilities `[n, atoms]`.
+    pub fn expected_q_of(&self, probs: &Array) -> Vec<f64> {
         let support = self.cfg.support();
-        let (n, a) = logits.shape();
-        let mut out = Vec::with_capacity(n);
-        for r in 0..n {
-            let row = &logits.data[r * a..(r + 1) * a];
-            let lse = sage_nn::graph::log_sum_exp(row);
-            let q: f64 = row
-                .iter()
-                .zip(&support)
-                .map(|(&l, &z)| (l - lse).exp() * z)
-                .sum();
-            out.push(q);
-        }
-        out
+        let q = |row: &[f64]| row.iter().zip(&support).map(|(&p, &z)| p * z).sum();
+        probs.row_slices().map(q).collect()
     }
 }
 
@@ -433,10 +477,16 @@ impl SageModel {
 
     /// Standardise and mask a full 69-dim state.
     pub fn prepare_input(&self, full_state: &[f64]) -> Vec<f64> {
-        self.input_idx
-            .iter()
-            .map(|&i| (full_state[i] - self.norm_mean[i]) / self.norm_std[i])
-            .collect()
+        self.standardised(|i| full_state[i]).collect()
+    }
+
+    /// The network's input columns, in order, for the state whose feature
+    /// `i` (of the full 69) is `feature(i)`: masked, then standardised.
+    pub fn standardised<'a>(
+        &'a self,
+        feature: impl Fn(usize) -> f64 + 'a,
+    ) -> impl Iterator<Item = f64> + 'a {
+        (self.input_idx.iter()).map(move |&i| (feature(i) - self.norm_mean[i]) / self.norm_std[i])
     }
 
     /// The B=1 inference path of every single-flow controller: standardise
@@ -580,6 +630,90 @@ mod tests {
             let p = m.policy.mixture(&g, nodes, 0);
             assert_eq!(p.means.len(), cfg.gmm_k);
             assert!(p.means.iter().all(|x| x.is_finite()));
+        }
+    }
+
+    /// `step_infer` as one body, before it became the trunk composed on the
+    /// recurrent half: kept as the oracle of both halves.
+    fn step_infer_oracle(
+        net: &PolicyNet,
+        store: &ParamStore,
+        x: &Array,
+        h: &Array,
+    ) -> (GmmBatch, Array) {
+        use sage_nn::infer;
+        let e = infer::lrelu(&net.enc1a.infer(store, x), 0.01);
+        let e = infer::lrelu(&net.enc1b.infer(store, &e), 0.01);
+        let (feat, new_h) = match &net.gru {
+            Some(cell) => {
+                let h1 = cell.infer_step(store, &e, h);
+                (h1.clone(), h1)
+            }
+            None => (e, h.clone()),
+        };
+        let n = infer::lrelu(&net.post_ln.infer(store, &feat), 0.01);
+        let t = match &net.enc2 {
+            Some(enc) => infer::tanh(&enc.infer(store, &n)),
+            None => n,
+        };
+        let mut z = net.fc.infer(store, &t);
+        for rb in &net.res {
+            z = rb.infer(store, &z);
+        }
+        (net.head.infer(store, &z), new_h)
+    }
+
+    #[test]
+    fn the_two_halves_of_a_step_are_the_step_bit_for_bit() {
+        let small = NetConfig {
+            enc1: 9,
+            gru: 7,
+            enc2: 6,
+            fc: 10,
+            residual_blocks: 1,
+            ..NetConfig::default()
+        };
+        let topologies = [
+            small,
+            NetConfig { gru: 0, ..small },
+            NetConfig { enc2: 0, ..small },
+            NetConfig { gmm_k: 1, ..small },
+            small.with_mask(FeatureMask::NoMinMax),
+            small.with_mask(FeatureMask::NoRttVar),
+            small.with_mask(FeatureMask::NoLossInflight),
+        ];
+        let bits = |a: &Array| a.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, cfg) in topologies.into_iter().enumerate() {
+            forall(
+                &format!("trunk . recurrent half == step_infer ({cfg:?})"),
+                PropConfig::new(8, 0x57E9 + i as u64),
+                |rng| {
+                    let mut m = dummy_model(cfg);
+                    for v in m.store.params.iter_mut().flat_map(|p| &mut p.value.data) {
+                        *v += rng.range(-0.2, 0.2);
+                    }
+                    let b = 1 + rng.below(6);
+                    // Exact zeros of both signs among the inputs.
+                    let mut random = |cols: usize| {
+                        let spiked = |rng: &mut Rng| match rng.below(6) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.range(-3.0, 3.0),
+                        };
+                        Array::from_vec(b, cols, (0..b * cols).map(|_| spiked(rng)).collect())
+                    };
+                    let (x, h) = (random(cfg.input_dim()), random(cfg.hidden_dim()));
+                    let (want_mix, want_h) = step_infer_oracle(&m.policy, &m.store, &x, &h);
+                    let (mix, new_h) = m.policy.step_infer(&m.store, &x, &h);
+                    let alone = m.policy.advance_hidden(&m.store, &x, &h);
+                    let same = bits(&want_h) == bits(&new_h)
+                        && bits(&want_h) == bits(&alone)
+                        && bits(&want_mix.means) == bits(&mix.means)
+                        && bits(&want_mix.log_stds) == bits(&mix.log_stds)
+                        && bits(&want_mix.logits) == bits(&mix.logits);
+                    same.then_some(()).ok_or(format!("b {b}"))
+                },
+            );
         }
     }
 

@@ -12,7 +12,10 @@
 //!
 //! and commit the updated `tests/golden/train_tiny*.txt` alongside the change.
 //! `train_tiny_bc.txt` is the same run in behavioural-cloning mode
-//! (`bc_only: true`: constant filter, no critic).
+//! (`bc_only: true`: constant filter, no critic); `train_tiny_refresh.txt`
+//! runs 12 steps at `target_period: 3`, so four target refreshes fall inside
+//! it (the other two, and the benchmark's 20 steps, stay below the default
+//! period of 100 and never see a step after `copy_values_from`).
 
 use sage_collector::{collect_pool, training_envs};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig};
@@ -21,8 +24,6 @@ use sage_util::crc32;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const STEPS: usize = 8;
-
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -30,8 +31,8 @@ fn golden_path(file: &str) -> PathBuf {
 }
 
 /// The miniature run: deterministic pool from two Set I + one Set II env,
-/// tiny network, 8 gradient steps.
-fn run(bc_only: bool) -> String {
+/// tiny network, `steps` gradient steps.
+fn run(bc_only: bool, target_period: u64, steps: usize) -> String {
     let envs = training_envs(2, 1, 2.0, 13);
     let pool = collect_pool(
         &envs,
@@ -55,13 +56,14 @@ fn run(bc_only: bool) -> String {
         unroll: 4,
         seed: 17,
         bc_only,
+        target_period,
         ..CrrConfig::default()
     };
     let mut tr = CrrTrainer::new(cfg, &pool);
     // Loss values are recorded as raw f64 bits (hex): the contract is exact
     // reproduction, not approximate similarity.
     let mut out = String::new();
-    for step in 0..STEPS {
+    for step in 0..steps {
         let m = tr.train_step(&pool);
         writeln!(
             out,
@@ -76,8 +78,8 @@ fn run(bc_only: bool) -> String {
     out
 }
 
-fn check(file: &str, bc_only: bool) {
-    let got = run(bc_only);
+fn check(file: &str, bc_only: bool, target_period: u64, steps: usize) {
+    let got = run(bc_only, target_period, steps);
     let path = golden_path(file);
     if sage_util::env_cfg::regen_golden() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -101,10 +103,15 @@ fn check(file: &str, bc_only: bool) {
 
 #[test]
 fn miniature_training_run_matches_golden() {
-    check("train_tiny.txt", false);
+    check("train_tiny.txt", false, 100, 8);
 }
 
 #[test]
 fn miniature_bc_run_matches_golden() {
-    check("train_tiny_bc.txt", true);
+    check("train_tiny_bc.txt", true, 100, 8);
+}
+
+#[test]
+fn miniature_run_across_target_refreshes_matches_golden() {
+    check("train_tiny_refresh.txt", false, 3, 12);
 }

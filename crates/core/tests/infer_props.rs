@@ -130,11 +130,32 @@ fn ablation_topologies_also_match() {
     }
 }
 
+/// `[n·A, ·]` rows for the graph path: state `r` repeated under each of its
+/// `A` actions, row `r·A + j`.
+fn concatenated_rows(s: &Array, a: &Array) -> (Array, Array) {
+    let per = a.cols;
+    let states = (0..s.rows * per).flat_map(|row| {
+        let r = row / per;
+        s.data[r * s.cols..(r + 1) * s.cols].iter().copied()
+    });
+    (
+        Array::from_vec(s.rows * per, s.cols, states.collect()),
+        Array::from_vec(a.data.len(), 1, a.data.clone()),
+    )
+}
+
+/// The shared-prefix critic against what it replaced: `CriticNet::logits`
+/// through the `Graph` on concatenated `[state | action]` rows — with exact
+/// zeros of both signs among states and actions, whole states of zeros (the
+/// fold stays `+0.0`), one to five actions per state, and, every other case,
+/// the action's row of the first-layer weight poisoned with `NaN`/`±inf`: a
+/// zero action must not read it (the product skips a zero of its left
+/// operand), any other action must.
 #[test]
 fn critic_logits_infer_bit_identical_to_graph_logits() {
     forall(
         "logits_infer == Graph logits",
-        PropConfig::new(25, 0xC817),
+        PropConfig::new(40, 0xC817),
         |rng| {
             let cfg = NetConfig {
                 critic_hidden: 5 + (rng.next_u64() % 20) as usize,
@@ -149,26 +170,53 @@ fn critic_logits_infer_bit_identical_to_graph_logits() {
                 }
             }
             let d = cfg.input_dim();
+            let poisoned = rng.below(2) == 1;
+            if poisoned {
+                let w = &mut store.params[0].value;
+                assert_eq!(w.shape(), (d + 1, cfg.critic_hidden), "q.l1.w is first");
+                for (j, v) in w.data[d * cfg.critic_hidden..].iter_mut().enumerate() {
+                    *v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][j % 3];
+                }
+            }
             let n = 1 + (rng.next_u64() % 40) as usize;
-            // Exact zeros among the inputs take the matmul's skip-zero path.
-            let s = Array::from_vec(
+            let per = 1 + rng.below(5);
+            let spiked = |rng: &mut Rng, lo: f64, hi: f64| match rng.next_u64() % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.range(lo, hi),
+            };
+            let mut s = Array::from_vec(n, d, (0..n * d).map(|_| spiked(rng, -4.0, 4.0)).collect());
+            for v in &mut s.data[..d] {
+                *v = [0.0, -0.0][rng.below(2)];
+            }
+            let a = Array::from_vec(
                 n,
-                d,
-                (0..n * d)
-                    .map(|_| match rng.next_u64() % 5 {
-                        0 => 0.0,
-                        _ => rng.range(-4.0, 4.0),
-                    })
-                    .collect(),
+                per,
+                (0..n * per).map(|_| spiked(rng, -1.0, 1.0)).collect(),
             );
-            let a = Array::from_vec(n, 1, (0..n).map(|_| rng.range(-1.0, 1.0)).collect());
 
             let got = critic.logits_infer(&store, &s, &a);
+            let (rows_s, rows_a) = concatenated_rows(&s, &a);
             let mut g = Graph::new();
-            let (sn, an) = (g.input(s), g.input(a));
+            let (sn, an) = (g.input(rows_s), g.input(rows_a));
             let want = critic.logits(&mut g, &store, sn, an);
-            if bits(&g.value(want).data) != bits(&got.data) {
-                return Err(format!("{n} rows, {cfg:?}"));
+            let want = g.value(want);
+            if want.shape() != got.shape() {
+                return Err(format!("shape {:?} != {:?}", got.shape(), want.shape()));
+            }
+            for (row, (w, o)) in want.row_slices().zip(got.row_slices()).enumerate() {
+                let zero_action = a.data[row] == 0.0;
+                let same = if poisoned && !zero_action {
+                    // NaN payloads are not pinned; that nothing is finite is.
+                    w.iter().chain(o).all(|v| !v.is_finite())
+                } else {
+                    w.iter().all(|v| v.is_finite()) && bits(w) == bits(o)
+                };
+                if !same {
+                    return Err(format!(
+                        "row {row} of {n} x {per} (poisoned {poisoned}), {cfg:?}"
+                    ));
+                }
             }
             Ok(())
         },

@@ -1,7 +1,7 @@
 //! Dense row-major f64 matrices. Rows are batch entries, columns features.
 
 /// A dense matrix (rows x cols), row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Array {
     pub rows: usize,
     pub cols: usize,
@@ -56,45 +56,77 @@ impl Array {
 
     /// Transposed copy.
     pub fn t(&self) -> Array {
-        let mut out = Array::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
+        self.t_into(Vec::new())
+    }
+
+    /// [`Array::t`] built in `buf`: its contents are dropped, its allocation
+    /// reused (so are the other `_into` forms' here and in `infer`).
+    pub fn t_into(&self, mut buf: Vec<f64>) -> Array {
+        buf.clear();
+        buf.resize(self.data.len(), 0.0);
+        for (i, row) in self.row_slices().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                buf[j * self.rows + i] = x;
             }
         }
-        out
+        Array::from_vec(self.cols, self.rows, buf)
     }
 
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Array {
-        Array {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+        self.map_into(Vec::new(), f)
+    }
+
+    /// [`Array::map`] built in `buf`.
+    pub fn map_into(&self, mut buf: Vec<f64>, f: impl Fn(f64) -> f64) -> Array {
+        buf.clear();
+        buf.extend(self.data.iter().map(|&x| f(x)));
+        Array::from_vec(self.rows, self.cols, buf)
+    }
+
+    /// A copy built in `buf`.
+    pub fn copy_into(&self, mut buf: Vec<f64>) -> Array {
+        buf.clear();
+        buf.extend_from_slice(&self.data);
+        Array::from_vec(self.rows, self.cols, buf)
+    }
+
+    /// [`Array::map`] in place.
+    pub fn map_assign(&mut self, f: impl Fn(f64) -> f64) {
+        for x in &mut self.data {
+            *x = f(*x);
         }
+    }
+
+    /// Rows as slices, in order.
+    pub fn row_slices(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Elementwise combine (shapes must match).
     pub fn zip(&self, other: &Array, f: impl Fn(f64, f64) -> f64) -> Array {
+        self.zip_into(Vec::new(), other, f)
+    }
+
+    /// [`Array::zip`] built in `buf`.
+    pub fn zip_into(&self, mut buf: Vec<f64>, other: &Array, f: impl Fn(f64, f64) -> f64) -> Array {
         assert_eq!(self.shape(), other.shape(), "zip shape");
-        Array {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+        buf.clear();
+        buf.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        Array::from_vec(self.rows, self.cols, buf)
+    }
+
+    /// [`Array::zip`] in place: `self[i] = f(self[i], other[i])`.
+    pub fn zip_assign(&mut self, other: &Array, f: impl Fn(f64, f64) -> f64) {
+        assert_eq!(self.shape(), other.shape(), "zip shape");
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 
     /// In-place accumulate.
     pub fn add_assign(&mut self, other: &Array) {
-        assert_eq!(self.shape(), other.shape(), "add_assign shape");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        self.zip_assign(other, |a, b| a + b);
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {

@@ -1,19 +1,29 @@
 //! Reverse-mode automatic differentiation over [`Array`] nodes.
 //!
-//! A [`Graph`] is rebuilt per forward pass (define-by-run). Each parameter it
-//! uses is copied in from a [`ParamStore`] once; after `backward`, their
-//! gradients are accumulated back into the store.
+//! A [`Graph`] is a tape rebuilt per forward pass (define-by-run). Each
+//! parameter it uses is copied in from a [`ParamStore`] once; after
+//! `backward`, their gradients are accumulated back into the store.
 //!
 //! Every op is row-independent, forward and backward: row `r` of a node
 //! depends on row `r` of its operands only, so a graph of `[B, ·]` nodes
 //! computes, row for row, the bits that `B` one-row graphs would. The one
 //! place rows meet is a parameter's gradient, and there the order of the
 //! sum is a contract — see [`Graph::backward_rows`].
+//!
+//! **Memory.** A graph that lives across passes is [`Graph::clear`]ed, not
+//! rebuilt: clearing keeps every node's value buffer, and the node pushed at
+//! the same position of the next tape is written into it, so a trainer whose
+//! passes repeat one schedule allocates during the first and never again.
+//! Backward draws gradients, weight transposes and the stacked operands of
+//! the ordered reduction from a [`Workspace`] kept the same way. Both are
+//! bounded by one pass's live set: clearing drops the buffers the last tape
+//! left unclaimed, and the workspace allocates only when every buffer it
+//! owns is in use. `Graph::new()` per pass still works and costs what it
+//! always did.
 
 use crate::array::Array;
 use crate::infer;
 use crate::params::{ParamId, ParamStore};
-use std::borrow::Cow;
 
 /// Index of a node within a [`Graph`].
 pub type NodeId = usize;
@@ -44,7 +54,6 @@ enum Op {
         x: NodeId,
         gain: NodeId,
         bias: NodeId,
-        eps: f64,
     },
     /// Log-probability of a scalar action under a Gaussian mixture.
     /// means/log_stds/logits are `[n,K]`; action is a leaf `[n,1]`; out `[n,1]`.
@@ -54,16 +63,21 @@ enum Op {
         logits: NodeId,
         action: NodeId,
     },
-    /// Per-row cross-entropy of softmax(logits) against target probs `[n,A] -> [n,1]`.
+    /// Per-row cross-entropy of softmax(logits) against target probs
+    /// `[n,A] -> [n,1]`; `probs` is the leaf holding `softmax(logits)`.
     SoftmaxCE {
         logits: NodeId,
         target: NodeId,
+        probs: NodeId,
     },
 }
 
 struct Node {
     val: Array,
     op: Op,
+    /// Whether the value depends on a parameter. Backward computes no
+    /// gradient for a node that does not (an input, an op over inputs).
+    wants_grad: bool,
 }
 
 /// One op's share of a parameter's gradient, left unreduced: row `r` of the
@@ -78,30 +92,133 @@ struct ParamRef {
     g: Array,
 }
 
+/// What backward keeps between calls (module docs, **Memory**).
+#[derive(Default)]
+struct Workspace {
+    /// Gradient buffers not in use, the most recently returned on top.
+    free: Vec<Vec<f64>>,
+    /// Per node, the gradient accumulated so far by the running sweep.
+    grads: Vec<Option<Array>>,
+    /// Per node, its transpose as the right operand of a `matmul` and
+    /// whether the running sweep has made it yet (the buffer outlives the
+    /// sweep).
+    transposed: Vec<(bool, Array)>,
+    refs: Vec<ParamRef>,
+    /// The stacked operands of [`Graph::reduce`].
+    stacked: (Array, Array),
+}
+
+impl Workspace {
+    /// An empty buffer.
+    fn take(&mut self) -> Vec<f64> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    fn give(&mut self, a: Array) {
+        self.free.push(a.data);
+    }
+
+    /// Add `g` to the gradient of `node`, or drop it if `node` wants none.
+    fn accumulate(&mut self, nodes: &[Node], node: NodeId, g: Array) {
+        if !nodes[node].wants_grad {
+            return self.give(g);
+        }
+        match &mut self.grads[node] {
+            Some(existing) => {
+                existing.add_assign(&g);
+                self.give(g);
+            }
+            slot @ None => *slot = Some(g),
+        }
+    }
+
+    fn copy_of(&mut self, a: &Array) -> Array {
+        a.copy_into(self.take())
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> Array {
+        let mut buf = self.take();
+        buf.resize(rows * cols, 0.0);
+        Array::from_vec(rows, cols, buf)
+    }
+
+    /// Take back the gradients of reduced `refs` and their emptied list.
+    fn recycle(&mut self, mut refs: Vec<ParamRef>) {
+        self.free.extend(refs.drain(..).map(|r| r.g.data));
+        self.refs = refs;
+    }
+}
+
 /// A define-by-run computation graph.
+#[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     /// The `Op::Param` node of each parameter used so far, by [`ParamId`].
     param_nodes: Vec<Option<NodeId>>,
-}
-
-impl Default for Graph {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// By position on the tape, the value buffers of the tape last cleared.
+    spare: Vec<Vec<f64>>,
+    workspace: Workspace,
 }
 
 impl Graph {
     pub fn new() -> Self {
-        Graph {
-            nodes: Vec::new(),
-            param_nodes: Vec::new(),
-        }
+        Self::default()
     }
 
-    fn push(&mut self, val: Array, op: Op) -> NodeId {
-        self.nodes.push(Node { val, op });
+    /// Empty the tape for the next pass, keeping its buffers (module docs,
+    /// **Memory**). Every [`NodeId`] handed out so far is void.
+    pub fn clear(&mut self) {
+        self.spare.clear();
+        self.spare
+            .extend(self.nodes.drain(..).map(|node| node.val.data));
+        self.param_nodes.clear();
+    }
+
+    /// The buffer for the value of the node about to be pushed.
+    fn buf(&mut self) -> Vec<f64> {
+        self.buf_ahead(0)
+    }
+
+    /// The (emptied) buffer for the value of the node pushed after `ahead`
+    /// others.
+    fn buf_ahead(&mut self, ahead: usize) -> Vec<f64> {
+        let at = self.nodes.len() + ahead;
+        let mut buf = self
+            .spare
+            .get_mut(at)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    fn push(&mut self, val: Array, op: Op, wants_grad: bool) -> NodeId {
+        self.nodes.push(Node {
+            val,
+            op,
+            wants_grad,
+        });
         self.nodes.len() - 1
+    }
+
+    /// Push `f` of the value of `a`, elementwise.
+    fn push_map(&mut self, a: NodeId, op: Op, f: impl Fn(f64) -> f64) -> NodeId {
+        let buf = self.buf();
+        let v = self.nodes[a].val.map_into(buf, f);
+        self.push(v, op, self.nodes[a].wants_grad)
+    }
+
+    /// Push `f` of the values of `a` and `b`, elementwise.
+    fn push_zip(&mut self, a: NodeId, b: NodeId, op: Op, f: impl Fn(f64, f64) -> f64) -> NodeId {
+        let buf = self.buf();
+        let v = self.nodes[a].val.zip_into(buf, &self.nodes[b].val, f);
+        self.push(v, op, self.wants_grad(&[a, b]))
+    }
+
+    fn wants_grad(&self, operands: &[NodeId]) -> bool {
+        operands.iter().any(|&n| self.nodes[n].wants_grad)
     }
 
     /// Value of a node.
@@ -111,7 +228,20 @@ impl Graph {
 
     /// Non-differentiable input.
     pub fn input(&mut self, a: Array) -> NodeId {
-        self.push(a, Op::Leaf)
+        self.push(a, Op::Leaf, false)
+    }
+
+    /// [`Graph::input`] of a `rows x cols` value that `fill` writes, row
+    /// after row, into the tape's own (emptied) buffer.
+    pub fn input_with(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut Vec<f64>),
+    ) -> NodeId {
+        let mut buf = self.buf();
+        fill(&mut buf);
+        self.push(Array::from_vec(rows, cols, buf), Op::Leaf, false)
     }
 
     /// Differentiable parameter. A graph holds one node per parameter, its
@@ -129,129 +259,110 @@ impl Graph {
         if let Some(node) = self.param_nodes[id] {
             return node;
         }
-        let node = self.push(store.get(id).clone(), Op::Param(id));
+        let buf = self.buf();
+        let node = self.push(store.get(id).copy_into(buf), Op::Param(id), true);
         self.param_nodes[id] = Some(node);
         node
     }
 
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = infer::matmul(&self.nodes[a].val, &self.nodes[b].val);
-        self.push(v, Op::MatMul(a, b))
+        let buf = self.buf();
+        let v = infer::matmul_into(buf, &self.nodes[a].val, &self.nodes[b].val);
+        self.push(v, Op::MatMul(a, b), self.wants_grad(&[a, b]))
     }
 
     /// Broadcast-add a `[1,d]` bias row to every row of x.
     pub fn add_row(&mut self, x: NodeId, bias: NodeId) -> NodeId {
-        let xv = &self.nodes[x].val;
-        let bv = &self.nodes[bias].val;
-        assert_eq!(bv.rows, 1);
-        assert_eq!(xv.cols, bv.cols);
-        let mut out = xv.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                *out.at_mut(r, c) += bv.at(0, c);
-            }
-        }
-        self.push(out, Op::AddRow(x, bias))
+        let buf = self.buf();
+        let v = infer::add_row(self.nodes[x].val.copy_into(buf), &self.nodes[bias].val);
+        self.push(v, Op::AddRow(x, bias), self.wants_grad(&[x, bias]))
     }
 
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].val.zip(&self.nodes[b].val, |x, y| x + y);
-        self.push(v, Op::Add(a, b))
+        self.push_zip(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].val.zip(&self.nodes[b].val, |x, y| x - y);
-        self.push(v, Op::Sub(a, b))
+        self.push_zip(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].val.zip(&self.nodes[b].val, |x, y| x * y);
-        self.push(v, Op::Mul(a, b))
+        self.push_zip(a, b, Op::Mul(a, b), |x, y| x * y)
     }
 
     pub fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
-        let v = self.nodes[a].val.map(|x| x * k);
-        self.push(v, Op::Scale(a, k))
+        self.push_map(a, Op::Scale(a, k), |x| x * k)
     }
 
     pub fn add_const(&mut self, a: NodeId, k: f64) -> NodeId {
-        let v = self.nodes[a].val.map(|x| x + k);
-        self.push(v, Op::AddConst(a))
+        self.push_map(a, Op::AddConst(a), |x| x + k)
     }
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].val.map(f64::tanh);
-        self.push(v, Op::Tanh(a))
+        self.push_map(a, Op::Tanh(a), f64::tanh)
     }
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].val.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(v, Op::Sigmoid(a))
+        self.push_map(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn lrelu(&mut self, a: NodeId, slope: f64) -> NodeId {
-        let v = self.nodes[a]
-            .val
-            .map(|x| if x >= 0.0 { x } else { slope * x });
-        self.push(v, Op::LRelu(a, slope))
+        let f = |x| if x >= 0.0 { x } else { slope * x };
+        self.push_map(a, Op::LRelu(a, slope), f)
     }
 
     pub fn exp(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].val.map(f64::exp);
-        self.push(v, Op::Exp(a))
+        self.push_map(a, Op::Exp(a), f64::exp)
     }
 
     /// Natural log with a numeric floor.
     pub fn ln(&mut self, a: NodeId, floor: f64) -> NodeId {
-        let v = self.nodes[a].val.map(|x| x.max(floor).ln());
-        self.push(v, Op::Ln(a, floor))
+        self.push_map(a, Op::Ln(a, floor), |x| x.max(floor).ln())
     }
 
     /// Mean over all elements, yielding a 1x1 scalar.
     pub fn mean(&mut self, a: NodeId) -> NodeId {
         let av = &self.nodes[a].val;
         let m = av.data.iter().sum::<f64>() / av.data.len() as f64;
-        self.push(Array::scalar(m), Op::Mean(a))
+        self.push(Array::scalar(m), Op::Mean(a), self.nodes[a].wants_grad)
     }
 
     pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let out = infer::concat_cols(&self.nodes[a].val, &self.nodes[b].val);
-        self.push(out, Op::ConcatCols(a, b))
+        let mut buf = self.buf();
+        let (av, bv) = (&self.nodes[a].val, &self.nodes[b].val);
+        assert_eq!(av.rows, bv.rows);
+        for (ra, rb) in av.row_slices().zip(bv.row_slices()) {
+            buf.extend_from_slice(ra);
+            buf.extend_from_slice(rb);
+        }
+        let v = Array::from_vec(av.rows, av.cols + bv.cols, buf);
+        self.push(v, Op::ConcatCols(a, b), self.wants_grad(&[a, b]))
     }
 
     /// Columns `[from, to)` of a node.
     pub fn slice_cols(&mut self, a: NodeId, from: usize, to: usize) -> NodeId {
+        let mut buf = self.buf();
         let av = &self.nodes[a].val;
         assert!(from < to && to <= av.cols);
-        let mut out = Array::zeros(av.rows, to - from);
-        for r in 0..av.rows {
-            for c in from..to {
-                *out.at_mut(r, c - from) = av.at(r, c);
-            }
+        for row in av.row_slices() {
+            buf.extend_from_slice(&row[from..to]);
         }
-        self.push(out, Op::SliceCols(a, from, to))
+        let v = Array::from_vec(av.rows, to - from, buf);
+        self.push(v, Op::SliceCols(a, from, to), self.nodes[a].wants_grad)
     }
 
     /// Row-wise layer normalisation with learned gain and bias (`[1,d]`).
     pub fn layer_norm(&mut self, x: NodeId, gain: NodeId, bias: NodeId) -> NodeId {
-        let eps = 1e-5;
-        let xv = &self.nodes[x].val;
-        let g = &self.nodes[gain].val;
-        let b = &self.nodes[bias].val;
-        let d = xv.cols;
-        let mut out = Array::zeros(xv.rows, d);
-        for r in 0..xv.rows {
-            let row = &xv.data[r * d..(r + 1) * d];
-            let mu = row.iter().sum::<f64>() / d as f64;
-            let var = row.iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / d as f64;
-            let sd = (var + eps).sqrt();
-            for (c, &x) in row.iter().enumerate() {
-                let xhat = (x - mu) / sd;
-                *out.at_mut(r, c) = g.at(0, c) * xhat + b.at(0, c);
-            }
-        }
-        self.push(out, Op::LayerNorm { x, gain, bias, eps })
+        let buf = self.buf();
+        let v = infer::layer_norm_into(
+            buf,
+            &self.nodes[x].val,
+            &self.nodes[gain].val,
+            &self.nodes[bias].val,
+        );
+        let wants_grad = self.wants_grad(&[x, gain, bias]);
+        self.push(v, Op::LayerNorm { x, gain, bias }, wants_grad)
     }
 
     /// Log-probability of scalar actions under a Gaussian mixture whose
@@ -264,6 +375,7 @@ impl Graph {
         logits: NodeId,
         action: NodeId,
     ) -> NodeId {
+        let mut buf = self.buf();
         let (mv, sv, wv, av) = (
             &self.nodes[means].val,
             &self.nodes[log_stds].val,
@@ -274,50 +386,73 @@ impl Graph {
         assert_eq!(sv.shape(), (n, k));
         assert_eq!(wv.shape(), (n, k));
         assert_eq!(av.shape(), (n, 1));
-        let mut out = Array::zeros(n, 1);
-        for r in 0..n {
-            out.data[r] = gmm_row_logp(
-                &mv.data[r * k..(r + 1) * k],
-                &sv.data[r * k..(r + 1) * k],
-                &wv.data[r * k..(r + 1) * k],
-                av.data[r],
-            )
-            .0;
+        let (mut resp, mut weights) = (vec![0.0; k], vec![0.0; k]);
+        for (((m, s), w), &a) in mv
+            .row_slices()
+            .zip(sv.row_slices())
+            .zip(wv.row_slices())
+            .zip(&av.data)
+        {
+            buf.push(gmm_row_logp(m, s, w, a, &mut resp, &mut weights));
         }
-        self.push(
-            out,
-            Op::GmmLogProb {
-                means,
-                log_stds,
-                logits,
-                action,
-            },
-        )
+        let op = Op::GmmLogProb {
+            means,
+            log_stds,
+            logits,
+            action,
+        };
+        let wants_grad = self.wants_grad(&[means, log_stds, logits]);
+        self.push(Array::from_vec(n, 1, buf), op, wants_grad)
     }
 
     /// Cross-entropy per row of softmax(logits) against target probabilities.
     pub fn softmax_cross_entropy(&mut self, logits: NodeId, target: NodeId) -> NodeId {
+        let (probs_buf, mut ce) = (self.buf(), self.buf_ahead(1));
         let (lv, tv) = (&self.nodes[logits].val, &self.nodes[target].val);
         assert_eq!(lv.shape(), tv.shape());
-        let (n, a) = lv.shape();
-        let mut out = Array::zeros(n, 1);
-        for r in 0..n {
-            let row = &lv.data[r * a..(r + 1) * a];
-            let lse = log_sum_exp(row);
-            let mut ce = 0.0;
-            for (c, &l) in row.iter().enumerate() {
+        // One `log_sum_exp` per row serves the loss, `softmax(logits)` and,
+        // through the leaf that holds it, backward and `Graph::softmax_of`.
+        let mut probs = lv.copy_into(probs_buf);
+        let rows = probs.data.chunks_exact_mut(lv.cols.max(1));
+        for ((row, logits), targets) in rows.zip(lv.row_slices()).zip(tv.row_slices()) {
+            let lse = softmax_in_place(row);
+            let mut ce_row = 0.0;
+            for (&l, &t) in logits.iter().zip(targets) {
                 let logp = l - lse;
-                ce -= tv.at(r, c) * logp;
+                ce_row -= t * logp;
             }
-            out.data[r] = ce;
+            ce.push(ce_row);
         }
-        self.push(out, Op::SoftmaxCE { logits, target })
+        let ce = Array::from_vec(lv.rows, 1, ce);
+        let wants_grad = self.nodes[logits].wants_grad;
+        let probs = self.push(probs, Op::Leaf, false);
+        let op = Op::SoftmaxCE {
+            logits,
+            target,
+            probs,
+        };
+        self.push(ce, op, wants_grad)
+    }
+
+    /// `softmax(logits)`, row by row, of the `logits` of a
+    /// [`Graph::softmax_cross_entropy`] node: element `(r, c)` is
+    /// `exp(logits[r][c] - log_sum_exp(logits[r]))`, computed once by the
+    /// forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ce` is not a `softmax_cross_entropy` node.
+    pub fn softmax_of(&self, ce: NodeId) -> &Array {
+        match self.nodes[ce].op {
+            Op::SoftmaxCE { probs, .. } => &self.nodes[probs].val,
+            _ => unreachable!("softmax_of takes a softmax_cross_entropy node"),
+        }
     }
 
     /// Run backpropagation from `loss` (must be 1x1) and accumulate parameter
     /// gradients into `store`: [`Graph::backward_rows`] with the whole graph
     /// as one sample.
-    pub fn backward(&self, loss: NodeId, store: &mut ParamStore) {
+    pub fn backward(&mut self, loss: NodeId, store: &mut ParamStore) {
         assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
         self.backward_rows(loss, 1.0, 1, store);
     }
@@ -338,17 +473,23 @@ impl Graph {
     /// [`Graph::param_grads`] pairs are added in sample order, and what the
     /// fixed-seed training goldens pin. The fold is then added to the store
     /// once; on zeroed gradients that leaves it unchanged.
-    pub fn backward_rows(&self, out: NodeId, seed: f64, samples: usize, store: &mut ParamStore) {
-        let refs = self.param_refs(out, seed);
-        let mut by_param: Vec<Vec<&ParamRef>> = vec![Vec::new(); store.params.len()];
-        for r in &refs {
-            by_param[r.id].push(r);
+    pub fn backward_rows(
+        &mut self,
+        out: NodeId,
+        seed: f64,
+        samples: usize,
+        store: &mut ParamStore,
+    ) {
+        let mut ws = std::mem::take(&mut self.workspace);
+        let mut refs = self.param_refs(out, seed, &mut ws);
+        refs.sort_by_key(|r| (r.id, r.op));
+        for of_param in refs.chunk_by(|a, b| a.id == b.id) {
+            let grad = self.reduce(of_param, samples, &mut ws);
+            store.params[of_param[0].id].grad.add_assign(&grad);
+            ws.give(grad);
         }
-        for (p, refs) in store.params.iter_mut().zip(&by_param) {
-            if !refs.is_empty() {
-                p.grad.add_assign(&self.reduce(refs, samples));
-            }
-        }
+        ws.recycle(refs);
+        self.workspace = ws;
     }
 
     /// Parameter gradients of `loss` (must be 1x1) as `(id, grad)` pairs in
@@ -359,83 +500,120 @@ impl Graph {
     /// This is the one-sample-per-graph decomposition that
     /// [`Graph::backward_rows`] promises to match; the trainer's oracle test
     /// holds it to that.
-    pub fn param_grads(&self, loss: NodeId) -> Vec<(ParamId, Array)> {
+    pub fn param_grads(&mut self, loss: NodeId) -> Vec<(ParamId, Array)> {
         assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
-        self.param_refs(loss, 1.0)
-            .iter()
-            .map(|r| (r.id, self.reduce(&[r], 1)))
-            .collect()
+        let mut ws = std::mem::take(&mut self.workspace);
+        let mut refs = self.param_refs(loss, 1.0, &mut ws);
+        refs.sort_by_key(|r| r.op);
+        let pairs = refs
+            .chunks(1)
+            .map(|r| (r[0].id, self.reduce(r, 1, &mut ws)))
+            .collect();
+        ws.recycle(refs);
+        self.workspace = ws;
+        pairs
     }
 
-    /// The fold of [`Graph::backward_rows`] for one parameter. `Xᵀ·G` over
-    /// stacked rows is that fold when the stacking order is the fold order:
-    /// [`infer::matmul_tn`] (it reads `X` by stride; no transposed copy) keeps
-    /// the inner index sequential from `+0.0` with a separate multiply and
-    /// add, and the factor it skips (`x == 0.0`) is a contribution of `±0.0`,
-    /// which moves no sum that started at `+0.0`.
-    fn reduce(&self, refs: &[&ParamRef], samples: usize) -> Array {
-        let xs: Vec<Cow<Array>> = refs
-            .iter()
-            .map(|r| match r.x {
-                Some(x) => Cow::Borrowed(&self.nodes[x].val),
-                None => Cow::Owned(Array::from_vec(r.g.rows, 1, vec![1.0; r.g.rows])),
-            })
-            .collect();
-        let (din, dout) = (xs[0].cols, refs[0].g.cols);
+    /// The fold of [`Graph::backward_rows`] for one parameter, `refs` in op
+    /// order. `Xᵀ·G` over stacked rows is that fold when the stacking order
+    /// is the fold order: [`infer::matmul_tn`] (it reads `X` by stride; no
+    /// transposed copy) keeps the inner index sequential from `+0.0` with a
+    /// separate multiply and add, and the factor it skips (`x == 0.0`) is a
+    /// contribution of `±0.0`, which moves no sum that started at `+0.0`.
+    /// A broadcast parameter's `X` is a column of ones, and `1.0 · g` is `g`:
+    /// its fold adds the rows of `G` themselves.
+    fn reduce(&self, refs: &[ParamRef], samples: usize, ws: &mut Workspace) -> Array {
+        let dout = refs[0].g.cols;
+        // One row per sample and op: each partial sum is its one
+        // contribution, so the two-level fold is flat.
+        let flat = refs.iter().all(|r| r.g.rows == samples);
         // Sample `b`'s rows of an op's `x` or `g`.
         fn rows_of(a: &Array, b: usize, samples: usize) -> &[f64] {
             assert_eq!(a.rows % samples, 0, "rows must split evenly by sample");
             let n = a.rows / samples * a.cols;
             &a.data[b * n..(b + 1) * n]
         }
-        let xtg = |x: Vec<f64>, g: Vec<f64>| {
-            let n = g.len() / dout;
-            infer::matmul_tn(&Array::from_vec(n, din, x), &Array::from_vec(n, dout, g))
-        };
-        // One row per sample and op: each partial sum is its one contribution,
-        // so the two-level fold is flat and one product over the rows stacked
-        // in (sample, op) order makes it.
-        if refs.iter().all(|r| r.g.rows == samples) {
-            let (mut x_rows, mut g_rows) = (Vec::new(), Vec::new());
-            for b in 0..samples {
-                for (x, r) in xs.iter().zip(refs) {
-                    x_rows.extend_from_slice(rows_of(x, b, samples));
-                    g_rows.extend_from_slice(rows_of(&r.g, b, samples));
+        let by_sample = (0..samples).flat_map(|b| refs.iter().map(move |r| (r, b)));
+        let Some(din) = refs[0].x.map(|x| self.nodes[x].val.cols) else {
+            let add_rows = |sum: &mut Array, rows: &[f64]| {
+                for row in rows.chunks_exact(dout.max(1)) {
+                    sum.data.iter_mut().zip(row).for_each(|(s, &g)| *s += g);
+                }
+            };
+            let (mut acc, mut partial) = (ws.zeros(1, dout), ws.zeros(1, dout));
+            for (r, b) in by_sample {
+                let rows = rows_of(&r.g, b, samples);
+                if flat {
+                    add_rows(&mut acc, rows);
+                } else {
+                    partial.data.fill(0.0);
+                    add_rows(&mut partial, rows);
+                    acc.add_assign(&partial);
                 }
             }
-            return xtg(x_rows, g_rows);
-        }
-        let mut acc = Array::zeros(din, dout);
-        for b in 0..samples {
-            for (x, r) in xs.iter().zip(refs) {
-                let (x, g) = (rows_of(x, b, samples), rows_of(&r.g, b, samples));
-                acc.add_assign(&xtg(x.to_vec(), g.to_vec()));
+            ws.give(partial);
+            return acc;
+        };
+        let (mut xs, mut gs) = std::mem::take(&mut ws.stacked);
+        (xs.cols, gs.cols) = (din, dout);
+        // Append sample `b`'s rows of an op to the stack, or start it over.
+        let stack = |xs: &mut Array, gs: &mut Array, (r, b): (&ParamRef, usize), over: bool| {
+            if over {
+                xs.data.clear();
+                gs.data.clear();
             }
-        }
-        acc
+            if let Some(x) = r.x {
+                let x = rows_of(&self.nodes[x].val, b, samples);
+                xs.data.extend_from_slice(x);
+            }
+            gs.data.extend_from_slice(rows_of(&r.g, b, samples));
+            gs.rows = gs.data.len() / dout.max(1);
+            xs.rows = gs.rows;
+        };
+        let grad = if flat {
+            // One product over the rows stacked in (sample, op) order.
+            for (i, at) in by_sample.enumerate() {
+                stack(&mut xs, &mut gs, at, i == 0);
+            }
+            infer::matmul_tn_into(ws.take(), &xs, &gs)
+        } else {
+            let mut acc = ws.zeros(din, dout);
+            let mut partial = ws.take();
+            for at in by_sample {
+                stack(&mut xs, &mut gs, at, true);
+                let sum = infer::matmul_tn_into(partial, &xs, &gs);
+                acc.add_assign(&sum);
+                partial = sum.data;
+            }
+            ws.free.push(partial);
+            acc
+        };
+        ws.stacked = (xs, gs);
+        grad
     }
 
     /// Backpropagate from `out` (every element seeded with `seed`) and return
-    /// the unreduced parameter contributions, ordered by consuming op.
-    fn param_refs(&self, out: NodeId, seed: f64) -> Vec<ParamRef> {
-        let mut grads: Vec<Option<Array>> = vec![None; self.nodes.len()];
-        grads[out] = Some(self.nodes[out].val.map(|_| seed));
-        // A weight shared across an unroll is transposed once, not per use:
-        // per node, how many `matmul`s have it as right operand and, from the
-        // first of them the sweep meets to the last, its transpose.
-        let mut transposed: Vec<(usize, Option<Array>)> = vec![(0, None); self.nodes.len()];
-        for node in &self.nodes[..=out] {
-            if let Op::MatMul(_, b) = node.op {
-                transposed[b].0 += 1;
+    /// the unreduced parameter contributions, in the order the sweep met them.
+    fn param_refs(&self, out: NodeId, seed: f64, ws: &mut Workspace) -> Vec<ParamRef> {
+        ws.grads.clear();
+        ws.grads.resize_with(self.nodes.len(), || None);
+        let seeded = self.nodes[out].val.map_into(ws.take(), |_| seed);
+        ws.grads[out] = Some(seeded);
+        // A weight shared across an unroll is transposed once per sweep, not
+        // per use; a transpose the last sweep did not use gives up its buffer.
+        ws.transposed
+            .resize_with(self.nodes.len(), Default::default);
+        for (fresh, transpose) in &mut ws.transposed {
+            if !std::mem::take(fresh) {
+                *transpose = Array::default();
             }
         }
-        let mut refs = Vec::new();
+        let mut refs = std::mem::take(&mut ws.refs);
         for i in (0..=out).rev() {
-            if let Some(g) = grads[i].take() {
-                self.backprop_node(i, g, &mut grads, &mut transposed, &mut refs);
+            if let Some(g) = ws.grads[i].take() {
+                self.backprop_node(i, g, ws, &mut refs);
             }
         }
-        refs.sort_by_key(|r| r.op);
         refs
     }
 
@@ -443,13 +621,6 @@ impl Graph {
         match self.nodes[node].op {
             Op::Param(id) => Some(id),
             _ => None,
-        }
-    }
-
-    fn accumulate(grads: &mut [Option<Array>], id: NodeId, g: Array) {
-        match &mut grads[id] {
-            Some(existing) => existing.add_assign(&g),
-            slot @ None => *slot = Some(g),
         }
     }
 
@@ -461,7 +632,7 @@ impl Graph {
         op: NodeId,
         node: NodeId,
         g: Array,
-        grads: &mut [Option<Array>],
+        ws: &mut Workspace,
         refs: &mut Vec<ParamRef>,
     ) {
         if let Some(id) = self.as_param(node) {
@@ -469,158 +640,154 @@ impl Graph {
             refs.push(ParamRef { op, id, x, g });
             return;
         }
-        let mut sum = Array::zeros(1, g.cols);
-        for r in 0..g.rows {
-            for c in 0..g.cols {
-                sum.data[c] += g.at(r, c);
+        let mut sum = ws.zeros(1, g.cols);
+        for row in g.row_slices() {
+            for (s, &v) in sum.data.iter_mut().zip(row) {
+                *s += v;
             }
         }
-        Self::accumulate(grads, node, sum);
+        ws.give(g);
+        ws.accumulate(&self.nodes, node, sum);
     }
 
-    fn backprop_node(
-        &self,
-        i: NodeId,
-        g: Array,
-        grads: &mut [Option<Array>],
-        transposed: &mut [(usize, Option<Array>)],
-        refs: &mut Vec<ParamRef>,
-    ) {
-        match &self.nodes[i].op {
-            Op::Leaf => {}
+    /// Push `g`, the gradient of node `i`, on to the operands of its op. `g`
+    /// is consumed: updated in place where an operand's gradient has its
+    /// shape, handed back to the workspace otherwise.
+    fn backprop_node(&self, i: NodeId, mut g: Array, ws: &mut Workspace, refs: &mut Vec<ParamRef>) {
+        let nodes = &self.nodes;
+        let val = |n: &NodeId| &nodes[*n].val;
+        let wants = |n: &NodeId| nodes[*n].wants_grad;
+        match &nodes[i].op {
+            Op::Leaf => ws.give(g),
             Op::Param(_) => unreachable!(
                 "a parameter's gradient is a row reduction: only matmul (right operand), \
                  add_row (bias) and layer_norm (gain, bias) may consume a Param node"
             ),
             Op::MatMul(a, b) => {
-                let (uses, bt) = &mut transposed[*b];
-                let da = infer::matmul(&g, bt.get_or_insert_with(|| self.nodes[*b].val.t()));
-                Self::accumulate(grads, *a, da);
-                *uses -= 1;
-                if *uses == 0 {
-                    *bt = None;
+                if wants(a) {
+                    let buf = ws.take();
+                    let (fresh, bt) = &mut ws.transposed[*b];
+                    if !*fresh {
+                        *bt = val(b).t_into(std::mem::take(&mut bt.data));
+                        *fresh = true;
+                    }
+                    let da = infer::matmul_into(buf, &g, bt);
+                    ws.accumulate(nodes, *a, da);
                 }
                 if let Some(id) = self.as_param(*b) {
                     let (op, x) = (i, Some(*a));
                     refs.push(ParamRef { op, id, x, g });
                 } else {
-                    let db = infer::matmul_tn(&self.nodes[*a].val, &g);
-                    Self::accumulate(grads, *b, db);
+                    if wants(b) {
+                        let db = infer::matmul_tn_into(ws.take(), val(a), &g);
+                        ws.accumulate(nodes, *b, db);
+                    }
+                    ws.give(g);
                 }
             }
             Op::AddRow(x, bias) => {
-                self.broadcast_grad(i, *bias, g.clone(), grads, refs);
-                Self::accumulate(grads, *x, g);
+                let copy = ws.copy_of(&g);
+                self.broadcast_grad(i, *bias, copy, ws, refs);
+                ws.accumulate(nodes, *x, g);
             }
             Op::Add(a, b) => {
-                Self::accumulate(grads, *a, g.clone());
-                Self::accumulate(grads, *b, g);
+                let copy = ws.copy_of(&g);
+                ws.accumulate(nodes, *a, copy);
+                ws.accumulate(nodes, *b, g);
             }
             Op::Sub(a, b) => {
-                let neg = g.map(|x| -x);
-                Self::accumulate(grads, *a, g);
-                Self::accumulate(grads, *b, neg);
+                let neg = g.map_into(ws.take(), |x| -x);
+                ws.accumulate(nodes, *a, g);
+                ws.accumulate(nodes, *b, neg);
             }
             Op::Mul(a, b) => {
-                let da = g.zip(&self.nodes[*b].val, |gg, bb| gg * bb);
-                let db = g.zip(&self.nodes[*a].val, |gg, aa| gg * aa);
-                Self::accumulate(grads, *a, da);
-                Self::accumulate(grads, *b, db);
+                if wants(a) {
+                    let da = g.zip_into(ws.take(), val(b), |gg, bb| gg * bb);
+                    ws.accumulate(nodes, *a, da);
+                }
+                g.zip_assign(val(a), |gg, aa| gg * aa);
+                ws.accumulate(nodes, *b, g);
             }
-            Op::Scale(a, k) => Self::accumulate(grads, *a, g.map(|x| x * k)),
-            Op::AddConst(a) => Self::accumulate(grads, *a, g),
+            Op::Scale(a, k) => {
+                g.map_assign(|x| x * k);
+                ws.accumulate(nodes, *a, g);
+            }
+            Op::AddConst(a) => ws.accumulate(nodes, *a, g),
             Op::Tanh(a) => {
-                let y = &self.nodes[i].val;
-                Self::accumulate(grads, *a, g.zip(y, |gg, yy| gg * (1.0 - yy * yy)));
+                g.zip_assign(val(&i), |gg, yy| gg * (1.0 - yy * yy));
+                ws.accumulate(nodes, *a, g);
             }
             Op::Sigmoid(a) => {
-                let y = &self.nodes[i].val;
-                Self::accumulate(grads, *a, g.zip(y, |gg, yy| gg * yy * (1.0 - yy)));
+                g.zip_assign(val(&i), |gg, yy| gg * yy * (1.0 - yy));
+                ws.accumulate(nodes, *a, g);
             }
             Op::LRelu(a, slope) => {
-                let x = &self.nodes[*a].val;
-                Self::accumulate(
-                    grads,
-                    *a,
-                    g.zip(x, |gg, xx| if xx >= 0.0 { gg } else { gg * slope }),
-                );
+                g.zip_assign(val(a), |gg, xx| if xx >= 0.0 { gg } else { gg * slope });
+                ws.accumulate(nodes, *a, g);
             }
             Op::Exp(a) => {
-                let y = &self.nodes[i].val;
-                Self::accumulate(grads, *a, g.zip(y, |gg, yy| gg * yy));
+                g.zip_assign(val(&i), |gg, yy| gg * yy);
+                ws.accumulate(nodes, *a, g);
             }
             Op::Ln(a, floor) => {
-                let x = &self.nodes[*a].val;
-                Self::accumulate(
-                    grads,
-                    *a,
-                    g.zip(x, |gg, xx| if xx > *floor { gg / xx } else { 0.0 }),
-                );
+                g.zip_assign(val(a), |gg, xx| if xx > *floor { gg / xx } else { 0.0 });
+                ws.accumulate(nodes, *a, g);
             }
             Op::Mean(a) => {
-                let n = self.nodes[*a].val.data.len() as f64;
-                let scale = g.data[0] / n;
-                let da = self.nodes[*a].val.map(|_| scale);
-                Self::accumulate(grads, *a, da);
+                let scale = g.data[0] / val(a).data.len() as f64;
+                let da = val(a).map_into(ws.take(), |_| scale);
+                ws.give(g);
+                ws.accumulate(nodes, *a, da);
             }
             Op::ConcatCols(a, b) => {
-                let ac = self.nodes[*a].val.cols;
-                let bc = self.nodes[*b].val.cols;
-                let mut da = Array::zeros(g.rows, ac);
-                let mut db = Array::zeros(g.rows, bc);
-                for r in 0..g.rows {
-                    for c in 0..ac {
-                        *da.at_mut(r, c) = g.at(r, c);
+                let mut from = 0;
+                for operand in [a, b] {
+                    let cols = val(operand).cols;
+                    if wants(operand) {
+                        let mut d = ws.take();
+                        for row in g.row_slices() {
+                            d.extend_from_slice(&row[from..from + cols]);
+                        }
+                        ws.accumulate(nodes, *operand, Array::from_vec(g.rows, cols, d));
                     }
-                    for c in 0..bc {
-                        *db.at_mut(r, c) = g.at(r, ac + c);
-                    }
+                    from += cols;
                 }
-                Self::accumulate(grads, *a, da);
-                Self::accumulate(grads, *b, db);
+                ws.give(g);
             }
-            Op::SliceCols(a, from, _to) => {
-                let av = &self.nodes[*a].val;
-                let mut da = Array::zeros(av.rows, av.cols);
-                for r in 0..g.rows {
-                    for c in 0..g.cols {
-                        *da.at_mut(r, from + c) = g.at(r, c);
-                    }
+            Op::SliceCols(a, from, to) => {
+                let mut da = ws.zeros(val(a).rows, val(a).cols);
+                let wide = da.data.chunks_exact_mut(val(a).cols.max(1));
+                for (row, grow) in wide.zip(g.row_slices()) {
+                    row[*from..*to].copy_from_slice(grow);
                 }
-                Self::accumulate(grads, *a, da);
+                ws.give(g);
+                ws.accumulate(nodes, *a, da);
             }
-            Op::LayerNorm { x, gain, bias, eps } => {
-                let xv = &self.nodes[*x].val;
-                let gv = &self.nodes[*gain].val;
+            Op::LayerNorm { x, gain, bias } => {
+                let (xv, gv) = (val(x), &val(gain).data);
                 let d = xv.cols;
-                let mut dx = Array::zeros(xv.rows, d);
-                // Per-row gain contributions, dy * xhat.
-                let mut dgain = Array::zeros(xv.rows, d);
-                for r in 0..xv.rows {
-                    let row = &xv.data[r * d..(r + 1) * d];
-                    let mu = row.iter().sum::<f64>() / d as f64;
-                    let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / d as f64;
-                    let sd = (var + eps).sqrt();
-                    let xhat: Vec<f64> = row.iter().map(|&v| (v - mu) / sd).collect();
-                    let dy = &g.data[r * d..(r + 1) * d];
-                    let mut m1 = 0.0; // mean(dy*gain)
-                    let mut m2 = 0.0; // mean(dy*gain*xhat)
-                    for c in 0..d {
-                        let dyg = dy[c] * gv.at(0, c);
-                        m1 += dyg;
-                        m2 += dyg * xhat[c];
-                        *dgain.at_mut(r, c) = dy[c] * xhat[c];
-                    }
-                    m1 /= d as f64;
-                    m2 /= d as f64;
-                    for c in 0..d {
-                        let dyg = dy[c] * gv.at(0, c);
-                        *dx.at_mut(r, c) = (dyg - m1 - xhat[c] * m2) / sd;
-                    }
+                let (mut dx, mut dgain) = (ws.take(), ws.take());
+                let (mut xhat, mut dyg) = (ws.take(), ws.take());
+                for (row, dy) in xv.row_slices().zip(g.row_slices()) {
+                    // Whole-row passes (they vectorise); the two means stay
+                    // left folds from `0.0` in column order.
+                    let (mu, sd) = infer::row_moments(row);
+                    xhat.clear();
+                    xhat.extend(row.iter().map(|&v| (v - mu) / sd));
+                    dyg.clear();
+                    dyg.extend(dy.iter().zip(gv).map(|(&dy, &gain)| dy * gain));
+                    let terms = dyg.iter().zip(&xhat);
+                    let m1 = dyg.iter().fold(0.0, |m, &v| m + v) / d as f64;
+                    let m2 = terms.clone().fold(0.0, |m, (&v, &xh)| m + v * xh) / d as f64;
+                    // Per-row gain contributions, dy * xhat.
+                    dgain.extend(dy.iter().zip(&xhat).map(|(&dy, &xh)| dy * xh));
+                    dx.extend(terms.map(|(&v, &xh)| (v - m1 - xh * m2) / sd));
                 }
-                Self::accumulate(grads, *x, dx);
-                self.broadcast_grad(i, *gain, dgain, grads, refs);
-                self.broadcast_grad(i, *bias, g, grads, refs);
+                ws.free.extend([xhat, dyg]);
+                ws.accumulate(nodes, *x, Array::from_vec(xv.rows, d, dx));
+                let dgain = Array::from_vec(xv.rows, d, dgain);
+                self.broadcast_grad(i, *gain, dgain, ws, refs);
+                self.broadcast_grad(i, *bias, g, ws, refs);
             }
             Op::GmmLogProb {
                 means,
@@ -628,52 +795,40 @@ impl Graph {
                 logits,
                 action,
             } => {
-                let mv = &self.nodes[*means].val;
-                let sv = &self.nodes[*log_stds].val;
-                let wv = &self.nodes[*logits].val;
-                let av = &self.nodes[*action].val;
+                let (mv, sv, wv, av) = (val(means), val(log_stds), val(logits), val(action));
                 let (n, k) = mv.shape();
-                let mut dm = Array::zeros(n, k);
-                let mut ds = Array::zeros(n, k);
-                let mut dw = Array::zeros(n, k);
-                for r in 0..n {
-                    let gr = g.data[r];
-                    let (_, resp, weights) = gmm_row_logp(
-                        &mv.data[r * k..(r + 1) * k],
-                        &sv.data[r * k..(r + 1) * k],
-                        &wv.data[r * k..(r + 1) * k],
-                        av.data[r],
-                    );
+                let (mut dm, mut ds, mut dw) = (ws.take(), ws.take(), ws.take());
+                let (mut resp, mut weights) = (vec![0.0; k], vec![0.0; k]);
+                let rows = mv.row_slices().zip(sv.row_slices()).zip(wv.row_slices());
+                for (((m, s), w), (&a, &gr)) in rows.zip(av.data.iter().zip(&g.data)) {
+                    gmm_row_logp(m, s, w, a, &mut resp, &mut weights);
                     for c in 0..k {
-                        let mu = mv.at(r, c);
-                        let sigma = sv.at(r, c).exp();
-                        let z = (av.data[r] - mu) / sigma;
-                        *dm.at_mut(r, c) = gr * resp[c] * z / sigma;
-                        *ds.at_mut(r, c) = gr * resp[c] * (z * z - 1.0);
-                        *dw.at_mut(r, c) = gr * (resp[c] - weights[c]);
+                        let sigma = s[c].exp();
+                        let z = (a - m[c]) / sigma;
+                        dm.push(gr * resp[c] * z / sigma);
+                        ds.push(gr * resp[c] * (z * z - 1.0));
+                        dw.push(gr * (resp[c] - weights[c]));
                     }
                 }
-                Self::accumulate(grads, *means, dm);
-                Self::accumulate(grads, *log_stds, ds);
-                Self::accumulate(grads, *logits, dw);
+                ws.give(g);
+                ws.accumulate(nodes, *means, Array::from_vec(n, k, dm));
+                ws.accumulate(nodes, *log_stds, Array::from_vec(n, k, ds));
+                ws.accumulate(nodes, *logits, Array::from_vec(n, k, dw));
             }
-            Op::SoftmaxCE { logits, target } => {
-                let lv = &self.nodes[*logits].val;
-                let tv = &self.nodes[*target].val;
-                let (n, a) = lv.shape();
-                let mut dl = Array::zeros(n, a);
-                for r in 0..n {
-                    let gr = g.data[r];
-                    let row = &lv.data[r * a..(r + 1) * a];
-                    let lse = log_sum_exp(row);
+            Op::SoftmaxCE {
+                logits,
+                target,
+                probs,
+            } => {
+                let (pv, tv) = (val(probs), val(target));
+                let mut dl = ws.take();
+                for ((ps, ts), &gr) in pv.row_slices().zip(tv.row_slices()).zip(&g.data) {
                     // Sum of target probs (usually 1, but be exact).
-                    let tsum: f64 = (0..a).map(|c| tv.at(r, c)).sum();
-                    for (c, &l) in row.iter().enumerate() {
-                        let p = (l - lse).exp();
-                        *dl.at_mut(r, c) = gr * (tsum * p - tv.at(r, c));
-                    }
+                    let tsum: f64 = ts.iter().sum();
+                    dl.extend(ps.iter().zip(ts).map(|(&p, &t)| gr * (tsum * p - t)));
                 }
-                Self::accumulate(grads, *logits, dl);
+                ws.give(g);
+                ws.accumulate(nodes, *logits, Array::from_vec(pv.rows, pv.cols, dl));
             }
         }
     }
@@ -688,31 +843,49 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
 }
 
+/// Replace `row` with its softmax, `exp(x - lse)` for `lse` the row's
+/// [`log_sum_exp`], and return `lse`.
+pub fn softmax_in_place(row: &mut [f64]) -> f64 {
+    let lse = log_sum_exp(row);
+    row.iter_mut().for_each(|x| *x = (*x - lse).exp());
+    lse
+}
+
+/// Row-wise [`softmax_in_place`] of a copy of `logits`.
+pub fn softmax_rows(logits: &Array) -> Array {
+    let mut probs = logits.clone();
+    for row in probs.data.chunks_exact_mut(logits.cols.max(1)) {
+        softmax_in_place(row);
+    }
+    probs
+}
+
 const LOG_SQRT_2PI: f64 = 0.918_938_533_204_672_8;
 
-/// Log-density of the mixture at `a`, plus component responsibilities and
-/// softmax weights (for gradients).
+/// Log-density of the mixture at `a`; leaves the component responsibilities
+/// in `resp` and the softmax weights in `weights` (for gradients), both of
+/// the mixture's length.
 fn gmm_row_logp(
     means: &[f64],
     log_stds: &[f64],
     logits: &[f64],
     a: f64,
-) -> (f64, Vec<f64>, Vec<f64>) {
-    let k = means.len();
+    resp: &mut [f64],
+    weights: &mut [f64],
+) -> f64 {
     let logw_norm = log_sum_exp(logits);
-    let mut joint = vec![0.0; k];
-    let mut weights = vec![0.0; k];
-    for c in 0..k {
+    // `resp` holds the joint log-densities until `logp` is known.
+    for c in 0..means.len() {
         let logw = logits[c] - logw_norm;
         weights[c] = logw.exp();
         let sigma = log_stds[c].exp();
         let z = (a - means[c]) / sigma;
         let log_pdf = -0.5 * z * z - log_stds[c] - LOG_SQRT_2PI;
-        joint[c] = logw + log_pdf;
+        resp[c] = logw + log_pdf;
     }
-    let logp = log_sum_exp(&joint);
-    let resp: Vec<f64> = joint.iter().map(|&j| (j - logp).exp()).collect();
-    (logp, resp, weights)
+    let logp = log_sum_exp(resp);
+    resp.iter_mut().for_each(|j| *j = (*j - logp).exp());
+    logp
 }
 
 #[cfg(test)]
@@ -1065,6 +1238,87 @@ mod tests {
         );
     }
 
+    /// `Graph::clear` is an allocation policy, not a semantic: a tape built
+    /// on a cleared graph holds the values and yields the gradients of the
+    /// same tape on a new graph, pass after pass, when the passes repeat one
+    /// schedule (every buffer fits) and when shapes and lengths change under
+    /// it (none does).
+    #[test]
+    fn a_cleared_graph_is_a_new_graph_bit_for_bit() {
+        use sage_util::prop::{forall, PropConfig};
+        forall(
+            "cleared graph == new graph",
+            PropConfig::new(30, 0xC1EA),
+            |rng| {
+                let mut kept = Graph::new();
+                let (mut n, mut steps, mut din, mut dh) = (0, 0, 0, 0);
+                for pass in 0..5 {
+                    if pass % 2 == 0 {
+                        n = 1 + rng.below(6);
+                        steps = 1 + rng.below(3);
+                        din = 1 + rng.below(9);
+                        dh = 2 + rng.below(9);
+                    }
+                    let mut store = ParamStore::new();
+                    let w = store.glorot("w", din, dh, rng);
+                    let u = store.glorot("u", dh, dh, rng);
+                    let b = store.glorot("b", 1, dh, rng);
+                    let gain = store.glorot("gain", 1, dh, rng);
+                    let bias = store.glorot("bias", 1, dh, rng);
+                    let xs: Vec<Array> = (0..steps)
+                        .map(|_| {
+                            let data = (0..n * din).map(|_| rng.range(-2.0, 2.0)).collect();
+                            Array::from_vec(n, din, data)
+                        })
+                        .collect();
+                    let target = Array::from_vec(n, dh, vec![1.0 / dh as f64; n * dh]);
+                    let forward = |g: &mut Graph, s: &ParamStore| {
+                        let mut h = g.input_with(n, dh, |h| h.resize(n * dh, 0.0));
+                        for x in &xs {
+                            let x = g.input(x.clone());
+                            let (wn, un, bn) = (g.param(s, w), g.param(s, u), g.param(s, b));
+                            let xw = g.matmul(x, wn);
+                            let hu = g.matmul(h, un);
+                            let z = g.add(xw, hu);
+                            let z = g.add_row(z, bn);
+                            let gate = g.sigmoid(z);
+                            let (gn, cn) = (g.param(s, gain), g.param(s, bias));
+                            let z = g.layer_norm(z, gn, cn);
+                            let z = g.tanh(z);
+                            let wide = g.concat_cols(z, gate);
+                            let z = g.slice_cols(wide, 0, dh);
+                            h = g.mul(gate, z);
+                        }
+                        let t = g.input(target.clone());
+                        g.softmax_cross_entropy(h, t)
+                    };
+                    let bits = |a: &Array| a.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let grads = |s: &ParamStore| -> Vec<Vec<u64>> {
+                        s.params.iter().map(|p| bits(&p.grad)).collect()
+                    };
+
+                    let mut new = Graph::new();
+                    let ce = forward(&mut new, &store);
+                    new.backward_rows(ce, 0.5, 1, &mut store);
+                    let (want_ce, want_grads) = (bits(new.value(ce)), grads(&store));
+                    let want_probs = bits(new.softmax_of(ce));
+
+                    store.zero_grads();
+                    kept.clear();
+                    let ce = forward(&mut kept, &store);
+                    kept.backward_rows(ce, 0.5, 1, &mut store);
+                    if want_ce != bits(kept.value(ce))
+                        || want_probs != bits(kept.softmax_of(ce))
+                        || want_grads != grads(&store)
+                    {
+                        return Err(format!("pass {pass}: {n} rows, {steps} steps, {din}x{dh}"));
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn log_sum_exp_stable() {
         assert!((log_sum_exp(&[1000.0, 1000.0]) - (1000.0 + 2f64.ln())).abs() < 1e-9);
@@ -1077,7 +1331,8 @@ mod tests {
     #[test]
     fn gmm_logp_matches_single_gaussian() {
         // One component: must equal the normal log-density.
-        let (logp, resp, w) = gmm_row_logp(&[0.5], &[0.0], &[0.3], 1.0);
+        let (mut resp, mut w) = ([0.0], [0.0]);
+        let logp = gmm_row_logp(&[0.5], &[0.0], &[0.3], 1.0, &mut resp, &mut w);
         let expected = -0.5 * 0.25 - 0.0 - LOG_SQRT_2PI;
         assert!((logp - expected).abs() < 1e-12);
         assert!((resp[0] - 1.0).abs() < 1e-12);

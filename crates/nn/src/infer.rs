@@ -72,36 +72,63 @@ fn kernel() -> KernelFn {
 /// increasing order from `+0.0`, separate multiply and add, skipping exact
 /// zeros of `a` — the same bits from every kernel.
 pub fn matmul(a: &Array, b: &Array) -> Array {
+    matmul_into(Vec::new(), a, b)
+}
+
+/// [`matmul`] built in `buf` (see [`Array::t_into`]).
+pub fn matmul_into(buf: Vec<f64>, a: &Array, b: &Array) -> Array {
     assert_eq!(a.cols, b.rows, "matmul inner dims");
-    product(a, (a.cols, 1), a.rows, b)
+    product(buf, &a.data, (a.cols, 1), &b.data, (a.rows, b.rows, b.cols))
 }
 
 /// `aᵀ * b` for `a (k x m)`, `b (k x n)`: the bits of `matmul(&a.t(), b)`
 /// with `a` read by stride instead of copied.
 pub fn matmul_tn(a: &Array, b: &Array) -> Array {
-    assert_eq!(a.rows, b.rows, "matmul_tn inner dims");
-    product(a, (1, a.cols), a.cols, b)
+    matmul_tn_into(Vec::new(), a, b)
 }
 
-/// The `m x k` left operand is `a.data` read under `strides`; `k` is `b.rows`.
+/// [`matmul_tn`] built in `buf`.
+pub fn matmul_tn_into(buf: Vec<f64>, a: &Array, b: &Array) -> Array {
+    assert_eq!(a.rows, b.rows, "matmul_tn inner dims");
+    product(buf, &a.data, (1, a.cols), &b.data, (a.cols, b.rows, b.cols))
+}
+
+/// `a (m x k) * b[..k]` for `b (k' x n)`, `k <= k'`: the product with the
+/// first `k` rows of `b` — every output element's fold over `b`'s rows
+/// stopped after `k` terms, so a caller holding the terms of the other rows
+/// continues it in order (`CriticNet::logits_infer` in `sage-core`).
+pub fn matmul_prefix(a: &Array, b: &Array) -> Array {
+    assert!(a.cols <= b.rows, "matmul_prefix inner dims");
+    let (k, n) = (a.cols, b.cols);
+    product(
+        Vec::new(),
+        &a.data,
+        (k, 1),
+        &b.data[..k * n],
+        (a.rows, k, n),
+    )
+}
+
+/// The `m x k` left operand is `a` read under `strides`, `b` is `k x n`; the
+/// result takes `buf`'s allocation.
 // SAFETY-BOUNDARY: all unsafe SIMD dispatch is encapsulated here — kernels
 // run only after `is_x86_feature_detected!` confirmed the target feature,
 // and the slice lengths they rely on are asserted below, so no caller
 // obligation escapes this fn.
-fn product(a: &Array, strides: Strides, m: usize, b: &Array) -> Array {
-    let (k, n) = (b.rows, b.cols);
+fn product(mut buf: Vec<f64>, a: &[f64], strides: Strides, b: &[f64], (m, k, n): Dims) -> Array {
     // `Array`'s fields are public, so its shape invariant is checked, not
-    // assumed: with both callers' strides the largest index read is m*k - 1.
-    assert_eq!(a.data.len(), m * k, "matmul lhs length");
-    assert_eq!(b.data.len(), k * n, "matmul rhs length");
-    let mut out = Array::zeros(m, n);
+    // assumed: with every caller's strides the largest index read is m*k - 1.
+    assert_eq!(a.len(), m * k, "matmul lhs length");
+    assert_eq!(b.len(), k * n, "matmul rhs length");
+    buf.clear();
+    buf.resize(m * n, 0.0);
     // SAFETY: `kernel()` returns a SIMD kernel only after
     // `is_x86_feature_detected!` confirmed its target feature on this CPU
     // (the scalar one is a safe fn); the slice-length preconditions (a = m*k
-    // under `strides`, b = k*n, out = m*n) are the two asserts above and
-    // `Array::zeros`.
-    unsafe { kernel()(&a.data, strides, &b.data, &mut out.data, (m, k, n)) };
-    out
+    // under `strides`, b = k*n, out = m*n, zeroed) are the two asserts and
+    // the `resize` of the emptied `buf` above.
+    unsafe { kernel()(a, strides, b, &mut buf, (m, k, n)) };
+    Array::from_vec(m, n, buf)
 }
 
 /// The definition of the product (module docs); `out` arrives zeroed.
@@ -278,32 +305,17 @@ tiled_kernel!(
     |p: *mut f64, m: __m256i, v: __m256d| _mm256_maskstore_pd(p, m, v)
 );
 
-/// Broadcast-add a `[1,d]` bias row to every row (mirrors `Graph::add_row`).
-pub fn add_row(x: &Array, bias: &Array) -> Array {
+/// Broadcast-add a `[1,d]` bias row to every row of `x`, in place (the value
+/// of `Graph::add_row`).
+pub fn add_row(mut x: Array, bias: &Array) -> Array {
     assert_eq!(bias.rows, 1);
     assert_eq!(x.cols, bias.cols);
-    let mut out = x.clone();
-    for r in 0..out.rows {
-        for c in 0..out.cols {
-            *out.at_mut(r, c) += bias.at(0, c);
+    for row in x.data.chunks_exact_mut(bias.cols.max(1)) {
+        for (v, &b) in row.iter_mut().zip(&bias.data) {
+            *v += b;
         }
     }
-    out
-}
-
-/// `[a | b]` column-wise (the value of `Graph::concat_cols`).
-pub fn concat_cols(a: &Array, b: &Array) -> Array {
-    assert_eq!(a.rows, b.rows);
-    let mut out = Array::zeros(a.rows, a.cols + b.cols);
-    for r in 0..a.rows {
-        for c in 0..a.cols {
-            *out.at_mut(r, c) = a.at(r, c);
-        }
-        for c in 0..b.cols {
-            *out.at_mut(r, a.cols + c) = b.at(r, c);
-        }
-    }
-    out
+    x
 }
 
 /// Elementwise sum (mirrors `Graph::add`).
@@ -341,23 +353,37 @@ pub fn lrelu(a: &Array, slope: f64) -> Array {
     a.map(|x| if x >= 0.0 { x } else { slope * x })
 }
 
-/// Row-wise layer normalisation (mirrors `Graph::layer_norm`).
+/// Row-wise layer normalisation (the value of `Graph::layer_norm`).
 pub fn layer_norm(x: &Array, gain: &Array, bias: &Array) -> Array {
-    let eps = 1e-5;
-    let d = x.cols;
-    let mut out = Array::zeros(x.rows, d);
-    for r in 0..x.rows {
-        let row = &x.data[r * d..(r + 1) * d];
-        let mu = row.iter().sum::<f64>() / d as f64;
-        let var = row.iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / d as f64;
-        let sd = (var + eps).sqrt();
-        for (c, &x) in row.iter().enumerate() {
-            let xhat = (x - mu) / sd;
-            *out.at_mut(r, c) = gain.at(0, c) * xhat + bias.at(0, c);
-        }
-    }
-    out
+    layer_norm_into(Vec::new(), x, gain, bias)
 }
+
+/// [`layer_norm`] built in `buf`.
+pub fn layer_norm_into(mut buf: Vec<f64>, x: &Array, gain: &Array, bias: &Array) -> Array {
+    let d = x.cols;
+    assert_eq!(
+        (gain.data.len(), bias.data.len()),
+        (d, d),
+        "layer_norm width"
+    );
+    buf.clear();
+    for row in x.row_slices() {
+        let (mu, sd) = row_moments(row);
+        let affine = row.iter().zip(&gain.data).zip(&bias.data);
+        buf.extend(affine.map(|((&x, &g), &b)| g * ((x - mu) / sd) + b));
+    }
+    Array::from_vec(x.rows, d, buf)
+}
+
+/// Mean and `sqrt(variance + eps)` of one layer-norm row.
+pub(crate) fn row_moments(row: &[f64]) -> (f64, f64) {
+    let d = row.len() as f64;
+    let mu = row.iter().sum::<f64>() / d;
+    let var = row.iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / d;
+    (mu, (var + LAYER_NORM_EPS).sqrt())
+}
+
+const LAYER_NORM_EPS: f64 = 1e-5;
 
 #[cfg(test)]
 mod tests {
@@ -594,7 +620,7 @@ mod tests {
         let node = g.mul(xn, yn);
         assert_bits_eq(g.value(node), &mul(&x, &y));
         let node = g.add_row(xn, bn);
-        assert_bits_eq(g.value(node), &add_row(&x, &bias));
+        assert_bits_eq(g.value(node), &add_row(x.clone(), &bias));
         let node = g.scale(xn, -1.7);
         assert_bits_eq(g.value(node), &scale(&x, -1.7));
         let node = g.add_const(xn, 0.3);

@@ -44,7 +44,7 @@ impl Linear {
     /// [`crate::infer`]).
     pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
         let h = infer::matmul(x, store.get(self.w));
-        infer::add_row(&h, store.get(self.b))
+        infer::add_row(h, store.get(self.b))
     }
 }
 
@@ -158,18 +158,18 @@ impl GruCell {
     pub fn infer_step(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
         let xz = infer::matmul(x, store.get(self.wz));
         let hz = infer::matmul(h, store.get(self.uz));
-        let z_in = infer::add_row(&infer::add(&xz, &hz), store.get(self.bz));
+        let z_in = infer::add_row(infer::add(&xz, &hz), store.get(self.bz));
         let z = infer::sigmoid(&z_in);
 
         let xr = infer::matmul(x, store.get(self.wr));
         let hr = infer::matmul(h, store.get(self.ur));
-        let r_in = infer::add_row(&infer::add(&xr, &hr), store.get(self.br));
+        let r_in = infer::add_row(infer::add(&xr, &hr), store.get(self.br));
         let r = infer::sigmoid(&r_in);
 
         let xh = infer::matmul(x, store.get(self.wh));
         let rh = infer::mul(&r, h);
         let hh = infer::matmul(&rh, store.get(self.uh));
-        let c_in = infer::add_row(&infer::add(&xh, &hh), store.get(self.bh));
+        let c_in = infer::add_row(infer::add(&xh, &hh), store.get(self.bh));
         let c = infer::tanh(&c_in);
 
         let one_minus_z = infer::add_const(&infer::scale(&z, -1.0), 1.0);

@@ -16,25 +16,59 @@ pub const FOOTER_MAGIC: &[u8; 8] = b"SAGECRC1";
 /// Total footer size in bytes.
 pub const FOOTER_LEN: usize = 8 + 8 + 4;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Small table built on demand; the artefacts are MBs, so the table cost
-    // is negligible and keeps this dependency-free.
-    let mut table = [0u32; 256];
-    for (i, e) in table.iter_mut().enumerate() {
+/// `CRC_TABLES[0]` is the bytewise table of the reflected polynomial
+/// 0xEDB88320; `CRC_TABLES[k][b]` is the CRC state after byte `b` and `k`
+/// zero bytes, which is what lets [`crc32`] fold eight bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
         let mut c = i as u32;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
+            bit += 1;
         }
-        *e = c;
+        tables[0][i] = c;
+        i += 1;
     }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8: the
+/// value of the bytewise loop, eight bytes per table round (artefacts are
+/// MBs, and every load and every manifest pass checksums them whole).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -192,6 +226,35 @@ mod tests {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise definition, kept as the oracle of the sliced loop.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_is_the_bytewise_crc32() {
+        use crate::prop::{forall, PropConfig};
+        forall(
+            "slicing-by-8 == bytewise",
+            PropConfig::new(300, 0xC3C),
+            |rng| {
+                // Every length mod 8, every alignment of the 8-byte rounds.
+                let len = rng.below(200);
+                let bytes: Vec<u8> = (0..len + 8).map(|_| rng.next_u64() as u8).collect();
+                let from = rng.below(8);
+                let part = &bytes[from..from + len];
+                if crc32(part) != crc32_bytewise(part) {
+                    return Err(format!("{len} bytes from offset {from}"));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
