@@ -101,5 +101,4 @@ fn main() {
         report.digest,
         path.display()
     );
-    sage_obs::flush_trace();
 }

@@ -243,7 +243,6 @@ fn main() {
     ]);
     let path = write_report("DISTILL_report.json", &report);
     println!("report: {}", path.display());
-    sage_obs::flush_trace();
     if !(agree_pass && rank_pass) {
         eprintln!(
             "distill gate FAILED: clean agreement {:.1}% (need >= {:.0}%), rank delta mean {:.3} (need <= {MAX_RANK})",

@@ -1,26 +1,184 @@
-//! The unified evaluation matrix: every scenario family (Set I/II grids,
-//! Set III faults, synthetic Internet paths, pinned Set IV adversarial
-//! genomes, multi-bottleneck topologies, intra-scheme fairness) x every
-//! roster scheme x seeds, executed as one declarative `MatrixSpec` through
-//! the deterministic worker pool. Emits a single atomic
-//! `artifacts/results/EVAL_matrix.json` with per-cell metrics and
-//! per-scenario scheme rankings — byte-identical at every `SAGE_THREADS`
-//! (`crates/eval/tests/matrix_differential.rs`).
+//! The unified evaluation matrix and the gate over it: every scenario family
+//! (Set I/II grids, Set III faults, synthetic Internet paths, pinned Set IV
+//! adversarial genomes, multi-bottleneck topologies, intra-scheme fairness)
+//! x every roster scheme x seeds, executed as one declarative `MatrixSpec`
+//! through the deterministic worker pool.
+//!
+//! Writes three files under `artifacts/results/`, each byte-identical at
+//! every `SAGE_THREADS` (`crates/eval/tests/matrix_differential.rs`):
+//! `EVAL_matrix.json` (per-cell metrics and per-scenario scheme rankings),
+//! `OBS_slo.json` (the SLO table below, evaluated over the cells this run
+//! produced) and `FAIRNESS_trace.md` (which flows of the fairness cells
+//! starved). Exits 1 on any SLO breach, so `scripts/check.sh` gates on it.
 
-use sage_bench::{default_gr, model_path, print_table, write_report, SEED};
+use sage_bench::{default_gr, model_path, print_table, results_dir, write_report, SEED};
 use sage_core::SageModel;
 use sage_eval::matrix::{
     matrix_json, rankings, run_matrix, scenario_fairness, scenarios_adversarial, scenarios_fault,
-    scenarios_internet, scenarios_multihop, scenarios_set12, MatrixSpec,
+    scenarios_internet, scenarios_multihop, scenarios_set12, Family, MatrixCell, MatrixSpec,
 };
 use sage_eval::runner::Contender;
 use sage_eval::set3::summarise;
+use sage_util::Json;
 use std::sync::Arc;
 
 /// Rollout seconds of the non-fairness families: long enough for
 /// slow-ramping learned policies to leave the startup phase (the full figs
 /// run 15 s).
 const SECS: f64 = 12.0;
+
+/// Drop-rate ceiling per scenario family, percent of transmissions.
+/// Deterministic rollouts, so the headroom over the recorded values is
+/// slim; a scheme or simulator change that pushes a family past its
+/// ceiling must regenerate the artifacts deliberately.
+const FAMILY_LOSS_CEILING: [(Family, f64); 7] = [
+    (Family::SetI, 95.0),
+    (Family::SetII, 99.0),
+    (Family::Fault, 95.0),
+    (Family::Internet, 98.5),
+    (Family::Adversarial, 95.0),
+    (Family::MultiHop, 95.0),
+    (Family::Fairness, 98.0),
+];
+
+/// One evaluated objective.
+struct SloRow {
+    id: &'static str,
+    desc: String,
+    /// `true` = value must be <= threshold, else >=.
+    upper: bool,
+    value: f64,
+    threshold: f64,
+}
+
+impl SloRow {
+    fn pass(&self) -> bool {
+        if self.upper {
+            self.value <= self.threshold
+        } else {
+            self.value >= self.threshold
+        }
+    }
+
+    fn op(&self) -> &'static str {
+        if self.upper {
+            "<="
+        } else {
+            ">="
+        }
+    }
+}
+
+/// The SLO table: cell completion and survival rates, the worst drop rate
+/// per family (NaN, which passes no comparison, for a family with no
+/// cells), and ramp-up sanity from the per-cell series.
+fn matrix_slos(cells: &[MatrixCell]) -> Vec<SloRow> {
+    let n = cells.len().max(1) as f64;
+    let rate = |f: fn(&MatrixCell) -> bool| cells.iter().filter(|c| f(c)).count() as f64 / n;
+    let mut slos = vec![
+        SloRow {
+            id: "matrix.completed.rate",
+            desc: "fraction of matrix cells that ran without panicking".into(),
+            upper: false,
+            value: rate(|c| c.completed),
+            threshold: 1.0,
+        },
+        SloRow {
+            id: "matrix.survived.rate",
+            desc: "fraction of matrix cells that delivered at least one packet".into(),
+            upper: false,
+            value: rate(|c| c.survived),
+            threshold: 0.95,
+        },
+    ];
+    for (family, ceiling) in FAMILY_LOSS_CEILING {
+        slos.push(SloRow {
+            id: "matrix.drop.rate",
+            desc: format!("worst-cell drop rate in the `{}` family, %", family.name()),
+            upper: true,
+            value: cells
+                .iter()
+                .filter(|c| c.family == family)
+                .map(|c| c.loss_pct)
+                .reduce(f64::max)
+                .unwrap_or(f64::NAN),
+            threshold: ceiling,
+        });
+    }
+    // Every surviving cell's late-window (last quarter) throughput series
+    // must stay positive — a flow that survived but flatlined is a breach
+    // the end-state scalars cannot see. The intentionally pathological
+    // families are exempt: adversarial genomes are searched specifically to
+    // starve flows, and the harsh fault grids (burst loss, blackouts) stall
+    // them by design — a late flatline there is the scenario working.
+    let judged: Vec<&MatrixCell> = cells
+        .iter()
+        .filter(|c| c.survived && !matches!(c.family, Family::Adversarial | Family::Fault))
+        .collect();
+    let flatlined = judged
+        .iter()
+        .filter(|c| {
+            let thr = c
+                .series
+                .iter()
+                .find(|(name, _)| *name == "thr_mbps")
+                .map_or(&[][..], |(_, v)| v);
+            thr[thr.len() - thr.len() / 4..].iter().sum::<f64>() <= 0.0
+        })
+        .count();
+    slos.push(SloRow {
+        id: "matrix.rampup.flatline.rate",
+        desc: "surviving cells whose last-quarter throughput series is zero".into(),
+        upper: true,
+        value: flatlined as f64 / judged.len().max(1) as f64,
+        threshold: 0.0,
+    });
+    slos
+}
+
+/// The fairness trace note (`FAIRNESS_trace.md`): which flows of each
+/// fairness-family cell starved, and the span ids the flight recorder
+/// files them under.
+fn fairness_note(cells: &[MatrixCell]) -> String {
+    let mut out = String::from(
+        "# Fairness trace\n\n\
+         Flows of the fairness-family matrix cells whose mean goodput fell\n\
+         below 50% of their cell's per-flow mean (\"starved\"). Flow `k` of a\n\
+         cell carries flight-recorder span `cell_span_base(scenario, scheme,\n\
+         seed) + k + 1`. Only a cell that panics writes a flight dump (with\n\
+         `SAGE_RECORD` armed, to `FLIGHT_panic.jsonl`; `sage_trace <dump>\n\
+         <span-hex>` then prints a flow's queue/drop/retx timeline), so the\n\
+         starved flows below, all from completed cells, have no timeline on\n\
+         disk.\n\n\
+         | scheme | scenario | jain | starved flows (goodput Mbit/s) |\n\
+         |---|---|---|---|\n",
+    );
+    for c in cells {
+        let goodputs = &c.flow_goodputs;
+        if c.family != Family::Fairness || goodputs.is_empty() {
+            continue;
+        }
+        let mean = goodputs.iter().sum::<f64>() / goodputs.len() as f64;
+        let starved: Vec<String> = goodputs
+            .iter()
+            .enumerate()
+            .filter(|(_, &g)| g < 0.5 * mean)
+            .map(|(k, &g)| format!("{k} ({g:.2})"))
+            .collect();
+        out.push_str(&format!(
+            "| {} | {} | {:.3} | {} |\n",
+            c.scheme,
+            c.scenario,
+            c.fairness,
+            if starved.is_empty() {
+                "none".to_string()
+            } else {
+                starved.join(", ")
+            }
+        ));
+    }
+    out
+}
 
 fn main() {
     // Fixed family order: Set I/II, faults, internet, adversarial, multihop,
@@ -133,5 +291,157 @@ fn main() {
 
     let path = write_report("EVAL_matrix.json", &matrix_json(&spec, &report));
     println!("report: {} (digest {:016x})", path.display(), report.digest);
-    sage_obs::flush_trace();
+
+    let slos = matrix_slos(&report.cells);
+    println!("== SLO gate ({} objectives) ==", slos.len());
+    for s in &slos {
+        println!(
+            "{:<4} {:<28} {:>10.4} {} {:<10.4}  {}",
+            if s.pass() { "ok" } else { "FAIL" },
+            s.id,
+            s.value,
+            s.op(),
+            s.threshold,
+            s.desc
+        );
+    }
+    let breaches = slos.iter().filter(|s| !s.pass()).count();
+    let rows = slos
+        .iter()
+        .map(|s| {
+            Json::obj(vec![
+                ("id", Json::str(s.id)),
+                ("desc", Json::str(s.desc.clone())),
+                ("op", Json::str(s.op())),
+                ("value", Json::Num(s.value)),
+                ("threshold", Json::Num(s.threshold)),
+                ("pass", Json::Bool(s.pass())),
+            ])
+        })
+        .collect();
+    let path = write_report(
+        "OBS_slo.json",
+        &Json::obj(vec![
+            ("suite", Json::str("obs_slo")),
+            ("enforced", Json::Bool(true)),
+            ("breaches", Json::Num(breaches as f64)),
+            ("slos", Json::Arr(rows)),
+        ]),
+    );
+    println!("report: {}", path.display());
+
+    let note_path = results_dir().join("FAIRNESS_trace.md");
+    sage_util::fsio::atomic_write(&note_path, fairness_note(&report.cells).as_bytes())
+        .unwrap_or_else(|e| panic!("write fairness note {}: {e}", note_path.display()));
+    println!("fairness note: {}", note_path.display());
+
+    if breaches > 0 {
+        eprintln!("eval_matrix: {breaches} SLO breach(es)");
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sage_eval::ScoreKind;
+
+    /// A healthy surviving single-flow cell of `family`.
+    fn cell(family: Family) -> MatrixCell {
+        MatrixCell {
+            scheme: "cubic".into(),
+            scenario: family.name().into(),
+            family,
+            seed: 0,
+            completed: true,
+            survived: true,
+            kind: ScoreKind::Power,
+            intervals: Vec::new(),
+            intervals_alpha3: Vec::new(),
+            score: 0.0,
+            goodput_mbps: 8.0,
+            avg_owd_ms: 0.0,
+            p95_owd_ms: 0.0,
+            loss_pct: 2.5,
+            retx_pct: 0.0,
+            restarts: 0,
+            lost_pkts: 0,
+            fairness: 1.0,
+            flow_goodputs: vec![8.0],
+            series: vec![("thr_mbps", vec![0.5, 4.0, 8.0, 8.0])],
+            digest: 0,
+        }
+    }
+
+    /// One healthy cell per family.
+    fn cells() -> Vec<MatrixCell> {
+        FAMILY_LOSS_CEILING.map(|(f, _)| cell(f)).to_vec()
+    }
+
+    fn of(cells: &mut [MatrixCell], family: Family) -> &mut MatrixCell {
+        cells.iter_mut().find(|c| c.family == family).unwrap()
+    }
+
+    /// `id: desc` of every failing row.
+    fn failing(cells: &[MatrixCell]) -> Vec<String> {
+        matrix_slos(cells)
+            .iter()
+            .filter(|s| !s.pass())
+            .map(|s| format!("{}: {}", s.id, s.desc))
+            .collect()
+    }
+
+    #[test]
+    fn well_formed_matrix_has_ten_rows_and_no_breach() {
+        let slos = matrix_slos(&cells());
+        assert_eq!(slos.len(), 10);
+        assert!(slos.iter().all(SloRow::pass));
+    }
+
+    #[test]
+    fn a_cell_above_its_familys_drop_ceiling_breaches() {
+        let mut c = cells();
+        of(&mut c, Family::Internet).loss_pct = 98.6;
+        assert_eq!(
+            failing(&c),
+            ["matrix.drop.rate: worst-cell drop rate in the `internet` family, %"]
+        );
+    }
+
+    #[test]
+    fn a_dead_cell_breaches_completion_and_survival() {
+        let mut c = cells();
+        let dead = of(&mut c, Family::SetI);
+        (dead.completed, dead.survived, dead.series) = (false, false, Vec::new());
+        let bad = failing(&c);
+        assert_eq!(bad.len(), 2, "{bad:?}");
+        assert!(bad[0].starts_with("matrix.completed.rate"), "{bad:?}");
+        assert!(bad[1].starts_with("matrix.survived.rate"), "{bad:?}");
+    }
+
+    #[test]
+    fn a_surviving_cell_that_flatlines_late_breaches() {
+        let mut c = cells();
+        of(&mut c, Family::SetII).series = vec![("thr_mbps", vec![0.5, 4.0, 8.0, 0.0])];
+        let bad = failing(&c);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].starts_with("matrix.rampup.flatline.rate"), "{bad:?}");
+        // The exempt families may flatline.
+        let mut c = cells();
+        for family in [Family::Fault, Family::Adversarial] {
+            of(&mut c, family).series = vec![("thr_mbps", vec![0.0; 4])];
+        }
+        assert!(failing(&c).is_empty());
+    }
+
+    #[test]
+    fn a_family_with_no_cells_reads_nan_and_breaches() {
+        let mut c = cells();
+        c.retain(|c| c.family != Family::MultiHop);
+        let slos = matrix_slos(&c);
+        let bad: Vec<&SloRow> = slos.iter().filter(|s| !s.pass()).collect();
+        assert_eq!(bad.len(), 1);
+        assert!(bad[0].value.is_nan());
+        assert!(bad[0].desc.contains("`multihop`"), "{}", bad[0].desc);
+    }
 }

@@ -24,7 +24,6 @@ fn main() {
         ids => ids.iter().map(named).collect(),
     };
     let failed = sage_bench::ctx::run_figures(&sage_bench::artifacts_dir(), &figs);
-    sage_obs::flush_trace();
     if failed > 0 {
         eprintln!("{failed} of {} figures FAILED", figs.len());
         std::process::exit(1);

@@ -60,5 +60,4 @@ fn main() {
         .save_file(&model_path("sage"))
         .expect("save model");
     println!("wrote {}", model_path("sage").display());
-    sage_obs::flush_trace();
 }

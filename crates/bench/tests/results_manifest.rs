@@ -14,8 +14,8 @@ use sage_util::{crc32, fnv1a64, read_checksummed, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Written by `adv_search`, `distill_report`, `eval_matrix` and `obs_report`,
-/// which rewrite them byte for byte on every run.
+/// Written by `adv_search`, `distill_report` and `eval_matrix`, which rewrite
+/// them byte for byte on every run.
 const REPORTS: [&str; 5] = [
     "ADV_hardest.json",
     "DISTILL_report.json",

@@ -19,5 +19,4 @@ pub use pool::{Pool, Trajectory};
 pub use rollout::{cell_span_base, rollout, rollout_with, RolloutResult};
 pub use supervise::{
     collect_pool, collect_pool_supervised, collect_pool_with_threads, CollectReport,
-    SuperviseConfig,
 };

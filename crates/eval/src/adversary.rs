@@ -532,11 +532,11 @@ mod tests {
 
     #[test]
     fn boundary_genomes_decode_in_range_with_stable_ids() {
-        // The decode is the contract between a stored genome (Set IV pins,
-        // ADV reports) and the environment it denotes: every knob at its
-        // boundary must still produce a simulable in-range EnvSpec, and the
-        // digest-derived ids must never drift (a drift silently invalidates
-        // every recorded baseline).
+        // The decode is the contract between a stored genome (the matrix's
+        // adversarial scenarios, ADV reports) and the environment it
+        // denotes: every knob at its boundary must still produce a simulable
+        // in-range EnvSpec, and the digest-derived ids must never drift (a
+        // drift silently invalidates every golden that names them).
         let secs = 6.0;
         let cases = [
             ([0.0; GENOME_DIM], "adv-9a74fcae65"),

@@ -14,7 +14,6 @@ pub mod matrix;
 pub mod runner;
 pub mod score;
 pub mod set3;
-pub mod set4;
 pub mod similarity;
 pub mod tsne;
 
@@ -34,5 +33,4 @@ pub use matrix::{
 pub use runner::Contender;
 pub use score::{interval_scores, jain_fairness, RunScore, ScoreKind};
 pub use set3::{scenario_grid, summarise, FaultScenario, Set3Summary};
-pub use set4::{eval_pinned, pinned_scenarios, PinnedScenario, Set4Tolerance, SET4_SECS};
 pub use similarity::{cosine_distance, cosine_similarity, transition_vectors, DistanceIndex};

@@ -1,7 +1,7 @@
 //! The unified evaluation matrix: one declarative (scheme x scenario x seed)
 //! farm covering every scenario family the repo knows — the Set I/II grids,
-//! the Set III fault grid, the synthetic Internet profiles, the pinned Set IV
-//! adversarial genomes, multi-bottleneck topologies, and intra-scheme
+//! the Set III fault grid, the synthetic Internet profiles, three pinned
+//! adversarial genomes (Set IV), multi-bottleneck topologies, and intra-scheme
 //! fairness scenarios — executed through the deterministic worker pool with
 //! an ordered reduction.
 //!
@@ -17,11 +17,10 @@
 //! pinned golden fails outright, while per-cell metrics are held to
 //! explicit tolerances.
 
-use crate::adversary::decode;
+use crate::adversary::{decode, GENOME_DIM};
 use crate::runner::Contender;
 use crate::score::{interval_scores, jain_fairness, RunScore, ScoreKind, INTERVALS};
 use crate::set3::{scenario_grid, set3_env};
-use crate::set4::pinned_scenarios;
 use sage_collector::{rollout_with, training_envs, EnvSpec, SetKind};
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::faults::FaultPlan;
@@ -43,7 +42,7 @@ pub enum Family {
     Fault,
     /// Synthetic Internet profiles (intra/inter-continental, cellular).
     Internet,
-    /// Pinned Set IV adversarial genomes.
+    /// Pinned adversarial genomes (Set IV).
     Adversarial,
     /// Multi-bottleneck parking-lot / dumbbell-chain topologies.
     MultiHop,
@@ -149,13 +148,95 @@ pub fn scenarios_internet(n_each: usize, secs: f64, seed: u64) -> Vec<ScenarioSp
     out
 }
 
-/// The pinned Set IV adversarial genomes, decoded at `secs`.
+/// Set IV: three of the hardest scenarios an `adv_search` run (`budget=64,
+/// secs=6, seed=2023`) found, frozen as genomes with the ids they decode to.
+/// They span topology depths (1, 2 and 3 hops) rather than taking the top
+/// three of one converged mode.
+const ADVERSARIAL: [(&str, [f64; GENOME_DIM]); 3] = [
+    // Hardest found: 2 downstream hops + capacity step-down,
+    // burst/blackout/flaps/jitter/reorder/ack-compress, 3 cross flows.
+    (
+        "adv-467a5511a3",
+        [
+            0.9249847554532961,
+            0.3190958960475542,
+            0.39032988933483836,
+            0.41592947383289514,
+            0.893496774088435,
+            0.34563963426919975,
+            0.7522426575719109,
+            0.711112365693614,
+            0.29100611376347385,
+            0.8155367533679679,
+            0.16402919513078595,
+            0.164889781261796,
+            0.9666422929609222,
+            0.8067681438195105,
+            0.622940411410937,
+            0.45167881200338156,
+            0.6523102592926576,
+            0.24844466182110314,
+        ],
+    ),
+    // Single-bottleneck variant: capacity step-up under
+    // burst/blackout/flaps/jitter/reorder, 3 cross flows.
+    (
+        "adv-8e5145fbb3",
+        [
+            0.9249847554532961,
+            0.3190958960475542,
+            0.39032988933483836,
+            0.60866596806023,
+            0.32205491748004034,
+            0.6853290290007762,
+            0.7522426575719109,
+            0.20952515569222796,
+            0.29100611376347385,
+            0.8155367533679679,
+            0.16402919513078595,
+            9.085440181055837e-5,
+            0.9666422929609222,
+            0.8067681438195105,
+            0.622940411410937,
+            0.3222851196611761,
+            0.6523102592926576,
+            0.24844466182110314,
+        ],
+    ),
+    // Deepest chain: 3 hops tightening downstream, long blackout,
+    // burst/flaps/reorder, 3 cross flows.
+    (
+        "adv-3838860722",
+        [
+            0.8840848980860585,
+            0.5145420769081627,
+            0.8941532371246859,
+            0.3217973625627787,
+            0.2438711745230866,
+            0.49807263797204393,
+            0.1443577064596513,
+            0.32519479990217426,
+            0.9701152188242029,
+            0.5317632219891081,
+            0.25200434897298496,
+            0.04475420631610205,
+            0.42868635635090324,
+            0.03488046213649565,
+            0.6433134911891465,
+            0.9484568592656478,
+            0.9772755771861135,
+            0.6424322283431323,
+        ],
+    ),
+];
+
+/// The pinned adversarial genomes (Set IV), decoded at `secs`.
 pub fn scenarios_adversarial(secs: f64) -> Vec<ScenarioSpec> {
-    pinned_scenarios()
+    ADVERSARIAL
         .iter()
-        .map(|p| ScenarioSpec {
+        .map(|(_, genome)| ScenarioSpec {
             family: Family::Adversarial,
-            env: decode(&p.genome, secs),
+            env: decode(genome, secs),
         })
         .collect()
 }
@@ -389,7 +470,7 @@ pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) 
     }));
     if let Err(_panic) = &run {
         // Crash forensics, mirroring the supervised-collection path: mark
-        // the panic, dump the per-thread event tail, flush the JSONL trace.
+        // the panic and dump the per-thread event tail.
         sage_obs::record(
             sage_obs::Category::Eval,
             sage_obs::EventKind::Panic,
@@ -399,7 +480,6 @@ pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) 
             0,
         );
         let _ = sage_obs::dump_postmortem(&sage_obs::recorder::panic_dump_path(), 256);
-        sage_obs::flush_trace();
     }
     if let Ok(res) = run {
         let s = &res.stats;
@@ -1014,5 +1094,23 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), n);
+    }
+
+    #[test]
+    fn pinned_ids_match_their_genomes() {
+        // The id is the genome digest: if decode or the digest changes, the
+        // goldens that name these scenarios no longer describe them.
+        for (id, genome) in &ADVERSARIAL {
+            assert_eq!(decode(genome, 6.0).id, *id);
+        }
+    }
+
+    #[test]
+    fn pinned_scenarios_span_topology_depths() {
+        let hops: Vec<usize> = scenarios_adversarial(6.0)
+            .iter()
+            .map(|s| s.env.topology.hops())
+            .collect();
+        assert!(hops.contains(&1) && hops.contains(&2) && hops.contains(&3));
     }
 }

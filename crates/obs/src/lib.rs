@@ -12,15 +12,13 @@
 //!   so totals are identical at any `SAGE_THREADS`. Metrics are pure
 //!   write-only taps: no simulation, training, or serving code ever reads
 //!   them back, so enabling metrics cannot change a digest.
-//! * **Tracing** ([`log`]) — leveled events (`[ERROR]`..`[TRACE]` prefixes
+//! * **Logging** ([`log`]) — leveled events (`[ERROR]`..`[TRACE]` prefixes
 //!   on stderr, greppable by CI) filtered by the `SAGE_LOG` environment
-//!   variable, plus an optional structured JSONL sink (`SAGE_TRACE_FILE`)
-//!   flushed through `sage_util::fsio::atomic_write` so a crash never
-//!   leaves a half-written trace.
+//!   variable.
 //! * **Flight recorder** ([`recorder`]) — per-thread rings of compact
 //!   tick-stamped events (`SAGE_RECORD=serve,transport,...`), drained via
 //!   an ordered merge that is byte-identical at any `SAGE_THREADS` and
-//!   dumped as `FLIGHT_*.jsonl` on demand or post-mortem from panic paths.
+//!   dumped as `FLIGHT_panic.jsonl` post-mortem from panic paths.
 //!
 //! # Determinism rules
 //!
@@ -45,7 +43,7 @@ pub mod log;
 pub mod metrics;
 pub mod recorder;
 
-pub use log::{flush_trace, log_enabled, Level};
+pub use log::{log_enabled, Level};
 pub use metrics::{counter, gauge, histogram, reset_metrics, snapshot_json};
 pub use recorder::{
     dump_postmortem, force_record, force_record_cap, record, recording, reset_recorder, Category,

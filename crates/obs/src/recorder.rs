@@ -14,8 +14,8 @@
 //!
 //! Recording is off unless `SAGE_RECORD` selects categories
 //! (`SAGE_RECORD=serve,transport`, or `all`); the disabled hot path is one
-//! relaxed load and a mask test. `SAGE_RECORD_CAP` sizes each ring
-//! (default 65536 events). Dumps are JSONL (`FLIGHT_*.jsonl`): a header
+//! relaxed load and a mask test. Each ring holds [`DEFAULT_RING_CAP`]
+//! events. Dumps are JSONL (`FLIGHT_*.jsonl`): a header
 //! line with totals, then one object per event with `span`/`a`/`b` as hex
 //! strings so 64-bit payloads survive the f64-based JSON parser.
 //!
@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default per-thread ring capacity.
+/// Per-thread ring capacity ([`force_record_cap`] overrides it).
 pub const DEFAULT_RING_CAP: usize = 65536;
 
 /// Event source category; one mask bit each.
@@ -203,7 +203,7 @@ impl Ring {
 const INIT_BIT: u32 = 1 << 31;
 
 static RECORD_STATE: AtomicU32 = AtomicU32::new(0);
-static RING_CAP: AtomicUsize = AtomicUsize::new(0);
+static RING_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAP);
 /// Bumped by [`reset_recorder`]; stale thread-local rings re-register.
 static EPOCH: AtomicU64 = AtomicU64::new(1);
 
@@ -278,30 +278,10 @@ pub fn force_record(spec: &str) {
     RECORD_STATE.store(mask_or_warn(spec) | INIT_BIT, Relaxed);
 }
 
-/// Override the per-thread ring capacity, bypassing `SAGE_RECORD_CAP`.
-/// Affects rings created after the next [`reset_recorder`].
+/// Override the per-thread ring capacity (tests). Affects rings created
+/// after the next [`reset_recorder`].
 pub fn force_record_cap(cap: usize) {
     RING_CAP.store(cap.max(1), Relaxed);
-}
-
-fn ring_cap() -> usize {
-    let cap = RING_CAP.load(Relaxed);
-    if cap != 0 {
-        return cap;
-    }
-    let cap = env_cfg::record_cap().map_or(DEFAULT_RING_CAP, |v| {
-        env_cfg::parse_positive(&v).unwrap_or_else(|| {
-            env_cfg::warn_rejected(
-                env_cfg::RECORD_CAP,
-                &v,
-                "a positive integer",
-                &DEFAULT_RING_CAP.to_string(),
-            );
-            DEFAULT_RING_CAP
-        })
-    });
-    RING_CAP.store(cap, Relaxed);
-    cap
 }
 
 /// Record one event. A masked-out category costs one load and a branch.
@@ -330,7 +310,7 @@ fn push_event(ev: Event) {
             None => true,
         };
         if stale {
-            let ring = Arc::new(Mutex::new(Ring::new(ring_cap())));
+            let ring = Arc::new(Mutex::new(Ring::new(RING_CAP.load(Relaxed))));
             rings()
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())

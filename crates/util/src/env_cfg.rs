@@ -30,12 +30,8 @@ pub const THREADS: &str = "SAGE_THREADS";
 pub const OBS: &str = "SAGE_OBS";
 /// Log level for the obs structured logger.
 pub const LOG: &str = "SAGE_LOG";
-/// Path of the JSONL trace sink, when set.
-pub const TRACE_FILE: &str = "SAGE_TRACE_FILE";
 /// Flight-recorder category mask spec.
 pub const RECORD: &str = "SAGE_RECORD";
-/// Flight-recorder per-thread ring capacity.
-pub const RECORD_CAP: &str = "SAGE_RECORD_CAP";
 /// Where panic-recovery paths dump the flight-recorder tail.
 pub const FLIGHT_FILE: &str = "SAGE_FLIGHT_FILE";
 /// Explicit path of the distilled symbolic tree.
@@ -63,7 +59,7 @@ pub fn warn_rejected(name: &'static str, value: &str, accepts: &str, default: &s
     }
 }
 
-/// The shape `SAGE_THREADS` and `SAGE_RECORD_CAP` accept: an integer ≥ 1.
+/// The shape `SAGE_THREADS` accepts: an integer ≥ 1.
 pub fn parse_positive(value: &str) -> Option<usize> {
     value.trim().parse().ok().filter(|&n| n >= 1)
 }
@@ -80,16 +76,8 @@ pub fn log() -> Option<String> {
     read(LOG)
 }
 
-pub fn trace_file() -> Option<String> {
-    read(TRACE_FILE)
-}
-
 pub fn record() -> Option<String> {
     read(RECORD)
-}
-
-pub fn record_cap() -> Option<String> {
-    read(RECORD_CAP)
 }
 
 /// `OsString` because the dump path need not be valid UTF-8.
@@ -131,9 +119,7 @@ mod tests {
             super::THREADS,
             super::OBS,
             super::LOG,
-            super::TRACE_FILE,
             super::RECORD,
-            super::RECORD_CAP,
             super::FLIGHT_FILE,
             super::TREE,
             super::REGEN_GOLDEN,

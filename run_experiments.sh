@@ -3,7 +3,8 @@
 # (artifacts/pool.bin, sage.model, sage_d1..7.model) determine: the 18 figure
 # outputs and MANIFEST.json (`figures --list` prints the table; one figure is
 # `cargo run --release -p sage-bench --bin figures -- <id>`), then the
-# ADV_hardest / DISTILL_report / EVAL_matrix reports. Exits non-zero if any
+# ADV_hardest and DISTILL_report reports, and last `eval_matrix`: EVAL_matrix,
+# OBS_slo and FAIRNESS_trace, failing on an SLO breach. Exits non-zero if any
 # stage did.
 set -u
 cd "$(dirname "$0")"

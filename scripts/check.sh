@@ -55,7 +55,7 @@ cargo build --release
 
 # The whole workspace's suite (root `default-members`) runs twice: debug at
 # one worker, release at four. Every golden — fixed-seed train, 64-flow serve
-# digest with metrics/recorder on and off, matrix rankings, Set IV — is
+# digest with metrics/recorder on and off, matrix rankings — is
 # therefore checked against the same file at both thread counts and both opt
 # levels, and the release-only learning tests run in the gate. Regenerate a
 # golden after an intentional change by setting SAGE_REGEN_GOLDEN to 1.
@@ -72,11 +72,13 @@ SAGE_THREADS=4 cargo test -q --release
 echo "== benchmark: cargo test --release (perf_ledger against this tree) =="
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
-# SLO gate over the committed EVAL_matrix.json: any breach fails the build.
-# It rewrites OBS_slo.json and FAIRNESS_trace.md with the bytes that are
-# committed.
-echo "== SLO gate: committed EVAL_matrix.json =="
-./target/release/obs_report
+# The evaluation gate, and proof that the committed reports are what this
+# tree computes: eval_matrix reruns the matrix (≈4 s), exits 1 on an SLO
+# breach, and rewrites EVAL_matrix.json, OBS_slo.json and FAIRNESS_trace.md;
+# a byte that differs from the committed file fails here.
+echo "== evaluation gate: eval_matrix reproduces the committed reports =="
+./target/release/eval_matrix
+git diff --exit-code -- artifacts/results/{EVAL_matrix.json,OBS_slo.json,FAIRNESS_trace.md}
 
 # Opt-in ThreadSanitizer lane over the parallel runtime (SAGE_TSAN=1).
 # TSan needs a nightly toolchain with the rust-src component (the sanitizer
