@@ -44,10 +44,10 @@ impl Dataset {
         self.ys.is_empty()
     }
 
-    /// Append one row. Rows with non-finite features or target are dropped
-    /// (they would poison variance sums); callers see the count shrink.
+    /// Append one row. Rows of the wrong width or with non-finite features
+    /// or target are dropped (they would poison variance sums); callers see
+    /// `false` and the count unchanged, in every build profile.
     pub fn push(&mut self, x: &[f64], y: f64) -> bool {
-        debug_assert_eq!(x.len(), self.dim);
         if x.len() != self.dim || !y.is_finite() || x.iter().any(|v| !v.is_finite()) {
             return false;
         }
@@ -96,6 +96,16 @@ mod tests {
         assert!(!ds.push(&[1.0, 2.0], f64::INFINITY));
         assert_eq!(ds.len(), 1);
         assert_eq!(ds.row(0), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn push_drops_rows_of_the_wrong_width() {
+        let mut ds = Dataset::new(2);
+        assert!(ds.push(&[1.0, 2.0], 0.5));
+        assert!(!ds.push(&[1.0], 0.5));
+        assert!(!ds.push(&[1.0, 2.0, 3.0], 0.5));
+        assert_eq!(ds.len(), 1);
+        assert_eq!(ds.xs, [1.0, 2.0]);
     }
 
     #[test]

@@ -58,8 +58,9 @@ pub fn installed() -> Option<Arc<SymbolicModel>> {
 /// Resolve the symbolic policy's tree: the installed one, else a load from
 /// `SAGE_TREE` (explicit path), else the committed `artifacts/sage.tree`.
 /// A successful disk load installs the tree so later calls are free.
-/// Returns `None` when no tree exists anywhere — `build("sage-sym", _)`
-/// then reports the scheme as unknown.
+/// Returns `None` when no servable tree exists anywhere (a file tree must
+/// read the `STATE_DIM`-wide GR state) — `build("sage-sym", _)` then
+/// reports the scheme as unknown.
 pub fn resolve() -> Option<Arc<SymbolicModel>> {
     if let Some(m) = installed() {
         return Some(m);
@@ -74,13 +75,30 @@ pub fn resolve() -> Option<Arc<SymbolicModel>> {
         ],
     };
     for path in candidates {
-        if let Ok(m) = SymbolicModel::load_file(&path) {
+        if let Some(m) = load_servable(&path) {
             let m = Arc::new(m);
             install(m.clone());
             return Some(m);
         }
     }
     None
+}
+
+/// The tree at `path`, if it loads and reads the GR state `sage-sym`
+/// feeds it. A tree of another `dim` would index past the state on its
+/// first tick, so it is refused with a warning.
+fn load_servable(path: &std::path::Path) -> Option<SymbolicModel> {
+    let m = SymbolicModel::load_file(path).ok()?;
+    if m.dim != sage_gr::STATE_DIM {
+        eprintln!(
+            "[WARN] {}: the tree reads {} features but the GR state has {}; not serving it",
+            path.display(),
+            m.dim,
+            sage_gr::STATE_DIM
+        );
+        return None;
+    }
+    Some(m)
 }
 
 #[cfg(test)]
@@ -94,5 +112,33 @@ mod tests {
         install(m.clone());
         let got = resolve().expect("installed tree resolves");
         assert_eq!(got.digest(), m.digest());
+    }
+
+    #[test]
+    fn a_tree_of_another_dim_is_not_served() {
+        // The target is the last feature's sign, so the root splits on it:
+        // feature 99 of a 100-wide tree is past the 69-wide state.
+        let tree_of = |dim: usize| {
+            let mut rng = sage_util::Rng::new(dim as u64);
+            let mut ds = Dataset::new(dim);
+            for _ in 0..256 {
+                let x: Vec<f64> = (0..dim).map(|_| rng.range(-1.0, 1.0)).collect();
+                ds.push(&x, f64::from(u8::from(x[dim - 1] > 0.0)));
+            }
+            SymbolicModel::fit(&ds, &TreeConfig::default())
+        };
+        let dir = std::env::temp_dir();
+        for (dim, served) in [
+            (100, false),
+            (sage_gr::STATE_DIM - 1, false),
+            (sage_gr::STATE_DIM, true),
+        ] {
+            let tree = tree_of(dim);
+            assert_eq!(tree.nodes[0].feat as usize, dim - 1);
+            let path = dir.join(format!("sage_resolve_dim_{dim}.tree"));
+            tree.save_file(&path).expect("tree saves");
+            assert_eq!(load_servable(&path).is_some(), served, "dim {dim}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

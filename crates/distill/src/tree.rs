@@ -9,6 +9,14 @@
 //! linear term, clamped to the leaf's observed target range so inference
 //! can never extrapolate outside what the policy actually emitted.
 //!
+//! Each feature's row ids are sorted once, at the root; a split stably
+//! partitions those lists into its children, so a node's candidate sample
+//! comes out already sorted. Per node, each feature's column is gathered
+//! once, in row order, and one branch-free pass over it scores every
+//! candidate threshold of that feature ([`scan`] says why the masked sums
+//! keep the bits of the branchy ones). The tests keep the per-node-sort,
+//! pass-per-candidate fit as the reference the fast one must equal.
+//!
 //! Inference is a pure compare-walk (`x[feat] <= thresh`) — no matmul, no
 //! standardisation, no allocation — which is what makes the symbolic
 //! serving tier ns-scale. The serialised artifact mirrors the model format:
@@ -23,8 +31,9 @@ use std::io::{self, Read, Write};
 /// Sentinel feature index marking a leaf (or "no linear term").
 const NONE_FEAT: u32 = u32::MAX;
 
-/// Cap on the candidate-quantile subsample per node (keeps fitting
-/// O(n · candidates) per feature instead of O(n log n)).
+/// A node of `n` rows draws its candidate thresholds from every
+/// `max(n / QUANTILE_SAMPLE, 1)`-th row (fewer than `2 · QUANTILE_SAMPLE`
+/// values). Part of what the fit computes: another value fits other trees.
 const QUANTILE_SAMPLE: usize = 1024;
 
 /// Fitting hyper-parameters.
@@ -121,55 +130,107 @@ impl Moments {
     }
 }
 
-impl SymbolicModel {
-    /// Fit a tree to `ds`. Deterministic: equal datasets (same rows, same
-    /// order) produce bit-identical trees at any thread count (fitting is
-    /// serial; the parallel fan-out lives in the harvest, upstream).
-    pub fn fit(ds: &Dataset, cfg: &TreeConfig) -> SymbolicModel {
-        let cfg = TreeConfig {
-            max_depth: cfg.max_depth.clamp(1, 64),
-            min_leaf: cfg.min_leaf.max(1),
-            candidates: cfg.candidates.clamp(1, 256),
-            leaf_linear: cfg.leaf_linear,
-        };
-        let mut model = SymbolicModel {
-            dim: ds.dim,
+/// Widest block of candidate thresholds one scan pass scores: four sums ×
+/// 4 lanes and the thresholds fit the 16 vector registers of baseline
+/// x86-64; 8 lanes spill and scan about half as fast.
+const LANES: usize = 4;
+
+/// One fit's working set. Every node owns a range `lo..hi` of `rows` (its
+/// row ids, ascending) and the same range of each feature's slice of
+/// `order` (those rows sorted by that feature's value); a split stably
+/// partitions both, so the children own the two halves. Everything else
+/// is scratch that every node reuses. Features are finite, as
+/// [`Dataset::push`] admits them: `x <= t` then holds on a prefix of every
+/// sorted slice.
+struct Fit<'a> {
+    ds: &'a Dataset,
+    cfg: TreeConfig,
+    nodes: Vec<TreeNode>,
+    rows: Vec<u32>,
+    /// `dim` slices of `ds.len()` row ids, presorted once by `total_cmp`.
+    order: Vec<u32>,
+    /// Per row id: its position in the node's `rows` range.
+    pos: Vec<u32>,
+    /// Per row id: in the node's strided candidate sample.
+    sampled: Vec<bool>,
+    /// Per row id: goes left at the split being applied.
+    goes_left: Vec<bool>,
+    /// The node's targets, in row order.
+    ys: Vec<f64>,
+    /// One feature of the node, in row order.
+    col: Vec<f64>,
+    /// The node's sorted, deduped candidate sample of one feature.
+    vals: Vec<f64>,
+    /// The candidate thresholds that leave `min_leaf` rows on each side,
+    /// their left counts, and their `[left sum, left sumsq, right sum,
+    /// right sumsq]`.
+    thresholds: Vec<f64>,
+    n_left: Vec<usize>,
+    sums: Vec<[f64; 4]>,
+    spill: Vec<u32>,
+}
+
+impl<'a> Fit<'a> {
+    fn new(ds: &'a Dataset, cfg: TreeConfig) -> Fit<'a> {
+        let n = ds.len();
+        let all: Vec<u32> = (0..n as u32).collect();
+        let mut fit = Fit {
+            ds,
             cfg,
             nodes: Vec::new(),
+            rows: all.clone(),
+            order: Vec::with_capacity(n * ds.dim),
+            pos: vec![0; n],
+            sampled: vec![false; n],
+            goes_left: vec![false; n],
+            ys: Vec::new(),
+            col: Vec::new(),
+            vals: Vec::new(),
+            thresholds: Vec::new(),
+            n_left: Vec::new(),
+            sums: Vec::new(),
+            spill: Vec::new(),
         };
-        if ds.is_empty() || ds.dim == 0 {
-            model.nodes.push(TreeNode::leaf(0.0, 0.0, 0.0));
-            return model;
+        let mut keyed: Vec<u128> = Vec::with_capacity(n);
+        for feat in 0..ds.dim {
+            keyed.clear();
+            keyed.extend(
+                (0..n).map(|r| {
+                    u128::from(total_order_key(ds.xs[r * ds.dim + feat])) << 32 | r as u128
+                }),
+            );
+            keyed.sort_unstable();
+            fit.order.extend(keyed.iter().map(|&k| k as u32));
         }
-        let idx: Vec<u32> = (0..ds.len() as u32).collect();
-        model.fit_node(ds, idx, 0);
-        model
+        fit
     }
 
-    /// Recursively fit the node for `idx`; returns its index in `nodes`.
+    /// Fit the node owning `lo..hi`; returns its index in `nodes`.
     /// Children are always pushed after their parent, so child indices are
     /// strictly greater — the load-time validation relies on this to prove
     /// the walk terminates.
-    fn fit_node(&mut self, ds: &Dataset, idx: Vec<u32>, depth: usize) -> u32 {
+    fn node(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
         let mut m = Moments::default();
         let (mut y_lo, mut y_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &i in &idx {
-            let y = ds.ys[i as usize];
+        self.ys.clear();
+        for &r in &self.rows[lo..hi] {
+            let y = self.ds.ys[r as usize];
             m.push(y);
             y_lo = y_lo.min(y);
             y_hi = y_hi.max(y);
+            self.ys.push(y);
         }
         let mean = m.sum / m.n;
         let sse = m.sse();
         let splittable =
-            depth < self.cfg.max_depth && idx.len() >= 2 * self.cfg.min_leaf && sse > 1e-12;
+            depth < self.cfg.max_depth && hi - lo >= 2 * self.cfg.min_leaf && sse > 1e-12;
         let best = if splittable {
-            self.best_split(ds, &idx, sse)
+            self.best_split(lo, hi, sse)
         } else {
             None
         };
         let Some((feat, thresh)) = best else {
-            return self.push_leaf(ds, &idx, mean, sse, y_lo, y_hi);
+            return self.leaf(lo, hi, mean, sse, y_lo, y_hi);
         };
         let node_at = self.nodes.len() as u32;
         self.nodes.push(TreeNode {
@@ -183,19 +244,9 @@ impl SymbolicModel {
             lo: y_lo,
             hi: y_hi,
         });
-        // Stable partition: both sides keep row order, so recursion is a
-        // pure function of the dataset.
-        let (mut li, mut ri) = (Vec::new(), Vec::new());
-        for &i in &idx {
-            if ds.row(i as usize)[feat] <= thresh {
-                li.push(i);
-            } else {
-                ri.push(i);
-            }
-        }
-        drop(idx);
-        let left = self.fit_node(ds, li, depth + 1);
-        let right = self.fit_node(ds, ri, depth + 1);
+        let mid = lo + self.split(lo, hi, feat, thresh, depth);
+        let left = self.node(lo, mid, depth + 1);
+        let right = self.node(mid, hi, depth + 1);
         self.nodes[node_at as usize].left = left;
         self.nodes[node_at as usize].right = right;
         node_at
@@ -203,23 +254,70 @@ impl SymbolicModel {
 
     /// The strictly-best (feature, threshold) by SSE reduction, or `None`
     /// when no candidate satisfies `min_leaf` on both sides with a positive
-    /// gain.
-    fn best_split(&self, ds: &Dataset, idx: &[u32], parent_sse: f64) -> Option<(usize, f64)> {
+    /// gain. One pass over each feature's column scores all its candidates.
+    fn best_split(&mut self, lo: usize, hi: usize, parent_sse: f64) -> Option<(usize, f64)> {
+        let (ds, n) = (self.ds, hi - lo);
+        let stride = (n / QUANTILE_SAMPLE).max(1);
+        for (k, &r) in self.rows[lo..hi].iter().enumerate() {
+            self.pos[r as usize] = k as u32;
+            self.sampled[r as usize] = k % stride == 0;
+        }
         let mut best: Option<(f64, usize, f64)> = None;
-        for feat in 0..self.dim {
-            for thresh in self.candidate_thresholds(ds, idx, feat) {
-                let mut left = Moments::default();
-                let mut right = Moments::default();
-                for &i in idx {
-                    if ds.row(i as usize)[feat] <= thresh {
-                        left.push(ds.ys[i as usize]);
-                    } else {
-                        right.push(ds.ys[i as usize]);
-                    }
+        for feat in 0..ds.dim {
+            gather(ds, &self.rows[lo..hi], feat, &mut self.col);
+            // The sample in `total_cmp` order is the presorted slice
+            // filtered to the sampled rows: what sorting the sample gives,
+            // since values equal under `total_cmp` have equal bits.
+            let sorted = &self.order[feat * ds.len() + lo..feat * ds.len() + hi];
+            let (col, pos) = (&self.col, &self.pos);
+            let value = |r: &u32| col[pos[*r as usize] as usize];
+            self.vals.clear();
+            if stride == 1 {
+                self.vals.extend(sorted.iter().map(value));
+            } else {
+                let sampled = &self.sampled;
+                self.vals
+                    .extend(sorted.iter().filter(|&&r| sampled[r as usize]).map(value));
+            }
+            self.vals.dedup();
+            quantile_midpoints(&self.vals, self.cfg.candidates, &mut self.thresholds);
+            // The left count is the length of the `x <= t` prefix; a
+            // candidate that leaves fewer than `min_leaf` rows on a side is
+            // never scanned.
+            let min_leaf = self.cfg.min_leaf;
+            let n_left = &mut self.n_left;
+            n_left.clear();
+            self.thresholds.retain(|&t| {
+                let k = sorted.partition_point(|r| value(r) <= t);
+                let keep = k >= min_leaf && n - k >= min_leaf;
+                if keep {
+                    n_left.push(k);
                 }
-                if (left.n as usize) < self.cfg.min_leaf || (right.n as usize) < self.cfg.min_leaf {
-                    continue;
+                keep
+            });
+            if self.thresholds.is_empty() {
+                continue;
+            }
+            self.sums.clear();
+            for block in self.thresholds.chunks(LANES) {
+                match block.len() {
+                    1 => scan::<1>(&self.col, &self.ys, block, &mut self.sums),
+                    2 => scan::<2>(&self.col, &self.ys, block, &mut self.sums),
+                    _ => scan::<LANES>(&self.col, &self.ys, block, &mut self.sums),
                 }
+            }
+            let scored = self.thresholds.iter().zip(&self.n_left).zip(&self.sums);
+            for ((&thresh, &n_left), &[ls, lss, rs, rss]) in scored {
+                let left = Moments {
+                    n: n_left as f64,
+                    sum: ls,
+                    sumsq: lss,
+                };
+                let right = Moments {
+                    n: (n - n_left) as f64,
+                    sum: rs,
+                    sumsq: rss,
+                };
                 let gain = parent_sse - left.sse() - right.sse();
                 // Strict `>`: the first candidate (lowest feature, lowest
                 // threshold) wins ties, making the argmax total.
@@ -231,58 +329,38 @@ impl SymbolicModel {
         best.map(|(_, f, t)| (f, t))
     }
 
-    /// Quantile candidate thresholds for one feature over the node's rows:
-    /// a strided (deterministic) subsample is sorted and `candidates`
-    /// midpoints between distinct neighbours are emitted, each `t`
-    /// satisfying `vals[k-1] <= t < vals[k]`.
-    fn candidate_thresholds(&self, ds: &Dataset, idx: &[u32], feat: usize) -> Vec<f64> {
-        let stride = (idx.len() / QUANTILE_SAMPLE).max(1);
-        let mut vals: Vec<f64> = idx
-            .iter()
-            .step_by(stride)
-            .map(|&i| ds.row(i as usize)[feat])
-            .collect();
-        vals.sort_unstable_by(f64::total_cmp);
-        vals.dedup();
-        if vals.len() < 2 {
-            return Vec::new();
+    /// Apply the split to `lo..hi`: stably partition its rows, and each
+    /// feature's sorted slice when a child can split again. Returns the
+    /// left child's size.
+    fn split(&mut self, lo: usize, hi: usize, feat: usize, thresh: f64, depth: usize) -> usize {
+        let ds = self.ds;
+        for &r in &self.rows[lo..hi] {
+            self.goes_left[r as usize] = ds.xs[r as usize * ds.dim + feat] <= thresh;
         }
-        let c = self.cfg.candidates.min(vals.len() - 1);
-        let mut out = Vec::with_capacity(c);
-        for j in 1..=c {
-            let k = (j * vals.len() / (c + 1)).clamp(1, vals.len() - 1);
-            let (a, b) = (vals[k - 1], vals[k]);
-            let mid = 0.5 * (a + b);
-            let t = if mid < b { mid } else { a };
-            if out.last() != Some(&t) {
-                out.push(t);
+        let n_left = stable_partition(&mut self.rows[lo..hi], &self.goes_left, &mut self.spill);
+        let min_split = 2 * self.cfg.min_leaf;
+        if depth + 1 < self.cfg.max_depth && (n_left >= min_split || hi - lo - n_left >= min_split)
+        {
+            for sorted in self.order.chunks_exact_mut(ds.len()) {
+                stable_partition(&mut sorted[lo..hi], &self.goes_left, &mut self.spill);
             }
         }
-        out
+        n_left
     }
 
     /// Emit a leaf, optionally refined by the best single-feature linear
     /// term (closed-form least squares; accepted only when it cuts the SSE
     /// by more than 1% and the slope is finite).
-    fn push_leaf(
-        &mut self,
-        ds: &Dataset,
-        idx: &[u32],
-        mean: f64,
-        sse: f64,
-        y_lo: f64,
-        y_hi: f64,
-    ) -> u32 {
+    fn leaf(&mut self, lo: usize, hi: usize, mean: f64, sse: f64, y_lo: f64, y_hi: f64) -> u32 {
         let mut node = TreeNode::leaf(mean, y_lo, y_hi);
-        if self.cfg.leaf_linear && idx.len() >= 2 && sse > 1e-12 {
-            let n = idx.len() as f64;
-            let sy: f64 = idx.iter().map(|&i| ds.ys[i as usize]).sum();
+        if self.cfg.leaf_linear && hi - lo >= 2 && sse > 1e-12 {
+            let n = (hi - lo) as f64;
+            let sy: f64 = self.ys.iter().copied().sum();
             let mut best: Option<(f64, usize, f64, f64)> = None; // (sse, feat, slope, icept)
-            for feat in 0..self.dim {
+            for feat in 0..self.ds.dim {
+                gather(self.ds, &self.rows[lo..hi], feat, &mut self.col);
                 let (mut sx, mut sxx, mut sxy) = (0.0, 0.0, 0.0);
-                for &i in idx {
-                    let x = ds.row(i as usize)[feat];
-                    let y = ds.ys[i as usize];
+                for (&x, &y) in self.col.iter().zip(&self.ys) {
                     sx += x;
                     sxx += x * x;
                     sxy += x * y;
@@ -312,6 +390,116 @@ impl SymbolicModel {
         let at = self.nodes.len() as u32;
         self.nodes.push(node);
         at
+    }
+}
+
+/// `col` := feature `feat` of `rows`, in that order.
+fn gather(ds: &Dataset, rows: &[u32], feat: usize, col: &mut Vec<f64>) {
+    col.clear();
+    col.extend(rows.iter().map(|&r| ds.xs[r as usize * ds.dim + feat]));
+}
+
+/// Quantile candidate thresholds from a node's sorted, deduped sample:
+/// `candidates` midpoints between distinct neighbours, each `t` satisfying
+/// `vals[k-1] <= t < vals[k]`, strictly increasing.
+fn quantile_midpoints(vals: &[f64], candidates: usize, out: &mut Vec<f64>) {
+    out.clear();
+    if vals.len() < 2 {
+        return;
+    }
+    let c = candidates.min(vals.len() - 1);
+    for j in 1..=c {
+        let k = (j * vals.len() / (c + 1)).clamp(1, vals.len() - 1);
+        let (a, b) = (vals[k - 1], vals[k]);
+        let mid = 0.5 * (a + b);
+        let t = if mid < b { mid } else { a };
+        if out.last() != Some(&t) {
+            out.push(t);
+        }
+    }
+}
+
+/// Append `[left sum, left sumsq, right sum, right sumsq]` of each
+/// threshold in `block` (at most `L`; the padding lanes are dropped) over
+/// one column, in one pass. Every row adds to every lane; a row on the
+/// other side adds `+0.0`, which leaves the sum's bits alone because an
+/// accumulator that starts at `+0.0` never becomes `-0.0` under
+/// round-to-nearest — so each lane equals the branchy row-order sum bit
+/// for bit.
+fn scan<const L: usize>(col: &[f64], ys: &[f64], block: &[f64], out: &mut Vec<[f64; 4]>) {
+    let mut t = [f64::NEG_INFINITY; L];
+    t[..block.len()].copy_from_slice(block);
+    let (mut ls, mut lss) = ([0.0; L], [0.0; L]);
+    let (mut rs, mut rss) = ([0.0; L], [0.0; L]);
+    for (&x, &y) in col.iter().zip(ys) {
+        let (y, yy) = (y.to_bits(), (y * y).to_bits());
+        // All ones where the row goes left; `bits & 0` is `+0.0`.
+        let left: [u64; L] = std::array::from_fn(|j| 0u64.wrapping_sub(u64::from(x <= t[j])));
+        for j in 0..L {
+            ls[j] += f64::from_bits(y & left[j]);
+        }
+        for j in 0..L {
+            lss[j] += f64::from_bits(yy & left[j]);
+        }
+        for j in 0..L {
+            rs[j] += f64::from_bits(y & !left[j]);
+        }
+        for j in 0..L {
+            rss[j] += f64::from_bits(yy & !left[j]);
+        }
+    }
+    out.extend((0..block.len()).map(|j| [ls[j], lss[j], rs[j], rss[j]]));
+}
+
+/// Stably move the rows with `goes_left[row]` to the front of `seg`;
+/// returns how many there are.
+fn stable_partition(seg: &mut [u32], goes_left: &[bool], spill: &mut Vec<u32>) -> usize {
+    // Branch-free: each row is written to both sides, and only the side
+    // it belongs to advances.
+    spill.resize(seg.len(), 0);
+    let (mut n_left, mut n_right) = (0, 0);
+    for i in 0..seg.len() {
+        let r = seg[i];
+        let left = goes_left[r as usize];
+        seg[n_left] = r;
+        spill[n_right] = r;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
+    }
+    seg[n_left..].copy_from_slice(&spill[..n_right]);
+    n_left
+}
+
+/// `f64::total_cmp` order as an unsigned key: negatives have every bit
+/// flipped, the rest only the sign bit.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+impl SymbolicModel {
+    /// Fit a tree to `ds`. Deterministic: equal datasets (same rows, same
+    /// order) produce bit-identical trees at any thread count (fitting is
+    /// serial; the parallel fan-out lives in the harvest, upstream).
+    pub fn fit(ds: &Dataset, cfg: &TreeConfig) -> SymbolicModel {
+        let cfg = TreeConfig {
+            max_depth: cfg.max_depth.clamp(1, 64),
+            min_leaf: cfg.min_leaf.max(1),
+            candidates: cfg.candidates.clamp(1, 256),
+            leaf_linear: cfg.leaf_linear,
+        };
+        let nodes = if ds.is_empty() || ds.dim == 0 {
+            vec![TreeNode::leaf(0.0, 0.0, 0.0)]
+        } else {
+            let mut fit = Fit::new(ds, cfg);
+            fit.node(0, ds.len(), 0);
+            fit.nodes
+        };
+        SymbolicModel {
+            dim: ds.dim,
+            cfg,
+            nodes,
+        }
     }
 
     /// Predict the (scaled) mean action for one raw state vector. A pure
@@ -447,7 +635,8 @@ impl SymbolicModel {
                 .and_then(Json::as_bool)
                 .unwrap_or(false),
         };
-        if n_nodes == 0 || r.len() != n_nodes * 56 {
+        // `checked_mul`: a forged count could wrap onto the block size.
+        if n_nodes == 0 || n_nodes.checked_mul(56) != Some(r.len()) {
             return Err(bad("tree node block has the wrong size"));
         }
         let mut nodes = Vec::with_capacity(n_nodes);
@@ -507,9 +696,169 @@ impl SymbolicModel {
     }
 }
 
+/// The fit as it was before the one-pass scan — per node and feature, a
+/// freshly sorted sample and one branchy pass per candidate — kept as the
+/// oracle the fast fit must equal bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn fit(ds: &Dataset, cfg: &TreeConfig) -> SymbolicModel {
+        // No rows: the clamped config and the null leaf, cleared below.
+        let mut model = SymbolicModel::fit(&Dataset::new(ds.dim), cfg);
+        if !ds.is_empty() && ds.dim > 0 {
+            model.nodes.clear();
+            fit_node(&mut model, ds, (0..ds.len() as u32).collect(), 0);
+        }
+        model
+    }
+
+    fn fit_node(model: &mut SymbolicModel, ds: &Dataset, idx: Vec<u32>, depth: usize) -> u32 {
+        let mut m = Moments::default();
+        let (mut y_lo, mut y_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &i in &idx {
+            let y = ds.ys[i as usize];
+            m.push(y);
+            y_lo = y_lo.min(y);
+            y_hi = y_hi.max(y);
+        }
+        let mean = m.sum / m.n;
+        let sse = m.sse();
+        let splittable =
+            depth < model.cfg.max_depth && idx.len() >= 2 * model.cfg.min_leaf && sse > 1e-12;
+        let best = if splittable {
+            best_split(model, ds, &idx, sse)
+        } else {
+            None
+        };
+        let Some((feat, thresh)) = best else {
+            return push_leaf(model, ds, &idx, mean, sse, y_lo, y_hi);
+        };
+        let node_at = model.nodes.len() as u32;
+        model.nodes.push(TreeNode {
+            feat: feat as u32,
+            thresh,
+            left: 0,
+            right: 0,
+            value: mean,
+            lin_feat: NONE_FEAT,
+            lin_slope: 0.0,
+            lo: y_lo,
+            hi: y_hi,
+        });
+        let (li, ri): (Vec<u32>, Vec<u32>) = idx
+            .iter()
+            .partition(|&&i| ds.row(i as usize)[feat] <= thresh);
+        let left = fit_node(model, ds, li, depth + 1);
+        let right = fit_node(model, ds, ri, depth + 1);
+        model.nodes[node_at as usize].left = left;
+        model.nodes[node_at as usize].right = right;
+        node_at
+    }
+
+    fn best_split(
+        model: &SymbolicModel,
+        ds: &Dataset,
+        idx: &[u32],
+        parent_sse: f64,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(f64, usize, f64)> = None;
+        for feat in 0..model.dim {
+            for thresh in candidate_thresholds(model, ds, idx, feat) {
+                let mut left = Moments::default();
+                let mut right = Moments::default();
+                for &i in idx {
+                    if ds.row(i as usize)[feat] <= thresh {
+                        left.push(ds.ys[i as usize]);
+                    } else {
+                        right.push(ds.ys[i as usize]);
+                    }
+                }
+                if (left.n as usize) < model.cfg.min_leaf || (right.n as usize) < model.cfg.min_leaf
+                {
+                    continue;
+                }
+                let gain = parent_sse - left.sse() - right.sse();
+                if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
+                    best = Some((gain, feat, thresh));
+                }
+            }
+        }
+        best.map(|(_, f, t)| (f, t))
+    }
+
+    fn candidate_thresholds(
+        model: &SymbolicModel,
+        ds: &Dataset,
+        idx: &[u32],
+        feat: usize,
+    ) -> Vec<f64> {
+        let stride = (idx.len() / QUANTILE_SAMPLE).max(1);
+        let mut vals: Vec<f64> = idx
+            .iter()
+            .step_by(stride)
+            .map(|&i| ds.row(i as usize)[feat])
+            .collect();
+        vals.sort_unstable_by(f64::total_cmp);
+        vals.dedup();
+        let mut out = Vec::new();
+        quantile_midpoints(&vals, model.cfg.candidates, &mut out);
+        out
+    }
+
+    fn push_leaf(
+        model: &mut SymbolicModel,
+        ds: &Dataset,
+        idx: &[u32],
+        mean: f64,
+        sse: f64,
+        y_lo: f64,
+        y_hi: f64,
+    ) -> u32 {
+        let mut node = TreeNode::leaf(mean, y_lo, y_hi);
+        if model.cfg.leaf_linear && idx.len() >= 2 && sse > 1e-12 {
+            let n = idx.len() as f64;
+            let sy: f64 = idx.iter().map(|&i| ds.ys[i as usize]).sum();
+            let mut best: Option<(f64, usize, f64, f64)> = None;
+            for feat in 0..model.dim {
+                let (mut sx, mut sxx, mut sxy) = (0.0, 0.0, 0.0);
+                for &i in idx {
+                    let x = ds.row(i as usize)[feat];
+                    let y = ds.ys[i as usize];
+                    sx += x;
+                    sxx += x * x;
+                    sxy += x * y;
+                }
+                let den = n * sxx - sx * sx;
+                if den <= 1e-12 {
+                    continue;
+                }
+                let slope = (n * sxy - sx * sy) / den;
+                if !slope.is_finite() {
+                    continue;
+                }
+                let icept = (sy - slope * sx) / n;
+                let sxy_c = sxy - sx * sy / n;
+                let lin_sse = (sse - slope * sxy_c).max(0.0);
+                if lin_sse < sse * 0.99 && best.is_none_or(|(s, _, _, _)| lin_sse < s) {
+                    best = Some((lin_sse, feat, slope, icept));
+                }
+            }
+            if let Some((_, feat, slope, icept)) = best {
+                node.lin_feat = feat as u32;
+                node.lin_slope = slope;
+                node.value = icept;
+            }
+        }
+        model.nodes.push(node);
+        (model.nodes.len() - 1) as u32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_util::prop::{ensure, forall, PropConfig};
     use sage_util::Rng;
 
     /// y = sign structure on two features, plus noise.
@@ -655,6 +1004,204 @@ mod tests {
         let rec0 = 16 + header_len;
         bytes[rec0 + 8..rec0 + 12].copy_from_slice(&0u32.to_le_bytes());
         assert!(SymbolicModel::from_bytes(&bytes).is_err());
+    }
+
+    /// One feature value of a kind the fit must handle without moving a
+    /// bit: plain, few distinct values with both zeros, constant, near
+    /// ±1e300 (whose squares overflow in the leaf refinement), or adjacent
+    /// floats (whose midpoint rounds onto a value, so `x <= t` ties).
+    fn feature(kind: usize, constant: f64, rng: &mut Rng) -> f64 {
+        match kind {
+            0 => rng.range(-1.0, 1.0),
+            1 => [-0.0, 0.0, 0.5, -1.0, 2.0][rng.below(5)],
+            2 => constant,
+            3 => [-1e300, 1e300][rng.below(2)] * (1.0 + rng.uniform()),
+            _ => f64::from_bits(1.0f64.to_bits() + rng.below(3) as u64),
+        }
+    }
+
+    #[test]
+    fn fast_fit_equals_the_reference_bit_for_bit() {
+        forall(
+            "fit == reference fit",
+            PropConfig::new(60, 0xF17_7EE),
+            |rng| {
+                let dim = 1 + rng.below(5);
+                let kinds: Vec<usize> = (0..dim).map(|_| rng.below(5)).collect();
+                let constants: Vec<f64> =
+                    (0..dim).map(|_| [-0.0, 0.0, 3.5][rng.below(3)]).collect();
+                // Some nodes reach 2 · QUANTILE_SAMPLE rows, where the
+                // candidates come from a strided sample.
+                let n = if rng.chance(0.15) {
+                    2 * QUANTILE_SAMPLE + rng.below(1500)
+                } else {
+                    1 + rng.below(400)
+                };
+                let noise = [0.0, 0.01][rng.below(2)];
+                let mut ds = Dataset::new(dim);
+                for _ in 0..n {
+                    let x: Vec<f64> = (0..dim)
+                        .map(|f| feature(kinds[f], constants[f], rng))
+                        .collect();
+                    let y = if rng.chance(0.1) {
+                        -0.0
+                    } else {
+                        f64::from(u8::from(x[0] > 0.0))
+                            - 0.25 * f64::from(u8::from(x[dim - 1] <= 0.0))
+                            + 0.125 * rng.below(4) as f64
+                            + noise * rng.uniform()
+                    };
+                    ds.push(&x, y);
+                }
+                let cfg = TreeConfig {
+                    max_depth: 1 + rng.below(10),
+                    min_leaf: [1, 32][rng.below(2)],
+                    candidates: [1, 16, 256][rng.below(3)],
+                    leaf_linear: rng.chance(0.5),
+                };
+                let (fast, slow) = (SymbolicModel::fit(&ds, &cfg), reference::fit(&ds, &cfg));
+                ensure(fast.digest() == slow.digest(), || {
+                    format!(
+                        "{cfg:?} over {n} rows of kinds {kinds:?}: {} nodes, reference {}",
+                        fast.nodes.len(),
+                        slow.nodes.len()
+                    )
+                })
+            },
+        );
+    }
+
+    /// The benchmark's 4 096 seeded rows (69 uniform features, a linear
+    /// target), fitted with the default config.
+    #[test]
+    fn seeded_fit_matches_its_golden_digest() {
+        let mut rng = Rng::new(2023 ^ 0x7EE5);
+        let mut ds = Dataset::new(sage_gr::STATE_DIM);
+        for _ in 0..4096 {
+            let x: Vec<f64> = (0..sage_gr::STATE_DIM)
+                .map(|_| rng.uniform() * 2.0 - 1.0)
+                .collect();
+            ds.push(&x, x[0] - 0.5 * x[7] + 0.25 * x[33]);
+        }
+        let m = SymbolicModel::fit(&ds, &TreeConfig::default());
+        assert_eq!(m.digest(), 0x2608_6db6_df3f_ed1d);
+    }
+
+    /// A `SAGETRE1` payload (no footer) from a header's two structural
+    /// numbers and raw node records.
+    fn payload(dim: usize, nodes: &str, records: &[u8]) -> Vec<u8> {
+        let header = format!(
+            r#"{{"dim":{dim},"nodes":{nodes},"max_depth":10,"min_leaf":32,"candidates":16,"leaf_linear":true}}"#
+        );
+        let mut out = b"SAGETRE1".to_vec();
+        out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(records);
+        out
+    }
+
+    #[test]
+    fn from_bytes_rejects_every_mutated_field_without_panicking() {
+        let m = SymbolicModel::fit(&synthetic(400, 31), &TreeConfig::default());
+        let bytes = m.to_bytes().unwrap();
+        let records = &bytes[bytes.len() - m.nodes.len() * 56..];
+        let n = m.nodes.len();
+        assert_eq!(
+            SymbolicModel::from_bytes(&payload(m.dim, &n.to_string(), records)).unwrap(),
+            m
+        );
+        // 512 leaf records (the last node is a leaf): a block whose size
+        // `(512 + j · 2^61) · 56` wraps onto.
+        let leaves = records[(n - 1) * 56..].repeat(512);
+        assert!(SymbolicModel::from_bytes(&payload(m.dim, "512", &leaves)).is_ok());
+        let internal: Vec<usize> = (0..n).filter(|&i| !m.nodes[i].is_leaf()).collect();
+        let max_feat = internal.iter().map(|&i| m.nodes[i].feat).max().unwrap() as usize;
+        let dim = m.dim as u32;
+        forall(
+            "one mutated field is rejected",
+            PropConfig::new(300, 0x10AD),
+            |rng| {
+                let mut recs = records.to_vec();
+                let mut set = |i: usize, field: usize, v: u32| {
+                    recs[i * 56 + 4 * field..i * 56 + 4 * field + 4]
+                        .copy_from_slice(&v.to_le_bytes())
+                };
+                let (what, bad) = match rng.below(7) {
+                    0 => {
+                        let k = [0, n - 1, n + 1, 2 * n, 1 + rng.below(1 << 20)][rng.below(5)];
+                        let k = if k == n { n + 2 } else { k };
+                        (format!("nodes {k}"), payload(m.dim, &k.to_string(), &recs))
+                    }
+                    1 => {
+                        let k = match rng.below(3) {
+                            0 => format!("{}", 512 + (1 + rng.below(7) as u64) * (1 << 61)),
+                            1 => "18446744073709551616".to_string(),
+                            _ => "1e300".to_string(),
+                        };
+                        (
+                            format!("nodes {k} over 512 records"),
+                            payload(m.dim, &k, &leaves),
+                        )
+                    }
+                    2 => {
+                        let d = rng.below(max_feat + 1);
+                        (format!("dim {d}"), payload(d, &n.to_string(), &recs))
+                    }
+                    3 => {
+                        // A leaf given a feature gains children 0 and 0, which
+                        // do not point forward; a split's feature leaves `dim`.
+                        let i = rng.below(n);
+                        let lo = if m.nodes[i].is_leaf() { 0 } else { dim };
+                        let f = lo + rng.below((NONE_FEAT - lo) as usize) as u32;
+                        set(i, 0, f);
+                        (
+                            format!("node {i} feat {f}"),
+                            payload(m.dim, &n.to_string(), &recs),
+                        )
+                    }
+                    4 => {
+                        let leaf = (0..n)
+                            .filter(|&i| m.nodes[i].is_leaf())
+                            .nth(rng.below(n - internal.len()));
+                        let i = leaf.unwrap();
+                        let f = dim + rng.below((NONE_FEAT - dim) as usize) as u32;
+                        set(i, 1, f);
+                        (
+                            format!("leaf {i} lin_feat {f}"),
+                            payload(m.dim, &n.to_string(), &recs),
+                        )
+                    }
+                    5 => {
+                        let i = internal[rng.below(internal.len())];
+                        let c = if rng.chance(0.5) {
+                            rng.below(i + 1) as u32
+                        } else {
+                            n as u32 + rng.below(u32::MAX as usize - n) as u32
+                        };
+                        let side = 2 + rng.below(2);
+                        set(i, side, c);
+                        (
+                            format!("node {i} child {c}"),
+                            payload(m.dim, &n.to_string(), &recs),
+                        )
+                    }
+                    _ => {
+                        let mut b = bytes.clone();
+                        let hlen = u64::from_le_bytes(b[8..16].try_into().unwrap());
+                        let k = if rng.chance(0.5) {
+                            rng.below(hlen as usize) as u64
+                        } else {
+                            hlen + 1 + rng.next_u64() % (u64::MAX - hlen)
+                        };
+                        b[8..16].copy_from_slice(&k.to_le_bytes());
+                        (format!("header length {k}"), b)
+                    }
+                };
+                ensure(SymbolicModel::from_bytes(&bad).is_err(), || {
+                    format!("{what} accepted")
+                })
+            },
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 # and exits 1 unless both lines are clean:
 #   CLAIM       pairs won and medians-beyond-the-parent's-IQR -> met / not met
 #               (choosing-metrics §8: at least nine tenths of the pairs, ties
-#               for neither side, and the IQR distance);
+#               for neither side, and the IQR distance), plus the median
+#               gain next to the metric's `bound` and the margin between
+#               them;
 #   REGRESSIONS every other workload x end-to-end metric whose change median
 #               is worse than the parent's by more than its `bound` in
 #               BENCHMARK.json (read, like benchmark/, never edited).
@@ -102,7 +104,8 @@ END {
     printf "%-9s %-20s %s %s %7.3f %2d/%-2d  %s\n", wm[1], wm[2], summary("parent", key), summary("change", key), (pm ? cm / pm : 0), won, pairs, beyond
     if (wm[1] "/" wm[2] == claim) {
       met = (won * 10 >= pairs * 9 && beyond == "yes" && (lower ? cm < pm : cm > pm))
-      verdict = sprintf("CLAIM %s: won %d/%d, medians %.4f -> %.4f (%.3fx) beyond the parent IQR %s -> %s", claim, won, pairs, pm, cm, (pm ? cm / pm : 0), beyond, (met ? "met" : "not met"))
+      gain = pm ? (lower ? 1 - cm / pm : cm / pm - 1) : 0
+      verdict = sprintf("CLAIM %s: won %d/%d, medians %.4f -> %.4f (%.3fx) beyond the parent IQR %s; gain %.1f%% vs bound %g%%, margin %+.1f pts -> %s", claim, won, pairs, pm, cm, (pm ? cm / pm : 0), beyond, 100 * gain, 100 * bound[wm[2]], 100 * (gain - bound[wm[2]]), (met ? "met" : "not met"))
     } else if (lower ? cm > pm * (1 + bound[wm[2]]) : cm < pm * (1 - bound[wm[2]]))
       regressions = regressions sprintf(" %s/%s %.4f -> %.4f (bound %g)", wm[1], wm[2], pm, cm, bound[wm[2]])
   }
