@@ -50,10 +50,9 @@ impl Ctx {
     /// The checksummed payload of `artifacts/<file>`, its CRC recorded.
     fn artifact(&mut self, file: &str) -> Result<Vec<u8>, String> {
         let path = self.dir.join(file);
-        let payload =
+        let (payload, crc) =
             sage_util::read_checksummed(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        self.crcs
-            .insert(file.to_string(), sage_util::crc32(&payload));
+        self.crcs.insert(file.to_string(), crc);
         self.read.insert(file.to_string());
         Ok(payload)
     }
@@ -98,9 +97,10 @@ impl Ctx {
     /// `artifacts/pool.bin`.
     pub fn pool(&mut self) -> Result<Arc<Pool>, String> {
         if self.pool.is_none() {
-            let payload = self.artifact("pool.bin")?;
-            let pool = Pool::load(&mut &payload[..])
-                .map_err(|e| format!("{}: {e}", self.dir.join("pool.bin").display()))?;
+            let path = self.dir.join("pool.bin");
+            let (pool, crc) =
+                Pool::load_checked(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            self.crcs.insert("pool.bin".to_string(), crc);
             self.pool = Some(Arc::new(pool));
         }
         self.read.insert("pool.bin".to_string());

@@ -3,6 +3,7 @@
 //! breaks whichever figure bin reaches for it next.
 
 use sage_bench::{artifacts_dir, default_gr, model_path, SEED};
+use sage_collector::Pool;
 use sage_core::SageModel;
 use sage_distill::{SymbolicModel, TreeConfig};
 use sage_eval::matrix::{scenarios_fault, scenarios_set12};
@@ -40,6 +41,32 @@ fn every_committed_model_and_tree_loads() {
         "committed artifacts that do not load:\n{}",
         failures.join("\n")
     );
+}
+
+/// The loaders and the writer agree on the committed bytes: `pool.bin`,
+/// `sage.model` and `sage.tree`, loaded and saved again through the checked
+/// writer, come out byte-identical, footer included.
+#[test]
+fn committed_artifacts_re_save_byte_identically() {
+    let dir = artifacts_dir();
+    let tmp = std::env::temp_dir().join(format!("sage_resave_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let resave = |file: &str, save: &dyn Fn(&std::path::Path) -> std::io::Result<()>| {
+        let out = tmp.join(file);
+        save(&out).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let (was, now) = (std::fs::read(dir.join(file)), std::fs::read(&out));
+        assert!(
+            was.expect("committed bytes") == now.expect("re-saved bytes"),
+            "{file} re-saves to other bytes"
+        );
+    };
+    let pool = Pool::load_file(&dir.join("pool.bin")).expect("pool.bin loads");
+    resave("pool.bin", &|p| pool.save_file(p));
+    let model = SageModel::load_file(&dir.join("sage.model")).expect("sage.model loads");
+    resave("sage.model", &|p| model.save_file(p));
+    let tree = SymbolicModel::load_file(&dir.join("sage.tree")).expect("sage.tree loads");
+    resave("sage.tree", &|p| tree.save_file(p));
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 /// The committed policy stays distillable at smoke scale: a depth-6 tree fit

@@ -10,7 +10,7 @@
 use sage_bench::ctx::{knobs, read_manifest, MANIFEST};
 use sage_bench::figures::TABLE;
 use sage_bench::{artifacts_dir, results_dir};
-use sage_util::{crc32, fnv1a64, read_checksummed, Json};
+use sage_util::{fnv1a64, read_checksummed, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -98,7 +98,7 @@ fn findings(results: &Path, artifacts: &Path) -> Vec<String> {
             let recorded = read.get("crc32").and_then(Json::as_str).unwrap_or("");
             let actual = committed.entry(artifact.to_string()).or_insert_with(|| {
                 match read_checksummed(&artifacts.join(artifact)) {
-                    Ok(payload) => format!("{:08x}", crc32(&payload)),
+                    Ok((_, crc)) => format!("{crc:08x}"),
                     Err(e) => format!("unreadable: {e}"),
                 }
             });
@@ -169,10 +169,8 @@ fn a_foreign_model_crc_is_the_only_finding() {
         std::fs::write(&path, format!("{head}\"fig17.txt\"{forged}")).expect("rewrite");
     });
     assert_eq!(found.len(), 1, "{found:?}");
-    let committed = format!(
-        "{:08x}",
-        crc32(&read_checksummed(&artifacts_dir().join("sage.model")).expect("sage.model"))
-    );
+    let (_, crc) = read_checksummed(&artifacts_dir().join("sage.model")).expect("sage.model");
+    let committed = format!("{crc:08x}");
     for part in [
         "fig17.txt: produced from sage.model with crc32 deadbeef",
         &committed,

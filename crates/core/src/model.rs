@@ -572,7 +572,7 @@ impl SageModel {
     /// Load a model saved by [`SageModel::save_file`]; a file without a
     /// valid checksum footer is rejected.
     pub fn load_file(path: &std::path::Path) -> io::Result<SageModel> {
-        SageModel::from_bytes(&sage_util::read_checksummed(path)?)
+        SageModel::from_bytes(&sage_util::read_checksummed(path)?.0)
     }
 }
 

@@ -692,7 +692,7 @@ impl SymbolicModel {
     /// Load and verify. No legacy fallback: trees postdate the checksum
     /// format, so a missing/invalid footer is always corruption.
     pub fn load_file(path: &std::path::Path) -> io::Result<SymbolicModel> {
-        SymbolicModel::from_bytes(&sage_util::read_checksummed(path)?)
+        SymbolicModel::from_bytes(&sage_util::read_checksummed(path)?.0)
     }
 }
 

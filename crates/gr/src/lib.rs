@@ -16,6 +16,8 @@
 pub mod action;
 pub mod mask;
 pub mod reward;
+#[cfg(test)]
+mod ring;
 pub mod state;
 
 pub use action::{encode_ratio, log_ratio, CwndActor};

@@ -1,6 +1,7 @@
 //! Fixed-capacity ring buffer with O(1) windowed mean and amortised-O(1)
-//! min/max (monotonic deques), used by the General Representation unit for
-//! the Small/Medium/Large statistics windows of Table 1.
+//! min/max (monotonic deques): one per window per signal, the GR unit's
+//! storage before its one-ring history. Kept only under `cfg(test)`, as the
+//! reference that history must equal bit for bit.
 //!
 //! The min/max fast path must return bit-identical results to the legacy
 //! `fold(INFINITY, f64::min)` scan: `f64::min`/`f64::max` ignore NaN
@@ -97,10 +98,6 @@ impl RingWindow {
         self.len == 0
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Mean of the samples currently in the window (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.len == 0 {
@@ -168,7 +165,7 @@ impl RingWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prop::{forall, PropConfig};
+    use sage_util::prop::{forall, PropConfig};
 
     #[test]
     fn fills_then_evicts_oldest() {

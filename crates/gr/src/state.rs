@@ -2,7 +2,7 @@
 
 use sage_transport::sim::TickRecord;
 use sage_transport::SocketView;
-use sage_util::RingWindow;
+use std::collections::VecDeque;
 
 /// Dimension of the full state vector.
 pub const STATE_DIM: usize = 69;
@@ -130,34 +130,180 @@ pub struct GrStep {
     pub delivery_bps: f64,
 }
 
-/// Three-timescale window set over one signal.
-struct Tri {
-    s: RingWindow,
-    m: RingWindow,
-    l: RingWindow,
+/// The six signal groups of Table 1 rows 5-58, in row order: srtt, thr,
+/// rtt_rate, rttvar, inflight, lost.
+const SIGNALS: usize = 6;
+
+/// Windowed statistics over the six signal groups: what rows 5-58 read.
+trait Windows {
+    fn push(&mut self, row: [f64; SIGNALS]);
+
+    /// avg/min/max of the Small, Medium and Large window of each signal:
+    /// 54 values, in Table 1 order.
+    fn emit(&self, out: &mut Vec<f64>);
 }
 
-impl Tri {
-    fn new(cfg: &GrConfig) -> Self {
-        Tri {
-            s: RingWindow::new(cfg.small),
-            m: RingWindow::new(cfg.medium),
-            l: RingWindow::new(cfg.large),
+/// NaN and −0.0: the values a window's min/max must fold for. `f64::min`
+/// and `f64::max` skip NaN operands and resolve ±0.0 ties by evaluation
+/// order, and the deques reproduce neither.
+fn needs_fold(x: f64) -> bool {
+    x.is_nan() || (x == 0.0 && x.is_sign_negative())
+}
+
+/// One flow's history of the six signals: a single ring of rows sized to
+/// the largest window, read by all three windows; per signal and window a
+/// running sum and a count of live [`needs_fold`] values; per signal one
+/// min and one max deque over the largest window, with a cursor per window.
+struct History {
+    /// Small, Medium, Large window lengths, in ticks.
+    wins: [usize; 3],
+    rows: Vec<[f64; SIGNALS]>,
+    /// Slot of the next push.
+    head: usize,
+    /// Pushes so far, which is the sequence number of the next push.
+    pushed: u64,
+    tracks: [Track; SIGNALS],
+}
+
+/// One signal's running statistics over the three windows.
+#[derive(Default)]
+struct Track {
+    sum: [f64; 3],
+    /// Live [`needs_fold`] values per window: the window folds while any.
+    odd: [u32; 3],
+    min: Extremum,
+    max: Extremum,
+}
+
+/// A monotonic deque of `(seq, value)` over the largest window, and per
+/// window the index of its first entry inside that window. Windows are
+/// suffixes of one history, so the entry under a window's cursor is that
+/// window's extremum.
+#[derive(Default)]
+struct Extremum {
+    q: VecDeque<(u64, f64)>,
+    at: [usize; 3],
+}
+
+impl Extremum {
+    /// Append `x`, pushed as `seq`, after dropping every entry it `beats`:
+    /// such an entry can never be an extremum again. Of equal values only
+    /// the newest is kept; the extremum is the same.
+    fn push(&mut self, seq: u64, x: f64, beats: impl Fn(f64, f64) -> bool) {
+        while self.q.back().is_some_and(|&(_, v)| beats(x, v)) {
+            self.q.pop_back();
+        }
+        let n = self.q.len();
+        for a in &mut self.at {
+            *a = (*a).min(n);
+        }
+        self.q.push_back((seq, x));
+    }
+
+    /// Move each window's cursor past the entries older than that window's
+    /// oldest live push, then drop the entries no window reaches.
+    fn advance(&mut self, oldest: &[u64; 3]) {
+        for (a, &o) in self.at.iter_mut().zip(oldest) {
+            while self.q.get(*a).is_some_and(|&(s, _)| s < o) {
+                *a += 1;
+            }
+        }
+        let stale = self.at.iter().copied().min().unwrap_or(0);
+        self.q.drain(..stale);
+        for a in &mut self.at {
+            *a -= stale;
         }
     }
 
-    fn push(&mut self, x: f64) {
-        self.s.push(x);
-        self.m.push(x);
-        self.l.push(x);
+    /// Window `k`'s extremum; `None` if the window holds only NaNs.
+    fn get(&self, k: usize) -> Option<f64> {
+        self.q.get(self.at[k]).map(|&(_, v)| v)
+    }
+}
+
+impl History {
+    fn new(cfg: &GrConfig) -> Self {
+        let wins = [cfg.small, cfg.medium, cfg.large];
+        assert!(
+            wins.iter().all(|&w| w > 0),
+            "window capacity must be positive"
+        );
+        let cap = wins.iter().copied().max().unwrap_or(1);
+        History {
+            wins,
+            rows: vec![[0.0; SIGNALS]; cap],
+            head: 0,
+            pushed: 0,
+            tracks: Default::default(),
+        }
     }
 
-    /// avg/min/max for each of the three windows, 9 values.
+    /// Window of length `len` (at most the ring's) of signal `j`, oldest
+    /// to newest.
+    fn window(&self, j: usize, len: usize) -> impl Iterator<Item = f64> + '_ {
+        let cap = self.rows.len();
+        let start = (self.head + cap - len) % cap;
+        (0..len).map(move |i| self.rows[(start + i) % cap][j])
+    }
+}
+
+impl Windows for History {
+    fn push(&mut self, row: [f64; SIGNALS]) {
+        let cap = self.rows.len();
+        let seq = self.pushed;
+        // Each full window gives up its oldest row before the new one is
+        // added: the reference's order of float operations.
+        for (k, &w) in self.wins.iter().enumerate() {
+            if seq >= w as u64 {
+                let old = self.rows[(self.head + cap - w) % cap];
+                for (t, &x) in self.tracks.iter_mut().zip(&old) {
+                    t.sum[k] -= x;
+                    if needs_fold(x) {
+                        t.odd[k] -= 1;
+                    }
+                }
+            }
+        }
+        self.rows[self.head] = row;
+        self.head = (self.head + 1) % cap;
+        self.pushed += 1;
+        let oldest = self.wins.map(|w| self.pushed.saturating_sub(w as u64));
+        for (t, &x) in self.tracks.iter_mut().zip(&row) {
+            for sum in &mut t.sum {
+                *sum += x;
+            }
+            if needs_fold(x) {
+                for odd in &mut t.odd {
+                    *odd += 1;
+                }
+            }
+            if !x.is_nan() {
+                t.min.push(seq, x, |x, v| v >= x);
+                t.max.push(seq, x, |x, v| v <= x);
+            }
+            t.min.advance(&oldest);
+            t.max.advance(&oldest);
+        }
+    }
+
     fn emit(&self, out: &mut Vec<f64>) {
-        for w in [&self.s, &self.m, &self.l] {
-            out.push(w.mean());
-            out.push(w.min());
-            out.push(w.max());
+        for (j, t) in self.tracks.iter().enumerate() {
+            for (k, &w) in self.wins.iter().enumerate() {
+                let len = self.pushed.min(w as u64) as usize;
+                out.push(t.sum[k] / len as f64);
+                if t.odd[k] > 0 {
+                    let (lo, hi) = self
+                        .window(j, len)
+                        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+                            (lo.min(x), hi.max(x))
+                        });
+                    out.push(lo);
+                    out.push(hi);
+                } else {
+                    out.push(t.min.get(k).unwrap_or(f64::INFINITY));
+                    out.push(t.max.get(k).unwrap_or(f64::NEG_INFINITY));
+                }
+            }
         }
     }
 }
@@ -166,39 +312,28 @@ impl Tri {
 pub struct GrUnit {
     cfg: GrConfig,
     reward: crate::reward::RewardParams,
-    rtt_w: Tri,
-    thr_w: Tri,
-    rtt_rate_w: Tri,
-    rtt_var_w: Tri,
-    inflight_w: Tri,
-    lost_w: Tri,
-    prev_cwnd: f64,
-    prev_action: f64,
-    prev_rtt: f64,
-    prev_dr: f64,
-    prev_time: u64,
-    prev_delivered_bytes: u64,
-    prev_dr_max: f64,
+    history: History,
+    carry: Carry,
+}
+
+/// What one tick leaves for the next: the previous tick's values that the
+/// action and rows 59-69 are relative to.
+struct Carry {
+    cwnd: f64,
+    action: f64,
+    rtt: f64,
+    dr: f64,
+    time: u64,
+    delivered_bytes: u64,
 }
 
 impl GrUnit {
     pub fn new(cfg: GrConfig, reward: crate::reward::RewardParams) -> Self {
         GrUnit {
-            rtt_w: Tri::new(&cfg),
-            thr_w: Tri::new(&cfg),
-            rtt_rate_w: Tri::new(&cfg),
-            rtt_var_w: Tri::new(&cfg),
-            inflight_w: Tri::new(&cfg),
-            lost_w: Tri::new(&cfg),
+            history: History::new(&cfg),
             cfg,
             reward,
-            prev_cwnd: 0.0,
-            prev_action: 1.0,
-            prev_rtt: 0.0,
-            prev_dr: 0.0,
-            prev_time: 0,
-            prev_delivered_bytes: 0,
-            prev_dr_max: 0.0,
+            carry: Carry::new(),
         }
     }
 
@@ -208,22 +343,40 @@ impl GrUnit {
 
     /// Ingest one monitor tick; returns the recorded step.
     pub fn on_tick(&mut self, view: &SocketView, tick: &TickRecord) -> GrStep {
+        self.carry.tick(&self.reward, &mut self.history, view, tick)
+    }
+}
+
+impl Carry {
+    fn new() -> Self {
+        Carry {
+            cwnd: 0.0,
+            action: 1.0,
+            rtt: 0.0,
+            dr: 0.0,
+            time: 0,
+            delivered_bytes: 0,
+        }
+    }
+
+    fn tick(
+        &mut self,
+        reward: &crate::reward::RewardParams,
+        windows: &mut impl Windows,
+        view: &SocketView,
+        tick: &TickRecord,
+    ) -> GrStep {
         let srtt = view.srtt;
         let thr = view.delivery_rate_bps / RATE_SCALE;
-        let rtt_rate = if self.prev_rtt > 0.0 && view.latest_rtt > 0.0 {
-            view.latest_rtt / self.prev_rtt
+        let rtt_rate = if self.rtt > 0.0 && view.latest_rtt > 0.0 {
+            view.latest_rtt / self.rtt
         } else {
             1.0
         };
         let lost_bytes = tick.lost_bytes_delta as f64 / BYTES_SCALE;
         let inflight = view.inflight_bytes as f64 / BYTES_SCALE;
 
-        self.rtt_w.push(srtt);
-        self.thr_w.push(thr);
-        self.rtt_rate_w.push(rtt_rate);
-        self.rtt_var_w.push(view.rttvar);
-        self.inflight_w.push(inflight);
-        self.lost_w.push(lost_bytes);
+        windows.push([srtt, thr, rtt_rate, view.rttvar, inflight, lost_bytes]);
 
         let mut s = Vec::with_capacity(STATE_DIM);
         // Rows 1-4.
@@ -232,14 +385,9 @@ impl GrUnit {
         s.push(thr);
         s.push(view.ca_state.as_f64());
         // Rows 5-58: the six three-timescale signal groups.
-        self.rtt_w.emit(&mut s);
-        self.thr_w.emit(&mut s);
-        self.rtt_rate_w.emit(&mut s);
-        self.rtt_var_w.emit(&mut s);
-        self.inflight_w.emit(&mut s);
-        self.lost_w.emit(&mut s);
+        windows.emit(&mut s);
         // Rows 59-69: instantaneous derived signals.
-        let dt = (view.now.saturating_sub(self.prev_time)) as f64 / 1e9;
+        let dt = (view.now.saturating_sub(self.time)) as f64 / 1e9;
         let time_delta = if view.min_rtt > 0.0 {
             dt / view.min_rtt
         } else {
@@ -250,11 +398,11 @@ impl GrUnit {
         s.push(lost_bytes / dt.max(1e-9) / RATE_SCALE * 8.0 * BYTES_SCALE); // 61 loss_db (bit/s scaled)
         let acked_delta = view
             .delivered_bytes_total
-            .saturating_sub(self.prev_delivered_bytes);
+            .saturating_sub(self.delivered_bytes);
         let acked_rate = acked_delta as f64 * 8.0 / dt.max(1e-9) / RATE_SCALE;
         s.push(acked_rate); // 62 acked_rate
-        let dr_ratio = if self.prev_dr > 0.0 && view.delivery_rate_bps > 0.0 {
-            view.delivery_rate_bps / self.prev_dr
+        let dr_ratio = if self.dr > 0.0 && view.delivery_rate_bps > 0.0 {
+            view.delivery_rate_bps / self.dr
         } else {
             1.0
         };
@@ -280,31 +428,30 @@ impl GrUnit {
             1.0
         };
         s.push(dr_max_ratio.min(100.0)); // 68 dr_max_ratio
-        s.push(self.prev_action); // 69 pre_act
+        s.push(self.action); // 69 pre_act
 
         debug_assert_eq!(s.len(), STATE_DIM);
 
         // Action = cwnd ratio.
-        let action = if self.prev_cwnd > 0.0 {
-            (tick.cwnd_pkts / self.prev_cwnd).clamp(0.05, 20.0)
+        let action = if self.cwnd > 0.0 {
+            (tick.cwnd_pkts / self.cwnd).clamp(0.05, 20.0)
         } else {
             1.0
         };
         let r1 = crate::reward::reward_power(
-            &self.reward,
+            reward,
             tick.goodput_bps,
             tick.lost_bytes_delta as f64 * 8.0 / dt.max(1e-9),
             tick.mean_owd,
             view.min_rtt,
         );
 
-        self.prev_cwnd = tick.cwnd_pkts;
-        self.prev_action = action;
-        self.prev_rtt = view.latest_rtt;
-        self.prev_dr = view.delivery_rate_bps;
-        self.prev_time = view.now;
-        self.prev_delivered_bytes = view.delivered_bytes_total;
-        self.prev_dr_max = view.max_delivery_rate_bps;
+        self.cwnd = tick.cwnd_pkts;
+        self.action = action;
+        self.rtt = view.latest_rtt;
+        self.dr = view.delivery_rate_bps;
+        self.time = view.now;
+        self.delivered_bytes = view.delivered_bytes_total;
 
         GrStep {
             state: s,
@@ -319,7 +466,178 @@ impl GrUnit {
 pub(crate) mod tests {
     use super::*;
     use crate::reward::RewardParams;
+    use crate::ring::RingWindow;
     use sage_transport::cc::CaState;
+    use sage_util::prop::{forall, PropConfig};
+    use sage_util::Rng;
+
+    /// Three rings per signal, one per window: the storage the one-ring
+    /// history replaced, kept as its bit-for-bit reference.
+    struct Tri {
+        s: RingWindow,
+        m: RingWindow,
+        l: RingWindow,
+    }
+
+    fn tris(cfg: &GrConfig) -> [Tri; SIGNALS] {
+        std::array::from_fn(|_| Tri {
+            s: RingWindow::new(cfg.small),
+            m: RingWindow::new(cfg.medium),
+            l: RingWindow::new(cfg.large),
+        })
+    }
+
+    impl Windows for [Tri; SIGNALS] {
+        fn push(&mut self, row: [f64; SIGNALS]) {
+            for (t, x) in self.iter_mut().zip(row) {
+                t.s.push(x);
+                t.m.push(x);
+                t.l.push(x);
+            }
+        }
+
+        fn emit(&self, out: &mut Vec<f64>) {
+            for t in self {
+                for w in [&t.s, &t.m, &t.l] {
+                    out.push(w.mean());
+                    out.push(w.min());
+                    out.push(w.max());
+                }
+            }
+        }
+    }
+
+    /// Windows of 1 to 40 ticks in any order (small > large included),
+    /// or one of the configurations the figures run.
+    fn random_config(rng: &mut Rng) -> GrConfig {
+        let named = [
+            GrConfig::default(),
+            GrConfig::uniform(10),
+            GrConfig::uniform(1),
+            GrConfig {
+                small: 300,
+                medium: 7,
+                large: 50,
+            },
+        ];
+        if rng.chance(0.2) {
+            return *rng.choose(&named);
+        }
+        let mut w = || {
+            if rng.chance(0.2) {
+                1
+            } else {
+                1 + rng.below(40)
+            }
+        };
+        GrConfig {
+            small: w(),
+            medium: w(),
+            large: w(),
+        }
+    }
+
+    /// A sample: with chance `odd`, NaN or a signed zero; otherwise
+    /// infinities, duplicates, runs and plain values.
+    fn sample(rng: &mut Rng, odd: f64, last: f64) -> f64 {
+        if rng.chance(odd) {
+            return *rng.choose(&[f64::NAN, 0.0, -0.0]);
+        }
+        match rng.below(10) {
+            0 => *rng.choose(&[f64::INFINITY, f64::NEG_INFINITY]),
+            1 | 2 => rng.below(4) as f64,
+            3 if last.is_finite() => last + rng.range(0.0, 1.0),
+            4 if last.is_finite() => last - rng.range(0.0, 1.0),
+            _ => rng.range(-100.0, 100.0),
+        }
+    }
+
+    /// Equal bits, ±0.0 told apart; any two NaNs match, since Rust leaves
+    /// the sign and payload of an arithmetic NaN unspecified.
+    fn same(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same(x, y))
+    }
+
+    #[test]
+    fn one_ring_history_equals_three_rings_per_signal() {
+        forall(
+            "history == three rings per signal",
+            PropConfig::new(200, 0x0E81),
+            |rng| {
+                let cfg = random_config(rng);
+                let mut history = History::new(&cfg);
+                let mut reference = tris(&cfg);
+                // Odd values come in bursts, so windows also leave them
+                // behind and return to the deques.
+                let odd = *rng.choose(&[0.0, 0.01, 0.1, 0.5]);
+                let mut row = [0.0; SIGNALS];
+                for t in 0..1 + rng.below(400) {
+                    let burst = if (t / 60) % 2 == 1 { odd } else { 0.0 };
+                    for x in &mut row {
+                        *x = sample(rng, burst, *x);
+                    }
+                    history.push(row);
+                    reference.push(row);
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    history.emit(&mut got);
+                    reference.emit(&mut want);
+                    if !same_bits(&got, &want) {
+                        let i = (0..got.len())
+                            .find(|&i| !same(got[i], want[i]))
+                            .unwrap_or(0);
+                        return Err(format!(
+                            "{cfg:?}, push {t}, value {i}: {:#x} != {:#x}",
+                            got[i].to_bits(),
+                            want[i].to_bits()
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn gr_unit_equals_the_three_ring_reference_on_all_69_features() {
+        forall(
+            "GrUnit == three-ring reference, 69 features",
+            PropConfig::new(60, 0x0E82),
+            |rng| {
+                let cfg = random_config(rng);
+                let reward = RewardParams::default();
+                let mut unit = GrUnit::new(cfg, reward);
+                let (mut carry, mut reference) = (Carry::new(), tris(&cfg));
+                let odd = *rng.choose(&[0.0, 0.02, 0.2]);
+                let mut v = view(0, 10.0);
+                for t in 0..1 + rng.below(600) {
+                    let burst = if (t / 100) % 2 == 1 { odd } else { 0.0 };
+                    v.now += rng.below(20_000_000) as u64;
+                    v.srtt = sample(rng, burst, v.srtt);
+                    v.rttvar = sample(rng, burst, v.rttvar);
+                    v.latest_rtt = sample(rng, burst, v.latest_rtt);
+                    v.delivery_rate_bps = sample(rng, burst, v.delivery_rate_bps) * 1e6;
+                    v.inflight_bytes = rng.below(4) as u64 * 1500 * rng.below(100) as u64;
+                    v.delivered_bytes_total += rng.below(100_000) as u64;
+                    v.cwnd_pkts = 1.0 + rng.below(200) as f64;
+                    let mut tk = tick(v.now, v.cwnd_pkts);
+                    tk.lost_bytes_delta = *rng.choose(&[0, 0, 1500, 3000]);
+                    let got = unit.on_tick(&v, &tk);
+                    let want = carry.tick(&reward, &mut reference, &v, &tk);
+                    let scalars = |s: &GrStep| [s.action, s.reward_power, s.delivery_bps];
+                    if !same_bits(&got.state, &want.state)
+                        || !same_bits(&scalars(&got), &scalars(&want))
+                    {
+                        return Err(format!("{cfg:?}, tick {t}: states differ"));
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
 
     pub(crate) fn view(now: u64, cwnd: f64) -> SocketView {
         SocketView {

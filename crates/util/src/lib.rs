@@ -13,14 +13,15 @@ pub mod fsio;
 pub mod json;
 pub mod par;
 pub mod prop;
-pub mod ring;
 pub mod rng;
 pub mod stats;
 
-pub use fsio::{atomic_write, atomic_write_checksummed, crc32, fnv1a64, read_checksummed, Fnv64};
+pub use fsio::{
+    atomic_write, atomic_write_checksummed, crc32, fnv1a64, read_checksummed, CheckedReader,
+    CheckedWriter, Fnv64,
+};
 pub use json::{Json, JsonError};
 pub use par::{configured_threads, par_map, par_map_range, resolve_threads, THREADS_ENV};
 pub use prop::{forall, PropConfig};
-pub use ring::RingWindow;
 pub use rng::Rng;
 pub use stats::{downsample_mean, mean, percentile, stddev, Ewma, OnlineStats};

@@ -1,9 +1,9 @@
-//! Property-style tests for the statistics and windowing primitives, driven
+//! Property-style tests for the statistics primitives, driven
 //! by the workspace's own deterministic RNG (no external property-testing
 //! framework: the build must work offline).
 
 use sage_util::prop::ensure;
-use sage_util::{forall, mean, percentile, stddev, OnlineStats, PropConfig, RingWindow, Rng};
+use sage_util::{forall, mean, percentile, stddev, OnlineStats, PropConfig, Rng};
 
 /// Random vector of `len` elements in `[lo, hi)`.
 fn vec_in(rng: &mut Rng, len: usize, lo: f64, hi: f64) -> Vec<f64> {
@@ -95,52 +95,6 @@ fn online_stats_match_batch() {
         assert!((o.mean() - mean(&xs)).abs() < 1e-6);
         assert!((o.variance().sqrt() - stddev(&xs)).abs() < 1e-6);
     }
-}
-
-#[test]
-fn ring_window_matches_naive() {
-    let mut rng = Rng::new(0xD00D);
-    for _ in 0..50 {
-        let cap = 1 + rng.below(19);
-        let len = 1 + rng.below(99);
-        let xs = vec_in(&mut rng, len, -1e3, 1e3);
-        let mut w = RingWindow::new(cap);
-        for (i, &x) in xs.iter().enumerate() {
-            w.push(x);
-            let live = &xs[i.saturating_sub(cap - 1)..=i];
-            let naive_mean = live.iter().sum::<f64>() / live.len() as f64;
-            let naive_min = live.iter().cloned().fold(f64::INFINITY, f64::min);
-            let naive_max = live.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            assert!((w.mean() - naive_mean).abs() < 1e-6);
-            assert!((w.min() - naive_min).abs() < 1e-12);
-            assert!((w.max() - naive_max).abs() < 1e-12);
-        }
-    }
-}
-
-/// FIFO/capacity invariant: after any push sequence, the window holds
-/// exactly the last `min(len, cap)` samples in push order — nothing else.
-#[test]
-fn prop_ring_window_is_fifo_with_bounded_capacity() {
-    forall("ring FIFO/capacity", PropConfig::new(150, 0x51D0), |rng| {
-        let cap = 1 + rng.below(31);
-        let n = rng.below(120);
-        let xs: Vec<f64> = (0..n).map(|_| rng.range(-1e6, 1e6)).collect();
-        let mut w = RingWindow::new(cap);
-        for &x in &xs {
-            w.push(x);
-        }
-        ensure(w.capacity() == cap, || "capacity changed".into())?;
-        ensure(w.len() == n.min(cap), || {
-            format!("len {} != min({n}, {cap})", w.len())
-        })?;
-        let live: Vec<f64> = w.iter().collect();
-        let expect = &xs[n.saturating_sub(cap)..];
-        ensure(live == expect, || {
-            format!("window {live:?} != last-{cap} suffix {expect:?}")
-        })?;
-        ensure(w.last() == xs.last().copied(), || "last() mismatch".into())
-    });
 }
 
 /// Stream-split independence: streams split from the same master are
