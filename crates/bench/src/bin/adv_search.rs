@@ -7,11 +7,9 @@
 //! at any `SAGE_THREADS` — `crates/eval/tests/adv_differential.rs`).
 //! `SAGE_SECS` sets the seconds per rollout (default 6).
 
-use sage_bench::{default_gr, envvar, model_path, print_table, SEED};
-use sage_core::SageModel;
+use sage_bench::{committed_sage, envvar, print_table, SEED};
 use sage_eval::adversary::{decode, report_json, search, AdvConfig};
 use sage_eval::runner::Contender;
-use std::sync::Arc;
 
 /// The heuristic roster the target's regret is measured against: the
 /// strongest loss-based, model-based and delay-based pool schemes.
@@ -25,17 +23,7 @@ fn main() {
         ..AdvConfig::default()
     };
 
-    let target = match SageModel::load_file(&model_path("sage")) {
-        Ok(model) => Contender::Model {
-            name: "sage",
-            model: Arc::new(model),
-            gr_cfg: default_gr(),
-        },
-        Err(e) => {
-            sage_obs::obs_warn!("no learned policy ({e}); searching against vivace instead");
-            Contender::Heuristic("vivace")
-        }
-    };
+    let target = committed_sage("adv_search");
     let roster: Vec<Contender> = ROSTER.into_iter().map(Contender::Heuristic).collect();
 
     println!(

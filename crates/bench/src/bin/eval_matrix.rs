@@ -11,8 +11,7 @@
 //! produced) and `FAIRNESS_trace.md` (which flows of the fairness cells
 //! starved). Exits 1 on any SLO breach, so `scripts/check.sh` gates on it.
 
-use sage_bench::{default_gr, model_path, print_table, results_dir, write_report, SEED};
-use sage_core::SageModel;
+use sage_bench::{committed_sage, print_table, results_dir, write_report, SEED};
 use sage_eval::matrix::{
     matrix_json, rankings, run_matrix, scenario_fairness, scenarios_adversarial, scenarios_fault,
     scenarios_internet, scenarios_multihop, scenarios_set12, Family, MatrixCell, MatrixSpec,
@@ -20,17 +19,17 @@ use sage_eval::matrix::{
 use sage_eval::runner::Contender;
 use sage_eval::set3::summarise;
 use sage_util::Json;
-use std::sync::Arc;
 
 /// Rollout seconds of the non-fairness families: long enough for
 /// slow-ramping learned policies to leave the startup phase (the full figs
 /// run 15 s).
 const SECS: f64 = 12.0;
 
-/// Drop-rate ceiling per scenario family, percent of transmissions.
-/// Deterministic rollouts, so the headroom over the recorded values is
-/// slim; a scheme or simulator change that pushes a family past its
-/// ceiling must regenerate the artifacts deliberately.
+/// Drop-rate ceiling per scenario family, percent of transmissions. The
+/// ceilings sit 4 (fairness) to 38 (set2) points above the worst cells of
+/// the committed roster, which `OBS_slo.json` records per family: they catch
+/// a family sliding towards total loss, not a regression of a few points.
+/// They are not yet set from the heuristics' healthy range.
 const FAMILY_LOSS_CEILING: [(Family, f64); 7] = [
     (Family::SetI, 95.0),
     (Family::SetII, 99.0),
@@ -197,22 +196,7 @@ fn main() {
     ]
     .map(Contender::Heuristic)
     .to_vec();
-    match SageModel::load_file(&model_path("sage")) {
-        Ok(model) => schemes.push(Contender::Model {
-            name: "sage",
-            model: Arc::new(model),
-            gr_cfg: default_gr(),
-        }),
-        Err(e) => sage_obs::obs_warn!("no learned policy in the roster ({e}); heuristics only"),
-    }
-    // The distilled symbolic policy joins the roster whenever a fitted tree
-    // resolves (installed, $SAGE_TREE, or the committed artifacts/sage.tree)
-    // so the matrix tracks its rank next to the NN policy per PR.
-    if sage_distill::resolve().is_some() {
-        schemes.push(Contender::Heuristic("sage-sym"));
-    } else {
-        sage_obs::obs_warn!("no distilled tree found; sage-sym not in the roster");
-    }
+    schemes.push(committed_sage("eval_matrix"));
     let spec = MatrixSpec {
         schemes,
         scenarios,

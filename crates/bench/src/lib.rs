@@ -209,6 +209,20 @@ pub fn learned(name: &'static str, model: Arc<SageModel>, gr_cfg: GrConfig) -> C
     }
 }
 
+/// `artifacts/sage.model` as the contender `sage`, for the bins that
+/// rewrite a committed report. A model that does not load exits 1 naming
+/// the path, so no other roster's report lands under the committed name.
+pub fn committed_sage(bin: &str) -> Contender {
+    let path = model_path("sage");
+    match SageModel::load_file(&path) {
+        Ok(model) => learned("sage", Arc::new(model), default_gr()),
+        Err(e) => {
+            eprintln!("{bin}: {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 /// A winning rate as the tables print it.
 pub fn pct(rate: f64) -> String {
     format!("{:.2}%", rate * 100.0)

@@ -1,6 +1,6 @@
 //! Every committed artifact must load with the loaders this tree ships: a
-//! model or tree that sits under `artifacts/` but fails to parse silently
-//! breaks whichever figure bin reaches for it next.
+//! model that sits under `artifacts/` but fails to parse silently breaks
+//! whichever figure bin reaches for it next.
 
 use sage_bench::{artifacts_dir, default_gr, model_path, SEED};
 use sage_collector::Pool;
@@ -25,17 +25,13 @@ fn every_committed_model_and_tree_loads() {
         models.iter().any(|p| p.ends_with("sage.model")),
         "artifacts/sage.model is committed"
     );
-    let mut failures: Vec<String> = models
+    let failures: Vec<String> = models
         .iter()
         .filter_map(|p| {
             let e = SageModel::load_file(p).err()?;
             Some(format!("{}: {e}", p.display()))
         })
         .collect();
-    let tree = dir.join("sage.tree");
-    if let Err(e) = SymbolicModel::load_file(&tree) {
-        failures.push(format!("{}: {e}", tree.display()));
-    }
     assert!(
         failures.is_empty(),
         "committed artifacts that do not load:\n{}",
@@ -43,9 +39,9 @@ fn every_committed_model_and_tree_loads() {
     );
 }
 
-/// The loaders and the writer agree on the committed bytes: `pool.bin`,
-/// `sage.model` and `sage.tree`, loaded and saved again through the checked
-/// writer, come out byte-identical, footer included.
+/// The loaders and the writer agree on the committed bytes: `pool.bin` and
+/// `sage.model`, loaded and saved again through the checked writer, come out
+/// byte-identical, footer included.
 #[test]
 fn committed_artifacts_re_save_byte_identically() {
     let dir = artifacts_dir();
@@ -64,8 +60,6 @@ fn committed_artifacts_re_save_byte_identically() {
     resave("pool.bin", &|p| pool.save_file(p));
     let model = SageModel::load_file(&dir.join("sage.model")).expect("sage.model loads");
     resave("sage.model", &|p| model.save_file(p));
-    let tree = SymbolicModel::load_file(&dir.join("sage.tree")).expect("sage.tree loads");
-    resave("sage.tree", &|p| tree.save_file(p));
     std::fs::remove_dir_all(&tmp).ok();
 }
 

@@ -14,11 +14,11 @@ use sage_util::{fnv1a64, read_checksummed, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Written by `adv_search`, `distill_report` and `eval_matrix`, which rewrite
-/// them byte for byte on every run.
-const REPORTS: [&str; 5] = [
+/// Written by `adv_search` and `eval_matrix`, which rewrite them byte for
+/// byte on every run; `scripts/check.sh` runs both and fails on any byte
+/// that differs from the committed file.
+const REPORTS: [&str; 4] = [
     "ADV_hardest.json",
-    "DISTILL_report.json",
     "EVAL_matrix.json",
     "OBS_slo.json",
     "FAIRNESS_trace.md",
@@ -50,7 +50,7 @@ fn findings(results: &Path, artifacts: &Path) -> Vec<String> {
         let known = file == MANIFEST || manifest.contains_key(file) || REPORTS.contains(&&**file);
         if !known {
             found.push(format!(
-                "{file}: neither a {MANIFEST} entry nor one of the five reports; nothing \
+                "{file}: neither a {MANIFEST} entry nor one of the four reports; nothing \
                  regenerates it, so it can only go stale"
             ));
         }

@@ -19,14 +19,11 @@
 //!
 //! Inference is a pure compare-walk (`x[feat] <= thresh`) — no matmul, no
 //! standardisation, no allocation — which is what makes the symbolic
-//! serving tier ns-scale. The serialised artifact mirrors the model format:
-//! `SAGETRE1` magic + JSON header + fixed-width node records, written
-//! atomically with the CRC32 footer so truncation/corruption is rejected at
-//! load.
+//! serving tier ns-scale. A tree is never written to disk: it is fitted in
+//! the process that serves or scores it.
 
 use crate::dataset::Dataset;
-use sage_util::{Fnv64, Json};
-use std::io::{self, Read, Write};
+use sage_util::Fnv64;
 
 /// Sentinel feature index marking a leaf (or "no linear term").
 const NONE_FEAT: u32 = u32::MAX;
@@ -528,10 +525,6 @@ impl SymbolicModel {
         }
     }
 
-    pub fn leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
     /// Actual depth of the fitted tree (root = depth 0).
     pub fn depth(&self) -> usize {
         // Children always follow parents, so one forward pass suffices.
@@ -564,135 +557,6 @@ impl SymbolicModel {
             h.write_f64(n.hi);
         }
         h.finish()
-    }
-
-    /// Serialise (no checksum footer — [`SymbolicModel::save_file`] adds
-    /// it): `SAGETRE1` magic, u64 header length, JSON header, then one
-    /// fixed-width 56-byte record per node.
-    pub fn to_bytes(&self) -> io::Result<Vec<u8>> {
-        let header = Json::obj(vec![
-            ("dim", Json::Num(self.dim as f64)),
-            ("nodes", Json::Num(self.nodes.len() as f64)),
-            ("max_depth", Json::Num(self.cfg.max_depth as f64)),
-            ("min_leaf", Json::Num(self.cfg.min_leaf as f64)),
-            ("candidates", Json::Num(self.cfg.candidates as f64)),
-            ("leaf_linear", Json::Bool(self.cfg.leaf_linear)),
-        ])
-        .to_string();
-        let mut out = Vec::with_capacity(16 + header.len() + self.nodes.len() * 56);
-        out.write_all(b"SAGETRE1")?;
-        out.write_all(&(header.len() as u64).to_le_bytes())?;
-        out.write_all(header.as_bytes())?;
-        for n in &self.nodes {
-            out.write_all(&n.feat.to_le_bytes())?;
-            out.write_all(&n.lin_feat.to_le_bytes())?;
-            out.write_all(&n.left.to_le_bytes())?;
-            out.write_all(&n.right.to_le_bytes())?;
-            out.write_all(&n.thresh.to_le_bytes())?;
-            out.write_all(&n.value.to_le_bytes())?;
-            out.write_all(&n.lin_slope.to_le_bytes())?;
-            out.write_all(&n.lo.to_le_bytes())?;
-            out.write_all(&n.hi.to_le_bytes())?;
-        }
-        Ok(out)
-    }
-
-    /// Parse from raw payload bytes (footer already stripped), validating
-    /// structure: every child index must point forward (acyclic by
-    /// construction) and every feature index must be inside `dim`.
-    pub fn from_bytes(payload: &[u8]) -> io::Result<SymbolicModel> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut r = payload;
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != b"SAGETRE1" {
-            return Err(bad("bad tree magic"));
-        }
-        let mut u = [0u8; 8];
-        r.read_exact(&mut u)?;
-        let hlen = u64::from_le_bytes(u) as usize;
-        if hlen > r.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "tree header truncated",
-            ));
-        }
-        let (hb, rest) = r.split_at(hlen);
-        r = rest;
-        let text = std::str::from_utf8(hb).map_err(|_| bad("tree header not utf-8"))?;
-        let header =
-            Json::parse(text).map_err(|e| bad(&format!("tree header unparseable: {e}")))?;
-        let field = |k: &str| header.get(k).and_then(Json::as_usize);
-        let (Some(dim), Some(n_nodes)) = (field("dim"), field("nodes")) else {
-            return Err(bad("tree header missing dim/nodes"));
-        };
-        let cfg = TreeConfig {
-            max_depth: field("max_depth").unwrap_or(0),
-            min_leaf: field("min_leaf").unwrap_or(1),
-            candidates: field("candidates").unwrap_or(1),
-            leaf_linear: header
-                .get("leaf_linear")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-        };
-        // `checked_mul`: a forged count could wrap onto the block size.
-        if n_nodes == 0 || n_nodes.checked_mul(56) != Some(r.len()) {
-            return Err(bad("tree node block has the wrong size"));
-        }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        let u32_at = |r: &mut &[u8]| -> io::Result<u32> {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            Ok(u32::from_le_bytes(b))
-        };
-        for i in 0..n_nodes {
-            let feat = u32_at(&mut r)?;
-            let lin_feat = u32_at(&mut r)?;
-            let left = u32_at(&mut r)?;
-            let right = u32_at(&mut r)?;
-            let mut f = [0u8; 8];
-            let mut f64_at = |r: &mut &[u8]| -> io::Result<f64> {
-                r.read_exact(&mut f)?;
-                Ok(f64::from_le_bytes(f))
-            };
-            let node = TreeNode {
-                feat,
-                lin_feat,
-                left,
-                right,
-                thresh: f64_at(&mut r)?,
-                value: f64_at(&mut r)?,
-                lin_slope: f64_at(&mut r)?,
-                lo: f64_at(&mut r)?,
-                hi: f64_at(&mut r)?,
-            };
-            if node.is_leaf() {
-                if node.lin_feat != NONE_FEAT && node.lin_feat as usize >= dim {
-                    return Err(bad("leaf linear feature out of range"));
-                }
-            } else {
-                if node.feat as usize >= dim {
-                    return Err(bad("split feature out of range"));
-                }
-                let (l, r_) = (node.left as usize, node.right as usize);
-                if l <= i || r_ <= i || l >= n_nodes || r_ >= n_nodes {
-                    return Err(bad("tree child index out of order"));
-                }
-            }
-            nodes.push(node);
-        }
-        Ok(SymbolicModel { dim, cfg, nodes })
-    }
-
-    /// Crash-safe save: temp + fsync + atomic rename with the CRC footer.
-    pub fn save_file(&self, path: &std::path::Path) -> io::Result<()> {
-        sage_util::atomic_write_checksummed(path, &self.to_bytes()?)
-    }
-
-    /// Load and verify. No legacy fallback: trees postdate the checksum
-    /// format, so a missing/invalid footer is always corruption.
-    pub fn load_file(path: &std::path::Path) -> io::Result<SymbolicModel> {
-        SymbolicModel::from_bytes(&sage_util::read_checksummed(path)?.0)
     }
 }
 
@@ -956,56 +820,6 @@ mod tests {
         assert!(p >= lo && p <= hi);
     }
 
-    #[test]
-    fn serialisation_round_trips_bit_exactly() {
-        let ds = synthetic(1200, 23);
-        let m = SymbolicModel::fit(&ds, &TreeConfig::default());
-        let bytes = m.to_bytes().unwrap();
-        let m2 = SymbolicModel::from_bytes(&bytes).unwrap();
-        assert_eq!(m, m2);
-        assert_eq!(m.digest(), m2.digest());
-        assert_eq!(m2.to_bytes().unwrap(), bytes);
-    }
-
-    #[test]
-    fn file_round_trip_and_corruption_rejection() {
-        let ds = synthetic(600, 29);
-        let m = SymbolicModel::fit(&ds, &TreeConfig::default());
-        let path = std::env::temp_dir().join("sage_tree_rt.tree");
-        m.save_file(&path).unwrap();
-        let m2 = SymbolicModel::load_file(&path).unwrap();
-        assert_eq!(m.digest(), m2.digest());
-
-        // Every truncation of the on-disk file must be rejected.
-        let full = std::fs::read(&path).unwrap();
-        for cut in [0, 1, full.len() / 2, full.len() - 1] {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            assert!(
-                SymbolicModel::load_file(&path).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-        // A single flipped bit must be rejected (CRC).
-        let mut bad = full.clone();
-        bad[full.len() / 3] ^= 0x01;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(SymbolicModel::load_file(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed_structure() {
-        let ds = synthetic(400, 31);
-        let m = SymbolicModel::fit(&ds, &TreeConfig::default());
-        let mut bytes = m.to_bytes().unwrap();
-        // Corrupt the first node's left-child index to point at itself
-        // (offset: 8 magic + 8 len + header + 8 into the record).
-        let header_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let rec0 = 16 + header_len;
-        bytes[rec0 + 8..rec0 + 12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(SymbolicModel::from_bytes(&bytes).is_err());
-    }
-
     /// One feature value of a kind the fit must handle without moving a
     /// bit: plain, few distinct values with both zeros, constant, near
     /// ±1e300 (whose squares overflow in the leaf refinement), or adjacent
@@ -1085,123 +899,6 @@ mod tests {
         }
         let m = SymbolicModel::fit(&ds, &TreeConfig::default());
         assert_eq!(m.digest(), 0x2608_6db6_df3f_ed1d);
-    }
-
-    /// A `SAGETRE1` payload (no footer) from a header's two structural
-    /// numbers and raw node records.
-    fn payload(dim: usize, nodes: &str, records: &[u8]) -> Vec<u8> {
-        let header = format!(
-            r#"{{"dim":{dim},"nodes":{nodes},"max_depth":10,"min_leaf":32,"candidates":16,"leaf_linear":true}}"#
-        );
-        let mut out = b"SAGETRE1".to_vec();
-        out.extend_from_slice(&(header.len() as u64).to_le_bytes());
-        out.extend_from_slice(header.as_bytes());
-        out.extend_from_slice(records);
-        out
-    }
-
-    #[test]
-    fn from_bytes_rejects_every_mutated_field_without_panicking() {
-        let m = SymbolicModel::fit(&synthetic(400, 31), &TreeConfig::default());
-        let bytes = m.to_bytes().unwrap();
-        let records = &bytes[bytes.len() - m.nodes.len() * 56..];
-        let n = m.nodes.len();
-        assert_eq!(
-            SymbolicModel::from_bytes(&payload(m.dim, &n.to_string(), records)).unwrap(),
-            m
-        );
-        // 512 leaf records (the last node is a leaf): a block whose size
-        // `(512 + j · 2^61) · 56` wraps onto.
-        let leaves = records[(n - 1) * 56..].repeat(512);
-        assert!(SymbolicModel::from_bytes(&payload(m.dim, "512", &leaves)).is_ok());
-        let internal: Vec<usize> = (0..n).filter(|&i| !m.nodes[i].is_leaf()).collect();
-        let max_feat = internal.iter().map(|&i| m.nodes[i].feat).max().unwrap() as usize;
-        let dim = m.dim as u32;
-        forall(
-            "one mutated field is rejected",
-            PropConfig::new(300, 0x10AD),
-            |rng| {
-                let mut recs = records.to_vec();
-                let mut set = |i: usize, field: usize, v: u32| {
-                    recs[i * 56 + 4 * field..i * 56 + 4 * field + 4]
-                        .copy_from_slice(&v.to_le_bytes())
-                };
-                let (what, bad) = match rng.below(7) {
-                    0 => {
-                        let k = [0, n - 1, n + 1, 2 * n, 1 + rng.below(1 << 20)][rng.below(5)];
-                        let k = if k == n { n + 2 } else { k };
-                        (format!("nodes {k}"), payload(m.dim, &k.to_string(), &recs))
-                    }
-                    1 => {
-                        let k = match rng.below(3) {
-                            0 => format!("{}", 512 + (1 + rng.below(7) as u64) * (1 << 61)),
-                            1 => "18446744073709551616".to_string(),
-                            _ => "1e300".to_string(),
-                        };
-                        (
-                            format!("nodes {k} over 512 records"),
-                            payload(m.dim, &k, &leaves),
-                        )
-                    }
-                    2 => {
-                        let d = rng.below(max_feat + 1);
-                        (format!("dim {d}"), payload(d, &n.to_string(), &recs))
-                    }
-                    3 => {
-                        // A leaf given a feature gains children 0 and 0, which
-                        // do not point forward; a split's feature leaves `dim`.
-                        let i = rng.below(n);
-                        let lo = if m.nodes[i].is_leaf() { 0 } else { dim };
-                        let f = lo + rng.below((NONE_FEAT - lo) as usize) as u32;
-                        set(i, 0, f);
-                        (
-                            format!("node {i} feat {f}"),
-                            payload(m.dim, &n.to_string(), &recs),
-                        )
-                    }
-                    4 => {
-                        let leaf = (0..n)
-                            .filter(|&i| m.nodes[i].is_leaf())
-                            .nth(rng.below(n - internal.len()));
-                        let i = leaf.unwrap();
-                        let f = dim + rng.below((NONE_FEAT - dim) as usize) as u32;
-                        set(i, 1, f);
-                        (
-                            format!("leaf {i} lin_feat {f}"),
-                            payload(m.dim, &n.to_string(), &recs),
-                        )
-                    }
-                    5 => {
-                        let i = internal[rng.below(internal.len())];
-                        let c = if rng.chance(0.5) {
-                            rng.below(i + 1) as u32
-                        } else {
-                            n as u32 + rng.below(u32::MAX as usize - n) as u32
-                        };
-                        let side = 2 + rng.below(2);
-                        set(i, side, c);
-                        (
-                            format!("node {i} child {c}"),
-                            payload(m.dim, &n.to_string(), &recs),
-                        )
-                    }
-                    _ => {
-                        let mut b = bytes.clone();
-                        let hlen = u64::from_le_bytes(b[8..16].try_into().unwrap());
-                        let k = if rng.chance(0.5) {
-                            rng.below(hlen as usize) as u64
-                        } else {
-                            hlen + 1 + rng.next_u64() % (u64::MAX - hlen)
-                        };
-                        b[8..16].copy_from_slice(&k.to_le_bytes());
-                        (format!("header length {k}"), b)
-                    }
-                };
-                ensure(SymbolicModel::from_bytes(&bad).is_err(), || {
-                    format!("{what} accepted")
-                })
-            },
-        );
     }
 
     #[test]

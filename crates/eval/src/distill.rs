@@ -4,8 +4,8 @@
 //! graph so `sage-heuristics` can register `"sage-sym"`); this module owns
 //! the glue that needs the neural model: replaying matrix scenarios with
 //! the deployed [`SagePolicy`] to harvest `(raw state, mixture mean)` rows,
-//! and the fidelity metrics (action agreement, league rank delta) that gate
-//! the distilled artifact.
+//! and the action agreement that says how well a fitted tree explains the
+//! model it was fitted from.
 //!
 //! Determinism contract: the scenario fan-out uses `par_map_range` (ordered
 //! reduction) with per-scenario seeds from `Rng::stream_seed`, and the
@@ -161,55 +161,10 @@ pub fn agreement(tree: &SymbolicModel, ds: &Dataset, tol_lr: f64) -> Agreement {
     }
 }
 
-/// Per-scenario rank difference between two contenders in a set of matrix
-/// rankings. The rank of `a` in a scenario is the number of *other* schemes
-/// (excluding `b`) placed ahead of it, so substituting one twin for the
-/// other cannot shift the rank by crowding alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankDelta {
-    /// `(scenario id, rank(b) - rank(a))` for every scenario where both
-    /// contenders appear.
-    pub per_scenario: Vec<(String, i64)>,
-    pub mean_abs: f64,
-    pub max_abs: i64,
-}
-
-/// Rank delta of `b` (e.g. `"sage-sym"`) relative to `a` (e.g. `"sage"`)
-/// over per-scenario rankings (see [`crate::matrix::rankings`]).
-pub fn rank_delta(ranks: &[crate::matrix::ScenarioRank], a: &str, b: &str) -> RankDelta {
-    let mut per_scenario = Vec::new();
-    for r in ranks {
-        let pos = |name: &str, skip: &str| -> Option<i64> {
-            let at = r.order.iter().position(|n| n == name)?;
-            Some(r.order[..at].iter().filter(|n| n.as_str() != skip).count() as i64)
-        };
-        let (Some(ra), Some(rb)) = (pos(a, b), pos(b, a)) else {
-            continue;
-        };
-        per_scenario.push((r.scenario.clone(), rb - ra));
-    }
-    let n = per_scenario.len().max(1) as f64;
-    let mean_abs = per_scenario
-        .iter()
-        .map(|(_, d)| d.unsigned_abs() as f64)
-        .sum::<f64>()
-        / n;
-    let max_abs = per_scenario
-        .iter()
-        .map(|(_, d)| d.unsigned_abs() as i64)
-        .max()
-        .unwrap_or(0);
-    RankDelta {
-        per_scenario,
-        mean_abs,
-        max_abs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{scenarios_set12, Family, ScenarioRank};
+    use crate::matrix::scenarios_set12;
     use sage_core::model::NetConfig;
     use sage_distill::TreeConfig;
 
@@ -311,29 +266,5 @@ mod tests {
         for n in skewed_ticks {
             assert!(n > 0 && n < rows.len(), "skewed ticks {skewed_ticks:?}");
         }
-    }
-
-    #[test]
-    fn rank_delta_ignores_the_twin_when_counting() {
-        let rank = |order: &[&str]| ScenarioRank {
-            scenario: "s".into(),
-            family: Family::SetI,
-            order: order.iter().map(|s| s.to_string()).collect(),
-            scores: vec![0.0; order.len()],
-        };
-        // Adjacent twins: identical rank once the twin is excluded.
-        let rd = rank_delta(
-            &[rank(&["cubic", "sage", "sage-sym", "bbr2"])],
-            "sage",
-            "sage-sym",
-        );
-        assert_eq!(rd.per_scenario, vec![("s".to_string(), 0)]);
-        // One real scheme between them: delta 1.
-        let rd = rank_delta(&[rank(&["sage", "cubic", "sage-sym"])], "sage", "sage-sym");
-        assert_eq!(rd.per_scenario, vec![("s".to_string(), 1)]);
-        assert_eq!(rd.max_abs, 1);
-        // Missing contender: scenario skipped.
-        let rd = rank_delta(&[rank(&["cubic", "bbr2"])], "sage", "sage-sym");
-        assert!(rd.per_scenario.is_empty());
     }
 }

@@ -17,7 +17,7 @@ pub mod set3;
 pub mod similarity;
 pub mod tsne;
 
-pub use distill::{agreement, harvest, rank_delta, Agreement, RankDelta, AGREE_TOL_LR};
+pub use distill::{agreement, harvest, Agreement, AGREE_TOL_LR};
 
 pub use adversary::{
     decode, evaluate_candidate, genome_digest, report_json, search, AdvConfig, AdvOutcome,

@@ -1,13 +1,16 @@
-//! Differential test for the evaluation matrix's determinism contract: the
+//! Differential tests for the evaluation matrix's determinism contract: the
 //! serialised `EVAL_matrix.json` payload must be byte-identical at
 //! `SAGE_THREADS` 1, 2 and 4. Every (scheme, scenario, seed) cell is an
 //! independent task with seeds that are pure functions of the cell, and the
 //! reduction is ordered — so neither the cells, nor the rankings, nor the
-//! folded report digest may depend on scheduling.
+//! folded report digest may depend on scheduling, nor a cell on the roster
+//! around it.
 
 use sage_core::model::NetConfig;
 use sage_core::SageModel;
-use sage_eval::matrix::{matrix_json, run_matrix, scenarios_fault, scenarios_set12, MatrixSpec};
+use sage_eval::matrix::{
+    matrix_json, rankings, run_matrix, scenarios_fault, scenarios_set12, MatrixSpec,
+};
 use sage_eval::runner::Contender;
 use sage_gr::{GrConfig, STATE_DIM};
 use std::sync::Arc;
@@ -66,4 +69,38 @@ fn matrix_report_byte_identical_across_thread_counts() {
         reports[0], reports[2],
         "matrix report differs between 1 and 4 threads"
     );
+}
+
+/// Dropping a contender from the roster moves no other cell: every
+/// remaining cell keeps its digest, and each scenario's ranking is the full
+/// run's order with the dropped scheme filtered out. This is what lets a
+/// roster change regenerate the committed reports with every other cell
+/// unchanged.
+#[test]
+fn cells_and_rankings_do_not_depend_on_the_roster() {
+    let full = spec(1);
+    let mut fewer = spec(1);
+    let dropped = fewer.schemes.remove(1).name();
+    let (all, rest) = (run_matrix(&full, |_, _| {}), run_matrix(&fewer, |_, _| {}));
+    let kept: Vec<_> = all.cells.iter().filter(|c| c.scheme != dropped).collect();
+    assert_eq!(kept.len(), rest.cells.len());
+    for (a, b) in kept.iter().zip(&rest.cells) {
+        let id = format!("{}/{}/{}", a.scenario, a.scheme, a.seed);
+        assert_eq!(id, format!("{}/{}/{}", b.scenario, b.scheme, b.seed));
+        assert_eq!(
+            a.digest, b.digest,
+            "{id} moved when {dropped} left the roster"
+        );
+    }
+    let (all, rest) = (rankings(&all.cells), rankings(&rest.cells));
+    assert_eq!(all.len(), rest.len());
+    for (a, b) in all.iter().zip(&rest) {
+        let filtered: Vec<&String> = a.order.iter().filter(|s| **s != dropped).collect();
+        assert_eq!(
+            filtered,
+            b.order.iter().collect::<Vec<_>>(),
+            "{}",
+            a.scenario
+        );
+    }
 }

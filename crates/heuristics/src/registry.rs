@@ -54,11 +54,10 @@ pub fn build(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
         "sprout" => Box::new(sprout::Sprout::new()),
         "vivace" => Box::new(vivace::Vivace::new()),
         "tick-aimd" => Box::new(fallback::TickAimd::new()),
-        // The distilled symbolic policy: available whenever a fitted tree
-        // is installed in-process or resolvable on disk (artifacts/sage.tree
-        // or $SAGE_TREE). Deterministic, so `seed` is unused.
+        // The distilled symbolic policy: available once a tree fitted in
+        // this process is installed. Deterministic, so `seed` is unused.
         "sage-sym" => {
-            let tree = sage_distill::resolve()?;
+            let tree = sage_distill::installed()?;
             Box::new(sage_distill::SymbolicPolicy::new(
                 tree,
                 sage_gr::GrConfig::default(),

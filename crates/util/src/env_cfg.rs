@@ -34,8 +34,6 @@ pub const LOG: &str = "SAGE_LOG";
 pub const RECORD: &str = "SAGE_RECORD";
 /// Where panic-recovery paths dump the flight-recorder tail.
 pub const FLIGHT_FILE: &str = "SAGE_FLIGHT_FILE";
-/// Explicit path of the distilled symbolic tree.
-pub const TREE: &str = "SAGE_TREE";
 /// Set (to anything) to make the golden tests rewrite their files.
 pub const REGEN_GOLDEN: &str = "SAGE_REGEN_GOLDEN";
 
@@ -85,10 +83,6 @@ pub fn flight_file() -> Option<OsString> {
     std::env::var_os(FLIGHT_FILE)
 }
 
-pub fn tree() -> Option<String> {
-    read(TREE)
-}
-
 /// Presence is the whole signal: any value, the empty string included.
 pub fn regen_golden() -> bool {
     read(REGEN_GOLDEN).is_some()
@@ -121,7 +115,6 @@ mod tests {
             super::LOG,
             super::RECORD,
             super::FLIGHT_FILE,
-            super::TREE,
             super::REGEN_GOLDEN,
         ] {
             assert!(name.starts_with("SAGE_"), "{name}");

@@ -72,13 +72,16 @@ SAGE_THREADS=4 cargo test -q --release
 echo "== benchmark: cargo test --release (perf_ledger against this tree) =="
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
-# The evaluation gate, and proof that the committed reports are what this
+# The evaluation gate, and proof that every committed report is what this
 # tree computes: eval_matrix reruns the matrix (≈4 s), exits 1 on an SLO
 # breach, and rewrites EVAL_matrix.json, OBS_slo.json and FAIRNESS_trace.md;
-# a byte that differs from the committed file fails here.
-echo "== evaluation gate: eval_matrix reproduces the committed reports =="
+# adv_search (≈2 s) rewrites ADV_hardest.json. A byte that differs from the
+# committed file fails here.
+echo "== evaluation gate: eval_matrix and adv_search reproduce the committed reports =="
 ./target/release/eval_matrix
-git diff --exit-code -- artifacts/results/{EVAL_matrix.json,OBS_slo.json,FAIRNESS_trace.md}
+./target/release/adv_search > /dev/null
+git diff --exit-code -- \
+  artifacts/results/{EVAL_matrix.json,OBS_slo.json,FAIRNESS_trace.md,ADV_hardest.json}
 
 # Opt-in ThreadSanitizer lane over the parallel runtime (SAGE_TSAN=1).
 # TSan needs a nightly toolchain with the rust-src component (the sanitizer
