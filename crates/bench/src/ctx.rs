@@ -4,10 +4,11 @@
 //! which inputs and knobs produced each result file.
 
 use crate::figures::Figure;
-use crate::{default_gr, evaluate, grid_envs, grid_scale, heuristics, learned};
+use crate::matrix::matrix_spec;
+use crate::{default_gr, evaluate, grid_envs, grid_scale, heuristics, learned, run_logged};
 use sage_collector::{EnvSpec, Pool};
 use sage_core::SageModel;
-use sage_eval::matrix::MatrixCell;
+use sage_eval::matrix::{MatrixCell, MatrixReport, MatrixSpec};
 use sage_eval::runner::Contender;
 use sage_util::Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,6 +27,7 @@ pub struct Ctx {
     dir: PathBuf,
     fig: &'static Figure,
     pool: Option<Arc<Pool>>,
+    matrix: Option<Arc<(MatrixSpec, MatrixReport)>>,
     /// Committed models by file name, trained ones by recipe key.
     models: BTreeMap<String, Kept>,
     /// Payload CRC-32 of every artifact file loaded so far.
@@ -41,6 +43,7 @@ impl Ctx {
             dir: dir.to_path_buf(),
             fig,
             pool: None,
+            matrix: None,
             models: BTreeMap::new(),
             crcs: BTreeMap::new(),
             read: BTreeSet::new(),
@@ -105,6 +108,18 @@ impl Ctx {
         }
         self.read.insert("pool.bin".to_string());
         Ok(self.pool.clone().expect("set above"))
+    }
+
+    /// The evaluation matrix over `sage.model` ([`matrix_spec`]): run on
+    /// first request, shared for the rest of the process.
+    pub fn matrix(&mut self) -> Result<Arc<(MatrixSpec, MatrixReport)>, String> {
+        let sage = self.sage_contender()?;
+        if self.matrix.is_none() {
+            let spec = matrix_spec(sage);
+            let report = run_logged(&spec);
+            self.matrix = Some(Arc::new((spec, report)));
+        }
+        Ok(self.matrix.clone().expect("set above"))
     }
 
     /// A model some figure trains, by a key that names its whole recipe

@@ -1,10 +1,11 @@
-//! The paper's evaluation as one table: every figure and table this repo
-//! reproduces is a row of [`TABLE`] — a projection of the committed pool and
-//! models, written to one file under `artifacts/results/` by the `figures`
+//! The paper's evaluation as one table: every figure, table and report this
+//! repo reproduces is a row of [`TABLE`] — a projection of the committed pool
+//! and models, written to one file under `artifacts/results/` by the `figures`
 //! bin. The paper measures real GENI/AWS paths and Mahimahi emulation; the
 //! rows run the simulator (DESIGN.md says what each substitution is).
 
 use crate::ctx::Ctx;
+use crate::matrix::{adv, fairness, matrix_report, set3, slo};
 use crate::{
     default_gr, default_train_cfg, evaluate, heuristics, league_table, league_tables, learned, pct,
     single_flow_env, table, train_crr, winning_rates, GRID_SECS, SEED,
@@ -86,25 +87,30 @@ const fn row(
 /// `fig09` keeps the full collection grid because five of its comparators
 /// train in the environments it is scored on.
 #[rustfmt::skip] // one figure per line: id, paper, grid, steps, file, fn, description
-pub static TABLE: [Figure; 18] = [
-    row("league", "headline",             Some((36, 18)),    0, "league.txt", league, "sage vs the 13 pool heuristics, Set I and Set II winning rates"),
-    row("fig01",  "Fig. 1",               Some((36, 18)),    0, "fig01.txt",  fig01,  "seven heuristics: Set I and Set II rankings are roughly opposite"),
-    row("fig05",  "Fig. 5",               None,              0, "fig05.txt",  fig05,  "the friendliness reward R2 over x = rate / fair share"),
-    row("fig07",  "Fig. 7",               Some((20, 10)),    0, "fig07.txt",  fig07,  "winning rate of the seven training-day checkpoints vs the pool"),
-    row("fig08",  "Fig. 8",               None,              0, "fig08.txt",  fig08,  "normalised delay and throughput on three synthetic Internet regimes"),
-    row("fig09",  "Fig. 9, 20; Table 3",  Some((36, 18)), 2000, "fig09.txt",  fig09,  "league of ML designs: BC variants, OnlineRL, Aurora-, Indigo-, Orca-like"),
-    row("fig10",  "Fig. 10, 21; Table 2", Some((20, 10)),    0, "fig10.txt",  fig10,  "league of delay-based designs"),
-    row("fig11",  "Fig. 11",              None,           2000, "fig11.txt",  fig11,  "distance to the pool of sage, vegas and BC on a 24 -> 96 Mbit/s step"),
-    row("fig12",  "Fig. 12",              Some((14, 7)),  1500, "fig12.txt",  fig12,  "ablations: three input masks, no GRU, no encoder, no GMM"),
-    row("fig13",  "Fig. 13",              Some((24, 12)),    0, "fig13.txt",  fig13,  "similarity index of sage to each pool scheme in eight environments"),
-    row("fig14",  "Fig. 14, 16",          Some((12, 6)),  1500, "fig14.txt",  fig14,  "observation-window granularity: sage_s/m/l, and their hidden-layer t-SNE"),
-    row("fig15",  "Fig. 15",              Some((14, 7)),  1500, "fig15.txt",  fig15,  "pool diversity: sage-top and sage-top4 against the full pool"),
-    row("fig17",  "Fig. 17",              None,              0, "fig17.txt",  fig17,  "rate, delay and cwnd of sage over a capacity step up, down, and vs cubic"),
-    row("fig18",  "Fig. 18, 27",          None,              0, "fig18.txt",  fig18,  "Jain fairness of four staggered flows of one scheme"),
-    row("fig19",  "Fig. 19, 28",          None,              0, "fig19.txt",  fig19,  "one test flow against 3 and 7 cubic flows"),
-    row("fig22",  "Fig. 22",              None,              0, "fig22.txt",  fig22,  "throughput/delay frontier in a shallow and a deep buffer"),
-    row("fig23",  "Fig. 23",              None,              0, "fig23.txt",  fig23,  "robustness to the queue discipline: five AQMs"),
-    row("fig24",  "Fig. 24, 25",          None,              0, "fig24.txt",  fig24,  "friendliness vs one cubic flow in a small and a large buffer"),
+pub static TABLE: [Figure; 23] = [
+    row("league",   "headline",             Some((36, 18)),    0, "league.txt",        league,        "sage vs the 13 pool heuristics, Set I and Set II winning rates"),
+    row("fig01",    "Fig. 1",               Some((36, 18)),    0, "fig01.txt",         fig01,         "seven heuristics: Set I and Set II rankings are roughly opposite"),
+    row("fig05",    "Fig. 5",               None,              0, "fig05.txt",         fig05,         "the friendliness reward R2 over x = rate / fair share"),
+    row("fig07",    "Fig. 7",               Some((20, 10)),    0, "fig07.txt",         fig07,         "winning rate of the seven training-day checkpoints vs the pool"),
+    row("fig08",    "Fig. 8",               None,              0, "fig08.txt",         fig08,         "normalised delay and throughput on three synthetic Internet regimes"),
+    row("fig09",    "Fig. 9, 20; Table 3",  Some((36, 18)), 2000, "fig09.txt",         fig09,         "league of ML designs: BC variants, OnlineRL, Aurora-, Indigo-, Orca-like"),
+    row("fig10",    "Fig. 10, 21; Table 2", Some((20, 10)),    0, "fig10.txt",         fig10,         "league of delay-based designs"),
+    row("fig11",    "Fig. 11",              None,           2000, "fig11.txt",         fig11,         "distance to the pool of sage, vegas and BC on a 24 -> 96 Mbit/s step"),
+    row("fig12",    "Fig. 12",              Some((14, 7)),  1500, "fig12.txt",         fig12,         "ablations: three input masks, no GRU, no encoder, no GMM"),
+    row("fig13",    "Fig. 13",              Some((24, 12)),    0, "fig13.txt",         fig13,         "similarity index of sage to each pool scheme in eight environments"),
+    row("fig14",    "Fig. 14, 16",          Some((12, 6)),  1500, "fig14.txt",         fig14,         "observation-window granularity: sage_s/m/l, and their hidden-layer t-SNE"),
+    row("fig15",    "Fig. 15",              Some((14, 7)),  1500, "fig15.txt",         fig15,         "pool diversity: sage-top and sage-top4 against the full pool"),
+    row("fig17",    "Fig. 17",              None,              0, "fig17.txt",         fig17,         "rate, delay and cwnd of sage over a capacity step up, down, and vs cubic"),
+    row("fig18",    "Fig. 18, 27",          None,              0, "fig18.txt",         fig18,         "Jain fairness of four staggered flows of one scheme"),
+    row("fig19",    "Fig. 19, 28",          None,              0, "fig19.txt",         fig19,         "one test flow against 3 and 7 cubic flows"),
+    row("fig22",    "Fig. 22",              None,              0, "fig22.txt",         fig22,         "throughput/delay frontier in a shallow and a deep buffer"),
+    row("fig23",    "Fig. 23",              None,              0, "fig23.txt",         fig23,         "robustness to the queue discipline: five AQMs"),
+    row("fig24",    "Fig. 24, 25",          None,              0, "fig24.txt",         fig24,         "friendliness vs one cubic flow in a small and a large buffer"),
+    row("matrix",   "extension",            None,              0, "EVAL_matrix.json",  matrix_report, "9 schemes x 34 scenarios, seed 2023: per-cell metrics and per-scenario rankings"),
+    row("slo",      "extension",            None,              0, "OBS_slo.json",      slo,           "the ten SLOs over the matrix's cells; a breach fails the row"),
+    row("fairness", "extension",            None,              0, "FAIRNESS_trace.md", fairness,      "which flows of the matrix's fairness cells starved"),
+    row("set3",     "Set III",              None,              0, "set3.txt",          set3,          "the matrix's fault grid, each scheme against its own clean cell"),
+    row("adv",      "Set IV",               None,              0, "ADV_hardest.json",  adv,           "adversarial search: where sage trails cubic, bbr2, vegas and newreno most"),
 ];
 
 /// The table as `figures --list` prints it.

@@ -5,11 +5,14 @@
 
 pub mod ctx;
 pub mod figures;
+pub mod matrix;
 
 use sage_collector::{training_envs, EnvSpec, Pool, SetKind};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::{rank_league, LeagueEntry};
-use sage_eval::matrix::{league_scores, run_matrix, Family, MatrixCell, MatrixSpec, ScenarioSpec};
+use sage_eval::matrix::{
+    league_scores, run_matrix, Family, MatrixCell, MatrixReport, MatrixSpec, ScenarioSpec,
+};
 use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
 use sage_netsim::link::LinkModel;
@@ -23,24 +26,6 @@ pub fn artifacts_dir() -> PathBuf {
     let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
     std::fs::create_dir_all(&p).ok();
     p
-}
-
-/// `artifacts/results/`, created on demand — every figure/bench report and
-/// obs export lands here.
-pub fn results_dir() -> PathBuf {
-    let p = artifacts_dir().join("results");
-    std::fs::create_dir_all(&p).ok();
-    p
-}
-
-/// Write a JSON report under `artifacts/results/` through the atomic
-/// temp+rename writer, so a partially written artifact can never be
-/// observed mid-run. Returns the full path.
-pub fn write_report(name: &str, json: &sage_util::Json) -> PathBuf {
-    let path = results_dir().join(name);
-    sage_util::fsio::atomic_write(&path, json.to_string().as_bytes())
-        .unwrap_or_else(|e| panic!("write report {}: {e}", path.display()));
-    path
 }
 
 pub fn pool_path() -> PathBuf {
@@ -168,13 +153,6 @@ pub fn table(out: &mut String, title: &str, header: &[&str], rows: &[Vec<String>
     }
 }
 
-/// [`table`] to stdout.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    let mut out = String::new();
-    table(&mut out, title, header, rows);
-    print!("{out}");
-}
-
 /// Run `schemes` through `envs` on the evaluation matrix at the pipeline's
 /// settings — Power exponent 2, the master seed, the configured worker
 /// count — logging progress every 100 cells. Every figure that rolls
@@ -187,12 +165,16 @@ pub fn evaluate(schemes: &[Contender], envs: &[EnvSpec]) -> Vec<MatrixCell> {
         alpha: 2.0,
         threads: 0,
     };
-    let report = run_matrix(&spec, |d, t| {
+    run_logged(&spec).cells
+}
+
+/// `spec` through `run_matrix`, logging progress every 100 cells.
+pub fn run_logged(spec: &MatrixSpec) -> MatrixReport {
+    run_matrix(spec, |d, t| {
         if d % 100 == 0 {
             sage_obs::obs_info!("  {d}/{t}");
         }
-    });
-    report.cells
+    })
 }
 
 /// Heuristic schemes, by name, as league contenders.
@@ -206,20 +188,6 @@ pub fn learned(name: &'static str, model: Arc<SageModel>, gr_cfg: GrConfig) -> C
         name,
         model,
         gr_cfg,
-    }
-}
-
-/// `artifacts/sage.model` as the contender `sage`, for the bins that
-/// rewrite a committed report. A model that does not load exits 1 naming
-/// the path, so no other roster's report lands under the committed name.
-pub fn committed_sage(bin: &str) -> Contender {
-    let path = model_path("sage");
-    match SageModel::load_file(&path) {
-        Ok(model) => learned("sage", Arc::new(model), default_gr()),
-        Err(e) => {
-            eprintln!("{bin}: {}: {e}", path.display());
-            std::process::exit(1);
-        }
     }
 }
 

@@ -1,29 +1,58 @@
-//! The unified evaluation matrix and the gate over it: every scenario family
-//! (Set I/II grids, Set III faults, synthetic Internet paths, pinned Set IV
-//! adversarial genomes, multi-bottleneck topologies, intra-scheme fairness)
-//! x every roster scheme x seeds, executed as one declarative `MatrixSpec`
-//! through the deterministic worker pool.
+//! The unified evaluation matrix and the reports read from it: every scenario
+//! family (Set I/II grids, Set III faults, synthetic Internet paths, pinned
+//! Set IV adversarial genomes, multi-bottleneck topologies, intra-scheme
+//! fairness) x the roster x one seed, as one declarative [`matrix_spec`].
 //!
-//! Writes three files under `artifacts/results/`, each byte-identical at
-//! every `SAGE_THREADS` (`crates/eval/tests/matrix_differential.rs`):
-//! `EVAL_matrix.json` (per-cell metrics and per-scenario scheme rankings),
-//! `OBS_slo.json` (the SLO table below, evaluated over the cells this run
-//! produced) and `FAIRNESS_trace.md` (which flows of the fairness cells
-//! starved). Exits 1 on any SLO breach, so `scripts/check.sh` gates on it.
+//! The `matrix`, `slo`, `fairness` and `set3` rows of [`crate::figures::TABLE`]
+//! read the one run [`Ctx::matrix`] makes; `adv` runs the adversarial search.
+//! Every output is byte-identical at every `SAGE_THREADS`
+//! (`crates/eval/tests/{matrix,adv}_differential.rs`), and the `slo` row fails
+//! on any SLO breach, so `scripts/check.sh` gates on it.
 
-use sage_bench::{committed_sage, print_table, results_dir, write_report, SEED};
+use crate::ctx::Ctx;
+use crate::{heuristics, table, SEED};
+use sage_eval::adversary::{report_json, search, AdvConfig};
 use sage_eval::matrix::{
-    matrix_json, rankings, run_matrix, scenario_fairness, scenarios_adversarial, scenarios_fault,
-    scenarios_internet, scenarios_multihop, scenarios_set12, Family, MatrixCell, MatrixSpec,
+    matrix_json, scenario_fairness, scenarios_adversarial, scenarios_fault, scenarios_internet,
+    scenarios_multihop, scenarios_set12, Family, MatrixCell, MatrixSpec,
 };
 use sage_eval::runner::Contender;
 use sage_eval::set3::summarise;
 use sage_util::Json;
+use std::fmt::Write as _;
 
 /// Rollout seconds of the non-fairness families: long enough for
 /// slow-ramping learned policies to leave the startup phase (the full figs
 /// run 15 s).
 const SECS: f64 = 12.0;
+
+/// The matrix's heuristic roster; `sage` follows them.
+const ROSTER: [&str; 8] = [
+    "cubic", "bbr2", "vegas", "westwood", "yeah", "copa", "illinois", "newreno",
+];
+
+/// The evaluation matrix: [`ROSTER`] then `sage`, through every family in a
+/// fixed order (Set I/II, faults, internet, adversarial, multihop, fairness).
+pub fn matrix_spec(sage: Contender) -> MatrixSpec {
+    let mut scenarios = scenarios_set12(6, 3, SECS, SEED);
+    scenarios.extend(scenarios_fault(None, SECS));
+    scenarios.extend(scenarios_internet(2, SECS, SEED));
+    scenarios.extend(scenarios_adversarial(SECS));
+    scenarios.extend(scenarios_multihop(SECS));
+    scenarios.push(scenario_fairness(4, 24.0, 5.0));
+    // High contention: 64 self-flows pile onto the same bottleneck with a
+    // near-simultaneous start.
+    scenarios.push(scenario_fairness(64, 12.0, 0.05));
+    let mut schemes = heuristics(ROSTER);
+    schemes.push(sage);
+    MatrixSpec {
+        schemes,
+        scenarios,
+        seeds: vec![SEED],
+        alpha: 2.0,
+        threads: 0,
+    }
+}
 
 /// Drop-rate ceiling per scenario family, percent of transmissions. The
 /// ceilings sit 4 (fairness) to 38 (set2) points above the worst cells of
@@ -135,11 +164,10 @@ fn matrix_slos(cells: &[MatrixCell]) -> Vec<SloRow> {
     slos
 }
 
-/// The fairness trace note (`FAIRNESS_trace.md`): which flows of each
-/// fairness-family cell starved, and the span ids the flight recorder
-/// files them under.
-fn fairness_note(cells: &[MatrixCell]) -> String {
-    let mut out = String::from(
+/// `FAIRNESS_trace.md`: which flows of each fairness-family cell starved,
+/// and the span ids the flight recorder files them under.
+pub(crate) fn fairness(ctx: &mut Ctx, out: &mut String) -> Result<(), String> {
+    out.push_str(
         "# Fairness trace\n\n\
          Flows of the fairness-family matrix cells whose mean goodput fell\n\
          below 50% of their cell's per-flow mean (\"starved\"). Flow `k` of a\n\
@@ -152,7 +180,7 @@ fn fairness_note(cells: &[MatrixCell]) -> String {
          | scheme | scenario | jain | starved flows (goodput Mbit/s) |\n\
          |---|---|---|---|\n",
     );
-    for c in cells {
+    for c in &ctx.matrix()?.1.cells {
         let goodputs = &c.flow_goodputs;
         if c.family != Family::Fairness || goodputs.is_empty() {
             continue;
@@ -164,8 +192,9 @@ fn fairness_note(cells: &[MatrixCell]) -> String {
             .filter(|(_, &g)| g < 0.5 * mean)
             .map(|(k, &g)| format!("{k} ({g:.2})"))
             .collect();
-        out.push_str(&format!(
-            "| {} | {} | {:.3} | {} |\n",
+        let _ = writeln!(
+            out,
+            "| {} | {} | {:.3} | {} |",
             c.scheme,
             c.scenario,
             c.fairness,
@@ -174,70 +203,67 @@ fn fairness_note(cells: &[MatrixCell]) -> String {
             } else {
                 starved.join(", ")
             }
-        ));
+        );
     }
-    out
+    Ok(())
 }
 
-fn main() {
-    // Fixed family order: Set I/II, faults, internet, adversarial, multihop,
-    // fairness.
-    let mut scenarios = scenarios_set12(6, 3, SECS, SEED);
-    scenarios.extend(scenarios_fault(None, SECS));
-    scenarios.extend(scenarios_internet(2, SECS, SEED));
-    scenarios.extend(scenarios_adversarial(SECS));
-    scenarios.extend(scenarios_multihop(SECS));
-    scenarios.push(scenario_fairness(4, 24.0, 5.0));
-    // High contention: 64 self-flows pile onto the same bottleneck with a
-    // near-simultaneous start.
-    scenarios.push(scenario_fairness(64, 12.0, 0.05));
-    let mut schemes: Vec<Contender> = [
-        "cubic", "bbr2", "vegas", "westwood", "yeah", "copa", "illinois", "newreno",
-    ]
-    .map(Contender::Heuristic)
-    .to_vec();
-    schemes.push(committed_sage("eval_matrix"));
-    let spec = MatrixSpec {
-        schemes,
-        scenarios,
-        seeds: vec![SEED],
-        alpha: 2.0,
-        threads: 0,
-    };
-    let total = spec.schemes.len() * spec.scenarios.len() * spec.seeds.len();
-    println!(
-        "eval_matrix: {} schemes x {} scenarios x {} seeds = {} cells",
-        spec.schemes.len(),
-        spec.scenarios.len(),
-        spec.seeds.len(),
-        total
-    );
-    let report = run_matrix(&spec, |d, t| {
-        if d % 25 == 0 || d == t {
-            sage_obs::obs_info!("  {d}/{t}");
-        }
-    });
+/// `EVAL_matrix.json`: per-cell metrics and per-scenario scheme rankings.
+pub(crate) fn matrix_report(ctx: &mut Ctx, out: &mut String) -> Result<(), String> {
+    let run = ctx.matrix()?;
+    out.push_str(&matrix_json(&run.0, &run.1).to_string());
+    Ok(())
+}
 
-    let ranks = rankings(&report.cells);
-    let rows: Vec<Vec<String>> = ranks
+/// `OBS_slo.json`: the SLO table over the matrix's cells. A breach fails the
+/// row, naming every failing objective, and keeps the committed file.
+pub(crate) fn slo(ctx: &mut Ctx, out: &mut String) -> Result<(), String> {
+    let slos = matrix_slos(&ctx.matrix()?.1.cells);
+    let breaches: Vec<String> = slos
         .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.family.name().to_string(),
-                r.order.join(" > "),
-            ]
+        .filter(|s| !s.pass())
+        .map(|s| {
+            format!(
+                "{} = {} is not {} {} ({})",
+                s.id,
+                s.value,
+                s.op(),
+                s.threshold,
+                s.desc
+            )
         })
         .collect();
-    print_table(
-        "Evaluation matrix: per-scenario scheme rankings (best first)",
-        &["scenario", "family", "ranking"],
-        &rows,
-    );
+    if !breaches.is_empty() {
+        return Err(format!(
+            "{} SLO breach(es): {}",
+            breaches.len(),
+            breaches.join("; ")
+        ));
+    }
+    let rows = slos.iter().map(|s| {
+        Json::obj(vec![
+            ("id", Json::str(s.id)),
+            ("desc", Json::str(s.desc.clone())),
+            ("op", Json::str(s.op())),
+            ("value", Json::Num(s.value)),
+            ("threshold", Json::Num(s.threshold)),
+            ("pass", Json::Bool(s.pass())),
+        ])
+    });
+    let report = Json::obj(vec![
+        ("suite", Json::str("obs_slo")),
+        ("enforced", Json::Bool(true)),
+        ("breaches", Json::Num(0.0)),
+        ("slos", Json::Arr(rows.collect())),
+    ]);
+    out.push_str(&report.to_string());
+    Ok(())
+}
 
-    // Set III: the fault family's cells, each scheme judged against its own
-    // `s3-clean` cell.
-    let rows: Vec<Vec<String>> = summarise(&report.cells)
+/// Set III: the fault family's cells, each scheme judged against its own
+/// `s3-clean` cell, most robust first.
+pub(crate) fn set3(ctx: &mut Ctx, out: &mut String) -> Result<(), String> {
+    let rows: Vec<Vec<String>> = summarise(&ctx.matrix()?.1.cells)
         .iter()
         .map(|s| {
             vec![
@@ -250,79 +276,33 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        "Set III summary (most robust first)",
-        &[
-            "scheme",
-            "survived",
-            "mean degr",
-            "worst degr",
-            "mean retx",
-            "restarts",
-        ],
-        &rows,
-    );
+    let header = [
+        "scheme",
+        "survived",
+        "mean degr",
+        "worst degr",
+        "mean retx",
+        "restarts",
+    ];
+    table(out, "Set III summary (most robust first)", &header, &rows);
+    Ok(())
+}
 
-    let dead: Vec<String> = report
-        .cells
-        .iter()
-        .filter(|c| !c.survived)
-        .map(|c| format!("{}/{}", c.scheme, c.scenario))
-        .collect();
-    if !dead.is_empty() {
-        println!("non-surviving cells: {dead:?}");
-    }
-
-    let path = write_report("EVAL_matrix.json", &matrix_json(&spec, &report));
-    println!("report: {} (digest {:016x})", path.display(), report.digest);
-
-    let slos = matrix_slos(&report.cells);
-    println!("== SLO gate ({} objectives) ==", slos.len());
-    for s in &slos {
-        println!(
-            "{:<4} {:<28} {:>10.4} {} {:<10.4}  {}",
-            if s.pass() { "ok" } else { "FAIL" },
-            s.id,
-            s.value,
-            s.op(),
-            s.threshold,
-            s.desc
-        );
-    }
-    let breaches = slos.iter().filter(|s| !s.pass()).count();
-    let rows = slos
-        .iter()
-        .map(|s| {
-            Json::obj(vec![
-                ("id", Json::str(s.id)),
-                ("desc", Json::str(s.desc.clone())),
-                ("op", Json::str(s.op())),
-                ("value", Json::Num(s.value)),
-                ("threshold", Json::Num(s.threshold)),
-                ("pass", Json::Bool(s.pass())),
-            ])
-        })
-        .collect();
-    let path = write_report(
-        "OBS_slo.json",
-        &Json::obj(vec![
-            ("suite", Json::str("obs_slo")),
-            ("enforced", Json::Bool(true)),
-            ("breaches", Json::Num(breaches as f64)),
-            ("slos", Json::Arr(rows)),
-        ]),
-    );
-    println!("report: {}", path.display());
-
-    let note_path = results_dir().join("FAIRNESS_trace.md");
-    sage_util::fsio::atomic_write(&note_path, fairness_note(&report.cells).as_bytes())
-        .unwrap_or_else(|e| panic!("write fairness note {}: {e}", note_path.display()));
-    println!("fairness note: {}", note_path.display());
-
-    if breaches > 0 {
-        eprintln!("eval_matrix: {breaches} SLO breach(es)");
-        std::process::exit(1);
-    }
+/// `ADV_hardest.json`: the scenarios where `sage` trails the best of the
+/// strongest loss-, model- and delay-based pool schemes most.
+pub(crate) fn adv(ctx: &mut Ctx, out: &mut String) -> Result<(), String> {
+    let cfg = AdvConfig {
+        budget: 64,
+        secs: 6.0,
+        seed: SEED,
+        ..AdvConfig::default()
+    };
+    let roster = heuristics(["cubic", "bbr2", "vegas", "newreno"]);
+    let report = search(&cfg, &ctx.sage_contender()?, &roster, |d, t| {
+        sage_obs::obs_info!("  {d}/{t} candidates");
+    });
+    out.push_str(&report_json(&cfg, &report).to_string());
+    Ok(())
 }
 
 #[cfg(test)]

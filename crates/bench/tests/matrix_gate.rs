@@ -1,125 +1,213 @@
-//! Evaluation-matrix rank-regression gate.
+//! Evaluation-matrix gate: a slice of the committed matrix, recomputed.
 //!
-//! A fixed sub-matrix — every scenario family, six heuristics plus the
-//! committed learned policy, one seed — runs through `run_matrix` and its
-//! serialised report is compared against the pinned golden in
-//! `tests/golden/matrix_golden.json`:
+//! The slice is cut from `matrix_spec` over the committed `sage.model`: one
+//! scenario of every family and both 16-packet-buffer Set I cells with the
+//! whole roster, and `fair-64flow` without `sage`, whose cell there alone
+//! takes 49 s in debug (the release `figures matrix` run of
+//! `scripts/check.sh` pins it byte for byte). It runs through `run_matrix`,
+//! and then:
 //!
-//! * per-scenario scheme *ranking order* must match exactly — any rank
-//!   inversion fails the gate with no tolerance;
-//! * per-cell score/goodput/delay/fairness must stay within the
-//!   `MatrixTolerance` bounds, and survival must not change.
+//! * every cell must equal the cell of `artifacts/results/EVAL_matrix.json`
+//!   with the same (scheme, scenario, seed), field for field;
+//! * every scenario's ranking must be the committed one with the schemes the
+//!   slice leaves out dropped (`crates/eval/tests/matrix_differential.rs`
+//!   proves a cell does not depend on the roster).
 //!
-//! Every quantity is deterministic at any `SAGE_THREADS`, so
-//! `scripts/check.sh` runs the gate at two thread counts. After an
-//! *intentional* simulator/policy/scoring change, re-record with:
-//!
-//! ```text
-//! SAGE_REGEN_GOLDEN=1 cargo test -p sage-bench --release --test matrix_gate
-//! ```
+//! There is no tolerance. Every quantity is deterministic at any
+//! `SAGE_THREADS`, so `scripts/check.sh` runs the gate at two thread counts.
+//! A change that moves a cell regenerates the committed report with the
+//! command in [`REGEN`].
 
-use sage_bench::{default_gr, model_path, SEED};
+use sage_bench::matrix::matrix_spec;
+use sage_bench::{artifacts_dir, default_gr, learned, model_path};
 use sage_core::SageModel;
-use sage_eval::matrix::{
-    compare_to_golden, matrix_json, run_matrix, scenario_fairness, scenarios_adversarial,
-    scenarios_fault, scenarios_internet, scenarios_multihop, scenarios_set12, MatrixSpec,
-    MatrixTolerance,
-};
-use sage_eval::runner::Contender;
+use sage_eval::matrix::{matrix_json, run_matrix, MatrixSpec};
 use sage_util::Json;
-use std::path::PathBuf;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/matrix_golden.json")
+const REGEN: &str = "regenerate with: cargo run --release -p sage-bench --bin figures -- matrix";
+
+/// The slice's scenarios that run with the whole roster.
+const SCENARIOS: [&str; 8] = [
+    "s1-flat-bw12-rtt160-q16",
+    "s1-flat-bw24-rtt10-q16",
+    "s2-bw12-rtt160-q2",
+    "s3-kitchen-sink",
+    "cellular-0-cell-7mbps-43ms",
+    "adv-467a5511a3",
+    "mh-parking-cross",
+    "fair-4flow",
+];
+
+/// The committed matrix restricted to the scenarios `ids`, without `skip`.
+fn pick(spec: &MatrixSpec, ids: &[&str], skip: &[&str]) -> MatrixSpec {
+    let slice = MatrixSpec {
+        scenarios: spec
+            .scenarios
+            .iter()
+            .filter(|s| ids.contains(&s.id()))
+            .cloned()
+            .collect(),
+        schemes: spec
+            .schemes
+            .iter()
+            .filter(|c| !skip.contains(&c.name()))
+            .cloned()
+            .collect(),
+        ..spec.clone()
+    };
+    assert_eq!(
+        slice.scenarios.len(),
+        ids.len(),
+        "{ids:?}: not all in matrix_spec"
+    );
+    slice
 }
 
-/// The gate sub-matrix: small enough for CI, wide enough that every
-/// scenario family contributes at least one ranking to the golden.
-fn gate_spec() -> MatrixSpec {
-    let model = Arc::new(
-        SageModel::load_file(&model_path("sage"))
-            .expect("artifacts/sage.model is committed; the matrix gate needs it"),
-    );
-    let secs = 4.0;
-    let mut scenarios = scenarios_set12(2, 1, secs, 21);
-    scenarios.extend(scenarios_fault(Some(&["clean", "blackout"]), 6.0));
-    scenarios.extend(scenarios_internet(1, secs, SEED));
-    scenarios.extend(scenarios_adversarial(secs));
-    scenarios.extend(scenarios_multihop(secs));
-    scenarios.push(scenario_fairness(3, 12.0, 3.0));
-    // High-contention cell: 64 self-flows piling onto one bottleneck with a
-    // near-simultaneous start, pinning Jain fairness under contention per PR.
-    scenarios.push(scenario_fairness(64, 8.0, 0.05));
-    MatrixSpec {
-        schemes: vec![
-            Contender::Model {
-                name: "sage",
-                model,
-                gr_cfg: default_gr(),
-            },
-            Contender::Heuristic("cubic"),
-            Contender::Heuristic("bbr2"),
-            Contender::Heuristic("vegas"),
-            Contender::Heuristic("westwood"),
-            Contender::Heuristic("copa"),
-            Contender::Heuristic("newreno"),
-        ],
-        scenarios,
-        seeds: vec![SEED],
-        alpha: 2.0,
-        threads: 0, // resolve from SAGE_THREADS: check.sh varies it
+fn list<'a>(json: &'a Json, key: &str) -> &'a [Json] {
+    json.get(key).and_then(Json::as_arr).unwrap_or(&[])
+}
+
+fn text<'a>(json: &'a Json, key: &str) -> &'a str {
+    json.get(key).and_then(Json::as_str).unwrap_or("")
+}
+
+/// Every way the `runs` (`matrix_json` of slices) disagree with the
+/// `committed` report.
+fn mismatches(runs: &[Json], committed: &Json) -> Vec<String> {
+    let key = |c: &Json| {
+        let seed = c.get("seed").map(Json::to_string).unwrap_or_default();
+        format!("{}/{}/{seed}", text(c, "scheme"), text(c, "scenario"))
+    };
+    let mut found = Vec::new();
+    for run in runs {
+        for cell in list(run, "cells") {
+            let id = key(cell);
+            let Some(want) = list(committed, "cells").iter().find(|c| key(c) == id) else {
+                found.push(format!("{id}: no committed cell"));
+                continue;
+            };
+            let (Json::Obj(want), Json::Obj(got)) = (want, cell) else {
+                panic!("{id}: a cell is not an object");
+            };
+            let fields: BTreeSet<&String> = want.keys().chain(got.keys()).collect();
+            for field in fields {
+                let [w, g] = [want, got].map(|c| c.get(field).map(Json::to_string));
+                if w != g {
+                    found.push(format!("{id}: {field} committed {w:?}, computed {g:?}"));
+                }
+            }
+        }
+        let schemes: Vec<&str> = list(run, "schemes")
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        for rank in list(run, "rankings") {
+            let scenario = text(rank, "scenario");
+            let order = |r: &Json| -> Vec<String> {
+                let names = list(r, "order").iter().filter_map(Json::as_str);
+                names
+                    .filter(|s| schemes.contains(s))
+                    .map(str::to_string)
+                    .collect()
+            };
+            let want = list(committed, "rankings")
+                .iter()
+                .find(|r| text(r, "scenario") == scenario)
+                .map(order);
+            if want.as_ref() != Some(&order(rank)) {
+                found.push(format!(
+                    "{scenario}: ranking committed {want:?}, computed {:?}",
+                    order(rank)
+                ));
+            }
+        }
     }
+    found
+}
+
+fn field<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(map) = json else {
+        panic!("not an object at {key}")
+    };
+    map.get_mut(key).unwrap_or_else(|| panic!("no {key}"))
+}
+
+/// The element of the array `json[key]` whose `name` is `value`.
+fn entry<'a>(json: &'a mut Json, key: &str, name: &str, value: &str) -> &'a mut Json {
+    let Json::Arr(items) = field(json, key) else {
+        panic!("{key}: not an array")
+    };
+    let found = items.iter_mut().find(|e| text(e, name) == value);
+    found.unwrap_or_else(|| panic!("{key}: no {name} {value}"))
 }
 
 #[test]
-fn matrix_rankings_match_golden() {
-    let spec = gate_spec();
-    let report = run_matrix(&spec, |_, _| {});
-    let current = matrix_json(&spec, &report);
-    let path = golden_path();
-    if sage_util::env_cfg::regen_golden() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, format!("{current}\n")).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); record with SAGE_REGEN_GOLDEN=1 \
-             cargo test -p sage-bench --release --test matrix_gate",
-            path.display()
-        )
-    });
-    let golden = Json::parse(&want).expect("matrix_golden.json parses");
-    let tol = MatrixTolerance::default();
-    let violations = compare_to_golden(&current, &golden, &tol);
+fn matrix_slice_matches_the_committed_report() {
+    let model = SageModel::load_file(&model_path("sage"))
+        .expect("artifacts/sage.model is committed; the matrix gate needs it");
+    let spec = matrix_spec(learned("sage", Arc::new(model), default_gr()));
+    let slices = [
+        pick(&spec, &SCENARIOS, &[]),
+        pick(&spec, &["fair-64flow"], &["sage"]),
+    ];
+    let runs: Vec<Json> = slices
+        .iter()
+        .map(|s| matrix_json(s, &run_matrix(s, |_, _| {})))
+        .collect();
+    let path = artifacts_dir().join("results/EVAL_matrix.json");
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let committed = Json::parse(&committed).expect("EVAL_matrix.json parses");
+
+    let families: BTreeSet<&str> = runs
+        .iter()
+        .flat_map(|r| list(r, "cells").iter().map(|c| text(c, "family")))
+        .collect();
+    let all: BTreeSet<&str> = list(&committed, "families")
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    assert_eq!(families, all, "the slice misses a family");
+
+    let found = mismatches(&runs, &committed);
     assert!(
-        violations.is_empty(),
-        "evaluation matrix regressed vs golden ({} violations):\n{}",
-        violations.len(),
-        violations.join("\n")
+        found.is_empty(),
+        "the evaluation matrix no longer computes the committed report \
+         ({} mismatches); {REGEN}\n{}",
+        found.len(),
+        found.join("\n")
     );
 
-    // Negative control: a seeded rank inversion in the golden MUST trip the
-    // gate, proving the comparison actually inspects the ranking order.
-    let mut broken = golden.clone();
-    if let Json::Obj(top) = &mut broken {
-        let Some(Json::Arr(ranks)) = top.get_mut("rankings") else {
-            panic!("golden rankings section missing");
-        };
-        let Some(Json::Obj(r0)) = ranks.first_mut() else {
-            panic!("golden rankings empty");
-        };
-        let Some(Json::Arr(order)) = r0.get_mut("order") else {
-            panic!("golden ranking order missing");
-        };
-        assert!(order.len() >= 2, "gate needs at least two schemes");
-        order.swap(0, 1);
-    }
-    let caught = compare_to_golden(&current, &broken, &tol);
+    // Negative controls. A swapped committed ranking is caught...
+    let mut swapped = committed.clone();
+    let rank = entry(&mut swapped, "rankings", "scenario", SCENARIOS[0]);
+    let Json::Arr(order) = field(rank, "order") else {
+        panic!("order: not an array")
+    };
+    order.swap(0, 1);
+    let caught = mismatches(&runs, &swapped);
+    assert_eq!(caught.len(), 1, "{caught:?}");
+    assert!(caught[0].starts_with(&format!("{}: ranking", SCENARIOS[0])));
+
+    // ...and so is the least change to one committed cell field.
+    let mut nudged = committed.clone();
+    let Json::Arr(cells) = field(&mut nudged, "cells") else {
+        panic!("cells: not an array")
+    };
+    let cell = cells
+        .iter_mut()
+        .find(|c| text(c, "scheme") == "sage" && text(c, "scenario") == SCENARIOS[1])
+        .expect("committed sage cell");
+    let Json::Num(goodput) = field(cell, "goodput_mbps") else {
+        panic!("goodput_mbps: not a number")
+    };
+    *goodput = f64::from_bits(goodput.to_bits() + 1);
+    let caught = mismatches(&runs, &nudged);
+    assert_eq!(caught.len(), 1, "{caught:?}");
     assert!(
-        caught.iter().any(|v| v.contains("rank inversion")),
-        "seeded rank inversion was not detected: {caught:?}"
+        caught[0].starts_with(&format!("sage/{}/2023: goodput_mbps", SCENARIOS[1])),
+        "{caught:?}"
     );
 }

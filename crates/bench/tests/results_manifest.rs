@@ -1,28 +1,25 @@
-//! The committed figure outputs are what the committed artifacts produce.
+//! Every committed result is what the committed artifacts produce.
 //!
-//! `artifacts/results/MANIFEST.json` records, per output file, the figure
-//! that wrote it, the knobs in force, the CRC of every artifact it read and
-//! a digest of the bytes written. This gate holds the directory to it: a
-//! result file that was edited, left behind by a deleted figure, produced at
-//! smoke scale, or produced from a pool or model other than the committed
-//! one fails here, with the command that regenerates it.
+//! Every file under `artifacts/results/` is written by a row of the figure
+//! table, and `MANIFEST.json` records, per file, the row that wrote it, the
+//! knobs in force, the CRC of every artifact it read and a digest of the
+//! bytes written. This gate holds the directory to it: a result file that
+//! was edited, left behind by a deleted row, produced at smoke scale, or
+//! produced from a pool or model other than the committed one fails here,
+//! with the command that regenerates it.
 
+use sage_bench::artifacts_dir;
 use sage_bench::ctx::{knobs, read_manifest, MANIFEST};
 use sage_bench::figures::TABLE;
-use sage_bench::{artifacts_dir, results_dir};
-use sage_util::{fnv1a64, read_checksummed, Json};
+use sage_util::prop::ensure;
+use sage_util::{fnv1a64, forall, read_checksummed, Json, PropConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Written by `adv_search` and `eval_matrix`, which rewrite them byte for
-/// byte on every run; `scripts/check.sh` runs both and fails on any byte
-/// that differs from the committed file.
-const REPORTS: [&str; 4] = [
-    "ADV_hardest.json",
-    "EVAL_matrix.json",
-    "OBS_slo.json",
-    "FAIRNESS_trace.md",
-];
+/// The committed `artifacts/results/`.
+fn results() -> PathBuf {
+    artifacts_dir().join("results")
+}
 
 fn rerun(id: &str) -> String {
     format!("regenerate with: cargo run --release -p sage-bench --bin figures -- {id}")
@@ -47,10 +44,9 @@ fn findings(results: &Path, artifacts: &Path) -> Vec<String> {
         .collect();
     files.sort();
     for file in &files {
-        let known = file == MANIFEST || manifest.contains_key(file) || REPORTS.contains(&&**file);
-        if !known {
+        if file != MANIFEST && !manifest.contains_key(file) {
             found.push(format!(
-                "{file}: neither a {MANIFEST} entry nor one of the four reports; nothing \
+                "{file}: neither a {MANIFEST} entry nor {MANIFEST} itself; nothing \
                  regenerates it, so it can only go stale"
             ));
         }
@@ -122,7 +118,7 @@ fn findings(results: &Path, artifacts: &Path) -> Vec<String> {
 
 #[test]
 fn committed_results_match_their_manifest_and_the_committed_artifacts() {
-    let found = findings(&results_dir(), &artifacts_dir());
+    let found = findings(&results(), &artifacts_dir());
     assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
@@ -131,7 +127,7 @@ fn tampered(name: &str, tamper: impl FnOnce(&Path)) -> Vec<String> {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("sage-results-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for entry in std::fs::read_dir(results_dir()).expect("results directory") {
+    for entry in std::fs::read_dir(results()).expect("results directory") {
         let from = entry.expect("dir entry").path();
         std::fs::copy(&from, dir.join(from.file_name().expect("file name"))).expect("copy");
     }
@@ -153,6 +149,23 @@ fn one_flipped_output_byte_is_the_only_finding() {
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(
         found[0].starts_with("fig10.txt: hashes to ") && found[0].ends_with("figures -- fig10"),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn one_flipped_report_byte_is_the_only_finding() {
+    let found = tampered("report", |dir| {
+        let path = dir.join("EVAL_matrix.json");
+        let mut bytes = std::fs::read(&path).expect("EVAL_matrix.json");
+        let last = bytes.len() - 2;
+        bytes[last] ^= 1;
+        std::fs::write(&path, bytes).expect("rewrite");
+    });
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].starts_with("EVAL_matrix.json: hashes to ")
+            && found[0].ends_with("figures -- matrix"),
         "{found:?}"
     );
 }
@@ -187,4 +200,26 @@ fn an_unlisted_file_is_the_only_finding() {
     });
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(found[0].starts_with("fig20.txt: neither a "), "{found:?}");
+}
+
+/// A damaged manifest is a parse result, never a panic or an abort: the
+/// committed `MANIFEST.json` cut at any byte, or with any one bit flipped.
+#[test]
+fn a_cut_or_flipped_manifest_parses_to_a_result() {
+    let bytes = std::fs::read(results().join(MANIFEST)).expect("manifest");
+    let closing = bytes.iter().rposition(|&b| b == b'}').expect("an object");
+    forall("damaged manifest", PropConfig::new(400, 0x3A11), |rng| {
+        let at = rng.below(bytes.len());
+        let mut damaged = bytes.clone();
+        let cut = rng.below(2) == 0;
+        if cut {
+            damaged.truncate(at);
+        } else {
+            damaged[at] ^= 1 << rng.below(8);
+        }
+        let parsed = Json::parse(&String::from_utf8_lossy(&damaged));
+        ensure(!cut || at > closing || parsed.is_err(), || {
+            format!("the manifest cut at byte {at} parsed")
+        })
+    });
 }

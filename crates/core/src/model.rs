@@ -850,6 +850,16 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_header_is_invalid_data_not_a_stack_overflow() {
+        let header = "[".repeat(200_000);
+        let mut bytes = b"SAGEMDL1".to_vec();
+        bytes.extend((header.len() as u64).to_le_bytes());
+        bytes.extend(header.as_bytes());
+        let err = SageModel::from_bytes(&bytes).err().expect("must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
     fn header_length_past_the_payload_and_footerless_files_are_rejected() {
         let m = dummy_model(NetConfig::default());
         let mut bytes = m.to_bytes().unwrap();

@@ -25,10 +25,9 @@ pub use adversary::{
 };
 pub use league::{rank_league, LeagueEntry};
 pub use matrix::{
-    compare_to_golden, league_scores, matrix_json, rankings, run_matrix, scenario_fairness,
-    scenarios_adversarial, scenarios_fault, scenarios_internet, scenarios_multihop,
-    scenarios_set12, Family, MatrixCell, MatrixReport, MatrixSpec, MatrixTolerance, ScenarioRank,
-    ScenarioSpec,
+    league_scores, matrix_json, rankings, run_matrix, scenario_fairness, scenarios_adversarial,
+    scenarios_fault, scenarios_internet, scenarios_multihop, scenarios_set12, Family, MatrixCell,
+    MatrixReport, MatrixSpec, ScenarioRank, ScenarioSpec,
 };
 pub use runner::Contender;
 pub use score::{interval_scores, jain_fairness, RunScore, ScoreKind};

@@ -12,10 +12,8 @@
 //! with power/delay/throughput/loss/Jain-fairness metrics. Per-scenario
 //! scheme [`rankings`] and the serialised [`matrix_json`] report are pure
 //! functions of the cells, so the emitted `EVAL_matrix.json` is
-//! byte-identical at every `SAGE_THREADS` — and [`compare_to_golden`] turns
-//! the report into a regression gate: any *rank inversion* against the
-//! pinned golden fails outright, while per-cell metrics are held to
-//! explicit tolerances.
+//! byte-identical at every `SAGE_THREADS`, and the committed report is the
+//! one pin the matrix gate compares cells against.
 
 use crate::adversary::{decode, GENOME_DIM};
 use crate::runner::Contender;
@@ -148,7 +146,7 @@ pub fn scenarios_internet(n_each: usize, secs: f64, seed: u64) -> Vec<ScenarioSp
     out
 }
 
-/// Set IV: three of the hardest scenarios an `adv_search` run (`budget=64,
+/// Set IV: three of the hardest scenarios the `figures adv` search (`budget=64,
 /// secs=6, seed=2023`) found, frozen as genomes with the ids they decode to.
 /// They span topology depths (1, 2 and 3 hops) rather than taking the top
 /// three of one converged mode.
@@ -769,150 +767,6 @@ pub fn matrix_json(spec: &MatrixSpec, report: &MatrixReport) -> Json {
     ])
 }
 
-/// Regression tolerances for [`compare_to_golden`]. Rank inversions are
-/// never tolerated; per-cell metrics may drift inside these bounds before
-/// the gate demands a deliberate `SAGE_REGEN_GOLDEN=1`.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixTolerance {
-    /// Relative score drift per cell (fraction of the golden score).
-    pub score_rel: f64,
-    /// Absolute score floor below which drift is ignored entirely.
-    pub score_abs: f64,
-    pub goodput_abs_mbps: f64,
-    pub owd_abs_ms: f64,
-    pub fairness_abs: f64,
-}
-
-impl Default for MatrixTolerance {
-    fn default() -> Self {
-        MatrixTolerance {
-            score_rel: 0.20,
-            score_abs: 0.05,
-            goodput_abs_mbps: 2.0,
-            owd_abs_ms: 8.0,
-            fairness_abs: 0.05,
-        }
-    }
-}
-
-fn num_of(v: &Json, key: &str) -> f64 {
-    v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
-}
-
-fn str_of<'a>(v: &'a Json, key: &str) -> &'a str {
-    v.get(key).and_then(Json::as_str).unwrap_or("")
-}
-
-/// Compare a serialised matrix report against a pinned golden. Returns the
-/// list of violations (empty = gate passes):
-///
-/// * any difference in a scenario's scheme *ranking order* — a rank
-///   inversion — is a violation with no tolerance;
-/// * per-cell `score`, `goodput_mbps`, `avg_owd_ms` and `fairness` must stay
-///   within `tol` of the golden values, and `survived` must match exactly;
-/// * scenarios, schemes or cells missing from either side are violations.
-pub fn compare_to_golden(current: &Json, golden: &Json, tol: &MatrixTolerance) -> Vec<String> {
-    let mut violations = Vec::new();
-    let empty: [Json; 0] = [];
-    let g_ranks = golden
-        .get("rankings")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let c_ranks = current
-        .get("rankings")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    if g_ranks.is_empty() {
-        violations.push("golden has no rankings section".to_string());
-    }
-    for g in g_ranks {
-        let scenario = str_of(g, "scenario");
-        let Some(c) = c_ranks.iter().find(|c| str_of(c, "scenario") == scenario) else {
-            violations.push(format!(
-                "scenario '{scenario}' missing from current rankings"
-            ));
-            continue;
-        };
-        let order = |v: &Json| -> Vec<String> {
-            v.get("order")
-                .and_then(Json::as_arr)
-                .unwrap_or(&empty)
-                .iter()
-                .map(|s| s.as_str().unwrap_or("").to_string())
-                .collect()
-        };
-        let (want, got) = (order(g), order(c));
-        if want != got {
-            violations.push(format!(
-                "rank inversion in '{scenario}': golden {want:?} vs current {got:?}"
-            ));
-        }
-    }
-    for c in c_ranks {
-        let scenario = str_of(c, "scenario");
-        if !g_ranks.iter().any(|g| str_of(g, "scenario") == scenario) {
-            violations.push(format!(
-                "scenario '{scenario}' not in golden rankings (regen the golden)"
-            ));
-        }
-    }
-
-    let g_cells = golden.get("cells").and_then(Json::as_arr).unwrap_or(&empty);
-    let c_cells = current
-        .get("cells")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    if g_cells.len() != c_cells.len() {
-        violations.push(format!(
-            "cell count changed: golden {} vs current {} (regen the golden)",
-            g_cells.len(),
-            c_cells.len()
-        ));
-    }
-    for g in g_cells {
-        let key = (
-            str_of(g, "scheme"),
-            str_of(g, "scenario"),
-            num_of(g, "seed"),
-        );
-        let Some(c) = c_cells.iter().find(|c| {
-            (
-                str_of(c, "scheme"),
-                str_of(c, "scenario"),
-                num_of(c, "seed"),
-            ) == key
-        }) else {
-            violations.push(format!("cell {key:?} missing from current report"));
-            continue;
-        };
-        let id = format!("{}/{}", key.0, key.1);
-        let (g_surv, c_surv) = (
-            g.get("survived").and_then(Json::as_bool),
-            c.get("survived").and_then(Json::as_bool),
-        );
-        if g_surv != c_surv {
-            violations.push(format!("{id}: survival changed ({g_surv:?} -> {c_surv:?})"));
-        }
-        let (gs, cs) = (num_of(g, "score"), num_of(c, "score"));
-        if (gs - cs).abs() > (gs.abs() * tol.score_rel).max(tol.score_abs) {
-            violations.push(format!("{id}: score drifted {gs:.4} -> {cs:.4}"));
-        }
-        let (gg, cg) = (num_of(g, "goodput_mbps"), num_of(c, "goodput_mbps"));
-        if (gg - cg).abs() > tol.goodput_abs_mbps {
-            violations.push(format!("{id}: goodput drifted {gg:.2} -> {cg:.2} Mbit/s"));
-        }
-        let (gd, cd) = (num_of(g, "avg_owd_ms"), num_of(c, "avg_owd_ms"));
-        if (gd - cd).abs() > tol.owd_abs_ms {
-            violations.push(format!("{id}: delay drifted {gd:.1} -> {cd:.1} ms"));
-        }
-        let (gf, cf) = (num_of(g, "fairness"), num_of(c, "fairness"));
-        if (gf - cf).abs() > tol.fairness_abs {
-            violations.push(format!("{id}: fairness drifted {gf:.3} -> {cf:.3}"));
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,33 +822,6 @@ mod tests {
                 assert!(r.scores[0] <= r.scores[1], "friendliness ranks ascending");
             }
         }
-    }
-
-    #[test]
-    fn golden_comparison_flags_rank_inversions_and_drift() {
-        let spec = tiny_spec();
-        let report = run_matrix(&spec, |_, _| {});
-        let json = matrix_json(&spec, &report);
-        let tol = MatrixTolerance::default();
-        // Identity: a report always passes against itself.
-        assert!(compare_to_golden(&json, &json, &tol).is_empty());
-
-        // Seeded rank inversion: swap the first scenario's top two schemes.
-        let mut golden = json.clone();
-        if let Json::Obj(ref mut top) = golden {
-            if let Some(Json::Arr(ranks)) = top.get_mut("rankings") {
-                if let Json::Obj(ref mut r0) = ranks[0] {
-                    if let Some(Json::Arr(order)) = r0.get_mut("order") {
-                        order.swap(0, 1);
-                    }
-                }
-            }
-        }
-        let violations = compare_to_golden(&json, &golden, &tol);
-        assert!(
-            violations.iter().any(|v| v.contains("rank inversion")),
-            "{violations:?}"
-        );
     }
 
     #[test]

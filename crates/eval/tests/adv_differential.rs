@@ -1,5 +1,5 @@
 //! Differential determinism gate for the adversarial search: the ranked
-//! report — the exact bytes `adv_search` writes to `ADV_hardest.json` —
+//! report — the exact bytes `figures adv` writes to `ADV_hardest.json` —
 //! must be identical at 1, 2 and 4 worker threads. Proposal is serial and
 //! evaluation fans out through an ordered reduction, so any scheduling
 //! dependence is a bug, not noise.

@@ -5,9 +5,14 @@
 //! (the build must succeed with no crates.io access). This module provides a
 //! dynamic [`Json`] value, a writer and a recursive-descent parser covering
 //! the full grammar (RFC 8259) minus `\u` surrogate pairs beyond the BMP.
+//! The parser refuses nesting deeper than 128 levels, so hostile input is an
+//! error and never a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects use a [`BTreeMap`] so serialisation is
 /// deterministic (sorted keys) — important for byte-identical artefacts.
@@ -125,6 +130,7 @@ impl Json {
         let mut p = Parser {
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -191,6 +197,8 @@ fn write_str(s: &str, out: &mut String) {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,11 +243,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -430,6 +451,16 @@ mod tests {
         ] {
             assert!(Json::parse(src).is_err(), "{src:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -55,7 +55,7 @@ cargo build --release
 
 # The whole workspace's suite (root `default-members`) runs twice: debug at
 # one worker, release at four. Every golden — fixed-seed train, 64-flow serve
-# digest with metrics/recorder on and off, matrix rankings — is
+# digest with metrics/recorder on and off, matrix slice — is
 # therefore checked against the same file at both thread counts and both opt
 # levels, and the release-only learning tests run in the gate. Regenerate a
 # golden after an intentional change by setting SAGE_REGEN_GOLDEN to 1.
@@ -73,15 +73,14 @@ echo "== benchmark: cargo test --release (perf_ledger against this tree) =="
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
 # The evaluation gate, and proof that every committed report is what this
-# tree computes: eval_matrix reruns the matrix (≈4 s), exits 1 on an SLO
-# breach, and rewrites EVAL_matrix.json, OBS_slo.json and FAIRNESS_trace.md;
-# adv_search (≈2 s) rewrites ADV_hardest.json. A byte that differs from the
-# committed file fails here.
-echo "== evaluation gate: eval_matrix and adv_search reproduce the committed reports =="
-./target/release/eval_matrix
-./target/release/adv_search > /dev/null
-git diff --exit-code -- \
-  artifacts/results/{EVAL_matrix.json,OBS_slo.json,FAIRNESS_trace.md,ADV_hardest.json}
+# tree computes: the `figures` rows over the evaluation matrix (≈5 s) rewrite
+# EVAL_matrix.json, FAIRNESS_trace.md and set3.txt, and OBS_slo.json unless
+# an SLO breaches (then the row fails and figures exits 1); `adv` (≈2 s)
+# rewrites ADV_hardest.json; each row rewrites its MANIFEST.json entry. A
+# byte under artifacts/results/ that differs from the committed file fails.
+echo "== evaluation gate: the figures rows reproduce the committed reports =="
+./target/release/figures matrix slo fairness set3 adv
+git diff --exit-code -- artifacts/results/
 
 # Opt-in ThreadSanitizer lane over the parallel runtime (SAGE_TSAN=1).
 # TSan needs a nightly toolchain with the rust-src component (the sanitizer
