@@ -1,15 +1,17 @@
-//! What a figure runs in: the committed artifacts, loaded at most once per
-//! process and remembered by CRC; the models figures train, kept in memory
-//! for the process and never written to disk; and the manifest that says
-//! which inputs and knobs produced each result file.
+//! What a figure runs in: the committed model, loaded at most once per
+//! process and remembered by CRC; the pool, collected in process at most
+//! once; the models figures train, kept in memory for the process and never
+//! written to disk; and the manifest that says which inputs and knobs
+//! produced each result file.
 
 use crate::figures::Figure;
 use crate::matrix::matrix_spec;
-use crate::{default_gr, evaluate, grid_envs, grid_scale, heuristics, learned, run_logged};
+use crate::{evaluate, grid_envs, grid_scale, heuristics, learned, pool, run_logged, FIXTURE_POOL};
 use sage_collector::{EnvSpec, Pool};
 use sage_core::SageModel;
 use sage_eval::matrix::{MatrixCell, MatrixReport, MatrixSpec};
 use sage_eval::runner::Contender;
+use sage_gr::GrConfig;
 use sage_util::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -28,7 +30,7 @@ pub struct Ctx {
     fig: &'static Figure,
     pool: Option<Arc<Pool>>,
     matrix: Option<Arc<(MatrixSpec, MatrixReport)>>,
-    /// Committed models by file name, trained ones by recipe key.
+    /// The committed model by file name, trained ones by recipe key.
     models: BTreeMap<String, Kept>,
     /// Payload CRC-32 of every artifact file loaded so far.
     crcs: BTreeMap<String, u32>,
@@ -78,8 +80,9 @@ impl Ctx {
         Ok(model.clone())
     }
 
-    /// The committed model `artifacts/<file>`.
-    pub fn model(&mut self, file: &str) -> Result<Arc<SageModel>, String> {
+    /// `artifacts/sage.model`.
+    pub fn sage(&mut self) -> Result<Arc<SageModel>, String> {
+        let file = "sage.model";
         self.kept(file, |ctx| {
             let payload = ctx.artifact(file)?;
             SageModel::from_bytes(&payload)
@@ -87,27 +90,16 @@ impl Ctx {
         })
     }
 
-    /// `artifacts/sage.model`.
-    pub fn sage(&mut self) -> Result<Arc<SageModel>, String> {
-        self.model("sage.model")
-    }
-
     /// `sage.model` as the league contender `sage`.
     pub fn sage_contender(&mut self) -> Result<Contender, String> {
-        Ok(learned("sage", self.sage()?, default_gr()))
+        Ok(learned("sage", self.sage()?, GrConfig::default()))
     }
 
-    /// `artifacts/pool.bin`.
-    pub fn pool(&mut self) -> Result<Arc<Pool>, String> {
-        if self.pool.is_none() {
-            let path = self.dir.join("pool.bin");
-            let (pool, crc) =
-                Pool::load_checked(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            self.crcs.insert("pool.bin".to_string(), crc);
-            self.pool = Some(Arc::new(pool));
-        }
-        self.read.insert("pool.bin".to_string());
-        Ok(self.pool.clone().expect("set above"))
+    /// The pool at [`FIXTURE_POOL`] under the default GR windows: collected
+    /// on first request, shared for the rest of the process.
+    pub fn pool(&mut self) -> Arc<Pool> {
+        let collect = || Arc::new(pool(FIXTURE_POOL, GrConfig::default()));
+        self.pool.get_or_insert_with(collect).clone()
     }
 
     /// The evaluation matrix over `sage.model` ([`matrix_spec`]): run on

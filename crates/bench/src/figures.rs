@@ -1,20 +1,21 @@
 //! The paper's evaluation as one table: every figure, table and report this
-//! repo reproduces is a row of [`TABLE`] — a projection of the committed pool
-//! and models, written to one file under `artifacts/results/` by the `figures`
-//! bin. The paper measures real GENI/AWS paths and Mahimahi emulation; the
-//! rows run the simulator (DESIGN.md says what each substitution is).
+//! repo reproduces is a row of [`TABLE`] — a projection of the committed model
+//! and the in-process pool, written to one file under `artifacts/results/` by
+//! the `figures` bin. The paper measures real GENI/AWS paths and Mahimahi
+//! emulation; the rows run the simulator (DESIGN.md says what each
+//! substitution is).
 
 use crate::ctx::Ctx;
 use crate::matrix::{adv, fairness, matrix_report, set3, slo};
 use crate::{
-    default_gr, default_train_cfg, evaluate, heuristics, league_table, league_tables, learned, pct,
+    default_train_cfg, evaluate, heuristics, league_table, league_tables, learned, pct, pool,
     single_flow_env, table, train_crr, winning_rates, GRID_SECS, SEED,
 };
 use sage_collector::{collect_pool, rollout, EnvSpec, Pool, SetKind};
 use sage_core::baselines::OracleCc;
 use sage_core::online::OnlineRlTrainer;
 use sage_core::policy::{ActionMode, SagePolicy};
-use sage_core::{CrrConfig, NetConfig, SageModel};
+use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::rank_league;
 use sage_eval::matrix::{league_scores, scenario_fairness, Family};
 use sage_eval::runner::Contender;
@@ -91,7 +92,7 @@ pub static TABLE: [Figure; 23] = [
     row("league",   "headline",             Some((36, 18)),    0, "league.txt",        league,        "sage vs the 13 pool heuristics, Set I and Set II winning rates"),
     row("fig01",    "Fig. 1",               Some((36, 18)),    0, "fig01.txt",         fig01,         "seven heuristics: Set I and Set II rankings are roughly opposite"),
     row("fig05",    "Fig. 5",               None,              0, "fig05.txt",         fig05,         "the friendliness reward R2 over x = rate / fair share"),
-    row("fig07",    "Fig. 7",               Some((20, 10)),    0, "fig07.txt",         fig07,         "winning rate of the seven training-day checkpoints vs the pool"),
+    row("fig07",    "Fig. 7",               Some((20, 10)), 7000, "fig07.txt",         fig07,         "winning rate of the seven training-day checkpoints vs the pool"),
     row("fig08",    "Fig. 8",               None,              0, "fig08.txt",         fig08,         "normalised delay and throughput on three synthetic Internet regimes"),
     row("fig09",    "Fig. 9, 20; Table 3",  Some((36, 18)), 2000, "fig09.txt",         fig09,         "league of ML designs: BC variants, OnlineRL, Aurora-, Indigo-, Orca-like"),
     row("fig10",    "Fig. 10, 21; Table 2", Some((20, 10)),    0, "fig10.txt",         fig10,         "league of delay-based designs"),
@@ -187,20 +188,29 @@ fn fig05(_: &mut Ctx, out: &mut String) -> Res {
     Ok(())
 }
 
+/// Seven training "days": one CRR run on the pool, checkpointed after each
+/// seventh of the row's steps.
 fn fig07(ctx: &mut Ctx, out: &mut String) -> Res {
     let envs = ctx.envs();
-    let days = (1..=7)
-        .map(|day| ctx.model(&format!("sage_d{day}.model")))
-        .collect::<Result<Vec<_>, _>>()?;
+    let pool = ctx.pool();
+    let day_steps = ctx.fig().steps / 7;
+    let mut trainer = CrrTrainer::new(default_train_cfg(), &pool);
+    let mut days = Vec::new();
+    for _ in 0..7 {
+        trainer.train(&pool, day_steps, |_, _| {});
+        let snapshot = trainer.model().to_bytes();
+        let model = snapshot.and_then(|bytes| SageModel::from_bytes(&bytes));
+        days.push(Arc::new(model.map_err(|e| format!("checkpoint: {e}"))?));
+    }
     // The heuristics' cells do not depend on the checkpoint: run them once
     // and merge each day's cells in (winners are recomputed per league).
-    let pool = pool_names();
-    let heuristic_cells = evaluate(&heuristics(pool.iter().copied()), &envs);
+    let schemes = pool_names();
+    let heuristic_cells = evaluate(&heuristics(schemes.iter().copied()), &envs);
     let mut names = vec!["sage"];
-    names.extend(&pool);
+    names.extend(&schemes);
     let mut rows = Vec::new();
     for (day, model) in days.into_iter().enumerate() {
-        let mut cells = evaluate(&[learned("sage", model, default_gr())], &envs);
+        let mut cells = evaluate(&[learned("sage", model, GrConfig::default())], &envs);
         cells.extend(heuristic_cells.iter().cloned());
         let rates = winning_rates(&cells, &names);
         let best = |set: fn(&(f64, f64)) -> f64| rates[1..].iter().map(set).fold(0.0, f64::max);
@@ -324,7 +334,7 @@ fn comparator(ctx: &mut Ctx, name: &str) -> Result<Arc<SageModel>, String> {
         _ => format!("{name}/{steps}"),
     };
     ctx.trained(&key, |ctx| {
-        let gr = default_gr();
+        let gr = GrConfig::default();
         let set1 = |ctx: &Ctx| -> Vec<EnvSpec> {
             let envs = ctx.envs().into_iter();
             envs.filter(|e| e.set == SetKind::SetI).collect()
@@ -358,16 +368,16 @@ fn comparator(ctx: &mut Ctx, name: &str) -> Result<Arc<SageModel>, String> {
             tr.snapshot_model()
         };
         Ok(match name {
-            "bc" => bc(&*ctx.pool()?),
-            "bc-top" => bc(&ctx.pool()?.filter_schemes(&["vegas", "cubic"])),
+            "bc" => bc(&ctx.pool()),
+            "bc-top" => bc(&ctx.pool().filter_schemes(&["vegas", "cubic"])),
             "bc-top3" => {
                 let top3 = ["vegas", "bbr2", "yeah", "cubic", "htcp", "bic"];
-                bc(&ctx.pool()?.filter_schemes(&top3))
+                bc(&ctx.pool().filter_schemes(&top3))
             }
-            "bcv2" => bc(&winner_pool(&*ctx.pool()?)),
+            "bcv2" => bc(&winner_pool(&ctx.pool())),
             "indigo" => oracle(set1(ctx)),
             "indigov2" => oracle(ctx.envs()),
-            "onlinerl" => online(&*ctx.pool()?, default_train_cfg(), &ctx.envs(), false),
+            "onlinerl" => online(&ctx.pool(), default_train_cfg(), &ctx.envs(), false),
             // Single-flow reward only, so Set I environments only.
             "aurora" => {
                 let net = NetConfig {
@@ -378,19 +388,19 @@ fn comparator(ctx: &mut Ctx, name: &str) -> Result<Arc<SageModel>, String> {
                     net,
                     ..default_train_cfg()
                 };
-                online(&*ctx.pool()?, cfg, &set1(ctx), true)
+                online(&ctx.pool(), cfg, &set1(ctx), true)
             }
             // R1 only: Cubic's own Set I rollouts plus the heuristic pool
             // restricted to Set I.
             "orca" => {
                 let mut orca_pool =
                     collect_pool(&set1(ctx), &["cubic"], gr, SEED ^ 0x0C, |_, _| {});
-                let pool = ctx.pool()?;
+                let pool = ctx.pool();
                 let set1_trajs = pool.trajectories.iter().filter(|t| !t.set2).cloned();
                 orca_pool.trajectories.extend(set1_trajs);
                 train_crr(default_train_cfg(), steps, &orca_pool)
             }
-            "orcav2" => train_crr(default_train_cfg(), steps, &*ctx.pool()?),
+            "orcav2" => train_crr(default_train_cfg(), steps, &ctx.pool()),
             other => panic!("no comparator recipe named {other:?}"),
         })
     })
@@ -424,7 +434,7 @@ fn winner_pool(pool: &Pool) -> Pool {
 }
 
 fn fig09(ctx: &mut Ctx, out: &mut String) -> Res {
-    let gr_cfg = default_gr();
+    let gr_cfg = GrConfig::default();
     let mut contenders = vec![ctx.sage_contender()?];
     for name in [
         "bc", "bc-top", "bc-top3", "bcv2", "onlinerl", "aurora", "indigo", "indigov2",
@@ -460,7 +470,7 @@ fn fig10(ctx: &mut Ctx, out: &mut String) -> Res {
 /// Expected shape: vegas ~ 0 (it is in the pool), BC and sage clearly
 /// shifted, yet sage performs well.
 fn fig11(ctx: &mut Ctx, out: &mut String) -> Res {
-    let pool = ctx.pool()?;
+    let pool = ctx.pool();
     let idx = DistanceIndex::new(&pool.trajectories, 20_000, SEED);
     let _ = writeln!(out, "distance index over {} pool transitions", idx.len());
     let link = LinkModel::Step {
@@ -469,7 +479,7 @@ fn fig11(ctx: &mut Ctx, out: &mut String) -> Res {
         at: from_secs(15.0),
     };
     let env = single_flow_env("fig11-step-24-96", link, 40.0, 480_000, 30.0, 60.0);
-    let gr = default_gr();
+    let gr = GrConfig::default();
     let sage = ctx.sage()?;
     let bc = comparator(ctx, "bc")?;
     let bc_policy = SagePolicy::new(bc, gr, SEED, ActionMode::Deterministic).with_name("bc");
@@ -545,9 +555,9 @@ fn fig12(ctx: &mut Ctx, out: &mut String) -> Res {
     let mut variants = Vec::new();
     for (name, cfg) in recipes {
         let model = ctx.trained(&format!("{name}/{steps}"), |ctx| {
-            Ok(train_crr(cfg, steps, &*ctx.pool()?))
+            Ok(train_crr(cfg, steps, &ctx.pool()))
         })?;
-        variants.push((name, model, default_gr()));
+        variants.push((name, model, GrConfig::default()));
     }
     let title = "Fig.12 ablations (winning rate vs pool league)";
     variants_vs_pool(ctx, out, title, "variant", &variants, &ctx.envs())
@@ -557,7 +567,7 @@ fn fig12(ctx: &mut Ctx, out: &mut String) -> Res {
 /// so sage is not a clone of any single heuristic.
 fn fig13(ctx: &mut Ctx, out: &mut String) -> Res {
     let model = ctx.sage()?;
-    let gr = default_gr();
+    let gr = GrConfig::default();
     let mut rng = Rng::new(SEED ^ 0xF13);
     let mut envs = ctx.envs();
     rng.shuffle(&mut envs);
@@ -593,12 +603,12 @@ fn fig13(ctx: &mut Ctx, out: &mut String) -> Res {
 fn fig14(ctx: &mut Ctx, out: &mut String) -> Res {
     let envs = ctx.envs();
     let steps = ctx.fig().steps;
-    let scale = ctx.scale();
+    let scale = ctx.scale().expect("fig14's row declares a grid");
     let mut variants = Vec::new();
     for (name, window) in [("sage_s", 10), ("sage_m", 200), ("sage_l", 1000)] {
         let gr = GrConfig::uniform(window);
         let model = ctx.trained(&format!("{name}/{steps} in {scale:?}"), |_| {
-            let pool = collect_pool(&envs, &pool_names(), gr, SEED, |_, _| {});
+            let pool = pool(scale, gr);
             Ok(train_crr(default_train_cfg(), steps, &pool))
         })?;
         variants.push((name, model, gr));
@@ -684,10 +694,10 @@ fn fig15(ctx: &mut Ctx, out: &mut String) -> Res {
     let steps = ctx.fig().steps;
     let mut narrowed = |name: &'static str, schemes: &[&str]| {
         let model = ctx.trained(&format!("{name}/{steps}"), |ctx| {
-            let pool = ctx.pool()?.filter_schemes(schemes);
+            let pool = ctx.pool().filter_schemes(schemes);
             Ok(train_crr(default_train_cfg(), steps, &pool))
         })?;
-        Ok::<_, String>((name, model, default_gr()))
+        Ok::<_, String>((name, model, GrConfig::default()))
     };
     // Top four of each set (paper: {Vegas, BBR2, YeAH, Illinois} and {Cubic,
     // HTCP, BIC, Highspeed}), then the top-ranked of each: {vegas}, {cubic}.
@@ -712,7 +722,7 @@ fn fig15(ctx: &mut Ctx, out: &mut String) -> Res {
 /// 20 ms min RTT and a 450 KB buffer, as in the paper (§7.6).
 fn fig17(ctx: &mut Ctx, out: &mut String) -> Res {
     let model = ctx.sage()?;
-    let gr = default_gr();
+    let gr = GrConfig::default();
     let env = |id: &str, link, cap| single_flow_env(id, link, 20.0, 450_000, 60.0, cap);
     let step = |before_mbps, after_mbps| LinkModel::Step {
         before_mbps,
@@ -813,7 +823,7 @@ fn against_cubics(
     [mbps, secs]: [f64; 2],
     buffer_bytes: u64,
 ) -> Vec<(&'static str, f64, f64)> {
-    let sage = std::iter::once(("sage", policy(model, default_gr())));
+    let sage = std::iter::once(("sage", policy(model, GrConfig::default())));
     let runs = sage.chain(schemes.iter().map(|s| (*s, heuristic(s))));
     let result = |(name, cca)| {
         let link = LinkModel::Constant { mbps };

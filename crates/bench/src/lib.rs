@@ -1,13 +1,14 @@
 //! Shared harness code for the experiment binaries: canonical environment
-//! sets, artifact paths, training configurations and league projections —
-//! so every figure regenerates from the same pipeline artifacts. The figures
-//! themselves are the rows of [`figures::TABLE`], run through a [`ctx::Ctx`].
+//! sets, the in-process pool, artifact paths, training configurations and
+//! league projections — so every figure regenerates from the same pipeline.
+//! The figures themselves are the rows of [`figures::TABLE`], run through a
+//! [`ctx::Ctx`].
 
 pub mod ctx;
 pub mod figures;
 pub mod matrix;
 
-use sage_collector::{training_envs, EnvSpec, Pool, SetKind};
+use sage_collector::{collect_pool, training_envs, EnvSpec, Pool, SetKind};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::{rank_league, LeagueEntry};
 use sage_eval::matrix::{
@@ -20,20 +21,16 @@ use sage_netsim::time::from_secs;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// Root directory for pipeline artifacts (pool, models, results).
+/// Root directory for pipeline artifacts (model, benchmark fixture, results).
 pub fn artifacts_dir() -> PathBuf {
-    let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
-    std::fs::create_dir_all(&p).ok();
-    p
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../artifacts")
 }
 
-pub fn pool_path() -> PathBuf {
-    artifacts_dir().join("pool.bin")
-}
-
-pub fn model_path(name: &str) -> PathBuf {
-    artifacts_dir().join(format!("{name}.model"))
+/// The committed model `train_sage` writes and the figures deploy.
+pub fn sage_model_path() -> PathBuf {
+    artifacts_dir().join("sage.model")
 }
 
 /// Master seed for the reproduction pipeline.
@@ -82,17 +79,29 @@ pub fn grid_envs([set1, set2, secs]: [usize; 3]) -> Vec<EnvSpec> {
     training_envs(set1, set2, secs as f64, SEED)
 }
 
-/// The canonical environment set of pool collection: 36 + 18 environments.
-/// The winning-rate figures evaluate on seeded subsamples of the same grid
-/// (the paper evaluates winning rates over the Set I/II environments
-/// themselves); each row of [`figures::TABLE`] carries its counts.
-pub fn default_envs() -> Vec<EnvSpec> {
-    grid_envs(grid_scale(36, 18))
-}
+/// The scale of the committed `pool.bin`: the benchmark's fixture and the
+/// pool the figures train from.
+pub const FIXTURE_POOL: [usize; 3] = [8, 4, 6];
 
-/// The default GR timescales (§7.4 mix).
-pub fn default_gr() -> GrConfig {
-    GrConfig::default()
+/// The pool of policies (paper §5): the 13 pool heuristics rolled through
+/// the training grid at `scale`, observed through `gr`, seeded with
+/// [`SEED`] — collected in process, byte-identical at every worker count.
+pub fn pool(scale: [usize; 3], gr: GrConfig) -> Pool {
+    let envs = grid_envs(scale);
+    let schemes = sage_heuristics::pool_names();
+    sage_obs::obs_info!(
+        "collecting pool: {} envs x {} schemes ({} rollouts)",
+        envs.len(),
+        schemes.len(),
+        envs.len() * schemes.len()
+    );
+    let t0 = Instant::now();
+    collect_pool(&envs, &schemes, gr, SEED, |done, total| {
+        if done % 50 == 0 || done == total {
+            let secs = t0.elapsed().as_secs_f64();
+            sage_obs::obs_info!("  {done}/{total} ({secs:.0} s)");
+        }
+    })
 }
 
 /// Default training configuration for the reproduction-scale Sage.

@@ -2,12 +2,13 @@
 //! model that sits under `artifacts/` but fails to parse silently breaks
 //! whichever figure bin reaches for it next.
 
-use sage_bench::{artifacts_dir, default_gr, model_path, SEED};
+use sage_bench::{artifacts_dir, pool, sage_model_path, FIXTURE_POOL, SEED};
 use sage_collector::Pool;
 use sage_core::SageModel;
 use sage_distill::{SymbolicModel, TreeConfig};
 use sage_eval::matrix::{scenarios_fault, scenarios_set12};
 use sage_eval::{agreement, harvest, jain_fairness, AGREE_TOL_LR};
+use sage_gr::GrConfig;
 use sage_netsim::ManyFlowScenario;
 use sage_serve::{run_many_flow, ServeConfig, ServeMode};
 use std::sync::Arc;
@@ -63,12 +64,41 @@ fn committed_artifacts_re_save_byte_identically() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
+/// `pool.bin` is the benchmark's fixture, and this test is what ties it to
+/// the code: the pool collected in process at [`FIXTURE_POOL`], saved through
+/// the checked writer, is the committed file byte for byte, footer included.
+/// With `SAGE_REGEN_GOLDEN` set it rewrites the file instead.
+#[test]
+fn committed_pool_is_the_collection_at_the_fixture_scale() {
+    let committed = artifacts_dir().join("pool.bin");
+    let pool = pool(FIXTURE_POOL, GrConfig::default());
+    if sage_util::env_cfg::regen_golden() {
+        pool.save_file(&committed).expect("rewrite pool.bin");
+        eprintln!("regenerated {}", committed.display());
+        return;
+    }
+    let fresh = std::env::temp_dir().join(format!("sage_fixture_{}.bin", std::process::id()));
+    pool.save_file(&fresh).expect("save the collected pool");
+    let now = std::fs::read(&fresh).expect("collected bytes");
+    std::fs::remove_file(&fresh).ok();
+    let was = std::fs::read(&committed).expect("committed pool.bin");
+    assert!(
+        now == was,
+        "artifacts/pool.bin ({} B) is not the pool collected at FIXTURE_POOL {FIXTURE_POOL:?} \
+         ({} B): collection changed. The benchmark's `layers` workload trains its CRR steps on \
+         this file, so its numbers move with it. If the change is intentional, regenerate with \
+         SAGE_REGEN_GOLDEN=1 cargo test -p sage-bench --test artifacts_load",
+        was.len(),
+        now.len()
+    );
+}
+
 /// The committed policy stays distillable at smoke scale: a depth-6 tree fit
 /// on two Set I scenarios plus the clean baseline (3 s each) agrees with the
 /// network on held-out clean links it never saw (measured: 96.1%).
 #[test]
 fn tiny_tree_from_the_committed_model_clears_the_fidelity_floor() {
-    let model = Arc::new(SageModel::load_file(&model_path("sage")).expect("sage.model loads"));
+    let model = Arc::new(SageModel::load_file(&sage_model_path()).expect("sage.model loads"));
     let scenarios = |grid_seed| {
         let mut s = scenarios_set12(2, 0, 3.0, grid_seed);
         s.extend(scenarios_fault(Some(&["clean"]), 3.0));
@@ -76,14 +106,14 @@ fn tiny_tree_from_the_committed_model_clears_the_fidelity_floor() {
     };
     let train = harvest(
         &model,
-        default_gr(),
+        GrConfig::default(),
         &scenarios(SEED),
         SEED ^ 0xD157_1111,
         0,
     );
     let held = harvest(
         &model,
-        default_gr(),
+        GrConfig::default(),
         &scenarios(SEED + 1),
         SEED ^ 0xD157_2222,
         0,
@@ -106,13 +136,13 @@ fn tiny_tree_from_the_committed_model_clears_the_fidelity_floor() {
 /// Jain 0.405, utilisation 0.949).
 #[test]
 fn committed_model_serves_64_flows_on_the_batched_runtime() {
-    let model = Arc::new(SageModel::load_file(&model_path("sage")).expect("sage.model loads"));
+    let model = Arc::new(SageModel::load_file(&sage_model_path()).expect("sage.model loads"));
     let mut sc = ManyFlowScenario::shared_bottleneck(64, 4, SEED);
     sc.secs = 3.0;
     let report = run_many_flow(
         &sc,
         model,
-        default_gr(),
+        GrConfig::default(),
         ServeConfig {
             mode: ServeMode::Batched,
             threads: 0, // resolve from SAGE_THREADS: check.sh varies it

@@ -19,9 +19,10 @@
 //! command in [`REGEN`].
 
 use sage_bench::matrix::matrix_spec;
-use sage_bench::{artifacts_dir, default_gr, learned, model_path};
+use sage_bench::{artifacts_dir, learned, sage_model_path};
 use sage_core::SageModel;
 use sage_eval::matrix::{matrix_json, run_matrix, MatrixSpec};
+use sage_gr::GrConfig;
 use sage_util::Json;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -145,9 +146,9 @@ fn entry<'a>(json: &'a mut Json, key: &str, name: &str, value: &str) -> &'a mut 
 
 #[test]
 fn matrix_slice_matches_the_committed_report() {
-    let model = SageModel::load_file(&model_path("sage"))
+    let model = SageModel::load_file(&sage_model_path())
         .expect("artifacts/sage.model is committed; the matrix gate needs it");
-    let spec = matrix_spec(learned("sage", Arc::new(model), default_gr()));
+    let spec = matrix_spec(learned("sage", Arc::new(model), GrConfig::default()));
     let slices = [
         pick(&spec, &SCENARIOS, &[]),
         pick(&spec, &["fair-64flow"], &["sage"]),

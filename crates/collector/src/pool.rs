@@ -157,23 +157,18 @@ impl Pool {
         w.commit()
     }
 
-    /// Load a pool saved by [`Pool::save_file`]; see [`Pool::load_checked`].
+    /// Load a pool saved by [`Pool::save_file`]. A truncated or extended
+    /// file fails the footer check before any decoding; the payload then
+    /// decodes chunk by chunk, every count bounded by the bytes left before
+    /// anything is allocated from it; a bit flip fails the CRC compared at
+    /// the end. Any of these is `InvalidData`, and a CRC mismatch is
+    /// reported in preference to the decode error it caused.
     pub fn load_file(path: &std::path::Path) -> io::Result<Pool> {
-        Pool::load_checked(path).map(|(pool, _)| pool)
-    }
-
-    /// Load a pool and the payload CRC it was verified against. A truncated
-    /// or extended file fails the footer check before any decoding; the
-    /// payload then decodes chunk by chunk, every count bounded by the
-    /// bytes left before anything is allocated from it; a bit flip fails
-    /// the CRC compared at the end. Any of these is `InvalidData`, and a
-    /// CRC mismatch is reported in preference to the decode error it caused.
-    pub fn load_checked(path: &std::path::Path) -> io::Result<(Pool, u32)> {
         let mut r = CheckedReader::open(path)?;
         let left = r.remaining();
         let pool = Payload { r: &mut r, left }.decode();
-        let crc = r.finish()?;
-        Ok((pool?, crc))
+        r.finish()?;
+        pool
     }
 }
 

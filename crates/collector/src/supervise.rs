@@ -23,21 +23,6 @@ use std::sync::Mutex;
 /// reseeded run before being skipped.
 const MAX_RETRIES: u32 = 2;
 
-/// What happened during a supervised collection run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CollectReport {
-    /// Cells that produced a usable trajectory.
-    pub completed: usize,
-    /// Retries performed (panics + divergences combined).
-    pub retries: usize,
-    /// Cells that panicked at least once.
-    pub panicked: usize,
-    /// Cells whose trajectory contained NaN/Inf at least once.
-    pub diverged: usize,
-    /// Cells abandoned after exhausting retries (`"scheme@env"` labels).
-    pub failed: Vec<String>,
-}
-
 /// Validate a recorded trajectory: every stored number must be finite.
 fn diverged(traj: &Trajectory) -> bool {
     let bad = |xs: &[f32]| xs.iter().any(|x| !x.is_finite());
@@ -52,15 +37,14 @@ fn diverged(traj: &Trajectory) -> bool {
 
 /// Roll scheme `si` through `env`, retrying a panicking or diverging run
 /// under a fresh seed up to [`MAX_RETRIES`] times. Returns the accepted
-/// trajectory, if any, and how many attempts panicked and diverged.
+/// trajectory, if any.
 fn run_cell(
     env: &EnvSpec,
     si: usize,
     scheme: &str,
     gr_cfg: GrConfig,
     seed: u64,
-) -> (Option<Trajectory>, usize, usize) {
-    let (mut panics, mut divergences) = (0, 0);
+) -> Option<Trajectory> {
     for attempt in 0..=MAX_RETRIES {
         // Reseed retries so a seed-dependent failure does not repeat;
         // attempt 0 uses the unsalted seeds.
@@ -80,14 +64,12 @@ fn run_cell(
             Ok(res) if !diverged(&res.traj) => {
                 sage_obs::obs_counter!("collect.rollouts").inc();
                 sage_obs::obs_counter!("collect.steps").add(res.traj.len() as u64);
-                return (Some(res.traj), panics, divergences);
+                return Some(res.traj);
             }
             Ok(_) => {
-                divergences += 1;
                 sage_obs::obs_warn!("rollout diverged (attempt {attempt}): {scheme}@{}", env.id);
             }
             Err(_) => {
-                panics += 1;
                 sage_obs::obs_warn!("rollout panicked (attempt {attempt}): {scheme}@{}", env.id);
                 // Crash forensics: mark the panic in the flight recorder and
                 // dump its per-thread tail.
@@ -104,14 +86,14 @@ fn run_cell(
         }
         sage_obs::obs_counter!("collect.retries").inc();
     }
-    (None, panics, divergences)
+    None
 }
 
 /// Collect the full pool: every scheme through every environment on
 /// `threads` workers (`0` = `SAGE_THREADS`, default: available parallelism).
-/// Misbehaving cells are retried with fresh seeds and skipped (recorded in
-/// the report) rather than aborting the run. `progress` is called after each
-/// cell with (done, total).
+/// Misbehaving cells are retried with fresh seeds and then skipped — logged
+/// as abandoned — rather than aborting the run. `progress` is called after
+/// each cell with (done, total).
 ///
 /// Determinism contract: every (environment, scheme) cell is an independent
 /// task whose seeds are pure functions of the master seed and the cell —
@@ -119,15 +101,15 @@ fn run_cell(
 /// pool is byte-identical at every thread count.
 ///
 /// An unknown scheme name panics inside the supervised cell (a programming
-/// error) on every attempt, so the cell ends up in `failed`.
-pub fn collect_pool_supervised(
+/// error) on every attempt, so the cell is abandoned.
+pub fn collect_pool_with_threads(
     envs: &[EnvSpec],
     schemes: &[&str],
     gr_cfg: GrConfig,
     seed: u64,
     threads: usize,
     mut progress: impl FnMut(usize, usize) + Send,
-) -> (Pool, CollectReport) {
+) -> Pool {
     let total = envs.len() * schemes.len();
     let done = AtomicUsize::new(0);
     let progress = Mutex::new(&mut progress);
@@ -140,37 +122,16 @@ pub fn collect_pool_supervised(
         cell
     });
     let mut pool = Pool::new();
-    let mut report = CollectReport::default();
-    for (task, (traj, panics, divergences)) in cells.into_iter().enumerate() {
-        report.retries += panics + divergences;
-        report.panicked += (panics > 0) as usize;
-        report.diverged += (divergences > 0) as usize;
+    for (task, traj) in cells.into_iter().enumerate() {
         match traj {
-            Some(traj) => {
-                pool.trajectories.push(traj);
-                report.completed += 1;
-            }
+            Some(traj) => pool.trajectories.push(traj),
             None => {
                 let (env, si) = cell_at(task);
-                let label = format!("{}@{}", schemes[si], env.id);
-                sage_obs::obs_error!("cell abandoned after retries: {label}");
-                report.failed.push(label);
+                sage_obs::obs_error!("cell abandoned after retries: {}@{}", schemes[si], env.id);
             }
         }
     }
-    (pool, report)
-}
-
-/// [`collect_pool_supervised`], keeping only the pool.
-pub fn collect_pool_with_threads(
-    envs: &[EnvSpec],
-    schemes: &[&str],
-    gr_cfg: GrConfig,
-    seed: u64,
-    threads: usize,
-    progress: impl FnMut(usize, usize) + Send,
-) -> Pool {
-    collect_pool_supervised(envs, schemes, gr_cfg, seed, threads, progress).0
+    pool
 }
 
 /// [`collect_pool_with_threads`] at the process-wide worker count.
@@ -182,48 +143,4 @@ pub fn collect_pool(
     progress: impl FnMut(usize, usize) + Send,
 ) -> Pool {
     collect_pool_with_threads(envs, schemes, gr_cfg, seed, 0, progress)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::env::training_envs;
-
-    fn pool_bytes(pool: &Pool) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        pool.save(&mut bytes).expect("pool serialises");
-        bytes
-    }
-
-    #[test]
-    fn supervised_matches_plain_collection_when_all_goes_well() {
-        let envs = training_envs(2, 1, 3.0, 7);
-        let schemes = ["cubic", "vegas"];
-        let plain = pool_bytes(&collect_pool_with_threads(
-            &envs,
-            &schemes,
-            GrConfig::default(),
-            1,
-            1,
-            |_, _| {},
-        ));
-        for threads in [1, 2, 4] {
-            let (pool, report) = collect_pool_supervised(
-                &envs,
-                &schemes,
-                GrConfig::default(),
-                1,
-                threads,
-                |_, _| {},
-            );
-            assert_eq!(
-                report,
-                CollectReport {
-                    completed: 6,
-                    ..CollectReport::default()
-                }
-            );
-            assert_eq!(pool_bytes(&pool), plain, "{threads} threads");
-        }
-    }
 }

@@ -5,7 +5,7 @@
 //! Own integration-test binary: the dump path is read from the environment,
 //! which must be set before the panics.
 
-use sage_collector::supervise::collect_pool_supervised;
+use sage_collector::collect_pool_with_threads;
 use sage_gr::GrConfig;
 
 #[test]
@@ -16,13 +16,16 @@ fn panic_dumps_flight_postmortem() {
     std::env::set_var("SAGE_FLIGHT_FILE", &flight_path);
     sage_obs::log::force_level(None);
     sage_obs::force_record("collect");
+    sage_obs::force_enabled(true);
+    let retries = sage_obs::counter("collect.retries");
+    let retries_before = retries.value();
 
     // Silence the default panic printer: the induced panics are the point.
     std::panic::set_hook(Box::new(|_| {}));
     let envs = sage_collector::env::training_envs(1, 0, 2.0, 3);
     // An unknown scheme name panics inside the supervised catch_unwind on
     // every attempt, so the cell is retried twice and then abandoned.
-    let (pool, report) = collect_pool_supervised(
+    let pool = collect_pool_with_threads(
         &envs,
         &["no-such-scheme"],
         GrConfig::default(),
@@ -32,15 +35,11 @@ fn panic_dumps_flight_postmortem() {
     );
     let _ = std::panic::take_hook();
 
-    assert_eq!(report.panicked, 1);
-    assert_eq!(report.retries, 3, "attempt 0 + 2 retries");
-    assert_eq!(report.completed, 0);
     assert!(pool.trajectories.is_empty());
-    assert_eq!(report.failed.len(), 1);
-    assert!(
-        report.failed[0].starts_with("no-such-scheme@"),
-        "{:?}",
-        report.failed
+    assert_eq!(
+        retries.value() - retries_before,
+        3,
+        "attempt 0 + 2 retries, each counted"
     );
 
     // The flight recorder dumped a post-mortem with the panic markers.

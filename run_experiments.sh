@@ -1,6 +1,6 @@
 #!/bin/bash
-# Regenerate everything under artifacts/results/ that the pipeline artifacts
-# (artifacts/pool.bin, sage.model, sage_d1..7.model) determine: every row of
+# Regenerate everything under artifacts/results/ that the committed model
+# (artifacts/sage.model) and the in-process pool determine: every row of
 # the figure table (`figures --list` prints it; one row is
 # `cargo run --release -p sage-bench --bin figures -- <id>`) writes its file
 # and its MANIFEST.json entry. The 18 figure outputs, the evaluation matrix
