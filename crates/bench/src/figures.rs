@@ -22,7 +22,7 @@ use sage_eval::runner::Contender;
 use sage_eval::score::{interval_scores, ScoreKind};
 use sage_eval::similarity::{similarity_index, DistanceIndex};
 use sage_eval::tsne::{tsne, TsneConfig};
-use sage_gr::{reward_friendliness, FeatureMask, GrConfig, STATE_DIM};
+use sage_gr::{reward_friendliness, FeatureMask, GrConfig};
 use sage_heuristics::{build, pool_names};
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::internet::InternetProfile;
@@ -633,9 +633,8 @@ fn fig14(ctx: &mut Ctx, out: &mut String) -> Res {
             let stride = (n / 30).max(1);
             let mut g = Graph::new();
             let mut h = model.policy.initial_hidden(&mut g, 1);
-            for t in 0..n {
-                let full: Vec<f64> = run.traj.state(t).iter().map(|&x| x as f64).collect();
-                debug_assert_eq!(full.len(), STATE_DIM);
+            for (t, row) in run.traj.states.rows().enumerate() {
+                let full: Vec<f64> = row.iter().map(|&x| x as f64).collect();
                 let xin = g.input(Array::row(model.prepare_input(&full)));
                 let (_, h1, trunk) = model
                     .policy

@@ -64,6 +64,30 @@ fn committed_artifacts_re_save_byte_identically() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
+/// The coded states of the fixture take at most 45% of their f32 bytes
+/// (measured: 41.3%): a change to the codec, or to what the GR unit records,
+/// that loses the saving fails here.
+#[test]
+fn committed_pool_codes_its_states_in_at_most_45_percent_of_their_f32_bytes() {
+    let pool = Pool::load_file(&artifacts_dir().join("pool.bin")).expect("pool.bin loads");
+    let coded: usize = pool
+        .trajectories
+        .iter()
+        .map(|t| t.states.coded_bytes())
+        .sum();
+    let plain = pool.total_steps() * sage_gr::STATE_DIM * 4;
+    let share = coded as f64 / plain as f64;
+    eprintln!(
+        "coded states: {coded} B of {plain} B as f32 ({:.1}%)",
+        100.0 * share
+    );
+    assert!(
+        share <= 0.45,
+        "coded states take {:.1}% of their f32 bytes",
+        100.0 * share
+    );
+}
+
 /// `pool.bin` is the benchmark's fixture, and this test is what ties it to
 /// the code: the pool collected in process at [`FIXTURE_POOL`], saved through
 /// the checked writer, is the committed file byte for byte, footer included.

@@ -2,8 +2,11 @@
 //!
 //! A custom little-endian format is used instead of JSON because a pool is a
 //! few hundred thousand 70-float records — exactly the "once, before
-//! training" artefact the paper describes.
+//! training" artefact the paper describes. In memory the states are coded
+//! ([`States`]); the file holds them as plain f32 rows, and loading codes
+//! them while it streams.
 
+use crate::states::States;
 use sage_gr::STATE_DIM;
 use sage_util::{CheckedReader, CheckedWriter};
 use std::io::{self, Read, Write};
@@ -17,8 +20,8 @@ pub struct Trajectory {
     pub set2: bool,
     /// Ideal fair share of the recorded flow, bits/s.
     pub fair_share_bps: f64,
-    /// `steps x STATE_DIM` states, flattened row-major.
-    pub states: Vec<f32>,
+    /// One coded state row per step.
+    pub states: States,
     /// Per-step action (cwnd ratio).
     pub actions: Vec<f32>,
     /// Per-step Power reward (Eq. 1).
@@ -40,11 +43,6 @@ impl Trajectory {
 
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
-    }
-
-    /// State row `t` as a slice.
-    pub fn state(&self, t: usize) -> &[f32] {
-        &self.states[t * STATE_DIM..(t + 1) * STATE_DIM]
     }
 
     /// The reward stream matching the environment's set: R2 in Set II
@@ -103,8 +101,8 @@ impl Pool {
         let mut mean = vec![0.0f64; STATE_DIM];
         let mut n = 0u64;
         for t in &self.trajectories {
-            for s in t.states.chunks_exact(STATE_DIM) {
-                for (m, &x) in mean.iter_mut().zip(s) {
+            for s in t.states.rows() {
+                for (m, &x) in mean.iter_mut().zip(&s) {
                     *m += x as f64;
                 }
                 n += 1;
@@ -115,8 +113,8 @@ impl Pool {
         }
         let mut var = vec![0.0f64; STATE_DIM];
         for t in &self.trajectories {
-            for s in t.states.chunks_exact(STATE_DIM) {
-                for ((v, &m), &x) in var.iter_mut().zip(&mean).zip(s) {
+            for s in t.states.rows() {
+                for ((v, &m), &x) in var.iter_mut().zip(&mean).zip(&s) {
                     let d = x as f64 - m;
                     *v += d * d;
                 }
@@ -140,7 +138,8 @@ impl Pool {
             w.write_all(&[t.set2 as u8])?;
             w.write_all(&t.fair_share_bps.to_le_bytes())?;
             w.write_all(&(t.len() as u64).to_le_bytes())?;
-            for xs in [&t.states, &t.actions, &t.r1, &t.r2, &t.thr, &t.owd, &t.cwnd] {
+            write_states(w, &t.states)?;
+            for xs in [&t.actions, &t.r1, &t.r2, &t.thr, &t.owd, &t.cwnd] {
                 write_f32s(w, xs)?;
             }
         }
@@ -184,6 +183,9 @@ const STEP_BYTES: u64 = 4 * (STATE_DIM as u64 + 6);
 /// Floats moved per read or write call of an array.
 const F32_CHUNK: usize = 1024;
 
+/// Bytes of one state row in the file.
+const ROW_BYTES: usize = 4 * STATE_DIM;
+
 fn invalid(why: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why)
 }
@@ -222,7 +224,7 @@ impl<R: Read> Payload<R> {
                 env_id,
                 set2,
                 fair_share_bps,
-                states: self.f32s(steps * STATE_DIM)?,
+                states: self.states(steps)?,
                 actions: self.f32s(steps)?,
                 r1: self.f32s(steps)?,
                 r2: self.f32s(steps)?,
@@ -285,6 +287,24 @@ impl<R: Read> Payload<R> {
         String::from_utf8(b).map_err(|_| invalid(format!("{what} is not utf-8")))
     }
 
+    /// `n` state rows, coded as they are read.
+    fn states(&mut self, n: usize) -> io::Result<States> {
+        self.claim((n * ROW_BYTES) as u64, "state rows")?;
+        let mut out = States::default();
+        out.reserve_rows(n);
+        let mut bytes = [0u8; ROW_BYTES];
+        let mut row = [0u32; STATE_DIM];
+        for _ in 0..n {
+            self.r.read_exact(&mut bytes)?;
+            for (x, b) in row.iter_mut().zip(bytes.chunks_exact(4)) {
+                *x = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            }
+            out.push_bits(&row);
+        }
+        out.shrink_to_fit();
+        Ok(out)
+    }
+
     /// `n` floats, read [`F32_CHUNK`] at a time into a vector allocated
     /// once at its final size.
     fn f32s(&mut self, n: usize) -> io::Result<Vec<f32>> {
@@ -308,6 +328,17 @@ impl<R: Read> Payload<R> {
 fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     w.write_all(&(s.len() as u64).to_le_bytes())?;
     w.write_all(s.as_bytes())
+}
+
+fn write_states(w: &mut impl Write, states: &States) -> io::Result<()> {
+    let mut bytes = [0u8; ROW_BYTES];
+    for row in states.rows() {
+        for (b, x) in bytes.chunks_exact_mut(4).zip(row) {
+            b.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
+        w.write_all(&bytes)?;
+    }
+    Ok(())
 }
 
 fn write_f32s(w: &mut impl Write, xs: &[f32]) -> io::Result<()> {
@@ -342,7 +373,9 @@ mod tests {
             env_id: "env-x".into(),
             set2,
             fair_share_bps: 12e6,
-            states: (0..steps * STATE_DIM).map(|i| i as f32 * 0.01).collect(),
+            states: (0..steps)
+                .map(|r| std::array::from_fn(|c| (r * STATE_DIM + c) as f32 * 0.01))
+                .collect(),
             actions: (0..steps).map(|i| 1.0 + i as f32 * 0.001).collect(),
             r1: vec![0.5; steps],
             r2: vec![0.8; steps],

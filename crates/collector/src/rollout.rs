@@ -32,7 +32,7 @@ impl Monitor for GrMonitor {
         let step = self.gr.on_tick(view, tick);
         self.traj
             .states
-            .extend(step.state.iter().map(|&x| x as f32));
+            .push(&std::array::from_fn(|i| step.state[i] as f32));
         self.traj.actions.push(step.action as f32);
         self.traj.r1.push(step.reward_power as f32);
         self.traj
@@ -156,6 +156,7 @@ fn rollout_flows(
         },
     };
     let all_stats = sim.run(&mut mon);
+    mon.traj.states.shrink_to_fit();
     let stats = all_stats[test_idx].clone();
     RolloutResult {
         traj: mon.traj,
@@ -169,7 +170,6 @@ mod tests {
     use super::*;
     use crate::env::{set1_flat_grid, set2_grid};
     use crate::supervise::collect_pool;
-    use sage_gr::STATE_DIM;
 
     #[test]
     fn rollout_records_expected_tick_count() {
@@ -184,7 +184,7 @@ mod tests {
         );
         // 5 s at 10 ms per tick = about 500 steps.
         assert!((450..=501).contains(&res.traj.len()), "{}", res.traj.len());
-        assert_eq!(res.traj.states.len(), res.traj.len() * STATE_DIM);
+        assert_eq!(res.traj.states.len(), res.traj.len());
         assert!(res.stats.avg_goodput_mbps > 0.0);
     }
 

@@ -26,7 +26,7 @@ const MAX_RETRIES: u32 = 2;
 /// Validate a recorded trajectory: every stored number must be finite.
 fn diverged(traj: &Trajectory) -> bool {
     let bad = |xs: &[f32]| xs.iter().any(|x| !x.is_finite());
-    bad(&traj.states)
+    traj.states.rows().any(|s| bad(&s))
         || bad(&traj.actions)
         || bad(&traj.r1)
         || bad(&traj.r2)

@@ -242,8 +242,7 @@ impl CrrTrainer {
                     start = pick.saturating_sub(l / 2).min(max_start - 1);
                 }
             }
-            for (t, step) in states.iter_mut().enumerate() {
-                let full = traj.state(start + t);
+            for (step, full) in states.iter_mut().zip(traj.states.window(start, l + 1)) {
                 let x = self.model.standardised(|i| full[i] as f64);
                 step.data[bi * d..(bi + 1) * d]
                     .iter_mut()
@@ -510,11 +509,14 @@ impl CrrTrainer {
             .collect();
         let (mut nll, mut count) = (0.0, 0usize);
         for batch in windows.chunks(NLL_BATCH) {
+            let decoded: Vec<Vec<_>> = (batch.iter())
+                .map(|(traj, start)| traj.states.window(*start, l).collect())
+                .collect();
             let mut h = Array::zeros(batch.len(), self.cfg.net.hidden_dim());
             for t in 0..l {
                 let mut x = Vec::with_capacity(batch.len() * d);
-                for (traj, start) in batch {
-                    let full = traj.state(start + t);
+                for window in &decoded {
+                    let full = &window[t];
                     x.extend(self.model.standardised(|i| full[i] as f64));
                     let row = x.len() - d;
                     zeroed_cols.iter().for_each(|&c| x[row + c] = 0.0);
@@ -720,10 +722,10 @@ mod tests {
             };
             for i in 0..steps {
                 let flag = if (i / 3) % 2 == 0 { 1.0 } else { -1.0 };
-                let mut state = vec![0.0f32; STATE_DIM];
+                let mut state = [0.0f32; STATE_DIM];
                 state[0] = flag as f32;
                 state[1] = rng.range(-0.1, 0.1) as f32;
-                t.states.extend(state);
+                t.states.push(&state);
                 let correct = if flag > 0.0 { 1.2 } else { 0.8 };
                 let wrong = if flag > 0.0 { 0.8 } else { 1.2 };
                 let a = if good { correct } else { wrong };

@@ -101,9 +101,9 @@ fn bc_clones_a_consistent_expert() {
             ..Default::default()
         };
         for i in 0..steps {
-            let mut s = vec![0.0f32; STATE_DIM];
+            let mut s = [0.0f32; STATE_DIM];
             s[0] = (i % 7) as f32 * 0.1;
-            t.states.extend(s);
+            t.states.push(&s);
             t.actions.push(1.05);
             t.r1.push(0.5);
             t.r2.push(0.5);

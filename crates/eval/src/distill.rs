@@ -252,8 +252,8 @@ mod tests {
         assert_eq!(rows.len(), traj.len(), "one observation per recorded tick");
         assert!(rows.len() >= 500);
         let mut skewed_ticks = [0usize; 2];
-        for (t, (deployed, _)) in rows.iter().enumerate() {
-            for (c, (&d, &p)) in deployed.iter().zip(traj.state(t)).enumerate() {
+        for (t, ((deployed, _), recorded)) in rows.iter().zip(traj.states.rows()).enumerate() {
+            for (c, (&d, &p)) in deployed.iter().zip(&recorded).enumerate() {
                 if d as f32 == p {
                     continue;
                 }

@@ -28,16 +28,17 @@ pub fn cosine_similarity(u: &[f64], v: &[f64]) -> f64 {
 
 /// Transition vectors `u_t = (s_t, a_t, s_{t+1})` of a trajectory.
 pub fn transition_vectors(t: &Trajectory) -> Vec<Vec<f64>> {
-    let n = t.len();
-    if n < 2 {
+    let mut rows = t.states.rows();
+    let Some(mut s) = rows.next() else {
         return Vec::new();
-    }
-    (0..n - 1)
-        .map(|i| {
+    };
+    rows.zip(&t.actions)
+        .map(|(next, &a)| {
             let mut v = Vec::with_capacity(2 * STATE_DIM + 1);
-            v.extend(t.state(i).iter().map(|&x| x as f64));
-            v.push(t.actions[i] as f64);
-            v.extend(t.state(i + 1).iter().map(|&x| x as f64));
+            v.extend(s.iter().map(|&x| x as f64));
+            v.push(a as f64);
+            v.extend(next.iter().map(|&x| x as f64));
+            s = next;
             v
         })
         .collect()
@@ -114,7 +115,7 @@ mod tests {
             env_id: "e".into(),
             set2: false,
             fair_share_bps: 0.0,
-            states: vec![state_fill; n * STATE_DIM],
+            states: vec![[state_fill; STATE_DIM]; n].into_iter().collect(),
             actions: actions.to_vec(),
             r1: vec![0.0; n],
             r2: vec![0.0; n],
@@ -161,9 +162,17 @@ mod tests {
         let seen = traj(&[1.0, 1.0, 1.0, 1.0], 0.5);
         let mut novel = traj(&[3.0, 0.2, 3.0, 0.2], -0.5);
         // Give novel states a different pattern too.
-        for (i, s) in novel.states.iter_mut().enumerate() {
-            *s = if i % 2 == 0 { 1.0 } else { -1.0 };
-        }
+        novel.states = (0..4)
+            .map(|r| {
+                std::array::from_fn(|c| {
+                    if (r * STATE_DIM + c).is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                })
+            })
+            .collect();
         let idx = DistanceIndex::new(std::slice::from_ref(&seen), 1000, 1);
         let d = idx.distances(&novel);
         assert!(d.iter().all(|&x| x > 0.05), "{d:?}");

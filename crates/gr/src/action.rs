@@ -106,6 +106,12 @@ impl CwndActor {
         self.cwnd = cwnd;
     }
 
+    /// Rows the GR unit's signal history holds (see
+    /// [`GrUnit::history_rows`]).
+    pub fn history_rows(&self) -> usize {
+        self.gr.history_rows()
+    }
+
     /// Cumulative lost bytes at the last observation (serve digests it).
     pub fn prev_lost_bytes(&self) -> u64 {
         self.prev_lost_bytes

@@ -150,13 +150,19 @@ fn needs_fold(x: f64) -> bool {
     x.is_nan() || (x == 0.0 && x.is_sign_negative())
 }
 
-/// One flow's history of the six signals: a single ring of rows sized to
-/// the largest window, read by all three windows; per signal and window a
-/// running sum and a count of live [`needs_fold`] values; per signal one
-/// min and one max deque over the largest window, with a cursor per window.
+/// One flow's history of the six signals: a single ring of rows, read by
+/// all three windows, that grows one push at a time up to the largest
+/// window; per signal and window a running sum and a count of live
+/// [`needs_fold`] values; per signal one min and one max deque over the
+/// largest window, with a cursor per window.
 struct History {
     /// Small, Medium, Large window lengths, in ticks.
     wins: [usize; 3],
+    /// The largest window: the ring's length once it has grown.
+    cap: usize,
+    /// The last `min(pushed, cap)` rows. While it grows, `head` is its
+    /// length, so the lag index `(head + len - w) % len` reads the same
+    /// row as in the grown ring.
     rows: Vec<[f64; SIGNALS]>,
     /// Slot of the next push.
     head: usize,
@@ -228,10 +234,10 @@ impl History {
             wins.iter().all(|&w| w > 0),
             "window capacity must be positive"
         );
-        let cap = wins.iter().copied().max().unwrap_or(1);
         History {
             wins,
-            rows: vec![[0.0; SIGNALS]; cap],
+            cap: wins.iter().copied().max().unwrap_or(1),
+            rows: Vec::new(),
             head: 0,
             pushed: 0,
             tracks: Default::default(),
@@ -241,21 +247,21 @@ impl History {
     /// Window of length `len` (at most the ring's) of signal `j`, oldest
     /// to newest.
     fn window(&self, j: usize, len: usize) -> impl Iterator<Item = f64> + '_ {
-        let cap = self.rows.len();
-        let start = (self.head + cap - len) % cap;
-        (0..len).map(move |i| self.rows[(start + i) % cap][j])
+        let n = self.rows.len();
+        let start = (self.head + n - len) % n;
+        (0..len).map(move |i| self.rows[(start + i) % n][j])
     }
 }
 
 impl Windows for History {
     fn push(&mut self, row: [f64; SIGNALS]) {
-        let cap = self.rows.len();
+        let n = self.rows.len();
         let seq = self.pushed;
         // Each full window gives up its oldest row before the new one is
         // added: the reference's order of float operations.
         for (k, &w) in self.wins.iter().enumerate() {
             if seq >= w as u64 {
-                let old = self.rows[(self.head + cap - w) % cap];
+                let old = self.rows[(self.head + n - w) % n];
                 for (t, &x) in self.tracks.iter_mut().zip(&old) {
                     t.sum[k] -= x;
                     if needs_fold(x) {
@@ -264,8 +270,12 @@ impl Windows for History {
                 }
             }
         }
-        self.rows[self.head] = row;
-        self.head = (self.head + 1) % cap;
+        if n < self.cap {
+            self.rows.push(row);
+        } else {
+            self.rows[self.head] = row;
+        }
+        self.head = (self.head + 1) % self.cap;
         self.pushed += 1;
         let oldest = self.wins.map(|w| self.pushed.saturating_sub(w as u64));
         for (t, &x) in self.tracks.iter_mut().zip(&row) {
@@ -339,6 +349,12 @@ impl GrUnit {
 
     pub fn config(&self) -> GrConfig {
         self.cfg
+    }
+
+    /// Rows the signal history holds: the ticks seen, up to the largest
+    /// window.
+    pub fn history_rows(&self) -> usize {
+        self.history.rows.len()
     }
 
     /// Ingest one monitor tick; returns the recorded step.
@@ -599,6 +615,55 @@ pub(crate) mod tests {
                 Ok(())
             },
         );
+    }
+
+    #[test]
+    fn history_holds_only_the_rows_pushed_up_to_the_largest_window() {
+        let cfg = GrConfig {
+            small: 3,
+            medium: 40,
+            large: 7,
+        };
+        let mut history = History::new(&cfg);
+        assert!(history.rows.is_empty());
+        for n in 1..=100 {
+            history.push([n as f64; SIGNALS]);
+            assert_eq!(history.rows.len(), n.min(40), "after {n} pushes");
+        }
+        assert!(history.rows.capacity() <= 64);
+    }
+
+    /// The default 10/200/1000 windows over 2 500 pushes, NaN and −0.0
+    /// inside the first 1 000: the fold path reads a ring still growing,
+    /// then one that has wrapped.
+    #[test]
+    fn growing_ring_equals_the_reference_for_the_default_windows() {
+        let cfg = GrConfig::default();
+        let mut history = History::new(&cfg);
+        let mut reference = tris(&cfg);
+        let mut rng = Rng::new(0x0E83);
+        let mut row = [0.0; SIGNALS];
+        for t in 0..2_500 {
+            let odd = if (150..170).contains(&t) || (600..640).contains(&t) {
+                0.3
+            } else {
+                0.0
+            };
+            for x in &mut row {
+                *x = sample(&mut rng, odd, *x);
+            }
+            if t == 400 {
+                row[0] = -0.0;
+                row[1] = f64::NAN;
+            }
+            history.push(row);
+            reference.push(row);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            history.emit(&mut got);
+            reference.emit(&mut want);
+            assert!(same_bits(&got, &want), "push {t}");
+            assert_eq!(history.rows.len(), (t + 1).min(1_000));
+        }
     }
 
     #[test]

@@ -674,3 +674,35 @@ impl ServeRuntime {
         )
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sage_core::model::NetConfig;
+    use sage_gr::STATE_DIM;
+
+    /// Admission allocates no signal history: each flow's ring grows with
+    /// its observations, not with the largest window.
+    #[test]
+    fn admit_leaves_every_history_empty() {
+        let cfg = NetConfig {
+            enc1: 8,
+            gru: 8,
+            enc2: 8,
+            fc: 8,
+            residual_blocks: 1,
+            critic_hidden: 8,
+            ..NetConfig::default()
+        };
+        let model = SageModel::new(cfg, vec![0.0; STATE_DIM], vec![1.0; STATE_DIM], 3);
+        let mut rt =
+            ServeRuntime::new(Arc::new(model), GrConfig::default(), ServeConfig::default());
+        for key in 0..64 {
+            assert!(rt.admit(key, 0, 1));
+        }
+        let rows: Vec<usize> = (rt.table.iter_slots())
+            .map(|(_, e)| e.actor.history_rows())
+            .collect();
+        assert_eq!(rows, vec![0; 64]);
+    }
+}

@@ -7,7 +7,7 @@ use crate::rtt::RttEstimator;
 use crate::{MIN_CWND, MSS};
 use sage_netsim::packet::{FlowId, Packet};
 use sage_netsim::time::{Nanos, SECONDS};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Bookkeeping for one transmitted (and not yet cumulatively ACKed) packet.
 #[derive(Debug, Clone, Copy)]
@@ -92,7 +92,10 @@ pub struct Flow {
 
     // --- Receiver state ---
     rcv_nxt: u64,
-    ooo: BTreeSet<u64>,
+    /// Reorder flags: entry `i` is set when sequence `rcv_nxt + i` arrived
+    /// ahead of `rcv_nxt`. The ring spans only up to the highest such
+    /// sequence, and entry 0 is never set.
+    ooo: VecDeque<bool>,
     pub rcv_bytes_total: u64,
     /// One-way delays (seconds) of packets delivered this tick.
     pub tick_owd_sum: f64,
@@ -143,7 +146,7 @@ impl Flow {
             lost_bytes_total: 0,
             retx_pkts_total: 0,
             rcv_nxt: 0,
-            ooo: BTreeSet::new(),
+            ooo: VecDeque::new(),
             rcv_bytes_total: 0,
             tick_owd_sum: 0.0,
             tick_owd_count: 0,
@@ -228,20 +231,25 @@ impl Flow {
     pub fn on_data(&mut self, now: Nanos, pkt: Packet) -> Ack {
         let owd = now.saturating_sub(pkt.sent_at) as f64 / SECONDS as f64;
         // Count goodput only for first-time in-order/ooo arrivals.
-        let is_new = pkt.seq >= self.rcv_nxt && !self.ooo.contains(&pkt.seq);
-        if is_new {
+        let ahead = pkt.seq.checked_sub(self.rcv_nxt).map(|i| i as usize);
+        if let Some(i) = ahead.filter(|&i| self.ooo.get(i) != Some(&true)) {
             self.rcv_bytes_total += pkt.bytes as u64;
             self.tick_rcv_bytes += pkt.bytes as u64;
             self.tick_owd_sum += owd;
             self.tick_owd_count += 1;
             self.owd_samples.push(owd as f32);
-            if pkt.seq == self.rcv_nxt {
+            if i == 0 {
+                self.ooo.pop_front();
                 self.rcv_nxt += 1;
-                while self.ooo.remove(&self.rcv_nxt) {
+                while self.ooo.front() == Some(&true) {
+                    self.ooo.pop_front();
                     self.rcv_nxt += 1;
                 }
             } else {
-                self.ooo.insert(pkt.seq);
+                if self.ooo.len() <= i {
+                    self.ooo.resize(i + 1, false);
+                }
+                self.ooo[i] = true;
             }
         }
         Ack {
@@ -589,7 +597,7 @@ impl Flow {
             self.n_lost,
             self.retransmit_queue,
             self.rcv_nxt,
-            self.ooo.len(),
+            self.ooo.iter().filter(|&&held| held).count(),
             first,
             self.ca_state,
             self.dupacks
@@ -623,6 +631,7 @@ mod tests {
     use super::*;
     use crate::cc::{AckEvent, SocketView};
     use sage_netsim::time::MILLIS;
+    use std::collections::BTreeSet;
 
     /// A fixed-window CCA for exercising the flow machinery.
     struct FixedWindow {
@@ -1121,6 +1130,83 @@ mod tests {
                 "case exercised neither loss nor restart".to_string()
             })
         });
+    }
+
+    /// The reference receiver: a `BTreeSet` of the sequences held above
+    /// `rcv_nxt`.
+    struct SetReceiver {
+        rcv_nxt: u64,
+        ooo: BTreeSet<u64>,
+        bytes: u64,
+    }
+
+    impl SetReceiver {
+        fn on_data(&mut self, seq: u64) -> u64 {
+            if seq >= self.rcv_nxt && !self.ooo.contains(&seq) {
+                self.bytes += MSS as u64;
+                if seq == self.rcv_nxt {
+                    self.rcv_nxt += 1;
+                    while self.ooo.remove(&self.rcv_nxt) {
+                        self.rcv_nxt += 1;
+                    }
+                } else {
+                    self.ooo.insert(seq);
+                }
+            }
+            self.rcv_nxt
+        }
+    }
+
+    #[test]
+    fn reorder_ring_matches_the_set_model() {
+        use sage_util::prop::{ensure, forall, PropConfig};
+        forall(
+            "reorder ring == set receiver",
+            PropConfig::default(),
+            |rng| {
+                let mut f = flow(1e9);
+                let mut model = SetReceiver {
+                    rcv_nxt: 0,
+                    ooo: BTreeSet::new(),
+                    bytes: 0,
+                };
+                let span = 1 + rng.below(64) as u64;
+                for step in 0..600 {
+                    // Mostly the next sequence or one a little ahead; some
+                    // duplicates and stale arrivals below `rcv_nxt`.
+                    let base = model.rcv_nxt;
+                    let seq = match rng.below(8) {
+                        0..=2 => base,
+                        3 => base.saturating_sub(1 + rng.below(4) as u64),
+                        _ => base + rng.below(span as usize) as u64,
+                    };
+                    let ack = f.on_data(MILLIS, Packet::new(0, seq, MSS, 0));
+                    let want = model.on_data(seq);
+                    let held = f.ooo.iter().filter(|&&h| h).count();
+                    ensure(
+                        (ack.ack_seq, f.rcv_bytes_total, held)
+                            == (want, model.bytes, model.ooo.len()),
+                        || {
+                            format!(
+                                "step {step}, seq {seq}: (ack, bytes, held) ({}, {}, {held}), \
+                             model ({want}, {}, {})",
+                                ack.ack_seq,
+                                f.rcv_bytes_total,
+                                model.bytes,
+                                model.ooo.len()
+                            )
+                        },
+                    )?;
+                    ensure(f.ooo.front() != Some(&true), || {
+                        format!("step {step}: rcv_nxt's own flag is set")
+                    })?;
+                    ensure(f.ooo.len() <= span as usize, || {
+                        format!("step {step}: ring of {} over a span of {span}", f.ooo.len())
+                    })?;
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sage::eval::league::rank_league;
 use sage::eval::matrix::{league_scores, run_matrix, Family, MatrixSpec, ScenarioSpec};
 use sage::eval::runner::Contender;
 use sage::eval::similarity::DistanceIndex;
-use sage::gr::{GrConfig, STATE_DIM};
+use sage::gr::GrConfig;
 use sage::netsim::link::LinkModel;
 use sage::netsim::time::from_secs;
 use sage::transport::sim::NullMonitor;
@@ -146,7 +146,7 @@ fn gr_trajectories_match_state_dim_everywhere() {
     let envs = training_envs(2, 1, 3.0, 7);
     let pool = collect_pool(&envs, &["yeah"], GrConfig::default(), 7, |_, _| {});
     for t in &pool.trajectories {
-        assert_eq!(t.states.len(), t.len() * STATE_DIM);
+        assert_eq!(t.states.len(), t.len());
         assert_eq!(t.actions.len(), t.len());
         assert_eq!(t.r1.len(), t.len());
         assert_eq!(t.r2.len(), t.len());
