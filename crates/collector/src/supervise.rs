@@ -62,7 +62,6 @@ fn run_cell(
         }));
         match outcome {
             Ok(res) if !diverged(&res.traj) => {
-                sage_obs::obs_counter!("collect.rollouts").inc();
                 sage_obs::obs_counter!("collect.steps").add(res.traj.len() as u64);
                 return Some(res.traj);
             }

@@ -269,11 +269,6 @@ impl CrrTrainer {
     /// `CrrConfig` uses `unroll >= 1` (default 8), so this is a programming
     /// error worth crashing on.
     pub fn train_step(&mut self, pool: &Pool) -> StepMetrics {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "obs-gated wall clock feeding the write-only samples-per-sec gauge; never read back into training"
-        )]
-        let step_start = sage_obs::enabled().then(std::time::Instant::now);
         let (states, actions, rewards) = match self.sample_batch(pool) {
             Some(x) => x,
             None => return StepMetrics::default(),
@@ -326,30 +321,6 @@ impl CrrTrainer {
         );
         for loss_bi in losses {
             metrics.policy_loss += loss_bi / b as f64;
-        }
-        // Observability taps: write-only exports, never read back by the
-        // trainer, and the grad norm is computed only when obs is on (it
-        // costs a pass over every parameter).
-        if sage_obs::enabled() {
-            let grad_sq: f64 = self
-                .model
-                .store
-                .params
-                .iter()
-                .map(|p| p.grad.data.iter().map(|g| g * g).sum::<f64>())
-                .sum();
-            sage_obs::obs_gauge!("train.grad_norm").set(grad_sq.sqrt());
-            sage_obs::obs_gauge!("train.policy_loss").set(metrics.policy_loss);
-            sage_obs::obs_gauge!("train.critic_loss").set(metrics.critic_loss);
-            sage_obs::obs_gauge!("train.mean_q").set(metrics.mean_q);
-            sage_obs::obs_gauge!("train.mean_weight").set(metrics.mean_weight);
-            sage_obs::obs_counter!("train.steps").inc();
-            if let Some(start) = step_start {
-                let secs = start.elapsed().as_secs_f64();
-                if secs > 0.0 {
-                    sage_obs::obs_gauge!("train.samples_per_sec").set((l * b) as f64 / secs);
-                }
-            }
         }
         self.policy_opt.step(&mut self.model.store);
 

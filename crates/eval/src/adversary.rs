@@ -211,7 +211,6 @@ pub fn evaluate_candidate(
         family: Family::Adversarial,
         env: decode(genome, secs),
     };
-    sage_obs::obs_counter!("adv.candidates").inc();
     // A cell that panicked or delivered nothing counts as dead.
     let target_cell = run_cell(&sc, target, seed, alpha);
     let target_survived = target_cell.survived;
@@ -328,7 +327,6 @@ pub fn search(
     let mut rounds = 0usize;
     while all.len() < cfg.budget {
         rounds += 1;
-        sage_obs::obs_counter!("adv.rounds").inc();
         let want = if all.is_empty() {
             cfg.init.clamp(1, cfg.budget)
         } else {
@@ -465,9 +463,8 @@ pub fn report_json(cfg: &AdvConfig, report: &AdvReport) -> Json {
         ("rounds", Json::Num(report.rounds as f64)),
         ("digest", Json::str(format!("{:016x}", report.digest))),
         (
-            // Deterministic observability counters for this run: totals are
-            // thread-count independent (unlike gauges, which are last-write
-            // and must stay out of byte-compared reports).
+            // This run's counts, from the report's own fields: totals are
+            // thread-count independent.
             "counters",
             Json::obj(vec![
                 ("adv.candidates", Json::Num(report.evaluated as f64)),

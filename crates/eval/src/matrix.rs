@@ -559,7 +559,6 @@ pub fn run_matrix(
             spec.seeds[ki],
             spec.alpha,
         );
-        sage_obs::obs_counter!("matrix.cells").inc();
         let n = 1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         (progress.lock().unwrap_or_else(|e| e.into_inner()))(n, total);
         cell

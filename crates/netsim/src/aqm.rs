@@ -2,7 +2,7 @@
 //! tail drop, head drop, CoDel, PIE, and a BoDe-style bounded-delay policy.
 
 use crate::packet::Packet;
-use crate::time::{Nanos, MICROS, MILLIS, SECONDS};
+use crate::time::{Nanos, MILLIS, SECONDS};
 use sage_util::Rng;
 
 /// Snapshot of the bottleneck queue the AQM can inspect.
@@ -282,8 +282,8 @@ impl Aqm for BoundedDelay {
     }
 }
 
-/// AQM selector for environment specs (string-codable via [`AqmKind::name`]
-/// and [`AqmKind::from_name`] for JSON artefacts).
+/// AQM selector for environment specs ([`AqmKind::name`] is the short label
+/// the built policy reports, e.g. in `fig23`'s row ids).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AqmKind {
     TailDrop,
@@ -314,22 +314,7 @@ impl AqmKind {
             AqmKind::BoundedDelay => "BoDe",
         }
     }
-
-    /// Inverse of [`AqmKind::name`].
-    pub fn from_name(s: &str) -> Option<AqmKind> {
-        match s {
-            "TDrop" => Some(AqmKind::TailDrop),
-            "HDrop" => Some(AqmKind::HeadDrop),
-            "CoDel" => Some(AqmKind::CoDel),
-            "PIE" => Some(AqmKind::Pie),
-            "BoDe" => Some(AqmKind::BoundedDelay),
-            _ => None,
-        }
-    }
 }
-
-/// Suppress unused warning for MICROS re-export consistency.
-const _: Nanos = MICROS;
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,7 @@ use crate::aqm::{Aqm, DequeueVerdict, EnqueueVerdict, QueueView};
 use crate::link::LinkModel;
 use crate::packet::Packet;
 use crate::time::Nanos;
-use sage_obs::hist::HistSnapshot;
-use sage_obs::{obs_counter, obs_hist};
+use sage_obs::obs_counter;
 use sage_util::Rng;
 use std::collections::VecDeque;
 
@@ -46,16 +45,11 @@ pub struct BottleneckPath {
     /// wireless loss on inter-continental profiles).
     random_loss: f64,
     rng: Rng,
-    /// Cumulative statistics. These and the two histograms below are the
-    /// path's obs taps: tallied here per packet, folded into the registry
-    /// once when the path drops.
+    /// Cumulative statistics, also the path's obs taps: tallied here per
+    /// packet, folded into the registry once when the path drops.
     pub total_enqueued: u64,
     pub total_dropped: u64,
     pub total_delivered: u64,
-    /// Buffer depth seen by each arrival, packets.
-    depth_hist: HistSnapshot,
-    /// Queue wait of each delivered packet, microseconds.
-    sojourn_hist: HistSnapshot,
     /// Flight-recorder span base: packets of flow `f` record under span
     /// `span_base + f + 1`. Observability metadata only.
     span_base: u64,
@@ -81,8 +75,6 @@ impl BottleneckPath {
             total_enqueued: 0,
             total_dropped: 0,
             total_delivered: 0,
-            depth_hist: HistSnapshot::new(),
-            sojourn_hist: HistSnapshot::new(),
             span_base: 0,
         }
     }
@@ -145,7 +137,6 @@ impl BottleneckPath {
     /// Offer a packet to the path at time `now`.
     pub fn enqueue(&mut self, now: Nanos, pkt: Packet) -> EnqueueOutcome {
         self.total_enqueued += 1;
-        self.depth_hist.observe(self.buf.len() as u64);
         sage_obs::record(
             sage_obs::Category::Netsim,
             sage_obs::EventKind::Enqueue,
@@ -205,7 +196,6 @@ impl BottleneckPath {
                 DequeueVerdict::Deliver => {
                     let finish = self.link.finish_time(now, pkt.bytes as f64 * 8.0);
                     if finish == Nanos::MAX {
-                        obs_counter!("netsim.link_stalls").inc();
                         sage_obs::record(
                             sage_obs::Category::Netsim,
                             sage_obs::EventKind::LinkStall,
@@ -233,7 +223,6 @@ impl BottleneckPath {
         let (pkt, sojourn, finish) = self.in_service.take()?;
         debug_assert!(now >= finish, "complete() called before finish time");
         self.total_delivered += 1;
-        self.sojourn_hist.observe(sojourn / 1_000);
         sage_obs::record(
             sage_obs::Category::Netsim,
             sage_obs::EventKind::Deliver,
@@ -259,8 +248,6 @@ impl Drop for BottleneckPath {
         obs_counter!("netsim.pkts_enqueued").add(self.total_enqueued);
         obs_counter!("netsim.pkts_dropped").add(self.total_dropped);
         obs_counter!("netsim.pkts_delivered").add(self.total_delivered);
-        obs_hist!("netsim.queue_depth_pkts").merge(&self.depth_hist);
-        obs_hist!("netsim.sojourn_us").merge(&self.sojourn_hist);
     }
 }
 

@@ -20,16 +20,6 @@ pub fn from_secs(s: f64) -> Nanos {
     (s * SECONDS as f64).round() as Nanos
 }
 
-/// Express a [`Nanos`] value in fractional milliseconds.
-pub fn as_ms(t: Nanos) -> f64 {
-    t as f64 / MILLIS as f64
-}
-
-/// Express a [`Nanos`] value in fractional seconds.
-pub fn as_secs(t: Nanos) -> f64 {
-    t as f64 / SECONDS as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,7 +28,5 @@ mod tests {
     fn round_trips() {
         assert_eq!(from_ms(1.5), 1_500_000);
         assert_eq!(from_secs(2.0), 2 * SECONDS);
-        assert!((as_ms(from_ms(3.25)) - 3.25).abs() < 1e-9);
-        assert!((as_secs(from_secs(0.125)) - 0.125).abs() < 1e-12);
     }
 }

@@ -85,15 +85,6 @@ impl ParamStore {
         }
     }
 
-    /// Polyak averaging: `dst = tau*src + (1-tau)*dst`.
-    pub fn polyak_from(&mut self, other: &ParamStore, tau: f64) {
-        for (dst, src) in self.params.iter_mut().zip(&other.params) {
-            for (d, s) in dst.value.data.iter_mut().zip(&src.value.data) {
-                *d = tau * s + (1.0 - tau) * *d;
-            }
-        }
-    }
-
     /// Serialise values (not optimiser state) to a little-endian binary blob.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(b"SAGEPRM1")?;
@@ -196,16 +187,6 @@ mod tests {
         let mut b = ParamStore::new();
         b.zeros("different", 2, 2);
         assert!(b.load(&mut &buf[..]).is_err());
-    }
-
-    #[test]
-    fn polyak_moves_toward_source() {
-        let mut a = ParamStore::new();
-        a.constant("w", 1, 1, 0.0);
-        let mut b = ParamStore::new();
-        b.constant("w", 1, 1, 10.0);
-        a.polyak_from(&b, 0.1);
-        assert!((a.get(0).data[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

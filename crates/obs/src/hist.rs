@@ -1,11 +1,9 @@
-//! Log-linear histogram bucketing and mergeable snapshots.
+//! Log-linear histogram bucketing.
 //!
 //! Each power-of-two range ("octave") is split into [`SUB`] equal linear
 //! sub-buckets (HdrHistogram-style), so relative resolution is bounded by
 //! `1/SUB` everywhere while the whole `u64` range fits in [`NUM_BUCKETS`]
-//! slots. Everything here is integer arithmetic: merging two snapshots is a
-//! bucket-wise add, which is associative and commutative, so any reduction
-//! order — and therefore any thread count — produces the same result.
+//! slots. Everything here is integer arithmetic.
 
 /// log2 of the number of sub-buckets per octave.
 pub const SUB_BITS: u32 = 2;
@@ -41,127 +39,17 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, lo.wrapping_add(width - 1))
 }
 
-/// A plain (non-atomic) histogram state: the snapshot form of
-/// [`crate::metrics::Histogram`] and the unit the property tests exercise.
+/// A plain (non-atomic) copy of a [`crate::metrics::Histogram`]'s state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     pub count: u64,
-    /// Wrapping sum of observed values (wrap-around is astronomically far
-    /// for the microsecond/packet quantities recorded here).
+    /// Wrapping sum of observed values.
     pub sum: u64,
     /// `u64::MAX` when empty.
     pub min: u64,
     /// `0` when empty.
     pub max: u64,
     pub buckets: Vec<u64>,
-}
-
-impl Default for HistSnapshot {
-    fn default() -> Self {
-        HistSnapshot {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: vec![0; NUM_BUCKETS],
-        }
-    }
-}
-
-impl HistSnapshot {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one value.
-    pub fn observe(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Fold `other` into `self`. Bucket-wise integer addition: associative
-    /// and commutative, so merge order never matters.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Mean of the observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Quantile estimate for `q` in `[0, 1]` (clamped) with linear
-    /// interpolation inside the containing bucket. Buckets are log-spaced,
-    /// so the overall estimate is log-linear: exact for values below
-    /// [`SUB`], within `1/SUB` relative error everywhere else. Returns
-    /// `0.0` when empty; results are clamped to the observed `[min, max]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // The extremes are tracked exactly; don't approximate them.
-        if q == 0.0 {
-            return self.min as f64;
-        }
-        if q == 1.0 {
-            return self.max as f64;
-        }
-        let rank = q * (self.count - 1) as f64;
-        let mut below = 0u64; // observations in buckets before this one
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let hi_rank = below + n - 1; // highest rank inside this bucket
-            if hi_rank as f64 >= rank {
-                let (lo, hi) = bucket_bounds(i);
-                // Position within this bucket's ranks; a single observation
-                // sits at the bucket midpoint.
-                let frac = if n == 1 {
-                    0.5
-                } else {
-                    (rank - below as f64) / (n - 1) as f64
-                };
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return v.clamp(self.min as f64, self.max as f64);
-            }
-            below += n;
-        }
-        self.max as f64
-    }
-
-    /// Approximate percentile (0..=100) from the buckets: the midpoint of
-    /// the bucket containing the rank, clamped to observed min/max.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * (self.count - 1) as f64).round() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if n > 0 && seen > rank {
-                let (lo, hi) = bucket_bounds(i);
-                let mid = lo + (hi - lo) / 2;
-                return mid.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -195,67 +83,5 @@ mod tests {
             assert_eq!(bucket_index(lo), i, "lo of bucket {i}");
             assert_eq!(bucket_index(hi), i, "hi of bucket {i}");
         }
-    }
-
-    #[test]
-    fn quantile_interpolates_and_clamps() {
-        let mut h = HistSnapshot::new();
-        for v in 0..100u64 {
-            h.observe(v);
-        }
-        // Uniform 0..100: interpolated quantiles track the rank closely
-        // (log-linear error bounded by 1/SUB within a bucket).
-        assert_eq!(h.quantile(0.0), 0.0);
-        assert_eq!(h.quantile(1.0), 99.0);
-        let p50 = h.quantile(0.5);
-        assert!((40.0..=60.0).contains(&p50), "p50 {p50}");
-        let p95 = h.quantile(0.95);
-        assert!((85.0..=99.0).contains(&p95), "p95 {p95}");
-        // Out-of-range q is clamped, empty histogram reports 0.
-        assert_eq!(h.quantile(2.0), 99.0);
-        assert_eq!(h.quantile(-1.0), 0.0);
-        assert_eq!(HistSnapshot::new().quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn quantile_is_monotone_and_exact_for_singletons() {
-        let mut h = HistSnapshot::new();
-        h.observe(42);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.999, 1.0] {
-            assert_eq!(h.quantile(q), 42.0, "singleton q={q}");
-        }
-        let mut h = HistSnapshot::new();
-        let mut s = 0x1234_5678u64;
-        for _ in 0..500 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            h.observe(s >> 40);
-        }
-        let qs = [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0];
-        for w in qs.windows(2) {
-            assert!(
-                h.quantile(w[0]) <= h.quantile(w[1]),
-                "quantile not monotone at {:?}",
-                w
-            );
-        }
-        assert_eq!(h.quantile(0.0), h.min as f64);
-        assert_eq!(h.quantile(1.0), h.max as f64);
-    }
-
-    #[test]
-    fn percentile_of_uniform_counts() {
-        let mut h = HistSnapshot::new();
-        for v in 0..100u64 {
-            h.observe(v);
-        }
-        assert_eq!(h.count, 100);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 99);
-        let p50 = h.percentile(50.0);
-        assert!((32..=72).contains(&p50), "p50 {p50}");
-        assert_eq!(h.percentile(0.0), 0);
-        assert_eq!(h.percentile(100.0), 99);
     }
 }

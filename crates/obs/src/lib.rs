@@ -1,20 +1,17 @@
-//! `sage-obs`: deterministic metrics, structured tracing, and a flight
-//! recorder for the whole Sage stack.
+//! `sage-obs`: deterministic counters, leveled logging, and a flight
+//! recorder for the whole Sage stack — all write-only, so turning any of
+//! them on cannot change a result.
 //!
-//! The pipeline's claims are quantitative, yet until now everything between
-//! "run bench binary" and "read final JSON" was a black box. This crate
-//! makes the internals observable **without ever perturbing results**:
-//!
-//! * **Metrics** ([`metrics`]) — counters, gauges, and log-linear-bucket
-//!   histograms. Counter increments land in per-thread lock-free shards
-//!   (plain relaxed atomics, no locks on the hot path) that snapshots merge
-//!   in shard-registration order; every merged quantity is an integer sum,
-//!   so totals are identical at any `SAGE_THREADS`. Metrics are pure
-//!   write-only taps: no simulation, training, or serving code ever reads
-//!   them back, so enabling metrics cannot change a digest.
-//! * **Logging** ([`log`]) — leveled events (`[ERROR]`..`[TRACE]` prefixes
-//!   on stderr, greppable by CI) filtered by the `SAGE_LOG` environment
-//!   variable.
+//! * **Counters** ([`metrics`]) — per-thread lock-free shards (plain relaxed
+//!   atomics, no locks on the hot path) summed in shard-registration order;
+//!   every total is an integer sum, so it is identical at any
+//!   `SAGE_THREADS`. No simulation, training, or serving code ever reads
+//!   one back; the perf ledger and tests do. The module also keeps the
+//!   log-linear [`metrics::Histogram`] the ledger's `obs.hist_observe_ns`
+//!   probe times; no library code registers one.
+//! * **Logging** ([`log`]) — leveled events (`[ERROR]`, `[WARN]`, `[INFO]`
+//!   prefixes on stderr, greppable by CI) filtered by the `SAGE_LOG`
+//!   environment variable.
 //! * **Flight recorder** ([`recorder`]) — per-thread rings of compact
 //!   tick-stamped events (`SAGE_RECORD=serve,transport,...`), drained via
 //!   an ordered merge that is byte-identical at any `SAGE_THREADS` and
@@ -25,11 +22,8 @@
 //! 1. Observability is write-only: nothing in this crate is read by
 //!    pipeline logic, so metrics-on and metrics-off runs produce
 //!    byte-identical artefacts (pinned by `crates/serve/tests/obs_differential.rs`).
-//! 2. All histogram observations are `u64` and all merges are integer adds
-//!    (commutative + associative), so exported snapshots are identical at
-//!    every thread count.
-//! 3. Wall-clock readings (span durations, latency histograms) are
-//!    exported only in reports that no digest covers.
+//! 2. Every metric write is an integer counter add (commutative and
+//!    associative), so totals are identical at every thread count.
 //!
 //! # Kill switch
 //!
@@ -44,7 +38,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use log::{log_enabled, Level};
-pub use metrics::{counter, gauge, histogram, reset_metrics, snapshot_json};
+pub use metrics::{counter, histogram};
 pub use recorder::{
     dump_postmortem, force_record, force_record_cap, record, recording, reset_recorder, Category,
     EventKind,
@@ -94,27 +88,6 @@ macro_rules! obs_counter {
         static SLOT: std::sync::OnceLock<&'static $crate::metrics::Counter> =
             std::sync::OnceLock::new();
         *SLOT.get_or_init(|| $crate::metrics::counter($name))
-    }};
-}
-
-/// Intern a gauge once per call site: `obs_gauge!("train.policy_loss").set(x);`
-#[macro_export]
-macro_rules! obs_gauge {
-    ($name:expr) => {{
-        static SLOT: std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-            std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::metrics::gauge($name))
-    }};
-}
-
-/// Intern a histogram once per call site:
-/// `obs_hist!("serve.tick_latency_us").observe(us);`
-#[macro_export]
-macro_rules! obs_hist {
-    ($name:expr) => {{
-        static SLOT: std::sync::OnceLock<&'static $crate::metrics::Histogram> =
-            std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::metrics::histogram($name))
     }};
 }
 

@@ -5,8 +5,7 @@
 //! failures (`grep '^\[ERROR\]'`) from progress chatter.
 //!
 //! Levels, from `SAGE_LOG` (default `info`): `quiet`/`off`, `error`,
-//! `warn`, `info`, `debug`, `trace`. CI runs set `SAGE_LOG=quiet` so test
-//! output stays clean.
+//! `warn`, `info`. CI runs set `SAGE_LOG=quiet` so test output stays clean.
 
 use sage_util::env_cfg;
 use std::fmt;
@@ -20,8 +19,6 @@ pub enum Level {
     Error = 1,
     Warn = 2,
     Info = 3,
-    Debug = 4,
-    Trace = 5,
 }
 
 impl Level {
@@ -31,8 +28,6 @@ impl Level {
             Level::Error => "ERROR",
             Level::Warn => "WARN",
             Level::Info => "INFO",
-            Level::Debug => "DEBUG",
-            Level::Trace => "TRACE",
         }
     }
 }
@@ -46,8 +41,6 @@ fn parse_level(s: &str) -> Option<u8> {
         "error" => Level::Error as u8,
         "warn" | "warning" => Level::Warn as u8,
         "info" => Level::Info as u8,
-        "debug" => Level::Debug as u8,
-        "trace" => Level::Trace as u8,
         _ => return None,
     })
 }
@@ -56,12 +49,7 @@ fn parse_level(s: &str) -> Option<u8> {
 fn init_level() -> u8 {
     let max = env_cfg::log().map_or(Level::Info as u8, |v| {
         parse_level(&v).unwrap_or_else(|| {
-            env_cfg::warn_rejected(
-                env_cfg::LOG,
-                &v,
-                "quiet, error, warn, info, debug or trace",
-                "info",
-            );
+            env_cfg::warn_rejected(env_cfg::LOG, &v, "quiet, error, warn or info", "info");
             Level::Info as u8
         })
     });
@@ -109,9 +97,7 @@ mod tests {
         assert_eq!(parse_level("WARN"), Some(2));
         assert_eq!(parse_level("warning"), Some(2));
         assert_eq!(parse_level(" info "), Some(3));
-        assert_eq!(parse_level("debug"), Some(4));
-        assert_eq!(parse_level("trace"), Some(5));
-        for bad in ["verbose", "garbage", "", "3"] {
+        for bad in ["debug", "trace", "verbose", "garbage", "", "3"] {
             assert_eq!(parse_level(bad), None, "{bad:?}");
         }
     }

@@ -1,21 +1,16 @@
-//! The metrics core: counters, gauges, and histograms behind a global
-//! name-keyed registry.
+//! The metrics core: counters behind a global name-keyed registry, plus the
+//! log-linear histogram the perf ledger's `obs.hist_observe_ns` probe times.
 //!
 //! Hot-path writes never take a lock. Counters land in per-thread shards
 //! (each thread is assigned a shard slot in thread-registration order on
-//! first use) so concurrent increments don't bounce one cache line;
-//! histogram buckets are shared relaxed atomics — every recorded quantity
-//! is a `u64` and every merge is an integer add, so a snapshot is
-//! bit-identical at any thread count and any interleaving. Snapshots list
-//! metrics in name order (a `BTreeMap`), so the exported JSON is
-//! deterministic byte for byte.
+//! first use) so concurrent increments don't bounce one cache line. Every
+//! counter add is an integer add, so a total is bit-identical at any thread
+//! count and any interleaving.
 //!
 //! The registry lock is touched only when a call site first interns its
-//! metric (see the `obs_counter!`/`obs_gauge!`/`obs_hist!` macros, which
-//! cache the handle in a `OnceLock`) and when a snapshot is taken.
+//! metric (the `obs_counter!` macro caches the handle in a `OnceLock`).
 
-use crate::hist::{bucket_bounds, HistSnapshot, NUM_BUCKETS};
-use sage_util::Json;
+use crate::hist::{HistSnapshot, NUM_BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
@@ -72,48 +67,12 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.shards.iter().map(|c| c.0.load(Relaxed)).sum()
     }
-
-    fn reset(&self) {
-        for c in self.shards.iter() {
-            c.0.store(0, Relaxed);
-        }
-    }
-}
-
-/// A last-write-wins `f64` gauge. Set it only from deterministic
-/// (single-threaded) control points; unlike counters, concurrent `set`s
-/// race by design.
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    fn new() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.bits.store(v.to_bits(), Relaxed);
-    }
-
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Relaxed))
-    }
-
-    fn reset(&self) {
-        self.bits.store(0f64.to_bits(), Relaxed);
-    }
 }
 
 /// A log-linear-bucket histogram of `u64` observations (see [`crate::hist`]).
 /// All state is relaxed atomics; every update commutes, so snapshots are
-/// identical at any thread count.
+/// identical at any thread count. No library code registers one: it is the
+/// subject of the perf ledger's `obs.hist_observe_ns` probe.
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -146,26 +105,7 @@ impl Histogram {
         self.max.fetch_max(v, Relaxed);
     }
 
-    /// Fold a locally tallied snapshot in: the same integer adds as
-    /// observing its values one by one, paid once per tally instead of once
-    /// per value. A no-op when obs is disabled.
-    pub fn merge(&self, tally: &HistSnapshot) {
-        if !crate::enabled() || tally.count == 0 {
-            return;
-        }
-        for (b, &n) in self.buckets.iter().zip(&tally.buckets) {
-            if n > 0 {
-                b.fetch_add(n, Relaxed);
-            }
-        }
-        self.count.fetch_add(tally.count, Relaxed);
-        self.sum.fetch_add(tally.sum, Relaxed);
-        self.min.fetch_min(tally.min, Relaxed);
-        self.max.fetch_max(tally.max, Relaxed);
-    }
-
-    /// Consistent-enough snapshot (exact when no writer is concurrent,
-    /// which holds at every export point in the pipeline).
+    /// Consistent-enough snapshot (exact when no writer is concurrent).
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             count: self.count.load(Relaxed),
@@ -175,22 +115,11 @@ impl Histogram {
             buckets: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
         }
     }
-
-    fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Relaxed);
-        }
-        self.count.store(0, Relaxed);
-        self.sum.store(0, Relaxed);
-        self.min.store(u64::MAX, Relaxed);
-        self.max.store(0, Relaxed);
-    }
 }
 
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     hists: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
@@ -234,107 +163,9 @@ pub fn counter(name: &'static str) -> &'static Counter {
     intern(&registry().counters, name, Counter::new)
 }
 
-/// Intern (or fetch) the gauge named `name`.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    intern(&registry().gauges, name, Gauge::new)
-}
-
 /// Intern (or fetch) the histogram named `name`.
 pub fn histogram(name: &'static str) -> &'static Histogram {
     intern(&registry().hists, name, Histogram::new)
-}
-
-/// Zero every registered metric (tests and repeated in-process runs).
-pub fn reset_metrics() {
-    for c in registry()
-        .counters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .values()
-    {
-        c.reset();
-    }
-    for g in registry()
-        .gauges
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .values()
-    {
-        g.reset();
-    }
-    for h in registry()
-        .hists
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .values()
-    {
-        h.reset();
-    }
-}
-
-fn hist_json(s: &HistSnapshot) -> Json {
-    let nonzero: Vec<Json> = s
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(i, &n)| {
-            let (lo, hi) = bucket_bounds(i);
-            Json::nums([lo as f64, hi as f64, n as f64])
-        })
-        .collect();
-    Json::obj(vec![
-        ("count", Json::Num(s.count as f64)),
-        ("sum", Json::Num(s.sum as f64)),
-        (
-            "min",
-            Json::Num(if s.count == 0 { 0.0 } else { s.min as f64 }),
-        ),
-        ("max", Json::Num(s.max as f64)),
-        ("mean", Json::Num(s.mean())),
-        ("p50", Json::Num(s.quantile(0.5))),
-        ("p95", Json::Num(s.quantile(0.95))),
-        ("p99", Json::Num(s.quantile(0.99))),
-        ("p999", Json::Num(s.quantile(0.999))),
-        ("buckets", Json::Arr(nonzero)),
-    ])
-}
-
-/// Export every registered metric as one JSON object:
-/// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-/// Metric names are sorted, shard merges are integer sums — the output is
-/// byte-identical for equivalent runs at any thread count.
-pub fn snapshot_json() -> Json {
-    let counters: BTreeMap<String, Json> = registry()
-        .counters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(k, c)| (k.to_string(), Json::Num(c.value() as f64)))
-        .collect();
-    let gauges: BTreeMap<String, Json> = registry()
-        .gauges
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(k, g)| (k.to_string(), Json::Num(g.value())))
-        .collect();
-    let hists: BTreeMap<String, Json> = registry()
-        .hists
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(k, h)| (k.to_string(), hist_json(&h.snapshot())))
-        .collect();
-    Json::Obj(
-        [
-            ("counters".to_string(), Json::Obj(counters)),
-            ("gauges".to_string(), Json::Obj(gauges)),
-            ("histograms".to_string(), Json::Obj(hists)),
-        ]
-        .into_iter()
-        .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -358,9 +189,9 @@ mod tests {
         // Every shape the call sites use: two and three segments, digits,
         // underscores.
         for good in [
-            "matrix.cells",
-            "serve.sym_tick_latency_ns",
-            "test.hist_props.merged",
+            "collect.retries",
+            "transport.lane_heap_fallbacks",
+            "test.metrics.counter_sum",
             "a.b2.c_d",
         ] {
             assert!(is_metric_name(good), "{good}");
@@ -404,16 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_last_write_wins() {
-        let _guard = crate::test_lock();
-        crate::force_enabled(true);
-        let g = gauge("test.metrics.gauge");
-        g.set(1.5);
-        g.set(-2.25);
-        assert_eq!(g.value(), -2.25);
-    }
-
-    #[test]
     fn histogram_snapshot_roundtrip() {
         let _guard = crate::test_lock();
         crate::force_enabled(true);
@@ -427,22 +248,6 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 123_456);
         assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
-    }
-
-    #[test]
-    fn snapshot_json_parses_and_sorts() {
-        let _guard = crate::test_lock();
-        crate::force_enabled(true);
-        counter("test.metrics.z_last").inc();
-        counter("test.metrics.a_first").inc();
-        let s = snapshot_json().to_string();
-        let parsed = sage_util::Json::parse(&s).expect("snapshot JSON parses");
-        assert!(parsed.get("counters").is_some());
-        assert!(parsed.get("gauges").is_some());
-        assert!(parsed.get("histograms").is_some());
-        let a = s.find("test.metrics.a_first").unwrap();
-        let z = s.find("test.metrics.z_last").unwrap();
-        assert!(a < z, "metric names must serialise sorted");
     }
 
     #[test]

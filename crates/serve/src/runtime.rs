@@ -200,7 +200,6 @@ impl ServeRuntime {
     pub fn admit(&mut self, key: FlowKey, now_tick: u64, interval_ticks: u64) -> bool {
         if self.table.len() >= self.cfg.max_flows || self.table.contains(key) {
             self.stats.rejected += 1;
-            sage_obs::obs_counter!("serve.rejected").inc();
             record(Category::Serve, EventKind::Reject, now_tick, 0, key, 0);
             return false;
         }
@@ -276,7 +275,6 @@ impl ServeRuntime {
     pub fn evict(&mut self, key: FlowKey) -> bool {
         if let Some(e) = self.table.remove(key) {
             self.stats.evicted += 1;
-            sage_obs::obs_counter!("serve.evictions").inc();
             // External evicts carry no tick; the flow's next-due tick is
             // the closest deterministic timestamp.
             record(
@@ -350,7 +348,6 @@ impl ServeRuntime {
                     let (span, misses) = (e.span, e.missed_obs);
                     self.table.remove(key);
                     self.stats.evicted += 1;
-                    sage_obs::obs_counter!("serve.evictions").inc();
                     record(
                         Category::Serve,
                         EventKind::Evict,
@@ -383,7 +380,6 @@ impl ServeRuntime {
                 e.actor.set_cwnd(cwnd);
                 e.fallback_actions += 1;
                 self.stats.fallback_actions += 1;
-                sage_obs::obs_counter!("serve.fallback_actions").inc();
                 record(
                     Category::Serve,
                     EventKind::Fallback,
@@ -414,7 +410,7 @@ impl ServeRuntime {
                 let step = e.actor.observe(view.now, &view);
                 #[expect(
                     clippy::disallowed_methods,
-                    reason = "latency measurement only — feeds sym_infer_nanos/obs, never control flow or digests"
+                    reason = "latency measurement only — feeds stats.sym_infer_nanos, never control flow or digests"
                 )]
                 let t0 = Instant::now();
                 let raw = tree.predict(&step.state);
@@ -423,7 +419,6 @@ impl ServeRuntime {
                 let cwnd = e.actor.cwnd();
                 e.sym_actions += 1;
                 self.stats.symbolic_actions += 1;
-                sage_obs::obs_counter!("serve.symbolic_actions").inc();
                 record(
                     Category::Serve,
                     EventKind::SymAction,
@@ -465,7 +460,6 @@ impl ServeRuntime {
                 // tick without resetting `next_due`, so a flow that keeps
                 // slipping crosses the staleness deadline and degrades.
                 self.stats.deferred += 1;
-                sage_obs::obs_counter!("serve.deferrals").inc();
                 record(
                     Category::Serve,
                     EventKind::Defer,
@@ -486,13 +480,7 @@ impl ServeRuntime {
             batch_slots.push((slot, None));
         }
 
-        if sym_nanos_tick > 0 {
-            self.stats.sym_infer_nanos += sym_nanos_tick;
-            sage_obs::obs_hist!("serve.sym_tick_latency_ns").observe(sym_nanos_tick);
-        }
-        let (occ_sym, occ_nn) = self.tier_occupancy();
-        sage_obs::obs_gauge!("serve.tier_symbolic").set(occ_sym as f64);
-        sage_obs::obs_gauge!("serve.tier_nn").set(occ_nn as f64);
+        self.stats.sym_infer_nanos += sym_nanos_tick;
 
         if batch_slots.is_empty() {
             return actions;
@@ -519,7 +507,7 @@ impl ServeRuntime {
 
         #[expect(
             clippy::disallowed_methods,
-            reason = "latency measurement only — dt lands in stats/obs histograms, never in control flow or digests"
+            reason = "latency measurement only — dt lands in stats.infer_nanos and batch_latency_ns, never in control flow or digests"
         )]
         let t0 = Instant::now();
         let (mixes, new_h) = match self.cfg.mode {
@@ -530,8 +518,6 @@ impl ServeRuntime {
         self.stats.infer_nanos += dt;
         self.stats.batch_latency_ns.push(dt);
         self.stats.batches += 1;
-        sage_obs::obs_hist!("serve.batch_rows").observe(b as u64);
-        sage_obs::obs_hist!("serve.tick_latency_us").observe(dt / 1_000);
 
         for (r, &(slot, audit)) in batch_slots.iter().enumerate() {
             #[expect(
@@ -550,7 +536,6 @@ impl ServeRuntime {
                 let nn_lr = log_ratio(mixes[r].mean());
                 e.audits += 1;
                 self.stats.audits += 1;
-                sage_obs::obs_counter!("serve.audits").inc();
                 record(
                     Category::Serve,
                     EventKind::Audit,
@@ -562,7 +547,6 @@ impl ServeRuntime {
                 if (nn_lr - sym_lr).abs() > self.cfg.escalate_log_ratio {
                     e.tier = Tier::Nn;
                     self.stats.escalations += 1;
-                    sage_obs::obs_counter!("serve.escalations").inc();
                     record(
                         Category::Serve,
                         EventKind::Escalate,
@@ -582,7 +566,6 @@ impl ServeRuntime {
             let cwnd = e.actor.cwnd();
             e.nn_actions += 1;
             self.stats.nn_actions += 1;
-            sage_obs::obs_counter!("serve.nn_actions").inc();
             record(
                 Category::Serve,
                 EventKind::NnAction,

@@ -7,9 +7,9 @@
 //! `SAGE_THREADS=1` and `SAGE_THREADS=4`, so the combination proves the
 //! digest is invariant in both the metrics switch and the thread count.
 //!
-//! The metrics-enabled run's exported snapshot must also parse back through
-//! `sage_util::Json` and contain the serve/netsim/transport key families the
-//! instrumentation promises.
+//! The counters must see only the metrics-enabled run: it advances
+//! `netsim.pkts_enqueued` and `netsim.pkts_delivered`, the disabled run
+//! advances neither.
 
 use sage_core::model::{NetConfig, SageModel};
 use sage_gr::{GrConfig, STATE_DIM};
@@ -22,9 +22,14 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_64flow.txt")
 }
 
+/// Counters the scenario's bottleneck folds in when it drops.
+const COUNTERS: [&str; 2] = ["netsim.pkts_enqueued", "netsim.pkts_delivered"];
+
 /// The fixed-seed 64-flow scenario of `serve_golden::run`, returning the
-/// action-history digest.
-fn run_digest() -> u64 {
+/// action-history digest and what the run added to each of [`COUNTERS`].
+fn run_digest() -> (u64, [u64; 2]) {
+    let counters = COUNTERS.map(sage_obs::counter);
+    let before = counters.each_ref().map(|c| c.value());
     let mut sc = ManyFlowScenario::shared_bottleneck(64, 4, 42);
     sc.secs = 3.0;
     let cfg = NetConfig {
@@ -52,7 +57,8 @@ fn run_digest() -> u64 {
             ..ServeConfig::default()
         },
     );
-    report.digest
+    let added = std::array::from_fn(|i| counters[i].value() - before[i]);
+    (report.digest, added)
 }
 
 /// One test (not several) because the obs kill switch is process-global and
@@ -60,11 +66,10 @@ fn run_digest() -> u64 {
 #[test]
 fn metrics_on_and_off_produce_identical_digests() {
     sage_obs::force_enabled(false);
-    let digest_off = run_digest();
+    let (digest_off, added_off) = run_digest();
 
-    sage_obs::reset_metrics();
     sage_obs::force_enabled(true);
-    let digest_on = run_digest();
+    let (digest_on, added_on) = run_digest();
 
     assert_eq!(
         digest_off, digest_on,
@@ -84,19 +89,8 @@ fn metrics_on_and_off_produce_identical_digests() {
         "metrics-enabled digest diverged from the golden file"
     );
 
-    // The exported snapshot must parse and carry the instrumented families.
-    let snapshot = sage_obs::snapshot_json().to_string();
-    let parsed = sage_util::Json::parse(&snapshot).expect("snapshot JSON parses");
-    let counters = parsed.get("counters").expect("counters section");
-    for key in [
-        "serve.nn_actions",
-        "netsim.pkts_delivered",
-        "netsim.pkts_enqueued",
-    ] {
-        assert!(counters.get(key).is_some(), "missing counter {key}");
-    }
-    let hists = parsed.get("histograms").expect("histograms section");
-    for key in ["serve.batch_rows", "serve.tick_latency_us"] {
-        assert!(hists.get(key).is_some(), "missing histogram {key}");
+    for (name, (off, on)) in COUNTERS.iter().zip(added_off.into_iter().zip(added_on)) {
+        assert_eq!(off, 0, "the metrics-disabled run advanced {name}");
+        assert!(on > 0, "the metrics-enabled run did not advance {name}");
     }
 }

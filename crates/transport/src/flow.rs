@@ -511,7 +511,6 @@ impl Flow {
         self.rtt = RttEstimator::new();
         self.cca.init(now, MSS);
         self.restarts_total += 1;
-        sage_obs::obs_counter!("transport.flow_restarts").inc();
         sage_obs::record(
             sage_obs::Category::Transport,
             sage_obs::EventKind::Restart,

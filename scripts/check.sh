@@ -27,6 +27,16 @@ STRAY=$(comm -3 <(knobs_in_code | sort -u) \
           | tr -d '\t' | tr '\n' ' ')
 [ -z "$STRAY" ] || { echo "FAIL: knobs in the code or README's table but not both: $STRAY"; exit 1; }
 
+# Every counter library code registers has a reader: the perf ledger
+# (benchmark/src/) or a test names it to `sage_obs::counter`, directly or as
+# a line of the name array it maps through it. A metric nobody reads is only
+# hot-path work.
+echo "== obs: every counter under crates/*/src is read by the ledger or a test =="
+for m in $(grep -rhoE 'obs_counter!\("[^"]+"' crates/*/src | cut -d'"' -f2 | sort -u); do
+  grep -rqE "counter\(\"$m\"\)|^\s*\"$m\",?\s*$" benchmark/src crates/*/tests tests \
+    || { echo "FAIL: counter $m is registered under crates/*/src but nothing reads it"; exit 1; }
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
