@@ -1,14 +1,15 @@
 //! Train Sage with data-driven (offline) RL (paper §5) on the pool collected
-//! in process from the Set I / Set II grid, and save `artifacts/sage.model`.
+//! in process from the Set I / Set II grid at `POOL_SCALE`, and save
+//! `artifacts/sage.model`.
 
-use sage_bench::{default_train_cfg, envvar, grid_scale, pool, sage_model_path};
+use sage_bench::{default_train_cfg, envvar, pool, sage_model_path, POOL_SCALE};
 use sage_core::CrrTrainer;
 use sage_gr::{GrConfig, STATE_NAMES};
 use sage_obs::obs_info;
 use std::time::Instant;
 
 fn main() {
-    let pool = pool(grid_scale(36, 18), GrConfig::default());
+    let pool = pool(POOL_SCALE, GrConfig::default());
     obs_info!(
         "pool: {} trajectories / {} transitions from {:?}",
         pool.trajectories.len(),

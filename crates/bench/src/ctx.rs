@@ -6,7 +6,7 @@
 
 use crate::figures::Figure;
 use crate::matrix::matrix_spec;
-use crate::{evaluate, grid_envs, grid_scale, heuristics, learned, pool, run_logged, FIXTURE_POOL};
+use crate::{evaluate, grid_envs, grid_scale, heuristics, learned, pool, run_logged, POOL_SCALE};
 use sage_collector::{EnvSpec, Pool};
 use sage_core::SageModel;
 use sage_eval::matrix::{MatrixCell, MatrixReport, MatrixSpec};
@@ -95,10 +95,11 @@ impl Ctx {
         Ok(learned("sage", self.sage()?, GrConfig::default()))
     }
 
-    /// The pool at [`FIXTURE_POOL`] under the default GR windows: collected
-    /// on first request, shared for the rest of the process.
+    /// The pool `train_sage` trains `sage.model` from ([`POOL_SCALE`], the
+    /// default GR windows): collected on first request, shared for the rest
+    /// of the process.
     pub fn pool(&mut self) -> Arc<Pool> {
-        let collect = || Arc::new(pool(FIXTURE_POOL, GrConfig::default()));
+        let collect = || Arc::new(pool(POOL_SCALE, GrConfig::default()));
         self.pool.get_or_insert_with(collect).clone()
     }
 

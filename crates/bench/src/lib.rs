@@ -37,11 +37,12 @@ pub fn sage_model_path() -> PathBuf {
 pub const SEED: u64 = 2023;
 
 /// Scale knobs, overridable through environment variables so the same
-/// binaries support both smoke runs and full runs:
-/// `SAGE_SET1`, `SAGE_SET2` (env counts), `SAGE_SECS` (env duration),
-/// `SAGE_STEPS` (training steps); README's knob table lists every name a bin
-/// reads. Unset means `default`; a value that is set but does not parse ends
-/// the process, so a typo can never run — and label — the default experiment.
+/// binaries support both smoke runs and full runs: `SAGE_SET1`, `SAGE_SET2`
+/// (env counts) and `SAGE_SECS` (env duration) of a figure's evaluation
+/// grid, `SAGE_STEPS` (`train_sage`'s steps); README's knob table lists
+/// every name a bin reads. Unset means `default`; a value that is set but
+/// does not parse ends the process, so a typo can never run — and label —
+/// the default experiment.
 pub fn envvar(name: &str, default: usize) -> usize {
     let raw = std::env::var_os(name);
     let text = raw.as_ref().map(|v| v.to_string_lossy());
@@ -60,8 +61,14 @@ fn parse_knob(name: &str, text: Option<&str>, default: usize) -> Result<usize, S
     }
 }
 
-/// Seconds per rollout of the training grid unless `SAGE_SECS` says otherwise.
+/// Seconds per rollout of the training grid (of a figure's evaluation grid
+/// unless `SAGE_SECS` says otherwise).
 pub const GRID_SECS: usize = 15;
+
+/// The scale of the one pool `train_sage` trains `sage.model` from and the
+/// figures' `Ctx::pool` hands their variants: 36 Set I + 18 Set II
+/// environments of [`GRID_SECS`] each. No knob reaches it.
+pub const POOL_SCALE: [usize; 3] = [36, 18, GRID_SECS];
 
 /// The scale in force for a caller whose own counts are `set1` + `set2`
 /// environments: `[Set I count, Set II count, seconds per rollout]` after the
@@ -79,13 +86,10 @@ pub fn grid_envs([set1, set2, secs]: [usize; 3]) -> Vec<EnvSpec> {
     training_envs(set1, set2, secs as f64, SEED)
 }
 
-/// The scale of the committed `pool.bin`: the benchmark's fixture and the
-/// pool the figures train from.
-pub const FIXTURE_POOL: [usize; 3] = [8, 4, 6];
-
 /// The pool of policies (paper §5): the 13 pool heuristics rolled through
-/// the training grid at `scale`, observed through `gr`, seeded with
-/// [`SEED`] — collected in process, byte-identical at every worker count.
+/// the training grid at `scale` ([`POOL_SCALE`] for every model the
+/// pipeline trains), observed through `gr`, seeded with [`SEED`] — collected
+/// in process, byte-identical at every worker count.
 pub fn pool(scale: [usize; 3], gr: GrConfig) -> Pool {
     let envs = grid_envs(scale);
     let schemes = sage_heuristics::pool_names();

@@ -2,7 +2,7 @@
 //! model that sits under `artifacts/` but fails to parse silently breaks
 //! whichever figure bin reaches for it next.
 
-use sage_bench::{artifacts_dir, pool, sage_model_path, FIXTURE_POOL, SEED};
+use sage_bench::{artifacts_dir, pool, sage_model_path, SEED};
 use sage_collector::Pool;
 use sage_core::SageModel;
 use sage_distill::{SymbolicModel, TreeConfig};
@@ -88,6 +88,11 @@ fn committed_pool_codes_its_states_in_at_most_45_percent_of_their_f32_bytes() {
     );
 }
 
+/// The scale of the committed `pool.bin`, the benchmark's fixture: 8 Set I +
+/// 4 Set II environments of 6 s each. No model the pipeline ships trains on
+/// it; they train on `sage_bench::POOL_SCALE`.
+const FIXTURE_POOL: [usize; 3] = [8, 4, 6];
+
 /// `pool.bin` is the benchmark's fixture, and this test is what ties it to
 /// the code: the pool collected in process at [`FIXTURE_POOL`], saved through
 /// the checked writer, is the committed file byte for byte, footer included.
@@ -117,15 +122,15 @@ fn committed_pool_is_the_collection_at_the_fixture_scale() {
     );
 }
 
-/// The committed policy stays distillable at smoke scale: a depth-6 tree fit
-/// on two Set I scenarios plus the clean baseline (3 s each) agrees with the
-/// network on held-out clean links it never saw (measured: 96.1%).
+/// The committed policy stays distillable: a depth-6 tree fit on eight Set I
+/// scenarios plus the clean baseline (10 s each) agrees with the network on
+/// the same harvest at the next grid seed (measured: 92.9% of 9 000 rows).
 #[test]
 fn tiny_tree_from_the_committed_model_clears_the_fidelity_floor() {
     let model = Arc::new(SageModel::load_file(&sage_model_path()).expect("sage.model loads"));
     let scenarios = |grid_seed| {
-        let mut s = scenarios_set12(2, 0, 3.0, grid_seed);
-        s.extend(scenarios_fault(Some(&["clean"]), 3.0));
+        let mut s = scenarios_set12(8, 0, 10.0, grid_seed);
+        s.extend(scenarios_fault(Some(&["clean"]), 10.0));
         s
     };
     let train = harvest(
@@ -157,7 +162,7 @@ fn tiny_tree_from_the_committed_model_clears_the_fidelity_floor() {
 /// fairness across the learned flows is at least 0.355, and the link
 /// carries at least 80% of its capacity, Σ delivered bytes · 8 over
 /// link rate · seconds (measured: 0 of 15 672 actions from the fallback,
-/// Jain 0.405, utilisation 0.949).
+/// Jain 0.445, utilisation 0.920).
 #[test]
 fn committed_model_serves_64_flows_on_the_batched_runtime() {
     let model = Arc::new(SageModel::load_file(&sage_model_path()).expect("sage.model loads"));

@@ -5,8 +5,8 @@
 //! knobs in force, the CRC of every artifact it read and a digest of the
 //! bytes written. This gate holds the directory to it: a result file that
 //! was edited, left behind by a deleted row, produced at smoke scale, or
-//! produced from a pool or model other than the committed one fails here,
-//! with the command that regenerates it.
+//! produced from a model other than the committed one fails here, with the
+//! command that regenerates it.
 
 use sage_bench::artifacts_dir;
 use sage_bench::ctx::{knobs, read_manifest, MANIFEST};

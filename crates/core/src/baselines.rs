@@ -8,13 +8,11 @@
 //!   `cwnd <- cubic_cwnd * 2^u`, u in [-1, 1].
 
 use crate::model::SageModel;
-use crate::policy::ActionMode;
 use sage_gr::{log_ratio, CwndActor, GrConfig};
 use sage_heuristics::cubic::Cubic;
 use sage_netsim::time::Nanos;
 use sage_nn::Array;
 use sage_transport::{AckEvent, CongestionControl, SocketView, MIN_CWND};
-use sage_util::Rng;
 use std::sync::Arc;
 
 /// An oracle that knows the true bottleneck BDP and tracks it (the perfect
@@ -77,13 +75,11 @@ pub struct HybridPolicy {
     /// timescale than the underlying scheme).
     period: u32,
     tick_count: u32,
-    rng: Rng,
-    mode: ActionMode,
     name: &'static str,
 }
 
 impl HybridPolicy {
-    pub fn new(model: Arc<SageModel>, gr_cfg: GrConfig, seed: u64, mode: ActionMode) -> Self {
+    pub fn new(model: Arc<SageModel>, gr_cfg: GrConfig) -> Self {
         let hidden = Array::zeros(1, model.cfg.hidden_dim());
         HybridPolicy {
             model,
@@ -93,8 +89,6 @@ impl HybridPolicy {
             multiplier: 1.0,
             period: 5,
             tick_count: 0,
-            rng: Rng::new(seed ^ 0x04CA),
-            mode,
             name: "orca-like",
         }
     }
@@ -131,11 +125,7 @@ impl CongestionControl for HybridPolicy {
             return;
         }
         let mix = self.model.step_one(&step.state, &mut self.hidden);
-        let u = log_ratio(match self.mode {
-            ActionMode::Sample => mix.sample(&mut self.rng),
-            ActionMode::Deterministic => mix.dominant_mean(),
-        })
-        .clamp(-1.0, 1.0);
+        let u = log_ratio(mix.mean()).clamp(-1.0, 1.0);
         // Orca: cwnd = cubic_cwnd * 2^u with u in [-1, 1].
         self.multiplier = 2f64.powf(u);
     }
@@ -205,7 +195,7 @@ mod tests {
             vec![1.0; STATE_DIM],
             1,
         ));
-        let mut h = HybridPolicy::new(model, GrConfig::default(), 1, ActionMode::Deterministic);
+        let mut h = HybridPolicy::new(model, GrConfig::default());
         let v = crate::crr::tests_support::dummy_view(10.0);
         for i in 1..50 {
             h.on_tick(i * 10_000_000, &v);

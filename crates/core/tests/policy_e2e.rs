@@ -77,7 +77,7 @@ fn hybrid_policy_deploys_and_respects_cubic_scale() {
         40.0,
         from_secs(5.0),
     );
-    let cca = HybridPolicy::new(model, GrConfig::default(), 3, ActionMode::Deterministic);
+    let cca = HybridPolicy::new(model, GrConfig::default());
     let mut sim = Simulation::new(cfg, vec![FlowConfig::at_start(Box::new(cca))]);
     let stats = sim.run(&mut NullMonitor).remove(0);
     // Untrained multiplier stays near 1: behaves roughly like Cubic alone.

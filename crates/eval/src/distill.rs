@@ -218,14 +218,14 @@ mod tests {
         assert!(fit.agree_rate > 0.5, "agree {}", fit.agree_rate);
     }
 
-    /// Train/deploy observation parity — ROADMAP item 1(b), characterised,
-    /// not fixed. The pool's states come from `rollout`'s `GrMonitor`, which
+    /// Train/deploy observation parity — characterised, not fixed. The
+    /// pool's states come from `rollout`'s `GrMonitor`, which
     /// `Simulation::finish_tick` feeds a view rebuilt *after* the tick's
     /// action; a deployed policy observes *before* acting. So training sees
     /// `bdp_cwnd` and `pre_act` one action ahead of deployment, and every
     /// other feature identically. This pins exactly that shape, so a change
     /// to the observe path cannot widen the skew unnoticed; closing it
-    /// regenerates pool, model and goldens and belongs to item 1.
+    /// regenerates pool, model and goldens.
     #[test]
     fn deployed_observation_matches_the_pool_except_two_action_lagged_features() {
         const SKEWED: [usize; 2] = [63, 68];

@@ -76,10 +76,7 @@ impl Contender {
                 name,
                 model,
                 gr_cfg,
-            } => Box::new(
-                HybridPolicy::new(model.clone(), *gr_cfg, seed, ActionMode::Deterministic)
-                    .with_name(name),
-            ),
+            } => Box::new(HybridPolicy::new(model.clone(), *gr_cfg).with_name(name)),
             Contender::Oracle => Box::new(OracleCc::new(env.capacity_mbps, env.rtt_ms)),
         }
     }

@@ -156,17 +156,6 @@ impl GmmParams {
             .map(|(m, w)| m * w)
             .sum()
     }
-
-    /// Mean of the most likely component (mode-seeking deterministic action).
-    pub fn dominant_mean(&self) -> f64 {
-        let mut best = 0;
-        for i in 1..self.weights.len() {
-            if self.weights[i] > self.weights[best] {
-                best = i;
-            }
-        }
-        self.means[best]
-    }
 }
 
 /// Utility: log-density of a scalar under given mixture params (inference
@@ -235,7 +224,6 @@ mod tests {
             .count();
         assert!(near_neg5 > 900, "{near_neg5}");
         assert!((p.mean() - (-4.5)).abs() < 1e-12);
-        assert_eq!(p.dominant_mean(), -5.0);
     }
 
     #[test]
