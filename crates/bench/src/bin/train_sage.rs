@@ -2,11 +2,14 @@
 //! in process from the Set I / Set II grid at `POOL_SCALE`, and save
 //! `artifacts/sage.model`.
 
-use sage_bench::{default_train_cfg, envvar, pool, sage_model_path, POOL_SCALE};
+use sage_bench::{default_train_cfg, pool, sage_model_path, POOL_SCALE};
 use sage_core::CrrTrainer;
 use sage_gr::{GrConfig, STATE_NAMES};
 use sage_obs::obs_info;
 use std::time::Instant;
+
+/// Gradient steps of the shipped model.
+const STEPS: u64 = 30_000;
 
 fn main() {
     let pool = pool(POOL_SCALE, GrConfig::default());
@@ -16,10 +19,13 @@ fn main() {
         pool.total_steps(),
         pool.schemes()
     );
-    let steps = envvar("SAGE_STEPS", 30000) as u64;
     let mut trainer = CrrTrainer::new(default_train_cfg(), &pool);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress timing only — feeds the log lines, never the model"
+    )]
     let t0 = Instant::now();
-    trainer.train(&pool, steps, |i, m| {
+    trainer.train(&pool, STEPS, |i, m| {
         if (i + 1) % 200 == 0 {
             obs_info!(
                 "step {:5}: policy {:.3} critic {:.3} w {:.2} q {:.2} ({:.0} s)",

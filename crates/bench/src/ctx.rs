@@ -6,7 +6,7 @@
 
 use crate::figures::Figure;
 use crate::matrix::matrix_spec;
-use crate::{evaluate, grid_envs, grid_scale, heuristics, learned, pool, run_logged, POOL_SCALE};
+use crate::{evaluate, grid_envs, heuristics, learned, pool, run_logged, POOL_SCALE};
 use sage_collector::{EnvSpec, Pool};
 use sage_core::SageModel;
 use sage_eval::matrix::{MatrixCell, MatrixReport, MatrixSpec};
@@ -116,7 +116,7 @@ impl Ctx {
     }
 
     /// A model some figure trains, by a key that names its whole recipe
-    /// (name, steps and — when it rolls out in the grid — [`Ctx::scale`]):
+    /// (name, steps and — when it rolls out in the grid — [`Figure::scale`]):
     /// trained by `train` on first request, shared for the rest of the
     /// process, never saved.
     pub fn trained(
@@ -125,6 +125,10 @@ impl Ctx {
         train: impl FnOnce(&mut Ctx) -> Result<SageModel, String>,
     ) -> Result<Arc<SageModel>, String> {
         self.kept(key, |ctx| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "progress timing only — feeds the log line, never the model"
+            )]
             let t0 = Instant::now();
             let model = train(ctx)?;
             sage_obs::obs_info!("trained {key} ({:.0} s)", t0.elapsed().as_secs_f64());
@@ -137,16 +141,9 @@ impl Ctx {
         self.fig
     }
 
-    /// The grid scale in force for the running figure — its row's counts
-    /// unless `SAGE_SET1` / `SAGE_SET2` / `SAGE_SECS` override them — or
-    /// `None` for a figure that builds its own scenarios.
-    pub fn scale(&self) -> Option<[usize; 3]> {
-        self.fig.grid.map(|(set1, set2)| grid_scale(set1, set2))
-    }
-
     /// The running figure's sample of the Set I/II training grid.
     pub fn envs(&self) -> Vec<EnvSpec> {
-        grid_envs(self.scale().expect("the figure's row declares a grid"))
+        grid_envs(self.fig.scale().expect("the figure's row declares a grid"))
     }
 
     /// The 13 pool heuristics, `sage` and then `extra`, rolled through `envs`.
@@ -174,7 +171,7 @@ impl Ctx {
         });
         Ok(Json::obj(vec![
             ("id", Json::str(fig.id)),
-            ("knobs", knobs(self.scale(), fig.steps)),
+            ("knobs", knobs(fig.scale(), fig.steps)),
             ("read", Json::Arr(read.collect())),
             (
                 "digest",
@@ -235,6 +232,10 @@ pub fn run_figures(dir: &Path, figs: &[&'static Figure]) -> usize {
     let mut ctx = Ctx::new(dir, first);
     let mut failed = 0;
     for &fig in figs {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress timing only — feeds the `(N s)` line, never a result file"
+        )]
         let t0 = Instant::now();
         let mut out = String::new();
         let path = results.join(fig.file);

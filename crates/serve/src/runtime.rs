@@ -34,13 +34,22 @@ use sage_core::model::SageModel;
 use sage_core::{ActionMode, MAX_CWND};
 use sage_distill::SymbolicModel;
 use sage_gr::{log_ratio, CwndActor, GrConfig};
+use sage_heuristics::fallback::TickAimd;
 use sage_nn::gmm::GmmParams;
 use sage_nn::{Array, Graph};
 use sage_obs::{record, Category, EventKind};
-use sage_transport::{SocketView, MIN_CWND};
+use sage_transport::{CongestionControl, SocketView, MIN_CWND};
 use sage_util::{par_map_range, Fnv64, Rng};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A flow whose action slipped more than this many ticks past its due tick
+/// degrades to its [`TickAimd`] fallback for that action.
+pub const STALENESS_TICKS: u64 = 4;
+
+/// A flow is evicted after this many consecutive due ticks without an
+/// observation (the connection is gone).
+pub const EVICT_AFTER_MISSES: u32 = 16;
 
 /// Fixed batch chunk: parallel workers each take whole 32-row chunks, so
 /// the per-row arithmetic (row-independent by construction) is identical at
@@ -64,19 +73,10 @@ pub struct ServeConfig {
     /// Deadline budget: at most this many policy rows per tick. Flows past
     /// the budget are deferred to the next tick (and eventually degraded).
     pub max_batch: usize,
-    /// A flow whose action slipped more than this many ticks past its due
-    /// tick degrades to the heuristic fallback for that action.
-    pub staleness_ticks: u64,
-    /// Evict a flow after this many consecutive due ticks without an
-    /// observation (the connection is gone).
-    pub evict_after_misses: u32,
     /// Worker threads for batched inference; 0 = `SAGE_THREADS`.
     pub threads: usize,
     pub mode: ServeMode,
     pub action: ActionMode,
-    /// Heuristic the runtime degrades to (a `sage_heuristics` registry name
-    /// that must act on ticks alone, e.g. `tick-aimd`).
-    pub fallback: &'static str,
     pub seed: u64,
     /// Distilled tree backing the symbolic fast tier. When set, flows are
     /// admitted at [`Tier::Symbolic`] and decided by a tree walk; `None`
@@ -96,12 +96,9 @@ impl Default for ServeConfig {
         ServeConfig {
             max_flows: 1024,
             max_batch: 512,
-            staleness_ticks: 4,
-            evict_after_misses: 16,
             threads: 0,
             mode: ServeMode::Batched,
             action: ActionMode::Sample,
-            fallback: "tick-aimd",
             seed: 1,
             symbolic: None,
             audit_every: 16,
@@ -191,12 +188,6 @@ impl ServeRuntime {
 
     /// Admit a flow; its first action is due at `now_tick`. Returns false
     /// when the key is taken or the table is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured fallback scheme name is not in the registry
-    /// — the name is fixed at runtime construction, so this is a config
-    /// programming error.
     pub fn admit(&mut self, key: FlowKey, now_tick: u64, interval_ticks: u64) -> bool {
         if self.table.len() >= self.cfg.max_flows || self.table.contains(key) {
             self.stats.rejected += 1;
@@ -204,12 +195,6 @@ impl ServeRuntime {
             return false;
         }
         let interval_ticks = interval_ticks.max(1);
-        #[expect(
-            clippy::panic,
-            reason = "the fallback scheme name is fixed at runtime construction and checked against the registry; an unknown name is a config programming error"
-        )]
-        let fallback = sage_heuristics::build(self.cfg.fallback, self.cfg.seed ^ key)
-            .unwrap_or_else(|| panic!("unknown fallback scheme {:?}", self.cfg.fallback));
         let entry = FlowEntry {
             key,
             gen: 0,  // stamped by FlowTable::insert
@@ -225,7 +210,7 @@ impl ServeRuntime {
             hidden: vec![0.0; self.hidden_dim],
             // Same stream construction as `SagePolicy::new`, keyed per flow.
             rng: Rng::new(self.cfg.seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A6E),
-            fallback,
+            fallback: TickAimd::new(),
             next_due: now_tick,
             interval_ticks,
             missed_obs: 0,
@@ -332,7 +317,6 @@ impl ServeRuntime {
         let mut x = Vec::new();
         // Wall-clock spent in symbolic tree walks this tick (reporting only).
         let mut sym_nanos_tick = 0u64;
-        let staleness_ticks = self.cfg.staleness_ticks;
         let audit_every = self.cfg.audit_every;
         let max_batch = self.cfg.max_batch;
         let symbolic = self.cfg.symbolic.clone();
@@ -344,7 +328,7 @@ impl ServeRuntime {
                 )]
                 let e = self.table.get_mut(slot).expect("retained above");
                 e.missed_obs += 1;
-                if e.missed_obs >= self.cfg.evict_after_misses {
+                if e.missed_obs >= EVICT_AFTER_MISSES {
                     let (span, misses) = (e.span, e.missed_obs);
                     self.table.remove(key);
                     self.stats.evicted += 1;
@@ -373,7 +357,7 @@ impl ServeRuntime {
             // Keep the fallback warm on every observed tick so a takeover
             // starts from current loss/srtt state, not a cold window.
             e.fallback.on_tick(view.now, &view);
-            if now_tick.saturating_sub(e.next_due) > staleness_ticks {
+            if now_tick.saturating_sub(e.next_due) > STALENESS_TICKS {
                 // Graceful degradation: this action comes from the
                 // heuristic, deterministically (tick counts only).
                 let cwnd = e.fallback.cwnd_pkts().clamp(MIN_CWND, MAX_CWND);

@@ -90,7 +90,7 @@ pub fn run_many_flow(
     let mut sim_cfg = SimConfig::new(sc.link(), sc.buffer_bytes(), sc.rtt_ms, sc.duration());
     sim_cfg.seed = sc.seed;
     sim_cfg.topology = sc.topology.clone();
-    let interval = sim_cfg.monitor_interval;
+    let interval = sage_transport::MONITOR_INTERVAL;
     let starts = sc.start_times();
 
     let mut flows = Vec::with_capacity(sc.total_flows());

@@ -8,6 +8,7 @@
 //! of the admission/eviction history, never of a hasher seed.
 
 use sage_gr::CwndActor;
+use sage_heuristics::fallback::TickAimd;
 use sage_transport::CongestionControl;
 use sage_util::{Fnv64, Rng};
 use std::collections::BTreeMap;
@@ -45,7 +46,7 @@ pub struct FlowEntry {
     /// Per-flow sampling stream (mixture sampling in `ActionMode::Sample`).
     pub rng: Rng,
     /// Heuristic controller the flow degrades to when its action is stale.
-    pub fallback: Box<dyn CongestionControl>,
+    pub fallback: TickAimd,
     /// Tick at which the flow is next due for an action.
     pub next_due: u64,
     /// Monitor interval in ticks (1 = act every tick).
@@ -198,7 +199,7 @@ mod tests {
             actor: CwndActor::new(GrConfig::default()),
             hidden: vec![0.0; 4],
             rng: Rng::new(key),
-            fallback: sage_heuristics::build("tick-aimd", key).unwrap(),
+            fallback: TickAimd::new(),
             next_due: 0,
             interval_ticks: 1,
             missed_obs: 0,

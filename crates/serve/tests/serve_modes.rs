@@ -13,6 +13,7 @@
 use sage_core::model::{NetConfig, SageModel};
 use sage_core::ActionMode;
 use sage_gr::{GrConfig, STATE_DIM};
+use sage_serve::runtime::EVICT_AFTER_MISSES;
 use sage_serve::{ServeAction, ServeConfig, ServeMode, ServeRuntime};
 use sage_transport::{CaState, SocketView};
 use sage_util::Rng;
@@ -133,7 +134,6 @@ fn digest_stable_across_thread_counts() {
 fn deadline_budget_defers_then_degrades_to_fallback() {
     let cfg = ServeConfig {
         max_batch: 4,
-        staleness_ticks: 2,
         action: ActionMode::Deterministic,
         ..ServeConfig::default()
     };
@@ -142,6 +142,8 @@ fn deadline_budget_defers_then_degrades_to_fallback() {
         assert!(rt.admit(k, 0, 1));
     }
     let mut fallback_keys = std::collections::BTreeSet::new();
+    // 30 ticks: a deferred flow slips past the 4-tick `STALENESS_TICKS`
+    // deadline many times over.
     for t in 0..30 {
         for a in rt.on_tick(t, &mut |k| Some(synth_view(t, k))) {
             if a.fallback {
@@ -162,15 +164,13 @@ fn deadline_budget_defers_then_degrades_to_fallback() {
 
 #[test]
 fn vanished_flows_are_evicted_after_missed_observations() {
-    let cfg = ServeConfig {
-        evict_after_misses: 3,
-        ..ServeConfig::default()
-    };
-    let mut rt = ServeRuntime::new(tiny_model(), GrConfig::default(), cfg);
+    let mut rt = ServeRuntime::new(tiny_model(), GrConfig::default(), ServeConfig::default());
     for k in 0..5u64 {
         assert!(rt.admit(k, 0, 1));
     }
-    for t in 0..10 {
+    // Past the eviction threshold, with ticks to spare.
+    let ticks = EVICT_AFTER_MISSES as u64 + 4;
+    for t in 0..ticks {
         // Flow 2 never produces an observation.
         rt.on_tick(t, &mut |k| (k != 2).then(|| synth_view(t, k)));
     }
@@ -178,7 +178,7 @@ fn vanished_flows_are_evicted_after_missed_observations() {
     assert!(!rt.contains(2));
     assert_eq!(rt.stats.evicted, 1);
     // The surviving flows kept acting every tick; flow 2 never did.
-    assert_eq!(rt.stats.nn_actions, 4 * 10);
+    assert_eq!(rt.stats.nn_actions, 4 * ticks);
 }
 
 #[test]

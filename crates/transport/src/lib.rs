@@ -30,6 +30,7 @@ pub use cc::{AckEvent, CaState, CongestionControl, RemoteCwnd, SharedCwnd, Socke
 pub use flow::Flow;
 pub use sim::{
     BatchCc, BatchObs, FlowConfig, FlowStats, HopCounters, SimConfig, Simulation, TickRecord,
+    MONITOR_INTERVAL,
 };
 
 /// Default maximum segment size used throughout the reproduction (bytes on

@@ -13,6 +13,14 @@ use sage_netsim::time::{from_ms, Nanos, MILLIS, SECONDS};
 use sage_netsim::topology::Topology;
 use sage_util::{percentile, Rng};
 
+/// Monitor/action interval: the GR unit's timestep.
+pub const MONITOR_INTERVAL: Nanos = 10 * MILLIS;
+
+/// Uniform jitter bound on the ACK return path: end-host timing noise, which
+/// breaks the deterministic phase-lock synchronised flows would otherwise
+/// fall into over a DropTail queue.
+const ACK_JITTER: Nanos = 200_000;
+
 /// Network-level configuration of a run.
 pub struct SimConfig {
     pub link: LinkModel,
@@ -25,12 +33,6 @@ pub struct SimConfig {
     pub random_loss: f64,
     pub duration: Nanos,
     pub seed: u64,
-    /// Monitor/action interval (the GR unit's timestep); 10 ms by default.
-    pub monitor_interval: Nanos,
-    /// Uniform jitter bound applied to the ACK return path (models end-host
-    /// timing noise; breaks the deterministic phase-lock that synchronised
-    /// flows would otherwise exhibit over a DropTail queue). Default 200 us.
-    pub ack_jitter: Nanos,
     /// Adversarial fault injection (burst loss, corruption, reordering,
     /// duplication, blackouts, jitter spikes, ACK compression). The default
     /// plan injects nothing.
@@ -57,8 +59,6 @@ impl SimConfig {
             random_loss: 0.0,
             duration,
             seed: 1,
-            monitor_interval: 10 * MILLIS,
-            ack_jitter: 200_000,
             faults: FaultPlan::default(),
             topology: Topology::single(),
             span_base: 0,
@@ -347,7 +347,7 @@ impl Simulation {
             flows.push(f);
             batched.push(fc.batched);
         }
-        events.schedule(cfg.monitor_interval, Ev::Tick);
+        events.schedule(MONITOR_INTERVAL, Ev::Tick);
         let n = flows.len();
         Simulation {
             cfg,
@@ -469,11 +469,7 @@ impl Simulation {
                 Ev::DataArrive(pkt) => {
                     let idx = pkt.flow as usize;
                     let ack = self.flows[idx].on_data(self.now, pkt);
-                    let jitter = if self.cfg.ack_jitter > 0 {
-                        (self.rng.uniform() * self.cfg.ack_jitter as f64) as Nanos
-                    } else {
-                        0
-                    };
+                    let jitter = (self.rng.uniform() * ACK_JITTER as f64) as Nanos;
                     let nominal = self.now + self.ret_owd + jitter;
                     if let Some(release) = self.hop_faults[0].on_ack(self.now, nominal) {
                         self.events
@@ -512,8 +508,7 @@ impl Simulation {
                 }
                 Ev::Tick => {
                     self.do_tick(monitor, ctrl);
-                    self.events
-                        .schedule(self.now + self.cfg.monitor_interval, Ev::Tick);
+                    self.events.schedule(self.now + MONITOR_INTERVAL, Ev::Tick);
                 }
                 Ev::FlowStart(fid) => {
                     let idx = fid as usize;
@@ -537,7 +532,7 @@ impl Simulation {
     }
 
     fn do_tick(&mut self, monitor: &mut dyn Monitor, ctrl: &mut Option<&mut dyn BatchCc>) {
-        let interval_s = self.cfg.monitor_interval as f64 / SECONDS as f64;
+        let interval_s = MONITOR_INTERVAL as f64 / SECONDS as f64;
         let mut collected: Vec<usize> = Vec::new();
         for idx in 0..self.flows.len() {
             if !self.flows[idx].active {

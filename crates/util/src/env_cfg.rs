@@ -1,13 +1,12 @@
 //! The library crates' ambient-configuration layer.
 //!
 //! D6 (`clippy.toml`'s `disallowed-methods`: `std::env::{var, var_os, vars,
-//! vars_os}`) bans environment reads everywhere except this file and the
-//! bench crate: a raw environment read buried in a pipeline makes results
-//! depend on ambient state that no seed, golden, or replay captures. Every
-//! knob a library crate honours is therefore a *named* accessor here, with the
-//! variable-name constants as the single source of truth (downstream crates
-//! re-export them). The bench bins' scale knobs go through
-//! `sage_bench::envvar`; README's knob table lists both sets and
+//! vars_os}`) bans environment reads everywhere except this file and tests: a
+//! raw environment read buried in a pipeline makes results depend on ambient
+//! state that no seed, golden, or replay captures. Every knob the workspace
+//! honours is therefore a *named* accessor here, with the variable-name
+//! constants as the single source of truth (downstream crates re-export
+//! them); the bins read none. README's knob table lists them and
 //! `scripts/check.sh` keeps it equal to the code.
 //!
 //! Accessors return the raw `Option<String>` (unset → `None`) and leave
