@@ -9,7 +9,7 @@ use crate::ctx::Ctx;
 use crate::matrix::{adv, fairness, matrix_report, set3, slo};
 use crate::{
     default_train_cfg, evaluate, heuristics, league_table, league_tables, learned, pct, pool,
-    single_flow_env, table, train_crr, winning_rates, GRID_SECS, SEED,
+    table, train_crr, winning_rates, GRID_SECS, SEED,
 };
 use sage_collector::{collect_pool, rollout, EnvSpec, Pool, SetKind};
 use sage_core::baselines::OracleCc;
@@ -25,12 +25,11 @@ use sage_eval::tsne::tsne;
 use sage_gr::{reward_friendliness, FeatureMask, GrConfig};
 use sage_heuristics::{build, pool_names};
 use sage_netsim::aqm::AqmKind;
-use sage_netsim::internet::InternetProfile;
+use sage_netsim::internet::{bdp_bytes, InternetProfile};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
 use sage_nn::Array;
-use sage_transport::sim::NullMonitor;
-use sage_transport::{CongestionControl, FlowConfig, SimConfig, Simulation};
+use sage_transport::CongestionControl;
 use sage_util::{percentile, Rng};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -261,14 +260,14 @@ fn fig08(ctx: &mut Ctx, out: &mut String) -> Res {
                 let capacity = s.link.mean_mbps(from_secs(secs));
                 EnvSpec {
                     random_loss: s.random_loss,
-                    seed: seed + i as u64,
-                    ..single_flow_env(
+                    ..EnvSpec::single_flow(
                         format!("{}-{}-{}", profile.name(), i, s.label),
                         s.link,
                         s.rtt_ms,
                         s.buffer_bytes,
                         secs,
                         capacity,
+                        seed + i as u64,
                     )
                 }
             })
@@ -479,7 +478,7 @@ fn fig11(ctx: &mut Ctx, out: &mut String) -> Res {
         after_mbps: 96.0,
         at: from_secs(15.0),
     };
-    let env = single_flow_env("fig11-step-24-96", link, 40.0, 480_000, 30.0, 60.0);
+    let env = EnvSpec::single_flow("fig11-step-24-96", link, 40.0, 480_000, 30.0, 60.0, SEED);
     let gr = GrConfig::default();
     let sage = ctx.sage()?;
     let bc = comparator(ctx, "bc")?;
@@ -713,7 +712,7 @@ fn fig15(ctx: &mut Ctx, out: &mut String) -> Res {
 fn fig17(ctx: &mut Ctx, out: &mut String) -> Res {
     let model = ctx.sage()?;
     let gr = GrConfig::default();
-    let env = |id: &str, link, cap| single_flow_env(id, link, 20.0, 450_000, 60.0, cap);
+    let env = |id: &str, link, cap| EnvSpec::single_flow(id, link, 20.0, 450_000, 60.0, cap, SEED);
     let step = |before_mbps, after_mbps| LinkModel::Step {
         before_mbps,
         after_mbps,
@@ -813,22 +812,22 @@ fn against_cubics(
     [mbps, secs]: [f64; 2],
     buffer_bytes: u64,
 ) -> Vec<(&'static str, f64, f64)> {
-    let sage = std::iter::once(("sage", policy(model, GrConfig::default())));
+    let link = LinkModel::Constant { mbps };
+    let env = EnvSpec {
+        competing_cubic: n_cubic,
+        test_flow_start: from_secs(1.0),
+        ..EnvSpec::single_flow("against-cubics", link, 40.0, buffer_bytes, secs, mbps, 0)
+    };
+    let gr = GrConfig::default();
+    let sage = std::iter::once(("sage", policy(model, gr)));
     let runs = sage.chain(schemes.iter().map(|s| (*s, heuristic(s))));
     let result = |(name, cca)| {
-        let link = LinkModel::Constant { mbps };
-        let mut cfg = SimConfig::new(link, buffer_bytes, 40.0, from_secs(secs));
-        cfg.seed = SEED;
-        let mut flows: Vec<FlowConfig> = (0..n_cubic)
-            .map(|k| {
-                let cubic = build("cubic", SEED + k as u64).expect("cubic is registered");
-                FlowConfig::starting_at(cubic, from_secs(0.1 * k as f64))
-            })
-            .collect();
-        flows.push(FlowConfig::starting_at(cca, from_secs(1.0)));
-        let stats = Simulation::new(cfg, flows).run(&mut NullMonitor);
-        let cubic_total: f64 = stats[..n_cubic].iter().map(|s| s.avg_goodput_mbps).sum();
-        (name, stats[n_cubic].avg_goodput_mbps, cubic_total)
+        let res = rollout(&env, name, cca, gr, SEED);
+        let cubic_total: f64 = res.all_stats[..n_cubic]
+            .iter()
+            .map(|s| s.avg_goodput_mbps)
+            .sum();
+        (name, res.stats.avg_goodput_mbps, cubic_total)
     };
     runs.map(result).collect()
 }
@@ -873,14 +872,14 @@ fn fig19(ctx: &mut Ctx, out: &mut String) -> Res {
 
 /// Two constant 48 Mbit/s, 40 ms environments (Appendix E.1).
 fn fig22(ctx: &mut Ctx, out: &mut String) -> Res {
-    let bdp = (48.0 * 1e6 / 8.0 * 0.040) as u64;
+    let bdp = bdp_bytes(48.0, 40.0);
     for (label, buf) in [
         ("shallow buffer (0.5 BDP)", 0.5),
         ("deep buffer (8 BDP)", 8.0),
     ] {
         let link = LinkModel::Constant { mbps: 48.0 };
         let buffer = (bdp as f64 * buf) as u64;
-        let env = single_flow_env(label, link, 40.0, buffer, 20.0, 48.0);
+        let env = EnvSpec::single_flow(label, link, 40.0, buffer, 20.0, 48.0, SEED);
         let cells = ctx.pool_league(Vec::new(), &[env])?;
         let mut rows: Vec<Vec<String>> = cells
             .iter()
@@ -921,7 +920,7 @@ fn fig23(ctx: &mut Ctx, out: &mut String) -> Res {
         let link = LinkModel::Constant { mbps: 48.0 };
         EnvSpec {
             aqm,
-            ..single_flow_env(id, link, 20.0, 240_000, 30.0, 48.0)
+            ..EnvSpec::single_flow(id, link, 20.0, 240_000, 30.0, 48.0, SEED)
         }
     })
     .collect();

@@ -8,7 +8,7 @@ pub mod ctx;
 pub mod figures;
 pub mod matrix;
 
-use sage_collector::{collect_pool, training_envs, EnvSpec, Pool, SetKind};
+use sage_collector::{collect_pool, training_envs, EnvSpec, Pool};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::{rank_league, LeagueEntry};
 use sage_eval::matrix::{
@@ -16,8 +16,6 @@ use sage_eval::matrix::{
 };
 use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
-use sage_netsim::link::LinkModel;
-use sage_netsim::time::from_secs;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -92,37 +90,6 @@ pub fn train_crr(cfg: CrrConfig, steps: u64, pool: &Pool) -> SageModel {
     let mut tr = CrrTrainer::new(cfg, pool);
     tr.train(pool, steps, |_, _| {});
     tr.into_model()
-}
-
-/// A single-flow, tail-drop, loss-free, single-bottleneck Set I environment
-/// seeded with [`SEED`] — the common shape of the hand-built figure
-/// scenarios, which override the odd field with struct-update syntax.
-pub fn single_flow_env(
-    id: impl Into<String>,
-    link: LinkModel,
-    rtt_ms: f64,
-    buffer_bytes: u64,
-    secs: f64,
-    capacity_mbps: f64,
-) -> EnvSpec {
-    EnvSpec {
-        id: id.into(),
-        set: SetKind::SetI,
-        link,
-        rtt_ms,
-        buffer_bytes,
-        aqm: sage_netsim::aqm::AqmKind::TailDrop,
-        random_loss: 0.0,
-        duration: from_secs(secs),
-        competing_cubic: 0,
-        test_flow_start: 0,
-        capacity_mbps,
-        seed: SEED,
-        faults: sage_netsim::faults::FaultPlan::default(),
-        topology: sage_netsim::Topology::single(),
-        self_flows: 1,
-        self_stagger: 0,
-    }
 }
 
 /// Append a row-oriented results table with a header to `out`.

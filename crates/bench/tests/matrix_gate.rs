@@ -17,13 +17,19 @@
 //! `SAGE_THREADS`, so `scripts/check.sh` runs the gate at two thread counts.
 //! A change that moves a cell regenerates the committed report with the
 //! command in [`REGEN`].
+//!
+//! Upstream of every cell, [`every_builder_env_is_pinned_bit_for_bit`] folds
+//! each environment the builders make — the three full Set I/II grids and
+//! every scenario of `matrix_spec` — into one digest, field by field.
 
 use sage_bench::matrix::matrix_spec;
-use sage_bench::{artifacts_dir, learned, sage_model_path};
+use sage_bench::{artifacts_dir, learned, sage_model_path, GRID_SECS};
+use sage_collector::{set1_flat_grid, set1_step_grid, set2_grid, EnvSpec};
 use sage_core::SageModel;
 use sage_eval::matrix::{matrix_json, run_matrix, MatrixSpec};
+use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
-use sage_util::Json;
+use sage_util::{Fnv64, Json};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -210,5 +216,74 @@ fn matrix_slice_matches_the_committed_report() {
     assert!(
         caught[0].starts_with(&format!("sage/{}/2023: goodput_mbps", SCENARIOS[1])),
         "{caught:?}"
+    );
+}
+
+/// Every field of `env` into `h`: numbers by their bits, the nested link,
+/// AQM, fault and topology values by their `Debug` text, which prints each
+/// `f64` in its shortest round-trip form and so is exact too.
+fn fold_env(h: &mut Fnv64, env: &EnvSpec) {
+    let EnvSpec {
+        id,
+        set,
+        link,
+        rtt_ms,
+        buffer_bytes,
+        aqm,
+        random_loss,
+        duration,
+        competing_cubic,
+        test_flow_start,
+        capacity_mbps,
+        seed,
+        faults,
+        topology,
+        self_flows,
+        self_stagger,
+    } = env;
+    for text in [
+        id.clone(),
+        format!("{set:?}"),
+        format!("{link:?}"),
+        format!("{aqm:?}"),
+        format!("{faults:?}"),
+        format!("{topology:?}"),
+    ] {
+        h.write_u64(text.len() as u64);
+        h.write(text.as_bytes());
+    }
+    for x in [*rtt_ms, *random_loss, *capacity_mbps] {
+        h.write_f64(x);
+    }
+    for n in [
+        *buffer_bytes,
+        *duration,
+        *competing_cubic as u64,
+        *test_flow_start,
+        *seed,
+        *self_flows as u64,
+        *self_stagger,
+    ] {
+        h.write_u64(n);
+    }
+}
+
+#[test]
+fn every_builder_env_is_pinned_bit_for_bit() {
+    let secs = GRID_SECS as f64;
+    let mut envs = set1_flat_grid(secs);
+    envs.extend(set1_step_grid(secs));
+    envs.extend(set2_grid(secs));
+    let spec = matrix_spec(Contender::Heuristic("cubic"));
+    envs.extend(spec.scenarios.into_iter().map(|s| s.env));
+    let mut h = Fnv64::new();
+    for env in &envs {
+        fold_env(&mut h, env);
+    }
+    assert_eq!(envs.len(), 411);
+    assert_eq!(
+        h.finish(),
+        0xa1f1_1e37_4b27_1e20,
+        "an environment builder changed its output"
     );
 }

@@ -8,6 +8,7 @@
 
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::faults::FaultPlan;
+use sage_netsim::internet::bdp_bytes;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::{from_secs, Nanos};
 use sage_netsim::topology::Topology;
@@ -47,8 +48,8 @@ pub struct EnvSpec {
     /// empty for the classic single-bottleneck grids.
     pub topology: Topology,
     /// Total flows of the scheme under test sharing the bottleneck
-    /// (intra-scheme fairness scenarios, Fig. 18). `0` and `1` both mean the
-    /// classic single test flow; additional flows join staggered by
+    /// (intra-scheme fairness scenarios, Fig. 18); `1` is the classic single
+    /// test flow. Additional flows join staggered by
     /// [`EnvSpec::self_stagger`] after `test_flow_start` and need the
     /// factory-based [`crate::rollout_with`] entry point.
     pub self_flows: usize,
@@ -57,15 +58,49 @@ pub struct EnvSpec {
 }
 
 impl EnvSpec {
+    /// The one way to build an environment: a Set I path of `secs` seconds
+    /// carrying the flow under test alone from t = 0 — tail-drop, no random
+    /// loss, no faults, one hop, no competing Cubic, one self flow. Every
+    /// builder starts here and overrides the fields it changes with
+    /// struct-update syntax.
+    pub fn single_flow(
+        id: impl Into<String>,
+        link: LinkModel,
+        rtt_ms: f64,
+        buffer_bytes: u64,
+        secs: f64,
+        capacity_mbps: f64,
+        seed: u64,
+    ) -> EnvSpec {
+        EnvSpec {
+            id: id.into(),
+            set: SetKind::SetI,
+            link,
+            rtt_ms,
+            buffer_bytes,
+            aqm: AqmKind::TailDrop,
+            random_loss: 0.0,
+            duration: from_secs(secs),
+            competing_cubic: 0,
+            test_flow_start: 0,
+            capacity_mbps,
+            seed,
+            faults: FaultPlan::default(),
+            topology: Topology::single(),
+            self_flows: 1,
+            self_stagger: 0,
+        }
+    }
+
     /// Ideal fair share of the flow under test, bits/s.
     pub fn fair_share_bps(&self) -> f64 {
         self.capacity_mbps * 1e6 / (self.competing_cubic + 1) as f64
     }
 }
 
-/// Bandwidth-delay product in bytes.
-fn bdp_bytes(mbps: f64, rtt_ms: f64) -> u64 {
-    (mbps * 1e6 / 8.0 * rtt_ms / 1e3).max(3000.0) as u64
+/// `qs` x the bandwidth-delay product in bytes, the BDP floored at 3 000.
+fn buffer(mbps: f64, rtt_ms: f64, qs: f64) -> u64 {
+    (bdp_bytes(mbps, rtt_ms).max(3000) as f64 * qs) as u64
 }
 
 /// The grid axes of Appendix C (Set I): BW in `[12, 192]` Mbit/s,
@@ -82,24 +117,15 @@ pub fn set1_flat_grid(duration_secs: f64) -> Vec<EnvSpec> {
     for &bw in &BW_GRID {
         for &rtt in &RTT_GRID {
             for &qs in &QS_GRID_SET1 {
-                out.push(EnvSpec {
-                    id: format!("s1-flat-bw{bw:.0}-rtt{rtt:.0}-q{qs}"),
-                    set: SetKind::SetI,
-                    link: LinkModel::Constant { mbps: bw },
-                    rtt_ms: rtt,
-                    buffer_bytes: (bdp_bytes(bw, rtt) as f64 * qs) as u64,
-                    aqm: AqmKind::TailDrop,
-                    random_loss: 0.0,
-                    duration: from_secs(duration_secs),
-                    competing_cubic: 0,
-                    test_flow_start: 0,
-                    capacity_mbps: bw,
-                    seed: 1,
-                    faults: FaultPlan::default(),
-                    topology: Topology::single(),
-                    self_flows: 1,
-                    self_stagger: 0,
-                })
+                out.push(EnvSpec::single_flow(
+                    format!("s1-flat-bw{bw:.0}-rtt{rtt:.0}-q{qs}"),
+                    LinkModel::Constant { mbps: bw },
+                    rtt,
+                    buffer(bw, rtt, qs),
+                    duration_secs,
+                    bw,
+                    1,
+                ))
             }
         }
     }
@@ -119,28 +145,20 @@ pub fn set1_step_grid(duration_secs: f64) -> Vec<EnvSpec> {
             for &rtt in &[20.0, 40.0, 80.0] {
                 for &qs in &[1.0, 4.0] {
                     let mean = (bw + after) / 2.0;
-                    out.push(EnvSpec {
-                        id: format!("s1-step-bw{bw:.0}x{m}-rtt{rtt:.0}-q{qs}"),
-                        set: SetKind::SetI,
-                        link: LinkModel::Step {
-                            before_mbps: bw,
-                            after_mbps: after,
-                            at: from_secs(duration_secs / 2.0),
-                        },
-                        rtt_ms: rtt,
-                        buffer_bytes: (bdp_bytes(bw.max(after), rtt) as f64 * qs) as u64,
-                        aqm: AqmKind::TailDrop,
-                        random_loss: 0.0,
-                        duration: from_secs(duration_secs),
-                        competing_cubic: 0,
-                        test_flow_start: 0,
-                        capacity_mbps: mean,
-                        seed: 1,
-                        faults: FaultPlan::default(),
-                        topology: Topology::single(),
-                        self_flows: 1,
-                        self_stagger: 0,
-                    })
+                    let link = LinkModel::Step {
+                        before_mbps: bw,
+                        after_mbps: after,
+                        at: from_secs(duration_secs / 2.0),
+                    };
+                    out.push(EnvSpec::single_flow(
+                        format!("s1-step-bw{bw:.0}x{m}-rtt{rtt:.0}-q{qs}"),
+                        link,
+                        rtt,
+                        buffer(bw.max(after), rtt, qs),
+                        duration_secs,
+                        mean,
+                        1,
+                    ))
                 }
             }
         }
@@ -156,22 +174,18 @@ pub fn set2_grid(duration_secs: f64) -> Vec<EnvSpec> {
         for &rtt in &RTT_GRID {
             for &qs in &QS_GRID_SET2 {
                 out.push(EnvSpec {
-                    id: format!("s2-bw{bw:.0}-rtt{rtt:.0}-q{qs}"),
                     set: SetKind::SetII,
-                    link: LinkModel::Constant { mbps: bw },
-                    rtt_ms: rtt,
-                    buffer_bytes: (bdp_bytes(bw, rtt) as f64 * qs) as u64,
-                    aqm: AqmKind::TailDrop,
-                    random_loss: 0.0,
-                    duration: from_secs(duration_secs),
                     competing_cubic: 1,
                     test_flow_start: from_secs(1.0),
-                    capacity_mbps: bw,
-                    seed: 2,
-                    faults: FaultPlan::default(),
-                    topology: Topology::single(),
-                    self_flows: 1,
-                    self_stagger: 0,
+                    ..EnvSpec::single_flow(
+                        format!("s2-bw{bw:.0}-rtt{rtt:.0}-q{qs}"),
+                        LinkModel::Constant { mbps: bw },
+                        rtt,
+                        buffer(bw, rtt, qs),
+                        duration_secs,
+                        bw,
+                        2,
+                    )
                 })
             }
         }
@@ -222,8 +236,11 @@ mod tests {
     #[test]
     fn set2_buffers_at_least_one_bdp() {
         for e in set2_grid(10.0) {
-            let bdp = (e.capacity_mbps * 1e6 / 8.0 * e.rtt_ms / 1e3) as u64;
-            assert!(e.buffer_bytes >= bdp.min(bdp.max(3000)), "{}", e.id);
+            assert!(
+                e.buffer_bytes >= bdp_bytes(e.capacity_mbps, e.rtt_ms),
+                "{}",
+                e.id
+            );
             assert_eq!(e.competing_cubic, 1);
             assert!(e.test_flow_start > 0);
         }

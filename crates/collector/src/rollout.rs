@@ -99,14 +99,14 @@ pub fn rollout(
     seed: u64,
 ) -> RolloutResult {
     debug_assert!(
-        env.self_flows <= 1,
+        env.self_flows == 1,
         "self-flow scenarios need the factory-based rollout_with"
     );
     rollout_flows(env, scheme, vec![cca], gr_cfg, seed)
 }
 
 /// [`rollout`] with a scheme factory: `mk(flow_seed)` is called once per
-/// flow of the scheme under test (`env.self_flows.max(1)` times, with seeds
+/// flow of the scheme under test (`env.self_flows` times, with seeds
 /// `seed`, `seed + 1`, ...), so intra-scheme fairness scenarios can stamp
 /// out learned policies and heuristics alike. The first flow is the flow
 /// under test; its trajectory is the one recorded.
@@ -117,7 +117,7 @@ pub fn rollout_with(
     gr_cfg: GrConfig,
     seed: u64,
 ) -> RolloutResult {
-    let ccas: Vec<Box<dyn CongestionControl>> = (0..env.self_flows.max(1) as u64)
+    let ccas: Vec<Box<dyn CongestionControl>> = (0..env.self_flows as u64)
         .map(|k| mk(seed.wrapping_add(k)))
         .collect();
     rollout_flows(env, scheme, ccas, gr_cfg, seed)

@@ -22,7 +22,7 @@
 
 use crate::matrix::{run_cell, Family, ScenarioSpec};
 use crate::runner::Contender;
-use sage_collector::{EnvSpec, SetKind};
+use sage_collector::EnvSpec;
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::faults::{FaultPlan, FlapPlan, GilbertElliott};
 use sage_netsim::link::LinkModel;
@@ -152,23 +152,13 @@ pub fn decode(genome: &[f64], secs: f64) -> EnvSpec {
         topology.extra_hops.push(hop);
     }
 
+    let id = format!("adv-{:010x}", digest & 0xFF_FFFF_FFFF);
     EnvSpec {
-        id: format!("adv-{:010x}", digest & 0xFF_FFFF_FFFF),
-        set: SetKind::SetI,
-        link,
-        rtt_ms,
-        buffer_bytes,
         aqm,
-        random_loss: 0.0,
-        duration: from_secs(secs),
         competing_cubic,
-        test_flow_start: 0,
-        capacity_mbps: min_mbps,
-        seed: digest,
         faults,
         topology,
-        self_flows: 1,
-        self_stagger: 0,
+        ..EnvSpec::single_flow(id, link, rtt_ms, buffer_bytes, secs, min_mbps, digest)
     }
 }
 

@@ -20,9 +20,7 @@ use crate::runner::Contender;
 use crate::score::{interval_scores, jain_fairness, RunScore, ScoreKind, INTERVALS};
 use crate::set3::{scenario_grid, set3_env};
 use sage_collector::{rollout_with, training_envs, EnvSpec, SetKind};
-use sage_netsim::aqm::AqmKind;
-use sage_netsim::faults::FaultPlan;
-use sage_netsim::internet::InternetProfile;
+use sage_netsim::internet::{bdp_bytes, InternetProfile};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
 use sage_netsim::topology::Topology;
@@ -109,7 +107,8 @@ pub fn scenarios_fault(ids: Option<&[&str]>, secs: f64) -> Vec<ScenarioSpec> {
 }
 
 /// Internet-profile scenarios: `n_each` sampled paths per profile
-/// (intra-continental, inter-continental, cellular), seeded like `fig08`.
+/// (intra-continental, inter-continental, cellular), each profile's paths
+/// drawn from `Rng::new(seed ^ 0xF18)` and path `i` seeded `seed + i`.
 pub fn scenarios_internet(n_each: usize, secs: f64, seed: u64) -> Vec<ScenarioSpec> {
     let mut out = Vec::new();
     for profile in [
@@ -120,25 +119,20 @@ pub fn scenarios_internet(n_each: usize, secs: f64, seed: u64) -> Vec<ScenarioSp
         let mut rng = Rng::new(seed ^ 0xF18);
         for i in 0..n_each {
             let s = profile.sample(&mut rng, from_secs(secs));
+            let capacity = s.link.mean_mbps(from_secs(secs));
             out.push(ScenarioSpec {
                 family: Family::Internet,
                 env: EnvSpec {
-                    id: format!("{}-{}-{}", profile.name(), i, s.label),
-                    set: SetKind::SetI,
-                    link: s.link.clone(),
-                    rtt_ms: s.rtt_ms,
-                    buffer_bytes: s.buffer_bytes,
-                    aqm: AqmKind::TailDrop,
                     random_loss: s.random_loss,
-                    duration: from_secs(secs),
-                    competing_cubic: 0,
-                    test_flow_start: 0,
-                    capacity_mbps: s.link.mean_mbps(from_secs(secs)),
-                    seed: seed + i as u64,
-                    faults: FaultPlan::default(),
-                    topology: Topology::single(),
-                    self_flows: 1,
-                    self_stagger: 0,
+                    ..EnvSpec::single_flow(
+                        format!("{}-{}-{}", profile.name(), i, s.label),
+                        s.link,
+                        s.rtt_ms,
+                        s.buffer_bytes,
+                        secs,
+                        capacity,
+                        seed + i as u64,
+                    )
                 },
             });
         }
@@ -247,24 +241,14 @@ fn multihop_env(
     competing_cubic: usize,
     secs: f64,
 ) -> EnvSpec {
-    let bdp = (base_mbps * 1e6 / 8.0 * rtt_ms / 1e3).max(3000.0) as u64;
+    let bdp = bdp_bytes(base_mbps, rtt_ms).max(3000);
+    let capacity = topology.min_capacity_mbps(base_mbps);
+    let link = LinkModel::Constant { mbps: base_mbps };
     EnvSpec {
-        id: id.to_string(),
-        set: SetKind::SetI,
-        link: LinkModel::Constant { mbps: base_mbps },
-        rtt_ms,
-        buffer_bytes: bdp * 2,
-        aqm: AqmKind::TailDrop,
-        random_loss: 0.0,
-        duration: from_secs(secs),
         competing_cubic,
-        test_flow_start: 0,
-        capacity_mbps: topology.min_capacity_mbps(base_mbps),
-        seed: 0x4D48, // "MH"
-        faults: FaultPlan::default(),
         topology,
-        self_flows: 1,
-        self_stagger: 0,
+        // Seed 0x4D48 is "MH".
+        ..EnvSpec::single_flow(id, link, rtt_ms, bdp * 2, secs, capacity, 0x4D48)
     }
 }
 
@@ -272,7 +256,7 @@ fn multihop_env(
 /// bottleneck), a downstream-tightening parking lot, and a parking lot with
 /// Cubic cross traffic at the first hop.
 pub fn scenarios_multihop(secs: f64) -> Vec<ScenarioSpec> {
-    let bdp48 = (48.0 * 1e6 / 8.0 * 40.0 / 1e3) as u64;
+    let bdp48 = bdp_bytes(48.0, 40.0);
     vec![
         ScenarioSpec {
             family: Family::MultiHop,
@@ -317,22 +301,17 @@ pub fn scenario_fairness(flows: usize, secs: f64, stagger_secs: f64) -> Scenario
     ScenarioSpec {
         family: Family::Fairness,
         env: EnvSpec {
-            id: format!("fair-{flows}flow"),
-            set: SetKind::SetI,
-            link: LinkModel::Constant { mbps: 72.0 },
-            rtt_ms: 40.0,
-            buffer_bytes: 360_000,
-            aqm: AqmKind::TailDrop,
-            random_loss: 0.0,
-            duration: from_secs(secs),
-            competing_cubic: 0,
-            test_flow_start: 0,
-            capacity_mbps: 72.0,
-            seed: 18,
-            faults: FaultPlan::default(),
-            topology: Topology::single(),
             self_flows: flows,
             self_stagger: from_secs(stagger_secs),
+            ..EnvSpec::single_flow(
+                format!("fair-{flows}flow"),
+                LinkModel::Constant { mbps: 72.0 },
+                40.0,
+                360_000,
+                secs,
+                72.0,
+                18,
+            )
         },
     }
 }

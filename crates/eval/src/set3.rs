@@ -13,9 +13,9 @@
 //! `run_matrix` runs them); it rolls nothing out itself.
 
 use crate::matrix::{Family, MatrixCell};
-use sage_collector::{EnvSpec, SetKind};
-use sage_netsim::aqm::AqmKind;
+use sage_collector::EnvSpec;
 use sage_netsim::faults::{FaultPlan, FlapPlan, GilbertElliott};
+use sage_netsim::internet::bdp_bytes;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::{from_secs, MILLIS};
 
@@ -134,24 +134,12 @@ pub fn scenario_grid() -> Vec<FaultScenario> {
 pub fn set3_env(scenario: &FaultScenario, duration_secs: f64) -> EnvSpec {
     let mbps = 48.0;
     let rtt_ms = 40.0;
-    let bdp = (mbps * 1e6 / 8.0 * rtt_ms / 1e3) as u64;
+    let buffer_bytes = bdp_bytes(mbps, rtt_ms) * 2;
+    let link = LinkModel::Constant { mbps };
+    let id = format!("s3-{}", scenario.id);
     EnvSpec {
-        id: format!("s3-{}", scenario.id),
-        set: SetKind::SetI,
-        link: LinkModel::Constant { mbps },
-        rtt_ms,
-        buffer_bytes: bdp * 2,
-        aqm: AqmKind::TailDrop,
-        random_loss: 0.0,
-        duration: from_secs(duration_secs),
-        competing_cubic: 0,
-        test_flow_start: 0,
-        capacity_mbps: mbps,
-        seed: 3,
         faults: scenario.plan.clone(),
-        topology: sage_netsim::Topology::single(),
-        self_flows: 1,
-        self_stagger: 0,
+        ..EnvSpec::single_flow(id, link, rtt_ms, buffer_bytes, duration_secs, mbps, 3)
     }
 }
 

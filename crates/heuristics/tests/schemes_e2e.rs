@@ -3,13 +3,14 @@
 //! survival under loss).
 
 use sage_heuristics::{build, pool_names};
+use sage_netsim::internet::bdp_bytes;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
 use sage_transport::sim::NullMonitor;
 use sage_transport::{FlowConfig, FlowStats, SimConfig, Simulation};
 
 fn run(name: &str, mbps: f64, rtt_ms: f64, bdp_mult: f64, secs: f64) -> FlowStats {
-    let bdp = (mbps * 1e6 / 8.0 * rtt_ms / 1e3) as u64;
+    let bdp = bdp_bytes(mbps, rtt_ms);
     let mut cfg = SimConfig::new(
         LinkModel::Constant { mbps },
         ((bdp as f64 * bdp_mult) as u64).max(4500),

@@ -207,11 +207,6 @@ impl FaultInjector {
         }
     }
 
-    /// True when any fault mechanism is configured.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Advance the flap process and report whether the link is down at `now`
     /// (explicit blackout windows included).
     pub fn link_down(&mut self, now: Nanos) -> bool {
@@ -332,7 +327,6 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let mut inj = FaultInjector::new(FaultPlan::none(), 7);
-        assert!(!inj.is_active());
         for t in 0..1000u64 {
             assert_eq!(inj.on_forward(t * 1000), ForwardVerdict::CLEAN);
             assert_eq!(inj.on_ack(t * 1000, t * 1000 + 5), Some(t * 1000 + 5));

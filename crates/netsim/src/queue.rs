@@ -112,11 +112,6 @@ impl BottleneckPath {
         }
     }
 
-    /// Bytes currently buffered (not counting the packet in service).
-    pub fn backlog_bytes(&self) -> u64 {
-        self.bytes_queued
-    }
-
     /// Packets currently buffered.
     pub fn backlog_packets(&self) -> usize {
         self.buf.len()
@@ -319,7 +314,6 @@ mod tests {
         p.enqueue(0, pkt(3));
         // One in service, two buffered.
         assert_eq!(p.backlog_packets(), 2);
-        assert_eq!(p.backlog_bytes(), 3000);
     }
 
     #[test]

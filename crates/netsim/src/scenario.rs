@@ -93,7 +93,7 @@ impl ManyFlowScenario {
 
     /// Bandwidth-delay product of the shared link, bytes.
     pub fn bdp_bytes(&self) -> u64 {
-        (self.total_mbps() * 1e6 / 8.0 * self.rtt_ms / 1e3) as u64
+        crate::internet::bdp_bytes(self.total_mbps(), self.rtt_ms)
     }
 
     /// Bottleneck buffer, bytes (floored so tiny scenarios stay runnable).

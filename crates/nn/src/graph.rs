@@ -48,7 +48,6 @@ enum Op {
     /// Mean over all elements -> 1x1.
     Mean(NodeId),
     ConcatCols(NodeId, NodeId),
-    SliceCols(NodeId, usize, usize),
     /// Row-wise layer normalisation with gain/bias [1,d].
     LayerNorm {
         x: NodeId,
@@ -338,18 +337,6 @@ impl Graph {
         }
         let v = Array::from_vec(av.rows, av.cols + bv.cols, buf);
         self.push(v, Op::ConcatCols(a, b), self.wants_grad(&[a, b]))
-    }
-
-    /// Columns `[from, to)` of a node.
-    pub fn slice_cols(&mut self, a: NodeId, from: usize, to: usize) -> NodeId {
-        let mut buf = self.buf();
-        let av = &self.nodes[a].val;
-        assert!(from < to && to <= av.cols);
-        for row in av.row_slices() {
-            buf.extend_from_slice(&row[from..to]);
-        }
-        let v = Array::from_vec(av.rows, to - from, buf);
-        self.push(v, Op::SliceCols(a, from, to), self.nodes[a].wants_grad)
     }
 
     /// Row-wise layer normalisation with learned gain and bias (`[1,d]`).
@@ -754,15 +741,6 @@ impl Graph {
                 }
                 ws.give(g);
             }
-            Op::SliceCols(a, from, to) => {
-                let mut da = ws.zeros(val(a).rows, val(a).cols);
-                let wide = da.data.chunks_exact_mut(val(a).cols.max(1));
-                for (row, grow) in wide.zip(g.row_slices()) {
-                    row[*from..*to].copy_from_slice(grow);
-                }
-                ws.give(g);
-                ws.accumulate(nodes, *a, da);
-            }
             Op::LayerNorm { x, gain, bias } => {
                 let (xv, gv) = (val(x), &val(gain).data);
                 let d = xv.cols;
@@ -1001,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_concat_slice_sub_scale() {
+    fn grad_concat_sub_scale() {
         let mut rng = Rng::new(4);
         let mut store = ParamStore::new();
         let w = store.glorot("w", 4, 4, &mut rng);
@@ -1011,11 +989,9 @@ mod tests {
                 let x = x_input(g);
                 let wa = g.param(s, w);
                 let h = g.matmul(x, wa);
-                let cat = g.concat_cols(h, x);
-                let left = g.slice_cols(cat, 0, 4);
-                let right = g.slice_cols(cat, 4, 8);
-                let diff = g.sub(left, right);
-                let sc = g.scale(diff, 0.5);
+                let diff = g.sub(h, x);
+                let cat = g.concat_cols(diff, h);
+                let sc = g.scale(cat, 0.5);
                 let t = g.tanh(sc);
                 g.mean(t)
             },
@@ -1285,8 +1261,6 @@ mod tests {
                             let (gn, cn) = (g.param(s, gain), g.param(s, bias));
                             let z = g.layer_norm(z, gn, cn);
                             let z = g.tanh(z);
-                            let wide = g.concat_cols(z, gate);
-                            let z = g.slice_cols(wide, 0, dh);
                             h = g.mul(gate, z);
                         }
                         let t = g.input(target.clone());

@@ -2,9 +2,8 @@
 //! recorder for the whole Sage stack — all write-only, so turning any of
 //! them on cannot change a result.
 //!
-//! * **Counters** ([`metrics`]) — per-thread lock-free shards (plain relaxed
-//!   atomics, no locks on the hot path) summed in shard-registration order;
-//!   every total is an integer sum, so it is identical at any
+//! * **Counters** ([`metrics`]) — one relaxed atomic each (no locks on the
+//!   hot path); every total is an integer sum, so it is identical at any
 //!   `SAGE_THREADS`. No simulation, training, or serving code ever reads
 //!   one back; the perf ledger and tests do. The module also keeps the
 //!   log-linear [`metrics::Histogram`] the ledger's `obs.hist_observe_ns`

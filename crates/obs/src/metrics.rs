@@ -1,51 +1,27 @@
 //! The metrics core: counters behind a global name-keyed registry, plus the
 //! log-linear histogram the perf ledger's `obs.hist_observe_ns` probe times.
 //!
-//! Hot-path writes never take a lock. Counters land in per-thread shards
-//! (each thread is assigned a shard slot in thread-registration order on
-//! first use) so concurrent increments don't bounce one cache line. Every
-//! counter add is an integer add, so a total is bit-identical at any thread
-//! count and any interleaving.
+//! Hot-path writes never take a lock. A counter is one relaxed `AtomicU64`:
+//! call sites add once per simulation, flow or collected cell (the
+//! simulator folds its per-packet tallies on `Drop`), and
+//! `transport.rto_fired` once per RTO, so there is no contention to shard
+//! away. Every counter add is an integer add, so a total is bit-identical at
+//! any thread count and any interleaving.
 //!
 //! The registry lock is touched only when a call site first interns its
 //! metric (the `obs_counter!` macro caches the handle in a `OnceLock`).
 
 use crate::hist::{HistSnapshot, NUM_BUCKETS};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 
-/// Per-thread shard slots for counters. More threads than slots simply
-/// share (the sum stays exact); 64 covers every realistic `SAGE_THREADS`.
-const SHARDS: usize = 64;
-
-/// A cache-line-padded cell so neighbouring shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PadCell(AtomicU64);
-
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Shard slot of this thread, assigned in thread-registration order.
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Relaxed) % SHARDS;
-}
-
-#[inline]
-fn thread_slot() -> usize {
-    THREAD_SLOT.with(|s| *s)
-}
-
-/// A monotonically increasing `u64` counter with per-thread shards.
-pub struct Counter {
-    shards: Box<[PadCell]>,
-}
+/// A monotonically increasing `u64` counter.
+pub struct Counter(AtomicU64);
 
 impl Counter {
     fn new() -> Self {
-        Counter {
-            shards: (0..SHARDS).map(|_| PadCell::default()).collect(),
-        }
+        Counter(AtomicU64::new(0))
     }
 
     /// Add 1.
@@ -60,12 +36,12 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        self.shards[thread_slot()].0.fetch_add(n, Relaxed);
+        self.0.fetch_add(n, Relaxed);
     }
 
-    /// Total across shards, merged in shard-registration order.
+    /// The total of every add so far.
     pub fn value(&self) -> u64 {
-        self.shards.iter().map(|c| c.0.load(Relaxed)).sum()
+        self.0.load(Relaxed)
     }
 }
 

@@ -749,6 +749,7 @@ impl Drop for Simulation {
 mod tests {
     use super::*;
     use crate::cc::{AckEvent, CaState};
+    use sage_netsim::internet::bdp_bytes;
 
     /// Minimal AIMD Reno for end-to-end sanity tests (real schemes live in
     /// `sage-heuristics`).
@@ -794,7 +795,7 @@ mod tests {
     }
 
     fn run_one(mbps: f64, rtt_ms: f64, bdp_mult: f64, secs: f64) -> FlowStats {
-        let bdp = (mbps * 1e6 / 8.0 * rtt_ms / 1e3) as u64;
+        let bdp = bdp_bytes(mbps, rtt_ms);
         let cfg = SimConfig::new(
             LinkModel::Constant { mbps },
             ((bdp as f64 * bdp_mult) as u64).max(3000),
@@ -849,7 +850,7 @@ mod tests {
     #[test]
     fn two_flows_share_roughly_fairly() {
         let mbps = 24.0;
-        let bdp = (mbps * 1e6 / 8.0 * 40.0 / 1e3) as u64;
+        let bdp = bdp_bytes(mbps, 40.0);
         let cfg = SimConfig::new(
             LinkModel::Constant { mbps },
             bdp * 2,
@@ -1020,7 +1021,7 @@ mod tests {
         // 48 Mbit/s first hop feeding a 12 Mbit/s second hop: goodput is
         // capped by the tighter downstream hop, and its queue does the
         // dropping.
-        let bdp = (48.0 * 1e6 / 8.0 * 20.0 / 1e3) as u64;
+        let bdp = bdp_bytes(48.0, 20.0);
         let cfg = SimConfig::new(
             LinkModel::Constant { mbps: 48.0 },
             bdp * 2,
@@ -1050,7 +1051,7 @@ mod tests {
         let base = run_one(24.0, 30.0, 1.0, 5.0);
         let cfg = SimConfig::new(
             LinkModel::Constant { mbps: 24.0 },
-            ((24.0 * 1e6 / 8.0 * 30.0 / 1e3) as u64).max(3000),
+            bdp_bytes(24.0, 30.0).max(3000),
             30.0,
             sage_netsim::time::from_secs(5.0),
         )

@@ -2,6 +2,7 @@
 //! under the full fault grid, and monotone monitor ticks across hops.
 
 use sage_netsim::faults::{FaultPlan, FlapPlan, GilbertElliott};
+use sage_netsim::internet::bdp_bytes;
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::{from_secs, Nanos, MILLIS};
 use sage_netsim::topology::{HopSpec, Topology};
@@ -79,7 +80,7 @@ fn random_plan(rng: &mut Rng, secs: f64) -> FaultPlan {
 fn chain_sim(rng: &mut Rng, secs: f64) -> Simulation {
     let bw = rng.range(12.0, 48.0);
     let rtt_ms = rng.range(15.0, 60.0);
-    let bdp = (bw * 1e6 / 8.0 * rtt_ms / 1e3) as u64;
+    let bdp = bdp_bytes(bw, rtt_ms);
     let n_extra = 1 + rng.below(2); // 1 or 2 downstream hops
     let mut topology = Topology::single();
     for k in 1..=n_extra {

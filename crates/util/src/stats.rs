@@ -1,5 +1,5 @@
-//! Small statistics helpers: batch summaries, chunk-mean downsampling,
-//! exponentially weighted moving averages, and Welford online moments.
+//! Small statistics helpers: batch summaries, chunk-mean downsampling and
+//! exponentially weighted moving averages.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -101,73 +101,6 @@ impl Ewma {
     }
 }
 
-/// Welford online mean/variance with min/max tracking.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,19 +154,5 @@ mod tests {
     fn ewma_first_sample_is_exact() {
         let mut e = Ewma::new(0.1);
         assert_eq!(e.update(7.5), 7.5);
-    }
-
-    #[test]
-    fn online_stats_match_batch() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.push(x);
-        }
-        assert!((o.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((o.variance().sqrt() - stddev(&xs)).abs() < 1e-12);
-        assert_eq!(o.min(), 1.0);
-        assert_eq!(o.max(), 10.0);
-        assert_eq!(o.count(), 5);
     }
 }

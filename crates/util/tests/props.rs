@@ -3,7 +3,7 @@
 //! framework: the build must work offline).
 
 use sage_util::prop::ensure;
-use sage_util::{forall, mean, percentile, stddev, OnlineStats, PropConfig, Rng};
+use sage_util::{forall, mean, percentile, stddev, PropConfig, Rng};
 
 /// Random vector of `len` elements in `[lo, hi)`.
 fn vec_in(rng: &mut Rng, len: usize, lo: f64, hi: f64) -> Vec<f64> {
@@ -82,21 +82,6 @@ fn percentile_selection_has_the_bits_of_sorting() {
     });
 }
 
-#[test]
-fn online_stats_match_batch() {
-    let mut rng = Rng::new(0xCAFE);
-    for _ in 0..100 {
-        let len = 2 + rng.below(198);
-        let xs = vec_in(&mut rng, len, -1e3, 1e3);
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.push(x);
-        }
-        assert!((o.mean() - mean(&xs)).abs() < 1e-6);
-        assert!((o.variance().sqrt() - stddev(&xs)).abs() < 1e-6);
-    }
-}
-
 /// Stream-split independence: streams split from the same master are
 /// deterministic, distinct across stream ids, and uncorrelated (no collisions
 /// in a short prefix, which for 64-bit outputs has negligible false-failure
@@ -126,10 +111,10 @@ fn prop_rng_stream_split_independence() {
     });
 }
 
-/// Numerical identities: Var(x) = E[x^2] - E[x]^2 (population form; the
-/// accumulator reports the sample form, so Bessel's factor (n-1)/n bridges
+/// Numerical identities: Var(x) = E[x^2] - E[x]^2 (population form;
+/// `stddev` reports the sample form, so Bessel's factor (n-1)/n bridges
 /// them), mean/stddev shift-invariance, and percentile endpoints hitting
-/// min/max — checked between the batch helpers and the online accumulator.
+/// min/max.
 #[test]
 fn prop_stats_numerical_identities() {
     forall("stats identities", PropConfig::new(120, 0x57A7), |rng| {
@@ -137,11 +122,7 @@ fn prop_stats_numerical_identities() {
         let xs: Vec<f64> = (0..n).map(|_| rng.range(-1e3, 1e3)).collect();
         let m = mean(&xs);
         let ex2 = xs.iter().map(|x| x * x).sum::<f64>() / n as f64;
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.push(x);
-        }
-        let pop_var = o.variance() * (n - 1) as f64 / n as f64;
+        let pop_var = stddev(&xs).powi(2) * (n - 1) as f64 / n as f64;
         ensure(
             (pop_var - (ex2 - m * m)).abs() < 1e-6 * (1.0 + ex2.abs()),
             || format!("E[x^2]-E[x]^2 = {} but variance = {pop_var}", ex2 - m * m),
@@ -158,10 +139,7 @@ fn prop_stats_numerical_identities() {
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         ensure(percentile(&xs, 0.0) == lo, || "p0 != min".into())?;
-        ensure(percentile(&xs, 100.0) == hi, || "p100 != max".into())?;
-        ensure((o.min(), o.max()) == (lo, hi), || {
-            "online min/max != batch min/max".into()
-        })
+        ensure(percentile(&xs, 100.0) == hi, || "p100 != max".into())
     });
 }
 
