@@ -11,25 +11,22 @@ use crate::{
     default_train_cfg, evaluate, heuristics, league_table, league_tables, learned, pct, pool,
     table, train_crr, winning_rates, GRID_SECS, SEED,
 };
-use sage_collector::{collect_pool, rollout, EnvSpec, Pool, SetKind};
-use sage_core::baselines::OracleCc;
+use sage_collector::{collect_pool, EnvSpec, Pool, SetKind};
 use sage_core::online::OnlineRlTrainer;
-use sage_core::policy::{ActionMode, SagePolicy};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::rank_league;
-use sage_eval::matrix::{league_scores, scenario_fairness, Family};
+use sage_eval::matrix::{league_scores, scenario_fairness, scenarios_internet, Family, MatrixCell};
 use sage_eval::runner::Contender;
 use sage_eval::score::{interval_scores, ScoreKind};
 use sage_eval::similarity::{similarity_index, DistanceIndex};
 use sage_eval::tsne::tsne;
 use sage_gr::{reward_friendliness, FeatureMask, GrConfig};
-use sage_heuristics::{build, pool_names};
+use sage_heuristics::pool_names;
 use sage_netsim::aqm::AqmKind;
 use sage_netsim::internet::{bdp_bytes, InternetProfile};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
 use sage_nn::Array;
-use sage_transport::CongestionControl;
 use sage_util::{percentile, Rng};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -132,20 +129,6 @@ pub fn list() -> String {
     out
 }
 
-/// `model` acting deterministically, as every league deploys it.
-fn policy(model: &Arc<SageModel>, gr: GrConfig) -> Box<dyn CongestionControl> {
-    Box::new(SagePolicy::new(
-        model.clone(),
-        gr,
-        SEED,
-        ActionMode::Deterministic,
-    ))
-}
-
-fn heuristic(name: &str) -> Box<dyn CongestionControl> {
-    build(name, SEED).unwrap_or_else(|| panic!("no heuristic named {name:?}"))
-}
-
 fn league(ctx: &mut Ctx, out: &mut String) -> Res {
     let cells = ctx.pool_league(Vec::new(), &ctx.envs())?;
     for (family, label) in [
@@ -246,33 +229,18 @@ fn fig08(ctx: &mut Ctx, out: &mut String) -> Res {
     contenders.extend(heuristics([
         "bbr2", "cubic", "vegas", "westwood", "yeah", "copa", "c2tcp", "sprout", "illinois",
     ]));
-    let secs = 12.0;
-    let seed = SEED ^ 0xF18;
-    for profile in [
+    let envs: Vec<EnvSpec> = scenarios_internet(FIG08_PATHS, 12.0, SEED)
+        .into_iter()
+        .map(|sc| sc.env)
+        .collect();
+    let cells = evaluate(&contenders, &envs);
+    // `scenarios_internet` lays the paths out profile by profile.
+    let profiles = [
         InternetProfile::IntraContinental,
         InternetProfile::InterContinental,
         InternetProfile::Cellular,
-    ] {
-        let mut rng = Rng::new(seed);
-        let envs: Vec<EnvSpec> = (0..FIG08_PATHS)
-            .map(|i| {
-                let s = profile.sample(&mut rng, from_secs(secs));
-                let capacity = s.link.mean_mbps(from_secs(secs));
-                EnvSpec {
-                    random_loss: s.random_loss,
-                    ..EnvSpec::single_flow(
-                        format!("{}-{}-{}", profile.name(), i, s.label),
-                        s.link,
-                        s.rtt_ms,
-                        s.buffer_bytes,
-                        secs,
-                        capacity,
-                        seed + i as u64,
-                    )
-                }
-            })
-            .collect();
-        let cells = evaluate(&contenders, &envs);
+    ];
+    for (profile, envs) in profiles.iter().zip(envs.chunks(FIG08_PATHS)) {
         // Aggregate per scheme; normalise delay by the per-env minimum and
         // throughput by the per-env maximum (as the paper does).
         let mut rows = Vec::new();
@@ -280,7 +248,7 @@ fn fig08(ctx: &mut Ctx, out: &mut String) -> Res {
             let mut nd = Vec::new();
             let mut nd95 = Vec::new();
             let mut nt = Vec::new();
-            for env in &envs {
+            for env in envs {
                 let of_env: Vec<_> = cells.iter().filter(|r| r.scenario == env.id).collect();
                 let min_d = of_env
                     .iter()
@@ -300,7 +268,7 @@ fn fig08(ctx: &mut Ctx, out: &mut String) -> Res {
                 format!("{:.2}", sage_util::mean(&nt)),
             ]);
         }
-        rows.sort_by(|a, b| b[3].partial_cmp(&a[3]).expect("formatted numbers"));
+        sort_desc_on(&mut rows, 3);
         table(
             out,
             &format!("Fig.8 {} ({FIG08_PATHS} paths)", profile.name()),
@@ -309,6 +277,13 @@ fn fig08(ctx: &mut Ctx, out: &mut String) -> Res {
         );
     }
     Ok(())
+}
+
+/// Sort table rows best-first on the number printed in column `col`; rows
+/// that print the same number keep their order.
+fn sort_desc_on(rows: &mut [Vec<String>], col: usize) {
+    let value = |row: &Vec<String>| row[col].parse::<f64>().expect("a printed number");
+    rows.sort_by(|a, b| value(b).total_cmp(&value(a)));
 }
 
 /// The ML-league comparators of §6.2 (Fig. 9/11) at reproduction scale, the
@@ -346,17 +321,13 @@ fn comparator(ctx: &mut Ctx, name: &str) -> Result<Arc<SageModel>, String> {
             };
             train_crr(cfg, steps, pool)
         };
-        // Indigo-like: imitate the BDP oracle (half the link in Set II,
-        // where one Cubic flow competes).
+        // Indigo-like: imitate the BDP oracle, which rates each path at
+        // its fair share.
         let oracle = |envs: Vec<EnvSpec>| {
-            let mut oracle_pool = Pool::new();
-            for env in envs {
-                let share = if env.set == SetKind::SetII { 2.0 } else { 1.0 };
-                let cca = Box::new(OracleCc::new(env.capacity_mbps / share, env.rtt_ms));
-                let res = rollout(&env, "oracle", cca, gr, SEED);
-                oracle_pool.trajectories.push(res.traj);
-            }
-            bc(&oracle_pool)
+            let roll = |env: &EnvSpec| Contender::Oracle.rollout(env, SEED).traj;
+            bc(&Pool {
+                trajectories: envs.iter().map(roll).collect(),
+            })
         };
         let online = |pool: &Pool, cfg: CrrConfig, envs: &[EnvSpec], on_policy: bool| {
             let (mean, std) = pool.feature_stats();
@@ -479,21 +450,18 @@ fn fig11(ctx: &mut Ctx, out: &mut String) -> Res {
         at: from_secs(15.0),
     };
     let env = EnvSpec::single_flow("fig11-step-24-96", link, 40.0, 480_000, 30.0, 60.0, SEED);
-    let gr = GrConfig::default();
-    let sage = ctx.sage()?;
     let bc = comparator(ctx, "bc")?;
-    let bc_policy = SagePolicy::new(bc, gr, SEED, ActionMode::Deterministic).with_name("bc");
-    let runs: Vec<(&str, Box<dyn CongestionControl>)> = vec![
-        ("vegas", heuristic("vegas")),
-        ("sage", policy(&sage, gr)),
-        ("bc", Box::new(bc_policy)),
+    let runs = [
+        Contender::Heuristic("vegas"),
+        ctx.sage_contender()?,
+        learned("bc", bc, GrConfig::default()),
     ];
     let mut rows = Vec::new();
-    for (name, cca) in runs {
-        let res = rollout(&env, name, cca, gr, SEED);
+    for c in &runs {
+        let res = c.rollout(&env, SEED);
         let d = idx.distances(&res.traj);
         rows.push(vec![
-            name.to_string(),
+            c.name().to_string(),
             format!("{:.3}", percentile(&d, 50.0)),
             format!("{:.3}", percentile(&d, 65.0)),
             format!("{:.3}", percentile(&d, 95.0)),
@@ -566,8 +534,7 @@ fn fig12(ctx: &mut Ctx, out: &mut String) -> Res {
 /// The paper's point: the most-similar scheme changes across environments,
 /// so sage is not a clone of any single heuristic.
 fn fig13(ctx: &mut Ctx, out: &mut String) -> Res {
-    let model = ctx.sage()?;
-    let gr = GrConfig::default();
+    let sage = ctx.sage_contender()?;
     let mut rng = Rng::new(SEED ^ 0xF13);
     let mut envs = ctx.envs();
     rng.shuffle(&mut envs);
@@ -579,11 +546,11 @@ fn fig13(ctx: &mut Ctx, out: &mut String) -> Res {
     header.push("argmax");
     let mut rows = Vec::new();
     for env in &envs {
-        let sage_run = rollout(env, "sage", policy(&model, gr), gr, SEED);
+        let sage_run = sage.rollout(env, SEED);
         let mut row = vec![env.id.clone()];
         let mut best = ("-", f64::NEG_INFINITY);
         for s in &schemes {
-            let run = rollout(env, s, heuristic(s), gr, SEED);
+            let run = Contender::Heuristic(s).rollout(env, SEED);
             let sim = similarity_index(&sage_run.traj, &run.traj);
             if sim > best.1 {
                 best = (s, sim);
@@ -626,7 +593,7 @@ fn fig14(ctx: &mut Ctx, out: &mut String) -> Res {
         let mut feats: Vec<Vec<f64>> = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
         for (ei, env) in set2_envs.iter().enumerate() {
-            let run = rollout(env, name, policy(model, *gr), *gr, SEED);
+            let run = learned(name, model.clone(), *gr).rollout(env, SEED);
             // Recompute hidden features over the recorded states
             // (subsampled to keep t-SNE O(n^2) small).
             let n = run.traj.len();
@@ -710,8 +677,7 @@ fn fig15(ctx: &mut Ctx, out: &mut String) -> Res {
 
 /// 20 ms min RTT and a 450 KB buffer, as in the paper (§7.6).
 fn fig17(ctx: &mut Ctx, out: &mut String) -> Res {
-    let model = ctx.sage()?;
-    let gr = GrConfig::default();
+    let sage = ctx.sage_contender()?;
     let env = |id: &str, link, cap| EnvSpec::single_flow(id, link, 20.0, 450_000, 60.0, cap, SEED);
     let step = |before_mbps, after_mbps| LinkModel::Step {
         before_mbps,
@@ -737,7 +703,7 @@ fn fig17(ctx: &mut Ctx, out: &mut String) -> Res {
         ),
     ];
     for (name, e) in scenarios {
-        let res = rollout(&e, "sage", policy(&model, gr), gr, SEED);
+        let res = sage.rollout(&e, SEED);
         let _ = writeln!(
             out,
             "\n== Fig.17 {name}: t(s)  rate(Mbps)  owd(ms)  cwnd(pkt) =="
@@ -802,34 +768,27 @@ fn fig18(ctx: &mut Ctx, out: &mut String) -> Res {
     Ok(())
 }
 
-/// `sage`, then each of `schemes`, each as the last flow to join `n_cubic`
-/// Cubic flows (started 0.1 s apart; the test flow at 1 s) on a 40 ms mRTT
-/// link: `(name, test-flow goodput, total Cubic goodput)` in Mbit/s.
+/// Each of `contenders` as the last flow to join `n_cubic` Cubic flows
+/// (started 0.1 s apart; the test flow at 1 s) on a 40 ms mRTT link:
+/// `(name, test-flow goodput, total Cubic goodput)` in Mbit/s.
 fn against_cubics(
-    model: &Arc<SageModel>,
-    schemes: &[&'static str],
+    contenders: &[Contender],
     n_cubic: usize,
     [mbps, secs]: [f64; 2],
     buffer_bytes: u64,
-) -> Vec<(&'static str, f64, f64)> {
+) -> Vec<(String, f64, f64)> {
     let link = LinkModel::Constant { mbps };
     let env = EnvSpec {
         competing_cubic: n_cubic,
         test_flow_start: from_secs(1.0),
         ..EnvSpec::single_flow("against-cubics", link, 40.0, buffer_bytes, secs, mbps, 0)
     };
-    let gr = GrConfig::default();
-    let sage = std::iter::once(("sage", policy(model, gr)));
-    let runs = sage.chain(schemes.iter().map(|s| (*s, heuristic(s))));
-    let result = |(name, cca)| {
-        let res = rollout(&env, name, cca, gr, SEED);
-        let cubic_total: f64 = res.all_stats[..n_cubic]
-            .iter()
-            .map(|s| s.avg_goodput_mbps)
-            .sum();
-        (name, res.stats.avg_goodput_mbps, cubic_total)
+    let cells = evaluate(contenders, &[env]).into_iter();
+    let result = |c: MatrixCell| {
+        let cubic_total: f64 = c.flow_goodputs[..n_cubic].iter().sum();
+        (c.scheme, c.goodput_mbps, cubic_total)
     };
-    runs.map(result).collect()
+    cells.map(result).collect()
 }
 
 /// TCP-friendliness beyond the training regime (§7.7): the pool only ever
@@ -837,23 +796,24 @@ fn against_cubics(
 /// 40 ms mRTT, BDP-buffer (240 KB) bottleneck with 3 (and 7) Cubic flows for
 /// 2 min.
 fn fig19(ctx: &mut Ctx, out: &mut String) -> Res {
-    let model = ctx.sage()?;
-    let schemes = ["cubic", "bbr2", "vegas", "ledbat", "copa", "vivace"];
+    let mut contenders = vec![ctx.sage_contender()?];
+    contenders.extend(heuristics([
+        "cubic", "bbr2", "vegas", "ledbat", "copa", "vivace",
+    ]));
     for (n_cubic, fig) in [(3usize, "19/28 (3 cubics)"), (7, "28 (7 cubics)")] {
         let fair = 48.0 / (n_cubic + 1) as f64;
-        let rows: Vec<Vec<String>> =
-            against_cubics(&model, &schemes, n_cubic, [48.0, 120.0], 240_000)
-                .into_iter()
-                .map(|(name, thr, cubic_total)| {
-                    vec![
-                        name.into(),
-                        format!("{thr:.1}"),
-                        format!("{fair:.1}"),
-                        format!("{:.2}", thr / fair),
-                        format!("{cubic_total:.1}"),
-                    ]
-                })
-                .collect();
+        let rows: Vec<Vec<String>> = against_cubics(&contenders, n_cubic, [48.0, 120.0], 240_000)
+            .into_iter()
+            .map(|(name, thr, cubic_total)| {
+                vec![
+                    name,
+                    format!("{thr:.1}"),
+                    format!("{fair:.1}"),
+                    format!("{:.2}", thr / fair),
+                    format!("{cubic_total:.1}"),
+                ]
+            })
+            .collect();
         table(
             out,
             &format!("Fig.{fig} — test flow vs {n_cubic} Cubic flows (48 Mbps, 40 ms, BDP buffer)"),
@@ -891,7 +851,7 @@ fn fig22(ctx: &mut Ctx, out: &mut String) -> Res {
                 ]
             })
             .collect();
-        rows.sort_by(|a, b| b[1].partial_cmp(&a[1]).expect("formatted numbers"));
+        sort_desc_on(&mut rows, 1);
         table(
             out,
             &format!("Fig.22 frontier — {label}"),
@@ -963,19 +923,19 @@ fn fig23(ctx: &mut Ctx, out: &mut String) -> Res {
 /// Set II scenarios at 24 Mbit/s, 40 ms mRTT with a 120 KB and a 1.92 MB
 /// buffer (Appendix F), ML-based (Fig. 24) and delay-based (Fig. 25) schemes.
 fn fig24(ctx: &mut Ctx, out: &mut String) -> Res {
-    let model = ctx.sage()?;
-    let schemes = [
+    let mut contenders = vec![ctx.sage_contender()?];
+    contenders.extend(heuristics([
         "cubic", "vegas", "copa", "c2tcp", "bbr2", "ledbat", "vivace",
-    ];
+    ]));
     for (label, buffer) in [
         ("small buffer 120KB", 120_000u64),
         ("large buffer 1.92MB", 1_920_000),
     ] {
-        let rows: Vec<Vec<String>> = against_cubics(&model, &schemes, 1, [24.0, 100.0], buffer)
+        let rows: Vec<Vec<String>> = against_cubics(&contenders, 1, [24.0, 100.0], buffer)
             .into_iter()
             .map(|(name, test, cubic)| {
                 vec![
-                    name.into(),
+                    name,
                     format!("{test:.1}"),
                     format!("{cubic:.1}"),
                     format!("{:.2}", test / 12.0),
@@ -1011,6 +971,22 @@ mod tests {
             let line = line.unwrap_or_else(|| panic!("--list has no row for {}", f.id));
             assert!(line.contains(f.file) && line.contains(f.about), "{line}");
         }
+    }
+
+    /// Numbers, not strings: "9.8" sorts below "47.7", and a tie keeps the
+    /// order the rows came in.
+    #[test]
+    fn rows_sort_on_the_printed_number() {
+        let row = |name: &str, thr: &str| vec![name.to_string(), thr.to_string()];
+        let mut rows = vec![
+            row("a", "9.8"),
+            row("b", "47.7"),
+            row("c", "9.8"),
+            row("d", "10.0"),
+        ];
+        sort_desc_on(&mut rows, 1);
+        let order: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(order, ["b", "d", "a", "c"]);
     }
 
     #[test]

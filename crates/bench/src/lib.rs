@@ -103,8 +103,9 @@ pub fn table(out: &mut String, title: &str, header: &[&str], rows: &[Vec<String>
 
 /// Run `schemes` through `envs` on the evaluation matrix at the pipeline's
 /// settings — Power exponent 2, the master seed, the configured worker
-/// count — logging progress every 100 cells. Every figure that rolls
-/// contenders through environments goes through here.
+/// count — logging progress every 100 cells. Every figure that reads a
+/// contender's metrics goes through here; the ones that read its trajectory
+/// call `Contender::rollout`.
 pub fn evaluate(schemes: &[Contender], envs: &[EnvSpec]) -> Vec<MatrixCell> {
     let spec = MatrixSpec {
         schemes: schemes.to_vec(),

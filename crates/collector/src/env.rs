@@ -50,8 +50,8 @@ pub struct EnvSpec {
     /// Total flows of the scheme under test sharing the bottleneck
     /// (intra-scheme fairness scenarios, Fig. 18); `1` is the classic single
     /// test flow. Additional flows join staggered by
-    /// [`EnvSpec::self_stagger`] after `test_flow_start` and need the
-    /// factory-based [`crate::rollout_with`] entry point.
+    /// [`EnvSpec::self_stagger`] after `test_flow_start`; [`crate::rollout`]
+    /// builds one controller per flow from its factory.
     pub self_flows: usize,
     /// Start-time stagger between successive self flows.
     pub self_stagger: Nanos,

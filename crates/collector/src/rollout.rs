@@ -87,42 +87,6 @@ fn build_sim(
     (Simulation::new(cfg, flows), test_idx)
 }
 
-/// Roll one scheme through one environment, recording its trajectory. The
-/// single `cca` is the flow under test; environments asking for same-scheme
-/// companions (`self_flows > 1`) need [`rollout_with`], which can build one
-/// instance per flow.
-pub fn rollout(
-    env: &EnvSpec,
-    scheme: &str,
-    cca: Box<dyn CongestionControl>,
-    gr_cfg: GrConfig,
-    seed: u64,
-) -> RolloutResult {
-    debug_assert!(
-        env.self_flows == 1,
-        "self-flow scenarios need the factory-based rollout_with"
-    );
-    rollout_flows(env, scheme, vec![cca], gr_cfg, seed)
-}
-
-/// [`rollout`] with a scheme factory: `mk(flow_seed)` is called once per
-/// flow of the scheme under test (`env.self_flows` times, with seeds
-/// `seed`, `seed + 1`, ...), so intra-scheme fairness scenarios can stamp
-/// out learned policies and heuristics alike. The first flow is the flow
-/// under test; its trajectory is the one recorded.
-pub fn rollout_with(
-    env: &EnvSpec,
-    scheme: &str,
-    mut mk: impl FnMut(u64) -> Box<dyn CongestionControl>,
-    gr_cfg: GrConfig,
-    seed: u64,
-) -> RolloutResult {
-    let ccas: Vec<Box<dyn CongestionControl>> = (0..env.self_flows as u64)
-        .map(|k| mk(seed.wrapping_add(k)))
-        .collect();
-    rollout_flows(env, scheme, ccas, gr_cfg, seed)
-}
-
 /// Flight-recorder span base for one (environment, scheme, seed) cell: a
 /// pure function of the cell identity, so spans are stable across thread
 /// counts and runs. The low id bits stay clear for per-flow offsets.
@@ -134,13 +98,22 @@ pub fn cell_span_base(env_id: &str, scheme: &str, seed: u64) -> u64 {
     h.finish() << 16
 }
 
-fn rollout_flows(
+/// Roll one scheme through one environment, recording its trajectory.
+/// `mk(flow_seed)` is called once per flow of the scheme under test
+/// (`env.self_flows` times, with seeds `seed`, `seed + 1`, ...), so
+/// intra-scheme fairness scenarios can stamp out learned policies and
+/// heuristics alike. The first flow is the flow under test; its trajectory
+/// is the one recorded.
+pub fn rollout(
     env: &EnvSpec,
     scheme: &str,
-    ccas: Vec<Box<dyn CongestionControl>>,
+    mut mk: impl FnMut(u64) -> Box<dyn CongestionControl>,
     gr_cfg: GrConfig,
     seed: u64,
 ) -> RolloutResult {
+    let ccas: Vec<Box<dyn CongestionControl>> = (0..env.self_flows as u64)
+        .map(|k| mk(seed.wrapping_add(k)))
+        .collect();
     let span_base = cell_span_base(&env.id, scheme, seed);
     let (mut sim, test_idx) = build_sim(env, ccas, seed, span_base);
     let mut mon = GrMonitor {
@@ -178,7 +151,7 @@ mod tests {
         let res = rollout(
             &env,
             "cubic",
-            build("cubic", 1).unwrap(),
+            |_| build("cubic", 1).unwrap(),
             GrConfig::default(),
             3,
         );
@@ -197,7 +170,7 @@ mod tests {
         let res = rollout(
             &env,
             "vegas",
-            build("vegas", 1).unwrap(),
+            |_| build("vegas", 1).unwrap(),
             GrConfig::default(),
             3,
         );
@@ -235,7 +208,7 @@ mod tests {
         let mut env = set1_flat_grid(6.0)[7].clone();
         env.self_flows = 3;
         env.self_stagger = sage_netsim::time::from_secs(1.0);
-        let res = rollout_with(
+        let res = rollout(
             &env,
             "cubic",
             |s| build("cubic", s).unwrap(),
@@ -256,14 +229,14 @@ mod tests {
         let a = rollout(
             &env,
             "cubic",
-            build("cubic", 1).unwrap(),
+            |_| build("cubic", 1).unwrap(),
             GrConfig::default(),
             5,
         );
         let b = rollout(
             &env,
             "cubic",
-            build("cubic", 1).unwrap(),
+            |_| build("cubic", 1).unwrap(),
             GrConfig::default(),
             5,
         );

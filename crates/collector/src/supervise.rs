@@ -56,9 +56,9 @@ fn run_cell(
                 clippy::panic,
                 reason = "the panic is intentional here — the unwind is caught just above and becomes a supervised retry, and an unknown scheme name is a programming error"
             )]
-            let cca =
-                build(scheme, build_seed).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
-            rollout(env, scheme, cca, gr_cfg, roll_seed)
+            let mk =
+                |_| build(scheme, build_seed).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
+            rollout(env, scheme, mk, gr_cfg, roll_seed)
         }));
         match outcome {
             Ok(res) if !diverged(&res.traj) => {

@@ -14,6 +14,7 @@ use crate::model::SageModel;
 use crate::policy::{ActionMode, SagePolicy};
 use sage_collector::{rollout, EnvSpec, Pool};
 use sage_gr::GrConfig;
+use sage_transport::CongestionControl;
 use sage_util::Rng;
 use std::sync::Arc;
 
@@ -62,20 +63,14 @@ impl OnlineRlTrainer {
         for _ in 0..rollouts_per_iter {
             let env = self.rng.choose(envs).clone();
             // Snapshot the current model for acting.
-            let model = self.snapshot_model();
-            let cca = SagePolicy::new(
-                Arc::new(model),
-                self.gr_cfg,
-                self.rng.next_u64(),
-                ActionMode::Sample,
-            );
-            let res = rollout(
-                &env,
-                "online",
-                Box::new(cca),
-                self.gr_cfg,
-                self.rng.next_u64(),
-            );
+            let model = Arc::new(self.snapshot_model());
+            let (policy_seed, roll_seed) = (self.rng.next_u64(), self.rng.next_u64());
+            let gr_cfg = self.gr_cfg;
+            let mk = |_| -> Box<dyn CongestionControl> {
+                let mode = ActionMode::Sample;
+                Box::new(SagePolicy::new(model.clone(), gr_cfg, policy_seed, mode))
+            };
+            let res = rollout(&env, "online", mk, gr_cfg, roll_seed);
             self.replay.trajectories.push(res.traj);
             while self.replay.trajectories.len() > self.capacity {
                 self.replay.trajectories.remove(0);

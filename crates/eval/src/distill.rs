@@ -12,7 +12,7 @@
 //! harvested flow is the policy in `Deterministic` mode — so the harvested
 //! dataset digest is byte-identical at any `SAGE_THREADS`.
 
-use sage_collector::{rollout_with, EnvSpec};
+use sage_collector::{rollout, EnvSpec};
 use sage_core::model::SageModel;
 use sage_core::{ActionMode, SagePolicy};
 use sage_distill::{Dataset, SymbolicModel};
@@ -72,7 +72,7 @@ impl CongestionControl for HarvestCc {
 fn harvest_scenario(model: &Arc<SageModel>, gr_cfg: GrConfig, env: &EnvSpec, seed: u64) -> Dataset {
     let sink: Sink = Arc::new(Mutex::new(Vec::new()));
     let mut first = true;
-    rollout_with(
+    rollout(
         env,
         "sage",
         |_flow_seed| {
@@ -242,12 +242,12 @@ mod tests {
             .expect("grid scenario");
         let gr_cfg = GrConfig::default();
         let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-        let policy = SagePolicy::new(model, gr_cfg, 0, ActionMode::Deterministic);
-        let cca = Box::new(HarvestCc {
-            policy,
-            sink: sink.clone(),
-        });
-        let traj = sage_collector::rollout(&env, "sage", cca, gr_cfg, 5).traj;
+        let mk = |_| -> Box<dyn CongestionControl> {
+            let policy = SagePolicy::new(model.clone(), gr_cfg, 0, ActionMode::Deterministic);
+            let sink = sink.clone();
+            Box::new(HarvestCc { policy, sink })
+        };
+        let traj = rollout(&env, "sage", mk, gr_cfg, 5).traj;
         let rows = sink.lock().unwrap();
         assert_eq!(rows.len(), traj.len(), "one observation per recorded tick");
         assert!(rows.len() >= 500);

@@ -19,7 +19,7 @@ use crate::adversary::{decode, GENOME_DIM};
 use crate::runner::Contender;
 use crate::score::{interval_scores, jain_fairness, RunScore, ScoreKind, INTERVALS};
 use crate::set3::{scenario_grid, set3_env};
-use sage_collector::{rollout_with, training_envs, EnvSpec, SetKind};
+use sage_collector::{training_envs, EnvSpec, SetKind};
 use sage_netsim::internet::{bdp_bytes, InternetProfile};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
@@ -400,8 +400,8 @@ fn cell_digest(cell: &MatrixCell) -> u64 {
 /// Points per exported ramp-up series (`MatrixCell::series`).
 pub const SERIES_POINTS: usize = 24;
 
-/// The one place a [`Contender`] meets an [`EnvSpec`]: build, roll out,
-/// score. A panic inside the rollout yields a dead (`!completed`) cell.
+/// One matrix cell: [`Contender::rollout`], then the scores. A panic inside
+/// the rollout yields a dead (`!completed`) cell.
 pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) -> MatrixCell {
     let env = &sc.env;
     let kind = match env.set {
@@ -442,9 +442,7 @@ pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) 
         seed,
         0,
     );
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        rollout_with(env, c.name(), |s| c.build(env, s), c.gr_cfg(), seed)
-    }));
+    let run = catch_unwind(AssertUnwindSafe(|| c.rollout(env, seed)));
     if let Err(_panic) = &run {
         // Crash forensics, mirroring the supervised-collection path: mark
         // the panic and dump the per-thread event tail.

@@ -85,10 +85,12 @@ cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 # tree computes: the `figures` rows over the evaluation matrix (≈5 s) rewrite
 # EVAL_matrix.json, FAIRNESS_trace.md and set3.txt, and OBS_slo.json unless
 # an SLO breaches (then the row fails and figures exits 1); `adv` (≈2 s)
-# rewrites ADV_hardest.json; each row rewrites its MANIFEST.json entry. A
-# byte under artifacts/results/ that differs from the committed file fails.
+# rewrites ADV_hardest.json; the rows that read only sage.model and train
+# nothing (fig08 fig17 fig19 fig22 fig23 fig24, ≈5 s) rewrite their
+# tables; each row rewrites its MANIFEST.json entry. A byte under
+# artifacts/results/ that differs from the committed file fails.
 echo "== evaluation gate: the figures rows reproduce the committed reports =="
-./target/release/figures matrix slo fairness set3 adv
+./target/release/figures matrix slo fairness set3 adv fig08 fig17 fig19 fig22 fig23 fig24
 git diff --exit-code -- artifacts/results/
 
 # Opt-in ThreadSanitizer lane over the parallel runtime (SAGE_TSAN=1).
