@@ -262,6 +262,8 @@ impl CrrTrainer {
     /// the target networks and the critic's advantage pass on the graph-free
     /// `infer` path. The online policy runs forward once: the advantage
     /// weights sample from the mixtures of the tape its gradient is taken on.
+    /// Both stores' gradients arrive zeroed: `Adam::step` zeroes each as its
+    /// update reads it.
     ///
     /// # Panics
     ///
@@ -280,7 +282,6 @@ impl CrrTrainer {
         // ----- Policy evaluation (critic), skipped in BC mode -----
         if !self.cfg.bc_only {
             let target_probs = self.target_distribution(&states, &rewards);
-            self.critic_store.zero_grads();
             let (losses, mean_q) = critic_grads(
                 &mut self.critic_graph,
                 &self.critic,
@@ -310,7 +311,6 @@ impl CrrTrainer {
         };
         metrics.mean_weight = weights.iter().flatten().sum::<f64>() / (l * b) as f64;
 
-        self.model.store.zero_grads();
         let losses = policy_loss_grads(
             &mut self.policy_graph,
             &self.model.policy,

@@ -14,6 +14,12 @@ pub use sage_gr::action::{
     ACTION_SCALE, LOG_ACTION_MAX, LOG_ACTION_MIN, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
 };
 
+/// The leaky ReLU every hidden layer applies (slope 0.01), as the fused
+/// graph-free passes apply it.
+fn lrelu(x: f64) -> f64 {
+    sage_nn::infer::leaky(x, 0.01)
+}
+
 /// Architecture hyper-parameters. The paper's sizes (encoder FC 256,
 /// GRU 1024) are scaled down for single-core training; topology is
 /// identical.
@@ -242,6 +248,19 @@ impl PolicyNet {
         x: NodeId,
         h: NodeId,
     ) -> (GmmNodes, NodeId) {
+        let (z, new_h) = self.step_features(g, store, x, h);
+        (self.head.fwd(g, store, z), new_h)
+    }
+
+    /// [`PolicyNet::step`] up to the mixture head: the trunk features and
+    /// the new hidden.
+    fn step_features(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: NodeId,
+        h: NodeId,
+    ) -> (NodeId, NodeId) {
         let e = self.enc1a.fwd(g, store, x);
         let e = g.lrelu(e, 0.01);
         let e = self.enc1b.fwd(g, store, e);
@@ -267,8 +286,7 @@ impl PolicyNet {
         for rb in &self.res {
             z = rb.fwd(g, store, z);
         }
-        let nodes = self.head.fwd(g, store, z);
-        (nodes, new_h)
+        (z, new_h)
     }
 
     /// Graph-free batched timestep: consumes `x` `[B,D]` and hidden `[B,H]`,
@@ -309,9 +327,8 @@ impl PolicyNet {
     /// The recurrent half of a step: the features entering the post-GRU
     /// stack, which are the new hidden state when there is a GRU.
     fn recurrent_features(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
-        use sage_nn::infer;
-        let e = infer::lrelu(&self.enc1a.infer(store, x), 0.01);
-        let e = infer::lrelu(&self.enc1b.infer(store, &e), 0.01);
+        let e = self.enc1a.infer_map(store, x, lrelu);
+        let e = self.enc1b.infer_map(store, &e, lrelu);
         match &self.gru {
             Some(cell) => cell.infer_step(store, &e, h),
             None => e,
@@ -321,10 +338,9 @@ impl PolicyNet {
     /// The trunk of a step: post-GRU norm, second encoder, FC and residual
     /// blocks over the recurrent half's features, up to the mixture head.
     fn trunk_infer(&self, store: &ParamStore, feat: &Array) -> Array {
-        use sage_nn::infer;
-        let n = infer::lrelu(&self.post_ln.infer(store, feat), 0.01);
+        let n = self.post_ln.infer_map(store, feat, lrelu);
         let t = match &self.enc2 {
-            Some(enc) => infer::tanh(&enc.infer(store, &n)),
+            Some(enc) => enc.infer_map(store, &n, f64::tanh),
             None => n,
         };
         debug_assert_eq!(t.cols, self.trunk_in);
@@ -402,28 +418,28 @@ impl CriticNet {
     /// action is the last column, so the fold over a state's `D` columns is
     /// made once per state and each action continues it with its one term
     /// `a·W[D][j]` — skipped, not added, when `a` is `±0.0`, as the product
-    /// skips a zero of its left operand — then the bias.
+    /// skips a zero of its left operand — then the bias, and the activation
+    /// in the same write.
     pub fn logits_infer(&self, store: &ParamStore, state: &Array, actions: &Array) -> Array {
-        use sage_nn::infer;
         assert_eq!(state.rows, actions.rows, "one row of actions per state");
         let (w, bias) = (store.get(self.l1.w), &store.get(self.l1.b).data);
         let (d, width) = (state.cols, w.cols);
         assert_eq!(w.rows, d + 1, "critic input is [state | action]");
-        let prefix = infer::matmul_prefix(state, w);
+        let prefix = sage_nn::infer::matmul_prefix(state, w);
         let w_action = &w.data[d * width..];
         let mut h = Vec::with_capacity(actions.data.len() * width);
         for (fold, row_actions) in prefix.row_slices().zip(actions.row_slices()) {
             for &a in row_actions {
                 if a == 0.0 {
-                    h.extend(fold.iter().zip(bias).map(|(&f, &b)| f + b));
+                    h.extend(fold.iter().zip(bias).map(|(&f, &b)| lrelu(f + b)));
                 } else {
                     let terms = fold.iter().zip(w_action).zip(bias);
-                    h.extend(terms.map(|((&f, &wa), &b)| f + a * wa + b));
+                    h.extend(terms.map(|((&f, &wa), &b)| lrelu(f + a * wa + b)));
                 }
             }
         }
-        let h = infer::lrelu(&Array::from_vec(actions.data.len(), width, h), 0.01);
-        let h = infer::lrelu(&self.l2.infer(store, &h), 0.01);
+        let h = Array::from_vec(actions.data.len(), width, h);
+        let h = self.l2.infer_map(store, &h, lrelu);
         self.out.infer(store, &h)
     }
 
@@ -627,35 +643,25 @@ mod tests {
         }
     }
 
-    /// `step_infer` as one body, before it became the trunk composed on the
-    /// recurrent half: kept as the oracle of both halves. Also returns the
-    /// trunk features the head reads.
+    /// The step on the autodiff graph — what training interprets — with the
+    /// trunk features the head reads: the oracle of the fused graph-free
+    /// halves.
     fn step_infer_oracle(
         net: &PolicyNet,
         store: &ParamStore,
         x: &Array,
         h: &Array,
     ) -> (GmmBatch, Array, Array) {
-        use sage_nn::infer;
-        let e = infer::lrelu(&net.enc1a.infer(store, x), 0.01);
-        let e = infer::lrelu(&net.enc1b.infer(store, &e), 0.01);
-        let (feat, new_h) = match &net.gru {
-            Some(cell) => {
-                let h1 = cell.infer_step(store, &e, h);
-                (h1.clone(), h1)
-            }
-            None => (e, h.clone()),
+        let mut g = Graph::new();
+        let (xn, hn) = (g.input(x.clone()), g.input(h.clone()));
+        let (z, new_h) = net.step_features(&mut g, store, xn, hn);
+        let nodes = net.head.fwd(&mut g, store, z);
+        let mix = GmmBatch {
+            means: g.value(nodes.means).clone(),
+            log_stds: g.value(nodes.log_stds).clone(),
+            logits: g.value(nodes.logits).clone(),
         };
-        let n = infer::lrelu(&net.post_ln.infer(store, &feat), 0.01);
-        let t = match &net.enc2 {
-            Some(enc) => infer::tanh(&enc.infer(store, &n)),
-            None => n,
-        };
-        let mut z = net.fc.infer(store, &t);
-        for rb in &net.res {
-            z = rb.infer(store, &z);
-        }
-        (net.head.infer(store, &z), new_h, z)
+        (mix, g.value(new_h).clone(), g.value(z).clone())
     }
 
     #[test]

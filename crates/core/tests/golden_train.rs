@@ -10,12 +10,15 @@
 //! SAGE_REGEN_GOLDEN=1 cargo test -p sage-core --test golden_train
 //! ```
 //!
-//! and commit the updated `tests/golden/train_tiny*.txt` alongside the change.
+//! and commit the updated `tests/golden/train_*.txt` alongside the change.
 //! `train_tiny_bc.txt` is the same run in behavioural-cloning mode
 //! (`bc_only: true`: constant filter, no critic); `train_tiny_refresh.txt`
 //! runs 12 steps at `target_period: 3`, so four target refreshes fall inside
 //! it (the other two, and the benchmark's 20 steps, stay below the default
 //! period of 100 and never see a step after `copy_values_from`).
+//! `train_default.txt` runs 3 steps of the shipped shapes — `NetConfig::default()`,
+//! batch 16, unroll 8 — whose product tiles (48, 64, 41 and 3 columns) and
+//! eight-row critic fold the tiny net never reaches.
 
 use sage_collector::{collect_pool, training_envs};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig};
@@ -30,9 +33,23 @@ fn golden_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-/// The miniature run: deterministic pool from two Set I + one Set II env,
-/// tiny network, `steps` gradient steps.
-fn run(bc_only: bool, target_period: u64, steps: usize) -> String {
+/// The tiny network the miniature runs train.
+fn tiny_net() -> NetConfig {
+    NetConfig {
+        enc1: 8,
+        gru: 8,
+        enc2: 8,
+        fc: 8,
+        residual_blocks: 1,
+        critic_hidden: 16,
+        atoms: 11,
+        ..NetConfig::default()
+    }
+}
+
+/// A miniature run: deterministic pool from two Set I + one Set II env,
+/// `steps` gradient steps of `cfg`.
+fn run(cfg: CrrConfig, steps: usize) -> String {
     let envs = training_envs(2, 1, 2.0, 13);
     let pool = collect_pool(
         &envs,
@@ -41,24 +58,6 @@ fn run(bc_only: bool, target_period: u64, steps: usize) -> String {
         4,
         |_, _| {},
     );
-    let cfg = CrrConfig {
-        net: NetConfig {
-            enc1: 8,
-            gru: 8,
-            enc2: 8,
-            fc: 8,
-            residual_blocks: 1,
-            critic_hidden: 16,
-            atoms: 11,
-            ..NetConfig::default()
-        },
-        batch: 8,
-        unroll: 4,
-        seed: 17,
-        bc_only,
-        target_period,
-        ..CrrConfig::default()
-    };
     let mut tr = CrrTrainer::new(cfg, &pool);
     // Loss values are recorded as raw f64 bits (hex): the contract is exact
     // reproduction, not approximate similarity.
@@ -78,8 +77,21 @@ fn run(bc_only: bool, target_period: u64, steps: usize) -> String {
     out
 }
 
-fn check(file: &str, bc_only: bool, target_period: u64, steps: usize) {
-    let got = run(bc_only, target_period, steps);
+/// The tiny network's run, in CRR or BC mode.
+fn tiny(bc_only: bool, target_period: u64) -> CrrConfig {
+    CrrConfig {
+        net: tiny_net(),
+        batch: 8,
+        unroll: 4,
+        seed: 17,
+        bc_only,
+        target_period,
+        ..CrrConfig::default()
+    }
+}
+
+fn check(file: &str, cfg: CrrConfig, steps: usize) {
+    let got = run(cfg, steps);
     let path = golden_path(file);
     if sage_util::env_cfg::regen_golden() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -103,15 +115,27 @@ fn check(file: &str, bc_only: bool, target_period: u64, steps: usize) {
 
 #[test]
 fn miniature_training_run_matches_golden() {
-    check("train_tiny.txt", false, 100, 8);
+    check("train_tiny.txt", tiny(false, 100), 8);
 }
 
 #[test]
 fn miniature_bc_run_matches_golden() {
-    check("train_tiny_bc.txt", true, 100, 8);
+    check("train_tiny_bc.txt", tiny(true, 100), 8);
 }
 
 #[test]
 fn miniature_run_across_target_refreshes_matches_golden() {
-    check("train_tiny_refresh.txt", false, 3, 12);
+    check("train_tiny_refresh.txt", tiny(false, 3), 12);
+}
+
+#[test]
+fn default_width_training_run_matches_golden() {
+    let cfg = CrrConfig {
+        net: NetConfig::default(),
+        batch: 16,
+        unroll: 8,
+        seed: 17,
+        ..CrrConfig::default()
+    };
+    check("train_default.txt", cfg, 3);
 }

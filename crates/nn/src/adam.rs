@@ -26,8 +26,9 @@ impl Adam {
         }
     }
 
-    /// Apply one update from the gradients accumulated in `store`, then zero
-    /// them. Returns the (pre-clip) global gradient norm.
+    /// Apply one update from the gradients accumulated in `store`, zeroing
+    /// each as the update reads it (no separate pass). Returns the
+    /// (pre-clip) global gradient norm.
     pub fn step(&mut self, store: &mut ParamStore) -> f64 {
         self.t += 1;
         let mut sq = 0.0;
@@ -48,8 +49,8 @@ impl Adam {
             // the chain (sqrt and both divisions included) vectorises, and
             // each lane is the scalar expression, IEEE-exact.
             let moments = p.m.data.iter_mut().zip(&mut p.v.data);
-            for ((w, &g), (m, v)) in p.value.data.iter_mut().zip(&p.grad.data).zip(moments) {
-                let g = g * scale;
+            for ((w, g), (m, v)) in p.value.data.iter_mut().zip(&mut p.grad.data).zip(moments) {
+                let g = std::mem::replace(g, 0.0) * scale;
                 *m = beta1 * *m + (1.0 - beta1) * g;
                 *v = beta2 * *v + (1.0 - beta2) * g * g;
                 let mhat = *m / bc1;
@@ -57,7 +58,6 @@ impl Adam {
                 *w -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
-        store.zero_grads();
         norm
     }
 }

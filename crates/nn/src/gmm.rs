@@ -73,13 +73,11 @@ impl GmmHead {
     /// (see [`crate::infer`]). Returns the raw `[B,K]` mixture parameter
     /// matrices; extract a flow's mixture with [`GmmBatch::row`].
     pub fn infer(&self, store: &ParamStore, x: &crate::array::Array) -> GmmBatch {
-        use crate::infer;
         let means = self.mean.infer(store, x);
-        let raw = self.log_std.infer(store, x);
-        let t = infer::tanh(&raw);
         let half_range = (LOG_STD_MAX - LOG_STD_MIN) / 2.0;
         let mid = (LOG_STD_MAX + LOG_STD_MIN) / 2.0;
-        let log_stds = infer::add_const(&infer::scale(&t, half_range), mid);
+        let squash = |v: f64| v.tanh() * half_range + mid;
+        let log_stds = self.log_std.infer_map(store, x, squash);
         let logits = self.logit.infer(store, x);
         GmmBatch {
             means,

@@ -8,17 +8,21 @@
 //! depends on row `r` of its operands only, so a graph of `[B, ·]` nodes
 //! computes, row for row, the bits that `B` one-row graphs would. The one
 //! place rows meet is a parameter's gradient, and there the order of the
-//! sum is a contract — see [`Graph::backward_rows`].
+//! sum is a contract — see [`Graph::backward_rows`]. A layer's `x · W + b` is
+//! one [`Graph::affine`] node: the bits of `matmul` then `add_row`, with the
+//! bias added in the product's own buffer, and one gradient that backward
+//! hands to the weight's and the bias's reductions without copying it.
 //!
 //! **Memory.** A graph that lives across passes is [`Graph::clear`]ed, not
 //! rebuilt: clearing keeps every node's value buffer, and the node pushed at
 //! the same position of the next tape is written into it, so a trainer whose
 //! passes repeat one schedule allocates during the first and never again.
-//! Backward draws gradients, weight transposes and the stacked operands of
-//! the ordered reduction from a [`Workspace`] kept the same way. Both are
-//! bounded by one pass's live set: clearing drops the buffers the last tape
-//! left unclaimed, and the workspace allocates only when every buffer it
-//! owns is in use. `Graph::new()` per pass still works and costs what it
+//! Backward draws gradients and weight transposes from a [`Workspace`] kept
+//! the same way; the ordered reduction reads its rows where they lie, through
+//! a table of row slices ([`infer::fold_tn_into`]), and stacks nothing. Both
+//! are bounded by one pass's live set: clearing drops the buffers the last
+//! tape left unclaimed, and the workspace allocates only when every buffer
+//! it owns is in use. `Graph::new()` per pass still works and costs what it
 //! always did.
 
 use crate::array::Array;
@@ -34,6 +38,13 @@ enum Op {
     MatMul(NodeId, NodeId),
     /// `x[n,d] + bias[1,d]` broadcast over rows.
     AddRow(NodeId, NodeId),
+    /// `x · w + b`, `b[1,d]` broadcast over rows: the value of `matmul` and
+    /// then `add_row`, in one node.
+    Affine {
+        x: NodeId,
+        w: NodeId,
+        b: NodeId,
+    },
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
     Mul(NodeId, NodeId),
@@ -56,11 +67,15 @@ enum Op {
     },
     /// Log-probability of a scalar action under a Gaussian mixture.
     /// means/log_stds/logits are `[n,K]`; action is a leaf `[n,1]`; out `[n,1]`.
+    /// `terms` is the leaf `[n,3K]` holding, per row, the responsibilities,
+    /// the mixture weights and the standard deviations the forward pass
+    /// computed, for backward to read instead of recomputing.
     GmmLogProb {
         means: NodeId,
         log_stds: NodeId,
         logits: NodeId,
         action: NodeId,
+        terms: NodeId,
     },
     /// Per-row cross-entropy of softmax(logits) against target probs
     /// `[n,A] -> [n,1]`; `probs` is the leaf holding `softmax(logits)`.
@@ -81,14 +96,46 @@ struct Node {
 
 /// One op's share of a parameter's gradient, left unreduced: row `r` of the
 /// op contributes `x[r]ᵀ · g[r]` — an outer product for a weight under
-/// `matmul`; for a `[1,d]` bias or gain broadcast over rows there is no `x`
-/// (every row's factor is 1) and the contribution is the row `g[r]` itself.
+/// `matmul` or `affine`; for a `[1,d]` bias or gain broadcast over rows there
+/// is no `x` (every row's factor is 1) and the contribution is the row `g[r]`
+/// itself.
 struct ParamRef {
     /// The consuming op's node (the fold order) and the parameter consumed.
     op: NodeId,
     id: ParamId,
     x: Option<NodeId>,
-    g: Array,
+    /// Index of the rows `g` in [`ParamRefs::grads`]: an affine node's
+    /// weight and bias share one.
+    g: usize,
+}
+
+/// The unreduced contributions of one sweep and the gradient rows they
+/// read.
+#[derive(Default)]
+struct ParamRefs {
+    refs: Vec<ParamRef>,
+    grads: Vec<Array>,
+}
+
+impl ParamRefs {
+    /// Record `g` and return its index.
+    fn keep(&mut self, g: Array) -> usize {
+        self.grads.push(g);
+        self.grads.len() - 1
+    }
+
+    fn push(&mut self, op: NodeId, id: ParamId, x: Option<NodeId>, g: usize) {
+        self.refs.push(ParamRef { op, id, x, g });
+    }
+}
+
+/// The rows of one parameter's fold, in fold order ([`Graph::reduce`]),
+/// and where its segments end.
+#[derive(Default)]
+struct FoldRows<'a> {
+    xs: Vec<&'a [f64]>,
+    gs: Vec<&'a [f64]>,
+    ends: Vec<usize>,
 }
 
 /// What backward keeps between calls (module docs, **Memory**).
@@ -98,13 +145,11 @@ struct Workspace {
     free: Vec<Vec<f64>>,
     /// Per node, the gradient accumulated so far by the running sweep.
     grads: Vec<Option<Array>>,
-    /// Per node, its transpose as the right operand of a `matmul` and
-    /// whether the running sweep has made it yet (the buffer outlives the
-    /// sweep).
+    /// Per node, its transpose as the right operand of a `matmul` or
+    /// `affine` and whether the running sweep has made it yet (the buffer
+    /// outlives the sweep).
     transposed: Vec<(bool, Array)>,
-    refs: Vec<ParamRef>,
-    /// The stacked operands of [`Graph::reduce`].
-    stacked: (Array, Array),
+    refs: ParamRefs,
 }
 
 impl Workspace {
@@ -143,10 +188,21 @@ impl Workspace {
         Array::from_vec(rows, cols, buf)
     }
 
-    /// Take back the gradients of reduced `refs` and their emptied list.
-    fn recycle(&mut self, mut refs: Vec<ParamRef>) {
-        self.free.extend(refs.drain(..).map(|r| r.g.data));
+    /// Take back the gradients of reduced `refs` and their emptied lists.
+    fn recycle(&mut self, mut refs: ParamRefs) {
+        self.free.extend(refs.grads.drain(..).map(|g| g.data));
+        refs.refs.clear();
         self.refs = refs;
+    }
+
+    /// `node`'s value transposed, made once per sweep (module docs).
+    fn transpose_of(&mut self, nodes: &[Node], node: NodeId) -> &Array {
+        let (fresh, t) = &mut self.transposed[node];
+        if !*fresh {
+            *t = nodes[node].val.t_into(std::mem::take(&mut t.data));
+            *fresh = true;
+        }
+        t
     }
 }
 
@@ -250,7 +306,8 @@ impl Graph {
     /// value. A graph therefore reads one store. The gradient is a sum over
     /// rows in a contracted order ([`Graph::backward_rows`]), so only the ops
     /// that make that sum may consume the node: `matmul` (right operand),
-    /// `add_row` (bias) and `layer_norm` (gain, bias).
+    /// `affine` (weight, bias), `add_row` (bias) and `layer_norm` (gain,
+    /// bias).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         if self.param_nodes.len() <= id {
             self.param_nodes.resize(id + 1, None);
@@ -273,8 +330,22 @@ impl Graph {
     /// Broadcast-add a `[1,d]` bias row to every row of x.
     pub fn add_row(&mut self, x: NodeId, bias: NodeId) -> NodeId {
         let buf = self.buf();
-        let v = infer::add_row(self.nodes[x].val.copy_into(buf), &self.nodes[bias].val);
+        let mut v = self.nodes[x].val.copy_into(buf);
+        assert_eq!(self.nodes[bias].val.rows, 1, "bias is one row");
+        infer::map_rows(&mut v, &self.nodes[bias].val.data, |v, b| v + b);
         self.push(v, Op::AddRow(x, bias), self.wants_grad(&[x, bias]))
+    }
+
+    /// `x · w + b` with the `[1,d]` bias `b` broadcast over rows: the bits
+    /// of `add_row(matmul(x, w), b)` in one node, the bias added in the
+    /// product's own buffer. Backward hands its one gradient to the weight
+    /// and to the bias uncopied.
+    pub fn affine(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
+        let buf = self.buf();
+        let mut v = infer::matmul_into(buf, &self.nodes[x].val, &self.nodes[w].val);
+        assert_eq!(self.nodes[b].val.rows, 1, "bias is one row");
+        infer::map_rows(&mut v, &self.nodes[b].val.data, |v, b| v + b);
+        self.push(v, Op::Affine { x, w, b }, self.wants_grad(&[x, w, b]))
     }
 
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
@@ -302,13 +373,12 @@ impl Graph {
     }
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        self.push_map(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
+        self.push_map(a, Op::Sigmoid(a), infer::logistic)
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn lrelu(&mut self, a: NodeId, slope: f64) -> NodeId {
-        let f = |x| if x >= 0.0 { x } else { slope * x };
-        self.push_map(a, Op::LRelu(a, slope), f)
+        self.push_map(a, Op::LRelu(a, slope), |x| infer::leaky(x, slope))
     }
 
     pub fn exp(&mut self, a: NodeId) -> NodeId {
@@ -347,6 +417,7 @@ impl Graph {
             &self.nodes[x].val,
             &self.nodes[gain].val,
             &self.nodes[bias].val,
+            |v| v,
         );
         let wants_grad = self.wants_grad(&[x, gain, bias]);
         self.push(v, Op::LayerNorm { x, gain, bias }, wants_grad)
@@ -362,7 +433,7 @@ impl Graph {
         logits: NodeId,
         action: NodeId,
     ) -> NodeId {
-        let mut buf = self.buf();
+        let (mut terms, mut logp) = (self.buf(), self.buf_ahead(1));
         let (mv, sv, wv, av) = (
             &self.nodes[means].val,
             &self.nodes[log_stds].val,
@@ -373,23 +444,23 @@ impl Graph {
         assert_eq!(sv.shape(), (n, k));
         assert_eq!(wv.shape(), (n, k));
         assert_eq!(av.shape(), (n, 1));
-        let (mut resp, mut weights) = (vec![0.0; k], vec![0.0; k]);
-        for (((m, s), w), &a) in mv
-            .row_slices()
-            .zip(sv.row_slices())
-            .zip(wv.row_slices())
-            .zip(&av.data)
-        {
-            buf.push(gmm_row_logp(m, s, w, a, &mut resp, &mut weights));
+        terms.resize(n * 3 * k, 0.0);
+        let rows = mv.row_slices().zip(sv.row_slices()).zip(wv.row_slices());
+        for ((((m, s), w), &a), row) in rows.zip(&av.data).zip(terms.chunks_exact_mut(3 * k)) {
+            let (resp, rest) = row.split_at_mut(k);
+            let (weights, sigmas) = rest.split_at_mut(k);
+            logp.push(gmm_row_logp(m, s, w, a, resp, weights, sigmas));
         }
+        let terms = self.push(Array::from_vec(n, 3 * k, terms), Op::Leaf, false);
         let op = Op::GmmLogProb {
             means,
             log_stds,
             logits,
             action,
+            terms,
         };
         let wants_grad = self.wants_grad(&[means, log_stds, logits]);
-        self.push(Array::from_vec(n, 1, buf), op, wants_grad)
+        self.push(Array::from_vec(n, 1, logp), op, wants_grad)
     }
 
     /// Cross-entropy per row of softmax(logits) against target probabilities.
@@ -455,7 +526,8 @@ impl Graph {
     /// over the ops that consumed the parameter in node order, of that
     /// sample's partial sum for that op: its rows' contributions
     /// ([`ParamRef`]) folded left from `+0.0` in row order, the multiply and
-    /// the add separate (no FMA). These are the bits
+    /// the add separate (no FMA). An `affine` node is one op of its weight
+    /// and one of its bias. These are the bits
     /// that `samples` graphs of one sample each produce when their
     /// [`Graph::param_grads`] pairs are added in sample order, and what the
     /// fixed-seed training goldens pin. The fold is then added to the store
@@ -469,9 +541,10 @@ impl Graph {
     ) {
         let mut ws = std::mem::take(&mut self.workspace);
         let mut refs = self.param_refs(out, seed, &mut ws);
-        refs.sort_by_key(|r| (r.id, r.op));
-        for of_param in refs.chunk_by(|a, b| a.id == b.id) {
-            let grad = self.reduce(of_param, samples, &mut ws);
+        refs.refs.sort_by_key(|r| (r.id, r.op));
+        let mut rows = FoldRows::default();
+        for of_param in refs.refs.chunk_by(|a, b| a.id == b.id) {
+            let grad = self.reduce(of_param, &refs.grads, samples, &mut ws, &mut rows);
             store.params[of_param[0].id].grad.add_assign(&grad);
             ws.give(grad);
         }
@@ -491,10 +564,10 @@ impl Graph {
         assert_eq!(self.nodes[loss].val.shape(), (1, 1), "loss must be scalar");
         let mut ws = std::mem::take(&mut self.workspace);
         let mut refs = self.param_refs(loss, 1.0, &mut ws);
-        refs.sort_by_key(|r| r.op);
-        let pairs = refs
-            .chunks(1)
-            .map(|r| (r[0].id, self.reduce(r, 1, &mut ws)))
+        refs.refs.sort_by_key(|r| r.op);
+        let mut rows = FoldRows::default();
+        let pairs = (refs.refs.chunks(1))
+            .map(|r| (r[0].id, self.reduce(r, &refs.grads, 1, &mut ws, &mut rows)))
             .collect();
         ws.recycle(refs);
         self.workspace = ws;
@@ -502,86 +575,75 @@ impl Graph {
     }
 
     /// The fold of [`Graph::backward_rows`] for one parameter, `refs` in op
-    /// order. `Xᵀ·G` over stacked rows is that fold when the stacking order
-    /// is the fold order: [`infer::matmul_tn`] (it reads `X` by stride; no
-    /// transposed copy) keeps the inner index sequential from `+0.0` with a
-    /// separate multiply and add, and the factor it skips (`x == 0.0`) is a
-    /// contribution of `±0.0`, which moves no sum that started at `+0.0`.
-    /// A broadcast parameter's `X` is a column of ones, and `1.0 · g` is `g`:
-    /// its fold adds the rows of `G` themselves.
-    fn reduce(&self, refs: &[ParamRef], samples: usize, ws: &mut Workspace) -> Array {
-        let dout = refs[0].g.cols;
-        // One row per sample and op: each partial sum is its one
-        // contribution, so the two-level fold is flat.
-        let flat = refs.iter().all(|r| r.g.rows == samples);
+    /// order, each reading its rows `g` from `grads`: the rows of every
+    /// (sample, op) pair listed in fold order and cut into one segment per
+    /// pair — one segment in all when every pair holds one row, where each
+    /// partial sum is its one contribution and the two-level fold is flat.
+    /// A weight's fold is [`infer::fold_tn_into`], which reads the rows in
+    /// place: it keeps the inner index sequential from `+0.0` with a separate
+    /// multiply and add, and the factor it skips (`x == 0.0`) is a
+    /// contribution of `±0.0`, which moves no sum that started at `+0.0`. A
+    /// broadcast parameter's `x` is a column of ones, and `1.0 · g` is `g`:
+    /// its fold adds the rows of `g` themselves.
+    fn reduce<'a>(
+        &'a self,
+        refs: &[ParamRef],
+        grads: &'a [Array],
+        samples: usize,
+        ws: &mut Workspace,
+        rows: &mut FoldRows<'a>,
+    ) -> Array {
+        let dout = grads[refs[0].g].cols;
+        let flat = refs.iter().all(|r| grads[r.g].rows == samples);
         // Sample `b`'s rows of an op's `x` or `g`.
-        fn rows_of(a: &Array, b: usize, samples: usize) -> &[f64] {
+        fn rows_of(a: &Array, b: usize, samples: usize) -> impl Iterator<Item = &[f64]> {
             assert_eq!(a.rows % samples, 0, "rows must split evenly by sample");
-            let n = a.rows / samples * a.cols;
-            &a.data[b * n..(b + 1) * n]
+            let per = a.rows / samples;
+            (b * per..(b + 1) * per).map(|r| &a.data[r * a.cols..(r + 1) * a.cols])
         }
-        let by_sample = (0..samples).flat_map(|b| refs.iter().map(move |r| (r, b)));
-        let Some(din) = refs[0].x.map(|x| self.nodes[x].val.cols) else {
-            let add_rows = |sum: &mut Array, rows: &[f64]| {
-                for row in rows.chunks_exact(dout.max(1)) {
-                    sum.data.iter_mut().zip(row).for_each(|(s, &g)| *s += g);
+        rows.xs.clear();
+        rows.gs.clear();
+        rows.ends.clear();
+        for b in 0..samples {
+            for r in refs {
+                debug_assert_eq!(r.x.is_some(), refs[0].x.is_some());
+                rows.gs.extend(rows_of(&grads[r.g], b, samples));
+                if let Some(x) = r.x {
+                    rows.xs.extend(rows_of(&self.nodes[x].val, b, samples));
                 }
-            };
-            let (mut acc, mut partial) = (ws.zeros(1, dout), ws.zeros(1, dout));
-            for (r, b) in by_sample {
-                let rows = rows_of(&r.g, b, samples);
-                if flat {
-                    add_rows(&mut acc, rows);
-                } else {
-                    partial.data.fill(0.0);
-                    add_rows(&mut partial, rows);
-                    acc.add_assign(&partial);
+                if !flat {
+                    rows.ends.push(rows.gs.len());
                 }
             }
-            ws.give(partial);
-            return acc;
-        };
-        let (mut xs, mut gs) = std::mem::take(&mut ws.stacked);
-        (xs.cols, gs.cols) = (din, dout);
-        // Append sample `b`'s rows of an op to the stack, or start it over.
-        let stack = |xs: &mut Array, gs: &mut Array, (r, b): (&ParamRef, usize), over: bool| {
-            if over {
-                xs.data.clear();
-                gs.data.clear();
+        }
+        if flat {
+            rows.ends.push(rows.gs.len());
+        }
+        if let Some(x) = refs[0].x {
+            let din = self.nodes[x].val.cols;
+            return infer::fold_tn_into(ws.take(), &rows.xs, &rows.gs, &rows.ends, (din, dout));
+        }
+        let (mut acc, mut partial) = (ws.zeros(1, dout), ws.zeros(1, dout));
+        let mut from = 0;
+        for &end in &rows.ends {
+            partial.data.fill(0.0);
+            for row in &rows.gs[from..end] {
+                partial
+                    .data
+                    .iter_mut()
+                    .zip(*row)
+                    .for_each(|(s, &g)| *s += g);
             }
-            if let Some(x) = r.x {
-                let x = rows_of(&self.nodes[x].val, b, samples);
-                xs.data.extend_from_slice(x);
-            }
-            gs.data.extend_from_slice(rows_of(&r.g, b, samples));
-            gs.rows = gs.data.len() / dout.max(1);
-            xs.rows = gs.rows;
-        };
-        let grad = if flat {
-            // One product over the rows stacked in (sample, op) order.
-            for (i, at) in by_sample.enumerate() {
-                stack(&mut xs, &mut gs, at, i == 0);
-            }
-            infer::matmul_tn_into(ws.take(), &xs, &gs)
-        } else {
-            let mut acc = ws.zeros(din, dout);
-            let mut partial = ws.take();
-            for at in by_sample {
-                stack(&mut xs, &mut gs, at, true);
-                let sum = infer::matmul_tn_into(partial, &xs, &gs);
-                acc.add_assign(&sum);
-                partial = sum.data;
-            }
-            ws.free.push(partial);
-            acc
-        };
-        ws.stacked = (xs, gs);
-        grad
+            acc.add_assign(&partial);
+            from = end;
+        }
+        ws.give(partial);
+        acc
     }
 
     /// Backpropagate from `out` (every element seeded with `seed`) and return
     /// the unreduced parameter contributions, in the order the sweep met them.
-    fn param_refs(&self, out: NodeId, seed: f64, ws: &mut Workspace) -> Vec<ParamRef> {
+    fn param_refs(&self, out: NodeId, seed: f64, ws: &mut Workspace) -> ParamRefs {
         ws.grads.clear();
         ws.grads.resize_with(self.nodes.len(), || None);
         let seeded = self.nodes[out].val.map_into(ws.take(), |_| seed);
@@ -620,12 +682,11 @@ impl Graph {
         node: NodeId,
         g: Array,
         ws: &mut Workspace,
-        refs: &mut Vec<ParamRef>,
+        refs: &mut ParamRefs,
     ) {
         if let Some(id) = self.as_param(node) {
-            let x = None;
-            refs.push(ParamRef { op, id, x, g });
-            return;
+            let g = refs.keep(g);
+            return refs.push(op, id, None, g);
         }
         let mut sum = ws.zeros(1, g.cols);
         for row in g.row_slices() {
@@ -637,10 +698,27 @@ impl Graph {
         ws.accumulate(&self.nodes, node, sum);
     }
 
+    /// The gradients of a product `a · b` (a `matmul`, or an `affine` before
+    /// its bias) for its operands, from its gradient `g`:
+    /// `g · bᵀ` for `a`, and `aᵀ · g` for `b` unless `b` is a parameter,
+    /// whose share is the caller's to record.
+    fn backprop_product(&self, a: NodeId, b: NodeId, g: &Array, ws: &mut Workspace) {
+        let nodes = &self.nodes;
+        if nodes[a].wants_grad {
+            let buf = ws.take();
+            let da = infer::matmul_into(buf, g, ws.transpose_of(nodes, b));
+            ws.accumulate(nodes, a, da);
+        }
+        if self.as_param(b).is_none() && nodes[b].wants_grad {
+            let db = infer::matmul_tn_into(ws.take(), &nodes[a].val, g);
+            ws.accumulate(nodes, b, db);
+        }
+    }
+
     /// Push `g`, the gradient of node `i`, on to the operands of its op. `g`
     /// is consumed: updated in place where an operand's gradient has its
     /// shape, handed back to the workspace otherwise.
-    fn backprop_node(&self, i: NodeId, mut g: Array, ws: &mut Workspace, refs: &mut Vec<ParamRef>) {
+    fn backprop_node(&self, i: NodeId, mut g: Array, ws: &mut Workspace, refs: &mut ParamRefs) {
         let nodes = &self.nodes;
         let val = |n: &NodeId| &nodes[*n].val;
         let wants = |n: &NodeId| nodes[*n].wants_grad;
@@ -648,28 +726,34 @@ impl Graph {
             Op::Leaf => ws.give(g),
             Op::Param(_) => unreachable!(
                 "a parameter's gradient is a row reduction: only matmul (right operand), \
-                 add_row (bias) and layer_norm (gain, bias) may consume a Param node"
+                 affine (weight, bias), add_row (bias) and layer_norm (gain, bias) may \
+                 consume a Param node"
             ),
             Op::MatMul(a, b) => {
-                if wants(a) {
-                    let buf = ws.take();
-                    let (fresh, bt) = &mut ws.transposed[*b];
-                    if !*fresh {
-                        *bt = val(b).t_into(std::mem::take(&mut bt.data));
-                        *fresh = true;
+                self.backprop_product(*a, *b, &g, ws);
+                match self.as_param(*b) {
+                    Some(id) => {
+                        let g = refs.keep(g);
+                        refs.push(i, id, Some(*a), g);
                     }
-                    let da = infer::matmul_into(buf, &g, bt);
-                    ws.accumulate(nodes, *a, da);
+                    None => ws.give(g),
                 }
-                if let Some(id) = self.as_param(*b) {
-                    let (op, x) = (i, Some(*a));
-                    refs.push(ParamRef { op, id, x, g });
-                } else {
-                    if wants(b) {
-                        let db = infer::matmul_tn_into(ws.take(), val(a), &g);
-                        ws.accumulate(nodes, *b, db);
+            }
+            Op::Affine { x, w, b } => {
+                self.backprop_product(*x, *w, &g, ws);
+                match (self.as_param(*w), self.as_param(*b)) {
+                    (Some(w), Some(b)) => {
+                        let g = refs.keep(g);
+                        refs.push(i, w, Some(*x), g);
+                        refs.push(i, b, None, g);
                     }
-                    ws.give(g);
+                    (Some(w), None) => {
+                        let copy = ws.copy_of(&g);
+                        self.broadcast_grad(i, *b, copy, ws, refs);
+                        let g = refs.keep(g);
+                        refs.push(i, w, Some(*x), g);
+                    }
+                    (None, _) => self.broadcast_grad(i, *b, g, ws, refs),
                 }
             }
             Op::AddRow(x, bias) => {
@@ -772,16 +856,17 @@ impl Graph {
                 log_stds,
                 logits,
                 action,
+                terms,
             } => {
-                let (mv, sv, wv, av) = (val(means), val(log_stds), val(logits), val(action));
+                let (mv, av) = (val(means), val(action));
                 let (n, k) = mv.shape();
                 let (mut dm, mut ds, mut dw) = (ws.take(), ws.take(), ws.take());
-                let (mut resp, mut weights) = (vec![0.0; k], vec![0.0; k]);
-                let rows = mv.row_slices().zip(sv.row_slices()).zip(wv.row_slices());
-                for (((m, s), w), (&a, &gr)) in rows.zip(av.data.iter().zip(&g.data)) {
-                    gmm_row_logp(m, s, w, a, &mut resp, &mut weights);
+                let rows = mv.row_slices().zip(val(terms).row_slices());
+                for ((m, row), (&a, &gr)) in rows.zip(av.data.iter().zip(&g.data)) {
+                    let (resp, rest) = row.split_at(k);
+                    let (weights, sigmas) = rest.split_at(k);
                     for c in 0..k {
-                        let sigma = s[c].exp();
+                        let sigma = sigmas[c];
                         let z = (a - m[c]) / sigma;
                         dm.push(gr * resp[c] * z / sigma);
                         ds.push(gr * resp[c] * (z * z - 1.0));
@@ -841,8 +926,8 @@ pub fn softmax_rows(logits: &Array) -> Array {
 const LOG_SQRT_2PI: f64 = 0.918_938_533_204_672_8;
 
 /// Log-density of the mixture at `a`; leaves the component responsibilities
-/// in `resp` and the softmax weights in `weights` (for gradients), both of
-/// the mixture's length.
+/// in `resp`, the softmax weights in `weights` and the standard deviations
+/// in `sigmas` (for gradients), each of the mixture's length.
 fn gmm_row_logp(
     means: &[f64],
     log_stds: &[f64],
@@ -850,6 +935,7 @@ fn gmm_row_logp(
     a: f64,
     resp: &mut [f64],
     weights: &mut [f64],
+    sigmas: &mut [f64],
 ) -> f64 {
     let logw_norm = log_sum_exp(logits);
     // `resp` holds the joint log-densities until `logp` is known.
@@ -857,6 +943,7 @@ fn gmm_row_logp(
         let logw = logits[c] - logw_norm;
         weights[c] = logw.exp();
         let sigma = log_stds[c].exp();
+        sigmas[c] = sigma;
         let z = (a - means[c]) / sigma;
         let log_pdf = -0.5 * z * z - log_stds[c] - LOG_SQRT_2PI;
         resp[c] = logw + log_pdf;
@@ -1305,8 +1392,8 @@ mod tests {
     #[test]
     fn gmm_logp_matches_single_gaussian() {
         // One component: must equal the normal log-density.
-        let (mut resp, mut w) = ([0.0], [0.0]);
-        let logp = gmm_row_logp(&[0.5], &[0.0], &[0.3], 1.0, &mut resp, &mut w);
+        let (mut resp, mut w, mut sigma) = ([0.0], [0.0], [0.0]);
+        let logp = gmm_row_logp(&[0.5], &[0.0], &[0.3], 1.0, &mut resp, &mut w, &mut sigma);
         let expected = -0.5 * 0.25 - 0.0 - LOG_SQRT_2PI;
         assert!((logp - expected).abs() < 1e-12);
         assert!((resp[0] - 1.0).abs() < 1e-12);

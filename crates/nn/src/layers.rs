@@ -36,15 +36,20 @@ impl Linear {
     pub fn fwd(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
         let w = g.param(store, self.w);
         let b = g.param(store, self.b);
-        let h = g.matmul(x, w);
-        g.add_row(h, b)
+        g.affine(x, w, b)
     }
 
     /// Graph-free forward, bit-identical to [`Linear::fwd`] (see
     /// [`crate::infer`]).
     pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
-        let h = infer::matmul(x, store.get(self.w));
-        infer::add_row(h, store.get(self.b))
+        self.infer_map(store, x, |v| v)
+    }
+
+    /// [`Linear::infer`] with `f` applied to each output element in the
+    /// pass that adds the bias: the bits of [`Linear::fwd`] followed by the
+    /// graph op `f` stands for.
+    pub fn infer_map(&self, store: &ParamStore, x: &Array, f: impl Fn(f64) -> f64) -> Array {
+        infer::affine(x, store.get(self.w), store.get(self.b), f)
     }
 }
 
@@ -71,7 +76,14 @@ impl LayerNorm {
 
     /// Graph-free forward, bit-identical to [`LayerNorm::fwd`].
     pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
-        infer::layer_norm(x, store.get(self.gain), store.get(self.bias))
+        self.infer_map(store, x, |v| v)
+    }
+
+    /// [`LayerNorm::infer`] with `f` applied to each element as it is
+    /// written (see [`Linear::infer_map`]).
+    pub fn infer_map(&self, store: &ParamStore, x: &Array, f: impl Fn(f64) -> f64) -> Array {
+        let (gain, bias) = (store.get(self.gain), store.get(self.bias));
+        infer::layer_norm_into(Vec::new(), x, gain, bias, f)
     }
 }
 
@@ -153,29 +165,45 @@ impl GruCell {
     }
 
     /// Graph-free recurrence step, bit-identical to [`GruCell::step`]:
-    /// every intermediate is computed in the same op order so batched
-    /// serving reproduces the training-time forward exactly.
+    /// every element is computed in the same op order so batched serving
+    /// reproduces the training-time forward exactly. The gate arithmetic
+    /// runs in the buffers of the input products: one pass per gate, one for
+    /// `r · h` and one for the new state.
+    #[expect(
+        clippy::neg_multiply,
+        reason = "`z * -1.0` is `Graph::scale(z, -1.0)` in `step`, spelled as the graph computes it"
+    )]
     pub fn infer_step(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
-        let xz = infer::matmul(x, store.get(self.wz));
-        let hz = infer::matmul(h, store.get(self.uz));
-        let z_in = infer::add_row(infer::add(&xz, &hz), store.get(self.bz));
-        let z = infer::sigmoid(&z_in);
-
-        let xr = infer::matmul(x, store.get(self.wr));
-        let hr = infer::matmul(h, store.get(self.ur));
-        let r_in = infer::add_row(infer::add(&xr, &hr), store.get(self.br));
-        let r = infer::sigmoid(&r_in);
-
-        let xh = infer::matmul(x, store.get(self.wh));
-        let rh = infer::mul(&r, h);
-        let hh = infer::matmul(&rh, store.get(self.uh));
-        let c_in = infer::add_row(infer::add(&xh, &hh), store.get(self.bh));
-        let c = infer::tanh(&c_in);
-
-        let one_minus_z = infer::add_const(&infer::scale(&z, -1.0), 1.0);
-        let keep = infer::mul(&one_minus_z, h);
-        let new = infer::mul(&z, &c);
-        infer::add(&keep, &new)
+        // act((x·W + h·U) + b), in the buffer of x·W.
+        let gate = |xw: ParamId, hu: &Array, b: ParamId, act: fn(f64) -> f64| {
+            let mut y = infer::matmul(x, store.get(xw));
+            infer::zip_rows(&mut y, hu, &store.get(b).data, |v, hu, b| act((v + hu) + b));
+            y
+        };
+        let z = gate(
+            self.wz,
+            &infer::matmul(h, store.get(self.uz)),
+            self.bz,
+            infer::logistic,
+        );
+        let mut r = gate(
+            self.wr,
+            &infer::matmul(h, store.get(self.ur)),
+            self.br,
+            infer::logistic,
+        );
+        r.zip_assign(h, |r, h| r * h);
+        let mut c = gate(
+            self.wh,
+            &infer::matmul(&r, store.get(self.uh)),
+            self.bh,
+            f64::tanh,
+        );
+        // h' = (1 - z) * h + z * c
+        for ((c, &z), &h) in c.data.iter_mut().zip(&z.data).zip(&h.data) {
+            *c = (z * -1.0 + 1.0) * h + z * *c;
+        }
+        c
     }
 }
 
@@ -204,13 +232,15 @@ impl ResidualBlock {
         g.add(x, h)
     }
 
-    /// Graph-free forward, bit-identical to [`ResidualBlock::fwd`].
+    /// Graph-free forward, bit-identical to [`ResidualBlock::fwd`]; the
+    /// skip connection is added in the pass that adds FC2's bias.
     pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
         let n = self.ln.infer(store, x);
-        let h = self.fc1.infer(store, &n);
-        let h = infer::lrelu(&h, 0.01);
-        let h = self.fc2.infer(store, &h);
-        infer::add(x, &h)
+        let h = self.fc1.infer_map(store, &n, |v| infer::leaky(v, 0.01));
+        let mut y = infer::matmul(&h, store.get(self.fc2.w));
+        let bias = &store.get(self.fc2.b).data;
+        infer::zip_rows(&mut y, x, bias, |v, x, b| x + (v + b));
+        y
     }
 }
 

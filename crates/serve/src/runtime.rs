@@ -56,6 +56,39 @@ pub const EVICT_AFTER_MISSES: u32 = 16;
 /// every thread count.
 const CHUNK_ROWS: usize = 32;
 
+/// The policy rows staged in a tick, `CHUNK_ROWS` to a chunk: each row's
+/// input and hidden state are written once, into the `(inputs, hiddens)`
+/// pair that infers them.
+#[derive(Default)]
+struct Chunks(Vec<(Array, Array)>);
+
+impl Chunks {
+    /// Append one row: its `input_dim` inputs and its `hidden_dim` state.
+    fn push(
+        &mut self,
+        (input_dim, hidden_dim): (usize, usize),
+        x: impl Iterator<Item = f64>,
+        hidden: &[f64],
+    ) {
+        if self.0.last().is_none_or(|(x, _)| x.rows == CHUNK_ROWS) {
+            let empty = |cols| Array {
+                rows: 0,
+                cols,
+                data: Vec::with_capacity(CHUNK_ROWS * cols),
+            };
+            self.0.push((empty(input_dim), empty(hidden_dim)));
+        }
+        let last = self.0.len() - 1;
+        let (xs, hs) = &mut self.0[last];
+        xs.data.extend(x);
+        hs.data.extend_from_slice(hidden);
+        xs.rows += 1;
+        hs.rows += 1;
+        debug_assert_eq!(xs.data.len(), xs.rows * input_dim);
+        debug_assert_eq!(hs.data.len(), hs.rows * hidden_dim);
+    }
+}
+
 /// How the runtime evaluates the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
@@ -314,7 +347,8 @@ impl ServeRuntime {
         // Staged NN rows: `(slot, audit)` — audit rows belong to symbolic
         // flows and carry the symbolic log-ratio to compare against.
         let mut batch_slots: Vec<(usize, Option<f64>)> = Vec::new();
-        let mut x = Vec::new();
+        let mut staged = Chunks::default();
+        let dims = (self.input_dim, self.hidden_dim);
         // Wall-clock spent in symbolic tree walks this tick (reporting only).
         let mut sym_nanos_tick = 0u64;
         let audit_every = self.cfg.audit_every;
@@ -432,9 +466,8 @@ impl ServeRuntime {
                     && e.sym_actions.is_multiple_of(audit_every)
                     && batch_slots.len() < max_batch
                 {
-                    let row = self.model.prepare_input(&step.state);
-                    debug_assert_eq!(row.len(), self.input_dim);
-                    x.extend_from_slice(&row);
+                    let row = self.model.standardised(|i| step.state[i]);
+                    staged.push(dims, row, &e.hidden);
                     batch_slots.push((slot, Some(sym_lr)));
                 }
                 continue;
@@ -458,9 +491,8 @@ impl ServeRuntime {
             }
             // Fresh: observe and stage the policy input row.
             let step = e.actor.observe(view.now, &view);
-            let row = self.model.prepare_input(&step.state);
-            debug_assert_eq!(row.len(), self.input_dim);
-            x.extend_from_slice(&row);
+            let row = self.model.standardised(|i| step.state[i]);
+            staged.push(dims, row, &e.hidden);
             batch_slots.push((slot, None));
         }
 
@@ -469,25 +501,6 @@ impl ServeRuntime {
         if batch_slots.is_empty() {
             return actions;
         }
-        let b = batch_slots.len();
-        let xs = Array {
-            rows: b,
-            cols: self.input_dim,
-            data: x,
-        };
-        let mut hdata = Vec::with_capacity(b * self.hidden_dim);
-        for &(slot, _) in &batch_slots {
-            #[expect(
-                clippy::expect_used,
-                reason = "batch_slots was built this tick from live table entries; no removal happens between staging and here"
-            )]
-            hdata.extend_from_slice(&self.table.get(slot).expect("staged").hidden);
-        }
-        let hs = Array {
-            rows: b,
-            cols: self.hidden_dim,
-            data: hdata,
-        };
 
         #[expect(
             clippy::disallowed_methods,
@@ -495,8 +508,8 @@ impl ServeRuntime {
         )]
         let t0 = Instant::now();
         let (mixes, new_h) = match self.cfg.mode {
-            ServeMode::Batched => self.infer_batched(&xs, &hs),
-            ServeMode::SequentialGraph => self.infer_sequential(&xs, &hs),
+            ServeMode::Batched => self.infer_batched(&staged.0),
+            ServeMode::SequentialGraph => self.infer_sequential(&staged.0),
         };
         let dt = t0.elapsed().as_nanos() as u64;
         self.stats.infer_nanos += dt;
@@ -575,28 +588,16 @@ impl ServeRuntime {
         actions
     }
 
-    /// Batched graph-free forward, split into fixed 32-row chunks mapped in
+    /// Batched graph-free forward over the staged 32-row chunks, mapped in
     /// index order — bit-identical at every thread count and to the
     /// whole-batch (or per-row) evaluation, since every op is
     /// row-independent.
-    fn infer_batched(&self, xs: &Array, hs: &Array) -> (Vec<GmmParams>, Array) {
-        let b = xs.rows;
-        let chunks = b.div_ceil(CHUNK_ROWS);
+    fn infer_batched(&self, chunks: &[(Array, Array)]) -> (Vec<GmmParams>, Array) {
+        let b = chunks.iter().map(|(x, _)| x.rows).sum();
         let model = &self.model;
-        let results = par_map_range(self.cfg.threads, chunks, |c| {
-            let lo = c * CHUNK_ROWS;
-            let hi = (lo + CHUNK_ROWS).min(b);
-            let xc = Array {
-                rows: hi - lo,
-                cols: xs.cols,
-                data: xs.data[lo * xs.cols..hi * xs.cols].to_vec(),
-            };
-            let hc = Array {
-                rows: hi - lo,
-                cols: hs.cols,
-                data: hs.data[lo * hs.cols..hi * hs.cols].to_vec(),
-            };
-            model.policy.step_infer(&model.store, &xc, &hc)
+        let results = par_map_range(self.cfg.threads, chunks.len(), |c| {
+            let (x, h) = &chunks[c];
+            model.policy.step_infer(&model.store, x, h)
         });
         let mut mixes = Vec::with_capacity(b);
         let mut h_out = Vec::with_capacity(b * self.hidden_dim);
@@ -619,14 +620,17 @@ impl ServeRuntime {
     /// The reference path: each row through the autodiff `Graph` that
     /// training interprets. No controller deploys this; tests hold
     /// `infer_batched` to its digests.
-    fn infer_sequential(&self, xs: &Array, hs: &Array) -> (Vec<GmmParams>, Array) {
-        let b = xs.rows;
+    fn infer_sequential(&self, chunks: &[(Array, Array)]) -> (Vec<GmmParams>, Array) {
+        let b = chunks.iter().map(|(x, _)| x.rows).sum();
         let mut mixes = Vec::with_capacity(b);
         let mut h_out = Vec::with_capacity(b * self.hidden_dim);
-        for r in 0..b {
+        let rows = chunks
+            .iter()
+            .flat_map(|(x, h)| x.row_slices().zip(h.row_slices()));
+        for (x, h) in rows {
             let mut g = Graph::new();
-            let xin = g.input(Array::row(xs.data[r * xs.cols..(r + 1) * xs.cols].to_vec()));
-            let hin = g.input(Array::row(hs.data[r * hs.cols..(r + 1) * hs.cols].to_vec()));
+            let xin = g.input(Array::row(x.to_vec()));
+            let hin = g.input(Array::row(h.to_vec()));
             let (nodes, hout) = self.model.policy.step(&mut g, &self.model.store, xin, hin);
             h_out.extend_from_slice(&g.value(hout).data);
             mixes.push(self.model.policy.mixture(&g, nodes, 0));

@@ -306,8 +306,22 @@ impl Flow {
                 }
                 if meta.lost {
                     self.n_lost -= 1;
-                    // Remove from retransmit queue if still pending.
-                    self.retransmit_queue.retain(|&q| q != self.snd_una);
+                    // Remove from retransmit queue if still pending. A
+                    // sequence is queued at most once (it is pushed only
+                    // while not lost, and `on_rto` clears before it
+                    // rebuilds), so the first match is the `retain` of
+                    // every match. The queue is not sorted — `mark_losses`
+                    // can re-queue a retransmitted sequence behind higher
+                    // ones left by a go-back-N RTO — so this is a scan, but
+                    // one that stops at the match.
+                    let at = self
+                        .retransmit_queue
+                        .iter()
+                        .position(|&q| q == self.snd_una);
+                    if let Some(at) = at {
+                        self.retransmit_queue.remove(at);
+                    }
+                    debug_assert!(!self.retransmit_queue.contains(&self.snd_una));
                 }
                 newly_acked_pkts += 1;
                 newly_acked_bytes += meta.bytes as u64;
@@ -1111,6 +1125,14 @@ mod tests {
                     }
                     _ => {}
                 }
+                // The queue itself, against the model's `retain` form: the
+                // same entries in the same order after every event.
+                ensure(f.retransmit_queue == model.retransmit_queue, || {
+                    format!(
+                        "step {step}: retransmit queue {:?}, model {:?}",
+                        f.retransmit_queue, model.retransmit_queue
+                    )
+                })?;
                 let got = (f.pipe_pkts(), f.lost_pkts_total, f.snd_una(), f.next_seq());
                 let want = (
                     model.pipe_pkts(),
