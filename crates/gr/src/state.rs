@@ -320,7 +320,6 @@ impl Windows for History {
 
 /// Stateful builder producing one [`GrStep`] per monitor tick.
 pub struct GrUnit {
-    cfg: GrConfig,
     reward: crate::reward::RewardParams,
     history: History,
     carry: Carry,
@@ -341,14 +340,9 @@ impl GrUnit {
     pub fn new(cfg: GrConfig, reward: crate::reward::RewardParams) -> Self {
         GrUnit {
             history: History::new(&cfg),
-            cfg,
             reward,
             carry: Carry::new(),
         }
-    }
-
-    pub fn config(&self) -> GrConfig {
-        self.cfg
     }
 
     /// Rows the signal history holds: the ticks seen, up to the largest

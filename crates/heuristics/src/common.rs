@@ -47,11 +47,6 @@ pub fn ai_increase(cwnd: &mut f64, acked_pkts: u64, add_per_rtt: f64) {
     }
 }
 
-/// Queuing delay estimate in seconds (srtt minus propagation floor).
-pub fn queuing_delay(view: &SocketView) -> f64 {
-    (view.srtt - view.min_rtt).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +103,5 @@ mod tests {
             ai_increase(&mut cwnd, 1, 1.0);
         }
         assert!((cwnd - 11.0).abs() < 0.05, "cwnd {cwnd}");
-    }
-
-    #[test]
-    fn queuing_delay_nonnegative() {
-        let mut v = view(10.0, 0);
-        v.srtt = 0.03;
-        v.min_rtt = 0.04;
-        assert_eq!(queuing_delay(&v), 0.0);
-        v.srtt = 0.06;
-        assert!((queuing_delay(&v) - 0.02).abs() < 1e-12);
     }
 }

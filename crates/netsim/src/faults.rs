@@ -116,21 +116,12 @@ impl FaultPlan {
     }
 }
 
-/// Why the injector dropped a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// Gilbert–Elliott burst loss.
-    Burst,
-    /// The link was down (explicit window or flap).
-    Blackout,
-    /// Checksum failure at the receiver.
-    Corrupt,
-}
-
 /// The injector's decision for one forward-path packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardVerdict {
-    Drop(DropCause),
+    /// Lost on the link: burst loss, a blackout or flap, or corruption
+    /// (`FaultStats` counts each cause).
+    Drop,
     Deliver {
         /// Extra one-way delay (reordering deflection or jitter spike).
         extra_delay: Nanos,
@@ -241,7 +232,7 @@ impl FaultInjector {
         }
         if self.link_down(now) {
             self.stats.dropped_blackout += 1;
-            return ForwardVerdict::Drop(DropCause::Blackout);
+            return ForwardVerdict::Drop;
         }
         if let Some(ge) = self.plan.burst_loss {
             // Transition first, then draw loss from the (possibly new) state.
@@ -259,12 +250,12 @@ impl FaultInjector {
             };
             if p > 0.0 && self.rng.chance(p) {
                 self.stats.dropped_burst += 1;
-                return ForwardVerdict::Drop(DropCause::Burst);
+                return ForwardVerdict::Drop;
             }
         }
         if self.plan.corrupt_prob > 0.0 && self.rng.chance(self.plan.corrupt_prob) {
             self.stats.corrupted += 1;
-            return ForwardVerdict::Drop(DropCause::Corrupt);
+            return ForwardVerdict::Drop;
         }
         let mut extra: Nanos = 0;
         if self.plan.reorder_prob > 0.0 && self.rng.chance(self.plan.reorder_prob) {
@@ -400,7 +391,7 @@ mod tests {
         };
         let mut inj = FaultInjector::new(plan, 9);
         let outcomes: Vec<bool> = (0..200_000u64)
-            .map(|t| matches!(inj.on_forward(t), ForwardVerdict::Drop(_)))
+            .map(|t| matches!(inj.on_forward(t), ForwardVerdict::Drop))
             .collect();
         let total: usize = outcomes.iter().filter(|&&l| l).count();
         assert!(
@@ -423,14 +414,8 @@ mod tests {
         };
         let mut inj = FaultInjector::new(plan, 3);
         assert_eq!(inj.on_forward(999), ForwardVerdict::CLEAN);
-        assert_eq!(
-            inj.on_forward(1_000),
-            ForwardVerdict::Drop(DropCause::Blackout)
-        );
-        assert_eq!(
-            inj.on_forward(1_999),
-            ForwardVerdict::Drop(DropCause::Blackout)
-        );
+        assert_eq!(inj.on_forward(1_000), ForwardVerdict::Drop);
+        assert_eq!(inj.on_forward(1_999), ForwardVerdict::Drop);
         assert_eq!(inj.on_forward(2_000), ForwardVerdict::CLEAN);
         assert_eq!(inj.on_ack(1_500, 1_600), None);
         assert_eq!(inj.stats.dropped_blackout, 2);

@@ -29,9 +29,7 @@ pub mod topology;
 
 pub use aqm::{Aqm, AqmKind};
 pub use engine::EventQueue;
-pub use faults::{
-    DropCause, FaultInjector, FaultPlan, FaultStats, FlapPlan, ForwardVerdict, GilbertElliott,
-};
+pub use faults::{FaultInjector, FaultPlan, FaultStats, FlapPlan, ForwardVerdict, GilbertElliott};
 pub use link::LinkModel;
 pub use packet::Packet;
 pub use queue::{BottleneckPath, EnqueueOutcome};

@@ -1,4 +1,4 @@
-//! Bottleneck link models: constant, step, piecewise, and trace-driven rates.
+//! Bottleneck link models: constant, step, and trace-driven rates.
 //!
 //! The Policy Collector (paper §4.1) varies link capacity across environments
 //! and uses *step* scenarios (capacity multiplied by m ∈ {¼, ½, 2, 4} mid-run)
@@ -19,9 +19,6 @@ pub enum LinkModel {
         after_mbps: f64,
         at: Nanos,
     },
-    /// `points[i] = (t_i, mbps_i)`: rate `mbps_i` applies from `t_i` until
-    /// `t_{i+1}` (the last rate applies forever). `points[0].0` must be 0.
-    Piecewise { points: Vec<(Nanos, f64)> },
     /// A repeating trace: rate `mbps[k]` applies during the k-th interval of
     /// length `interval`. Wraps around at the end (like Mahimahi trace replay).
     Trace {
@@ -46,17 +43,6 @@ impl LinkModel {
                 } else {
                     after_mbps * 1e6
                 }
-            }
-            LinkModel::Piecewise { points } => {
-                let mut rate = points.first().map(|p| p.1).unwrap_or(0.0);
-                for &(start, mbps) in points {
-                    if t >= start {
-                        rate = mbps;
-                    } else {
-                        break;
-                    }
-                }
-                rate * 1e6
             }
             LinkModel::Trace {
                 interval,
@@ -89,7 +75,6 @@ impl LinkModel {
                     None
                 }
             }
-            LinkModel::Piecewise { points } => points.iter().map(|p| p.0).find(|&s| s > t),
             LinkModel::Trace {
                 interval,
                 mbps,
@@ -195,7 +180,7 @@ pub fn cellular_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{from_ms, MILLIS, SECONDS};
+    use crate::time::{MILLIS, SECONDS};
 
     #[test]
     fn constant_service_time() {
@@ -226,16 +211,6 @@ mod tests {
             at: MILLIS,
         };
         assert_eq!(l.finish_time(0, 30_000.0), 2 * MILLIS);
-    }
-
-    #[test]
-    fn piecewise_lookup() {
-        let l = LinkModel::Piecewise {
-            points: vec![(0, 10.0), (from_ms(10.0), 50.0), (from_ms(20.0), 5.0)],
-        };
-        assert_eq!(l.rate_bps(from_ms(5.0)), 10e6);
-        assert_eq!(l.rate_bps(from_ms(15.0)), 50e6);
-        assert_eq!(l.rate_bps(from_ms(25.0)), 5e6);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl Topology {
         1 + self.extra_hops.len()
     }
 
-    /// Sum of the inter-hop propagation delays, milliseconds (the amount the
-    /// topology adds to the base RTT).
-    pub fn extra_prop_ms(&self) -> f64 {
-        self.extra_hops.iter().map(|h| h.prop_ms).sum()
-    }
-
     /// Dumbbell chain: `n_extra` downstream hops, each a constant link at
     /// `ratio` x the base capacity with the same buffer. With `ratio > 1`
     /// the first hop stays the bottleneck (classic dumbbell); with
@@ -126,7 +120,6 @@ mod tests {
         let t = Topology::default();
         assert!(t.is_single());
         assert_eq!(t.hops(), 1);
-        assert_eq!(t.extra_prop_ms(), 0.0);
         assert_eq!(t.min_capacity_mbps(48.0), 48.0);
     }
 
@@ -143,7 +136,6 @@ mod tests {
         assert!((rates[1] - 64.0).abs() < 1e-9);
         assert!((rates[2] - 51.2).abs() < 1e-9);
         assert!((t.min_capacity_mbps(100.0) - 51.2).abs() < 1e-9);
-        assert!((t.extra_prop_ms() - 15.0).abs() < 1e-12);
     }
 
     #[test]

@@ -194,3 +194,93 @@ fn path_conserves_packets() {
         assert_eq!(p.backlog_packets(), 0);
     }
 }
+
+/// The FIFO queue's analytic oracle on a constant tail-drop link with no
+/// loss, random arrival times (ties included) and random sizes:
+/// - every sojourn is the Lindley recursion, exactly:
+///   `max(0, previous departure's at - arrival)`;
+/// - it is the work ahead at arrival over the rate — the unserved bits of
+///   the packet in service plus every queued packet's — to within 1 ns per
+///   packet ahead (each service time is rounded up to a whole ns).
+#[test]
+fn sojourn_is_the_lindley_recursion_and_the_backlog_over_the_rate() {
+    forall(
+        "sojourn = Lindley = backlog / rate",
+        PropConfig::new(300, 0x11D1E7),
+        |rng| {
+            let mbps = rng.range(1.0, 1000.0);
+            let rate = mbps * 1e6;
+            let n = 1 + rng.below(400);
+            // Mean gap near one mean service time: the queue builds and drains.
+            let mean_gap = 770.0 * 8.0 / rate * SECONDS as f64;
+            let mut at = 0u64;
+            let arrivals: Vec<(u64, u32)> = (0..n)
+                .map(|_| {
+                    if rng.below(4) != 0 {
+                        at += (rng.uniform() * 2.0 * mean_gap) as u64;
+                    }
+                    (at, 40 + rng.below(1461) as u32)
+                })
+                .collect();
+            let total: u64 = arrivals.iter().map(|&(_, b)| b as u64).sum();
+            let mut p = BottleneckPath::new(
+                LinkModel::Constant { mbps },
+                total,
+                Box::new(TailDrop),
+                0.0,
+                1,
+            );
+            let mut deps = Vec::with_capacity(n);
+            for (i, &(t, bytes)) in arrivals.iter().enumerate() {
+                while let Some(f) = p.next_completion().filter(|&f| f <= t) {
+                    deps.extend(p.complete(f));
+                }
+                let pkt = Packet::new(0, i as u64, bytes, t);
+                ensure(p.enqueue(t, pkt) == EnqueueOutcome::Queued, || {
+                    format!("packet {i} dropped")
+                })?;
+            }
+            while let Some(f) = p.next_completion() {
+                deps.extend(p.complete(f));
+            }
+            ensure(deps.len() == n, || {
+                format!("{} of {n} departed", deps.len())
+            })?;
+            // Service starts, from the departures alone: S_k = A_k + W_k.
+            let mut prev_at: u64 = 0;
+            for (k, d) in deps.iter().enumerate() {
+                let (a, _) = arrivals[k];
+                ensure(d.pkt.seq == k as u64, || {
+                    format!("departure {k} is {}", d.pkt.seq)
+                })?;
+                let lindley = prev_at.saturating_sub(a);
+                ensure(d.sojourn == lindley, || {
+                    format!("packet {k}: sojourn {} != Lindley {lindley}", d.sojourn)
+                })?;
+                prev_at = d.at;
+                // Packets ahead at A_k: those before k still on the link or
+                // in the buffer (a departure at exactly A_k has left).
+                let ahead: Vec<usize> = (0..k).filter(|&j| deps[j].at > a).collect();
+                let backlog_bits: f64 = ahead
+                    .iter()
+                    .map(|&j| {
+                        let bits = arrivals[j].1 as f64 * 8.0;
+                        let start = arrivals[j].0 + deps[j].sojourn;
+                        let served = rate * a.saturating_sub(start) as f64 / SECONDS as f64;
+                        bits - served
+                    })
+                    .sum();
+                let backlog_ns = backlog_bits / rate * SECONDS as f64;
+                let gap = d.sojourn as f64 - backlog_ns;
+                ensure((0.0..=ahead.len() as f64).contains(&gap), || {
+                    format!(
+                        "packet {k}: sojourn {} vs backlog / rate {backlog_ns} with {} ahead",
+                        d.sojourn,
+                        ahead.len()
+                    )
+                })?;
+            }
+            Ok(())
+        },
+    );
+}

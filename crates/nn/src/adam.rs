@@ -80,7 +80,8 @@ mod tests {
             let wa = g.param(&store, w);
             let pred = g.matmul(x, wa);
             let y = g.input(Array::row(vec![2.0]));
-            let diff = g.sub(pred, y);
+            let neg_y = g.scale(y, -1.0);
+            let diff = g.add(pred, neg_y);
             let sq = g.mul(diff, diff);
             let loss = g.mean(sq);
             g.backward(loss, &mut store);

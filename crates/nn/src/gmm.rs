@@ -19,7 +19,6 @@ pub struct GmmHead {
     pub mean: Linear,
     pub log_std: Linear,
     pub logit: Linear,
-    pub components: usize,
 }
 
 /// Forward outputs (graph node ids) of the head.
@@ -42,7 +41,6 @@ impl GmmHead {
             mean: Linear::new(store, &format!("{name}.mean"), in_dim, components, rng),
             log_std: Linear::new(store, &format!("{name}.logstd"), in_dim, components, rng),
             logit: Linear::new(store, &format!("{name}.logit"), in_dim, components, rng),
-            components,
         }
     }
 

@@ -46,16 +46,12 @@ enum Op {
         b: NodeId,
     },
     Add(NodeId, NodeId),
-    Sub(NodeId, NodeId),
     Mul(NodeId, NodeId),
     Scale(NodeId, f64),
     AddConst(NodeId),
     Tanh(NodeId),
     Sigmoid(NodeId),
     LRelu(NodeId, f64),
-    Exp(NodeId),
-    /// ln(max(x, floor)).
-    Ln(NodeId, f64),
     /// Mean over all elements -> 1x1.
     Mean(NodeId),
     ConcatCols(NodeId, NodeId),
@@ -352,10 +348,6 @@ impl Graph {
         self.push_zip(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
-    pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.push_zip(a, b, Op::Sub(a, b), |x, y| x - y)
-    }
-
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.push_zip(a, b, Op::Mul(a, b), |x, y| x * y)
     }
@@ -379,15 +371,6 @@ impl Graph {
     /// Leaky ReLU with the given negative slope.
     pub fn lrelu(&mut self, a: NodeId, slope: f64) -> NodeId {
         self.push_map(a, Op::LRelu(a, slope), |x| infer::leaky(x, slope))
-    }
-
-    pub fn exp(&mut self, a: NodeId) -> NodeId {
-        self.push_map(a, Op::Exp(a), f64::exp)
-    }
-
-    /// Natural log with a numeric floor.
-    pub fn ln(&mut self, a: NodeId, floor: f64) -> NodeId {
-        self.push_map(a, Op::Ln(a, floor), |x| x.max(floor).ln())
     }
 
     /// Mean over all elements, yielding a 1x1 scalar.
@@ -766,11 +749,6 @@ impl Graph {
                 ws.accumulate(nodes, *a, copy);
                 ws.accumulate(nodes, *b, g);
             }
-            Op::Sub(a, b) => {
-                let neg = g.map_into(ws.take(), |x| -x);
-                ws.accumulate(nodes, *a, g);
-                ws.accumulate(nodes, *b, neg);
-            }
             Op::Mul(a, b) => {
                 if wants(a) {
                     let da = g.zip_into(ws.take(), val(b), |gg, bb| gg * bb);
@@ -794,14 +772,6 @@ impl Graph {
             }
             Op::LRelu(a, slope) => {
                 g.zip_assign(val(a), |gg, xx| if xx >= 0.0 { gg } else { gg * slope });
-                ws.accumulate(nodes, *a, g);
-            }
-            Op::Exp(a) => {
-                g.zip_assign(val(&i), |gg, yy| gg * yy);
-                ws.accumulate(nodes, *a, g);
-            }
-            Op::Ln(a, floor) => {
-                g.zip_assign(val(a), |gg, xx| if xx > *floor { gg / xx } else { 0.0 });
                 ws.accumulate(nodes, *a, g);
             }
             Op::Mean(a) => {
@@ -1044,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_sigmoid_exp_ln_mul() {
+    fn grad_sigmoid_mul() {
         let mut rng = Rng::new(3);
         let mut store = ParamStore::new();
         let w = store.glorot("w", 4, 3, &mut rng);
@@ -1055,10 +1025,9 @@ mod tests {
                 let wa = g.param(s, w);
                 let h = g.matmul(x, wa);
                 let a = g.sigmoid(h);
-                let b = g.exp(h);
+                let b = g.tanh(h);
                 let c = g.mul(a, b);
                 let c = g.add_const(c, 1.0);
-                let c = g.ln(c, 1e-12);
                 g.mean(c)
             },
             1e-5,
@@ -1066,7 +1035,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_concat_sub_scale() {
+    fn grad_concat_scale() {
         let mut rng = Rng::new(4);
         let mut store = ParamStore::new();
         let w = store.glorot("w", 4, 4, &mut rng);
@@ -1076,8 +1045,8 @@ mod tests {
                 let x = x_input(g);
                 let wa = g.param(s, w);
                 let h = g.matmul(x, wa);
-                let diff = g.sub(h, x);
-                let cat = g.concat_cols(diff, h);
+                let a = g.sigmoid(h);
+                let cat = g.concat_cols(a, h);
                 let sc = g.scale(cat, 0.5);
                 let t = g.tanh(sc);
                 g.mean(t)

@@ -243,13 +243,8 @@ pub fn matmul_into(buf: Vec<f64>, a: &Array, b: &Array) -> Array {
     product(buf, &a.data, (a.cols, 1), &b.data, (a.rows, b.rows, b.cols))
 }
 
-/// `aᵀ * b` for `a (k x m)`, `b (k x n)`: the bits of `matmul(&a.t(), b)`
-/// with `a` read by stride instead of copied.
-pub fn matmul_tn(a: &Array, b: &Array) -> Array {
-    matmul_tn_into(Vec::new(), a, b)
-}
-
-/// [`matmul_tn`] built in `buf`.
+/// `aᵀ * b` for `a (k x m)`, `b (k x n)`, built in `buf`: the bits of
+/// `matmul(&a.t(), b)` with `a` read by stride instead of copied.
 pub fn matmul_tn_into(buf: Vec<f64>, a: &Array, b: &Array) -> Array {
     assert_eq!(a.rows, b.rows, "matmul_tn inner dims");
     product(buf, &a.data, (1, a.cols), &b.data, (a.cols, b.rows, b.cols))
@@ -298,7 +293,7 @@ fn product(mut buf: Vec<f64>, a: &[f64], strides: Strides, b: &[f64], (m, k, n):
 /// over the segments, in order and starting with the first, of each
 /// segment's own fold over its rows from `+0.0`: the product's fold,
 /// skip-zero included (a zero `xs[p][i]` skips `gs[p]`). These are the bits
-/// of one [`matmul_tn`] of each segment's stacked rows, added in order into
+/// of one [`matmul_tn_into`] of each segment's stacked rows, added in order into
 /// a zeroed `m x n` — read through the tables, nothing is stacked. One
 /// segment ending at `k` is one product over all the rows. The result takes
 /// `buf`'s allocation.
@@ -805,7 +800,10 @@ mod tests {
         // The public entry points are the dispatched kernel.
         let (a, b) = (random_array(&mut rng, 7, 9), random_array(&mut rng, 9, 29));
         assert_bits_eq(&reference_matmul(&a, &b), &matmul(&a, &b));
-        assert_bits_eq(&reference_matmul(&a, &b), &matmul_tn(&a.t(), &b));
+        assert_bits_eq(
+            &reference_matmul(&a, &b),
+            &matmul_tn_into(Vec::new(), &a.t(), &b),
+        );
     }
 
     /// Skip-zero is a semantic, not a shortcut: a `±0.0` at `a[i][p]` keeps
@@ -928,13 +926,13 @@ mod tests {
     fn stacked_fold(xs: &[&[f64]], gs: &[&[f64]], ends: &[usize], (m, n): (usize, usize)) -> Array {
         let stack = |rows: &[&[f64]], cols: usize| Array::from_vec(rows.len(), cols, rows.concat());
         if ends.len() == 1 {
-            return matmul_tn(&stack(xs, m), &stack(gs, n));
+            return matmul_tn_into(Vec::new(), &stack(xs, m), &stack(gs, n));
         }
         let mut acc = Array::zeros(m, n);
         let mut from = 0;
         for &end in ends {
             let (x, g) = (stack(&xs[from..end], m), stack(&gs[from..end], n));
-            acc.add_assign(&matmul_tn(&x, &g));
+            acc.add_assign(&matmul_tn_into(Vec::new(), &x, &g));
             from = end;
         }
         acc

@@ -13,8 +13,6 @@ use sage_util::Rng;
 pub struct Linear {
     pub w: ParamId,
     pub b: ParamId,
-    pub in_dim: usize,
-    pub out_dim: usize,
 }
 
 impl Linear {
@@ -28,8 +26,6 @@ impl Linear {
         Linear {
             w: store.glorot(&format!("{name}.w"), in_dim, out_dim, rng),
             b: store.zeros(&format!("{name}.b"), 1, out_dim),
-            in_dim,
-            out_dim,
         }
     }
 

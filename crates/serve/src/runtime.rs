@@ -207,10 +207,6 @@ impl ServeRuntime {
         }
     }
 
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
     pub fn flows(&self) -> usize {
         self.table.len()
     }

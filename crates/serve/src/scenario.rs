@@ -87,9 +87,13 @@ pub fn run_many_flow(
     gr_cfg: GrConfig,
     serve_cfg: ServeConfig,
 ) -> ManyFlowReport {
-    let mut sim_cfg = SimConfig::new(sc.link(), sc.buffer_bytes(), sc.rtt_ms, sc.duration());
+    let mut sim_cfg = SimConfig::new(
+        sc.link(),
+        sc.buffer_bytes(),
+        ManyFlowScenario::RTT_MS,
+        sc.duration(),
+    );
     sim_cfg.seed = sc.seed;
-    sim_cfg.topology = sc.topology.clone();
     let interval = sage_transport::MONITOR_INTERVAL;
     let starts = sc.start_times();
 

@@ -33,10 +33,6 @@ impl TimerWheel {
         }
     }
 
-    pub fn now_tick(&self) -> u64 {
-        self.now
-    }
-
     /// Count of scheduled timers (buckets + overflow).
     pub fn pending(&self) -> usize {
         self.buckets.iter().map(Vec::len).sum::<usize>()

@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 pub struct SentMeta {
     pub bytes: u32,
     pub sent_at: Nanos,
-    pub retransmitted: bool,
     /// Selectively acknowledged (receiver holds it, ACK not yet cumulative).
     pub sacked: bool,
     /// Marked lost and awaiting retransmission.
@@ -48,7 +47,6 @@ pub struct Flow {
     pub start: Nanos,
     pub stop: Option<Nanos>,
     pub active: bool,
-    pub done: bool,
 
     // --- Sender state ---
     next_seq: u64,
@@ -119,7 +117,6 @@ impl Flow {
             start,
             stop,
             active: false,
-            done: false,
             next_seq: 0,
             snd_una: 0,
             outstanding: VecDeque::new(),
@@ -192,7 +189,6 @@ impl Flow {
                 continue;
             };
             meta.lost = false;
-            meta.retransmitted = true;
             meta.sent_at = now;
             meta.rate_snap = snap;
             let bytes = meta.bytes;
@@ -215,7 +211,6 @@ impl Flow {
         let meta = SentMeta {
             bytes: MSS,
             sent_at: now,
-            retransmitted: false,
             sacked: false,
             lost: false,
             rate_snap: snap,

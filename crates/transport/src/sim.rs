@@ -140,8 +140,6 @@ pub struct FlowStats {
     pub avg_owd_ms: f64,
     /// 95th-percentile one-way delay, ms.
     pub p95_owd_ms: f64,
-    /// Mean smoothed RTT over ticks, ms.
-    pub avg_srtt_ms: f64,
     /// Payload bytes that reached the receiver, each sequence once, in order
     /// or not (a duplicate or a second copy of received data adds nothing).
     pub delivered_bytes: u64,
@@ -294,9 +292,6 @@ pub struct Simulation {
     /// Per-flow lost-bytes counter at the previous tick.
     prev_lost_bytes: Vec<u64>,
     rng: sage_util::Rng,
-    /// Per-flow sum/count of srtt over ticks (for FlowStats).
-    srtt_sum: Vec<f64>,
-    srtt_cnt: Vec<u64>,
 }
 
 impl Simulation {
@@ -368,8 +363,6 @@ impl Simulation {
             pace_armed: vec![false; n],
             prev_lost_bytes: vec![0; n],
             rng: sage_util::Rng::new(cfg_seed ^ 0xACE1),
-            srtt_sum: vec![0.0; n],
-            srtt_cnt: vec![0; n],
         }
     }
 
@@ -409,7 +402,7 @@ impl Simulation {
                     if self.hops[h].next_completion() == Some(t) {
                         if let Some(dep) = self.hops[h].complete(self.now) {
                             match self.hop_faults[h].on_forward(dep.at) {
-                                ForwardVerdict::Drop(_) => {
+                                ForwardVerdict::Drop => {
                                     // Lost on the wire: surfaces to the
                                     // sender as a missing ACK.
                                 }
@@ -520,7 +513,6 @@ impl Simulation {
                 Ev::FlowStop(fid) => {
                     let idx = fid as usize;
                     self.flows[idx].active = false;
-                    self.flows[idx].done = true;
                 }
                 Ev::PacedSend(fid) => {
                     self.pace_armed[fid as usize] = false;
@@ -588,8 +580,6 @@ impl Simulation {
             lost_bytes_delta: lost_delta,
             cwnd_pkts: view.cwnd_pkts,
         };
-        self.srtt_sum[idx] += view.srtt;
-        self.srtt_cnt[idx] += 1;
         monitor.on_tick(idx, &view, &tick);
         // Window may have changed (tick-driven CCAs); try sending.
         self.try_send(idx);
@@ -672,7 +662,7 @@ impl Simulation {
 
     fn collect_stats(&mut self) -> Vec<FlowStats> {
         let mut out = Vec::new();
-        for (idx, f) in self.flows.iter().enumerate() {
+        for f in &self.flows {
             let end = f.stop.unwrap_or(self.cfg.duration).min(self.cfg.duration);
             let active = end.saturating_sub(f.start) as f64 / SECONDS as f64;
             let goodput = if active > 0.0 {
@@ -686,11 +676,6 @@ impl Simulation {
                 avg_goodput_mbps: goodput,
                 avg_owd_ms: sage_util::mean(&owds),
                 p95_owd_ms: percentile(&owds, 95.0),
-                avg_srtt_ms: if self.srtt_cnt[idx] > 0 {
-                    self.srtt_sum[idx] / self.srtt_cnt[idx] as f64 * 1e3
-                } else {
-                    0.0
-                },
                 delivered_bytes: f.rcv_bytes_total,
                 lost_pkts: f.lost_pkts_total,
                 retx_pkts: f.retx_pkts_total,
@@ -721,11 +706,6 @@ impl Simulation {
                 in_service_packets: h.in_service_packets(),
             })
             .collect()
-    }
-
-    /// Number of hops on the forward path (1 = single bottleneck).
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
     }
 
     /// Access a flow (for inspection in tests and figures).
@@ -1033,7 +1013,7 @@ mod tests {
         });
         let mut sim = Simulation::new(cfg, vec![FlowConfig::at_start(Box::new(MiniReno::new()))]);
         let stats = sim.run(&mut NullMonitor).remove(0);
-        assert_eq!(sim.hop_count(), 2);
+        assert_eq!(sim.hop_counters().len(), 2);
         assert!(
             stats.avg_goodput_mbps > 8.0 && stats.avg_goodput_mbps < 13.0,
             "goodput should track the 12 Mbit/s downstream hop, got {}",

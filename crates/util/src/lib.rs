@@ -21,7 +21,7 @@ pub use fsio::{
     CheckedWriter, Fnv64,
 };
 pub use json::{Json, JsonError};
-pub use par::{configured_threads, par_map, par_map_range, resolve_threads, THREADS_ENV};
+pub use par::{configured_threads, par_map_range, resolve_threads, THREADS_ENV};
 pub use prop::{forall, PropConfig};
 pub use rng::Rng;
 pub use stats::{downsample_mean, mean, percentile, stddev, Ewma};

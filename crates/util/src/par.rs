@@ -116,17 +116,6 @@ where
         .collect()
 }
 
-/// Map `f` over a slice with the same ordered-reduction guarantee as
-/// [`par_map_range`]: `out[i] == f(i, &items[i])` at every thread count.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_range(threads, items.len(), |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,9 +123,10 @@ mod tests {
     #[test]
     fn results_are_in_index_order_at_every_thread_count() {
         let items: Vec<u64> = (0..97).collect();
-        let serial = par_map(1, &items, |i, &x| (i as u64) * 1000 + x * x);
+        let f = |i: usize| (i as u64) * 1000 + items[i] * items[i];
+        let serial = par_map_range(1, items.len(), f);
         for threads in [2, 3, 4, 8] {
-            let par = par_map(threads, &items, |i, &x| (i as u64) * 1000 + x * x);
+            let par = par_map_range(threads, items.len(), f);
             assert_eq!(serial, par, "threads={threads}");
         }
     }

@@ -94,11 +94,6 @@ impl Ewma {
     pub fn get_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
-
-    /// Forget all state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 #[cfg(test)]

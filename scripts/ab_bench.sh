@@ -7,14 +7,18 @@
 # parent's inter-quartile distance, every run's value, and whether
 # `digest_parts` agree; then, from one traced pair (`--trace 1`, each side
 # once per workload), every per-layer metric whose change/parent ratio is
-# outside 0.9-1.1 — where the difference sits (choosing-metrics §6.6). With
+# outside 0.9-1.1 — where the difference sits (choosing-metrics §6.6). Under
+# the run table it names the contended pairs of each workload: both sides'
+# `wall_s` more than 15 % above that side's median, i.e. the host was busy
+# for the whole pair, which pulls both sides down alike. With
 # the claimed <workload>/<metric> as fourth argument it ends with a verdict
 # and exits 1 unless both lines are clean:
 #   CLAIM       pairs won and medians-beyond-the-parent's-IQR -> met / not met
 #               (choosing-metrics §8: at least nine tenths of the pairs, ties
 #               for neither side, and the IQR distance), plus the median
 #               gain next to the metric's `bound` and the margin between
-#               them;
+#               them, and the pairs won over the uncontended pairs alone
+#               (reported, not part of the verdict);
 #   REGRESSIONS every other workload x end-to-end metric whose change median
 #               is worse than the parent's by more than its `bound` in
 #               BENCHMARK.json (read, like benchmark/, never edited).
@@ -92,12 +96,25 @@ $1 == "digest" { if (!(($2, $3) in dig)) dig[$2, $3] = $4; else if (dig[$2, $3] 
 $1 == "trace" { key = $3 " " $4; tr[$2, key] = $5 + 0; if (!(key in tseen)) { tseen[key] = 1; torder[++nt] = key }; next }
 { key = $3 " " $4; val[$1 + 0, $2, key] = $5 + 0; if (!(key in seen)) { seen[key] = 1; order[++nk] = key } }
 END {
+  # Contended pairs: on both sides, wall_s above 1.15 x the median of that side.
+  nw = split("pipeline layers", ws, " ")
+  for (j = 1; j <= nw; j++) {
+    wk = ws[j] " wall_s"; busy[ws[j]] = ""
+    if (!(wk in seen)) continue
+    pw = 1.15 * quantile("parent", wk, 0.5); cw = 1.15 * quantile("change", wk, 0.5)
+    for (i = 1; i <= pairs; i++)
+      if (val[i, "parent", wk] > pw && val[i, "change", wk] > cw) { contended[i, ws[j]] = 1; busy[ws[j]] = busy[ws[j]] " " i }
+  }
   printf "%-9s %-20s %36s %36s %7s %5s  %s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "won", "beyond parent IQR"
   for (k = 1; k <= nk; k++) {
     key = order[k]; split(key, wm, " ")
     lower = (better[wm[2]] == "lower")
-    won = 0
-    for (i = 1; i <= pairs; i++) if (lower ? val[i, "change", key] < val[i, "parent", key] : val[i, "change", key] > val[i, "parent", key]) won++
+    won = 0; wonu = 0; nu = 0
+    for (i = 1; i <= pairs; i++) {
+      w = (lower ? val[i, "change", key] < val[i, "parent", key] : val[i, "change", key] > val[i, "parent", key])
+      won += w
+      if (!((i, wm[1]) in contended)) { nu++; wonu += w }
+    }
     pm = quantile("parent", key, 0.5); cm = quantile("change", key, 0.5)
     d = cm > pm ? cm - pm : pm - cm
     beyond = (d > quantile("parent", key, 0.75) - quantile("parent", key, 0.25) ? "yes" : "no")
@@ -105,7 +122,7 @@ END {
     if (wm[1] "/" wm[2] == claim) {
       met = (won * 10 >= pairs * 9 && beyond == "yes" && (lower ? cm < pm : cm > pm))
       gain = pm ? (lower ? 1 - cm / pm : cm / pm - 1) : 0
-      verdict = sprintf("CLAIM %s: won %d/%d, medians %.4f -> %.4f (%.3fx) beyond the parent IQR %s; gain %.1f%% vs bound %g%%, margin %+.1f pts -> %s", claim, won, pairs, pm, cm, (pm ? cm / pm : 0), beyond, 100 * gain, 100 * bound[wm[2]], 100 * (gain - bound[wm[2]]), (met ? "met" : "not met"))
+      verdict = sprintf("CLAIM %s: won %d/%d (won %d/%d over uncontended pairs), medians %.4f -> %.4f (%.3fx) beyond the parent IQR %s; gain %.1f%% vs bound %g%%, margin %+.1f pts -> %s", claim, won, pairs, wonu, nu, pm, cm, (pm ? cm / pm : 0), beyond, 100 * gain, 100 * bound[wm[2]], 100 * (gain - bound[wm[2]]), (met ? "met" : "not met"))
     } else if (lower ? cm > pm * (1 + bound[wm[2]]) : cm < pm * (1 - bound[wm[2]]))
       regressions = regressions sprintf(" %s/%s %.4f -> %.4f (bound %g)", wm[1], wm[2], pm, cm, bound[wm[2]])
   }
@@ -117,8 +134,9 @@ END {
     for (i = 1; i <= pairs; i++) line = line sprintf(" %.4g", val[i, "change", order[k]])
     print line
   }
-  n = split("pipeline layers", ws, " ")
-  for (i = 1; i <= n; i++)
+  print "contended pairs (on both sides, wall_s > 1.15 x the median of that side):"
+  for (i = 1; i <= nw; i++) printf "%-9s %s\n", ws[i], (busy[ws[i]] == "" ? "none" : substr(busy[ws[i]], 2))
+  for (i = 1; i <= nw; i++)
     printf "%-9s digest_parts %s\n", ws[i], (dig["parent", ws[i]] == dig["change", ws[i]] && dig["parent", ws[i]] != "unstable" ? "match" : "DIFFER: parent " dig["parent", ws[i]] " change " dig["change", ws[i]])
   print "one traced pair, per-layer metrics with change/parent outside 0.9-1.1:"
   for (k = 1; k <= nt; k++) {

@@ -36,6 +36,19 @@ for m in $(grep -rhoE 'obs_counter!\("[^"]+"' crates/*/src | cut -d'"' -f2 | sor
     || { echo "FAIL: counter $m is registered under crates/*/src but nothing reads it"; exit 1; }
 done
 
+# Every `pub fn` under crates/*/src has a caller: its name appears as `.name`,
+# `::name` or `name(` on a line that is not a fn definition, anywhere in the
+# workspace or the benchmark. The compiler's dead_code lint covers private
+# items only; a public capability no caller uses is code to keep correct for
+# nothing. Matching is by name, so a shared name counts as used.
+echo "== api: every pub fn under crates/*/src has a caller =="
+CALLED=$(grep -rhvE '^\s*(pub(\([^)]*\))? )?((const|unsafe|async|extern "C") )*fn ' \
+           --include='*.rs' crates src tests examples benchmark/src \
+         | grep -oE '(\.|::)[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*\(' | tr -d '.:(' | sort -u)
+UNCALLED=$(comm -23 <(grep -rhoE 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src | cut -d' ' -f3 | sort -u) \
+                    <(echo "$CALLED") | tr '\n' ' ')
+[ -z "$UNCALLED" ] || { echo "FAIL: pub fn defined under crates/*/src but never called: $UNCALLED"; exit 1; }
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
