@@ -9,7 +9,7 @@ pub mod figures;
 pub mod matrix;
 
 use sage_collector::{collect_pool, training_envs, EnvSpec, Pool};
-use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
+use sage_core::{CrrConfig, CrrTrainer, SageModel};
 use sage_eval::league::{rank_league, LeagueEntry};
 use sage_eval::matrix::{
     league_scores, run_matrix, Family, MatrixCell, MatrixReport, MatrixSpec, ScenarioSpec,
@@ -77,9 +77,6 @@ pub fn pool(scale: [usize; 3], gr: GrConfig) -> Pool {
 /// Default training configuration for the reproduction-scale Sage.
 pub fn default_train_cfg() -> CrrConfig {
     CrrConfig {
-        net: NetConfig::default(),
-        batch: 16,
-        unroll: 8,
         seed: SEED,
         ..CrrConfig::default()
     }

@@ -2,18 +2,18 @@
 //! environments -> pool -> offline training -> deployment -> league — plus
 //! invariants that span crate boundaries.
 
-use sage::collector::{collect_pool, training_envs, Pool};
-use sage::core::policy::{ActionMode, SagePolicy};
-use sage::core::{CrrConfig, CrrTrainer, NetConfig};
-use sage::eval::league::rank_league;
-use sage::eval::matrix::{league_scores, run_matrix, Family, MatrixSpec, ScenarioSpec};
-use sage::eval::runner::Contender;
-use sage::eval::similarity::DistanceIndex;
-use sage::gr::GrConfig;
-use sage::netsim::link::LinkModel;
-use sage::netsim::time::from_secs;
-use sage::transport::sim::NullMonitor;
-use sage::transport::{FlowConfig, SimConfig, Simulation};
+use sage_collector::{collect_pool, training_envs, Pool};
+use sage_core::policy::{ActionMode, SagePolicy};
+use sage_core::{CrrConfig, CrrTrainer, NetConfig};
+use sage_eval::league::rank_league;
+use sage_eval::matrix::{league_scores, run_matrix, Family, MatrixSpec, ScenarioSpec};
+use sage_eval::runner::Contender;
+use sage_eval::similarity::DistanceIndex;
+use sage_gr::GrConfig;
+use sage_netsim::link::LinkModel;
+use sage_netsim::time::from_secs;
+use sage_transport::sim::NullMonitor;
+use sage_transport::{FlowConfig, SimConfig, Simulation};
 use std::sync::Arc;
 
 fn tiny_net() -> NetConfig {
@@ -121,10 +121,10 @@ fn model_persists_and_reloads_identically() {
     trainer.train(&pool, 10, |_, _| {});
     let path = std::env::temp_dir().join("sage_it_model.bin");
     trainer.model().save_file(&path).unwrap();
-    let loaded = sage::core::SageModel::load_file(&path).unwrap();
+    let loaded = sage_core::SageModel::load_file(&path).unwrap();
     assert_eq!(loaded.cfg, trainer.model().cfg);
     // Deterministic deployment of the two must agree exactly.
-    let run = |m: Arc<sage::core::SageModel>| {
+    let run = |m: Arc<sage_core::SageModel>| {
         let cfg = SimConfig::new(
             LinkModel::Constant { mbps: 12.0 },
             120_000,
@@ -136,7 +136,7 @@ fn model_persists_and_reloads_identically() {
         sim.run(&mut NullMonitor).remove(0).delivered_bytes
     };
     let a = run(Arc::new(loaded));
-    let b = run(Arc::new(sage::core::SageModel::load_file(&path).unwrap()));
+    let b = run(Arc::new(sage_core::SageModel::load_file(&path).unwrap()));
     assert_eq!(a, b);
     std::fs::remove_file(path).ok();
 }
@@ -168,7 +168,7 @@ fn distance_index_separates_pool_members_from_novel_schemes() {
     // Re-running a pool scheme gives near-zero distances.
     let rerun = collect_pool(&envs[..1], &["vegas"], GrConfig::default(), 9, |_, _| {});
     let d_same = idx.distances(&rerun.trajectories[0]);
-    let med_same = sage::util::percentile(&d_same, 50.0);
+    let med_same = sage_util::percentile(&d_same, 50.0);
     assert!(med_same < 0.05, "pool member median distance {med_same}");
 }
 

@@ -3,6 +3,7 @@
 //! action. The mixture "mitigates the chance of converging to a single
 //! arbitrary CC heuristic".
 
+use crate::array::Array;
 use crate::graph::{log_sum_exp, Graph, NodeId};
 use crate::layers::Linear;
 use crate::params::ParamStore;
@@ -70,7 +71,7 @@ impl GmmHead {
     /// Graph-free forward, bit-identical to [`GmmHead::fwd`] row by row
     /// (see [`crate::infer`]). Returns the raw `[B,K]` mixture parameter
     /// matrices; extract a flow's mixture with [`GmmBatch::row`].
-    pub fn infer(&self, store: &ParamStore, x: &crate::array::Array) -> GmmBatch {
+    pub fn infer(&self, store: &ParamStore, x: &Array) -> GmmBatch {
         let means = self.mean.infer(store, x);
         let half_range = (LOG_STD_MAX - LOG_STD_MIN) / 2.0;
         let mid = (LOG_STD_MAX + LOG_STD_MIN) / 2.0;
@@ -89,9 +90,9 @@ impl GmmHead {
 /// row `r` holds flow r's K-component mixture.
 #[derive(Debug, Clone)]
 pub struct GmmBatch {
-    pub means: crate::array::Array,
-    pub log_stds: crate::array::Array,
-    pub logits: crate::array::Array,
+    pub means: Array,
+    pub log_stds: Array,
+    pub logits: Array,
 }
 
 impl GmmBatch {
@@ -99,17 +100,23 @@ impl GmmBatch {
         self.means.rows
     }
 
-    /// Extract row `r` as sampling-ready [`GmmParams`] — same math as
-    /// [`GmmParams::from_nodes`].
+    /// Extract row `r` as sampling-ready [`GmmParams`].
     pub fn row(&self, r: usize) -> GmmParams {
-        let k = self.means.cols;
-        let logits: Vec<f64> = (0..k).map(|c| self.logits.at(r, c)).collect();
-        let lse = log_sum_exp(&logits);
-        GmmParams {
-            means: (0..k).map(|c| self.means.at(r, c)).collect(),
-            log_stds: (0..k).map(|c| self.log_stds.at(r, c)).collect(),
-            weights: logits.iter().map(|&l| (l - lse).exp()).collect(),
-        }
+        mixture_row(&self.means, &self.log_stds, &self.logits, r)
+    }
+}
+
+/// Row `r` of `[B,K]` mixture parameter matrices, its logits normalised into
+/// mixing weights: the one arithmetic behind [`GmmBatch::row`] and
+/// [`GmmParams::from_nodes`].
+fn mixture_row(means: &Array, log_stds: &Array, logits: &Array, r: usize) -> GmmParams {
+    let k = means.cols;
+    let logits: Vec<f64> = (0..k).map(|c| logits.at(r, c)).collect();
+    let lse = log_sum_exp(&logits);
+    GmmParams {
+        means: (0..k).map(|c| means.at(r, c)).collect(),
+        log_stds: (0..k).map(|c| log_stds.at(r, c)).collect(),
+        weights: logits.iter().map(|&l| (l - lse).exp()).collect(),
     }
 }
 
@@ -125,17 +132,12 @@ pub struct GmmParams {
 impl GmmParams {
     /// Read the mixture of row `r` out of forward-pass node values.
     pub fn from_nodes(g: &Graph, nodes: GmmNodes, r: usize) -> Self {
-        let mv = g.value(nodes.means);
-        let sv = g.value(nodes.log_stds);
-        let wv = g.value(nodes.logits);
-        let k = mv.cols;
-        let logits: Vec<f64> = (0..k).map(|c| wv.at(r, c)).collect();
-        let lse = log_sum_exp(&logits);
-        GmmParams {
-            means: (0..k).map(|c| mv.at(r, c)).collect(),
-            log_stds: (0..k).map(|c| sv.at(r, c)).collect(),
-            weights: logits.iter().map(|&l| (l - lse).exp()).collect(),
-        }
+        mixture_row(
+            g.value(nodes.means),
+            g.value(nodes.log_stds),
+            g.value(nodes.logits),
+            r,
+        )
     }
 
     /// Sample an action.
@@ -171,7 +173,6 @@ pub fn gmm_log_density(p: &GmmParams, a: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::Array;
 
     #[test]
     fn log_std_is_bounded() {
