@@ -11,7 +11,7 @@ use crate::{
     default_train_cfg, evaluate, heuristics, league_table, league_tables, learned, pct, pool,
     table, train_crr, winning_rates, GRID_SECS, SEED,
 };
-use sage_collector::{collect_pool, EnvSpec, Pool, SetKind};
+use sage_collector::{collect_pool, EnvSpec, Pool, Series, SetKind, Trajectory};
 use sage_core::online::OnlineRlTrainer;
 use sage_core::{CrrConfig, CrrTrainer, NetConfig, SageModel};
 use sage_eval::league::rank_league;
@@ -593,7 +593,7 @@ fn fig14(ctx: &mut Ctx, out: &mut String) -> Res {
         let mut feats: Vec<Vec<f64>> = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
         for (ei, env) in set2_envs.iter().enumerate() {
-            let run = learned(name, model.clone(), *gr).rollout(env, SEED);
+            let run = learned(name, model.clone(), *gr).rollout::<Trajectory>(env, SEED);
             // Recompute hidden features over the recorded states
             // (subsampled to keep t-SNE O(n^2) small).
             let n = run.traj.len();
@@ -703,7 +703,7 @@ fn fig17(ctx: &mut Ctx, out: &mut String) -> Res {
         ),
     ];
     for (name, e) in scenarios {
-        let res = sage.rollout(&e, SEED);
+        let res = sage.rollout::<Series>(&e, SEED);
         let _ = writeln!(
             out,
             "\n== Fig.17 {name}: t(s)  rate(Mbps)  owd(ms)  cwnd(pkt) =="

@@ -17,6 +17,6 @@ pub mod supervise;
 
 pub use env::{set1_flat_grid, set1_step_grid, set2_grid, training_envs, EnvSpec, SetKind};
 pub use pool::{Pool, Trajectory};
-pub use rollout::{cell_span_base, rollout, RolloutResult};
+pub use rollout::{cell_span_base, rollout, Record, RolloutResult, Series};
 pub use states::States;
 pub use supervise::{collect_pool, collect_pool_with_threads};

@@ -1,5 +1,6 @@
-//! Rolling a scheme through an environment while the GR unit records its
-//! trajectory.
+//! Rolling a scheme through an environment while recording the flow under
+//! test: the GR unit's full trajectory where the pool and the learners read
+//! it, only the goodput, delay and window series where a score does.
 
 use crate::env::{EnvSpec, SetKind};
 use crate::pool::Trajectory;
@@ -8,39 +9,121 @@ use sage_heuristics::build;
 use sage_transport::sim::{Monitor, TickRecord};
 use sage_transport::{CongestionControl, FlowConfig, FlowStats, SimConfig, Simulation, SocketView};
 
-/// Result of one rollout: the recorded trajectory plus run statistics.
-pub struct RolloutResult {
-    pub traj: Trajectory,
+/// Result of one rollout: what was recorded of the flow under test (by
+/// default the full trajectory) plus run statistics.
+pub struct RolloutResult<T = Trajectory> {
+    pub traj: T,
     /// Statistics of the flow under test.
     pub stats: FlowStats,
     /// Statistics of every flow (competing Cubic flows included).
     pub all_stats: Vec<FlowStats>,
 }
 
-struct GrMonitor {
-    gr: GrUnit,
-    test_idx: usize,
-    fair_share_bps: f64,
-    traj: Trajectory,
+/// The per-tick series of the flow under test that scores, regime checks
+/// and time-series figures read: the same three a [`Trajectory`] carries,
+/// recorded without running the GR unit.
+#[derive(Debug, Clone, Default)]
+pub struct Series {
+    /// Receiver goodput, bits/s.
+    pub thr: Vec<f32>,
+    /// Mean one-way delay, seconds.
+    pub owd: Vec<f32>,
+    /// Congestion window, packets.
+    pub cwnd: Vec<f32>,
 }
 
-impl Monitor for GrMonitor {
-    fn on_tick(&mut self, flow_idx: usize, view: &SocketView, tick: &TickRecord) {
-        if flow_idx != self.test_idx {
-            return;
-        }
-        let step = self.gr.on_tick(view, tick);
-        self.traj
-            .states
+impl Series {
+    pub fn len(&self) -> usize {
+        self.thr.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.thr.is_empty()
+    }
+
+    fn push(&mut self, tick: &TickRecord) {
+        self.thr.push(tick.goodput_bps as f32);
+        self.owd.push(tick.mean_owd as f32);
+        self.cwnd.push(tick.cwnd_pkts as f32);
+    }
+}
+
+/// What a rollout records of the flow under test, tick by tick. The caller
+/// chooses by the type it reads — a [`Trajectory`] for the pool and the
+/// learners, a [`Series`] for a score — and the run is the same either way:
+/// recording only watches the simulation.
+pub trait Record: Sized {
+    /// The recording in progress.
+    type Recorder;
+    fn recorder(env: &EnvSpec, scheme: &str, gr_cfg: GrConfig) -> Self::Recorder;
+    fn on_tick(rec: &mut Self::Recorder, view: &SocketView, tick: &TickRecord);
+    fn finish(rec: Self::Recorder) -> Self;
+}
+
+/// The full pool trajectory: the GR unit builds each tick's state, action
+/// and Power reward, and the friendliness reward is taken against the
+/// environment's fair share.
+impl Record for Trajectory {
+    type Recorder = (GrUnit, Trajectory);
+
+    fn recorder(env: &EnvSpec, scheme: &str, gr_cfg: GrConfig) -> Self::Recorder {
+        let gr = GrUnit::new(gr_cfg, RewardParams::for_capacity(env.capacity_mbps));
+        let traj = Trajectory {
+            scheme: scheme.to_string(),
+            env_id: env.id.clone(),
+            set2: env.set == SetKind::SetII,
+            fair_share_bps: env.fair_share_bps(),
+            ..Default::default()
+        };
+        (gr, traj)
+    }
+
+    fn on_tick((gr, traj): &mut Self::Recorder, view: &SocketView, tick: &TickRecord) {
+        let step = gr.on_tick(view, tick);
+        traj.states
             .push(&std::array::from_fn(|i| step.state[i] as f32));
-        self.traj.actions.push(step.action as f32);
-        self.traj.r1.push(step.reward_power as f32);
-        self.traj
-            .r2
-            .push(reward_friendliness(step.delivery_bps, self.fair_share_bps) as f32);
-        self.traj.thr.push(tick.goodput_bps as f32);
-        self.traj.owd.push(tick.mean_owd as f32);
-        self.traj.cwnd.push(tick.cwnd_pkts as f32);
+        traj.actions.push(step.action as f32);
+        traj.r1.push(step.reward_power as f32);
+        traj.r2
+            .push(reward_friendliness(step.delivery_bps, traj.fair_share_bps) as f32);
+        traj.thr.push(tick.goodput_bps as f32);
+        traj.owd.push(tick.mean_owd as f32);
+        traj.cwnd.push(tick.cwnd_pkts as f32);
+    }
+
+    fn finish((_, mut traj): Self::Recorder) -> Self {
+        traj.states.shrink_to_fit();
+        traj
+    }
+}
+
+impl Record for Series {
+    type Recorder = Series;
+
+    fn recorder(_env: &EnvSpec, _scheme: &str, _gr_cfg: GrConfig) -> Self::Recorder {
+        Series::default()
+    }
+
+    fn on_tick(rec: &mut Self::Recorder, _view: &SocketView, tick: &TickRecord) {
+        rec.push(tick);
+    }
+
+    fn finish(rec: Self::Recorder) -> Self {
+        rec
+    }
+}
+
+/// Hands the ticks of the flow under test to `R`'s recorder.
+struct Watch<R: Record> {
+    test_idx: usize,
+    rec: R::Recorder,
+}
+
+impl<R: Record> Monitor for Watch<R> {
+    fn on_tick(&mut self, flow_idx: usize, view: &SocketView, tick: &TickRecord) {
+        if flow_idx == self.test_idx {
+            R::on_tick(&mut self.rec, view, tick);
+        }
     }
 }
 
@@ -98,41 +181,32 @@ pub fn cell_span_base(env_id: &str, scheme: &str, seed: u64) -> u64 {
     h.finish() << 16
 }
 
-/// Roll one scheme through one environment, recording its trajectory.
-/// `mk(flow_seed)` is called once per flow of the scheme under test
-/// (`env.self_flows` times, with seeds `seed`, `seed + 1`, ...), so
-/// intra-scheme fairness scenarios can stamp out learned policies and
-/// heuristics alike. The first flow is the flow under test; its trajectory
-/// is the one recorded.
-pub fn rollout(
+/// Roll one scheme through one environment, recording the flow under test
+/// as a `T` (see [`Record`]). `mk(flow_seed)` is called once per flow of the
+/// scheme under test (`env.self_flows` times, with seeds `seed`, `seed + 1`,
+/// ...), so intra-scheme fairness scenarios can stamp out learned policies
+/// and heuristics alike. The first flow is the flow under test; its ticks
+/// are the ones recorded.
+pub fn rollout<T: Record>(
     env: &EnvSpec,
     scheme: &str,
     mut mk: impl FnMut(u64) -> Box<dyn CongestionControl>,
     gr_cfg: GrConfig,
     seed: u64,
-) -> RolloutResult {
+) -> RolloutResult<T> {
     let ccas: Vec<Box<dyn CongestionControl>> = (0..env.self_flows as u64)
         .map(|k| mk(seed.wrapping_add(k)))
         .collect();
     let span_base = cell_span_base(&env.id, scheme, seed);
     let (mut sim, test_idx) = build_sim(env, ccas, seed, span_base);
-    let mut mon = GrMonitor {
-        gr: GrUnit::new(gr_cfg, RewardParams::for_capacity(env.capacity_mbps)),
+    let mut watch = Watch::<T> {
         test_idx,
-        fair_share_bps: env.fair_share_bps(),
-        traj: Trajectory {
-            scheme: scheme.to_string(),
-            env_id: env.id.clone(),
-            set2: env.set == SetKind::SetII,
-            fair_share_bps: env.fair_share_bps(),
-            ..Default::default()
-        },
+        rec: T::recorder(env, scheme, gr_cfg),
     };
-    let all_stats = sim.run(&mut mon);
-    mon.traj.states.shrink_to_fit();
+    let all_stats = sim.run(&mut watch);
     let stats = all_stats[test_idx].clone();
     RolloutResult {
-        traj: mon.traj,
+        traj: T::finish(watch.rec),
         stats,
         all_stats,
     }
@@ -148,7 +222,7 @@ mod tests {
     fn rollout_records_expected_tick_count() {
         let mut env = set1_flat_grid(5.0)[7].clone();
         env.duration = sage_netsim::time::from_secs(5.0);
-        let res = rollout(
+        let res: RolloutResult = rollout(
             &env,
             "cubic",
             |_| build("cubic", 1).unwrap(),
@@ -167,7 +241,7 @@ mod tests {
             .into_iter()
             .find(|e| e.id.contains("bw24-rtt40-q2"))
             .unwrap();
-        let res = rollout(
+        let res: RolloutResult = rollout(
             &env,
             "vegas",
             |_| build("vegas", 1).unwrap(),
@@ -208,7 +282,7 @@ mod tests {
         let mut env = set1_flat_grid(6.0)[7].clone();
         env.self_flows = 3;
         env.self_stagger = sage_netsim::time::from_secs(1.0);
-        let res = rollout(
+        let res: RolloutResult = rollout(
             &env,
             "cubic",
             |s| build("cubic", s).unwrap(),
@@ -226,14 +300,14 @@ mod tests {
     #[test]
     fn deterministic_rollouts() {
         let env = set1_flat_grid(3.0)[0].clone();
-        let a = rollout(
+        let a: RolloutResult = rollout(
             &env,
             "cubic",
             |_| build("cubic", 1).unwrap(),
             GrConfig::default(),
             5,
         );
-        let b = rollout(
+        let b: RolloutResult = rollout(
             &env,
             "cubic",
             |_| build("cubic", 1).unwrap(),

@@ -120,11 +120,11 @@ impl CongestionControl for HybridPolicy {
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
         self.tick_count += 1;
         self.actor.set_cwnd(self.cwnd_pkts());
-        let step = self.actor.observe(now, sock);
+        let state = self.actor.observe(now, sock);
         if !self.tick_count.is_multiple_of(self.period) {
             return;
         }
-        let mix = self.model.step_one(&step.state, &mut self.hidden);
+        let mix = self.model.step_one(&state, &mut self.hidden);
         let u = log_ratio(mix.mean()).clamp(-1.0, 1.0);
         // Orca: cwnd = cubic_cwnd * 2^u with u in [-1, 1].
         self.multiplier = 2f64.powf(u);

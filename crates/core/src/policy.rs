@@ -4,7 +4,7 @@
 //! turns it into a mixture, and the actor enforces the chosen cwnd ratio.
 
 use crate::model::SageModel;
-use sage_gr::{CwndActor, GrConfig, GrStep};
+use sage_gr::{CwndActor, GrConfig, STATE_DIM};
 use sage_netsim::time::Nanos;
 use sage_nn::Array;
 use sage_transport::{AckEvent, CongestionControl, SocketView};
@@ -51,18 +51,18 @@ impl SagePolicy {
         self
     }
 
-    /// One monitor interval: observe, infer, enforce. Returns what the policy
-    /// saw and the raw (scaled-unit) action it chose, so distillation can
-    /// harvest exactly the deployed pipeline; `on_tick` discards both.
-    pub fn act(&mut self, now: Nanos, sock: &SocketView) -> (GrStep, f64) {
-        let step = self.actor.observe(now, sock);
-        let mix = self.model.step_one(&step.state, &mut self.hidden);
+    /// One monitor interval: observe, infer, enforce. Returns the state the
+    /// policy saw and the raw (scaled-unit) action it chose, so distillation
+    /// can harvest exactly the deployed pipeline; `on_tick` discards both.
+    pub fn act(&mut self, now: Nanos, sock: &SocketView) -> ([f64; STATE_DIM], f64) {
+        let state = self.actor.observe(now, sock);
+        let mix = self.model.step_one(&state, &mut self.hidden);
         let raw = match self.mode {
             ActionMode::Sample => mix.sample(&mut self.rng),
             ActionMode::Deterministic => mix.mean(),
         };
         self.actor.apply(raw);
-        (step, raw)
+        (state, raw)
     }
 }
 

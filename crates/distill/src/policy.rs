@@ -58,9 +58,9 @@ impl CongestionControl for SymbolicPolicy {
     }
 
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
-        let step = self.actor.observe(now, sock);
+        let state = self.actor.observe(now, sock);
         // The tree emits the mixture mean in scaled action units.
-        self.actor.apply(self.tree.predict(&step.state));
+        self.actor.apply(self.tree.predict(&state));
     }
 
     fn cwnd_pkts(&self) -> f64 {

@@ -12,7 +12,7 @@
 //! harvested flow is the policy in `Deterministic` mode — so the harvested
 //! dataset digest is byte-identical at any `SAGE_THREADS`.
 
-use sage_collector::{rollout, EnvSpec};
+use sage_collector::{rollout, EnvSpec, Series};
 use sage_core::model::SageModel;
 use sage_core::{ActionMode, SagePolicy};
 use sage_distill::{Dataset, SymbolicModel};
@@ -54,11 +54,11 @@ impl CongestionControl for HarvestCc {
     }
 
     fn on_tick(&mut self, now: Nanos, sock: &SocketView) {
-        let (step, mean) = self.policy.act(now, sock);
+        let (state, mean) = self.policy.act(now, sock);
         self.sink
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push((step.state, mean));
+            .push((state.to_vec(), mean));
     }
 
     fn cwnd_pkts(&self) -> f64 {
@@ -68,11 +68,12 @@ impl CongestionControl for HarvestCc {
 
 /// Replay one scenario with the deterministic policy, returning the rows
 /// recorded by the flow under test (companion self-flows run the same
-/// policy but are not recorded).
+/// policy but are not recorded). The rows come from the policy's own sink;
+/// the rollout records only the series, and nothing reads them.
 fn harvest_scenario(model: &Arc<SageModel>, gr_cfg: GrConfig, env: &EnvSpec, seed: u64) -> Dataset {
     let sink: Sink = Arc::new(Mutex::new(Vec::new()));
     let mut first = true;
-    rollout(
+    rollout::<Series>(
         env,
         "sage",
         |_flow_seed| {
@@ -165,6 +166,7 @@ pub fn agreement(tree: &SymbolicModel, ds: &Dataset, tol_lr: f64) -> Agreement {
 mod tests {
     use super::*;
     use crate::matrix::scenarios_set12;
+    use sage_collector::Trajectory;
     use sage_core::model::NetConfig;
     use sage_distill::TreeConfig;
 
@@ -247,7 +249,7 @@ mod tests {
             let sink = sink.clone();
             Box::new(HarvestCc { policy, sink })
         };
-        let traj = rollout(&env, "sage", mk, gr_cfg, 5).traj;
+        let traj = rollout::<Trajectory>(&env, "sage", mk, gr_cfg, 5).traj;
         let rows = sink.lock().unwrap();
         assert_eq!(rows.len(), traj.len(), "one observation per recorded tick");
         assert!(rows.len() >= 500);

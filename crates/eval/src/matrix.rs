@@ -19,7 +19,7 @@ use crate::adversary::{decode, GENOME_DIM};
 use crate::runner::Contender;
 use crate::score::{interval_scores, jain_fairness, RunScore, ScoreKind, INTERVALS};
 use crate::set3::{scenario_grid, set3_env};
-use sage_collector::{training_envs, EnvSpec, SetKind};
+use sage_collector::{training_envs, EnvSpec, Series, SetKind};
 use sage_netsim::internet::{bdp_bytes, InternetProfile};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::from_secs;
@@ -442,7 +442,8 @@ pub(crate) fn run_cell(sc: &ScenarioSpec, c: &Contender, seed: u64, alpha: f64) 
         seed,
         0,
     );
-    let run = catch_unwind(AssertUnwindSafe(|| c.rollout(env, seed)));
+    // A score reads the series alone: the GR unit stays out of the cell.
+    let run = catch_unwind(AssertUnwindSafe(|| c.rollout::<Series>(env, seed)));
     if let Err(_panic) = &run {
         // Crash forensics, mirroring the supervised-collection path: mark
         // the panic and dump the per-thread event tail.

@@ -3,7 +3,7 @@
 //! contender is built and run through an environment; the evaluation
 //! matrix, the figures and the tests all call it.
 
-use sage_collector::{rollout, EnvSpec, RolloutResult};
+use sage_collector::{rollout, EnvSpec, Record, RolloutResult};
 use sage_core::baselines::{HybridPolicy, OracleCc};
 use sage_core::policy::{ActionMode, SagePolicy};
 use sage_core::SageModel;
@@ -88,8 +88,9 @@ impl Contender {
     }
 
     /// Roll this contender through `env` at `seed`: one controller per flow
-    /// of the scheme under test, recorded through [`Contender::gr_cfg`].
-    pub fn rollout(&self, env: &EnvSpec, seed: u64) -> RolloutResult {
+    /// of the scheme under test, recorded as a `T` — a full trajectory
+    /// through [`Contender::gr_cfg`], or the series alone.
+    pub fn rollout<T: Record>(&self, env: &EnvSpec, seed: u64) -> RolloutResult<T> {
         rollout(
             env,
             self.name(),
@@ -103,7 +104,92 @@ impl Contender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_collector::set2_grid;
+    use crate::matrix::scenarios_multihop;
+    use sage_collector::{set1_flat_grid, set2_grid, Series, Trajectory};
+    use sage_core::model::NetConfig;
+    use sage_gr::STATE_DIM;
+
+    /// Recording only watches: a heuristic, a learned model and the oracle,
+    /// each on a Set I path, a Set II path and the 4-hop parking lot, record
+    /// the same series with or without the GR unit, over the same run.
+    #[test]
+    fn series_rollout_runs_what_the_full_rollout_runs() {
+        let net = NetConfig {
+            enc1: 8,
+            gru: 8,
+            enc2: 8,
+            fc: 8,
+            residual_blocks: 1,
+            critic_hidden: 8,
+            ..NetConfig::default()
+        };
+        let model = Arc::new(SageModel::new(
+            net,
+            vec![0.0; STATE_DIM],
+            vec![1.0; STATE_DIM],
+            3,
+        ));
+        let secs = 4.0;
+        let pick = |envs: Vec<EnvSpec>, id: &str| {
+            envs.into_iter()
+                .find(|e| e.id == id)
+                .unwrap_or_else(|| panic!("no scenario {id}"))
+        };
+        let envs = [
+            pick(set1_flat_grid(secs), "s1-flat-bw24-rtt40-q2"),
+            pick(set2_grid(secs), "s2-bw24-rtt40-q2"),
+            pick(
+                scenarios_multihop(secs)
+                    .into_iter()
+                    .map(|s| s.env)
+                    .collect(),
+                "mh-parking-3",
+            ),
+        ];
+        let contenders = [
+            Contender::Heuristic("cubic"),
+            Contender::Model {
+                name: "sage",
+                model,
+                gr_cfg: GrConfig::default(),
+            },
+            Contender::Oracle,
+        ];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for env in &envs {
+            for c in &contenders {
+                let what = format!("{} on {}", c.name(), env.id);
+                let series = c.rollout::<Series>(env, 9);
+                let full = c.rollout::<Trajectory>(env, 9);
+                assert!(
+                    series.traj.len() > 300,
+                    "{what}: {} ticks",
+                    series.traj.len()
+                );
+                assert_eq!(series.traj.len(), full.traj.len(), "{what}");
+                assert_eq!(full.traj.states.len(), full.traj.len(), "{what}");
+                for (name, a, b) in [
+                    ("thr", &series.traj.thr, &full.traj.thr),
+                    ("owd", &series.traj.owd, &full.traj.owd),
+                    ("cwnd", &series.traj.cwnd, &full.traj.cwnd),
+                ] {
+                    assert_eq!(bits(a), bits(b), "{what}: {name}");
+                }
+                // Debug prints each float's shortest exact form, and a
+                // `FlowStats` per flow, in flow order.
+                assert_eq!(
+                    format!("{:?}", series.all_stats),
+                    format!("{:?}", full.all_stats),
+                    "{what}"
+                );
+                assert_eq!(
+                    format!("{:?}", series.stats),
+                    format!("{:?}", full.stats),
+                    "{what}"
+                );
+            }
+        }
+    }
 
     /// In Set II one Cubic flow competes, so the oracle tracks half the
     /// link — the window of an oracle told half the capacity.
@@ -116,8 +202,8 @@ mod tests {
         let half = |_| -> Box<dyn CongestionControl> {
             Box::new(OracleCc::new(env.capacity_mbps / 2.0, env.rtt_ms))
         };
-        let by_hand = rollout(&env, "oracle", half, GrConfig::default(), 3);
-        let contender = Contender::Oracle.rollout(&env, 3);
+        let by_hand = rollout::<Series>(&env, "oracle", half, GrConfig::default(), 3);
+        let contender = Contender::Oracle.rollout::<Series>(&env, 3);
         assert_eq!(contender.traj.cwnd, by_hand.traj.cwnd);
         let full = OracleCc::new(env.capacity_mbps, env.rtt_ms).bdp_pkts;
         let cwnd_max = contender.traj.cwnd.iter().fold(0.0f32, |m, &w| m.max(w));

@@ -19,7 +19,7 @@
 //! is detected, and the RTO that follows holds it on the floor for 45 ticks.
 //! Start-up overshoot is not the failure the gate is for.
 
-use sage_collector::set1_flat_grid;
+use sage_collector::{set1_flat_grid, Series};
 use sage_core::SageModel;
 use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
@@ -64,7 +64,7 @@ fn assert_regime(contender: &Contender, cell: &str, ceiling: Ceiling) {
         Ceiling::Path(k) => k * (bdp_pkts + env.buffer_bytes as f64 / MSS as f64),
     };
     let name = contender.name();
-    let traj = contender.rollout(&env, 5).traj;
+    let traj = contender.rollout::<Series>(&env, 5).traj;
     let ticks = traj.len() - WARMUP_TICKS;
     assert!(ticks >= 2000, "{name}: only {ticks} ticks");
     let cwnd = &traj.cwnd[WARMUP_TICKS..];

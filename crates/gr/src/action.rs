@@ -12,7 +12,7 @@
 //! to back.
 
 use crate::reward::RewardParams;
-use crate::state::{GrConfig, GrStep, GrUnit};
+use crate::state::{GrConfig, GrUnit, STATE_DIM};
 use sage_transport::sim::TickRecord;
 use sage_transport::{SocketView, INIT_CWND, MIN_CWND};
 
@@ -67,9 +67,10 @@ impl CwndActor {
     }
 
     /// Phase one: synthesise the tick record from the sender's own view and
-    /// advance the GR unit. The receiver-side fields (`mean_owd`) only feed
-    /// rewards, which deployment ignores.
-    pub fn observe(&mut self, now: u64, sock: &SocketView) -> GrStep {
+    /// advance the GR unit; returns the state the policy acts on. The
+    /// receiver-side fields (`mean_owd`) only feed rewards, which deployment
+    /// neither reads nor computes.
+    pub fn observe(&mut self, now: u64, sock: &SocketView) -> [f64; STATE_DIM] {
         let lost_bytes_delta = sock.lost_bytes_total.saturating_sub(self.prev_lost_bytes);
         self.prev_lost_bytes = sock.lost_bytes_total;
         let tick = TickRecord {
@@ -79,7 +80,7 @@ impl CwndActor {
             lost_bytes_delta,
             cwnd_pkts: self.cwnd,
         };
-        self.gr.on_tick(sock, &tick)
+        self.gr.observe(sock, &tick)
     }
 
     /// Phase two: enforce a raw policy output as a cwnd ratio. Returns the
@@ -195,13 +196,19 @@ mod tests {
 
     #[test]
     fn observe_reports_own_cwnd_and_loss_delta_and_rto_halves() {
+        // Row 69 (`pre_act`) of an observation is the action recorded at the
+        // one before it.
+        const PRE_ACT: usize = STATE_DIM - 1;
         let mut a = CwndActor::new(GrConfig::default());
-        assert_eq!(a.observe(10_000_000, &view(10_000_000, 3000)).action, 1.0);
+        a.observe(10_000_000, &view(10_000_000, 3000));
         assert_eq!(a.prev_lost_bytes(), 3000);
+        // The first observation has no previous window: its action is 1.
+        assert_eq!(a.observe(15_000_000, &view(15_000_000, 3000))[PRE_ACT], 1.0);
         a.apply(0.2 / ACTION_SCALE);
         // The next observation's action is the ratio just enforced.
-        let step = a.observe(20_000_000, &view(20_000_000, 4500));
-        assert!((step.action - 0.2f64.exp()).abs() < 1e-12);
+        a.observe(20_000_000, &view(20_000_000, 4500));
+        let pre_act = a.observe(30_000_000, &view(30_000_000, 4500))[PRE_ACT];
+        assert!((pre_act - 0.2f64.exp()).abs() < 1e-12);
         assert_eq!(a.prev_lost_bytes(), 4500);
         let before = a.cwnd();
         a.on_rto();

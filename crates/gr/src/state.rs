@@ -2,7 +2,6 @@
 
 use sage_transport::sim::TickRecord;
 use sage_transport::SocketView;
-use std::collections::VecDeque;
 
 /// Dimension of the full state vector.
 pub const STATE_DIM: usize = 69;
@@ -120,7 +119,7 @@ impl GrConfig {
 #[derive(Debug, Clone)]
 pub struct GrStep {
     /// The 69-element state vector (normalised).
-    pub state: Vec<f64>,
+    pub state: [f64; STATE_DIM],
     /// Action `a_t = cwnd_t / cwnd_{t-1}`.
     pub action: f64,
     /// Single-flow reward `R1` (Eq. 1); needs only local observations.
@@ -134,13 +133,17 @@ pub struct GrStep {
 /// rtt_rate, rttvar, inflight, lost.
 const SIGNALS: usize = 6;
 
+/// Rows 5-58: avg/min/max of three windows of each signal.
+const WINDOWED: usize = SIGNALS * 9;
+
 /// Windowed statistics over the six signal groups: what rows 5-58 read.
 trait Windows {
     fn push(&mut self, row: [f64; SIGNALS]);
 
     /// avg/min/max of the Small, Medium and Large window of each signal:
-    /// 54 values, in Table 1 order.
-    fn emit(&self, out: &mut Vec<f64>);
+    /// the [`WINDOWED`] values, in Table 1 order, written to the front of
+    /// `out`.
+    fn emit(&self, out: &mut [f64]);
 }
 
 /// NaN and −0.0: the values a window's min/max must fold for. `f64::min`
@@ -153,8 +156,8 @@ fn needs_fold(x: f64) -> bool {
 /// One flow's history of the six signals: a single ring of rows, read by
 /// all three windows, that grows one push at a time up to the largest
 /// window; per signal and window a running sum and a count of live
-/// [`needs_fold`] values; per signal one min and one max deque over the
-/// largest window, with a cursor per window.
+/// [`needs_fold`] values; per signal one min and one max [`Extremum`] over
+/// the largest window, with a cursor per window.
 struct History {
     /// Small, Medium, Large window lengths, in ticks.
     wins: [usize; 3],
@@ -182,48 +185,72 @@ struct Track {
 }
 
 /// A monotonic deque of `(seq, value)` over the largest window, and per
-/// window the index of its first entry inside that window. Windows are
+/// window the position of its first entry inside that window. Windows are
 /// suffixes of one history, so the entry under a window's cursor is that
 /// window's extremum.
+///
+/// The deque is an index ring: positions count up from the first push and
+/// never move, entry `p` lives in slot `p % buf.len()`, and the live entries
+/// are `head..tail`. Dropping stale entries from the front is moving `head`,
+/// with nothing shifted or drained. The ring starts empty and doubles when
+/// full, so a young history holds no more than it has seen.
 #[derive(Default)]
 struct Extremum {
-    q: VecDeque<(u64, f64)>,
+    buf: Vec<(u64, f64)>,
+    head: usize,
+    tail: usize,
     at: [usize; 3],
 }
 
 impl Extremum {
+    /// The entry at position `p` (one of `head..tail`).
+    fn entry(&self, p: usize) -> (u64, f64) {
+        self.buf[p & (self.buf.len() - 1)]
+    }
+
     /// Append `x`, pushed as `seq`, after dropping every entry it `beats`:
     /// such an entry can never be an extremum again. Of equal values only
     /// the newest is kept; the extremum is the same.
     fn push(&mut self, seq: u64, x: f64, beats: impl Fn(f64, f64) -> bool) {
-        while self.q.back().is_some_and(|&(_, v)| beats(x, v)) {
-            self.q.pop_back();
+        while self.tail > self.head && beats(x, self.entry(self.tail - 1).1) {
+            self.tail -= 1;
         }
-        let n = self.q.len();
         for a in &mut self.at {
-            *a = (*a).min(n);
+            *a = (*a).min(self.tail);
         }
-        self.q.push_back((seq, x));
+        if self.tail - self.head == self.buf.len() {
+            self.grow();
+        }
+        let slot = self.tail & (self.buf.len() - 1);
+        self.buf[slot] = (seq, x);
+        self.tail += 1;
+    }
+
+    /// Double the ring (at least four slots), each live entry moving to its
+    /// position's slot in the larger one.
+    fn grow(&mut self) {
+        let cap = (2 * self.buf.len()).max(4);
+        let mut buf = vec![(0, 0.0); cap];
+        for p in self.head..self.tail {
+            buf[p & (cap - 1)] = self.entry(p);
+        }
+        self.buf = buf;
     }
 
     /// Move each window's cursor past the entries older than that window's
-    /// oldest live push, then drop the entries no window reaches.
+    /// oldest live push; the entries no window reaches leave the front.
     fn advance(&mut self, oldest: &[u64; 3]) {
-        for (a, &o) in self.at.iter_mut().zip(oldest) {
-            while self.q.get(*a).is_some_and(|&(s, _)| s < o) {
-                *a += 1;
+        for (k, &o) in oldest.iter().enumerate() {
+            while self.at[k] < self.tail && self.entry(self.at[k]).0 < o {
+                self.at[k] += 1;
             }
         }
-        let stale = self.at.iter().copied().min().unwrap_or(0);
-        self.q.drain(..stale);
-        for a in &mut self.at {
-            *a -= stale;
-        }
+        self.head = self.at.iter().copied().min().unwrap_or(self.tail);
     }
 
     /// Window `k`'s extremum; `None` if the window holds only NaNs.
     fn get(&self, k: usize) -> Option<f64> {
-        self.q.get(self.at[k]).map(|&(_, v)| v)
+        (self.at[k] < self.tail).then(|| self.entry(self.at[k]).1)
     }
 }
 
@@ -296,23 +323,23 @@ impl Windows for History {
         }
     }
 
-    fn emit(&self, out: &mut Vec<f64>) {
+    fn emit(&self, out: &mut [f64]) {
+        let mut out = out.chunks_exact_mut(3);
         for (j, t) in self.tracks.iter().enumerate() {
-            for (k, &w) in self.wins.iter().enumerate() {
+            for ((k, &w), o) in self.wins.iter().enumerate().zip(&mut out) {
                 let len = self.pushed.min(w as u64) as usize;
-                out.push(t.sum[k] / len as f64);
-                if t.odd[k] > 0 {
-                    let (lo, hi) = self
-                        .window(j, len)
+                o[0] = t.sum[k] / len as f64;
+                (o[1], o[2]) = if t.odd[k] > 0 {
+                    self.window(j, len)
                         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
                             (lo.min(x), hi.max(x))
-                        });
-                    out.push(lo);
-                    out.push(hi);
+                        })
                 } else {
-                    out.push(t.min.get(k).unwrap_or(f64::INFINITY));
-                    out.push(t.max.get(k).unwrap_or(f64::NEG_INFINITY));
-                }
+                    (
+                        t.min.get(k).unwrap_or(f64::INFINITY),
+                        t.max.get(k).unwrap_or(f64::NEG_INFINITY),
+                    )
+                };
             }
         }
     }
@@ -351,9 +378,32 @@ impl GrUnit {
         self.history.rows.len()
     }
 
-    /// Ingest one monitor tick; returns the recorded step.
+    /// Ingest one monitor tick; returns the recorded step: the state and its
+    /// action and reward labels.
     pub fn on_tick(&mut self, view: &SocketView, tick: &TickRecord) -> GrStep {
-        self.carry.tick(&self.reward, &mut self.history, view, tick)
+        let mut state = [0.0; STATE_DIM];
+        let (action, dt) = self.carry.tick(&mut self.history, view, tick, &mut state);
+        let reward_power = crate::reward::reward_power(
+            &self.reward,
+            tick.goodput_bps,
+            tick.lost_bytes_delta as f64 * 8.0 / dt.max(1e-9),
+            tick.mean_owd,
+            view.min_rtt,
+        );
+        GrStep {
+            state,
+            action,
+            reward_power,
+            delivery_bps: tick.goodput_bps,
+        }
+    }
+
+    /// [`Self::on_tick`] without the labels: the state alone, which is all a
+    /// deployed controller acts on. The unit advances exactly as there.
+    pub fn observe(&mut self, view: &SocketView, tick: &TickRecord) -> [f64; STATE_DIM] {
+        let mut state = [0.0; STATE_DIM];
+        self.carry.tick(&mut self.history, view, tick, &mut state);
+        state
     }
 }
 
@@ -369,13 +419,15 @@ impl Carry {
         }
     }
 
+    /// Push the tick into `windows`, write the state into `s`, and return
+    /// the action `a_t` and the seconds since the previous tick.
     fn tick(
         &mut self,
-        reward: &crate::reward::RewardParams,
         windows: &mut impl Windows,
         view: &SocketView,
         tick: &TickRecord,
-    ) -> GrStep {
+        s: &mut [f64; STATE_DIM],
+    ) -> (f64, f64) {
         let srtt = view.srtt;
         let thr = view.delivery_rate_bps / RATE_SCALE;
         let rtt_rate = if self.rtt > 0.0 && view.latest_rtt > 0.0 {
@@ -388,14 +440,12 @@ impl Carry {
 
         windows.push([srtt, thr, rtt_rate, view.rttvar, inflight, lost_bytes]);
 
-        let mut s = Vec::with_capacity(STATE_DIM);
+        let (head, rest) = s.split_at_mut(4);
+        let (windowed, derived) = rest.split_at_mut(WINDOWED);
         // Rows 1-4.
-        s.push(srtt);
-        s.push(view.rttvar);
-        s.push(thr);
-        s.push(view.ca_state.as_f64());
+        head.copy_from_slice(&[srtt, view.rttvar, thr, view.ca_state.as_f64()]);
         // Rows 5-58: the six three-timescale signal groups.
-        windows.emit(&mut s);
+        windows.emit(windowed);
         // Rows 59-69: instantaneous derived signals.
         let dt = (view.now.saturating_sub(self.time)) as f64 / 1e9;
         let time_delta = if view.min_rtt > 0.0 {
@@ -403,44 +453,44 @@ impl Carry {
         } else {
             0.0
         };
-        s.push(time_delta.min(100.0)); // 59 time_delta
-        s.push(rtt_rate); // 60 rtt_rate
-        s.push(lost_bytes / dt.max(1e-9) / RATE_SCALE * 8.0 * BYTES_SCALE); // 61 loss_db (bit/s scaled)
         let acked_delta = view
             .delivered_bytes_total
             .saturating_sub(self.delivered_bytes);
         let acked_rate = acked_delta as f64 * 8.0 / dt.max(1e-9) / RATE_SCALE;
-        s.push(acked_rate); // 62 acked_rate
         let dr_ratio = if self.dr > 0.0 && view.delivery_rate_bps > 0.0 {
             view.delivery_rate_bps / self.dr
         } else {
             1.0
         };
-        s.push(dr_ratio.min(100.0)); // 63 dr_ratio
         let bdp = view.bdp_pkts();
         let bdp_cwnd = if view.cwnd_pkts > 0.0 {
             bdp / view.cwnd_pkts
         } else {
             0.0
         };
-        s.push(bdp_cwnd.min(100.0)); // 64 bdp_cwnd
-        s.push(view.delivery_rate_bps / RATE_SCALE); // 65 dr
         let unacked_rate = if view.sent_bytes_total > 0 {
             view.inflight_bytes as f64 / view.sent_bytes_total as f64
         } else {
             0.0
         };
-        s.push(unacked_rate); // 66 cwnd_unacked_rate
-        s.push(view.max_delivery_rate_bps / RATE_SCALE); // 67 dr_max
         let dr_max_ratio = if view.prev_max_delivery_rate_bps > 0.0 {
             view.max_delivery_rate_bps / view.prev_max_delivery_rate_bps
         } else {
             1.0
         };
-        s.push(dr_max_ratio.min(100.0)); // 68 dr_max_ratio
-        s.push(self.action); // 69 pre_act
-
-        debug_assert_eq!(s.len(), STATE_DIM);
+        derived.copy_from_slice(&[
+            time_delta.min(100.0),                                      // 59 time_delta
+            rtt_rate,                                                   // 60 rtt_rate
+            lost_bytes / dt.max(1e-9) / RATE_SCALE * 8.0 * BYTES_SCALE, // 61 loss_db (bit/s scaled)
+            acked_rate,                                                 // 62 acked_rate
+            dr_ratio.min(100.0),                                        // 63 dr_ratio
+            bdp_cwnd.min(100.0),                                        // 64 bdp_cwnd
+            view.delivery_rate_bps / RATE_SCALE,                        // 65 dr
+            unacked_rate,                                               // 66 cwnd_unacked_rate
+            view.max_delivery_rate_bps / RATE_SCALE,                    // 67 dr_max
+            dr_max_ratio.min(100.0),                                    // 68 dr_max_ratio
+            self.action,                                                // 69 pre_act
+        ]);
 
         // Action = cwnd ratio.
         let action = if self.cwnd > 0.0 {
@@ -448,13 +498,6 @@ impl Carry {
         } else {
             1.0
         };
-        let r1 = crate::reward::reward_power(
-            reward,
-            tick.goodput_bps,
-            tick.lost_bytes_delta as f64 * 8.0 / dt.max(1e-9),
-            tick.mean_owd,
-            view.min_rtt,
-        );
 
         self.cwnd = tick.cwnd_pkts;
         self.action = action;
@@ -462,13 +505,7 @@ impl Carry {
         self.dr = view.delivery_rate_bps;
         self.time = view.now;
         self.delivered_bytes = view.delivered_bytes_total;
-
-        GrStep {
-            state: s,
-            action,
-            reward_power: r1,
-            delivery_bps: tick.goodput_bps,
-        }
+        (action, dt)
     }
 }
 
@@ -506,13 +543,10 @@ pub(crate) mod tests {
             }
         }
 
-        fn emit(&self, out: &mut Vec<f64>) {
-            for t in self {
-                for w in [&t.s, &t.m, &t.l] {
-                    out.push(w.mean());
-                    out.push(w.min());
-                    out.push(w.max());
-                }
+        fn emit(&self, out: &mut [f64]) {
+            let windows = self.iter().flat_map(|t| [&t.s, &t.m, &t.l]);
+            for (w, o) in windows.zip(out.chunks_exact_mut(3)) {
+                o.copy_from_slice(&[w.mean(), w.min(), w.max()]);
             }
         }
     }
@@ -592,7 +626,7 @@ pub(crate) mod tests {
                     }
                     history.push(row);
                     reference.push(row);
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let (mut got, mut want) = ([0.0; WINDOWED], [0.0; WINDOWED]);
                     history.emit(&mut got);
                     reference.emit(&mut want);
                     if !same_bits(&got, &want) {
@@ -652,12 +686,54 @@ pub(crate) mod tests {
             }
             history.push(row);
             reference.push(row);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut got, mut want) = ([0.0; WINDOWED], [0.0; WINDOWED]);
             history.emit(&mut got);
             reference.emit(&mut want);
             assert!(same_bits(&got, &want), "push {t}");
             assert_eq!(history.rows.len(), (t + 1).min(1_000));
         }
+    }
+
+    /// The extremum rings from empty to the largest window: an ascending
+    /// ramp keeps every push in the min ring (1 000 entries at the default
+    /// windows, through every doubling to 1 024 slots) while the max ring
+    /// holds one; a descending ramp turns both around. NaN and −0.0 bursts
+    /// ride on both ramps, so windows fold and then return to the rings.
+    #[test]
+    fn extremum_rings_grow_through_every_doubling_and_equal_the_reference() {
+        let cfg = GrConfig::default();
+        let mut history = History::new(&cfg);
+        let mut reference = tris(&cfg);
+        let mut caps = Vec::new();
+        for t in 0..2_500usize {
+            let ramp = if t < 1_250 {
+                t as f64
+            } else {
+                (2_500 - t) as f64
+            };
+            let mut row = [ramp; SIGNALS];
+            // The bursts spare the last signal, whose rings are counted.
+            if (300..320).contains(&t) || (1_900..1_930).contains(&t) {
+                row[t % (SIGNALS - 1)] = if t % 2 == 0 { f64::NAN } else { -0.0 };
+                row[(t + 2) % (SIGNALS - 1)] = -0.0;
+            }
+            history.push(row);
+            reference.push(row);
+            let (mut got, mut want) = ([0.0; WINDOWED], [0.0; WINDOWED]);
+            history.emit(&mut got);
+            reference.emit(&mut want);
+            assert!(same_bits(&got, &want), "push {t}");
+            let min = &history.tracks[SIGNALS - 1].min;
+            if caps.last() != Some(&min.buf.len()) {
+                caps.push(min.buf.len());
+            }
+            if t == 1_249 {
+                assert_eq!(min.tail - min.head, 1_000, "ascending: every push is a min");
+                let max = &history.tracks[SIGNALS - 1].max;
+                assert_eq!(max.tail - max.head, 1, "ascending: the newest is the max");
+            }
+        }
+        assert_eq!(caps, [4, 8, 16, 32, 64, 128, 256, 512, 1_024]);
     }
 
     #[test]
@@ -669,6 +745,8 @@ pub(crate) mod tests {
                 let cfg = random_config(rng);
                 let reward = RewardParams::default();
                 let mut unit = GrUnit::new(cfg, reward);
+                // Advanced through the label-free path alongside.
+                let mut observer = GrUnit::new(cfg, reward);
                 let (mut carry, mut reference) = (Carry::new(), tris(&cfg));
                 let odd = *rng.choose(&[0.0, 0.02, 0.2]);
                 let mut v = view(0, 10.0);
@@ -685,10 +763,22 @@ pub(crate) mod tests {
                     let mut tk = tick(v.now, v.cwnd_pkts);
                     tk.lost_bytes_delta = *rng.choose(&[0, 0, 1500, 3000]);
                     let got = unit.on_tick(&v, &tk);
-                    let want = carry.tick(&reward, &mut reference, &v, &tk);
-                    let scalars = |s: &GrStep| [s.action, s.reward_power, s.delivery_bps];
-                    if !same_bits(&got.state, &want.state)
-                        || !same_bits(&scalars(&got), &scalars(&want))
+                    let observed = observer.observe(&v, &tk);
+                    let mut want = [0.0; STATE_DIM];
+                    let (action, dt) = carry.tick(&mut reference, &v, &tk, &mut want);
+                    // Opaque, as the unit's own copy is: with κ = 2 in sight
+                    // the compiler may square instead of calling `powf`.
+                    let r1 = crate::reward::reward_power(
+                        std::hint::black_box(&reward),
+                        tk.goodput_bps,
+                        tk.lost_bytes_delta as f64 * 8.0 / dt.max(1e-9),
+                        tk.mean_owd,
+                        v.min_rtt,
+                    );
+                    let scalars = [got.action, got.reward_power, got.delivery_bps];
+                    if !same_bits(&got.state, &want)
+                        || !same_bits(&observed, &want)
+                        || !same_bits(&scalars, &[action, r1, tk.goodput_bps])
                     {
                         return Err(format!("{cfg:?}, tick {t}: states differ"));
                     }

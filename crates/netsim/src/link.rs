@@ -110,14 +110,14 @@ impl LinkModel {
                     if rate <= 0.0 {
                         return Nanos::MAX;
                     }
-                    return t + (remaining / rate * SECONDS as f64).ceil() as Nanos;
+                    return t + ceil_nanos(remaining / rate * SECONDS as f64);
                 }
                 Some(end) => {
                     if rate > 0.0 {
                         let seg_secs = (end - t) as f64 / SECONDS as f64;
                         let capacity = rate * seg_secs;
                         if capacity >= remaining {
-                            return t + (remaining / rate * SECONDS as f64).ceil() as Nanos;
+                            return t + ceil_nanos(remaining / rate * SECONDS as f64);
                         }
                         remaining -= capacity;
                     }
@@ -145,6 +145,17 @@ impl LinkModel {
             }
         }
     }
+}
+
+/// `x.ceil() as Nanos`, exactly, in integer arithmetic: the baseline x86-64
+/// target has no rounding instruction, so `f64::ceil` is a libm call, and
+/// this runs once per packet service. The saturating cast truncates toward
+/// zero (NaN and negatives to 0, 2^64 and beyond to `Nanos::MAX`); a positive
+/// fraction left over adds one. Below 2^53 the truncation converts back
+/// exactly, and from there on every `f64` is an integer.
+fn ceil_nanos(x: f64) -> Nanos {
+    let t = x as Nanos;
+    t.saturating_add(Nanos::from((t as f64) < x))
 }
 
 /// Generate a synthetic cellular trace (the stand-in for the 23 real cellular
@@ -199,6 +210,69 @@ mod tests {
         };
         assert_eq!(l.rate_bps(0), 24e6);
         assert_eq!(l.rate_bps(SECONDS), 96e6);
+    }
+
+    #[test]
+    fn ceil_nanos_is_the_float_ceiling_cast() {
+        let check = |x: f64| {
+            sage_util::prop::ensure(ceil_nanos(x) == x.ceil() as Nanos, || {
+                format!(
+                    "{x:e} ({:#x}): {} != {}",
+                    x.to_bits(),
+                    ceil_nanos(x),
+                    x.ceil() as Nanos
+                )
+            })
+        };
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let p64 = 2f64.powi(64);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            0.5,
+            1.0,
+            -0.5,
+            -1.0,
+            p64,
+            p64 * 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for base in [p52, p53, p64] {
+            for d in -4i64..=4 {
+                edges.push(f64::from_bits((base.to_bits() as i64 + d) as u64));
+            }
+            edges.extend([base - 1.0, base + 1.0, base - 0.5, base + 0.5]);
+        }
+        for x in edges {
+            if let Err(e) = check(x) {
+                panic!("{e}");
+            }
+        }
+        sage_util::forall(
+            "ceil_nanos",
+            sage_util::PropConfig::new(4096, 0xCE11),
+            |rng| {
+                let x = match rng.below(4) {
+                    // Any bit pattern: every exponent, NaNs and subnormals too.
+                    0 => f64::from_bits(rng.next_u64()),
+                    // Service times: nanoseconds of one packet up to a long stall.
+                    1 => rng.range(0.0, 1e10),
+                    2 => rng.range(p52, p53 * 2.0),
+                    _ => rng.range(-10.0, 10.0),
+                };
+                check(x)
+            },
+        );
     }
 
     #[test]

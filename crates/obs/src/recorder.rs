@@ -256,6 +256,9 @@ fn init_mask() -> u32 {
     mask
 }
 
+/// The armed category mask. Inlined into every `record` site: without LTO a
+/// plain cross-crate call here would be paid per packet event.
+#[inline]
 fn mask() -> u32 {
     let state = RECORD_STATE.load(Relaxed);
     if state & INIT_BIT != 0 {

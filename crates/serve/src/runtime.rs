@@ -421,13 +421,13 @@ impl ServeRuntime {
                 // Fast tier: observe + tree walk, never deferred and never
                 // consuming the NN batch budget (the tree emits the mixture
                 // mean, in the same scaled units as the NN rows below).
-                let step = e.actor.observe(view.now, &view);
+                let state = e.actor.observe(view.now, &view);
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "latency measurement only — feeds stats.sym_infer_nanos, never control flow or digests"
                 )]
                 let t0 = Instant::now();
-                let raw = tree.predict(&step.state);
+                let raw = tree.predict(&state);
                 sym_nanos_tick += t0.elapsed().as_nanos() as u64;
                 let sym_lr = e.actor.apply(raw);
                 let cwnd = e.actor.cwnd();
@@ -462,7 +462,7 @@ impl ServeRuntime {
                     && e.sym_actions.is_multiple_of(audit_every)
                     && batch_slots.len() < max_batch
                 {
-                    let row = self.model.standardised(|i| step.state[i]);
+                    let row = self.model.standardised(|i| state[i]);
                     staged.push(dims, row, &e.hidden);
                     batch_slots.push((slot, Some(sym_lr)));
                 }
@@ -486,8 +486,8 @@ impl ServeRuntime {
                 continue;
             }
             // Fresh: observe and stage the policy input row.
-            let step = e.actor.observe(view.now, &view);
-            let row = self.model.standardised(|i| step.state[i]);
+            let state = e.actor.observe(view.now, &view);
+            let row = self.model.standardised(|i| state[i]);
             staged.push(dims, row, &e.hidden);
             batch_slots.push((slot, None));
         }

@@ -211,22 +211,21 @@ enum Ev {
     PacedSend(FlowId),
 }
 
-// The event queue's FIFO lanes (see `EventQueue::schedule_lane`). Every
-// per-packet event class is scheduled in nearly increasing time — a serial
-// link's departures plus a constant delay — so only timers and flow
-// lifecycle events (about one entry per flow) live in the heap.
+// The event queue's FIFO lanes (see `EventQueue::schedule_lane`), one per
+// per-packet event class. Each class is scheduled in nearly increasing time —
+// a serial link's departures plus a constant delay, and on a multi-hop path
+// every hop's departures happen in event order with the same inter-hop delay
+// — so only timers and flow lifecycle events (about one entry per flow) live
+// in the heap. A single-hop path has no `HopArrive` and keeps three lanes.
 /// `DataArrive`.
 const LANE_DATA: usize = 0;
 /// `AckArrive`.
 const LANE_ACK: usize = 1;
-/// `HopComplete(hop)`: at most one pending per hop, so the lane is a slot.
-fn lane_complete(hop: usize) -> usize {
-    2 + 2 * hop
-}
-/// `HopArrive(hop, _)` of a downstream hop (`hop >= 1`).
-fn lane_arrive(hop: usize) -> usize {
-    1 + 2 * hop
-}
+/// `HopComplete(hop)` of every hop: at most one pending per hop, so the lane
+/// holds at most one entry per hop, kept sorted by the back-walk.
+const LANE_COMPLETE: usize = 2;
+/// `HopArrive(hop, _)` of every downstream hop (`hop >= 1`).
+const LANE_ARRIVE: usize = 3;
 
 /// Per-hop cumulative counters, for conservation accounting and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,7 +329,12 @@ impl Simulation {
         let cfg_seed = cfg.seed;
         let mut flows = Vec::new();
         let mut batched = Vec::new();
-        let mut events = EventQueue::with_lanes(lane_complete(hops.len() - 1) + 1);
+        let lanes = if hops.len() > 1 {
+            LANE_ARRIVE + 1
+        } else {
+            LANE_COMPLETE + 1
+        };
+        let mut events = EventQueue::with_lanes(lanes);
         for (i, fc) in flow_cfgs.into_iter().enumerate() {
             let id = i as FlowId;
             let mut f = Flow::new(id, fc.cca, fc.start, fc.stop);
@@ -416,15 +420,14 @@ impl Simulation {
                                         // inter-hop propagation delay.
                                         let arrive = dep.at + self.hop_prop[h + 1] + extra_delay;
                                         let nh = (h + 1) as u32;
-                                        let lane = lane_arrive(h + 1);
                                         self.events.schedule_lane(
-                                            lane,
+                                            LANE_ARRIVE,
                                             arrive,
                                             Ev::HopArrive(nh, dep.pkt),
                                         );
                                         if duplicate {
                                             self.events.schedule_lane(
-                                                lane,
+                                                LANE_ARRIVE,
                                                 arrive + dup_gap,
                                                 Ev::HopArrive(nh, dep.pkt),
                                             );
@@ -598,23 +601,21 @@ impl Simulation {
                 // otherwise recovery can deadlock with a tiny window.
                 return;
             }
-            // Pacing gate.
-            if let Some(bps) = f.cca.pacing_bps() {
-                if bps > 0.0 && now < self.pace_next[idx] {
-                    if !self.pace_armed[idx] {
-                        self.pace_armed[idx] = true;
-                        let at = self.pace_next[idx];
-                        self.events.schedule(at, Ev::PacedSend(idx as FlowId));
-                    }
-                    return;
+            // Pacing gate. `make_packet` leaves the CCA alone, so one read
+            // of the rate serves the gate and the gap.
+            let pacing = f.cca.pacing_bps().filter(|&bps| bps > 0.0);
+            if pacing.is_some() && now < self.pace_next[idx] {
+                if !self.pace_armed[idx] {
+                    self.pace_armed[idx] = true;
+                    let at = self.pace_next[idx];
+                    self.events.schedule(at, Ev::PacedSend(idx as FlowId));
                 }
+                return;
             }
             let pkt = f.make_packet(now);
-            if let Some(bps) = f.cca.pacing_bps() {
-                if bps > 0.0 {
-                    let gap = (pkt.bytes as f64 * 8.0 / bps * SECONDS as f64) as Nanos;
-                    self.pace_next[idx] = now.max(self.pace_next[idx]) + gap;
-                }
+            if let Some(bps) = pacing {
+                let gap = (pkt.bytes as f64 * 8.0 / bps * SECONDS as f64) as Nanos;
+                self.pace_next[idx] = now.max(self.pace_next[idx]) + gap;
             }
             if let Some(d) = f.ensure_rto(now) {
                 self.arm_rto(idx, d);
@@ -638,7 +639,7 @@ impl Simulation {
             if self.hop_pending[hop] != Some(t) {
                 self.hop_pending[hop] = Some(t);
                 self.events
-                    .schedule_lane(lane_complete(hop), t, Ev::HopComplete(hop as u32));
+                    .schedule_lane(LANE_COMPLETE, t, Ev::HopComplete(hop as u32));
             }
         }
     }

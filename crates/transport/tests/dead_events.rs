@@ -4,16 +4,22 @@
 //! flow — stays under 1 % on a lossy run, and on a clean one is the single
 //! superseded initial timer of each flow. And where the pops come from: the
 //! event queue's FIFO lanes serve the per-packet events, in the order one
-//! heap would.
+//! heap would: one lane per event class, whatever the hop or flow count.
 //!
-//! One test, alone in its binary: it reads process-global obs counters.
+//! The tests read process-global obs counters, so they take [`SERIAL`] and
+//! run one at a time.
 
 use sage_netsim::faults::{FaultPlan, GilbertElliott};
 use sage_netsim::link::LinkModel;
 use sage_netsim::time::{from_secs, Nanos, MILLIS};
+use sage_netsim::topology::Topology;
 use sage_transport::sim::NullMonitor;
 use sage_transport::{AckEvent, CongestionControl, FlowConfig, SimConfig, Simulation, SocketView};
 use sage_util::Fnv64;
+use std::sync::Mutex;
+
+/// Held by each test for its whole body: the counters are per process.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// AIMD from a 10-packet window, never below `floor` packets.
 struct Aimd {
@@ -52,6 +58,18 @@ struct Tally {
 
 /// Run four staggered AIMD flows over a 24 Mbit/s, 40 ms, one-BDP path.
 fn run(faults: FaultPlan, floor: f64) -> Tally {
+    let cfg = SimConfig::new(
+        LinkModel::Constant { mbps: 24.0 },
+        120_000,
+        40.0,
+        from_secs(8.0),
+    )
+    .with_faults(faults);
+    run_on(cfg, 4, 200 * MILLIS, floor)
+}
+
+/// Run `flows` AIMD flows over `cfg`, one starting every `stagger`.
+fn run_on(cfg: SimConfig, flows: u64, stagger: Nanos, floor: f64) -> Tally {
     let counters = [
         "transport.events_popped",
         "transport.events_dead",
@@ -60,19 +78,12 @@ fn run(faults: FaultPlan, floor: f64) -> Tally {
     ]
     .map(sage_obs::counter);
     let before = counters.each_ref().map(|c| c.value());
-    let cfg = SimConfig::new(
-        LinkModel::Constant { mbps: 24.0 },
-        120_000,
-        40.0,
-        from_secs(8.0),
-    )
-    .with_faults(faults);
-    let flows = (0..4)
-        .map(|i| FlowConfig::starting_at(Box::new(Aimd { cwnd: 10.0, floor }), i * 200 * MILLIS))
+    let flows = (0..flows)
+        .map(|i| FlowConfig::starting_at(Box::new(Aimd { cwnd: 10.0, floor }), i * stagger))
         .collect();
     let mut sim = Simulation::new(cfg, flows);
     let stats = sim.run(&mut NullMonitor);
-    assert!(stats.iter().all(|s| s.delivered_bytes > 0));
+    assert!(stats.iter().all(|s| s.delivered_bytes > 0), "{stats:?}");
     let mut digest = Fnv64::new();
     for (i, s) in stats.iter().enumerate() {
         for v in [s.sent_pkts, s.retx_pkts, s.lost_pkts, s.delivered_bytes] {
@@ -104,6 +115,7 @@ const HEAP_ORDER_DIGEST: [u64; 3] = [0x0210ca7b8a19e251, 0xb6841d52d2f06049, 0x8
 
 #[test]
 fn dead_event_share_stays_under_one_percent() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     sage_obs::force_enabled(true);
 
     // Clean: the queue overflows (fast retransmits) but no timer ever fires.
@@ -169,4 +181,50 @@ fn dead_event_share_stays_under_one_percent() {
         "event order differs from the heap-only queue: {:#018x?}",
         [clean.digest, lossy.digest, reorder.digest]
     );
+}
+
+/// The lanes are one per event class, not one per hop: on a 4-hop parking
+/// lot the completions of every hop share one lane and the arrivals at every
+/// downstream hop another, and 64 flows share the single-hop lanes. Either
+/// way the per-packet events never leave their lane for the heap.
+#[test]
+fn one_lane_per_class_serves_multi_hop_and_many_flow_runs() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    sage_obs::force_enabled(true);
+
+    // The `mh-parking-3` path: 96 Mbit/s tightening by 0.75 over three more
+    // hops 2 ms apart, with the flow under test joined by two cross flows.
+    let bdp = 240_000;
+    let parking = SimConfig::new(
+        LinkModel::Constant { mbps: 96.0 },
+        2 * bdp,
+        40.0,
+        from_secs(6.0),
+    )
+    .with_topology(Topology::parking_lot(96.0, 3, 0.75, 2 * bdp, 2.0));
+    // 64 flows over one 48 Mbit/s, 40 ms bottleneck, its buffer deep
+    // enough (four BDPs) that no late joiner starves in backoff.
+    let many = SimConfig::new(
+        LinkModel::Constant { mbps: 48.0 },
+        4 * bdp,
+        40.0,
+        from_secs(6.0),
+    );
+    for (name, tally) in [
+        ("parking lot", run_on(parking, 3, 100 * MILLIS, 2.0)),
+        ("64 flows", run_on(many, 64, 20 * MILLIS, 2.0)),
+    ] {
+        let Tally {
+            popped,
+            lane_popped,
+            fallbacks,
+            ..
+        } = tally;
+        assert!(popped > 30_000, "{name}: popped only {popped} events");
+        assert!(
+            lane_popped * 100 >= popped * 95,
+            "{name}: only {lane_popped} of {popped} pops came from lanes"
+        );
+        assert_eq!(fallbacks, 0, "{name}: lane events reached the heap");
+    }
 }
