@@ -226,10 +226,17 @@ impl FaultInjector {
     }
 
     /// Decide the fate of one forward-path (data) packet crossing at `now`.
+    /// Inline, so that an injector with nothing to inject costs its caller a
+    /// flag test and no call.
+    #[inline]
     pub fn on_forward(&mut self, now: Nanos) -> ForwardVerdict {
         if !self.active {
             return ForwardVerdict::CLEAN;
         }
+        self.forward_verdict(now)
+    }
+
+    fn forward_verdict(&mut self, now: Nanos) -> ForwardVerdict {
         if self.link_down(now) {
             self.stats.dropped_blackout += 1;
             return ForwardVerdict::Drop;
@@ -285,10 +292,16 @@ impl FaultInjector {
 
     /// Decide the release time of an ACK generated at `now` whose nominal
     /// arrival would be `nominal`. `None` means the ACK is lost (blackout).
+    /// Inline like [`Self::on_forward`].
+    #[inline]
     pub fn on_ack(&mut self, now: Nanos, nominal: Nanos) -> Option<Nanos> {
         if !self.active {
             return Some(nominal);
         }
+        self.ack_release(now, nominal)
+    }
+
+    fn ack_release(&mut self, now: Nanos, nominal: Nanos) -> Option<Nanos> {
         if self.link_down(now) {
             self.stats.acks_dropped += 1;
             return None;

@@ -98,6 +98,9 @@ impl LinkModel {
     /// `Nanos::MAX` if the remaining profile can never serve the bits (zero
     /// rate forever).
     pub fn finish_time(&self, start: Nanos, bits: f64) -> Nanos {
+        if let Some(service) = self.constant_service(bits) {
+            return start.saturating_add(service);
+        }
         let mut t = start;
         let mut remaining = bits;
         // Walk at most a bounded number of segments to guard against
@@ -106,18 +109,13 @@ impl LinkModel {
             let rate = self.rate_bps(t);
             let seg_end = self.segment_end(t);
             match seg_end {
-                None => {
-                    if rate <= 0.0 {
-                        return Nanos::MAX;
-                    }
-                    return t + ceil_nanos(remaining / rate * SECONDS as f64);
-                }
+                None => return t.saturating_add(service_nanos(rate, remaining)),
                 Some(end) => {
                     if rate > 0.0 {
                         let seg_secs = (end - t) as f64 / SECONDS as f64;
                         let capacity = rate * seg_secs;
                         if capacity >= remaining {
-                            return t + ceil_nanos(remaining / rate * SECONDS as f64);
+                            return t + service_nanos(rate, remaining);
                         }
                         remaining -= capacity;
                     }
@@ -126,6 +124,16 @@ impl LinkModel {
             }
         }
         Nanos::MAX
+    }
+
+    /// On a `Constant` link, the service time of `bits` whenever it starts
+    /// (`Nanos::MAX` at a rate of zero: never served); `None` for the other
+    /// models, whose service time depends on the start.
+    pub(crate) fn constant_service(&self, bits: f64) -> Option<Nanos> {
+        match self {
+            LinkModel::Constant { mbps } => Some(service_nanos(mbps * 1e6, bits)),
+            _ => None,
+        }
     }
 
     /// Mean rate in Mbit/s over `[0, duration)` (useful for fair-share
@@ -145,6 +153,15 @@ impl LinkModel {
             }
         }
     }
+}
+
+/// Nanoseconds to serve `bits` at `rate` bit/s, rounded up to a whole ns;
+/// `Nanos::MAX` when the rate is not positive.
+fn service_nanos(rate: f64, bits: f64) -> Nanos {
+    if rate <= 0.0 {
+        return Nanos::MAX;
+    }
+    ceil_nanos(bits / rate * SECONDS as f64)
 }
 
 /// `x.ceil() as Nanos`, exactly, in integer arithmetic: the baseline x86-64

@@ -41,6 +41,9 @@ pub struct BottleneckPath {
     buf: VecDeque<(Nanos, Packet)>,
     bytes_queued: u64,
     in_service: Option<(Packet, Nanos, Nanos)>, // (pkt, queue_sojourn, finish)
+    /// On a constant link, the last service time and the packet size it
+    /// was for: there the service time depends on the size alone.
+    service_memo: Option<(u32, Nanos)>,
     /// Independent random loss applied to arrivals (models stochastic
     /// wireless loss on inter-continental profiles).
     random_loss: f64,
@@ -70,6 +73,7 @@ impl BottleneckPath {
             buf: VecDeque::new(),
             bytes_queued: 0,
             in_service: None,
+            service_memo: None,
             random_loss,
             rng: Rng::new(seed ^ 0x5A5A_1234),
             total_enqueued: 0,
@@ -189,7 +193,7 @@ impl BottleneckPath {
                     continue;
                 }
                 DequeueVerdict::Deliver => {
-                    let finish = self.link.finish_time(now, pkt.bytes as f64 * 8.0);
+                    let finish = self.finish_time(now, pkt.bytes);
                     if finish == Nanos::MAX {
                         sage_obs::record(
                             sage_obs::Category::Netsim,
@@ -205,6 +209,24 @@ impl BottleneckPath {
                 }
             }
         }
+    }
+
+    /// [`LinkModel::finish_time`] of a `bytes`-byte packet whose service
+    /// starts at `now`, without recomputing a constant link's service time
+    /// for a packet the size of the last one.
+    fn finish_time(&mut self, now: Nanos, bytes: u32) -> Nanos {
+        let service = match self.service_memo {
+            Some((size, service)) if size == bytes => service,
+            _ => {
+                let bits = bytes as f64 * 8.0;
+                let Some(service) = self.link.constant_service(bits) else {
+                    return self.link.finish_time(now, bits);
+                };
+                self.service_memo = Some((bytes, service));
+                service
+            }
+        };
+        now.saturating_add(service)
     }
 
     /// Time the packet currently in service finishes, if any.

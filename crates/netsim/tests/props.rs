@@ -7,7 +7,7 @@ use sage_netsim::engine::EventQueue;
 use sage_netsim::link::LinkModel;
 use sage_netsim::packet::Packet;
 use sage_netsim::queue::{BottleneckPath, EnqueueOutcome};
-use sage_netsim::time::SECONDS;
+use sage_netsim::time::{Nanos, SECONDS};
 use sage_util::prop::{ensure, forall, PropConfig};
 use sage_util::Rng;
 
@@ -78,28 +78,35 @@ fn event_queue_pops_sorted() {
     }
 }
 
-/// Model test of the lanes: a queue that spreads events over FIFO lanes and
-/// the heap pops exactly what a heap-only queue pops, fed the same
-/// `(at, seq, ev)` — whatever the interleaving of plain, lane and reserved
-/// scheduling with pops, and however late a lane event is (monotone times,
-/// jitter of a few places, arbitrary times that overrun the back-walk; a
-/// narrow time range makes equal-time ties common).
+/// Model test of the lanes, the slots and the cached front keys: a queue
+/// that spreads events over FIFO lanes, single-event slots and the heap pops
+/// exactly what a heap-only queue pops, fed the same `(at, seq, ev)` —
+/// whatever the interleaving of plain, lane, reserved and slot scheduling
+/// with pops, and however late a lane event is (monotone times, jitter of a
+/// few places, arbitrary times that overrun the back-walk or sort to the
+/// front; a narrow time range makes equal-time ties common). After every
+/// operation `len`, `is_empty`, `peek_time` and each slot's time agree with
+/// the model, so a cached key left stale by an insert or a pop shows at once.
 #[test]
 fn lanes_pop_in_heap_order() {
     let mut fallbacks = 0;
+    let mut slot_pops = 0;
     forall(
         "lanes pop in heap order",
         PropConfig::new(300, 0x1A9E5),
         |rng| {
             let n_lanes = 1 + rng.below(4);
+            let n_slots = rng.below(4);
             let regime = rng.below(3);
-            let mut lanes = EventQueue::with_lanes(n_lanes);
+            let mut lanes = EventQueue::with_lanes(n_lanes, n_slots);
             let mut heap = EventQueue::new();
             let mut lane_clock = vec![0u64; n_lanes];
             let mut reserved: Vec<u64> = Vec::new();
+            // The model of each slot: the event it holds.
+            let mut slots: Vec<Option<(u64, u32)>> = vec![None; n_slots];
             let mut now = 0;
             for id in 0..400u32 {
-                match rng.below(8) {
+                match rng.below(10) {
                     0 => {
                         let at = now + rng.below(40) as u64;
                         lanes.schedule(at, id);
@@ -121,8 +128,28 @@ fn lanes_pop_in_heap_order() {
                     3 | 4 => {
                         let popped = lanes.pop();
                         ensure(popped == heap.pop(), || format!("pop {id}: {popped:?}"))?;
-                        if let Some((t, _)) = popped {
+                        if let Some((t, ev)) = popped {
                             now = t;
+                            for slot in slots.iter_mut() {
+                                if *slot == Some((t, ev)) {
+                                    *slot = None;
+                                }
+                            }
+                        }
+                    }
+                    5 | 6 if n_slots > 0 => {
+                        let slot = rng.below(n_slots);
+                        if slots[slot].is_none() {
+                            let at = now + rng.below(40) as u64;
+                            lanes.schedule_slot(slot, at, id);
+                            heap.schedule(at, id);
+                            slots[slot] = Some((at, id));
+                        } else {
+                            // A taken slot takes nothing: keep the counters
+                            // in step.
+                            ensure(lanes.reserve_seq() == heap.reserve_seq(), || {
+                                "sequence counters apart".into()
+                            })?;
                         }
                     }
                     _ => {
@@ -143,6 +170,11 @@ fn lanes_pop_in_heap_order() {
                         == (heap.len(), heap.is_empty(), heap.peek_time()),
                     || format!("len/peek_time apart after op {id}"),
                 )?;
+                for (slot, held) in slots.iter().enumerate() {
+                    ensure(lanes.slot_time(slot) == held.map(|(at, _)| at), || {
+                        format!("slot {slot} time after op {id}")
+                    })?;
+                }
             }
             // Monotone times never leave their lane; arbitrary ones must
             // reach the heap often enough for this test to cover that path.
@@ -153,12 +185,14 @@ fn lanes_pop_in_heap_order() {
             while let Some(popped) = heap.pop() {
                 ensure(lanes.pop() == Some(popped), || format!("drain: {popped:?}"))?;
             }
+            slot_pops += lanes.slot_pops();
             ensure(lanes.pop().is_none() && lanes.is_empty(), || {
                 "left over".into()
             })
         },
     );
     assert!(fallbacks > 1000, "only {fallbacks} heap fallbacks");
+    assert!(slot_pops > 1000, "only {slot_pops} slot pops");
 }
 
 #[test]
@@ -196,7 +230,11 @@ fn path_conserves_packets() {
 }
 
 /// The FIFO queue's analytic oracle on a constant tail-drop link with no
-/// loss, random arrival times (ties included) and random sizes:
+/// loss, random arrival times (ties included) and random sizes — any size,
+/// or a few sizes that repeat and change between services:
+/// - every departure is `LinkModel::finish_time` of its service start and
+///   size, computed from scratch (the path keeps the last service time);
+///   at a rate of zero every packet departs at `Nanos::MAX`;
 /// - every sojourn is the Lindley recursion, exactly:
 ///   `max(0, previous departure's at - arrival)`;
 /// - it is the work ahead at arrival over the rate — the unserved bits of
@@ -208,28 +246,34 @@ fn sojourn_is_the_lindley_recursion_and_the_backlog_over_the_rate() {
         "sojourn = Lindley = backlog / rate",
         PropConfig::new(300, 0x11D1E7),
         |rng| {
-            let mbps = rng.range(1.0, 1000.0);
+            let mbps = if rng.below(10) == 0 {
+                0.0
+            } else {
+                rng.range(1.0, 1000.0)
+            };
+            let link = LinkModel::Constant { mbps };
             let rate = mbps * 1e6;
             let n = 1 + rng.below(400);
-            // Mean gap near one mean service time: the queue builds and drains.
-            let mean_gap = 770.0 * 8.0 / rate * SECONDS as f64;
+            // Mean gap near one mean service time: the queue builds and
+            // drains (at 1 Mbit/s when the link serves nothing).
+            let mean_gap = 770.0 * 8.0 / rate.max(1e6) * SECONDS as f64;
+            let few_sizes = rng.below(2) == 0;
             let mut at = 0u64;
             let arrivals: Vec<(u64, u32)> = (0..n)
                 .map(|_| {
                     if rng.below(4) != 0 {
                         at += (rng.uniform() * 2.0 * mean_gap) as u64;
                     }
-                    (at, 40 + rng.below(1461) as u32)
+                    let bytes = if few_sizes {
+                        [40, 576, 1500][rng.below(3)]
+                    } else {
+                        40 + rng.below(1461) as u32
+                    };
+                    (at, bytes)
                 })
                 .collect();
             let total: u64 = arrivals.iter().map(|&(_, b)| b as u64).sum();
-            let mut p = BottleneckPath::new(
-                LinkModel::Constant { mbps },
-                total,
-                Box::new(TailDrop),
-                0.0,
-                1,
-            );
+            let mut p = BottleneckPath::new(link.clone(), total, Box::new(TailDrop), 0.0, 1);
             let mut deps = Vec::with_capacity(n);
             for (i, &(t, bytes)) in arrivals.iter().enumerate() {
                 while let Some(f) = p.next_completion().filter(|&f| f <= t) {
@@ -258,6 +302,17 @@ fn sojourn_is_the_lindley_recursion_and_the_backlog_over_the_rate() {
                     format!("packet {k}: sojourn {} != Lindley {lindley}", d.sojourn)
                 })?;
                 prev_at = d.at;
+                let bits = arrivals[k].1 as f64 * 8.0;
+                let finish = link.finish_time(a + d.sojourn, bits);
+                ensure(d.at == finish, || {
+                    format!("packet {k}: departs at {} != finish_time {finish}", d.at)
+                })?;
+                if mbps == 0.0 {
+                    ensure(d.at == Nanos::MAX, || {
+                        format!("packet {k} served at rate 0")
+                    })?;
+                    continue;
+                }
                 // Packets ahead at A_k: those before k still on the link or
                 // in the buffer (a departure at exactly A_k has left).
                 let ahead: Vec<usize> = (0..k).filter(|&j| deps[j].at > a).collect();

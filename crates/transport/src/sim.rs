@@ -189,9 +189,10 @@ pub trait BatchCc {
 
 enum Ev {
     /// Hop `h` finishes serving its in-service packet. At most one is
-    /// pending per hop (see `schedule_hop_completion`), so a popped one is
-    /// always the live one; the loop still checks, so that a violation would
-    /// show in `transport.events_dead`.
+    /// pending per hop, in the hop's slot of the event queue (see
+    /// `schedule_hop_completion`), so a popped one is always the live one;
+    /// the loop still checks, so that a violation would show in
+    /// `transport.events_dead`.
     HopComplete(u32),
     /// Data packet reaches hop `h`'s queue after inter-hop propagation.
     HopArrive(u32, Packet),
@@ -212,20 +213,19 @@ enum Ev {
 }
 
 // The event queue's FIFO lanes (see `EventQueue::schedule_lane`), one per
-// per-packet event class. Each class is scheduled in nearly increasing time —
-// a serial link's departures plus a constant delay, and on a multi-hop path
-// every hop's departures happen in event order with the same inter-hop delay
-// — so only timers and flow lifecycle events (about one entry per flow) live
-// in the heap. A single-hop path has no `HopArrive` and keeps three lanes.
+// per-packet event class that can have many events pending. Each class is
+// scheduled in nearly increasing time — a serial link's departures plus a
+// constant delay, and on a multi-hop path every hop's departures happen in
+// event order with the same inter-hop delay — so only timers and flow
+// lifecycle events (about one entry per flow) live in the heap. A single-hop
+// path has no `HopArrive` and keeps two lanes. `HopComplete(hop)` is in the
+// queue's slot `hop` (see `EventQueue::schedule_slot`).
 /// `DataArrive`.
 const LANE_DATA: usize = 0;
 /// `AckArrive`.
 const LANE_ACK: usize = 1;
-/// `HopComplete(hop)` of every hop: at most one pending per hop, so the lane
-/// holds at most one entry per hop, kept sorted by the back-walk.
-const LANE_COMPLETE: usize = 2;
 /// `HopArrive(hop, _)` of every downstream hop (`hop >= 1`).
-const LANE_ARRIVE: usize = 3;
+const LANE_ARRIVE: usize = 2;
 
 /// Per-hop cumulative counters, for conservation accounting and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,12 +272,11 @@ pub struct Simulation {
     /// Per-flow: managed by the batch controller (see [`FlowConfig::batched`]).
     batched: Vec<bool>,
     events: EventQueue<Ev>,
-    /// Per-hop: time of the hop's `HopComplete` event in the queue, if any.
-    hop_pending: Vec<Option<Nanos>>,
     rto_timers: Vec<RtoTimer>,
     /// Events processed, and those among them that changed no state — obs
     /// tallies, folded into the registry when the simulation drops (with the
-    /// queue's own two: pops served by a lane, lane events the heap took).
+    /// queue's own three: pops served by a lane and by a slot, lane events
+    /// the heap took).
     events_popped: u64,
     events_dead: u64,
     now: Nanos,
@@ -332,9 +331,9 @@ impl Simulation {
         let lanes = if hops.len() > 1 {
             LANE_ARRIVE + 1
         } else {
-            LANE_COMPLETE + 1
+            LANE_ACK + 1
         };
-        let mut events = EventQueue::with_lanes(lanes);
+        let mut events = EventQueue::with_lanes(lanes, hops.len());
         for (i, fc) in flow_cfgs.into_iter().enumerate() {
             let id = i as FlowId;
             let mut f = Flow::new(id, fc.cca, fc.start, fc.stop);
@@ -350,7 +349,6 @@ impl Simulation {
         let n = flows.len();
         Simulation {
             cfg,
-            hop_pending: vec![None; hops.len()],
             hops,
             hop_faults,
             hop_prop,
@@ -402,7 +400,6 @@ impl Simulation {
             match ev {
                 Ev::HopComplete(h) => {
                     let h = h as usize;
-                    self.hop_pending[h] = None;
                     if self.hops[h].next_completion() == Some(t) {
                         if let Some(dep) = self.hops[h].complete(self.now) {
                             match self.hop_faults[h].on_forward(dep.at) {
@@ -631,15 +628,18 @@ impl Simulation {
     }
 
     /// Keep one `HopComplete` in the queue for the packet hop `hop` is
-    /// serving. Called after everything that can start a service (an enqueue,
-    /// a completion); the finish time of a packet in service never changes,
-    /// so only the first call after a service starts inserts.
+    /// serving, in the hop's slot. Called after everything that can start a
+    /// service (an enqueue, a completion); the finish time of a packet in
+    /// service never changes, and a service starts only when the last one's
+    /// completion popped, so only the first call after a service starts
+    /// finds the slot empty and inserts.
     fn schedule_hop_completion(&mut self, hop: usize) {
         if let Some(t) = self.hops[hop].next_completion() {
-            if self.hop_pending[hop] != Some(t) {
-                self.hop_pending[hop] = Some(t);
-                self.events
-                    .schedule_lane(LANE_COMPLETE, t, Ev::HopComplete(hop as u32));
+            match self.events.slot_time(hop) {
+                None => self
+                    .events
+                    .schedule_slot(hop, t, Ev::HopComplete(hop as u32)),
+                Some(pending) => debug_assert_eq!(pending, t, "hop {hop}'s finish time moved"),
             }
         }
     }
@@ -722,6 +722,7 @@ impl Drop for Simulation {
         sage_obs::obs_counter!("transport.events_popped").add(self.events_popped);
         sage_obs::obs_counter!("transport.events_dead").add(self.events_dead);
         sage_obs::obs_counter!("transport.events_lane_popped").add(self.events.lane_pops());
+        sage_obs::obs_counter!("transport.events_slot_popped").add(self.events.slot_pops());
         sage_obs::obs_counter!("transport.lane_heap_fallbacks").add(self.events.heap_fallbacks());
     }
 }

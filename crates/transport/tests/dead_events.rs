@@ -3,8 +3,9 @@
 //! pops before the loop tracked one completion per hop and one timer per
 //! flow — stays under 1 % on a lossy run, and on a clean one is the single
 //! superseded initial timer of each flow. And where the pops come from: the
-//! event queue's FIFO lanes serve the per-packet events, in the order one
-//! heap would: one lane per event class, whatever the hop or flow count.
+//! event queue's FIFO lanes (one per event class, whatever the hop or flow
+//! count) and its per-hop completion slots serve the per-packet events, in
+//! the order one heap would.
 //!
 //! The tests read process-global obs counters, so they take [`SERIAL`] and
 //! run one at a time.
@@ -48,8 +49,13 @@ impl CongestionControl for Aimd {
 struct Tally {
     popped: u64,
     dead: u64,
-    /// Pops served by a FIFO lane of the event queue; the rest are the heap's.
+    /// Pops served by a FIFO lane of the event queue.
     lane_popped: u64,
+    /// Pops served by a hop's completion slot; the rest are the heap's.
+    slot_popped: u64,
+    /// Packets the hops finished serving, summed over the hops: one
+    /// `HopComplete` each.
+    completions: u64,
     /// Lane-class events scheduled too far out of order for their lane.
     fallbacks: u64,
     /// FNV-1a 64 over every flow's counters and one-way-delay samples.
@@ -74,6 +80,7 @@ fn run_on(cfg: SimConfig, flows: u64, stagger: Nanos, floor: f64) -> Tally {
         "transport.events_popped",
         "transport.events_dead",
         "transport.events_lane_popped",
+        "transport.events_slot_popped",
         "transport.lane_heap_fallbacks",
     ]
     .map(sage_obs::counter);
@@ -95,14 +102,17 @@ fn run_on(cfg: SimConfig, flows: u64, stagger: Nanos, floor: f64) -> Tally {
             digest.write(&sample.to_bits().to_le_bytes());
         }
     }
+    let completions = sim.hop_counters().iter().map(|h| h.delivered).sum();
     // The tallies reach the registry when the simulation drops.
     drop(sim);
-    let [popped, dead, lane_popped, fallbacks] =
+    let [popped, dead, lane_popped, slot_popped, fallbacks] =
         std::array::from_fn(|i| counters[i].value() - before[i]);
     Tally {
         popped,
         dead,
         lane_popped,
+        slot_popped,
+        completions,
         fallbacks,
         digest: digest.finish(),
     }
@@ -123,15 +133,17 @@ fn dead_event_share_stays_under_one_percent() {
     // when the first RTT sample pulls the deadline in: that leftover is the
     // only dead pop, one per flow. A duplicate `HopComplete` — thousands in
     // this run before — would show here. Every per-packet event rides a
-    // lane; the heap serves timers, ticks and flow starts only.
+    // lane or the hop's slot; the heap serves timers, ticks and flow starts
+    // only.
     let clean = run(FaultPlan::none(), 2.0);
     let Tally { popped, dead, .. } = clean;
     assert!(popped > 30_000, "clean run popped only {popped} events");
     assert!(dead <= 4, "clean run: {dead} dead of {popped} popped");
     assert!(
-        clean.lane_popped * 100 >= popped * 95,
-        "clean run: only {} of {popped} pops came from lanes",
-        clean.lane_popped
+        (clean.lane_popped + clean.slot_popped) * 100 >= popped * 95,
+        "clean run: only {} + {} of {popped} pops came from lanes and slots",
+        clean.lane_popped,
+        clean.slot_popped
     );
     assert_eq!(clean.fallbacks, 0, "200 us of ACK jitter left a lane");
 
@@ -184,9 +196,11 @@ fn dead_event_share_stays_under_one_percent() {
 }
 
 /// The lanes are one per event class, not one per hop: on a 4-hop parking
-/// lot the completions of every hop share one lane and the arrivals at every
-/// downstream hop another, and 64 flows share the single-hop lanes. Either
-/// way the per-packet events never leave their lane for the heap.
+/// lot the arrivals at every downstream hop share one lane, and 64 flows
+/// share the single-hop lanes. Each hop's completion waits in the hop's
+/// slot: every completion a hop served popped from a slot, so none reached
+/// the heap. Either way the per-packet events never leave their lane or slot
+/// for the heap.
 #[test]
 fn one_lane_per_class_serves_multi_hop_and_many_flow_runs() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -217,14 +231,20 @@ fn one_lane_per_class_serves_multi_hop_and_many_flow_runs() {
         let Tally {
             popped,
             lane_popped,
+            slot_popped,
+            completions,
             fallbacks,
             ..
         } = tally;
         assert!(popped > 30_000, "{name}: popped only {popped} events");
         assert!(
-            lane_popped * 100 >= popped * 95,
-            "{name}: only {lane_popped} of {popped} pops came from lanes"
+            (lane_popped + slot_popped) * 100 >= popped * 95,
+            "{name}: only {lane_popped} + {slot_popped} of {popped} pops came from lanes and slots"
         );
         assert_eq!(fallbacks, 0, "{name}: lane events reached the heap");
+        assert_eq!(
+            slot_popped, completions,
+            "{name}: completions popped from slots vs served"
+        );
     }
 }

@@ -5,9 +5,12 @@
 # Prints, per workload x end-to-end metric, both medians with quartiles, the
 # pairs the change won, whether the medians are further apart than the
 # parent's inter-quartile distance, every run's value, and whether
-# `digest_parts` agree; then, from one traced pair (`--trace 1`, each side
+# `digest_parts` agree; then, from a traced pair (`--trace 1`, each side
 # once per workload), every per-layer metric whose change/parent ratio is
-# outside 0.9-1.1 — where the difference sits (choosing-metrics §6.6). Under
+# outside 0.9-1.1 — where the difference sits (choosing-metrics §6.6). A
+# traced pair is contended when a side's traced `wall_s` exceeds 1.15 x that
+# side's untraced median; it is then run once more in the opposite order,
+# and the ratios come from each side's faster traced run. Under
 # the run table it names the contended pairs of each workload: both sides'
 # `wall_s` more than 15 % above that side's median, i.e. the host was busy
 # for the whole pair, which pulls both sides down alike. With
@@ -24,7 +27,7 @@
 #               BENCHMARK.json (read, like benchmark/, never edited).
 # The parent is a `git archive` export under ${TMPDIR:-/tmp}, removed on exit.
 # ~4 min per pair (2 workloads x 2 sides x 50 s), and as much again for the
-# traced pair. Not a check.sh stage.
+# traced pair (twice that when it is contended). Not a check.sh stage.
 set -eu
 cd "$(dirname "$0")/.."
 REF=${1:?usage: scripts/ab_bench.sh <parent-ref> [pairs=10] [seed=2023] [workload/metric]}
@@ -69,15 +72,36 @@ for pair in $(seq 1 "$PAIRS"); do
   done
   echo "pair $pair/$PAIRS done" >&2
 done
-# The traced pair: "trace side workload metric value" rows of the per-layer
-# metrics (the names with a dot).
+# trace <round> <side> <workload>: "trace round side workload metric value"
+# rows of the per-layer metrics (the names with a dot) and of wall_s. A
+# traced run prints no wall_s; it is the sum of the parts' best passes, the
+# `best_s` fields of the #detail line, as in an untraced run.
+trace() {
+  [ "$2" = parent ] && dir="$WORK/parent" || dir=.
+  (cd "$dir" && ./benchmark/target/release/perf_ledger \
+      --workload "$3" --seed "$SEED" --seconds 50 --trace 1) > "$WORK/out"
+  awk -v r="$1" -v s="$2" -v w="$3" '$1 == w && NF == 4 && $2 ~ /\./ { print "trace", r, s, w, $2, $3 }' "$WORK/out" >> "$WORK/rows"
+  grep '^#detail' "$WORK/out" | grep -o '"best_s":[^,}]*' \
+    | awk -F: -v r="$1" -v s="$2" -v w="$3" '{ t += $2 } END { print "trace", r, s, w, "wall_s", t }' >> "$WORK/rows"
+}
+# contended <side> <workload>: exit 0 when the side's traced wall_s of round
+# 1 exceeds 1.15 x the median of its untraced runs.
+contended() {
+  awk -v s="$1" -v w="$2" '
+    $2 == s && $3 == w && $4 == "wall_s" { v[++n] = $5 + 0 }
+    $1 == "trace" && $2 == 1 && $3 == s && $4 == w && $5 == "wall_s" { t = $6 + 0 }
+    END {
+      for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { x = v[j]; v[j] = v[j - 1]; v[j - 1] = x }
+      m = n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+      exit !(t > 1.15 * m)
+    }' "$WORK/rows"
+}
 for w in pipeline layers; do
-  for side in parent change; do
-    [ "$side" = parent ] && dir="$WORK/parent" || dir=.
-    (cd "$dir" && ./benchmark/target/release/perf_ledger \
-        --workload "$w" --seed "$SEED" --seconds 50 --trace 1) \
-      | awk -v s="$side" -v w="$w" '$1 == w && NF == 4 && $2 ~ /\./ { print "trace", s, w, $2, $3 }' >> "$WORK/rows"
-  done
+  trace 1 parent "$w"; trace 1 change "$w"
+  if contended parent "$w" || contended change "$w"; then
+    echo "traced $w pair contended: once more, change first" >&2
+    trace 2 change "$w"; trace 2 parent "$w"
+  fi
 done
 
 echo "$BOUNDS" | sed 's/^/bound /' >> "$WORK/rows"
@@ -93,7 +117,10 @@ function summary(side, key) {
 }
 $1 == "bound" { better[$2] = $3; bound[$2] = $4 + 0; next }
 $1 == "digest" { if (!(($2, $3) in dig)) dig[$2, $3] = $4; else if (dig[$2, $3] != $4) dig[$2, $3] = "unstable"; next }
-$1 == "trace" { key = $3 " " $4; tr[$2, key] = $5 + 0; if (!(key in tseen)) { tseen[key] = 1; torder[++nt] = key }; next }
+$1 == "trace" {
+  if ($5 == "wall_s") { twall[$2, $3, $4] = $6 + 0; next }
+  key = $4 " " $5; tr[$2, $3, key] = $6 + 0; if (!(key in tseen)) { tseen[key] = 1; torder[++nt] = key }; next
+}
 { key = $3 " " $4; val[$1 + 0, $2, key] = $5 + 0; if (!(key in seen)) { seen[key] = 1; order[++nk] = key } }
 END {
   # Contended pairs: on both sides, wall_s above 1.15 x the median of that side.
@@ -138,9 +165,22 @@ END {
   for (i = 1; i <= nw; i++) printf "%-9s %s\n", ws[i], (busy[ws[i]] == "" ? "none" : substr(busy[ws[i]], 2))
   for (i = 1; i <= nw; i++)
     printf "%-9s digest_parts %s\n", ws[i], (dig["parent", ws[i]] == dig["change", ws[i]] && dig["parent", ws[i]] != "unstable" ? "match" : "DIFFER: parent " dig["parent", ws[i]] " change " dig["change", ws[i]])
-  print "one traced pair, per-layer metrics with change/parent outside 0.9-1.1:"
+  # The faster traced run of each side: round 2 exists only for a contended pair.
+  print "traced runs, wall_s against the untraced median of that side (contended above 1.15 x):"
+  for (i = 1; i <= nw; i++) for (s = 1; s <= 2; s++) {
+    side = (s == 1 ? "parent" : "change"); m = quantile(side, ws[i] " wall_s", 0.5); line = ""
+    fast[side, ws[i]] = 1
+    for (r = 1; r <= 2; r++) if ((r, side, ws[i]) in twall) {
+      t = twall[r, side, ws[i]]
+      line = line sprintf("  round %d %.4g (%.3f x%s)", r, t, (m ? t / m : 0), (t > 1.15 * m ? ", contended" : ""))
+      if (t < twall[fast[side, ws[i]], side, ws[i]]) fast[side, ws[i]] = r
+    }
+    printf "%-9s %-6s untraced median %.4g%s -> round %d\n", ws[i], side, m, line, fast[side, ws[i]]
+  }
+  print "traced pair, per-layer metrics with change/parent outside 0.9-1.1:"
   for (k = 1; k <= nt; k++) {
-    key = torder[k]; split(key, wm, " "); p = tr["parent", key]; c = tr["change", key]
+    key = torder[k]; split(key, wm, " ")
+    p = tr[fast["parent", wm[1]], "parent", key]; c = tr[fast["change", wm[1]], "change", key]
     if (p == c || (p != 0 && c / p >= 0.9 && c / p <= 1.1)) continue
     printf "%-9s %-34s %14.4f -> %14.4f  %s\n", wm[1], wm[2], p, c, (p ? sprintf("%.3f", c / p) : "from 0")
   }
