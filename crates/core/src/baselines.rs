@@ -125,7 +125,7 @@ impl CongestionControl for HybridPolicy {
             return;
         }
         let mix = self.model.step_one(&state, &mut self.hidden);
-        let u = log_ratio(mix.mean()).clamp(-1.0, 1.0);
+        let u = log_ratio(mix.mean(0)).clamp(-1.0, 1.0);
         // Orca: cwnd = cubic_cwnd * 2^u with u in [-1, 1].
         self.multiplier = 2f64.powf(u);
     }

@@ -740,7 +740,7 @@ mod tests {
         let mut full = vec![0.0; STATE_DIM];
         full[0] = flag;
         let mut hidden = Array::zeros(1, model.cfg.hidden_dim());
-        sage_gr::log_ratio(model.step_one(&full, &mut hidden).mean())
+        sage_gr::log_ratio(model.step_one(&full, &mut hidden).mean(0))
     }
 
     #[test]

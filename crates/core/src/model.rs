@@ -53,7 +53,7 @@ pub struct NetConfig {
 /// 41 atoms.
 const MAX_WIDTH: usize = 1024;
 const MAX_RESIDUAL_BLOCKS: usize = 16;
-const MAX_GMM_K: usize = 64;
+const MAX_GMM_K: usize = sage_nn::gmm::MAX_COMPONENTS;
 const MAX_ATOMS: usize = 1024;
 
 impl Default for NetConfig {
@@ -340,7 +340,11 @@ impl PolicyNet {
     fn trunk_infer(&self, store: &ParamStore, feat: &Array) -> Array {
         let n = self.post_ln.infer_map(store, feat, lrelu);
         let t = match &self.enc2 {
-            Some(enc) => enc.infer_map(store, &n, f64::tanh),
+            Some(enc) => {
+                let mut t = enc.infer(store, &n);
+                sage_nn::vmath::tanh_in_place(&mut t.data);
+                t
+            }
             None => n,
         };
         debug_assert_eq!(t.cols, self.trunk_in);
@@ -501,12 +505,12 @@ impl SageModel {
 
     /// The B=1 inference path of every single-flow controller: standardise
     /// one full state, run [`PolicyNet::step_infer`], advance `hidden`
-    /// (`[1, hidden_dim]`) in place and return the mixture.
-    pub fn step_one(&self, full_state: &[f64], hidden: &mut Array) -> GmmParams {
+    /// (`[1, hidden_dim]`) in place and return the one-row mixture batch.
+    pub fn step_one(&self, full_state: &[f64], hidden: &mut Array) -> GmmBatch {
         let x = Array::row(self.prepare_input(full_state));
         let (mix, h) = self.policy.step_infer(&self.store, &x, hidden);
         *hidden = h;
-        mix.row(0)
+        mix
     }
 
     /// Serialise to bytes (no checksum footer — [`SageModel::save_file`]
@@ -656,11 +660,7 @@ mod tests {
         let (xn, hn) = (g.input(x.clone()), g.input(h.clone()));
         let (z, new_h) = net.step_features(&mut g, store, xn, hn);
         let nodes = net.head.fwd(&mut g, store, z);
-        let mix = GmmBatch {
-            means: g.value(nodes.means).clone(),
-            log_stds: g.value(nodes.log_stds).clone(),
-            logits: g.value(nodes.logits).clone(),
-        };
+        let mix = GmmBatch::from_nodes(&g, nodes);
         (mix, g.value(new_h).clone(), g.value(z).clone())
     }
 

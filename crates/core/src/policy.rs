@@ -58,8 +58,8 @@ impl SagePolicy {
         let state = self.actor.observe(now, sock);
         let mix = self.model.step_one(&state, &mut self.hidden);
         let raw = match self.mode {
-            ActionMode::Sample => mix.sample(&mut self.rng),
-            ActionMode::Deterministic => mix.mean(),
+            ActionMode::Sample => mix.sample(0, &mut self.rng),
+            ActionMode::Deterministic => mix.mean(0),
         };
         self.actor.apply(raw);
         (state, raw)

@@ -58,8 +58,15 @@ pub trait Aqm: Send {
     fn on_enqueue(&mut self, now: Nanos, q: &QueueView, pkt: &Packet) -> EnqueueVerdict;
 
     /// Called for every departing packet; `sojourn` is its queuing delay.
+    /// Only a policy whose [`Aqm::acts_on_dequeue`] is true is called.
     fn on_dequeue(&mut self, _now: Nanos, _sojourn: Nanos, _pkt: &Packet) -> DequeueVerdict {
         DequeueVerdict::Deliver
+    }
+
+    /// Whether [`Aqm::on_dequeue`] can do anything but deliver: a policy
+    /// that overrides it says so, and a queue skips the call otherwise.
+    fn acts_on_dequeue(&self) -> bool {
+        false
     }
 }
 
@@ -141,6 +148,10 @@ impl Aqm for CoDel {
         } else {
             EnqueueVerdict::Accept
         }
+    }
+
+    fn acts_on_dequeue(&self) -> bool {
+        true
     }
 
     fn on_dequeue(&mut self, now: Nanos, sojourn: Nanos, _pkt: &Packet) -> DequeueVerdict {
@@ -438,6 +449,33 @@ mod tests {
         ] {
             let a = k.build(1);
             assert_eq!(a.name(), k.name());
+        }
+    }
+
+    /// A queue calls `on_dequeue` only on a policy that says it acts there,
+    /// so every other policy must deliver whatever it is handed: skipping
+    /// the call keeps the bits.
+    #[test]
+    fn only_codel_acts_on_dequeue_and_the_rest_deliver() {
+        for k in [
+            AqmKind::TailDrop,
+            AqmKind::HeadDrop,
+            AqmKind::CoDel,
+            AqmKind::Pie,
+            AqmKind::BoundedDelay,
+        ] {
+            let mut a = k.build(1);
+            assert_eq!(a.acts_on_dequeue(), k == AqmKind::CoDel, "{}", k.name());
+            if a.acts_on_dequeue() {
+                continue;
+            }
+            for (i, sojourn) in [0, 1_000_000, 40_000_000, 10_000_000_000]
+                .into_iter()
+                .enumerate()
+            {
+                let v = a.on_dequeue(100_000_000 * i as u64, sojourn, &pkt());
+                assert_eq!(v, DequeueVerdict::Deliver, "{}", k.name());
+            }
         }
     }
 }

@@ -36,6 +36,8 @@ pub struct Departure {
 pub struct BottleneckPath {
     link: LinkModel,
     aqm: Box<dyn Aqm>,
+    /// `aqm.acts_on_dequeue()`, read once: only then is `on_dequeue` called.
+    aqm_on_dequeue: bool,
     capacity_bytes: u64,
     /// (arrival time, packet) FIFO.
     buf: VecDeque<(Nanos, Packet)>,
@@ -68,6 +70,7 @@ impl BottleneckPath {
     ) -> Self {
         BottleneckPath {
             link,
+            aqm_on_dequeue: aqm.acts_on_dequeue(),
             aqm,
             capacity_bytes,
             buf: VecDeque::new(),
@@ -187,7 +190,12 @@ impl BottleneckPath {
         while let Some((arrived, pkt)) = self.buf.pop_front() {
             self.bytes_queued -= pkt.bytes as u64;
             let sojourn = now.saturating_sub(arrived);
-            match self.aqm.on_dequeue(now, sojourn, &pkt) {
+            let verdict = if self.aqm_on_dequeue {
+                self.aqm.on_dequeue(now, sojourn, &pkt)
+            } else {
+                DequeueVerdict::Deliver
+            };
+            match verdict {
                 DequeueVerdict::Drop => {
                     self.note_drop(now, pkt);
                     continue;

@@ -4,9 +4,10 @@
 //! arbitrary CC heuristic".
 
 use crate::array::Array;
-use crate::graph::{log_sum_exp, Graph, NodeId};
+use crate::graph::{log_sum_exp, softmax_in_place, Graph, NodeId};
 use crate::layers::Linear;
 use crate::params::ParamStore;
+use crate::vmath;
 use sage_util::Rng;
 
 /// Bounds for component log-standard-deviations (numerical hygiene).
@@ -75,8 +76,9 @@ impl GmmHead {
         let means = self.mean.infer(store, x);
         let half_range = (LOG_STD_MAX - LOG_STD_MIN) / 2.0;
         let mid = (LOG_STD_MAX + LOG_STD_MIN) / 2.0;
-        let squash = |v: f64| v.tanh() * half_range + mid;
-        let log_stds = self.log_std.infer_map(store, x, squash);
+        let mut log_stds = self.log_std.infer(store, x);
+        vmath::tanh_in_place(&mut log_stds.data);
+        log_stds.map_assign(|t| t * half_range + mid);
         let logits = self.logit.infer(store, x);
         GmmBatch {
             means,
@@ -96,6 +98,15 @@ pub struct GmmBatch {
 }
 
 impl GmmBatch {
+    /// The mixture parameter matrices of a [`GmmHead::fwd`] on a graph.
+    pub fn from_nodes(g: &Graph, nodes: GmmNodes) -> Self {
+        GmmBatch {
+            means: g.value(nodes.means).clone(),
+            log_stds: g.value(nodes.log_stds).clone(),
+            logits: g.value(nodes.logits).clone(),
+        }
+    }
+
     pub fn rows(&self) -> usize {
         self.means.rows
     }
@@ -104,19 +115,49 @@ impl GmmBatch {
     pub fn row(&self, r: usize) -> GmmParams {
         mixture_row(&self.means, &self.log_stds, &self.logits, r)
     }
+
+    /// [`GmmParams::sample`] of row `r`, read in place: the same draws and
+    /// bits, with the weights on the stack.
+    pub fn sample(&self, r: usize, rng: &mut Rng) -> f64 {
+        let (w, k) = (self.weights(r), self.logits.cols);
+        let c = rng.weighted(&w[..k]);
+        rng.normal_with(self.means.at(r, c), self.log_stds.at(r, c).exp())
+    }
+
+    /// [`GmmParams::mean`] of row `r`, read in place.
+    pub fn mean(&self, r: usize) -> f64 {
+        let (w, k) = (self.weights(r), self.logits.cols);
+        let means = &self.means.data[r * k..(r + 1) * k];
+        means.iter().zip(&w[..k]).map(|(m, w)| m * w).sum()
+    }
+
+    /// Row `r`'s mixing weights, the softmax of its logits, in the first
+    /// `K` elements.
+    fn weights(&self, r: usize) -> [f64; MAX_COMPONENTS] {
+        let k = self.logits.cols;
+        assert!(k <= MAX_COMPONENTS, "{k} mixture components");
+        let mut w = [0.0; MAX_COMPONENTS];
+        w[..k].copy_from_slice(&self.logits.data[r * k..(r + 1) * k]);
+        softmax_in_place(&mut w[..k]);
+        w
+    }
 }
+
+/// The most mixture components a [`GmmBatch`] row samples from.
+pub const MAX_COMPONENTS: usize = 64;
 
 /// Row `r` of `[B,K]` mixture parameter matrices, its logits normalised into
 /// mixing weights: the one arithmetic behind [`GmmBatch::row`] and
 /// [`GmmParams::from_nodes`].
 fn mixture_row(means: &Array, log_stds: &Array, logits: &Array, r: usize) -> GmmParams {
     let k = means.cols;
-    let logits: Vec<f64> = (0..k).map(|c| logits.at(r, c)).collect();
-    let lse = log_sum_exp(&logits);
+    let row = |a: &Array| a.data[r * k..(r + 1) * k].to_vec();
+    let mut weights = row(logits);
+    softmax_in_place(&mut weights);
     GmmParams {
-        means: (0..k).map(|c| means.at(r, c)).collect(),
-        log_stds: (0..k).map(|c| log_stds.at(r, c)).collect(),
-        weights: logits.iter().map(|&l| (l - lse).exp()).collect(),
+        means: row(means),
+        log_stds: row(log_stds),
+        weights,
     }
 }
 
@@ -204,6 +245,40 @@ mod tests {
             let p = GmmParams::from_nodes(&g, nodes, r);
             let sum: f64 = p.weights.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// A batch row samples and averages as the [`GmmParams`] extracted
+    /// from it: the same draws from the same generator state, the same
+    /// bits.
+    #[test]
+    fn batch_rows_sample_and_average_as_their_params() {
+        let mut rng = Rng::new(4);
+        for k in [1, 3, 8, 11] {
+            let rows = 5;
+            let mut array = |lo: f64, hi: f64| {
+                Array::from_vec(rows, k, (0..rows * k).map(|_| rng.range(lo, hi)).collect())
+            };
+            let batch = GmmBatch {
+                means: array(-3.0, 3.0),
+                log_stds: array(LOG_STD_MIN, LOG_STD_MAX),
+                logits: array(-20.0, 20.0),
+            };
+            for r in 0..rows {
+                let p = batch.row(r);
+                // The weights are libm's `exp(l - lse)`, element by element.
+                let logits = &batch.logits.data[r * k..(r + 1) * k];
+                let lse = log_sum_exp(logits);
+                for (w, &l) in p.weights.iter().zip(logits) {
+                    assert_eq!(w.to_bits(), (l - lse).exp().to_bits(), "k {k} row {r}");
+                }
+                assert_eq!(batch.mean(r).to_bits(), p.mean().to_bits(), "k {k} row {r}");
+                let (mut a, mut b) = (Rng::new(r as u64), Rng::new(r as u64));
+                for _ in 0..50 {
+                    let (x, y) = (batch.sample(r, &mut a), p.sample(&mut b));
+                    assert_eq!(x.to_bits(), y.to_bits(), "k {k} row {r}");
+                }
+            }
         }
     }
 

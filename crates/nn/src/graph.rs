@@ -28,6 +28,7 @@
 use crate::array::Array;
 use crate::infer;
 use crate::params::{ParamId, ParamStore};
+use crate::vmath;
 
 /// Index of a node within a [`Graph`].
 pub type NodeId = usize;
@@ -261,6 +262,14 @@ impl Graph {
         self.push(v, op, self.nodes[a].wants_grad)
     }
 
+    /// Push a copy of the value of `a` that `kernel` maps in place.
+    fn push_kernel(&mut self, a: NodeId, op: Op, kernel: fn(&mut [f64])) -> NodeId {
+        let buf = self.buf();
+        let mut v = self.nodes[a].val.copy_into(buf);
+        kernel(&mut v.data);
+        self.push(v, op, self.nodes[a].wants_grad)
+    }
+
     /// Push `f` of the values of `a` and `b`, elementwise.
     fn push_zip(&mut self, a: NodeId, b: NodeId, op: Op, f: impl Fn(f64, f64) -> f64) -> NodeId {
         let buf = self.buf();
@@ -361,11 +370,11 @@ impl Graph {
     }
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        self.push_map(a, Op::Tanh(a), f64::tanh)
+        self.push_kernel(a, Op::Tanh(a), vmath::tanh_in_place)
     }
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        self.push_map(a, Op::Sigmoid(a), infer::logistic)
+        self.push_kernel(a, Op::Sigmoid(a), vmath::logistic_in_place)
     }
 
     /// Leaky ReLU with the given negative slope.
@@ -867,20 +876,30 @@ impl Graph {
     }
 }
 
-/// Numerically stable log(sum(exp(xs))).
+/// Numerically stable log(sum(exp(xs))): `m + ln(Σ exp(x - m))` for `m` the
+/// largest element, the sum folded in element order. The exponentials run
+/// through [`vmath::exp_in_place`] in stack blocks of 64.
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m.is_infinite() {
         return m;
     }
-    m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+    let (mut sum, mut block) = (0.0, [0.0; 64]);
+    for chunk in xs.chunks(block.len()) {
+        let exps = &mut block[..chunk.len()];
+        exps.iter_mut().zip(chunk).for_each(|(e, &x)| *e = x - m);
+        vmath::exp_in_place(exps);
+        sum = exps.iter().fold(sum, |s, &e| s + e);
+    }
+    m + sum.ln()
 }
 
 /// Replace `row` with its softmax, `exp(x - lse)` for `lse` the row's
 /// [`log_sum_exp`], and return `lse`.
 pub fn softmax_in_place(row: &mut [f64]) -> f64 {
     let lse = log_sum_exp(row);
-    row.iter_mut().for_each(|x| *x = (*x - lse).exp());
+    row.iter_mut().for_each(|x| *x -= lse);
+    vmath::exp_in_place(row);
     lse
 }
 
@@ -907,20 +926,18 @@ fn gmm_row_logp(
     weights: &mut [f64],
     sigmas: &mut [f64],
 ) -> f64 {
-    let logw_norm = log_sum_exp(logits);
+    weights.copy_from_slice(logits);
+    let logw_norm = softmax_in_place(weights);
+    sigmas.copy_from_slice(log_stds);
+    vmath::exp_in_place(sigmas);
     // `resp` holds the joint log-densities until `logp` is known.
     for c in 0..means.len() {
         let logw = logits[c] - logw_norm;
-        weights[c] = logw.exp();
-        let sigma = log_stds[c].exp();
-        sigmas[c] = sigma;
-        let z = (a - means[c]) / sigma;
+        let z = (a - means[c]) / sigmas[c];
         let log_pdf = -0.5 * z * z - log_stds[c] - LOG_SQRT_2PI;
         resp[c] = logw + log_pdf;
     }
-    let logp = log_sum_exp(resp);
-    resp.iter_mut().for_each(|j| *j = (*j - logp).exp());
-    logp
+    softmax_in_place(resp)
 }
 
 #[cfg(test)]
@@ -1347,6 +1364,29 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// `log_sum_exp` and the softmax are their scalar definitions through
+    /// libm, bit for bit, on rows shorter and longer than a stack block.
+    #[test]
+    fn log_sum_exp_and_softmax_are_their_libm_definitions() {
+        let mut rng = Rng::new(0x15E);
+        for len in (0..20).chain([41, 63, 64, 65, 130]) {
+            for _ in 0..20 {
+                let xs: Vec<f64> = (0..len).map(|_| rng.range(-40.0, 40.0)).collect();
+                let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let want = if m.is_infinite() {
+                    m
+                } else {
+                    m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+                };
+                assert_eq!(log_sum_exp(&xs).to_bits(), want.to_bits(), "length {len}");
+                let probs = softmax_rows(&Array::from_vec(1, len, xs.clone()));
+                for (p, &x) in probs.iter().zip(&xs) {
+                    assert_eq!(p.to_bits(), (x - want).exp().to_bits(), "length {len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 #![allow(
     unsafe_code,
-    reason = "the workspace denies `unsafe_code`; the SIMD kernels below are the one exception, encapsulated by `product` and `fold_tn_into` (see the SAFETY-BOUNDARY note) — `allow`, not `expect`: off x86_64 there is no unsafe block to fulfil it"
+    reason = "the workspace denies `unsafe_code`; the SIMD kernels below are an exception, encapsulated by `product` and `fold_tn_into` (see the SAFETY-BOUNDARY note; `vmath` is the other) — `allow`, not `expect`: off x86_64 there is no unsafe block to fulfil it"
 )]
 
 use crate::array::Array;
@@ -161,7 +161,7 @@ impl Rhs for Rows<'_> {
 
 /// The instruction set of the widest kernel this CPU runs.
 #[derive(Clone, Copy, Debug)]
-enum Isa {
+pub(crate) enum Isa {
     Scalar,
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -170,7 +170,7 @@ enum Isa {
 }
 
 /// The widest kernel this CPU runs, detected once.
-fn isa() -> Isa {
+pub(crate) fn isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -268,10 +268,11 @@ pub fn matmul_prefix(a: &Array, b: &Array) -> Array {
 
 /// The `m x k` left operand is `a` read under `strides`, `b` is `k x n`; the
 /// result takes `buf`'s allocation.
-// SAFETY-BOUNDARY: all unsafe SIMD dispatch is encapsulated here and in
-// `fold_tn_into` — kernels run only after `is_x86_feature_detected!`
-// confirmed the target feature, and the slice lengths they rely on are
-// asserted below, so no caller obligation escapes either fn.
+// SAFETY-BOUNDARY: all unsafe SIMD dispatch is encapsulated here, in
+// `fold_tn_into` and in `vmath`'s `run` (the activation kernels) — kernels
+// run only after `is_x86_feature_detected!` confirmed the target feature
+// (`isa`), and the slice lengths they rely on are asserted below or are the
+// slice's own, so no caller obligation escapes any of them.
 fn product(mut buf: Vec<f64>, a: &[f64], strides: Strides, b: &[f64], (m, k, n): Dims) -> Array {
     // `Array`'s fields are public, so its shape invariant is checked, not
     // assumed: with every caller's strides the largest index read is m*k - 1.
@@ -618,8 +619,8 @@ pub fn leaky(x: f64, slope: f64) -> f64 {
     }
 }
 
-/// The logistic sigmoid of one element, `1 / (1 + e^-x)` (the value of
-/// `Graph::sigmoid`).
+/// The logistic sigmoid of one element, `1 / (1 + e^-x)`: the definition
+/// of [`crate::vmath::logistic_in_place`], so the value of `Graph::sigmoid`.
 pub fn logistic(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }

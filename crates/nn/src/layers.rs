@@ -6,6 +6,7 @@ use crate::array::Array;
 use crate::graph::{Graph, NodeId};
 use crate::infer;
 use crate::params::{ParamId, ParamStore};
+use crate::vmath;
 use sage_util::Rng;
 
 /// Fully connected layer y = x W + b.
@@ -170,30 +171,32 @@ impl GruCell {
         reason = "`z * -1.0` is `Graph::scale(z, -1.0)` in `step`, spelled as the graph computes it"
     )]
     pub fn infer_step(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
-        // act((x·W + h·U) + b), in the buffer of x·W.
-        let gate = |xw: ParamId, hu: &Array, b: ParamId, act: fn(f64) -> f64| {
+        // act((x·W + h·U) + b), in the buffer of x·W: a bias pass, then
+        // the activation's slice kernel.
+        let gate = |xw: ParamId, hu: &Array, b: ParamId, act: fn(&mut [f64])| {
             let mut y = infer::matmul(x, store.get(xw));
-            infer::zip_rows(&mut y, hu, &store.get(b).data, |v, hu, b| act((v + hu) + b));
+            infer::zip_rows(&mut y, hu, &store.get(b).data, |v, hu, b| (v + hu) + b);
+            act(&mut y.data);
             y
         };
         let z = gate(
             self.wz,
             &infer::matmul(h, store.get(self.uz)),
             self.bz,
-            infer::logistic,
+            vmath::logistic_in_place,
         );
         let mut r = gate(
             self.wr,
             &infer::matmul(h, store.get(self.ur)),
             self.br,
-            infer::logistic,
+            vmath::logistic_in_place,
         );
         r.zip_assign(h, |r, h| r * h);
         let mut c = gate(
             self.wh,
             &infer::matmul(&r, store.get(self.uh)),
             self.bh,
-            f64::tanh,
+            vmath::tanh_in_place,
         );
         // h' = (1 - z) * h + z * c
         for ((c, &z), &h) in c.data.iter_mut().zip(&z.data).zip(&h.data) {

@@ -18,6 +18,7 @@ pub mod graph;
 pub mod infer;
 pub mod layers;
 pub mod params;
+pub mod vmath;
 
 pub use adam::Adam;
 pub use array::Array;

@@ -35,7 +35,7 @@ use sage_core::{ActionMode, MAX_CWND};
 use sage_distill::SymbolicModel;
 use sage_gr::{log_ratio, CwndActor, GrConfig};
 use sage_heuristics::fallback::TickAimd;
-use sage_nn::gmm::GmmParams;
+use sage_nn::gmm::GmmBatch;
 use sage_nn::{Array, Graph};
 use sage_obs::{record, Category, EventKind};
 use sage_transport::{CongestionControl, SocketView, MIN_CWND};
@@ -512,7 +512,11 @@ impl ServeRuntime {
         self.stats.batch_latency_ns.push(dt);
         self.stats.batches += 1;
 
-        for (r, &(slot, audit)) in batch_slots.iter().enumerate() {
+        // Row r of the tick's batch is row `mr` of one chunk's mixtures.
+        let rows = mixes
+            .iter()
+            .flat_map(|m| (0..m.rows()).map(move |mr| (m, mr)));
+        for ((r, &(slot, audit)), (mix, mr)) in batch_slots.iter().enumerate().zip(rows) {
             #[expect(
                 clippy::expect_used,
                 reason = "batch_slots was built this tick from live table entries; no removal happens between staging and here"
@@ -526,7 +530,7 @@ impl ServeRuntime {
                 // against the tree's and escalate on disagreement. The
                 // flow's sampling RNG is never consumed, and no action or
                 // digest entry is emitted — the symbolic path already acted.
-                let nn_lr = log_ratio(mixes[r].mean());
+                let nn_lr = log_ratio(mix.mean(mr));
                 e.audits += 1;
                 self.stats.audits += 1;
                 record(
@@ -552,8 +556,8 @@ impl ServeRuntime {
                 continue;
             }
             let raw = match self.cfg.action {
-                ActionMode::Sample => mixes[r].sample(&mut e.rng),
-                ActionMode::Deterministic => mixes[r].mean(),
+                ActionMode::Sample => mix.sample(mr, &mut e.rng),
+                ActionMode::Deterministic => mix.mean(mr),
             };
             e.actor.apply(raw);
             let cwnd = e.actor.cwnd();
@@ -587,20 +591,18 @@ impl ServeRuntime {
     /// Batched graph-free forward over the staged 32-row chunks, mapped in
     /// index order — bit-identical at every thread count and to the
     /// whole-batch (or per-row) evaluation, since every op is
-    /// row-independent.
-    fn infer_batched(&self, chunks: &[(Array, Array)]) -> (Vec<GmmParams>, Array) {
+    /// row-independent. Each chunk's mixtures stay in its batch.
+    fn infer_batched(&self, chunks: &[(Array, Array)]) -> (Vec<GmmBatch>, Array) {
         let b = chunks.iter().map(|(x, _)| x.rows).sum();
         let model = &self.model;
         let results = par_map_range(self.cfg.threads, chunks.len(), |c| {
             let (x, h) = &chunks[c];
             model.policy.step_infer(&model.store, x, h)
         });
-        let mut mixes = Vec::with_capacity(b);
+        let mut mixes = Vec::with_capacity(chunks.len());
         let mut h_out = Vec::with_capacity(b * self.hidden_dim);
         for (batch, h) in results {
-            for r in 0..batch.rows() {
-                mixes.push(batch.row(r));
-            }
+            mixes.push(batch);
             h_out.extend_from_slice(&h.data);
         }
         (
@@ -616,7 +618,7 @@ impl ServeRuntime {
     /// The reference path: each row through the autodiff `Graph` that
     /// training interprets. No controller deploys this; tests hold
     /// `infer_batched` to its digests.
-    fn infer_sequential(&self, chunks: &[(Array, Array)]) -> (Vec<GmmParams>, Array) {
+    fn infer_sequential(&self, chunks: &[(Array, Array)]) -> (Vec<GmmBatch>, Array) {
         let b = chunks.iter().map(|(x, _)| x.rows).sum();
         let mut mixes = Vec::with_capacity(b);
         let mut h_out = Vec::with_capacity(b * self.hidden_dim);
@@ -629,7 +631,7 @@ impl ServeRuntime {
             let hin = g.input(Array::row(h.to_vec()));
             let (nodes, hout) = self.model.policy.step(&mut g, &self.model.store, xin, hin);
             h_out.extend_from_slice(&g.value(hout).data);
-            mixes.push(self.model.policy.mixture(&g, nodes, 0));
+            mixes.push(GmmBatch::from_nodes(&g, nodes));
         }
         (
             mixes,
