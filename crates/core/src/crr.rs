@@ -17,13 +17,55 @@ use crate::model::{
     CriticNet, NetConfig, PolicyNet, SageModel, SCALED_ACTION_MAX, SCALED_ACTION_MIN,
 };
 use sage_collector::Pool;
-use sage_nn::gmm::GmmNodes;
+use sage_nn::gmm::{sample_row, GmmNodes};
+use sage_nn::graph::softmax_rows_into;
+use sage_nn::infer::Scratch;
 use sage_nn::{Adam, Array, Graph, NodeId, ParamStore};
 use sage_util::Rng;
 
-/// One sampled training batch: per-timestep state matrices [B, D],
-/// per-timestep actions (ln ratio), and rewards.
-type Batch = (Vec<Array>, Vec<Vec<f64>>, Vec<Vec<f64>>);
+/// One sampled training batch: per-timestep state matrices `[B, D]` (`L + 1`
+/// of them), per-timestep actions (ln ratio) and rewards (`L` rows of `B`).
+#[derive(Default)]
+struct Batch {
+    states: Vec<Array>,
+    actions: Vec<Vec<f64>>,
+    rewards: Vec<Vec<f64>>,
+}
+
+/// What a step computes outside the two tapes, kept by the trainer so that
+/// a step after the first allocates nothing: the batch, the target
+/// distributions, the policy tape's mixture nodes, the advantage weights,
+/// the per-sample losses and expected Q values, and the buffers of every
+/// graph-free pass ([`Scratch`]). Bounded by one step's live set.
+#[derive(Default)]
+struct StepBuffers {
+    batch: Batch,
+    /// `[B·L, atoms]`, the rows of [`critic_grads`].
+    target: Array,
+    mixtures: Vec<GmmNodes>,
+    /// `L` rows of `B`.
+    weights: Vec<Vec<f64>>,
+    losses: Vec<f64>,
+    q: Vec<f64>,
+    scratch: Scratch,
+}
+
+/// `a` as a `rows x cols` matrix of zeros, in its own buffer.
+fn zeroed(a: &mut Array, rows: usize, cols: usize) {
+    a.data.clear();
+    a.data.resize(rows * cols, 0.0);
+    (a.rows, a.cols) = (rows, cols);
+}
+
+/// The atoms `(⌊pos⌋, ⌈pos⌉)` that share a projected return at atom position
+/// `pos` (`0 <= pos <= atoms - 1`), without a libm call: `pos as usize`
+/// truncates, which is the floor of a non-negative `pos`, and the ceiling is
+/// one more unless `pos` is that integer. `±0.0` and `NaN` give `(0, 0)`, as
+/// `floor` and `ceil` cast to `usize` do.
+fn bracket(pos: f64) -> (usize, usize) {
+    let lo = pos as usize;
+    (lo, lo + usize::from(pos > lo as f64))
+}
 
 /// Trainer hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -106,6 +148,9 @@ pub struct CrrTrainer {
     /// after the first no node value or gradient is allocated.
     critic_graph: Graph,
     policy_graph: Graph,
+    buffers: StepBuffers,
+    /// `cfg.net.support()`, made once.
+    support: Vec<f64>,
     rng: Rng,
     steps_done: u64,
     sample_index: SampleIndex,
@@ -160,6 +205,8 @@ impl CrrTrainer {
             critic_opt: Adam::new(cfg.critic_lr),
             critic_graph: Graph::new(),
             policy_graph: Graph::new(),
+            buffers: StepBuffers::default(),
+            support: cfg.net.support(),
             rng: Rng::new(cfg.seed ^ 0xBA7C),
             steps_done: 0,
             sample_index: SampleIndex::default(),
@@ -214,20 +261,32 @@ impl CrrTrainer {
         };
     }
 
-    /// Sample a batch of (L+1)-step windows; returns per-timestep state
-    /// matrices [B, D], per-timestep actions (ln ratio) and rewards.
-    fn sample_batch(&mut self, pool: &Pool) -> Option<Batch> {
+    /// Sample a batch of (L+1)-step windows into `batch`: per-timestep state
+    /// matrices [B, D], per-timestep actions (ln ratio) and rewards. False,
+    /// and `batch` untouched, when no trajectory is long enough.
+    fn sample_batch(&mut self, pool: &Pool, batch: &mut Batch) -> bool {
         let l = self.cfg.unroll;
         self.refresh_sample_index(pool);
         let index = &self.sample_index;
         if index.eligible.is_empty() {
-            return None;
+            return false;
         }
         let b = self.cfg.batch;
-        let d = self.cfg.net.input_dim();
-        let mut states: Vec<Array> = (0..=l).map(|_| Array::zeros(b, d)).collect();
-        let mut actions: Vec<Vec<f64>> = vec![vec![0.0; b]; l];
-        let mut rewards: Vec<Vec<f64>> = vec![vec![0.0; b]; l];
+        let d = self.model.input_dim();
+        batch.states.resize_with(l + 1, Array::default);
+        batch.states.iter_mut().for_each(|s| zeroed(s, b, d));
+        for rows in [&mut batch.actions, &mut batch.rewards] {
+            rows.resize_with(l, Vec::new);
+            for row in rows.iter_mut() {
+                row.clear();
+                row.resize(b, 0.0);
+            }
+        }
+        let Batch {
+            states,
+            actions,
+            rewards,
+        } = batch;
         for bi in 0..b {
             let ti = *self.rng.choose(&index.eligible);
             let traj = &pool.trajectories[ti];
@@ -254,7 +313,7 @@ impl CrrTrainer {
                 rewards[t][bi] = traj.reward(start + t + 1) as f64;
             }
         }
-        Some((states, actions, rewards))
+        true
     }
 
     /// One gradient step of policy evaluation + policy improvement: one
@@ -263,7 +322,8 @@ impl CrrTrainer {
     /// `infer` path. The online policy runs forward once: the advantage
     /// weights sample from the mixtures of the tape its gradient is taken on.
     /// Both stores' gradients arrive zeroed: `Adam::step` zeroes each as its
-    /// update reads it.
+    /// update reads it. Every buffer the step uses outside the tapes is the
+    /// trainer's ([`StepBuffers`]).
     ///
     /// # Panics
     ///
@@ -271,55 +331,71 @@ impl CrrTrainer {
     /// `CrrConfig` uses `unroll >= 1` (default 8), so this is a programming
     /// error worth crashing on.
     pub fn train_step(&mut self, pool: &Pool) -> StepMetrics {
-        let (states, actions, rewards) = match self.sample_batch(pool) {
-            Some(x) => x,
-            None => return StepMetrics::default(),
-        };
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let metrics = self.step_with(pool, &mut buffers);
+        self.buffers = buffers;
+        metrics
+    }
+
+    fn step_with(&mut self, pool: &Pool, buf: &mut StepBuffers) -> StepMetrics {
+        if !self.sample_batch(pool, &mut buf.batch) {
+            return StepMetrics::default();
+        }
+        let Batch {
+            states,
+            actions,
+            rewards,
+        } = &buf.batch;
         let l = self.cfg.unroll;
         let b = self.cfg.batch;
         let mut metrics = StepMetrics::default();
 
         // ----- Policy evaluation (critic), skipped in BC mode -----
         if !self.cfg.bc_only {
-            let target_probs = self.target_distribution(&states, &rewards);
-            let (losses, mean_q) = critic_grads(
+            self.target_distribution(states, rewards, &mut buf.scratch, &mut buf.target);
+            metrics.mean_q = critic_grads(
                 &mut self.critic_graph,
                 &self.critic,
                 &mut self.critic_store,
-                &states,
-                &actions,
-                target_probs,
+                (states, actions),
+                &buf.target,
+                (&mut buf.losses, &mut buf.q),
             );
-            for loss_bi in losses {
+            for loss_bi in &buf.losses {
                 metrics.critic_loss += loss_bi / b as f64;
             }
-            metrics.mean_q = mean_q;
             self.critic_opt.step(&mut self.critic_store);
         }
 
         // ----- Policy improvement -----
-        let mixtures = policy_unroll(
+        policy_unroll(
             &mut self.policy_graph,
             &self.model.policy,
             &self.model.store,
             &states[..l],
+            &mut buf.mixtures,
         );
-        let weights: Vec<Vec<f64>> = if self.cfg.bc_only {
-            vec![vec![1.0; b]; l]
+        if self.cfg.bc_only {
+            buf.weights.resize_with(l, Vec::new);
+            for row in &mut buf.weights {
+                row.clear();
+                row.resize(b, 1.0);
+            }
         } else {
-            self.advantage_weights(&mixtures, &states, &actions)
-        };
-        metrics.mean_weight = weights.iter().flatten().sum::<f64>() / (l * b) as f64;
+            let weights = &mut buf.weights;
+            self.advantage_weights(&buf.mixtures, states, actions, &mut buf.scratch, weights);
+        }
+        metrics.mean_weight = buf.weights.iter().flatten().sum::<f64>() / (l * b) as f64;
 
-        let losses = policy_loss_grads(
+        policy_loss_grads(
             &mut self.policy_graph,
             &self.model.policy,
             &mut self.model.store,
-            &mixtures,
-            &actions,
-            &weights,
+            &buf.mixtures,
+            (actions, &buf.weights),
+            &mut buf.losses,
         );
-        for loss_bi in losses {
+        for loss_bi in &buf.losses {
             metrics.policy_loss += loss_bi / b as f64;
         }
         self.policy_opt.step(&mut self.model.store);
@@ -333,43 +409,50 @@ impl CrrTrainer {
         metrics
     }
 
-    /// N-step target distributions `[B·L, atoms]` (row `b·L + t`, the rows of
-    /// [`critic_grads`]): project
+    /// N-step target distributions `[B·L, atoms]` into `target` (row
+    /// `b·L + t`, the rows of [`critic_grads`]): project
     ///   G_t = sum_{k=t..L-1} gamma^{k-t} r_k + gamma^{L-t} Z(s_L, a')
     /// through the target critic at the single bootstrap state s_L, with
     /// a' ~ target policy (n-step returns bootstrap only at the end of the
     /// unroll window). No gradient is taken, so no graph is built.
-    fn target_distribution(&mut self, states: &[Array], rewards: &[Vec<f64>]) -> Array {
+    fn target_distribution(
+        &mut self,
+        states: &[Array],
+        rewards: &[Vec<f64>],
+        s: &mut Scratch,
+        target: &mut Array,
+    ) {
         let l = rewards.len();
         let b = rewards[0].len();
         let net = self.cfg.net;
-        let mut h = Array::zeros(b, net.hidden_dim());
+        let (policy, store) = (&self.target_policy, &self.target_policy_store);
+        let mut h = s.take();
+        h.resize(b * net.hidden_dim(), 0.0);
+        let mut h = Array::from_vec(b, net.hidden_dim(), h);
         for state in &states[..l] {
-            h = self
-                .target_policy
-                .advance_hidden(&self.target_policy_store, state, &h);
+            let h1 = policy.advance_hidden_into(store, state, &h, s);
+            s.give(std::mem::replace(&mut h, h1).data);
         }
-        let (mix, _) = self
-            .target_policy
-            .step_infer(&self.target_policy_store, &states[l], &h);
-        let boot_actions: Vec<f64> = (0..b)
-            .map(|bi| {
-                mix.row(bi)
-                    .sample(&mut self.rng)
-                    .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX)
-            })
-            .collect();
-        let logits = self.target_critic.logits_infer(
-            &self.target_critic_store,
-            &states[l],
-            &Array::from_vec(b, 1, boot_actions),
+        let (mix, h1) = policy.step_infer_into(store, &states[l], &h, s);
+        s.give(h.data);
+        s.give(h1.data);
+        let mut boot = s.take();
+        boot.extend(
+            (0..b).map(|bi| {
+                (mix.sample(bi, &mut self.rng)).clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX)
+            }),
         );
+        mix.give_to(s);
+        let boot = Array::from_vec(b, 1, boot);
+        let logits =
+            (self.target_critic).logits_infer_into(&self.target_critic_store, &states[l], &boot, s);
+        s.give(boot.data);
+        let probs = softmax_rows_into(s.take(), &logits);
+        s.give(logits.data);
 
-        let support = net.support();
         let atoms = net.atoms;
         let dz = (net.v_max - net.v_min) / (atoms - 1) as f64;
-        let mut target_probs = Array::zeros(b * l, atoms);
-        let probs = sage_nn::graph::softmax_rows(&logits);
+        zeroed(target, b * l, atoms);
         for (bi, probs) in probs.row_slices().enumerate() {
             for t in 0..l {
                 let r = bi * l + t;
@@ -380,78 +463,81 @@ impl CrrTrainer {
                     g_t += disc * rewards[k][bi];
                     disc *= self.cfg.gamma;
                 }
-                for (&pz, &z) in probs.iter().zip(&support) {
+                for (&pz, &z) in probs.iter().zip(&self.support) {
                     let tz = (g_t + disc * z).clamp(net.v_min, net.v_max);
                     let pos = (tz - net.v_min) / dz;
-                    let lo = pos.floor() as usize;
-                    let hi = pos.ceil() as usize;
+                    let (lo, hi) = bracket(pos);
                     if lo == hi {
-                        *target_probs.at_mut(r, lo) += pz;
+                        *target.at_mut(r, lo) += pz;
                     } else {
-                        *target_probs.at_mut(r, lo) += pz * (hi as f64 - pos);
-                        *target_probs.at_mut(r, hi) += pz * (pos - lo as f64);
+                        *target.at_mut(r, lo) += pz * (hi as f64 - pos);
+                        *target.at_mut(r, hi) += pz * (pos - lo as f64);
                     }
                 }
             }
         }
-        target_probs
+        s.give(probs.data);
     }
 
-    /// CRR filter weights `clip(exp(A/beta))` with
-    /// `A = Q(s,a) - mean_j Q(s, a_j)`, `a_j ~ pi(.|s)` — the `pi` of
-    /// `mixtures`, the nodes [`policy_unroll`] left on the policy tape: the
-    /// forward pass the policy gradient is then taken on.
+    /// CRR filter weights `clip(exp(A/beta))` into `weights` (`L` rows of
+    /// `B`) with `A = Q(s,a) - mean_j Q(s, a_j)`, `a_j ~ pi(.|s)` — the `pi`
+    /// of `mixtures`, the nodes [`policy_unroll`] left on the policy tape:
+    /// the forward pass the policy gradient is then taken on. The baseline
+    /// actions are drawn step by step, sample `j` of every row before sample
+    /// `j + 1`, from mixture rows read in place, each row's mixing weights
+    /// computed once.
     fn advantage_weights(
         &mut self,
         mixtures: &[GmmNodes],
         states: &[Array],
         actions: &[Vec<f64>],
-    ) -> Vec<Vec<f64>> {
-        let b = actions[0].len();
+        s: &mut Scratch,
+        weights: &mut Vec<Vec<f64>>,
+    ) {
         let m = self.cfg.adv_samples;
-        let policy = &self.model.policy;
-        let mut candidates = Vec::with_capacity(actions.len());
-        for (data, &nodes) in actions.iter().zip(mixtures) {
-            let mixtures: Vec<_> = (0..b)
-                .map(|bi| policy.mixture(&self.policy_graph, nodes, bi))
-                .collect();
-            let mut step = candidate_actions(data, m);
+        weights.resize_with(actions.len(), Vec::new);
+        let steps = actions.iter().zip(mixtures).zip(states).zip(weights);
+        for (((data, &nodes), state), out) in steps {
+            let g = &self.policy_graph;
+            let (means, log_stds) = (g.value(nodes.means), g.value(nodes.log_stds));
+            let mix = softmax_rows_into(s.take(), g.value(nodes.logits));
+            let mut acts = candidate_actions(s.take(), data, m);
             for j in 1..=m {
-                for (bi, mixture) in mixtures.iter().enumerate() {
-                    *step.at_mut(bi, j) = mixture
-                        .sample(&mut self.rng)
+                for (bi, w) in mix.row_slices().enumerate() {
+                    *acts.at_mut(bi, j) = sample_row(means, log_stds, bi, w, &mut self.rng)
                         .clamp(SCALED_ACTION_MIN, SCALED_ACTION_MAX);
                 }
             }
-            candidates.push(step);
+            s.give(mix.data);
+            self.step_weights(state, &acts, s, out);
+            s.give(acts.data);
         }
-        self.filter_weights(states, &candidates)
     }
 
-    /// The weights of [`CrrTrainer::advantage_weights`] given, per step, the
-    /// `[B, 1 + m]` actions of [`candidate_actions`] with the baseline
-    /// samples filled in. Each state's critic fold is made once and shared
-    /// by its `1 + m` actions ([`CriticNet::logits_infer`]); no state is
-    /// copied.
-    fn filter_weights(&self, states: &[Array], candidates: &[Array]) -> Vec<Vec<f64>> {
+    /// One step's weights of [`CrrTrainer::advantage_weights`] into `out`,
+    /// given the `[B, 1 + m]` actions of [`candidate_actions`] with the
+    /// baseline samples filled in. Each state's critic fold is made once and
+    /// shared by its `1 + m` actions ([`CriticNet::logits_infer_into`]); no
+    /// state is copied.
+    fn step_weights(&self, state: &Array, acts: &Array, s: &mut Scratch, out: &mut Vec<f64>) {
         let m = self.cfg.adv_samples;
-        (states.iter().zip(candidates))
-            .map(|(state, acts)| {
-                let logits = self.critic.logits_infer(&self.critic_store, state, acts);
-                let q = self.critic.expected_q(&logits);
-                q.chunks(1 + m)
-                    .map(|q| {
-                        let mut q_base = 0.0;
-                        for q_j in &q[1..] {
-                            q_base += q_j;
-                        }
-                        q_base /= m as f64;
-                        let adv = q[0] - q_base;
-                        (adv / self.cfg.beta).exp().min(self.cfg.weight_clip)
-                    })
-                    .collect()
-            })
-            .collect()
+        let logits = (self.critic).logits_infer_into(&self.critic_store, state, acts, s);
+        let probs = softmax_rows_into(s.take(), &logits);
+        s.give(logits.data);
+        let mut q = s.take();
+        self.critic.expected_q_into(&probs, &mut q);
+        s.give(probs.data);
+        out.clear();
+        out.extend(q.chunks(1 + m).map(|q| {
+            let mut q_base = 0.0;
+            for q_j in &q[1..] {
+                q_base += q_j;
+            }
+            q_base /= m as f64;
+            let adv = q[0] - q_base;
+            (adv / self.cfg.beta).exp().min(self.cfg.weight_clip)
+        }));
+        s.give(q);
     }
 
     /// Offline leak probe: the mean negative log-likelihood of the pool's
@@ -514,10 +600,13 @@ impl CrrTrainer {
     }
 }
 
-/// One step's critic inputs for the advantage `[B, 1 + m]`: column 0 the data
-/// action of each sample, columns `1..=m` left for the baseline samples.
-fn candidate_actions(data: &[f64], m: usize) -> Array {
-    let mut acts = Array::zeros(data.len(), 1 + m);
+/// One step's critic inputs for the advantage `[B, 1 + m]`, built in `buf`:
+/// column 0 the data action of each sample, columns `1..=m` left for the
+/// baseline samples.
+fn candidate_actions(mut buf: Vec<f64>, data: &[f64], m: usize) -> Array {
+    buf.clear();
+    buf.resize(data.len() * (1 + m), 0.0);
+    let mut acts = Array::from_vec(data.len(), 1 + m, buf);
     for (bi, &a) in data.iter().enumerate() {
         *acts.at_mut(bi, 0) = a;
     }
@@ -527,18 +616,19 @@ fn candidate_actions(data: &[f64], m: usize) -> Array {
 /// Critic cross-entropy gradient at `(s_t, a_t)` against `target_probs`,
 /// accumulated into `store`: one feed-forward pass on the cleared tape `g`
 /// over `[B·L, ·]` rows, sample `b` owning rows `b·L..(b+1)·L` (of
-/// `target_probs` too). A sample's loss is the mean over its `L` rows, and
-/// the batch loss their mean, so every row is seeded with `(1/B)/L` and the
-/// parameter gradients reduce in sample order ([`Graph::backward_rows`]).
-/// Returns the per-sample losses and the mean expected Q over all rows.
+/// `target_probs` too, which the tape copies). A sample's loss is the mean
+/// over its `L` rows, and the batch loss their mean, so every row is seeded
+/// with `(1/B)/L` and the parameter gradients reduce in sample order
+/// ([`Graph::backward_rows`]). Leaves the per-sample losses in `losses` and
+/// every row's expected Q in `q`; returns the mean expected Q over all rows.
 fn critic_grads(
     g: &mut Graph,
     critic: &CriticNet,
     store: &mut ParamStore,
-    states: &[Array],
-    actions: &[Vec<f64>],
-    target_probs: Array,
-) -> (Vec<f64>, f64) {
+    (states, actions): (&[Array], &[Vec<f64>]),
+    target_probs: &Array,
+    (losses, q): (&mut Vec<f64>, &mut Vec<f64>),
+) -> f64 {
     let l = actions.len();
     let b = actions[0].len();
     let d = states[0].cols;
@@ -554,25 +644,24 @@ fn critic_grads(
         a.extend((0..b).flat_map(|bi| actions.iter().map(move |step| step[bi])));
     });
     let logits = critic.logits(g, store, sn, an);
-    let target = g.input(target_probs);
+    let (rows, atoms) = target_probs.shape();
+    let target = g.input_with(rows, atoms, |t| t.extend_from_slice(&target_probs.data));
     let ce = g.softmax_cross_entropy(logits, target);
-    let q = critic.expected_q_of(g.softmax_of(ce));
+    critic.expected_q_into(g.softmax_of(ce), q);
     g.backward_rows(ce, (1.0 / b as f64) / l as f64, b, store);
-    let losses = g
-        .value(ce)
-        .data
-        .chunks(l)
-        .map(|rows| rows.iter().sum::<f64>() / l as f64)
-        .collect();
+    losses.clear();
+    let per_sample = g.value(ce).data.chunks(l);
+    losses.extend(per_sample.map(|rows| rows.iter().sum::<f64>() / l as f64));
     let mut q_sum = 0.0;
     for rows in q.chunks(l) {
         q_sum += rows.iter().sum::<f64>();
     }
-    (losses, q_sum / (l * b) as f64)
+    q_sum / (l * b) as f64
 }
 
 /// The online policy's forward pass over one batch, on the cleared tape `g`
-/// its gradient is then taken from; returns the mixture nodes of every step.
+/// its gradient is then taken from; leaves the mixture nodes of every step
+/// in `mixtures`.
 ///
 /// One unroll over `[B, ·]` rows, a step per element of `states`, the GRU
 /// state carried per row (it never crosses samples, so each row carries its
@@ -585,17 +674,17 @@ fn policy_unroll(
     policy: &PolicyNet,
     store: &ParamStore,
     states: &[Array],
-) -> Vec<GmmNodes> {
+    mixtures: &mut Vec<GmmNodes>,
+) {
     g.clear();
+    mixtures.clear();
     let mut h = policy.initial_hidden(g, states[0].rows);
-    let mut mixtures = Vec::with_capacity(states.len());
     for state in states {
         let x = g.input_with(state.rows, state.cols, |x| x.extend_from_slice(&state.data));
         let (nodes, h1) = policy.step(g, store, x, h);
         h = h1;
         mixtures.push(nodes);
     }
-    mixtures
 }
 
 /// Advantage-weighted negative log-likelihood gradient, accumulated into
@@ -606,15 +695,15 @@ fn policy_unroll(
 /// ([`Graph::backward_rows`]). The loss nodes come after the whole unroll on
 /// the tape; each node's consumers, and each parameter's, keep the order
 /// they had when every step's loss followed that step, so backward folds the
-/// same bits. Returns the per-sample losses.
+/// same bits. Leaves the per-sample losses in `losses`.
 fn policy_loss_grads(
     g: &mut Graph,
     policy: &PolicyNet,
     store: &mut ParamStore,
     mixtures: &[GmmNodes],
-    actions: &[Vec<f64>],
-    weights: &[Vec<f64>],
-) -> Vec<f64> {
+    (actions, weights): (&[Vec<f64>], &[Vec<f64>]),
+    losses: &mut Vec<f64>,
+) {
     let l = actions.len();
     let b = actions[0].len();
     let mut acc: Option<NodeId> = None;
@@ -635,7 +724,8 @@ fn policy_loss_grads(
     )]
     let loss = g.scale(acc.expect("unroll >= 1"), 1.0 / l as f64);
     g.backward_rows(loss, 1.0 / b as f64, b, store);
-    g.value(loss).data.clone()
+    losses.clear();
+    losses.extend_from_slice(&g.value(loss).data);
 }
 
 #[cfg(test)]
@@ -887,9 +977,11 @@ mod tests {
         actions: &[Vec<f64>],
         weights: &[Vec<f64>],
     ) -> Vec<f64> {
-        let mut g = Graph::new();
-        let mixtures = policy_unroll(&mut g, policy, store, states);
-        policy_loss_grads(&mut g, policy, store, &mixtures, actions, weights)
+        let (mut g, mut mixtures, mut losses) = (Graph::new(), Vec::new(), Vec::new());
+        policy_unroll(&mut g, policy, store, states, &mut mixtures);
+        let data = (actions, weights);
+        policy_loss_grads(&mut g, policy, store, &mixtures, data, &mut losses);
+        losses
     }
 
     /// The property the batched step rests on: on shapes neither the golden
@@ -1024,13 +1116,14 @@ mod tests {
 
         // Critic: likewise.
         critic_store.zero_grads();
-        let (got_losses, got_mean_q) = critic_grads(
+        let (mut got_losses, mut q) = (Vec::new(), Vec::new());
+        let got_mean_q = critic_grads(
             &mut Graph::new(),
             &critic,
             &mut critic_store,
-            &states,
-            &actions,
-            target_probs.clone(),
+            (&states, &actions),
+            &target_probs,
+            (&mut got_losses, &mut q),
         );
         let got = grad_bits(&critic_store);
         critic_store.zero_grads();
@@ -1076,7 +1169,7 @@ mod tests {
             let (mix, h1) = tr.model.policy.step_infer(&tr.model.store, &states[t], &h);
             h = h1;
             let mixtures: Vec<_> = (0..b).map(|bi| mix.row(bi)).collect();
-            let mut step = candidate_actions(&actions[t], m);
+            let mut step = candidate_actions(Vec::new(), &actions[t], m);
             for j in 1..=m {
                 for (bi, mixture) in mixtures.iter().enumerate() {
                     *step.at_mut(bi, j) = mixture
@@ -1086,7 +1179,13 @@ mod tests {
             }
             candidates.push(step);
         }
-        tr.filter_weights(states, &candidates)
+        (states.iter().zip(&candidates))
+            .map(|(state, acts)| {
+                let mut weights = Vec::new();
+                tr.step_weights(state, acts, &mut Scratch::default(), &mut weights);
+                weights
+            })
+            .collect()
     }
 
     /// Sharing the unroll changes nothing observable: the weights sampled
@@ -1125,13 +1224,22 @@ mod tests {
             .collect();
 
         let want = advantage_weights_oracle(want_tr, &states, &actions);
-        let mixtures = policy_unroll(
+        let mut mixtures = Vec::new();
+        policy_unroll(
             &mut got_tr.policy_graph,
             &got_tr.model.policy,
             &got_tr.model.store,
             &states,
+            &mut mixtures,
         );
-        let got = got_tr.advantage_weights(&mixtures, &states, &actions);
+        let mut got = Vec::new();
+        got_tr.advantage_weights(
+            &mixtures,
+            &states,
+            &actions,
+            &mut Scratch::default(),
+            &mut got,
+        );
         let shape = format!("b {b}, l {l}, m {}, {net:?}", cfg.adv_samples);
         if want.len() != got.len() || want.iter().zip(&got).any(|(w, g)| bits(w) != bits(g)) {
             return Err(format!("weights differ ({shape})"));
@@ -1181,6 +1289,43 @@ mod tests {
         assert!(
             (without_noise - nll).abs() < 0.1 * (without_flag - nll),
             "zeroing a noise feature must not: {nll} -> {without_noise} (flag: {without_flag})"
+        );
+    }
+
+    /// The projection's atom pair is `(⌊pos⌋, ⌈pos⌉)` cast to `usize`, as
+    /// libm's `floor` and `ceil` gave it: on integers, on the doubles next to
+    /// them, on `±0.0`, on `atoms - 1` and on `NaN`.
+    #[test]
+    fn bracket_is_floor_and_ceil() {
+        use sage_util::prop::{forall, PropConfig};
+        let check = |pos: f64| {
+            let want = (pos.floor() as usize, pos.ceil() as usize);
+            assert_eq!(bracket(pos), want, "pos {pos:e} ({:#x})", pos.to_bits());
+        };
+        for pos in [0.0, -0.0, f64::NAN, f64::MIN_POSITIVE, 40.0, 41.0 - 1e-9] {
+            check(pos);
+        }
+        forall(
+            "bracket == (floor, ceil)",
+            PropConfig::new(2000, 0xB7AC),
+            |rng| {
+                let atoms = 2 + rng.below(200);
+                let i = rng.below(atoms) as f64;
+                let near = |x: f64, up: bool| {
+                    let bits = x.to_bits();
+                    f64::from_bits(if up { bits + 1 } else { bits.saturating_sub(1) })
+                };
+                for pos in [
+                    i,
+                    near(i, true),
+                    near(i, false),
+                    rng.range(0.0, (atoms - 1) as f64),
+                ] {
+                    check(pos.clamp(0.0, (atoms - 1) as f64));
+                }
+                check((atoms - 1) as f64);
+                Ok(())
+            },
         );
     }
 

@@ -2,8 +2,9 @@
 //! distributional critic and model (de)serialisation.
 
 use sage_gr::{FeatureMask, STATE_DIM};
-use sage_nn::gmm::{GmmBatch, GmmHead, GmmNodes, GmmParams};
+use sage_nn::gmm::{GmmBatch, GmmHead, GmmNodes};
 use sage_nn::graph::{Graph, NodeId};
+use sage_nn::infer::Scratch;
 use sage_nn::layers::{GruCell, LayerNorm, Linear, ResidualBlock};
 use sage_nn::{Array, ParamStore};
 use sage_util::{Json, Rng};
@@ -299,65 +300,111 @@ impl PolicyNet {
     /// fold many flows into one matrix-matrix pass without perturbing a
     /// single action (`crates/serve` tests pin this).
     pub fn step_infer(&self, store: &ParamStore, x: &Array, h: &Array) -> (GmmBatch, Array) {
-        let (z, new_h) = self.features_infer(store, x, h);
-        (self.head.infer(store, &z), new_h)
+        self.step_infer_into(store, x, h, &mut Scratch::default())
+    }
+
+    /// [`PolicyNet::step_infer`] on buffers from `scratch`: a caller that
+    /// gives back what it is done with (`GmmBatch::give_to`, the old hidden)
+    /// allocates nothing once its passes repeat.
+    pub fn step_infer_into(
+        &self,
+        store: &ParamStore,
+        x: &Array,
+        h: &Array,
+        scratch: &mut Scratch,
+    ) -> (GmmBatch, Array) {
+        let (z, new_h) = self.features_infer_into(store, x, h, scratch);
+        let mix = self.head.infer_into(store, &z, scratch);
+        scratch.give(z.data);
+        (mix, new_h)
     }
 
     /// The trunk features `[B, fc]` feeding the mixture head, and the new
     /// hidden `[B,H]`, of [`PolicyNet::step_infer`] on the same rows: the
     /// last hidden layer the t-SNE of Fig. 16 embeds.
     pub fn features_infer(&self, store: &ParamStore, x: &Array, h: &Array) -> (Array, Array) {
-        let feat = self.recurrent_features(store, x, h);
-        let z = self.trunk_infer(store, &feat);
-        let new_h = if self.gru.is_some() { feat } else { h.clone() };
+        self.features_infer_into(store, x, h, &mut Scratch::default())
+    }
+
+    fn features_infer_into(
+        &self,
+        store: &ParamStore,
+        x: &Array,
+        h: &Array,
+        scratch: &mut Scratch,
+    ) -> (Array, Array) {
+        let feat = self.recurrent_features(store, x, h, scratch);
+        let z = self.trunk_infer(store, &feat, scratch);
+        let new_h = if self.gru.is_some() {
+            feat
+        } else {
+            scratch.give(feat.data);
+            h.copy_into(scratch.take())
+        };
         (z, new_h)
     }
 
-    /// The new hidden `[B,H]` of [`PolicyNet::step_infer`] alone, for the
-    /// steps of an unroll whose mixture nobody reads: the recurrent half
-    /// (both encoders and the GRU) without the trunk. With the GRU ablated
-    /// the state passes through untouched and nothing is computed.
-    pub fn advance_hidden(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
+    /// The new hidden `[B,H]` of [`PolicyNet::step_infer`] alone, on buffers
+    /// from `scratch`, for the steps of an unroll whose mixture nobody
+    /// reads: the recurrent half (both encoders and the GRU) without the
+    /// trunk. With the GRU ablated the state passes through untouched and
+    /// nothing is computed.
+    pub fn advance_hidden_into(
+        &self,
+        store: &ParamStore,
+        x: &Array,
+        h: &Array,
+        scratch: &mut Scratch,
+    ) -> Array {
         match self.gru {
-            Some(_) => self.recurrent_features(store, x, h),
-            None => h.clone(),
+            Some(_) => self.recurrent_features(store, x, h, scratch),
+            None => h.copy_into(scratch.take()),
         }
     }
 
     /// The recurrent half of a step: the features entering the post-GRU
     /// stack, which are the new hidden state when there is a GRU.
-    fn recurrent_features(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
-        let e = self.enc1a.infer_map(store, x, lrelu);
-        let e = self.enc1b.infer_map(store, &e, lrelu);
+    fn recurrent_features(
+        &self,
+        store: &ParamStore,
+        x: &Array,
+        h: &Array,
+        scratch: &mut Scratch,
+    ) -> Array {
+        let e1 = self.enc1a.infer_into(scratch.take(), store, x, lrelu);
+        let e = self.enc1b.infer_into(scratch.take(), store, &e1, lrelu);
+        scratch.give(e1.data);
         match &self.gru {
-            Some(cell) => cell.infer_step(store, &e, h),
+            Some(cell) => {
+                let h1 = cell.infer_step_into(store, &e, h, scratch);
+                scratch.give(e.data);
+                h1
+            }
             None => e,
         }
     }
 
     /// The trunk of a step: post-GRU norm, second encoder, FC and residual
     /// blocks over the recurrent half's features, up to the mixture head.
-    fn trunk_infer(&self, store: &ParamStore, feat: &Array) -> Array {
-        let n = self.post_ln.infer_map(store, feat, lrelu);
+    fn trunk_infer(&self, store: &ParamStore, feat: &Array, scratch: &mut Scratch) -> Array {
+        let n = self.post_ln.infer_into(scratch.take(), store, feat, lrelu);
         let t = match &self.enc2 {
             Some(enc) => {
-                let mut t = enc.infer(store, &n);
+                let mut t = enc.infer_into(scratch.take(), store, &n, |v| v);
                 sage_nn::vmath::tanh_in_place(&mut t.data);
+                scratch.give(n.data);
                 t
             }
             None => n,
         };
         debug_assert_eq!(t.cols, self.trunk_in);
-        let mut z = self.fc.infer(store, &t);
+        let mut z = self.fc.infer_into(scratch.take(), store, &t, |v| v);
+        scratch.give(t.data);
         for rb in &self.res {
-            z = rb.infer(store, &z);
+            let y = rb.infer_into(store, &z, scratch);
+            scratch.give(std::mem::replace(&mut z, y).data);
         }
         z
-    }
-
-    /// Mixture parameters for row `r` of a step output.
-    pub fn mixture(&self, g: &Graph, nodes: GmmNodes, r: usize) -> GmmParams {
-        GmmParams::from_nodes(g, nodes, r)
     }
 
     pub fn log_prob(&self, g: &mut Graph, nodes: GmmNodes, action: NodeId) -> NodeId {
@@ -371,6 +418,8 @@ pub struct CriticNet {
     l1: Linear,
     l2: Linear,
     out: Linear,
+    /// `cfg.support()`, made once.
+    support: Vec<f64>,
 }
 
 impl CriticNet {
@@ -392,6 +441,7 @@ impl CriticNet {
                 cfg.atoms,
                 rng,
             ),
+            support: cfg.support(),
             cfg,
         }
     }
@@ -423,15 +473,21 @@ impl CriticNet {
     /// made once per state and each action continues it with its one term
     /// `a·W[D][j]` — skipped, not added, when `a` is `±0.0`, as the product
     /// skips a zero of its left operand — then the bias, and the activation
-    /// in the same write.
-    pub fn logits_infer(&self, store: &ParamStore, state: &Array, actions: &Array) -> Array {
+    /// in the same write. Built in buffers from `scratch`.
+    pub fn logits_infer_into(
+        &self,
+        store: &ParamStore,
+        state: &Array,
+        actions: &Array,
+        scratch: &mut Scratch,
+    ) -> Array {
         assert_eq!(state.rows, actions.rows, "one row of actions per state");
         let (w, bias) = (store.get(self.l1.w), &store.get(self.l1.b).data);
         let (d, width) = (state.cols, w.cols);
         assert_eq!(w.rows, d + 1, "critic input is [state | action]");
-        let prefix = sage_nn::infer::matmul_prefix(state, w);
+        let prefix = sage_nn::infer::matmul_prefix_into(scratch.take(), state, w);
         let w_action = &w.data[d * width..];
-        let mut h = Vec::with_capacity(actions.data.len() * width);
+        let mut h = scratch.take();
         for (fold, row_actions) in prefix.row_slices().zip(actions.row_slices()) {
             for &a in row_actions {
                 if a == 0.0 {
@@ -442,21 +498,34 @@ impl CriticNet {
                 }
             }
         }
+        scratch.give(prefix.data);
         let h = Array::from_vec(actions.data.len(), width, h);
-        let h = self.l2.infer_map(store, &h, lrelu);
-        self.out.infer(store, &h)
+        let h2 = self.l2.infer_into(scratch.take(), store, &h, lrelu);
+        scratch.give(h.data);
+        let logits = self.out.infer_into(scratch.take(), store, &h2, |v| v);
+        scratch.give(h2.data);
+        logits
     }
 
     /// Expected Q values (plain f64) from logits.
     pub fn expected_q(&self, logits: &Array) -> Vec<f64> {
-        self.expected_q_of(&sage_nn::graph::softmax_rows(logits))
+        let mut q = Vec::new();
+        self.expected_q_into(&sage_nn::graph::softmax_rows(logits), &mut q);
+        q
     }
 
-    /// Expected Q values from atom probabilities `[n, atoms]`.
-    pub fn expected_q_of(&self, probs: &Array) -> Vec<f64> {
-        let support = self.cfg.support();
-        let q = |row: &[f64]| row.iter().zip(&support).map(|(&p, &z)| p * z).sum();
-        probs.row_slices().map(q).collect()
+    /// Expected Q values from atom probabilities `[n, atoms]`, into `q`
+    /// (emptied first): per row `Σ p·z` over the support in atom order, a
+    /// left fold from `-0.0` (what `Iterator::sum` folds from), rows folded
+    /// side by side ([`sage_nn::infer::fold_rows`]).
+    pub fn expected_q_into(&self, probs: &Array, q: &mut Vec<f64>) {
+        let (support, cols) = (&self.support, probs.cols);
+        assert_eq!(cols, support.len(), "one probability per atom");
+        q.clear();
+        for block in probs.data.chunks(sage_nn::infer::FOLD_ROWS * cols.max(1)) {
+            let sums = sage_nn::infer::fold_rows(block, cols, -0.0, |_, c, p| p * support[c]);
+            q.extend_from_slice(&sums[..block.len() / cols.max(1)]);
+        }
     }
 }
 
@@ -492,6 +561,12 @@ impl SageModel {
     /// Standardise and mask a full 69-dim state.
     pub fn prepare_input(&self, full_state: &[f64]) -> Vec<f64> {
         self.standardised(|i| full_state[i]).collect()
+    }
+
+    /// How many input columns [`SageModel::standardised`] yields:
+    /// `cfg.input_dim()`, without deriving the mask's indices again.
+    pub fn input_dim(&self) -> usize {
+        self.input_idx.len()
     }
 
     /// The network's input columns, in order, for the state whose feature
@@ -599,6 +674,44 @@ mod tests {
         SageModel::new(cfg, vec![0.0; STATE_DIM], vec![1.0; STATE_DIM], 7)
     }
 
+    /// The row-interleaved expected Q is each row's `Iterator::sum` of
+    /// `p·z`, bit for bit (a NaN as a NaN), over row counts whose last block
+    /// of 8 is partial, rows of `-0.0` and rows holding `±inf` or `NaN`.
+    #[test]
+    fn interleaved_expected_q_is_the_row_serial_sum() {
+        let mut rng = Rng::new(0xE0);
+        let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        for atoms in [2, 3, 41, 48] {
+            let cfg = NetConfig {
+                atoms,
+                ..NetConfig::default()
+            };
+            let critic = CriticNet::new(&mut ParamStore::new(), "q", cfg, &mut rng);
+            let support = cfg.support();
+            for rows in 0..=17 {
+                let data = (0..rows * atoms)
+                    .map(|i| match (i / atoms % 4, rng.below(5)) {
+                        (0, _) => -0.0,
+                        (1, 0) => f64::INFINITY,
+                        (1, 1) => f64::NEG_INFINITY,
+                        (1, 2) => f64::NAN,
+                        _ => rng.range(0.0, 1.0),
+                    })
+                    .collect();
+                let probs = Array::from_vec(rows, atoms, data);
+                let mut got = vec![1.0; 5];
+                critic.expected_q_into(&probs, &mut got);
+                let want = probs
+                    .row_slices()
+                    .map(|row| row.iter().zip(&support).map(|(&p, &z)| p * z).sum::<f64>());
+                assert_eq!(got.len(), rows);
+                for (r, (got, want)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(bits(*got), bits(want), "row {r} of {rows}, {atoms} atoms");
+                }
+            }
+        }
+    }
+
     #[test]
     fn policy_step_produces_valid_mixture() {
         let m = dummy_model(NetConfig::default());
@@ -611,7 +724,7 @@ mod tests {
         let h = m.policy.initial_hidden(&mut g, 2);
         let (nodes, h1) = m.policy.step(&mut g, &m.store, x, h);
         assert_eq!(g.value(h1).shape(), (2, m.cfg.gru));
-        let p = m.policy.mixture(&g, nodes, 0);
+        let p = GmmBatch::from_nodes(&g, nodes).row(0);
         assert_eq!(p.means.len(), 3);
         assert!((p.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -641,7 +754,7 @@ mod tests {
             let x = g.input(Array::from_vec(1, d, vec![0.2; d]));
             let h = m.policy.initial_hidden(&mut g, 1);
             let (nodes, _) = m.policy.step(&mut g, &m.store, x, h);
-            let p = m.policy.mixture(&g, nodes, 0);
+            let p = GmmBatch::from_nodes(&g, nodes).row(0);
             assert_eq!(p.means.len(), cfg.gmm_k);
             assert!(p.means.iter().all(|x| x.is_finite()));
         }
@@ -706,7 +819,8 @@ mod tests {
                     let (x, h) = (random(cfg.input_dim()), random(cfg.hidden_dim()));
                     let (want_mix, want_h, want_z) = step_infer_oracle(&m.policy, &m.store, &x, &h);
                     let (mix, new_h) = m.policy.step_infer(&m.store, &x, &h);
-                    let alone = m.policy.advance_hidden(&m.store, &x, &h);
+                    let alone =
+                        (m.policy).advance_hidden_into(&m.store, &x, &h, &mut Scratch::default());
                     let (z, feat_h) = m.policy.features_infer(&m.store, &x, &h);
                     let same = bits(&want_h) == bits(&new_h)
                         && bits(&want_h) == bits(&alone)

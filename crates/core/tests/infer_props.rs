@@ -2,11 +2,13 @@
 //! (`PolicyNet::step_infer`) is bit-identical to per-flow sequential
 //! inference — both the single-row graph forward used by `SagePolicy` and
 //! single-row `step_infer` calls — for random flow counts, hidden states and
-//! observation vectors; and `CriticNet::logits_infer`, which the trainer's
+//! observation vectors; and `CriticNet::logits_infer_into`, which the trainer's
 //! no-gradient passes run, is bit-identical to the graph's `logits`.
 
 use sage_core::model::{CriticNet, NetConfig, SageModel};
 use sage_gr::STATE_DIM;
+use sage_nn::gmm::GmmBatch;
+use sage_nn::infer::Scratch;
 use sage_nn::{Array, Graph, ParamStore};
 use sage_util::prop::{forall, PropConfig};
 use sage_util::Rng;
@@ -57,7 +59,7 @@ fn batched_forward_bit_identical_to_per_flow_graph() {
                 let xn = g.input(xrow.clone());
                 let hn = g.input(hrow.clone());
                 let (nodes, hout) = model.policy.step(&mut g, &model.store, xn, hn);
-                let want_mix = model.policy.mixture(&g, nodes, 0);
+                let want_mix = GmmBatch::from_nodes(&g, nodes).row(0);
                 let got_mix = mix.row(r);
                 if bits(&want_mix.means) != bits(&got_mix.means)
                     || bits(&want_mix.log_stds) != bits(&got_mix.log_stds)
@@ -121,7 +123,7 @@ fn ablation_topologies_also_match() {
             let xn = g.input(Array::row(x.data[r * d..(r + 1) * d].to_vec()));
             let hn = g.input(Array::row(h.data[r * hd..(r + 1) * hd].to_vec()));
             let (nodes, _) = model.policy.step(&mut g, &model.store, xn, hn);
-            let want = model.policy.mixture(&g, nodes, 0);
+            let want = GmmBatch::from_nodes(&g, nodes).row(0);
             let got = mix.row(r);
             assert_eq!(bits(&want.means), bits(&got.means));
             assert_eq!(bits(&want.log_stds), bits(&got.log_stds));
@@ -154,7 +156,7 @@ fn concatenated_rows(s: &Array, a: &Array) -> (Array, Array) {
 #[test]
 fn critic_logits_infer_bit_identical_to_graph_logits() {
     forall(
-        "logits_infer == Graph logits",
+        "logits_infer_into == Graph logits",
         PropConfig::new(40, 0xC817),
         |rng| {
             let cfg = NetConfig {
@@ -195,7 +197,7 @@ fn critic_logits_infer_bit_identical_to_graph_logits() {
                 (0..n * per).map(|_| spiked(rng, -1.0, 1.0)).collect(),
             );
 
-            let got = critic.logits_infer(&store, &s, &a);
+            let got = critic.logits_infer_into(&store, &s, &a, &mut Scratch::default());
             let (rows_s, rows_a) = concatenated_rows(&s, &a);
             let mut g = Graph::new();
             let (sn, an) = (g.input(rows_s), g.input(rows_a));

@@ -5,6 +5,7 @@
 
 use crate::array::Array;
 use crate::graph::{log_sum_exp, softmax_in_place, Graph, NodeId};
+use crate::infer::Scratch;
 use crate::layers::Linear;
 use crate::params::ParamStore;
 use crate::vmath;
@@ -69,17 +70,18 @@ impl GmmHead {
         g.gmm_log_prob(nodes.means, nodes.log_stds, nodes.logits, action)
     }
 
-    /// Graph-free forward, bit-identical to [`GmmHead::fwd`] row by row
-    /// (see [`crate::infer`]). Returns the raw `[B,K]` mixture parameter
+    /// Graph-free forward in buffers from `scratch` ([`GmmBatch::give_to`]
+    /// returns them), bit-identical to [`GmmHead::fwd`] row by row (see
+    /// [`crate::infer`]). Returns the raw `[B,K]` mixture parameter
     /// matrices; extract a flow's mixture with [`GmmBatch::row`].
-    pub fn infer(&self, store: &ParamStore, x: &Array) -> GmmBatch {
-        let means = self.mean.infer(store, x);
+    pub fn infer_into(&self, store: &ParamStore, x: &Array, scratch: &mut Scratch) -> GmmBatch {
+        let means = self.mean.infer_into(scratch.take(), store, x, |v| v);
         let half_range = (LOG_STD_MAX - LOG_STD_MIN) / 2.0;
         let mid = (LOG_STD_MAX + LOG_STD_MIN) / 2.0;
-        let mut log_stds = self.log_std.infer(store, x);
+        let mut log_stds = self.log_std.infer_into(scratch.take(), store, x, |v| v);
         vmath::tanh_in_place(&mut log_stds.data);
         log_stds.map_assign(|t| t * half_range + mid);
-        let logits = self.logit.infer(store, x);
+        let logits = self.logit.infer_into(scratch.take(), store, x, |v| v);
         GmmBatch {
             means,
             log_stds,
@@ -111,17 +113,31 @@ impl GmmBatch {
         self.means.rows
     }
 
+    /// Give the three matrices' buffers to `scratch`.
+    pub fn give_to(self, scratch: &mut Scratch) {
+        for a in [self.means, self.log_stds, self.logits] {
+            scratch.give(a.data);
+        }
+    }
+
     /// Extract row `r` as sampling-ready [`GmmParams`].
     pub fn row(&self, r: usize) -> GmmParams {
-        mixture_row(&self.means, &self.log_stds, &self.logits, r)
+        let k = self.means.cols;
+        let row = |a: &Array| a.data[r * k..(r + 1) * k].to_vec();
+        let mut weights = row(&self.logits);
+        softmax_in_place(&mut weights);
+        GmmParams {
+            means: row(&self.means),
+            log_stds: row(&self.log_stds),
+            weights,
+        }
     }
 
     /// [`GmmParams::sample`] of row `r`, read in place: the same draws and
     /// bits, with the weights on the stack.
     pub fn sample(&self, r: usize, rng: &mut Rng) -> f64 {
         let (w, k) = (self.weights(r), self.logits.cols);
-        let c = rng.weighted(&w[..k]);
-        rng.normal_with(self.means.at(r, c), self.log_stds.at(r, c).exp())
+        sample_row(&self.means, &self.log_stds, r, &w[..k], rng)
     }
 
     /// [`GmmParams::mean`] of row `r`, read in place.
@@ -143,23 +159,23 @@ impl GmmBatch {
     }
 }
 
+/// A draw from the mixture of row `r` of `[B,K]` mixture parameter
+/// matrices, given its mixing `weights` (the softmax of its logits): a
+/// component by weight, then a normal draw from it — [`GmmParams::sample`]'s
+/// draws, read in place.
+pub fn sample_row(
+    means: &Array,
+    log_stds: &Array,
+    r: usize,
+    weights: &[f64],
+    rng: &mut Rng,
+) -> f64 {
+    let c = rng.weighted(weights);
+    rng.normal_with(means.at(r, c), log_stds.at(r, c).exp())
+}
+
 /// The most mixture components a [`GmmBatch`] row samples from.
 pub const MAX_COMPONENTS: usize = 64;
-
-/// Row `r` of `[B,K]` mixture parameter matrices, its logits normalised into
-/// mixing weights: the one arithmetic behind [`GmmBatch::row`] and
-/// [`GmmParams::from_nodes`].
-fn mixture_row(means: &Array, log_stds: &Array, logits: &Array, r: usize) -> GmmParams {
-    let k = means.cols;
-    let row = |a: &Array| a.data[r * k..(r + 1) * k].to_vec();
-    let mut weights = row(logits);
-    softmax_in_place(&mut weights);
-    GmmParams {
-        means: row(means),
-        log_stds: row(log_stds),
-        weights,
-    }
-}
 
 /// Extracted (plain) mixture parameters for one row, for inference-time
 /// sampling without a graph.
@@ -171,16 +187,6 @@ pub struct GmmParams {
 }
 
 impl GmmParams {
-    /// Read the mixture of row `r` out of forward-pass node values.
-    pub fn from_nodes(g: &Graph, nodes: GmmNodes, r: usize) -> Self {
-        mixture_row(
-            g.value(nodes.means),
-            g.value(nodes.log_stds),
-            g.value(nodes.logits),
-            r,
-        )
-    }
-
     /// Sample an action.
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         let c = rng.weighted(&self.weights);
@@ -242,7 +248,7 @@ mod tests {
         ));
         let nodes = head.fwd(&mut g, &store, x);
         for r in 0..2 {
-            let p = GmmParams::from_nodes(&g, nodes, r);
+            let p = GmmBatch::from_nodes(&g, nodes).row(r);
             let sum: f64 = p.weights.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
         }

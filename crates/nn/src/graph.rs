@@ -19,14 +19,14 @@
 //! passes repeat one schedule allocates during the first and never again.
 //! Backward draws gradients and weight transposes from a [`Workspace`] kept
 //! the same way; the ordered reduction reads its rows where they lie, through
-//! a table of row slices ([`infer::fold_tn_into`]), and stacks nothing. Both
-//! are bounded by one pass's live set: clearing drops the buffers the last
-//! tape left unclaimed, and the workspace allocates only when every buffer
-//! it owns is in use. `Graph::new()` per pass still works and costs what it
-//! always did.
+//! tables of row slices the workspace also keeps ([`infer::fold_tn_into`]),
+//! and stacks nothing. Both are bounded by one pass's live set: clearing
+//! drops the buffers the last tape left unclaimed, and the workspace
+//! allocates only when every buffer it owns is in use. `Graph::new()` per
+//! pass still works and costs what it always did.
 
 use crate::array::Array;
-use crate::infer;
+use crate::infer::{self, Scratch};
 use crate::params::{ParamId, ParamStore};
 use crate::vmath;
 
@@ -73,6 +73,15 @@ enum Op {
         logits: NodeId,
         action: NodeId,
         terms: NodeId,
+    },
+    /// One GRU step `(1 - z)·h + z·c` ([`Graph::gru`]): `w` the parameter
+    /// nodes in the order of [`infer::gru_gates_into`], `gates` the leaves
+    /// holding `z`, `r`, `r·h` and `c` for backward.
+    Gru {
+        x: NodeId,
+        h: NodeId,
+        w: [NodeId; 9],
+        gates: [NodeId; 4],
     },
     /// Per-row cross-entropy of softmax(logits) against target probs
     /// `[n,A] -> [n,1]`; `probs` is the leaf holding `softmax(logits)`.
@@ -135,11 +144,32 @@ struct FoldRows<'a> {
     ends: Vec<usize>,
 }
 
+impl FoldRows<'_> {
+    /// The tables emptied, their allocations kept, for rows of another
+    /// lifetime: an empty vector collected into one of the same layout
+    /// reuses its allocation.
+    fn emptied<'b>(self) -> FoldRows<'b> {
+        fn empty<'b>(mut rows: Vec<&[f64]>) -> Vec<&'b [f64]> {
+            rows.clear();
+            (rows.into_iter())
+                .map(|_| -> &'b [f64] { unreachable!("the vector is empty") })
+                .collect()
+        }
+        let mut ends = self.ends;
+        ends.clear();
+        FoldRows {
+            xs: empty(self.xs),
+            gs: empty(self.gs),
+            ends,
+        }
+    }
+}
+
 /// What backward keeps between calls (module docs, **Memory**).
 #[derive(Default)]
 struct Workspace {
-    /// Gradient buffers not in use, the most recently returned on top.
-    free: Vec<Vec<f64>>,
+    /// Gradient buffers not in use.
+    free: Scratch,
     /// Per node, the gradient accumulated so far by the running sweep.
     grads: Vec<Option<Array>>,
     /// Per node, its transpose as the right operand of a `matmul` or
@@ -147,18 +177,17 @@ struct Workspace {
     /// outlives the sweep).
     transposed: Vec<(bool, Array)>,
     refs: ParamRefs,
+    fold: FoldRows<'static>,
 }
 
 impl Workspace {
     /// An empty buffer.
     fn take(&mut self) -> Vec<f64> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.clear();
-        buf
+        self.free.take()
     }
 
     fn give(&mut self, a: Array) {
-        self.free.push(a.data);
+        self.free.give(a.data);
     }
 
     /// Add `g` to the gradient of `node`, or drop it if `node` wants none.
@@ -187,7 +216,7 @@ impl Workspace {
 
     /// Take back the gradients of reduced `refs` and their emptied lists.
     fn recycle(&mut self, mut refs: ParamRefs) {
-        self.free.extend(refs.grads.drain(..).map(|g| g.data));
+        refs.grads.drain(..).for_each(|g| self.free.give(g.data));
         refs.refs.clear();
         self.refs = refs;
     }
@@ -311,8 +340,8 @@ impl Graph {
     /// value. A graph therefore reads one store. The gradient is a sum over
     /// rows in a contracted order ([`Graph::backward_rows`]), so only the ops
     /// that make that sum may consume the node: `matmul` (right operand),
-    /// `affine` (weight, bias), `add_row` (bias) and `layer_norm` (gain,
-    /// bias).
+    /// `affine` (weight, bias), `add_row` (bias), `layer_norm` (gain, bias)
+    /// and `gru` (weights, biases).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         if self.param_nodes.len() <= id {
             self.param_nodes.resize(id + 1, None);
@@ -413,6 +442,35 @@ impl Graph {
         );
         let wants_grad = self.wants_grad(&[x, gain, bias]);
         self.push(v, Op::LayerNorm { x, gain, bias }, wants_grad)
+    }
+
+    /// One step of a GRU cell over `[B, ·]` rows: the new state
+    /// `(1 - z)·h + z·c` from the input `x`, the state `h` and the parameter
+    /// nodes `w` = `[W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h]`, its value
+    /// that of [`infer::gru_gates_into`] and [`infer::gru_blend`]. One node
+    /// with four leaves (`z`, `r`, `r·h`, `c`) where the composition of
+    /// matmul, add, add_row, sigmoid, tanh, mul, scale and add_const nodes
+    /// takes 21, and the same bits forward and backward: backward replays
+    /// that composition's sweep, op for op and in its order (see
+    /// `backprop_gru`), its gate products skipped for an operand that wants
+    /// no gradient. Every node of `w` must be a [`Graph::param`].
+    pub fn gru(&mut self, x: NodeId, h: NodeId, w: [NodeId; 9]) -> NodeId {
+        assert!(
+            w.iter().all(|&n| self.as_param(n).is_some()),
+            "gru weights are parameter nodes"
+        );
+        let bufs = [0, 1, 2, 3].map(|ahead| self.buf_ahead(ahead));
+        let (mut hu, mut out) = (self.workspace.take(), self.buf_ahead(4));
+        let val = |n: NodeId| &self.nodes[n].val;
+        let (xv, hv) = (val(x), val(h));
+        let [z, r, rh, c] = infer::gru_gates_into(bufs, &mut hu, xv, hv, w.map(val));
+        self.workspace.free.give(hu);
+        let blend = z.data.iter().zip(&hv.data).zip(&c.data);
+        out.extend(blend.map(|((&z, &h), &c)| infer::gru_blend(z, h, c)));
+        let out = Array::from_vec(z.rows, z.cols, out);
+        let gates = [z, r, rh, c].map(|v| self.push(v, Op::Leaf, false));
+        let wants_grad = self.wants_grad(&[x, h]) || self.wants_grad(&w);
+        self.push(out, Op::Gru { x, h, w, gates }, wants_grad)
     }
 
     /// Log-probability of scalar actions under a Gaussian mixture whose
@@ -533,13 +591,15 @@ impl Graph {
     ) {
         let mut ws = std::mem::take(&mut self.workspace);
         let mut refs = self.param_refs(out, seed, &mut ws);
-        refs.refs.sort_by_key(|r| (r.id, r.op));
-        let mut rows = FoldRows::default();
+        // No two contributions share a key: an op consumes a parameter once.
+        refs.refs.sort_unstable_by_key(|r| (r.id, r.op));
+        let mut rows = std::mem::take(&mut ws.fold).emptied();
         for of_param in refs.refs.chunk_by(|a, b| a.id == b.id) {
             let grad = self.reduce(of_param, &refs.grads, samples, &mut ws, &mut rows);
             store.params[of_param[0].id].grad.add_assign(&grad);
             ws.give(grad);
         }
+        ws.fold = rows.emptied();
         ws.recycle(refs);
         self.workspace = ws;
     }
@@ -564,6 +624,18 @@ impl Graph {
         ws.recycle(refs);
         self.workspace = ws;
         pairs
+    }
+
+    /// The gradient of every node that receives one in a sweep from `out`
+    /// seeded with `seed`, as backward computes it.
+    #[cfg(test)]
+    pub(crate) fn node_grads(&mut self, out: NodeId, seed: f64) -> Vec<Option<Array>> {
+        let mut ws = std::mem::take(&mut self.workspace);
+        let mut grads = vec![None; self.nodes.len()];
+        let refs = self.sweep(out, seed, &mut ws, |i, g| grads[i] = Some(g.clone()));
+        ws.recycle(refs);
+        self.workspace = ws;
+        grads
     }
 
     /// The fold of [`Graph::backward_rows`] for one parameter, `refs` in op
@@ -636,6 +708,18 @@ impl Graph {
     /// Backpropagate from `out` (every element seeded with `seed`) and return
     /// the unreduced parameter contributions, in the order the sweep met them.
     fn param_refs(&self, out: NodeId, seed: f64, ws: &mut Workspace) -> ParamRefs {
+        self.sweep(out, seed, ws, |_, _| {})
+    }
+
+    /// [`Graph::param_refs`], showing `visit` each node's whole gradient
+    /// before it is pushed on to the node's operands.
+    fn sweep(
+        &self,
+        out: NodeId,
+        seed: f64,
+        ws: &mut Workspace,
+        mut visit: impl FnMut(NodeId, &Array),
+    ) -> ParamRefs {
         ws.grads.clear();
         ws.grads.resize_with(self.nodes.len(), || None);
         let seeded = self.nodes[out].val.map_into(ws.take(), |_| seed);
@@ -652,6 +736,7 @@ impl Graph {
         let mut refs = std::mem::take(&mut ws.refs);
         for i in (0..=out).rev() {
             if let Some(g) = ws.grads[i].take() {
+                visit(i, &g);
                 self.backprop_node(i, g, ws, &mut refs);
             }
         }
@@ -707,6 +792,98 @@ impl Graph {
         }
     }
 
+    /// Backward of the [`Graph::gru`] node `i` from the gradient `g` of the
+    /// new state: the sweep of the 21-node composition it stands for, op for
+    /// op. That sweep reaches the blend first (`z·c`, then `(1 - z)·h`), then
+    /// the candidate gate, the reset gate and the update gate, so the
+    /// gradient of `z` is `g·c` plus `(g·h)·(−1)`, `h` receives its shares in
+    /// the order keep, `r·h`, `·U_rᵀ`, `·U_zᵀ` and `x` its shares in the
+    /// order `·W_hᵀ`, `·W_rᵀ`, `·W_zᵀ`. Each gate's three parameters share its
+    /// pre-activation gradient, as an `affine` node's weight and bias do.
+    #[expect(
+        clippy::neg_multiply,
+        reason = "`z * -1.0` and `d * -1.0` are the composition's `scale(z, -1.0)` forward and backward"
+    )]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the node, its operands and the sweep's state, as `backprop_node` holds them"
+    )]
+    fn backprop_gru(
+        &self,
+        i: NodeId,
+        (x, h): (NodeId, NodeId),
+        w: &[NodeId; 9],
+        gates: &[NodeId; 4],
+        mut g: Array,
+        ws: &mut Workspace,
+        refs: &mut ParamRefs,
+    ) {
+        let nodes = &self.nodes;
+        let [z, r, _, c] = gates.map(|n| &nodes[n].val);
+        let hv = &nodes[h].val;
+        let (wants_x, wants_h) = (nodes[x].wants_grad, nodes[h].wants_grad);
+        // `g · wᵀ` into the gradient of `to`.
+        let product = |ws: &mut Workspace, g: &Array, w: NodeId, to: NodeId| {
+            let buf = ws.take();
+            let d = infer::matmul_into(buf, g, ws.transpose_of(nodes, w));
+            ws.accumulate(nodes, to, d);
+        };
+        // new = z·c, keep = (z·(−1) + 1)·h.
+        let mut dz = g.zip_into(ws.take(), c, |g, c| g * c);
+        let mut dc = g.zip_into(ws.take(), z, |g, z| g * z);
+        let d_keep = g.zip_into(ws.take(), hv, |g, h| g * h);
+        if wants_h {
+            g.zip_assign(z, |g, z| g * (z * -1.0 + 1.0));
+            ws.accumulate(nodes, h, g);
+        } else {
+            ws.give(g);
+        }
+        dz.zip_assign(&d_keep, |dz, d| dz + d * -1.0);
+        ws.give(d_keep);
+        // c = tanh((x·W_h + (r·h)·U_h) + b_h).
+        dc.zip_assign(c, |g, c| g * (1.0 - c * c));
+        let buf = ws.take();
+        let d_rh = infer::matmul_into(buf, &dc, ws.transpose_of(nodes, w[7]));
+        let mut dr = d_rh.zip_into(ws.take(), hv, |g, h| g * h);
+        if wants_h {
+            let mut d = d_rh;
+            d.zip_assign(r, |g, r| g * r);
+            ws.accumulate(nodes, h, d);
+        } else {
+            ws.give(d_rh);
+        }
+        if wants_x {
+            product(ws, &dc, w[6], x);
+        }
+        // r = σ((x·W_r + h·U_r) + b_r).
+        dr.zip_assign(r, |g, y| g * y * (1.0 - y));
+        if wants_h {
+            product(ws, &dr, w[4], h);
+        }
+        if wants_x {
+            product(ws, &dr, w[3], x);
+        }
+        // z = σ((x·W_z + h·U_z) + b_z).
+        dz.zip_assign(z, |g, y| g * y * (1.0 - y));
+        if wants_h {
+            product(ws, &dz, w[1], h);
+        }
+        if wants_x {
+            product(ws, &dz, w[0], x);
+        }
+        let ids = w.map(|n| match self.as_param(n) {
+            Some(id) => id,
+            None => unreachable!("gru weights are parameter nodes (`Graph::gru` asserts it)"),
+        });
+        let rh = gates[2];
+        for (grad, by, ids) in [(dz, h, &ids[..3]), (dr, h, &ids[3..6]), (dc, rh, &ids[6..])] {
+            let grad = refs.keep(grad);
+            refs.push(i, ids[0], Some(x), grad);
+            refs.push(i, ids[1], Some(by), grad);
+            refs.push(i, ids[2], None, grad);
+        }
+    }
+
     /// Push `g`, the gradient of node `i`, on to the operands of its op. `g`
     /// is consumed: updated in place where an operand's gradient has its
     /// shape, handed back to the workspace otherwise.
@@ -718,8 +895,8 @@ impl Graph {
             Op::Leaf => ws.give(g),
             Op::Param(_) => unreachable!(
                 "a parameter's gradient is a row reduction: only matmul (right operand), \
-                 affine (weight, bias), add_row (bias) and layer_norm (gain, bias) may \
-                 consume a Param node"
+                 affine (weight, bias), add_row (bias), layer_norm (gain, bias) and gru \
+                 (weights, biases) may consume a Param node"
             ),
             Op::MatMul(a, b) => {
                 self.backprop_product(*a, *b, &g, ws);
@@ -824,7 +1001,8 @@ impl Graph {
                     dgain.extend(dy.iter().zip(&xhat).map(|(&dy, &xh)| dy * xh));
                     dx.extend(terms.map(|(&v, &xh)| (v - m1 - xh * m2) / sd));
                 }
-                ws.free.extend([xhat, dyg]);
+                ws.free.give(xhat);
+                ws.free.give(dyg);
                 ws.accumulate(nodes, *x, Array::from_vec(xv.rows, d, dx));
                 let dgain = Array::from_vec(xv.rows, d, dgain);
                 self.broadcast_grad(i, *gain, dgain, ws, refs);
@@ -857,6 +1035,7 @@ impl Graph {
                 ws.accumulate(nodes, *log_stds, Array::from_vec(n, k, ds));
                 ws.accumulate(nodes, *logits, Array::from_vec(n, k, dw));
             }
+            Op::Gru { x, h, w, gates } => self.backprop_gru(i, (*x, *h), w, gates, g, ws, refs),
             Op::SoftmaxCE {
                 logits,
                 target,
@@ -905,11 +1084,44 @@ pub fn softmax_in_place(row: &mut [f64]) -> f64 {
 
 /// Row-wise [`softmax_in_place`] of a copy of `logits`.
 pub fn softmax_rows(logits: &Array) -> Array {
-    let mut probs = logits.clone();
-    for row in probs.data.chunks_exact_mut(logits.cols.max(1)) {
-        softmax_in_place(row);
+    softmax_rows_into(Vec::new(), logits)
+}
+
+/// [`softmax_rows`] built in `buf`, [`infer::FOLD_ROWS`] rows at a time:
+/// each row's [`log_sum_exp`] sum is its own left fold from `+0.0` in
+/// element order ([`infer::fold_rows`]), so every element is
+/// [`softmax_in_place`]'s bits.
+pub fn softmax_rows_into(mut buf: Vec<f64>, logits: &Array) -> Array {
+    let cols = logits.cols;
+    buf.clear();
+    buf.extend_from_slice(&logits.data);
+    let block = infer::FOLD_ROWS * cols.max(1);
+    for (out, xs) in buf.chunks_mut(block).zip(logits.data.chunks(block)) {
+        let mut lse = [0.0; infer::FOLD_ROWS];
+        for ((lse, row), xs) in lse
+            .iter_mut()
+            .zip(out.chunks_exact_mut(cols.max(1)))
+            .zip(xs.chunks_exact(cols.max(1)))
+        {
+            *lse = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            row.iter_mut().zip(xs).for_each(|(e, &x)| *e = x - *lse);
+        }
+        vmath::exp_in_place(out);
+        let sums = infer::fold_rows(out, cols, 0.0, |_, _, e| e);
+        for (((lse, sum), row), xs) in lse
+            .iter_mut()
+            .zip(sums)
+            .zip(out.chunks_exact_mut(cols.max(1)))
+            .zip(xs.chunks_exact(cols.max(1)))
+        {
+            if !lse.is_infinite() {
+                *lse += sum.ln();
+            }
+            row.iter_mut().zip(xs).for_each(|(p, &x)| *p = x - *lse);
+        }
+        vmath::exp_in_place(out);
     }
-    probs
+    Array::from_vec(logits.rows, cols, buf)
 }
 
 const LOG_SQRT_2PI: f64 = 0.918_938_533_204_672_8;
@@ -1384,6 +1596,75 @@ mod tests {
                 let probs = softmax_rows(&Array::from_vec(1, len, xs.clone()));
                 for (p, &x) in probs.iter().zip(&xs) {
                     assert_eq!(p.to_bits(), (x - want).exp().to_bits(), "length {len}");
+                }
+            }
+        }
+    }
+
+    /// The row-interleaved folds are their row-serial definitions, bit for
+    /// bit (a NaN as a NaN): `softmax_rows` is `softmax_in_place` per row,
+    /// `layer_norm_into` normalises by each row's `row_moments`, and
+    /// `fold_rows` is a left fold per row from `+0.0` and from `-0.0` —
+    /// over row counts whose last block is partial, widths below, at and
+    /// past a block of 8 and 48, rows of `-0.0`, and rows holding `±inf`
+    /// or `NaN` (softmax's infinite-max path).
+    #[test]
+    fn interleaved_folds_are_their_row_serial_definitions() {
+        let mut rng = Rng::new(0xF01D);
+        let bits = |xs: &[f64]| -> Vec<u64> {
+            (xs.iter())
+                .map(|&x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+                .collect()
+        };
+        for cols in [1, 3, 41, 48] {
+            for rows in 0..=17 {
+                let mut data = Vec::with_capacity(rows * cols);
+                for r in 0..rows {
+                    data.extend((0..cols).map(|_| match r % 5 {
+                        // A row of `-0.0`.
+                        0 => -0.0,
+                        1 => match rng.below(6) {
+                            0 => f64::INFINITY,
+                            1 => f64::NEG_INFINITY,
+                            2 => f64::NAN,
+                            _ => rng.range(-40.0, 40.0),
+                        },
+                        _ => rng.range(-40.0, 40.0),
+                    }));
+                }
+                let logits = Array::from_vec(rows, cols, data);
+                let mut want = logits.data.clone();
+                want.chunks_exact_mut(cols).for_each(|row| {
+                    softmax_in_place(row);
+                });
+                let got = softmax_rows_into(vec![7.0; 3], &logits);
+                assert_eq!(got.shape(), (rows, cols));
+                assert_eq!(bits(&got.data), bits(&want), "softmax, {rows} x {cols}");
+                let gain = Array::row((0..cols).map(|_| rng.range(-2.0, 2.0)).collect());
+                let bias = Array::row((0..cols).map(|_| rng.range(-2.0, 2.0)).collect());
+                let got = infer::layer_norm_into(Vec::new(), &logits, &gain, &bias, |v| v);
+                let mut want = Vec::new();
+                for row in logits.row_slices() {
+                    let (mu, sd) = infer::row_moments(row);
+                    let affine = row.iter().zip(&gain.data).zip(&bias.data);
+                    want.extend(affine.map(|((&x, &g), &b)| g * ((x - mu) / sd) + b));
+                }
+                assert_eq!(bits(&got.data), bits(&want), "layer norm, {rows} x {cols}");
+                for init in [0.0, -0.0] {
+                    let term = |r: usize, c: usize, x: f64| x * (1.0 + (r + c) as f64);
+                    let mut got = Vec::new();
+                    for (b, block) in logits.data.chunks(infer::FOLD_ROWS * cols).enumerate() {
+                        let sums = infer::fold_rows(block, cols, init, |r, c, x| {
+                            term(b * infer::FOLD_ROWS + r, c, x)
+                        });
+                        got.extend_from_slice(&sums[..block.len() / cols]);
+                    }
+                    let want: Vec<f64> = (logits.row_slices().enumerate())
+                        .map(|(r, row)| {
+                            (row.iter().enumerate()).fold(init, |a, (c, &x)| a + term(r, c, x))
+                        })
+                        .collect();
+                    assert_eq!(bits(&got), bits(&want), "fold from {init}, {rows} x {cols}");
                 }
             }
         }

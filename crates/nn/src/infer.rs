@@ -1,11 +1,13 @@
 //! Graph-free forward kernels: the serving runtime's forward pass and every
 //! pass of the trainer that takes no gradient.
 //!
-//! [`crate::graph::Graph`] keeps what backward needs — ~60 nodes per policy
+//! [`crate::graph::Graph`] keeps what backward needs — ~30 nodes per policy
 //! step on its tape — which is waste where no gradient is taken. The helpers
 //! here compute the same forward math directly on [`Array`]s, and a layer's
 //! bias, activation and gate arithmetic run in one pass over its product's
-//! own buffer ([`affine`], [`map_rows`], [`zip_rows`]).
+//! own buffer ([`affine_into`], [`map_rows`], [`zip_rows`]). Their `_into`
+//! forms build in buffers the caller hands over or lends ([`Scratch`]), so
+//! a pass that repeats allocates nothing.
 //!
 //! **Bit-identity contract**: every op mirrors its `graph.rs` counterpart
 //! element-for-element, in the same evaluation order. All ops are
@@ -48,6 +50,7 @@
 )]
 
 use crate::array::Array;
+use crate::vmath;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
@@ -250,20 +253,14 @@ pub fn matmul_tn_into(buf: Vec<f64>, a: &Array, b: &Array) -> Array {
     product(buf, &a.data, (1, a.cols), &b.data, (a.cols, b.rows, b.cols))
 }
 
-/// `a (m x k) * b[..k]` for `b (k' x n)`, `k <= k'`: the product with the
+/// `a (m x k) * b[..k]` for `b (k' x n)`, `k <= k'`, built in `buf`: the product with the
 /// first `k` rows of `b` — every output element's fold over `b`'s rows
 /// stopped after `k` terms, so a caller holding the terms of the other rows
-/// continues it in order (`CriticNet::logits_infer` in `sage-core`).
-pub fn matmul_prefix(a: &Array, b: &Array) -> Array {
+/// continues it in order (`CriticNet::logits_infer_into` in `sage-core`).
+pub fn matmul_prefix_into(buf: Vec<f64>, a: &Array, b: &Array) -> Array {
     assert!(a.cols <= b.rows, "matmul_prefix inner dims");
     let (k, n) = (a.cols, b.cols);
-    product(
-        Vec::new(),
-        &a.data,
-        (k, 1),
-        &b.data[..k * n],
-        (a.rows, k, n),
-    )
+    product(buf, &a.data, (k, 1), &b.data[..k * n], (a.rows, k, n))
 }
 
 /// The `m x k` left operand is `a` read under `strides`, `b` is `k x n`; the
@@ -569,11 +566,117 @@ pub fn zip_rows(y: &mut Array, other: &Array, bias: &[f64], f: impl Fn(f64, f64,
 }
 
 /// `f(x · w + bias)` element by element, in one pass over the product's own
-/// buffer: the value of `Graph::affine` and then `f`.
-pub fn affine(x: &Array, w: &Array, bias: &Array, f: impl Fn(f64) -> f64) -> Array {
-    let mut y = matmul(x, w);
+/// buffer `buf`: the value of `Graph::affine` and then `f`.
+pub fn affine_into(
+    buf: Vec<f64>,
+    x: &Array,
+    w: &Array,
+    bias: &Array,
+    f: impl Fn(f64) -> f64,
+) -> Array {
+    let mut y = matmul_into(buf, x, w);
     map_rows(&mut y, &bias.data, |v, b| f(v + b));
     y
+}
+
+/// Buffers for the graph-free passes: a `_into` call takes the buffers of its
+/// temporaries and output here and gives the temporaries back, so a caller
+/// that keeps one `Scratch` across passes of one schedule, and gives back
+/// each output it is done with, allocates during the first pass and never
+/// again. Bounded by one pass's live set: a buffer is made only when every
+/// one held is in use.
+#[derive(Default)]
+pub struct Scratch {
+    free: Vec<Vec<f64>>,
+}
+
+impl Scratch {
+    /// An empty buffer, the one given back last if any.
+    pub fn take(&mut self) -> Vec<f64> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    /// Keep `buf` for a later [`Scratch::take`].
+    pub fn give(&mut self, buf: Vec<f64>) {
+        self.free.push(buf);
+    }
+}
+
+/// The gate values of one GRU step from `x`, `h` and the cell's parameters
+/// `w = [W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h]`, in `bufs` in the
+/// order they are returned: the update gate `z = σ((x·W_z + h·U_z) + b_z)`, the
+/// reset gate `r` likewise, `r · h`, and the candidate
+/// `c = tanh((x·W_h + (r·h)·U_h) + b_h)` — each gate's bias and activation
+/// in the buffer of its input product, `hu` holding each recurrent product
+/// in turn. The forward of `Graph::gru` and of `GruCell::infer_step_into`.
+pub fn gru_gates_into(
+    bufs: [Vec<f64>; 4],
+    hu: &mut Vec<f64>,
+    x: &Array,
+    h: &Array,
+    w: [&Array; 9],
+) -> [Array; 4] {
+    let [z, r, rh, c] = bufs;
+    let [wz, uz, bz, wr, ur, br, wh, uh, bh] = w;
+    let mut gate = |buf, w: &Array, u: &Array, by: &Array, b: &Array, act: fn(&mut [f64])| {
+        let prod = matmul_into(std::mem::take(hu), by, u);
+        let mut y = matmul_into(buf, x, w);
+        zip_rows(&mut y, &prod, &b.data, |v, hu, b| (v + hu) + b);
+        act(&mut y.data);
+        *hu = prod.data;
+        y
+    };
+    let z = gate(z, wz, uz, h, bz, vmath::logistic_in_place);
+    let r = gate(r, wr, ur, h, br, vmath::logistic_in_place);
+    let rh = r.zip_into(rh, h, |r, h| r * h);
+    let c = gate(c, wh, uh, &rh, bh, vmath::tanh_in_place);
+    [z, r, rh, c]
+}
+
+/// The new GRU state `(1 - z)·h + z·c`, element by element as the graph
+/// composes it: `(z·(−1) + 1)·h + z·c`.
+#[expect(
+    clippy::neg_multiply,
+    reason = "`z * -1.0` is `Graph::scale(z, -1.0)` of the composition, spelled as it computes it"
+)]
+pub fn gru_blend(z: f64, h: f64, c: f64) -> f64 {
+    (z * -1.0 + 1.0) * h + z * c
+}
+
+/// How many rows [`fold_rows`] folds side by side.
+pub const FOLD_ROWS: usize = 8;
+
+/// Per row of `block` — `cols` wide, at most [`FOLD_ROWS`] rows — the left
+/// fold from `init` of `term(row, column, x)` over its elements in column
+/// order, in the first elements of the result. Each row stays its own fold;
+/// the rows of a full block are folded side by side, so their adds do not
+/// wait on each other's.
+#[inline]
+pub fn fold_rows(
+    block: &[f64],
+    cols: usize,
+    init: f64,
+    term: impl Fn(usize, usize, f64) -> f64,
+) -> [f64; FOLD_ROWS] {
+    let mut acc = [init; FOLD_ROWS];
+    if cols == 0 {
+        return acc;
+    }
+    if block.len() == FOLD_ROWS * cols {
+        let rows: [&[f64]; FOLD_ROWS] = std::array::from_fn(|r| &block[r * cols..(r + 1) * cols]);
+        for c in 0..cols {
+            for (r, (acc, row)) in acc.iter_mut().zip(&rows).enumerate() {
+                *acc += term(r, c, row[c]);
+            }
+        }
+    } else {
+        for ((r, acc), row) in acc.iter_mut().enumerate().zip(block.chunks_exact(cols)) {
+            *acc = (row.iter().enumerate()).fold(init, |a, (c, &x)| a + term(r, c, x));
+        }
+    }
+    acc
 }
 
 /// Row-wise layer normalisation (the value of `Graph::layer_norm`) built in
@@ -592,15 +695,35 @@ pub fn layer_norm_into(
         "layer_norm width"
     );
     buf.clear();
-    for row in x.row_slices() {
-        let (mu, sd) = row_moments(row);
+    let mut write = |row: &[f64], (mu, sd): (f64, f64)| {
         let affine = row.iter().zip(&gain.data).zip(&bias.data);
         buf.extend(affine.map(|((&x, &g), &b)| f(g * ((x - mu) / sd) + b)));
+    };
+    let block = FOLD_ROWS * d.max(1);
+    let mut blocks = x.data.chunks_exact(block);
+    for block in &mut blocks {
+        let moments = block_moments(block, d);
+        for (row, moments) in block.chunks_exact(d).zip(moments) {
+            write(row, moments);
+        }
+    }
+    for row in blocks.remainder().chunks_exact(d.max(1)) {
+        write(row, row_moments(row));
     }
     Array::from_vec(x.rows, d, buf)
 }
 
+/// [`row_moments`] of each of the [`FOLD_ROWS`] rows of `block` (`d` wide),
+/// the rows folded side by side ([`fold_rows`]).
+fn block_moments(block: &[f64], d: usize) -> [(f64, f64); FOLD_ROWS] {
+    let n = d as f64;
+    let mu = fold_rows(block, d, -0.0, |_, _, x| x).map(|s| s / n);
+    let var = fold_rows(block, d, -0.0, |r, _, x| (x - mu[r]) * (x - mu[r]));
+    std::array::from_fn(|r| (mu[r], (var[r] / n + LAYER_NORM_EPS).sqrt()))
+}
+
 /// Mean and `sqrt(variance + eps)` of one layer-norm row.
+#[inline]
 pub(crate) fn row_moments(row: &[f64]) -> (f64, f64) {
     let d = row.len() as f64;
     let mu = row.iter().sum::<f64>() / d;
@@ -891,16 +1014,25 @@ mod tests {
         );
         let (gn, sn) = (g.input(gain.clone()), g.input(shift.clone()));
         let y = g.affine(xn, wn, bn);
-        assert_bits_eq(g.value(y), &affine(&x, &w, &bias, |v| v));
+        assert_bits_eq(g.value(y), &affine_into(Vec::new(), &x, &w, &bias, |v| v));
         let pair = g.matmul(xn, wn);
         let pair = g.add_row(pair, bn);
         assert_bits_eq(g.value(pair), g.value(y));
         let act = g.lrelu(y, 0.01);
-        assert_bits_eq(g.value(act), &affine(&x, &w, &bias, |v| leaky(v, 0.01)));
+        assert_bits_eq(
+            g.value(act),
+            &affine_into(Vec::new(), &x, &w, &bias, |v| leaky(v, 0.01)),
+        );
         let act = g.sigmoid(y);
-        assert_bits_eq(g.value(act), &affine(&x, &w, &bias, logistic));
+        assert_bits_eq(
+            g.value(act),
+            &affine_into(Vec::new(), &x, &w, &bias, logistic),
+        );
         let act = g.tanh(y);
-        assert_bits_eq(g.value(act), &affine(&x, &w, &bias, f64::tanh));
+        assert_bits_eq(
+            g.value(act),
+            &affine_into(Vec::new(), &x, &w, &bias, f64::tanh),
+        );
         let n = g.layer_norm(xn, gn, sn);
         let plain = layer_norm_into(Vec::new(), &x, &gain, &shift, |v| v);
         assert_bits_eq(g.value(n), &plain);

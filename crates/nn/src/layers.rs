@@ -4,9 +4,8 @@
 
 use crate::array::Array;
 use crate::graph::{Graph, NodeId};
-use crate::infer;
+use crate::infer::{self, Scratch};
 use crate::params::{ParamId, ParamStore};
-use crate::vmath;
 use sage_util::Rng;
 
 /// Fully connected layer y = x W + b.
@@ -36,17 +35,17 @@ impl Linear {
         g.affine(x, w, b)
     }
 
-    /// Graph-free forward, bit-identical to [`Linear::fwd`] (see
-    /// [`crate::infer`]).
-    pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
-        self.infer_map(store, x, |v| v)
-    }
-
-    /// [`Linear::infer`] with `f` applied to each output element in the
-    /// pass that adds the bias: the bits of [`Linear::fwd`] followed by the
-    /// graph op `f` stands for.
-    pub fn infer_map(&self, store: &ParamStore, x: &Array, f: impl Fn(f64) -> f64) -> Array {
-        infer::affine(x, store.get(self.w), store.get(self.b), f)
+    /// Graph-free forward built in `buf`, `f` applied to each output
+    /// element in the pass that adds the bias: the bits of [`Linear::fwd`]
+    /// followed by the graph op `f` stands for (see [`crate::infer`]).
+    pub fn infer_into(
+        &self,
+        buf: Vec<f64>,
+        store: &ParamStore,
+        x: &Array,
+        f: impl Fn(f64) -> f64,
+    ) -> Array {
+        infer::affine_into(buf, x, store.get(self.w), store.get(self.b), f)
     }
 }
 
@@ -71,16 +70,18 @@ impl LayerNorm {
         g.layer_norm(x, gain, bias)
     }
 
-    /// Graph-free forward, bit-identical to [`LayerNorm::fwd`].
-    pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
-        self.infer_map(store, x, |v| v)
-    }
-
-    /// [`LayerNorm::infer`] with `f` applied to each element as it is
-    /// written (see [`Linear::infer_map`]).
-    pub fn infer_map(&self, store: &ParamStore, x: &Array, f: impl Fn(f64) -> f64) -> Array {
+    /// Graph-free forward built in `buf`, bit-identical to
+    /// [`LayerNorm::fwd`], `f` applied to each element as it is written
+    /// (see [`Linear::infer_into`]).
+    pub fn infer_into(
+        &self,
+        buf: Vec<f64>,
+        store: &ParamStore,
+        x: &Array,
+        f: impl Fn(f64) -> f64,
+    ) -> Array {
         let (gain, bias) = (store.get(self.gain), store.get(self.bias));
-        infer::layer_norm_into(Vec::new(), x, gain, bias, f)
+        infer::layer_norm_into(buf, x, gain, bias, f)
     }
 }
 
@@ -123,84 +124,39 @@ impl GruCell {
         }
     }
 
-    /// One recurrence step: returns h'.
-    pub fn step(&self, g: &mut Graph, store: &ParamStore, x: NodeId, h: NodeId) -> NodeId {
-        let wz = g.param(store, self.wz);
-        let uz = g.param(store, self.uz);
-        let bz = g.param(store, self.bz);
-        let xz = g.matmul(x, wz);
-        let hz = g.matmul(h, uz);
-        let z_in = g.add(xz, hz);
-        let z_in = g.add_row(z_in, bz);
-        let z = g.sigmoid(z_in);
-
-        let wr = g.param(store, self.wr);
-        let ur = g.param(store, self.ur);
-        let br = g.param(store, self.br);
-        let xr = g.matmul(x, wr);
-        let hr = g.matmul(h, ur);
-        let r_in = g.add(xr, hr);
-        let r_in = g.add_row(r_in, br);
-        let r = g.sigmoid(r_in);
-
-        let wh = g.param(store, self.wh);
-        let uh = g.param(store, self.uh);
-        let bh = g.param(store, self.bh);
-        let xh = g.matmul(x, wh);
-        let rh = g.mul(r, h);
-        let hh = g.matmul(rh, uh);
-        let c_in = g.add(xh, hh);
-        let c_in = g.add_row(c_in, bh);
-        let c = g.tanh(c_in);
-
-        // h' = (1 - z) * h + z * c
-        let neg_z = g.scale(z, -1.0);
-        let one_minus_z = g.add_const(neg_z, 1.0);
-        let keep = g.mul(one_minus_z, h);
-        let new = g.mul(z, c);
-        g.add(keep, new)
+    /// The nine parameters in the order of [`infer::gru_gates_into`].
+    fn ids(&self) -> [ParamId; 9] {
+        [
+            self.wz, self.uz, self.bz, self.wr, self.ur, self.br, self.wh, self.uh, self.bh,
+        ]
     }
 
-    /// Graph-free recurrence step, bit-identical to [`GruCell::step`]:
-    /// every element is computed in the same op order so batched serving
-    /// reproduces the training-time forward exactly. The gate arithmetic
-    /// runs in the buffers of the input products: one pass per gate, one for
-    /// `r · h` and one for the new state.
-    #[expect(
-        clippy::neg_multiply,
-        reason = "`z * -1.0` is `Graph::scale(z, -1.0)` in `step`, spelled as the graph computes it"
-    )]
-    pub fn infer_step(&self, store: &ParamStore, x: &Array, h: &Array) -> Array {
-        // act((x·W + h·U) + b), in the buffer of x·W: a bias pass, then
-        // the activation's slice kernel.
-        let gate = |xw: ParamId, hu: &Array, b: ParamId, act: fn(&mut [f64])| {
-            let mut y = infer::matmul(x, store.get(xw));
-            infer::zip_rows(&mut y, hu, &store.get(b).data, |v, hu, b| (v + hu) + b);
-            act(&mut y.data);
-            y
-        };
-        let z = gate(
-            self.wz,
-            &infer::matmul(h, store.get(self.uz)),
-            self.bz,
-            vmath::logistic_in_place,
-        );
-        let mut r = gate(
-            self.wr,
-            &infer::matmul(h, store.get(self.ur)),
-            self.br,
-            vmath::logistic_in_place,
-        );
-        r.zip_assign(h, |r, h| r * h);
-        let mut c = gate(
-            self.wh,
-            &infer::matmul(&r, store.get(self.uh)),
-            self.bh,
-            vmath::tanh_in_place,
-        );
-        // h' = (1 - z) * h + z * c
+    /// One recurrence step: returns h', one [`Graph::gru`] node.
+    pub fn step(&self, g: &mut Graph, store: &ParamStore, x: NodeId, h: NodeId) -> NodeId {
+        let w = self.ids().map(|id| g.param(store, id));
+        g.gru(x, h, w)
+    }
+
+    /// Graph-free recurrence step on buffers from `scratch` (see
+    /// [`Scratch`]), bit-identical to [`GruCell::step`]: the same gate
+    /// passes ([`infer::gru_gates_into`]), the new state blended in the
+    /// candidate's buffer.
+    pub fn infer_step_into(
+        &self,
+        store: &ParamStore,
+        x: &Array,
+        h: &Array,
+        scratch: &mut Scratch,
+    ) -> Array {
+        let w = self.ids().map(|id| store.get(id));
+        let bufs = [(); 4].map(|_| scratch.take());
+        let mut hu = scratch.take();
+        let [z, r, rh, mut c] = infer::gru_gates_into(bufs, &mut hu, x, h, w);
         for ((c, &z), &h) in c.data.iter_mut().zip(&z.data).zip(&h.data) {
-            *c = (z * -1.0 + 1.0) * h + z * *c;
+            *c = infer::gru_blend(z, h, *c);
+        }
+        for buf in [z.data, r.data, rh.data, hu] {
+            scratch.give(buf);
         }
         c
     }
@@ -231,14 +187,17 @@ impl ResidualBlock {
         g.add(x, h)
     }
 
-    /// Graph-free forward, bit-identical to [`ResidualBlock::fwd`]; the
-    /// skip connection is added in the pass that adds FC2's bias.
-    pub fn infer(&self, store: &ParamStore, x: &Array) -> Array {
-        let n = self.ln.infer(store, x);
-        let h = self.fc1.infer_map(store, &n, |v| infer::leaky(v, 0.01));
-        let mut y = infer::matmul(&h, store.get(self.fc2.w));
+    /// Graph-free forward on buffers from `scratch`, bit-identical to
+    /// [`ResidualBlock::fwd`]; the skip connection is added in the pass that
+    /// adds FC2's bias.
+    pub fn infer_into(&self, store: &ParamStore, x: &Array, scratch: &mut Scratch) -> Array {
+        let n = self.ln.infer_into(scratch.take(), store, x, |v| v);
+        let h = (self.fc1).infer_into(scratch.take(), store, &n, |v| infer::leaky(v, 0.01));
+        let mut y = infer::matmul_into(scratch.take(), &h, store.get(self.fc2.w));
         let bias = &store.get(self.fc2.b).data;
         infer::zip_rows(&mut y, x, bias, |v, x, b| x + (v + b));
+        scratch.give(n.data);
+        scratch.give(h.data);
         y
     }
 }
@@ -338,9 +297,18 @@ mod tests {
                 let want_rb = rb.fwd(&mut g, &store, xn);
 
                 let checks = [
-                    (g.value(want_lin), lin.infer(&store, &x)),
-                    (g.value(want_gru), cell.infer_step(&store, &x, &h)),
-                    (g.value(want_rb), rb.infer(&store, &x)),
+                    (
+                        g.value(want_lin),
+                        lin.infer_into(Vec::new(), &store, &x, |v| v),
+                    ),
+                    (
+                        g.value(want_gru),
+                        cell.infer_step_into(&store, &x, &h, &mut Scratch::default()),
+                    ),
+                    (
+                        g.value(want_rb),
+                        rb.infer_into(&store, &x, &mut Scratch::default()),
+                    ),
                 ];
                 for (want, got) in checks {
                     for (w, o) in want.iter().zip(got.iter()) {
@@ -348,6 +316,155 @@ mod tests {
                             return Err(format!("{w} != {o} (b={b}, din={din}, dh={dh})"));
                         }
                     }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// The GRU step as 21 graph nodes — the composition [`Graph::gru`]
+    /// replaces, kept as its oracle.
+    fn step_composed(
+        cell: &GruCell,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: NodeId,
+        h: NodeId,
+    ) -> NodeId {
+        let [wz, uz, bz, wr, ur, br, wh, uh, bh] = cell.ids().map(|id| g.param(store, id));
+        let xz = g.matmul(x, wz);
+        let hz = g.matmul(h, uz);
+        let z_in = g.add(xz, hz);
+        let z_in = g.add_row(z_in, bz);
+        let z = g.sigmoid(z_in);
+        let xr = g.matmul(x, wr);
+        let hr = g.matmul(h, ur);
+        let r_in = g.add(xr, hr);
+        let r_in = g.add_row(r_in, br);
+        let r = g.sigmoid(r_in);
+        let xh = g.matmul(x, wh);
+        let rh = g.mul(r, h);
+        let hh = g.matmul(rh, uh);
+        let c_in = g.add(xh, hh);
+        let c_in = g.add_row(c_in, bh);
+        let c = g.tanh(c_in);
+        // h' = (1 - z) * h + z * c
+        let neg_z = g.scale(z, -1.0);
+        let one_minus_z = g.add_const(neg_z, 1.0);
+        let keep = g.mul(one_minus_z, h);
+        let new = g.mul(z, c);
+        g.add(keep, new)
+    }
+
+    /// The fused node is its composition: over random shapes, unrolls of
+    /// one to three steps, zero rows, all-zero rows, `±0`/`±inf`/`NaN`
+    /// entries and inputs with and without a gradient, the new states, every
+    /// parameter's gradient and the gradients of `x` and `h` are equal bit
+    /// for bit (a NaN as a NaN).
+    #[test]
+    fn the_fused_gru_node_is_its_21_node_composition_bit_for_bit() {
+        use sage_util::prop::{forall, PropConfig};
+        fn special(rng: &mut Rng) -> f64 {
+            match rng.below(12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => f64::NAN,
+                _ => rng.range(-3.0, 3.0),
+            }
+        }
+        forall(
+            "fused gru == composition",
+            PropConfig::new(300, 0x6AD),
+            |rng| {
+                let b = rng.below(6);
+                let (din, dh, steps) = (1 + rng.below(11), 1 + rng.below(11), 1 + rng.below(3));
+                let spiked = rng.below(3) == 0;
+                // Values, one row of them zeroed when `zero_row` picks one.
+                let array = |rng: &mut Rng, rows: usize, cols: usize, zero_row: bool| {
+                    let mut data: Vec<f64> = (0..rows * cols)
+                        .map(|_| {
+                            if spiked {
+                                special(rng)
+                            } else {
+                                rng.range(-3.0, 3.0)
+                            }
+                        })
+                        .collect();
+                    if zero_row && rows > 0 {
+                        let r = rng.below(rows);
+                        data[r * cols..(r + 1) * cols].fill(0.0);
+                    }
+                    Array::from_vec(rows, cols, data)
+                };
+                let mut store = ParamStore::new();
+                let cell = GruCell::new(&mut store, "g", din, dh, rng);
+                for p in &mut store.params {
+                    p.value
+                        .data
+                        .iter_mut()
+                        .for_each(|v| *v += rng.range(-0.5, 0.5));
+                }
+                // Inputs that want a gradient run through a product with a
+                // parameter of their own.
+                let px = store.glorot("px", din, din, rng);
+                let ph = store.glorot("ph", dh, dh, rng);
+                let (x_grad, h_grad) = (rng.below(2) == 0, rng.below(2) == 0);
+                let xs: Vec<Array> = (0..steps).map(|t| array(rng, b, din, t == 0)).collect();
+                let h0 = array(rng, b, dh, true);
+                let upstream = array(rng, b, dh, false);
+                let seed = rng.range(0.1, 2.0);
+
+                type Step = fn(&GruCell, &mut Graph, &ParamStore, NodeId, NodeId) -> NodeId;
+                let run = |store: &mut ParamStore, step: Step| {
+                    let mut g = Graph::new();
+                    let lift = |g: &mut Graph, s: &ParamStore, a: &Array, p, grad: bool| {
+                        let n = g.input(a.clone());
+                        if grad {
+                            let p = g.param(s, p);
+                            g.matmul(n, p)
+                        } else {
+                            n
+                        }
+                    };
+                    let mut h = lift(&mut g, store, &h0, ph, h_grad);
+                    let mut watched = vec![h];
+                    for x in &xs {
+                        let x = lift(&mut g, store, x, px, x_grad);
+                        watched.push(x);
+                        h = step(&cell, &mut g, store, x, h);
+                    }
+                    let up = g.input(upstream.clone());
+                    let out = g.mul(h, up);
+                    let node_grads = g.node_grads(out, seed);
+                    store.zero_grads();
+                    g.backward_rows(out, seed, 1, store);
+                    // Bits, every NaN as one: Rust leaves a NaN's sign and
+                    // payload unspecified.
+                    let bits = |a: &Array| {
+                        (a.iter().map(|&v| if v.is_nan() { f64::NAN } else { v }))
+                            .map(f64::to_bits)
+                            .collect::<Vec<_>>()
+                    };
+                    let params: Vec<_> = store.params.iter().map(|p| bits(&p.grad)).collect();
+                    let inputs: Vec<_> = (watched.iter())
+                        .map(|&n| node_grads[n].as_ref().map(bits))
+                        .collect();
+                    (bits(g.value(h)), params, inputs)
+                };
+                let fused = run(&mut store, |c, g, s, x, h| c.step(g, s, x, h));
+                let composed = run(&mut store, step_composed);
+                let shape =
+                    format!("b {b}, {din}x{dh}, {steps} steps, grads x {x_grad} h {h_grad}");
+                if fused.0 != composed.0 {
+                    return Err(format!("values differ ({shape})"));
+                }
+                if fused.1 != composed.1 {
+                    return Err(format!("parameter gradients differ ({shape})"));
+                }
+                if fused.2 != composed.2 {
+                    return Err(format!("input gradients differ ({shape})"));
                 }
                 Ok(())
             },

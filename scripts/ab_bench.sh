@@ -5,12 +5,13 @@
 # Prints, per workload x end-to-end metric, both medians with quartiles, the
 # pairs the change won, whether the medians are further apart than the
 # parent's inter-quartile distance, every run's value, and whether
-# `digest_parts` agree; then, from a traced pair (`--trace 1`, each side
-# once per workload), every per-layer metric whose change/parent ratio is
-# outside 0.9-1.1 — where the difference sits (choosing-metrics §6.6). A
-# traced pair is contended when a side's traced `wall_s` exceeds 1.15 x that
-# side's untraced median; it is then run once more in the opposite order,
-# and the ratios come from each side's faster traced run. Under
+# `digest_parts` agree; then, from two traced pairs (`--trace 1`) per
+# workload run in ABBA order (parent, change, change, parent), every
+# per-layer metric that both pairs put outside 0.9-1.1 on the same side —
+# where the difference sits (choosing-metrics §6.6). One traced run per side
+# cannot resolve a probe: noise inside one probe's short timing window moves
+# it past 0.9-1.1 on code a change leaves alone. The row shows each side's
+# better run of the two and both pairs' ratios. Under
 # the run table it names the contended pairs of each workload: both sides'
 # `wall_s` more than 15 % above that side's median, i.e. the host was busy
 # for the whole pair, which pulls both sides down alike. With
@@ -26,8 +27,8 @@
 #               is worse than the parent's by more than its `bound` in
 #               BENCHMARK.json (read, like benchmark/, never edited).
 # The parent is a `git archive` export under ${TMPDIR:-/tmp}, removed on exit.
-# ~4 min per pair (2 workloads x 2 sides x 50 s), and as much again for the
-# traced pair (twice that when it is contended). Not a check.sh stage.
+# ~4 min per pair (2 workloads x 2 sides x 50 s), and twice that for the
+# two traced pairs. Not a check.sh stage.
 set -eu
 cd "$(dirname "$0")/.."
 REF=${1:?usage: scripts/ab_bench.sh <parent-ref> [pairs=10] [seed=2023] [workload/metric]}
@@ -38,6 +39,9 @@ CLAIM=${4:-}
 BOUNDS=$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
   on && /"(name|better|bound)"/ { gsub(/[",]/, ""); v[$1] = $2
     if ($1 == "bound:") print v["name:"], v["better:"], $2 }' BENCHMARK.json)
+# "metric better" of every per-layer metric.
+PER_LAYER=$(awk '/"per_layer"/ { on = 1 } on && /"(name|better)"/ { gsub(/[",]/, ""); v[$1] = $2
+    if ($1 == "better:") print v["name:"], $2 }' BENCHMARK.json)
 if [ -n "$CLAIM" ]; then
   case "${CLAIM%%/*}" in pipeline | layers) ;; *) CLAIM_OK=0 ;; esac
   echo "$BOUNDS" | grep -q "^${CLAIM#*/} " || CLAIM_OK=0
@@ -84,27 +88,12 @@ trace() {
   grep '^#detail' "$WORK/out" | grep -o '"best_s":[^,}]*' \
     | awk -F: -v r="$1" -v s="$2" -v w="$3" '{ t += $2 } END { print "trace", r, s, w, "wall_s", t }' >> "$WORK/rows"
 }
-# contended <side> <workload>: exit 0 when the side's traced wall_s of round
-# 1 exceeds 1.15 x the median of its untraced runs.
-contended() {
-  awk -v s="$1" -v w="$2" '
-    $2 == s && $3 == w && $4 == "wall_s" { v[++n] = $5 + 0 }
-    $1 == "trace" && $2 == 1 && $3 == s && $4 == w && $5 == "wall_s" { t = $6 + 0 }
-    END {
-      for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { x = v[j]; v[j] = v[j - 1]; v[j - 1] = x }
-      m = n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
-      exit !(t > 1.15 * m)
-    }' "$WORK/rows"
-}
 for w in pipeline layers; do
-  trace 1 parent "$w"; trace 1 change "$w"
-  if contended parent "$w" || contended change "$w"; then
-    echo "traced $w pair contended: once more, change first" >&2
-    trace 2 change "$w"; trace 2 parent "$w"
-  fi
+  trace 1 parent "$w"; trace 1 change "$w"; trace 2 change "$w"; trace 2 parent "$w"
 done
 
 echo "$BOUNDS" | sed 's/^/bound /' >> "$WORK/rows"
+echo "$PER_LAYER" | sed 's/^/layer /' >> "$WORK/rows"
 awk -v pairs="$PAIRS" -v claim="$CLAIM" '
 function quantile(side, key, q,    i, j, t, v, r, lo) {
   for (i = 1; i <= pairs; i++) v[i] = val[i, side, key]
@@ -116,6 +105,7 @@ function summary(side, key) {
   return sprintf("%12.4f [%10.4f,%10.4f]", quantile(side, key, 0.5), quantile(side, key, 0.25), quantile(side, key, 0.75))
 }
 $1 == "bound" { better[$2] = $3; bound[$2] = $4 + 0; next }
+$1 == "layer" { lbetter[$2] = $3; next }
 $1 == "digest" { if (!(($2, $3) in dig)) dig[$2, $3] = $4; else if (dig[$2, $3] != $4) dig[$2, $3] = "unstable"; next }
 $1 == "trace" {
   if ($5 == "wall_s") { twall[$2, $3, $4] = $6 + 0; next }
@@ -165,24 +155,27 @@ END {
   for (i = 1; i <= nw; i++) printf "%-9s %s\n", ws[i], (busy[ws[i]] == "" ? "none" : substr(busy[ws[i]], 2))
   for (i = 1; i <= nw; i++)
     printf "%-9s digest_parts %s\n", ws[i], (dig["parent", ws[i]] == dig["change", ws[i]] && dig["parent", ws[i]] != "unstable" ? "match" : "DIFFER: parent " dig["parent", ws[i]] " change " dig["change", ws[i]])
-  # The faster traced run of each side: round 2 exists only for a contended pair.
-  print "traced runs, wall_s against the untraced median of that side (contended above 1.15 x):"
+  print "traced runs, wall_s against the untraced median of that side:"
   for (i = 1; i <= nw; i++) for (s = 1; s <= 2; s++) {
     side = (s == 1 ? "parent" : "change"); m = quantile(side, ws[i] " wall_s", 0.5); line = ""
-    fast[side, ws[i]] = 1
-    for (r = 1; r <= 2; r++) if ((r, side, ws[i]) in twall) {
-      t = twall[r, side, ws[i]]
-      line = line sprintf("  round %d %.4g (%.3f x%s)", r, t, (m ? t / m : 0), (t > 1.15 * m ? ", contended" : ""))
-      if (t < twall[fast[side, ws[i]], side, ws[i]]) fast[side, ws[i]] = r
-    }
-    printf "%-9s %-6s untraced median %.4g%s -> round %d\n", ws[i], side, m, line, fast[side, ws[i]]
+    for (r = 1; r <= 2; r++) if ((r, side, ws[i]) in twall)
+      line = line sprintf("  round %d %.4g (%.3f x)", r, twall[r, side, ws[i]], (m ? twall[r, side, ws[i]] / m : 0))
+    printf "%-9s %-6s untraced median %.4g%s\n", ws[i], side, m, line
   }
-  print "traced pair, per-layer metrics with change/parent outside 0.9-1.1:"
+  # Where each pair puts the ratio: -1 below 0.9, 1 above 1.1, 0 inside (or equal).
+  print "traced pairs, per-layer metrics both pairs put outside 0.9-1.1 on the same side (the better run of each side, then the ratio of each pair):"
   for (k = 1; k <= nt; k++) {
     key = torder[k]; split(key, wm, " ")
-    p = tr[fast["parent", wm[1]], "parent", key]; c = tr[fast["change", wm[1]], "change", key]
-    if (p == c || (p != 0 && c / p >= 0.9 && c / p <= 1.1)) continue
-    printf "%-9s %-34s %14.4f -> %14.4f  %s\n", wm[1], wm[2], p, c, (p ? sprintf("%.3f", c / p) : "from 0")
+    for (r = 1; r <= 2; r++) {
+      p = tr[r, "parent", key]; c = tr[r, "change", key]
+      dir[r] = (p == c ? 0 : p == 0 ? (c > 0 ? 1 : -1) : c / p < 0.9 ? -1 : c / p > 1.1 ? 1 : 0)
+      ratio[r] = (p ? sprintf("%.3f", c / p) : "from 0")
+    }
+    if (dir[1] == 0 || dir[1] != dir[2]) continue
+    lower = (lbetter[wm[2]] == "lower")
+    p = tr[1, "parent", key]; q = tr[2, "parent", key]; p = (lower ? (q < p ? q : p) : (q > p ? q : p))
+    c = tr[1, "change", key]; q = tr[2, "change", key]; c = (lower ? (q < c ? q : c) : (q > c ? q : c))
+    printf "%-9s %-34s %14.4f -> %14.4f  %s  (pairs %s, %s)\n", wm[1], wm[2], p, c, (p ? sprintf("%.3f", c / p) : "from 0"), ratio[1], ratio[2]
   }
   if (claim != "") {
     print verdict
