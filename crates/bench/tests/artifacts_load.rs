@@ -96,30 +96,16 @@ const FIXTURE_POOL: [usize; 3] = [8, 4, 6];
 /// `pool.bin` is the benchmark's fixture, and this test is what ties it to
 /// the code: the pool collected in process at [`FIXTURE_POOL`], saved through
 /// the checked writer, is the committed file byte for byte, footer included.
-/// With `SAGE_REGEN_GOLDEN` set it rewrites the file instead.
+/// The benchmark's `layers` workload trains its CRR steps on this file, so
+/// its numbers move with it.
 #[test]
 fn committed_pool_is_the_collection_at_the_fixture_scale() {
-    let committed = artifacts_dir().join("pool.bin");
     let pool = pool(FIXTURE_POOL, GrConfig::default());
-    if sage_util::env_cfg::regen_golden() {
-        pool.save_file(&committed).expect("rewrite pool.bin");
-        eprintln!("regenerated {}", committed.display());
-        return;
-    }
     let fresh = std::env::temp_dir().join(format!("sage_fixture_{}.bin", std::process::id()));
     pool.save_file(&fresh).expect("save the collected pool");
     let now = std::fs::read(&fresh).expect("collected bytes");
     std::fs::remove_file(&fresh).ok();
-    let was = std::fs::read(&committed).expect("committed pool.bin");
-    assert!(
-        now == was,
-        "artifacts/pool.bin ({} B) is not the pool collected at FIXTURE_POOL {FIXTURE_POOL:?} \
-         ({} B): collection changed. The benchmark's `layers` workload trains its CRR steps on \
-         this file, so its numbers move with it. If the change is intentional, regenerate with \
-         SAGE_REGEN_GOLDEN=1 cargo test -p sage-bench --test artifacts_load",
-        was.len(),
-        now.len()
-    );
+    sage_util::golden::check(artifacts_dir().join("pool.bin"), now).unwrap();
 }
 
 /// The committed policy stays distillable: a depth-6 tree fit on eight Set I

@@ -15,8 +15,8 @@
 //!
 //! There is no tolerance. Every quantity is deterministic at any
 //! `SAGE_THREADS`, so `scripts/check.sh` runs the gate at two thread counts.
-//! A change that moves a cell regenerates the committed report with the
-//! command in [`REGEN`].
+//! A change that moves a cell regenerates the committed report, with every
+//! other result and pin, through [`REGEN`].
 //!
 //! Upstream of every cell, [`every_builder_env_is_pinned_bit_for_bit`] folds
 //! each environment the builders make — the three full Set I/II grids and
@@ -29,11 +29,10 @@ use sage_core::SageModel;
 use sage_eval::matrix::{matrix_json, run_matrix, MatrixSpec};
 use sage_eval::runner::Contender;
 use sage_gr::GrConfig;
+use sage_util::golden::REGEN;
 use sage_util::{Fnv64, Json};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-const REGEN: &str = "regenerate with: cargo run --release -p sage-bench --bin figures -- matrix";
 
 /// The slice's scenarios that run with the whole roster.
 const SCENARIOS: [&str; 8] = [
@@ -182,7 +181,7 @@ fn matrix_slice_matches_the_committed_report() {
     assert!(
         found.is_empty(),
         "the evaluation matrix no longer computes the committed report \
-         ({} mismatches); {REGEN}\n{}",
+         ({} mismatches); regenerate with {REGEN}\n{}",
         found.len(),
         found.join("\n")
     );
@@ -281,9 +280,7 @@ fn every_builder_env_is_pinned_bit_for_bit() {
         fold_env(&mut h, env);
     }
     assert_eq!(envs.len(), 411);
-    assert_eq!(
-        h.finish(),
-        0xa1f1_1e37_4b27_1e20,
-        "an environment builder changed its output"
-    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/builder_envs.txt");
+    sage_util::golden::check(path, format!("digest {:016x}\n", h.finish()))
+        .expect("an environment builder changed its output");
 }

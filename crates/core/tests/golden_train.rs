@@ -4,13 +4,10 @@
 //! simulator, the collector, the autodiff engine, the optimiser or the CRR
 //! trainer that alters numerics shows up here first.
 //!
-//! When a numeric change is *intentional*, regenerate the golden file with:
+//! The files are checked by `sage_util::golden::check`; a numeric change
+//! that is intentional moves them with every other pin, through
+//! `run_experiments.sh`.
 //!
-//! ```text
-//! SAGE_REGEN_GOLDEN=1 cargo test -p sage-core --test golden_train
-//! ```
-//!
-//! and commit the updated `tests/golden/train_*.txt` alongside the change.
 //! `train_tiny_bc.txt` is the same run in behavioural-cloning mode
 //! (`bc_only: true`: constant filter, no critic); `train_tiny_refresh.txt`
 //! runs 12 steps at `target_period: 3`, so four target refreshes fall inside
@@ -23,15 +20,8 @@
 use sage_collector::{collect_pool, training_envs};
 use sage_core::{CrrConfig, CrrTrainer, NetConfig};
 use sage_gr::GrConfig;
-use sage_util::crc32;
+use sage_util::{crc32, golden};
 use std::fmt::Write as _;
-use std::path::PathBuf;
-
-fn golden_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file)
-}
 
 /// The tiny network the miniature runs train.
 fn tiny_net() -> NetConfig {
@@ -91,26 +81,8 @@ fn tiny(bc_only: bool, target_period: u64) -> CrrConfig {
 }
 
 fn check(file: &str, cfg: CrrConfig, steps: usize) {
-    let got = run(cfg, steps);
-    let path = golden_path(file);
-    if sage_util::env_cfg::regen_golden() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             SAGE_REGEN_GOLDEN=1 cargo test -p sage-core --test golden_train",
-            path.display()
-        )
-    });
-    assert_eq!(
-        want, got,
-        "golden mismatch: if the numeric change is intentional, regenerate \
-         with SAGE_REGEN_GOLDEN=1 cargo test -p sage-core --test golden_train"
-    );
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    golden::check(path, run(cfg, steps)).unwrap();
 }
 
 #[test]

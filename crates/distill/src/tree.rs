@@ -898,7 +898,8 @@ mod tests {
             ds.push(&x, x[0] - 0.5 * x[7] + 0.25 * x[33]);
         }
         let m = SymbolicModel::fit(&ds, &TreeConfig::default());
-        assert_eq!(m.digest(), 0x2608_6db6_df3f_ed1d);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/seeded_fit.txt");
+        sage_util::golden::check(path, format!("digest {:016x}\n", m.digest())).unwrap();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! 1. Observability is write-only: nothing in this crate is read by
 //!    pipeline logic, so metrics-on and metrics-off runs produce
-//!    byte-identical artefacts (pinned by `crates/serve/tests/obs_differential.rs`).
+//!    byte-identical artefacts (pinned by `crates/serve/tests/serve_golden.rs`).
 //! 2. Every metric write is an integer counter add (commutative and
 //!    associative), so totals are identical at every thread count.
 //!

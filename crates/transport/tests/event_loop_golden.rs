@@ -4,11 +4,15 @@
 //! deadline cleared while its event is pending (window drained, restart,
 //! flow stop), duplicate hop completions, and pacing wake-ups.
 //!
-//! Three test-local controllers × eight small scenarios. The constants in
-//! [`GOLDEN`] were generated at commit 8404f35 (the parent of the event-loop
-//! rewrite) and must never be regenerated to make a simulator change pass: a
-//! mismatch means event order changed. On mismatch the test prints the whole
-//! table it measured, in source form.
+//! Three test-local controllers × eight small scenarios, one line each in
+//! `tests/golden/event_loop.txt`, checked by `sage_util::golden::check`. The
+//! lines were first written by the event loop that scheduled a `HopComplete`
+//! per enqueue and an `Rto` per ACK into one heap. The live reference for
+//! event order is the heap-only model the queue is tested against
+//! (`netsim/tests/props.rs::lanes_pop_in_heap_order`,
+//! `engine::tests::lanes_and_heap_share_one_order`); this file is an
+//! ordinary pin, which moves only with a behaviour change that CHANGES.md
+//! lists.
 
 use sage_netsim::faults::{FaultPlan, GilbertElliott};
 use sage_netsim::link::LinkModel;
@@ -223,7 +227,6 @@ type FlowRow = (u64, u64, u64, u64, u64);
 /// `(enqueued, dropped, delivered, backlog, in_service)` of one hop.
 type HopRow = (u64, u64, u64, usize, usize);
 
-#[derive(Debug, PartialEq)]
 struct Row {
     run: String,
     flows: Vec<FlowRow>,
@@ -275,35 +278,6 @@ fn measure(scenario_name: &str, scheme: &str) -> Row {
     }
 }
 
-/// `(run, per-flow rows, per-hop rows, owd_fnv)`, generated at 8404f35.
-#[rustfmt::skip]
-const GOLDEN: &[(&str, &[FlowRow], &[HopRow], u64)] = &[
-    ("clean/aimd", &[(5898, 243, 243, 8677500, 0)], &[(6141, 243, 5825, 72, 1)], 0x90241ba42b572447),
-    ("clean/paced", &[(4819, 114, 114, 7003500, 0)], &[(4933, 132, 4709, 91, 1)], 0x0a166fc5713a2eed),
-    ("clean/ticker", &[(5753, 0, 0, 8508000, 0)], &[(5753, 0, 5712, 40, 1)], 0x6a67a4f49e455222),
-    ("quarter-bdp/aimd", &[(4406, 42, 42, 6526500, 0)], &[(4448, 42, 4391, 14, 1)], 0x06c9ec497caf7054),
-    ("quarter-bdp/paced", &[(4688, 144, 144, 6963000, 0)], &[(4832, 144, 4682, 5, 1)], 0x778d2257574986d4),
-    ("quarter-bdp/ticker", &[(4834, 1342, 1342, 7162500, 0)], &[(6176, 952, 5220, 3, 1)], 0x0fc08f7f54567f8d),
-    ("burst-loss/aimd", &[(1047, 87, 87, 1570500, 0)], &[(1134, 0, 1134, 0, 0)], 0xe6881d549fc457e1),
-    ("burst-loss/paced", &[(1414, 110, 144, 2100000, 0)], &[(1524, 0, 1524, 0, 0)], 0x9aac8432a6242036),
-    ("burst-loss/ticker", &[(5452, 1146, 1157, 8086500, 0)], &[(6598, 248, 6345, 4, 1)], 0x12ad51ef4193e7d5),
-    ("ack-compression/aimd", &[(4802, 164, 321, 7125000, 0)], &[(4966, 164, 4790, 11, 1)], 0xbca194075df2c6c0),
-    ("ack-compression/paced", &[(4763, 290, 292, 6994500, 0)], &[(5053, 319, 4703, 30, 1)], 0x0e73e11bc3bfbcf0),
-    ("ack-compression/ticker", &[(5740, 0, 0, 8467500, 0)], &[(5740, 0, 5685, 54, 1)], 0x5617cdd8aabb0cca),
-    ("reorder-dup/aimd", &[(733, 8, 17, 1096500, 0)], &[(741, 0, 741, 0, 0)], 0x477ca02885423738),
-    ("reorder-dup/paced", &[(1100, 10, 13, 1635000, 0)], &[(1110, 0, 1110, 0, 0)], 0x7428717f9f31af0f),
-    ("reorder-dup/ticker", &[(5598, 155, 155, 8287500, 0)], &[(5753, 0, 5716, 36, 1)], 0x5733d102ca2498bd),
-    ("blackout/aimd", &[(1881, 181, 277, 2734500, 1)], &[(2062, 159, 1903, 0, 0)], 0xfef765dddc855e9b),
-    ("blackout/paced", &[(877, 162, 305, 1135500, 1)], &[(1039, 0, 1039, 0, 0)], 0x57f0ffbfc96ebece),
-    ("blackout/ticker", &[(2160, 1438, 1527, 2566500, 1)], &[(3598, 389, 3209, 0, 0)], 0xff092e0efb21162c),
-    ("parking-lot/aimd", &[(3538, 83, 83, 5208000, 0)], &[(3621, 0, 3620, 0, 1), (3618, 83, 3496, 38, 1)], 0x6edd6f1c2eff1c55),
-    ("parking-lot/paced", &[(3149, 199, 199, 4659000, 0)], &[(3348, 0, 3347, 0, 1), (3345, 199, 3130, 15, 1)], 0x8909df3c1f7f91b4),
-    ("parking-lot/ticker", &[(3531, 2, 2, 5214000, 0)], &[(3533, 0, 3532, 0, 1), (3530, 2, 3500, 27, 1)], 0x2e3351b5f136731a),
-    ("staggered-8/aimd", &[(1569, 198, 340, 2350500, 0), (669, 22, 22, 963000, 0), (371, 14, 23, 555000, 0), (580, 18, 18, 831000, 0), (267, 11, 11, 370500, 0), (999, 121, 235, 1498500, 0), (522, 12, 12, 771000, 0), (636, 14, 14, 912000, 0)], &[(6023, 391, 5561, 70, 1)], 0x87c2a332d918e3bb),
-    ("staggered-8/paced", &[(1457, 111, 111, 2134500, 0), (1132, 84, 84, 1654500, 0), (569, 48, 48, 853500, 0), (663, 52, 52, 963000, 0), (483, 48, 48, 702000, 0), (239, 29, 33, 352500, 0), (473, 44, 44, 681000, 0), (564, 41, 41, 811500, 0)], &[(6037, 481, 5475, 80, 1)], 0x5b613358137312bc),
-    ("staggered-8/ticker", &[(620, 6, 6, 928500, 0), (337, 2, 2, 505500, 0), (1302, 661, 786, 1828500, 0), (1106, 908, 1049, 1522500, 0), (549, 699, 833, 649500, 0), (1059, 360, 669, 1288500, 0), (1006, 564, 635, 1116000, 0), (377, 626, 754, 361500, 0)], &[(10182, 4314, 5788, 79, 1)], 0xf3dccfbf4d78fb7a),
-];
-
 #[test]
 fn event_loop_outcomes_are_pinned() {
     let mut measured = Vec::new();
@@ -325,28 +299,13 @@ fn event_loop_outcomes_are_pinned() {
         assert_eq!(row(&format!("staggered-8/{scheme}")).flows.len(), 8);
     }
 
-    let golden: Vec<Row> = GOLDEN
-        .iter()
-        .map(|&(run, flows, hops, owd_fnv)| Row {
-            run: run.to_string(),
-            flows: flows.to_vec(),
-            hops: hops.to_vec(),
-            owd_fnv,
-        })
-        .collect();
-    if measured != golden {
-        let mut table = String::new();
-        for r in &measured {
-            table.push_str(&format!(
-                "    ({:?}, &{:?}, &{:?}, 0x{:016x}),\n",
-                r.run, r.flows, r.hops, r.owd_fnv
-            ));
-        }
-        let differing: Vec<&str> = measured
-            .iter()
-            .filter(|m| !golden.contains(m))
-            .map(|m| m.run.as_str())
-            .collect();
-        panic!("event loop outcomes moved in {differing:?}; measured table:\n{table}");
+    let mut lines = String::new();
+    for r in &measured {
+        lines.push_str(&format!(
+            "{} flows {:?} hops {:?} owd_fnv {:016x}\n",
+            r.run, r.flows, r.hops, r.owd_fnv
+        ));
     }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/event_loop.txt");
+    sage_util::golden::check(path, lines).unwrap();
 }

@@ -33,7 +33,8 @@ pub const LOG: &str = "SAGE_LOG";
 pub const RECORD: &str = "SAGE_RECORD";
 /// Where panic-recovery paths dump the flight-recorder tail.
 pub const FLIGHT_FILE: &str = "SAGE_FLIGHT_FILE";
-/// Set (to anything) to make the golden tests rewrite their files.
+/// `1` makes [`crate::golden::check`] rewrite golden files instead of
+/// comparing them.
 pub const REGEN_GOLDEN: &str = "SAGE_REGEN_GOLDEN";
 
 /// The one raw read. Everything below goes through here, so the library
@@ -82,9 +83,22 @@ pub fn flight_file() -> Option<OsString> {
     std::env::var_os(FLIGHT_FILE)
 }
 
-/// Presence is the whole signal: any value, the empty string included.
+/// `SAGE_REGEN_GOLDEN` is on only at `1`. Unset compares; any other value
+/// compares too, after one warning, so `0` never rewrites a golden.
 pub fn regen_golden() -> bool {
-    read(REGEN_GOLDEN).is_some()
+    match read(REGEN_GOLDEN) {
+        None => false,
+        Some(v) if switch_on(&v) => true,
+        Some(v) => {
+            warn_rejected(REGEN_GOLDEN, &v, "1", "the committed goldens");
+            false
+        }
+    }
+}
+
+/// The shape `SAGE_REGEN_GOLDEN` accepts as on: `1`.
+fn switch_on(value: &str) -> bool {
+    value.trim() == "1"
 }
 
 #[cfg(test)]
@@ -103,6 +117,15 @@ mod tests {
         assert_eq!(super::parse_positive(" 65536 "), Some(65536));
         for bad in ["four", "64k", "0", "-1", "1.5", ""] {
             assert_eq!(super::parse_positive(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn only_one_turns_golden_regeneration_on() {
+        assert!(super::switch_on("1"));
+        assert!(super::switch_on(" 1\n"));
+        for off in ["0", "", "true", "yes", "01", "2", "1.0"] {
+            assert!(!super::switch_on(off), "{off:?}");
         }
     }
 

@@ -10,6 +10,7 @@
 
 pub mod env_cfg;
 pub mod fsio;
+pub mod golden;
 pub mod json;
 pub mod par;
 pub mod prop;

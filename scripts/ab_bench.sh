@@ -26,7 +26,9 @@
 #   REGRESSIONS every other workload x end-to-end metric whose change median
 #               is worse than the parent's by more than its `bound` in
 #               BENCHMARK.json (read, like benchmark/, never edited).
-# The parent is a `git archive` export under ${TMPDIR:-/tmp}, removed on exit.
+# The parent is a `git archive` export under ${TMPDIR:-/tmp}, removed on a
+# zero exit; on any other the directory, every run's rows included, is kept
+# and its path printed.
 # ~4 min per pair (2 workloads x 2 sides x 50 s), and twice that for the
 # two traced pairs. Not a check.sh stage.
 set -eu
@@ -51,7 +53,7 @@ if [ -n "$CLAIM" ]; then
   fi
 fi
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/ab_bench.XXXXXX")
-trap 'rm -rf "$WORK"' EXIT
+trap 'st=$?; if [ $st = 0 ]; then rm -rf "$WORK"; else echo "ab_bench: exit $st, runs kept in $WORK" >&2; fi' EXIT
 mkdir "$WORK/parent"
 git archive "$REF" | tar -x -C "$WORK/parent"
 for side in "$WORK/parent" .; do

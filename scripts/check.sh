@@ -49,6 +49,17 @@ UNCALLED=$(comm -23 <(grep -rhoE 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src | 
                     <(echo "$CALLED") | tr '\n' ' ')
 [ -z "$UNCALLED" ] || { echo "FAIL: pub fn defined under crates/*/src but never called: $UNCALLED"; exit 1; }
 
+# Every pin is a golden file that `sage_util::golden::check` compares or, at
+# SAGE_REGEN_GOLDEN=1, rewrites, so run_experiments.sh moves every pin at
+# once: only the knob's accessor and that helper name the switch, and no test
+# holds a pin in its source as a 16-hex-digit literal.
+echo "== pins: every golden is a file behind sage_util::golden =="
+STRAY=$(grep -rl regen_golden crates | grep -vxE 'crates/util/src/(env_cfg|golden)\.rs' || true)
+[ -z "$STRAY" ] || { echo "FAIL: regen_golden is named outside env_cfg.rs and golden.rs: $STRAY"; exit 1; }
+if grep -rnE '0x([0-9a-fA-F]_?){16}' --include='*.rs' crates/*/tests; then
+  echo "FAIL: a test holds a 16-hex-digit pin in its source; move it to a golden file"; exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -79,8 +90,8 @@ cargo build --release
 # debug at one worker, release at four. Every golden — fixed-seed train,
 # 64-flow serve digest with metrics/recorder on and off, matrix slice — is
 # therefore checked against the same file at both thread counts and both opt
-# levels, and the release-only learning tests run in the gate. Regenerate a
-# golden after an intentional change by setting SAGE_REGEN_GOLDEN to 1.
+# levels, and the release-only learning tests run in the gate.
+# run_experiments.sh regenerates every golden after an intentional change.
 echo "== tier-1: cargo test -q (debug, SAGE_THREADS=1) =="
 SAGE_THREADS=1 cargo test -q
 
